@@ -20,6 +20,17 @@ Noise never grows the trace norm of the pulled-back coefficient matrix, but
 at depth >= 2 a local expectation need not move monotonically toward its
 maximally mixed value: the elementwise damping does not commute with the
 next rotation.
+
+Observables are pulled back on their support only.  With ``S`` the Majorana
+indices of the nonzero rows and columns of the coefficient matrix, one layer
+maps the ``S x S`` block to ``T x T`` with ``T`` the columns where ``R[S]``
+has a nonzero entry: the damping is elementwise, so zeros stay zeros, and a
+column of ``R[S]`` that is exactly zero leaves an exactly zero row and column
+behind.  This is the dense pullback, not an approximation.  Brickwork layers
+are an identity with gates scattered in, so ``S`` spreads by at most
+``radius`` sites per layer and a pullback through ``depth`` layers costs
+``O(depth * (|S| * N + |S|^3))`` with ``|S|`` the light-cone volume; a dense
+rotation gives full support and the dense cost.
 """
 
 from __future__ import annotations
@@ -138,6 +149,33 @@ def evolve_state(state: GaussianState, circuit: Circuit,
     return GaussianState(state.lattice, gamma, validate=False)
 
 
+def _pull_back(obs: QuadraticObservable, layers: Sequence[np.ndarray],
+               lam: Optional[np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
+    """Heisenberg pullback restricted to the support of the coefficients.
+
+    Returns the Majorana indices ``S`` outside of which the pulled-back
+    coefficient matrix is exactly zero, and its ``S x S`` block.
+    """
+    nonzero = obs.coefficients != 0
+    support = np.flatnonzero(nonzero.any(axis=0) | nonzero.any(axis=1))
+    coeffs = obs.coefficients[np.ix_(support, support)]
+    for rot in reversed(layers):
+        if lam is not None:
+            coeffs = coeffs * lam[np.ix_(support, support)]
+        rows = rot[support]
+        support = np.flatnonzero((rows != 0).any(axis=0))
+        gate = rows[:, support]
+        coeffs = gate.T @ coeffs @ gate
+    return support, coeffs
+
+
+def _pulled_back_expectation(state: GaussianState, obs: QuadraticObservable,
+                             layers: Sequence[np.ndarray],
+                             lam: Optional[np.ndarray]) -> float:
+    support, coeffs = _pull_back(obs, layers, lam)
+    return obs.offset + float(np.sum(coeffs * state.gamma[np.ix_(support, support)]))
+
+
 def heisenberg_observable(obs: QuadraticObservable, circuit: Circuit,
                           channel: Optional[PauliChannel] = None,
                           enc: Optional[EncodingWeightModel] = None,
@@ -148,13 +186,16 @@ def heisenberg_observable(obs: QuadraticObservable, circuit: Circuit,
     (the same elementwise damping, the channel being self-adjoint) followed
     by the rotation ``O -> R^T O R``.  The scalar offset is untouched since
     the channel is unital.
+
+    Only the block on the observable's light cone is ever formed: entries
+    outside it are exactly zero in the dense pullback too, so the result is
+    the same, at ``O(depth * (|S| * N + |S|^3))`` for a light cone of
+    ``|S|`` Majoranas instead of ``O(depth * N^3)``.
     """
     lam = _layer_attenuation(circuit, channel, enc, mode)
-    coeffs = obs.coefficients.copy()
-    for rot in reversed(circuit.layers):
-        if lam is not None:
-            coeffs *= lam
-        coeffs = rot.T @ coeffs @ rot
+    support, block = _pull_back(obs, circuit.layers, lam)
+    coeffs = np.zeros_like(obs.coefficients)
+    coeffs[np.ix_(support, support)] = block
     return QuadraticObservable(obs.lattice, coeffs, offset=obs.offset, validate=False)
 
 
@@ -164,7 +205,23 @@ def circuit_expectation(state: GaussianState, obs: QuadraticObservable,
                         enc: Optional[EncodingWeightModel] = None,
                         mode: str = "exact") -> float:
     """Expectation of ``obs`` after the noisy circuit acts on ``state``."""
-    return state.expectation(heisenberg_observable(obs, circuit, channel, enc, mode))
+    lam = _layer_attenuation(circuit, channel, enc, mode)
+    return _pulled_back_expectation(state, obs, circuit.layers, lam)
+
+
+def prefix_expectations(state: GaussianState, obs: QuadraticObservable,
+                        circuit: Circuit,
+                        channel: Optional[PauliChannel] = None,
+                        enc: Optional[EncodingWeightModel] = None,
+                        mode: str = "exact") -> List[float]:
+    """Expectations of ``obs`` after each prefix of the circuit, depth 0 first.
+
+    Entry ``d`` is ``circuit_expectation`` on the first ``d`` layers; the
+    attenuation matrix is built once for all ``depth + 1`` prefixes.
+    """
+    lam = _layer_attenuation(circuit, channel, enc, mode)
+    return [_pulled_back_expectation(state, obs, circuit.layers[:d], lam)
+            for d in range(circuit.depth + 1)]
 
 
 def circuit_error_curve(state: GaussianState, obs: QuadraticObservable,

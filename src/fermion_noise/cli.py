@@ -37,7 +37,7 @@ import numpy as np
 
 from .bounds import DecayParams, fermi2d_limit_error, fermi2d_on_surface_error, \
     on_surface_integral_bound, prop1_bound, prop3_bound, prop4_bound
-from .circuits import Circuit, brickwork_circuit, circuit_expectation
+from .circuits import brickwork_circuit, prefix_expectations
 from .encodings import ENCODING_KINDS, EncodingWeightModel, bk_max_number_operator_weight
 from .errors import ConfigError, InvariantViolation
 from .gaussian import QuadraticObservable, circulant_power_law_state, fermi_sea, \
@@ -341,17 +341,16 @@ def _run_circuit(cfg: Dict[str, object]) -> List[Row]:
         params = DecayParams(K=decay_k, mu=1.0 + _CIRCUIT_MU_OFFSET, D=1,
                              phi0=cfg["phi0"])
         rng = np.random.default_rng([cfg["seed"], length])
-        full = brickwork_circuit(lattice, depth, radius=1, rng=rng)
+        circuit = brickwork_circuit(lattice, depth, radius=1, rng=rng)
+        ideal = prefix_expectations(state, obs, circuit)
+        noisy = prefix_expectations(state, obs, circuit, channel, enc, cfg["mode"])
         for d in range(depth + 1):
-            prefix = Circuit(lattice=lattice, radius=1, layers=full.layers[:d])
-            ideal = circuit_expectation(state, obs, prefix)
-            noisy = circuit_expectation(state, obs, prefix, channel, enc, cfg["mode"])
             bound = prop3_bound(params, p, d, radius=1)
             rows.append({
                 "n_sites": length,
                 "depth": d,
                 "p": p,
-                "error": abs(noisy - ideal),
+                "error": abs(noisy[d] - ideal[d]),
                 "prop3_bound": bound.value,
             })
     return rows

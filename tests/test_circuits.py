@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 from scipy.linalg import logm
 
-from conftest import assert_close, random_correlation, random_normalized_observable
+import fermion_noise.circuits as circuits_module
+from conftest import (
+    assert_close,
+    random_correlation,
+    random_gaussian_state,
+    random_normalized_observable,
+)
 from fermion_noise import (
     Circuit,
     EncodingWeightModel,
@@ -12,6 +18,7 @@ from fermion_noise import (
     Lattice,
     PauliChannel,
     QuadraticObservable,
+    attenuation_matrix,
     brickwork_circuit,
     circuit_error_curve,
     circuit_expectation,
@@ -20,7 +27,10 @@ from fermion_noise import (
     heisenberg_observable,
     lightcone_correlation_check,
     pair_attenuation,
+    prefix_expectations,
 )
+from fermion_noise.circuits import _pull_back
+from fermion_noise.gaussian import haar_special_orthogonal
 from fermion_noise.oracle import (
     dense_expectation,
     dense_free_unitary,
@@ -33,6 +43,16 @@ from fermion_noise.oracle import (
 
 def _coeff_trace_norm(obs):
     return np.linalg.svd(obs.coefficients, compute_uv=False).sum()
+
+
+def _dense_pull_back(obs, circuit, lam):
+    """Reference pullback: damp and rotate the full 2N x 2N matrix per layer."""
+    coeffs = obs.coefficients.copy()
+    for rot in reversed(circuit.layers):
+        if lam is not None:
+            coeffs *= lam
+        coeffs = rot.T @ coeffs @ rot
+    return coeffs
 
 
 class TestBrickworkConstruction:
@@ -198,6 +218,124 @@ class TestEvolution:
             rho = dense_layer(rho, u, p, (1 / 3, 1 / 3, 1 / 3))
         op = dense_quadratic_observable(obs.coefficients, obs.offset, max_modes=6)
         assert noisy == pytest.approx(dense_expectation(rho, op), abs=1e-9)
+
+
+class TestLightConePullback:
+    # (dim, length, radius, encoding, channel, mode); lengths 7 and 8 at
+    # block sizes 2 and 3 and the 5 x 5 torus at block size 3 leave a
+    # truncated gate in every row.
+    CASES = [
+        (1, 10, 1, "jw1d", PauliChannel.depolarizing(0.15), "exact"),
+        (1, 7, 1, "jw1d", PauliChannel(0.2, (0.5, 0.3, 0.2)), "exact"),
+        (1, 8, 2, "jw1d", PauliChannel(0.2, (0.6, 0.1, 0.3)), "exact"),
+        (1, 9, 2, "local", PauliChannel.depolarizing(0.1), "worst-case"),
+        (2, 4, 1, "local", PauliChannel.depolarizing(0.1), "exact"),
+        (2, 5, 2, "jw2d_snake", PauliChannel.depolarizing(0.2), "worst-case"),
+        (2, 4, 1, "local", None, "exact"),
+    ]
+
+    @staticmethod
+    def _observables(lat, rng):
+        zero = QuadraticObservable(lat, np.zeros((lat.n_majorana,) * 2), offset=0.7)
+        return [random_normalized_observable(lat, rng),
+                QuadraticObservable.hopping(lat, 0, 1), zero]
+
+    @staticmethod
+    def _assert_matches_dense(state, obs, circ, ch, enc, mode):
+        lam = None if ch is None else attenuation_matrix(enc, ch, mode)
+        dense = _dense_pull_back(obs, circ, lam)
+        pulled = heisenberg_observable(obs, circ, ch, enc, mode)
+        assert_close(pulled.coefficients, dense, 1e-12, "pullback")
+        assert pulled.offset == obs.offset
+        expected = obs.offset + float(np.sum(dense * state.gamma))
+        value = circuit_expectation(state, obs, circ, ch, enc, mode)
+        assert value == pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.parametrize("dim,length,radius,kind,ch,mode", CASES)
+    def test_matches_dense_pullback(self, rng, dim, length, radius, kind, ch, mode):
+        lat = Lattice(dim, length)
+        enc = EncodingWeightModel(kind, lat)
+        state = random_gaussian_state(lat, rng)
+        full = brickwork_circuit(lat, 5, radius=radius, rng=np.random.default_rng(41))
+        for obs in self._observables(lat, rng):
+            for depth in range(full.depth + 1):
+                circ = Circuit(lattice=lat, radius=radius, layers=full.layers[:depth])
+                self._assert_matches_dense(state, obs, circ, ch, enc, mode)
+
+    def test_dense_layer_gives_full_support(self, rng):
+        lat = Lattice(1, 6)
+        enc = EncodingWeightModel("jw1d", lat)
+        state = random_gaussian_state(lat, rng)
+        circ = Circuit(lattice=lat, radius=1,
+                       layers=(haar_special_orthogonal(lat.n_majorana, rng),))
+        obs = QuadraticObservable.hopping(lat, 0, 1)
+        support, _ = _pull_back(obs, circ.layers, None)
+        assert len(support) == lat.n_majorana
+        self._assert_matches_dense(state, obs, circ, PauliChannel.depolarizing(0.1),
+                                   enc, "exact")
+
+    def test_zero_observable_gives_the_offset(self, rng):
+        lat = Lattice(1, 8)
+        enc = EncodingWeightModel("jw1d", lat)
+        state = random_gaussian_state(lat, rng)
+        circ = brickwork_circuit(lat, 3, rng=np.random.default_rng(43))
+        zero = QuadraticObservable(lat, np.zeros((16, 16)), offset=-0.25)
+        ch = PauliChannel.depolarizing(0.3)
+        assert circuit_expectation(state, zero, circ, ch, enc) == -0.25
+        assert prefix_expectations(state, zero, circ, ch, enc) == [-0.25] * 4
+        assert not heisenberg_observable(zero, circ, ch, enc).coefficients.any()
+
+    @pytest.mark.parametrize("dim,length,radius,depth", [
+        (1, 16, 1, 6), (1, 17, 2, 4), (2, 6, 1, 4), (1, 512, 1, 8)])
+    def test_support_stays_inside_the_light_cone(self, dim, length, radius, depth):
+        lat = Lattice(dim, length)
+        circ = brickwork_circuit(lat, depth, radius=radius, rng=np.random.default_rng(47))
+        obs = QuadraticObservable.hopping(lat, 0, 1)
+        to_pair = lat.distance_matrix()[:, [0, 1]].min(axis=1)
+        for d in range(depth + 1):
+            support, _ = _pull_back(obs, circ.layers[:d], None)
+            assert to_pair[support // 2].max() <= circ.light_cone_radius(d), d
+        if length == 512:
+            # 2 Majoranas on each of the 2 + 2 * 8 sites of the cone, of 1024.
+            assert len(support) <= 2 * (2 + 2 * circ.light_cone_radius())
+            assert len(support) <= lat.n_majorana // 16
+
+
+class TestPrefixExpectations:
+    def test_entries_match_circuit_expectation_per_prefix(self, rng):
+        lat = Lattice(1, 10)
+        enc = EncodingWeightModel("jw1d", lat)
+        state = random_gaussian_state(lat, rng)
+        full = brickwork_circuit(lat, 5, rng=np.random.default_rng(53))
+        obs = random_normalized_observable(lat, rng)
+        ch = PauliChannel.depolarizing(0.15)
+        for noise in ((), (ch, enc, "exact"), (ch, enc, "worst-case")):
+            values = prefix_expectations(state, obs, full, *noise)
+            assert len(values) == full.depth + 1
+            for d, value in enumerate(values):
+                prefix = Circuit(lattice=lat, radius=1, layers=full.layers[:d])
+                expected = circuit_expectation(state, obs, prefix, *noise)
+                assert value == pytest.approx(expected, abs=1e-12), (noise, d)
+
+    def test_builds_the_attenuation_matrix_once(self, monkeypatch):
+        calls = []
+        original = circuits_module.attenuation_matrix
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(circuits_module, "attenuation_matrix", counting)
+        lat = Lattice(1, 8)
+        state, _, _ = fermi_sea_1d(lat, 4)
+        circ = brickwork_circuit(lat, 6, rng=np.random.default_rng(59))
+        enc = EncodingWeightModel("jw1d", lat)
+        obs = QuadraticObservable.hopping(lat, 0, 1)
+        values = prefix_expectations(state, obs, circ, PauliChannel.depolarizing(0.1), enc)
+        assert len(values) == 7
+        assert len(calls) == 1
+        prefix_expectations(state, obs, circ)
+        assert len(calls) == 1
 
 
 class TestObservableNormContraction:

@@ -227,6 +227,22 @@ class TestCircuitOutput:
         for r in rows:
             assert float(r[3]) <= float(r[4]) + 1e-12
 
+    def test_rows_match_the_dense_pullback_record(self, tmp_path):
+        # Recorded with every layer applied to the full 2N x 2N coefficient
+        # matrix; a change of the pullback, the Haar stream or the bound
+        # shows up here by name.
+        code, out = run_to_file(tmp_path, "circ.json",
+                                ["circuit", "--L", "16", "--depth", "3", "--seed", "0",
+                                 "--format", "json"])
+        assert code == 0
+        rows = json.loads(out.read_text())["rows"]
+        assert [r["depth"] for r in rows] == [0, 1, 2, 3]
+        errors = [0.0, 0.003166368399074748, 0.0024247893249242647, 0.0029485510093590628]
+        bounds = [0.0, 14.132577412106478, 113.06061929685183, 381.5795901268749]
+        for row, error, bound in zip(rows, errors, bounds):
+            assert row["error"] == pytest.approx(error, abs=1e-12), row
+            assert row["prop3_bound"] == pytest.approx(bound, abs=1e-12), row
+
     def test_seed_changes_the_circuit(self, tmp_path):
         _, a = run_to_file(tmp_path, "a.csv",
                            ["circuit", "--L", "8", "--depth", "2", "--seed", "0"])
