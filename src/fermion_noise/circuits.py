@@ -67,30 +67,18 @@ class Circuit:
 def _layer_blocks(lattice: Lattice, axis: int, offset: int, block: int) -> List[List[int]]:
     """Disjoint site blocks tiling the torus along one axis with a cyclic offset.
 
-    When the length is not a multiple of the block size the final chunk is
-    truncated rather than wrapped, keeping the blocks disjoint.
+    One row of blocks per line along ``axis``, lines ordered by the other
+    coordinate.  When the length is not a multiple of the block size the
+    final chunk is truncated rather than wrapped, keeping the blocks disjoint.
     """
     length = lattice.length
-    blocks = []
-    coords = np.zeros(lattice.dim, dtype=int)
-
-    def rec(free_axes):
-        if not free_axes:
-            for start in range(0, length, block):
-                sites = []
-                for i in range(min(block, length - start)):
-                    c = coords.copy()
-                    c[axis] = (offset + start + i) % length
-                    sites.append(lattice.site_index(c))
-                blocks.append(sites)
-            return
-        ax = free_axes[0]
-        for v in range(length):
-            coords[ax] = v
-            rec(free_axes[1:])
-
-    rec([a for a in range(lattice.dim) if a != axis])
-    return blocks
+    along = ((offset + np.arange(length)) % length) * length ** axis
+    lines = np.zeros(1, dtype=np.int64)
+    for other in range(lattice.dim):
+        if other != axis:
+            lines = (lines[:, None] + np.arange(length) * length ** other).ravel()
+    sites = (lines[:, None] + along).tolist()
+    return [line[start:start + block] for line in sites for start in range(0, length, block)]
 
 
 def brickwork_circuit(lattice: Lattice, depth: int, radius: int = 1,

@@ -1,37 +1,43 @@
 """Pauli-weight models of fermion-to-qubit encodings.
 
 For a pair of Majorana operators ``gamma_a gamma_b`` each encoding maps the
-bilinear to a single Pauli string (up to phase); what matters for single-qubit
-noise is the number of non-identity tensor factors of that string, and for
-anisotropic channels additionally how many of them are X, Y, and Z.  Four
-weight models are provided:
+bilinear to a single Pauli string (up to phase); what matters for
+single-qubit noise is how many tensor factors of that string are X, Y and Z.
+Four models are provided:
 
 ``local``
     An abstract geometrically local encoding: weight ``phi0 + d(r, r')`` with
     ``d`` the torus distance and ``phi0`` a constant overhead per bilinear.
-``jw1d``
-    The 1D Jordan-Wigner chain.  The weight is ``1 + |x - y|`` with the plain
-    (non-wrapped) chain separation, matching the dense string
-    ``{X,Y} Z ... Z {X,Y}`` produced by the textbook construction; the exact
-    X/Y/Z composition of the string is exposed for anisotropic channels.
-``jw2d_snake``
-    Jordan-Wigner along a boustrophedon ordering of a 2D lattice: weight
-    ``1 + |snake(r) - snake(r')|``.
-``bravyi_kitaev``
-    The Bravyi-Kitaev binary-tree encoding (number of modes a power of two).
-    Weights come from the product of the two encoded Majorana strings, built
-    from the standard update / parity / occupation index sets.
+    Only the weight is modelled, not the X/Y/Z content of the string.
+``jw1d``, ``jw2d_snake``, ``bravyi_kitaev``
+    Concrete encodings in the binary-encoder form of Seeley, Richard and
+    Love (2012): qubit bits ``b = beta n (mod 2)`` for occupations ``n``.
+    Jordan-Wigner is ``beta = I`` over the modes in qubit order (the chain,
+    or the boustrophedon "snake" through a 2D lattice); Bravyi-Kitaev uses
+    the Fenwick-tree matrix :func:`bk_beta_matrix` (number of modes a power
+    of two).
 
-A brute-force oracle based on the recursive encoder matrix of the
-Bravyi-Kitaev transform (the binary matrix mapping occupation vectors to
-qubit bits) independently certifies the number-operator weights.
+Every concrete encoding carries one bit-packed symplectic table: per
+Majorana, the x and z bits of its Pauli string over the qubits, in uint64
+words.  Majorana ``2s`` has x = column ``s`` of ``beta`` (the qubits whose
+bit depends on ``n_s``) and z = the parity of the modes below ``s``, the XOR
+of rows ``k < s`` of ``beta^-1``; Majorana ``2s + 1`` adds row ``s`` of
+``beta^-1`` to z.  A bilinear is the XOR of two rows: its weight is the
+popcount of ``x | z``, its X/Y/Z counts those of ``x & ~z``, ``x & z`` and
+``~x & z``.  Jordan-Wigner weights keep the closed form
+``1 + |o(s) - o(t)|`` (``o`` the qubit order) as a fast path.
+
+All-pairs weights and counts come as flavor blocks of shape ``(F, F, N, N)``
+with entry ``[f, g, s, t]`` for the pair ``(2s + f, 2t + g)``: ``F = 1``
+when one value serves every flavor pair and broadcasts, ``F = 2`` when the
+flavors differ.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Set, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -39,10 +45,8 @@ from .lattice import Lattice, snake_index_vector
 
 ENCODING_KINDS = ("local", "jw1d", "jw2d_snake", "bravyi_kitaev")
 
-
-# ----------------------------------------------------------------------
-# Jordan-Wigner string composition (1D chain)
-# ----------------------------------------------------------------------
+# Pair-table work is chunked to about this many uint64 words per temporary.
+_CHUNK_WORDS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -58,102 +62,22 @@ class StringComposition:
         return self.n_x + self.n_y + self.n_z
 
 
-def _jw1d_composition(x: int, y: int, flavor_x: int, flavor_y: int) -> StringComposition:
-    """Composition of the dense 1D Jordan-Wigner string for gamma_a gamma_b.
-
-    For sites ``x < y`` the product collapses to an endpoint factor at each
-    site and Z on everything strictly between: the left endpoint is Y for
-    flavor 1 and X for flavor 2 (the extra Z from the partner string rotates
-    it), the right endpoint is X for flavor 1 and Y for flavor 2.  Equal sites
-    with different flavors give a single Z.
-    """
-    if x == y:
-        return StringComposition(0, 0, 1)
-    if x < y:
-        lo_flavor, hi_flavor = flavor_x, flavor_y
-    else:
-        x, y = y, x
-        lo_flavor, hi_flavor = flavor_y, flavor_x
-    left = "Y" if lo_flavor == 1 else "X"
-    right = "X" if hi_flavor == 1 else "Y"
-    n_x = (left == "X") + (right == "X")
-    n_y = (left == "Y") + (right == "Y")
-    return StringComposition(int(n_x), int(n_y), y - x - 1)
+# Bits of one Pauli factor type in the product string with x bits ``x`` and
+# z bits ``z``; "weight" selects every non-identity factor.
+_FACTOR_BITS: Dict[str, Callable] = {
+    "weight": lambda x, z: x | z,
+    "X": lambda x, z: x & ~z,
+    "Y": lambda x, z: x & z,
+    "Z": lambda x, z: ~x & z,
+}
 
 
-# ----------------------------------------------------------------------
-# Bravyi-Kitaev index sets (0-based modes, standard binary-tree form)
-# ----------------------------------------------------------------------
-
-
-def _bk_update_set(q: int, n_modes: int) -> Set[int]:
-    """Qubits (above q) whose stored parity flips when mode q flips."""
-    out: Set[int] = set()
-    idx = q + 1
-    idx += idx & (-idx)
-    while idx <= n_modes:
-        out.add(idx - 1)
-        idx += idx & (-idx)
+def interleave_flavors(blocks: np.ndarray) -> np.ndarray:
+    """The ``(2N, 2N)`` Majorana-index matrix of ``(F, F, N, N)`` flavor blocks."""
+    n = blocks.shape[-1]
+    out = np.empty((2 * n, 2 * n), dtype=blocks.dtype)
+    out.reshape(n, 2, n, 2)[...] = blocks.transpose(2, 0, 3, 1)
     return out
-
-
-def _bk_parity_set(q: int) -> Set[int]:
-    """Qubits that together store the parity of modes 0..q-1."""
-    out: Set[int] = set()
-    idx = q
-    while idx > 0:
-        out.add(idx - 1)
-        idx &= idx - 1
-    return out
-
-
-def _bk_occupation_set(q: int) -> Set[int]:
-    """Qubits whose joint parity equals the occupation of mode q."""
-    out = {q}
-    parent = (q + 1) & q
-    idx = q
-    while idx != parent:
-        out.add(idx - 1)
-        idx &= idx - 1
-    return out
-
-
-def bk_majorana_support(m: int, n_modes: int) -> Tuple[Set[int], Set[int]]:
-    """X- and Z-support of the encoded Majorana with index ``m``.
-
-    Returns ``(x_set, z_set)``; a qubit in both sets carries a Y factor.
-    Flavor 1 (even m) maps to X on the update set plus the mode qubit and Z
-    on the parity set; flavor 2 (odd m) differs by a Y on the mode qubit and
-    Z on the symmetric difference of parity and occupation sets.
-    """
-    if not 0 <= m < 2 * n_modes:
-        raise IndexError(f"Majorana index {m} outside [0, {2 * n_modes})")
-    q, b = divmod(m, 2)
-    update = _bk_update_set(q, n_modes)
-    parity = _bk_parity_set(q)
-    if b == 0:
-        x_set = update | {q}
-        z_set = set(parity)
-    else:
-        rho = parity ^ _bk_occupation_set(q)
-        x_set = update | {q}
-        z_set = (rho - {q}) | {q}
-    return x_set, z_set
-
-
-def bk_number_operator_weight(i: int, n_modes: int) -> int:
-    """Pauli weight of the encoded number operator of mode i.
-
-    The occupation of mode i is stored in the joint parity of its occupation
-    set, so the Z-string implementing ``n_i - 1/2`` touches exactly those
-    qubits: weight ``1 + |F(i)|`` with F(i) the flip (children) set of node i
-    in the binary tree.  Even modes store their occupation directly and have
-    weight 1; mode ``n - 1`` accumulates ``1 + log2(n)`` qubits.
-    """
-    _require_power_of_two(n_modes)
-    if not 0 <= i < n_modes:
-        raise IndexError(f"mode index {i} outside [0, {n_modes})")
-    return len(_bk_occupation_set(i))
 
 
 def _require_power_of_two(n: int) -> None:
@@ -162,7 +86,7 @@ def _require_power_of_two(n: int) -> None:
 
 
 # ----------------------------------------------------------------------
-# Bravyi-Kitaev encoder-matrix oracle
+# binary encoder matrices and the symplectic table
 # ----------------------------------------------------------------------
 
 
@@ -220,13 +144,37 @@ def bk_number_operator_weight_from_beta(i: int, n_modes: int) -> int:
 
     Decoding ``n = beta^{-1} b`` expresses the occupation of mode i as the
     parity of the qubits flagged in row i of the inverse; the weight of the
-    corresponding Z-string is the number of ones in that row.  Serves as an
-    independent oracle for :func:`bk_number_operator_weight`.
+    corresponding Z-string is the number of ones in that row.
     """
     _require_power_of_two(n_modes)
     if not 0 <= i < n_modes:
         raise IndexError(f"mode index {i} outside [0, {n_modes})")
     return int(_bk_beta_inverse(n_modes)[i].sum())
+
+
+def bk_max_number_operator_weight(n_modes: int) -> int:
+    """Largest number-operator weight over all modes, ``1 + log2(n)`` (mode n-1)."""
+    _require_power_of_two(n_modes)
+    return n_modes.bit_length()
+
+
+def _pack(bits: np.ndarray) -> np.ndarray:
+    """Rows of a 0/1 matrix as little-endian uint64 words (bit q = qubit q)."""
+    n_rows, n_bits = bits.shape
+    packed = np.zeros((n_rows, 8 * -(-n_bits // 64)), dtype=np.uint8)
+    packed[:, :-(-n_bits // 8)] = np.packbits(bits, axis=1, bitorder="little")
+    return packed.view("<u8")
+
+
+def _symplectic_table(beta: np.ndarray, inverse: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """x and z words of the ``2n`` Majoranas of the encoder ``beta``."""
+    occupation = _pack(inverse)
+    parity = np.bitwise_xor.accumulate(occupation, axis=0)  # modes k <= s
+    x = np.repeat(_pack(beta.T), 2, axis=0)
+    z = np.zeros_like(x)
+    z[2::2] = parity[:-1]
+    z[1::2] = parity
+    return x, z
 
 
 # ----------------------------------------------------------------------
@@ -245,9 +193,9 @@ class EncodingWeightModel:
         Real-space lattice; ``jw1d`` requires dim 1, ``jw2d_snake`` dim 2,
         and ``bravyi_kitaev`` a power-of-two number of sites.
     phi0 : int, optional
-        Constant weight overhead of the ``local`` model (default 2); for
-        ``jw1d``/``jw2d_snake`` the overhead is fixed to 1 by the string
-        structure and the argument is ignored.
+        Constant weight overhead of the ``local`` model (default 2); the
+        concrete encodings take their weights from their strings, ignore
+        the argument and report ``phi0 = 1``.
     """
 
     def __init__(self, kind: str, lattice: Lattice, phi0: int = 2):
@@ -267,83 +215,93 @@ class EncodingWeightModel:
             self.phi0 = 1
         self.kind = kind
         self.lattice = lattice
-        self._site_weights: Optional[np.ndarray] = None
-        self._bk_masks: Optional[np.ndarray] = None
+        self._table: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
-    # -- capabilities ---------------------------------------------------
+    # -- the symplectic table ----------------------------------------------
 
-    @property
-    def supports_composition(self) -> bool:
-        """Whether the exact X/Y/Z string composition is available."""
-        return self.kind == "jw1d"
+    def _qubit_order(self) -> np.ndarray:
+        """Qubit of every site under Jordan-Wigner."""
+        if self.kind == "jw1d":
+            return self.lattice.coords[:, 0]
+        return snake_index_vector(self.lattice)
 
-    @property
-    def flavor_independent(self) -> bool:
-        """Whether the weight depends on sites only, not Majorana flavors."""
-        return self.kind != "bravyi_kitaev"
+    def pauli_table(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(x, z)``: (2N, words) uint64 bits of every encoded Majorana."""
+        if self.kind == "local":
+            raise ValueError(
+                "the 'local' model assigns Pauli weights only, not the X/Y/Z strings "
+                "that exact attenuation under a non-uniform mix needs; use mode='worst-case'"
+            )
+        if self._table is None:
+            n = self.lattice.n_sites
+            if self.kind == "bravyi_kitaev":
+                x, z = _symplectic_table(bk_beta_matrix(n), _bk_beta_inverse(n))
+            else:
+                eye = np.eye(n, dtype=np.uint8)
+                x, z = _symplectic_table(eye, eye)
+                rows = (2 * self._qubit_order()[:, None] + np.arange(2)).ravel()
+                x, z = x[rows], z[rows]
+            x.setflags(write=False)
+            z.setflags(write=False)
+            self._table = (x, z)
+        return self._table
 
-    # -- weights --------------------------------------------------------
+    def _pair_popcounts(self, bits: Callable) -> np.ndarray:
+        """(2, 2, N, N) popcount of ``bits(x, z)`` over every Majorana pair's product."""
+        x, z = self.pauli_table()
+        n_maj, words = x.shape
+        out = np.empty((n_maj, n_maj), dtype=np.int64)
+        step = max(1, _CHUNK_WORDS // (n_maj * words))
+        for lo in range(0, n_maj, step):
+            sel = bits(x[lo:lo + step, None] ^ x, z[lo:lo + step, None] ^ z)
+            out[lo:lo + step] = np.bitwise_count(sel).sum(axis=-1)
+        n = n_maj // 2
+        return out.reshape(n, 2, n, 2).transpose(1, 3, 0, 2)
 
-    def bilinear_weight(self, a: int, b: int) -> int:
-        """Pauli weight of the encoded bilinear ``gamma_a gamma_b``, a != b."""
+    # -- weights and compositions ----------------------------------------
+
+    def _check_pair(self, a: int, b: int) -> None:
         n = self.lattice.n_majorana
         if not (0 <= a < n and 0 <= b < n):
             raise IndexError(f"Majorana indices ({a}, {b}) outside [0, {n})")
         if a == b:
-            raise ValueError("bilinear weight needs two distinct Majorana indices")
-        if self.kind == "bravyi_kitaev":
-            xa, za = self._bk_support(a)
-            xb, zb = self._bk_support(b)
-            return int(np.count_nonzero((xa ^ xb) | (za ^ zb)))
-        return int(self.site_weight_matrix()[a // 2, b // 2])
+            raise ValueError("a bilinear needs two distinct Majorana indices")
 
-    def site_weight_matrix(self) -> np.ndarray:
-        """(n_sites, n_sites) weights for flavor-independent encodings."""
-        if not self.flavor_independent:
-            raise ValueError("Bravyi-Kitaev weights depend on Majorana flavors")
-        if self._site_weights is None:
-            lat = self.lattice
-            if self.kind == "local":
-                w = self.phi0 + lat.distance_matrix()
-            elif self.kind == "jw1d":
-                x = lat.coords[:, 0]
-                w = 1 + np.abs(x[:, None] - x[None, :])
-            else:  # jw2d_snake
-                s = snake_index_vector(lat)
-                w = 1 + np.abs(s[:, None] - s[None, :])
-            self._site_weights = np.asarray(w, dtype=np.int64)
-            self._site_weights.setflags(write=False)
-        return self._site_weights
+    def bilinear_weight(self, a: int, b: int) -> int:
+        """Pauli weight of the encoded bilinear ``gamma_a gamma_b``, a != b."""
+        self._check_pair(a, b)
+        if self.kind == "local":
+            return self.phi0 + self.lattice.distance(a // 2, b // 2)
+        return self.string_composition(a, b).weight
+
+    def string_composition(self, a: int, b: int) -> StringComposition:
+        """Exact X/Y/Z composition of the encoded bilinear (concrete encodings)."""
+        self._check_pair(a, b)
+        x, z = self.pauli_table()
+        dx, dz = x[a] ^ x[b], z[a] ^ z[b]
+        return StringComposition(*(int(np.bitwise_count(_FACTOR_BITS[p](dx, dz)).sum())
+                                   for p in "XYZ"))
+
+    def weight_blocks(self) -> np.ndarray:
+        """Weights of every Majorana pair as ``(F, F, N, N)`` flavor blocks."""
+        if self.kind == "local":
+            w = self.phi0 + self.lattice.distance_matrix()
+        elif self.kind == "bravyi_kitaev":
+            return self._pair_popcounts(_FACTOR_BITS["weight"])
+        else:
+            o = self._qubit_order()
+            w = 1 + np.abs(o[:, None] - o[None, :])
+        return w[None, None]
+
+    def count_blocks(self) -> np.ndarray:
+        """(3, 2, 2, N, N) X, Y and Z counts of every Majorana pair's string."""
+        return np.stack([self._pair_popcounts(_FACTOR_BITS[p]) for p in "XYZ"])
 
     def weight_matrix(self) -> np.ndarray:
         """(2N, 2N) weights for every Majorana pair (diagonal set to 0)."""
-        if self.flavor_independent:
-            w = np.repeat(np.repeat(self.site_weight_matrix(), 2, axis=0), 2, axis=1)
-        else:
-            x, z = self._bk_mask_arrays()
-            n = x.shape[0]
-            w = np.zeros((n, n), dtype=np.int64)
-            step = max(1, (1 << 27) // max(1, n * x.shape[1]))
-            for lo in range(0, n, step):
-                hi = min(n, lo + step)
-                diff = (x[lo:hi, None, :] ^ x[None, :, :]) | (z[lo:hi, None, :] ^ z[None, :, :])
-                w[lo:hi] = np.count_nonzero(diff, axis=2)
+        w = interleave_flavors(self.weight_blocks())
         np.fill_diagonal(w, 0)
         return w
-
-    def string_composition(self, a: int, b: int) -> StringComposition:
-        """Exact X/Y/Z composition of the encoded bilinear (jw1d only)."""
-        if not self.supports_composition:
-            raise ValueError(
-                f"string composition is only defined for jw1d, not {self.kind!r}"
-            )
-        if a == b:
-            raise ValueError("string composition needs two distinct Majorana indices")
-        lat = self.lattice
-        return _jw1d_composition(
-            lat.majorana_site(a), lat.majorana_site(b),
-            lat.majorana_flavor(a), lat.majorana_flavor(b),
-        )
 
     def max_weight(self) -> int:
         """Largest weight of the encoding's fragile observable family.
@@ -354,44 +312,10 @@ class EncodingWeightModel:
         by, growing as log of the mode count); arbitrary bilinears can reach
         slightly higher weights, available via :meth:`weight_matrix`.
         """
-        if self.flavor_independent:
-            return int(self.site_weight_matrix().max())
-        return bk_max_number_operator_weight(self.lattice.n_sites)
-
-    # -- Bravyi-Kitaev internals ---------------------------------------
-
-    def _bk_mask_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
-        if self._bk_masks is None:
-            n_modes = self.lattice.n_sites
-            x = np.zeros((2 * n_modes, n_modes), dtype=bool)
-            z = np.zeros((2 * n_modes, n_modes), dtype=bool)
-            for m in range(2 * n_modes):
-                xs, zs = bk_majorana_support(m, n_modes)
-                x[m, sorted(xs)] = True
-                z[m, sorted(zs)] = True
-            self._bk_masks = (x, z)
-        return self._bk_masks
-
-    def _bk_support(self, a: int) -> Tuple[np.ndarray, np.ndarray]:
-        x, z = self._bk_mask_arrays()
-        return x[a], z[a]
+        if self.kind == "bravyi_kitaev":
+            return bk_max_number_operator_weight(self.lattice.n_sites)
+        return int(self.weight_blocks().max())
 
     def __repr__(self) -> str:
         extra = f", phi0={self.phi0}" if self.kind == "local" else ""
         return f"EncodingWeightModel({self.kind!r}, {self.lattice!r}{extra})"
-
-
-def bilinear_weight(enc: EncodingWeightModel, a: int, b: int) -> int:
-    """Module-level alias for :meth:`EncodingWeightModel.bilinear_weight`."""
-    return enc.bilinear_weight(a, b)
-
-
-def max_weight(enc: EncodingWeightModel) -> int:
-    """Module-level alias for :meth:`EncodingWeightModel.max_weight`."""
-    return enc.max_weight()
-
-
-def bk_max_number_operator_weight(n_modes: int) -> int:
-    """Largest number-operator weight over all modes (attained at n-1)."""
-    _require_power_of_two(n_modes)
-    return max(bk_number_operator_weight(i, n_modes) for i in range(n_modes))

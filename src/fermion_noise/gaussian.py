@@ -24,10 +24,10 @@ from __future__ import annotations
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.special import zeta as sc_zeta
 
 from .errors import InvariantViolation
 from .lattice import Lattice, MomentumGrid, momentum_grid, parity_of
+from .special import riemann_zeta
 
 NORM_SLACK = 1e-8
 
@@ -394,8 +394,8 @@ def _offdiagonal_decay_sum(dim: int, mu: float) -> float:
     if mu <= dim:
         raise ValueError(f"need mu > dim for a convergent sum, got mu={mu}, dim={dim}")
     if dim == 1:
-        return float(2.0 * (sc_zeta(mu) - 1.0))
-    return float(4.0 * (sc_zeta(mu - 1.0) - sc_zeta(mu)))
+        return float(2.0 * (riemann_zeta(mu) - 1.0))
+    return float(4.0 * (riemann_zeta(mu - 1.0) - riemann_zeta(mu)))
 
 
 def circulant_power_law_state(lattice: Lattice, mu: float) -> Tuple[GaussianState, float]:

@@ -13,17 +13,24 @@ adversarial lower bound per factor is ``1 - 3p/2``, which requires
 Because encoded Majorana bilinears are single Pauli strings, noise acts on
 the quadratic sector exactly, as an elementwise damping of the covariance
 (or, in the Heisenberg picture, of the observable's coefficient matrix) by
-per-pair attenuation factors determined by the encoding's weights.
+per-pair attenuation factors.  Every factor comes from one formula,
+``ex**nx * ey**ny * ez**nz`` over the X/Y/Z counts of the encoding's
+strings; worst-case mode sets all three etas to ``1 - 3p/2``.  With equal
+etas the formula is ``eta**weight``, the only case the weight-only
+``local`` model supports.  Attenuations keep the encoding's
+``(F, F, N, N)`` flavor-block shape: the momentum error map contracts the
+blocks directly, and only :func:`attenuation_matrix` expands them to
+``(2N, 2N)``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Tuple
+from dataclasses import astuple, dataclass
+from typing import Callable, Tuple
 
 import numpy as np
 
-from .encodings import EncodingWeightModel, StringComposition
+from .encodings import EncodingWeightModel, interleave_flavors
 from .gaussian import GaussianState, QuadraticObservable
 
 MODES = ("exact", "worst-case")
@@ -59,18 +66,18 @@ class PauliChannel:
 
     @property
     def etas(self) -> Tuple[float, float, float]:
-        """Transfer eigenvalues (eta_x, eta_y, eta_z) of X, Y, Z."""
+        """Transfer eigenvalues (eta_x, eta_y, eta_z) of X, Y, Z.
+
+        The uniform mix returns ``1 - p`` three times, exactly.
+        """
+        if self.is_depolarizing:
+            return (1.0 - self.p,) * 3
         return tuple(1.0 - 1.5 * self.p * (1.0 - a) for a in self.alphas)
 
     @property
     def worst_factor(self) -> float:
         """Universal per-factor lower bound ``1 - 3p/2``."""
         return 1.0 - 1.5 * self.p
-
-    def string_attenuation(self, comp: StringComposition) -> float:
-        """Exact attenuation of a string with known X/Y/Z multiplicities."""
-        ex, ey, ez = self.etas
-        return ex**comp.n_x * ey**comp.n_y * ez**comp.n_z
 
     def depolarizing_attenuation(self, weight) -> np.ndarray:
         """Exact attenuation ``(1 - p)^w`` (depolarizing mix only)."""
@@ -83,66 +90,46 @@ class PauliChannel:
         return self.worst_factor ** np.asarray(weight)
 
 
-def _check_mode(mode: str) -> None:
+def _mode_etas(channel: PauliChannel, mode: str) -> Tuple[float, float, float]:
     if mode not in MODES:
         raise ValueError(f"unknown attenuation mode {mode!r}; expected one of {MODES}")
+    if mode == "worst-case":
+        return (channel.worst_factor,) * 3
+    return channel.etas
+
+
+def _eta_power(etas: Tuple[float, float, float], weight: Callable, counts: Callable):
+    """``ex**nx * ey**ny * ez**nz``, or ``eta**weight`` when the etas agree.
+
+    ``weight`` and ``counts`` are called only when needed, so a weight-only
+    model serves every case with equal etas.
+    """
+    ex, ey, ez = etas
+    if ex == ey == ez:
+        return ex ** weight()
+    nx, ny, nz = counts()
+    return ex**nx * ey**ny * ez**nz
 
 
 def pair_attenuation(enc: EncodingWeightModel, channel: PauliChannel,
                      a: int, b: int, mode: str = "exact") -> float:
     """Attenuation factor of the single encoded bilinear ``gamma_a gamma_b``."""
-    _check_mode(mode)
-    if mode == "worst-case":
-        return float(channel.worst_case_attenuation(enc.bilinear_weight(a, b)))
-    if channel.is_depolarizing:
-        return float(channel.depolarizing_attenuation(enc.bilinear_weight(a, b)))
-    if enc.supports_composition:
-        return channel.string_attenuation(enc.string_composition(a, b))
-    raise ValueError(
-        f"exact attenuation for a non-uniform mix needs the string composition, "
-        f"which {enc.kind!r} does not expose; use mode='worst-case'"
-    )
+    return float(_eta_power(_mode_etas(channel, mode), lambda: enc.bilinear_weight(a, b),
+                            lambda: astuple(enc.string_composition(a, b))))
+
+
+def _attenuation_blocks(enc: EncodingWeightModel, channel: PauliChannel,
+                        mode: str) -> np.ndarray:
+    """(F, F, N, N) attenuation of every Majorana pair, in the encoding's block shape."""
+    return _eta_power(_mode_etas(channel, mode), enc.weight_blocks, enc.count_blocks)
 
 
 def attenuation_matrix(enc: EncodingWeightModel, channel: PauliChannel,
                        mode: str = "exact") -> np.ndarray:
     """(2N, 2N) per-bilinear attenuation factors (diagonal fixed to 1)."""
-    _check_mode(mode)
-    if mode == "worst-case":
-        lam = channel.worst_case_attenuation(enc.weight_matrix())
-    elif channel.is_depolarizing:
-        lam = channel.depolarizing_attenuation(enc.weight_matrix())
-    elif enc.supports_composition:
-        n = enc.lattice.n_majorana
-        lam = np.ones((n, n))
-        for a in range(n):
-            for b in range(a + 1, n):
-                lam[a, b] = lam[b, a] = channel.string_attenuation(enc.string_composition(a, b))
-    else:
-        raise ValueError(
-            f"exact attenuation for a non-uniform mix needs the string composition, "
-            f"which {enc.kind!r} does not expose; use mode='worst-case'"
-        )
-    lam = np.asarray(lam, dtype=float)
+    lam = interleave_flavors(_attenuation_blocks(enc, channel, mode))
     np.fill_diagonal(lam, 1.0)
     return lam
-
-
-def site_attenuation_matrix(enc: EncodingWeightModel, channel: PauliChannel,
-                            mode: str = "exact") -> np.ndarray:
-    """(N, N) site-level attenuation, when it is flavor independent.
-
-    Available for flavor-independent weight models under the uniform mix or
-    in worst-case mode; raises otherwise.
-    """
-    _check_mode(mode)
-    if not enc.flavor_independent:
-        raise ValueError(f"{enc.kind!r} weights depend on Majorana flavors")
-    if mode == "worst-case":
-        return channel.worst_case_attenuation(enc.site_weight_matrix())
-    if channel.is_depolarizing:
-        return channel.depolarizing_attenuation(enc.site_weight_matrix())
-    raise ValueError("site-level attenuation for a non-uniform mix is flavor dependent")
 
 
 def attenuated_state(state: GaussianState, enc: EncodingWeightModel,
@@ -186,29 +173,24 @@ def momentum_error_map(state: GaussianState, enc: EncodingWeightModel,
                        mode: str = "exact") -> np.ndarray:
     """Noise-induced error of the mode occupation ``n_k`` for many momenta.
 
-    Returns ``<n_k> - <n_k>_noisy`` for each row of ``momenta``.  When the
-    attenuation is flavor independent the whole map reduces to one quadratic
-    form per momentum in a precomputed matrix, which keeps full-grid maps
-    cheap; otherwise each momentum falls back to the generic contraction.
+    Returns ``<n_k> - <n_k>_noisy`` for each row of ``momenta``.  With the
+    covariance flavor blocks ``G_fg = Gamma[f::2, g::2]`` and the drops
+    ``D_fg = 1 - lambda_fg`` broadcast from the encoding's block shape, the
+    error is ``Re(phi T phi^dag) / (4N)`` with
+    ``T = (D01 o G01 - D10 o G10) + i (D00 o G00 + D11 o G11)`` and
+    ``phi[k, s] = exp(i k . r_s)``: one contraction for every encoding,
+    mode and mix.
     """
     lat = state.lattice
     momenta = np.atleast_2d(np.asarray(momenta, dtype=float))
     if momenta.shape[1] != lat.dim:
         raise ValueError(f"momenta must have {lat.dim} columns, got {momenta.shape}")
-    fast = enc.flavor_independent and (mode == "worst-case" or channel.is_depolarizing)
-    if fast:
-        drop = 1.0 - site_attenuation_matrix(enc, channel, mode)
-        g = state.gamma
-        m_same = drop * (g[0::2, 0::2] + g[1::2, 1::2])
-        m_cross = drop * g[0::2, 1::2]
-        t_mat = (m_cross + m_cross.T) + 1j * m_same
-        phi = np.exp(1j * (momenta @ lat.coords.T))
-        vals = np.sum((phi @ t_mat) * phi.conj(), axis=1)
-        return vals.real / (4.0 * lat.n_sites)
-    lam = attenuation_matrix(enc, channel, mode)
-    dropped = (1.0 - lam) * state.gamma
-    out = np.empty(momenta.shape[0])
-    for i, k in enumerate(momenta):
-        obs = QuadraticObservable.momentum_occupation(lat, k)
-        out[i] = np.sum(obs.coefficients * dropped)
-    return out
+    n = lat.n_sites
+    drop = np.broadcast_to(1.0 - _attenuation_blocks(enc, channel, mode), (2, 2, n, n))
+    g = state.gamma
+    t_mat = np.empty((n, n), dtype=complex)
+    t_mat.real = drop[0, 1] * g[0::2, 1::2] - drop[1, 0] * g[1::2, 0::2]
+    t_mat.imag = drop[0, 0] * g[0::2, 0::2] + drop[1, 1] * g[1::2, 1::2]
+    phi = np.exp(1j * (momenta @ lat.coords.T))
+    vals = np.sum((phi @ t_mat) * phi.conj(), axis=1)
+    return vals.real / (4.0 * n)

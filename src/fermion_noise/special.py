@@ -1,0 +1,132 @@
+"""Special functions of the bound formulas, implemented in-house.
+
+Riemann zeta (with its analytic continuation), the real polylogarithm and
+the arithmetic-geometric mean, each with documented error control, so the
+runtime needs nothing beyond numpy.
+"""
+
+from __future__ import annotations
+
+import math
+from typing import List
+
+import numpy as np
+
+# Bernoulli numbers B_2, B_4, ..., B_16 for the Euler-Maclaurin tail.
+_BERNOULLI = (
+    1.0 / 6, -1.0 / 30, 1.0 / 42, -1.0 / 30,
+    5.0 / 66, -691.0 / 2730, 7.0 / 6, -3617.0 / 510,
+)
+_EM_CUTOFF = 100
+
+
+def _zeta_continued(s: float) -> float:
+    """Euler-Maclaurin evaluation of zeta, valid on s > -15 except s = 1.
+
+    Direct sum to a cutoff M plus the standard tail corrections
+    ``M^{1-s}/(s-1) + M^{-s}/2`` and Bernoulli terms; with M = 100 and
+    corrections through B_16 the truncation error is far below 1e-10 on the
+    whole range used here (analytic continuation included).
+    """
+    if abs(s - 1.0) < 1e-12:
+        raise ValueError("zeta has a pole at s = 1")
+    if s < -15:
+        raise ValueError(f"argument {s} below the validated continuation range")
+    m = _EM_CUTOFF
+    k = np.arange(1, m, dtype=float)
+    total = float(np.sum(k ** (-s)))
+    total += m ** (1.0 - s) / (s - 1.0) + 0.5 * m ** (-s)
+    poch = s
+    power = m ** (-s - 1.0)
+    fact = 2.0
+    for j, b in enumerate(_BERNOULLI, start=1):
+        total += b / fact * poch * power
+        poch *= (s + 2 * j - 1) * (s + 2 * j)
+        power /= m * m
+        fact *= (2 * j + 1) * (2 * j + 2)
+    return total
+
+
+def riemann_zeta(s: float) -> float:
+    """Riemann zeta on the validated domain ``s > 1 + 1e-6``."""
+    if s <= 1.0 + 1e-6:
+        raise ValueError(f"riemann_zeta requires s > 1 + 1e-6, got {s}")
+    return _zeta_continued(s)
+
+
+def _polylog_direct(s: float, z: float) -> float:
+    """Direct summation of ``sum z^k / k^s`` with a rigorous tail bound."""
+    w = -math.log(z)
+    chunks: List[float] = []
+    k0 = 1
+    chunk = 1 << 16
+    while True:
+        k = np.arange(k0, k0 + chunk, dtype=float)
+        terms = np.exp(-w * k - s * np.log(k))
+        chunks.append(float(np.sum(terms)))
+        k_end = k0 + chunk - 1
+        last = terms[-1]
+        # once past any initial growth the term ratio is below ratio < 1
+        ratio = z * ((k_end + 1.0) / k_end) ** max(0.0, -s)
+        if ratio < 1.0:
+            tail = last * ratio / (1.0 - ratio)
+            if tail < 1e-13:
+                return math.fsum(chunks)
+        k0 += chunk
+        chunk = min(2 * chunk, 1 << 21)
+
+
+def _polylog_near_one(s: float, z: float) -> float:
+    """Expansion of the polylogarithm around z = 1 (w = -ln z small)."""
+    w = -math.log(z)
+    n = round(s)
+    terms = 12
+    if abs(s - n) < 1e-8:
+        if n < 2:
+            raise ValueError(f"polylog diverges: s = {s} with z = {z} too close to 1")
+        harmonic = sum(1.0 / i for i in range(1, n))
+        total = (-w) ** (n - 1) / math.factorial(n - 1) * (harmonic - math.log(w))
+        for j in range(terms):
+            if j == n - 1:
+                continue
+            total += _zeta_continued(n - j) * (-w) ** j / math.factorial(j)
+        return total
+    if s <= 1.0 and w < 1e-9:
+        raise ValueError(f"polylog diverges: s = {s} with z = {z} too close to 1")
+    total = math.gamma(1.0 - s) * w ** (s - 1.0)
+    for j in range(terms):
+        total += _zeta_continued(s - j) * (-w) ** j / math.factorial(j)
+    return total
+
+
+def polylog(s: float, z: float) -> float:
+    """Real polylogarithm ``Li_s(z)`` for ``z in [0, 1]``.
+
+    ``z = 1`` needs ``s > 1`` (value zeta(s)); otherwise direct summation is
+    used away from 1 and the standard expansion in ``-ln z`` close to 1.
+    Absolute error is kept below ~1e-10 across the supported domain.
+    """
+    if not 0.0 <= z <= 1.0:
+        raise ValueError(f"polylog argument must lie in [0, 1], got z = {z}")
+    if z == 0.0:
+        return 0.0
+    if z == 1.0:
+        if s <= 1.0 + 1e-6:
+            raise ValueError(f"polylog diverges at z = 1 for s = {s}")
+        return _zeta_continued(s)
+    if abs(s - 1.0) < 1e-12:
+        return -math.log1p(-z)
+    if -math.log(z) >= 1e-5:
+        return _polylog_direct(s, z)
+    return _polylog_near_one(s, z)
+
+
+def agm(a: float, b: float) -> float:
+    """Arithmetic-geometric mean of two positive numbers.
+
+    Converges quadratically; iteration stops once the two means agree to
+    1e-15 relative.
+    """
+    while abs(a - b) > 1e-15 * a:
+        a, b = 0.5 * (a + b), math.sqrt(a * b)
+    return 0.5 * (a + b)

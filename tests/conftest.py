@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fermion_noise import GaussianState, Lattice, QuadraticObservable
+from fermion_noise.oracle import pauli_string
 
 SEED = 20240817
 
@@ -54,3 +55,24 @@ def assert_close(actual, expected, atol, label=""):
     expected = np.asarray(expected)
     worst = float(np.abs(actual - expected).max())
     assert worst <= atol, f"{label} max deviation {worst:.3e} > {atol:.1e}"
+
+
+def table_bits(enc):
+    """The encoding's symplectic table unpacked to (2N, N) 0/1 arrays."""
+    n = enc.lattice.n_sites
+    x, z = enc.pauli_table()
+
+    def unpack(words):
+        return np.unpackbits(words.view(np.uint8), axis=1, bitorder="little")[:, :n]
+
+    return unpack(x), unpack(z)
+
+
+def table_strings(enc):
+    """Dense Pauli string of every encoded Majorana, rendered from the table."""
+    x, z = table_bits(enc)
+    labels = {(1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
+    return [pauli_string(enc.lattice.n_sites,
+                         {q: labels[(xq, zq)] for q, (xq, zq) in enumerate(zip(xm, zm))
+                          if xq or zq})
+            for xm, zm in zip(x, z)]

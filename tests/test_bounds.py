@@ -14,7 +14,6 @@ from fermion_noise.bounds import (
     REGIME_MARGINAL,
     REGIME_SUBLINEAR,
     REGIME_UNSTABLE,
-    _zeta_continued,
     bound_S,
     bound_S1,
     bound_S2,
@@ -28,12 +27,12 @@ from fermion_noise.bounds import (
     noise_factor,
     on_surface_integral,
     on_surface_integral_bound,
-    polylog,
     prop1_bound,
     prop3_bound,
     prop4_bound,
-    riemann_zeta,
+
 )
+from fermion_noise.special import _zeta_continued, polylog, riemann_zeta
 
 
 class TestRiemannZeta:

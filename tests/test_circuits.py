@@ -118,6 +118,26 @@ class TestBrickworkConstruction:
         dist = lat.distance_matrix()[np.ix_(sites, sites)]
         assert np.abs(rot[dist > 1]).max(initial=0.0) == 0.0
 
+    @pytest.mark.parametrize("dim,length", [(1, 7), (1, 8), (2, 5), (2, 6)])
+    def test_layer_blocks_match_per_site_indexing(self, dim, length):
+        # Blocks (and so the gate order of the Haar stream) as the per-site
+        # construction lays them out: lines ordered by the other coordinate,
+        # blocks along the axis from the offset, the last one truncated.
+        lat = Lattice(dim, length)
+        for axis in range(dim):
+            for offset in range(3):
+                for block in (2, 3):
+                    expected = []
+                    for other in range(length if dim == 2 else 1):
+                        for start in range(0, length, block):
+                            sites = []
+                            for i in range(start, min(start + block, length)):
+                                coord = [other, other]
+                                coord[axis] = (offset + i) % length
+                                sites.append(lat.site_index(coord[:dim]))
+                            expected.append(sites)
+                    assert circuits_module._layer_blocks(lat, axis, offset, block) == expected
+
     def test_light_cone_radius_property(self):
         circ = brickwork_circuit(Lattice(1, 6), 3, rng=np.random.default_rng(1))
         assert circ.light_cone_radius() == 3

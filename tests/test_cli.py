@@ -1,12 +1,15 @@
 """End-to-end tests of the command-line interface."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from fermion_noise import InvariantViolation
+import fermion_noise
+from fermion_noise import InvariantViolation, Lattice
 from fermion_noise import cli
 
 
@@ -56,6 +59,23 @@ class TestArgumentHandling:
         monkeypatch.setitem(cli._RUNNERS, "bounds", explode)
         assert cli.main(["bounds"]) == 3
         assert "invariant violation" in capsys.readouterr().err
+
+    def test_internal_value_errors_are_not_configuration_errors(self, capsys, monkeypatch):
+        def fail(cfg):
+            raise ValueError("internal breakage")
+
+        monkeypatch.setitem(cli._RUNNERS, "bounds", fail)
+        with pytest.raises(ValueError, match="internal breakage"):
+            cli.main(["bounds"])
+        assert "configuration error" not in capsys.readouterr().err
+
+    def test_import_does_not_load_scipy(self):
+        src = Path(fermion_noise.__file__).resolve().parents[1]
+        probe = "import sys, fermion_noise.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+        result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                                env={**os.environ, "PYTHONPATH": str(src)})
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"
 
 
 class TestConfigFiles:
@@ -186,6 +206,20 @@ class TestFermi2dOutput:
         assert code == 0
         fillings = {line.split(",")[0] for line in out.read_text().splitlines()[1:]}
         assert fillings == {"300", "450", "700"}
+
+    def test_builds_one_distance_matrix(self, tmp_path, monkeypatch):
+        builds = []
+        original = Lattice.distance_matrix
+
+        def counting(lat):
+            if lat._distance_matrix is None:
+                builds.append(lat)
+            return original(lat)
+
+        monkeypatch.setattr(Lattice, "distance_matrix", counting)
+        code, _ = run_to_file(tmp_path, "map.csv", ["fermi2d", "--L", "30"])
+        assert code == 0
+        assert len(builds) == 1
 
 
 class TestEncodingCompareOutput:

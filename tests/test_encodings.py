@@ -1,21 +1,22 @@
 """Tests for the Pauli-weight models of the fermion-to-qubit encodings."""
 
 import itertools
+from dataclasses import astuple
+from typing import Set, Tuple
 
 import numpy as np
 import pytest
 
+from conftest import table_bits, table_strings
 from fermion_noise import (
     EncodingWeightModel,
     Lattice,
     StringComposition,
-    bilinear_weight,
     bk_beta_matrix,
-    bk_majorana_support,
     bk_max_number_operator_weight,
-    bk_number_operator_weight,
     bk_number_operator_weight_from_beta,
-    max_weight,
+    interleave_flavors,
+    snake_index_vector,
 )
 from fermion_noise.oracle import dense_majorana, pauli_string
 
@@ -30,6 +31,84 @@ def _pauli_terms(op, n_qubits, tol=1e-9):
         if abs(coeff) > tol:
             found.append((labels, coeff))
     return found
+
+
+# ----------------------------------------------------------------------
+# closed-form references the table is certified against
+# ----------------------------------------------------------------------
+
+
+def update_set(q: int, n_modes: int) -> Set[int]:
+    """Qubits (above q) whose stored parity flips when mode q flips."""
+    out: Set[int] = set()
+    idx = q + 1
+    idx += idx & (-idx)
+    while idx <= n_modes:
+        out.add(idx - 1)
+        idx += idx & (-idx)
+    return out
+
+
+def parity_set(q: int) -> Set[int]:
+    """Qubits that together store the parity of modes 0..q-1."""
+    out: Set[int] = set()
+    idx = q
+    while idx > 0:
+        out.add(idx - 1)
+        idx &= idx - 1
+    return out
+
+
+def occupation_set(q: int) -> Set[int]:
+    """Qubits whose joint parity equals the occupation of mode q."""
+    out = {q}
+    parent = (q + 1) & q
+    idx = q
+    while idx != parent:
+        out.add(idx - 1)
+        idx &= idx - 1
+    return out
+
+
+def index_set_support(m: int, n_modes: int) -> Tuple[Set[int], Set[int]]:
+    """X- and Z-support of Bravyi-Kitaev Majorana ``m`` from the index sets.
+
+    Flavor 1 (even m) is X on the update set plus the mode qubit and Z on the
+    parity set; flavor 2 (odd m) adds the occupation set to the Z support.
+    """
+    q, b = divmod(m, 2)
+    x_set = update_set(q, n_modes) | {q}
+    z_set = parity_set(q)
+    if b == 1:
+        z_set = z_set ^ occupation_set(q)
+    return x_set, z_set
+
+
+def bk_number_operator_weight(i: int, n_modes: int) -> int:
+    """Number-operator weight ``|occupation set of i|`` from the index sets."""
+    return len(occupation_set(i))
+
+
+def jw1d_composition(x: int, y: int, flavor_x: int, flavor_y: int) -> StringComposition:
+    """Composition of the 1D Jordan-Wigner string for gamma_a gamma_b.
+
+    For sites ``x < y`` the product collapses to an endpoint factor at each
+    site and Z on everything strictly between: the left endpoint is Y for
+    flavor 1 and X for flavor 2, the right endpoint X for flavor 1 and Y for
+    flavor 2.  Equal sites with different flavors give a single Z.
+    """
+    if x == y:
+        return StringComposition(0, 0, 1)
+    if x < y:
+        lo_flavor, hi_flavor = flavor_x, flavor_y
+    else:
+        x, y = y, x
+        lo_flavor, hi_flavor = flavor_y, flavor_x
+    left = "Y" if lo_flavor == 1 else "X"
+    right = "X" if hi_flavor == 1 else "Y"
+    n_x = (left == "X") + (right == "X")
+    n_y = (left == "Y") + (right == "Y")
+    return StringComposition(int(n_x), int(n_y), y - x - 1)
 
 
 class TestModelValidation:
@@ -62,13 +141,18 @@ class TestModelValidation:
         assert EncodingWeightModel("jw1d", Lattice(1, 4), phi0=7).phi0 == 1
         assert EncodingWeightModel("jw2d_snake", Lattice(2, 4), phi0=7).phi0 == 1
 
-    def test_capability_flags(self):
+    def test_flavor_dependence_is_the_block_shape(self):
+        # Flavor-independent weights come as one broadcastable block; only
+        # the weight-only local model lacks X/Y/Z compositions.
         jw = EncodingWeightModel("jw1d", Lattice(1, 4))
         bk = EncodingWeightModel("bravyi_kitaev", Lattice(1, 4))
         local = EncodingWeightModel("local", Lattice(2, 4))
-        assert jw.supports_composition and jw.flavor_independent
-        assert not bk.supports_composition and not bk.flavor_independent
-        assert not local.supports_composition and local.flavor_independent
+        assert jw.weight_blocks().shape == (1, 1, 4, 4)
+        assert bk.weight_blocks().shape == (2, 2, 4, 4)
+        assert local.weight_blocks().shape == (1, 1, 16, 16)
+        assert jw.count_blocks().shape == bk.count_blocks().shape == (3, 2, 2, 4, 4)
+        with pytest.raises(ValueError, match="worst-case"):
+            local.count_blocks()
 
 
 class TestLocalWeights:
@@ -77,13 +161,14 @@ class TestLocalWeights:
         enc = EncodingWeightModel("local", lat, phi0=2)
         a = lat.site_index((0, 0))
         b = lat.site_index((2, 3))  # torus distance 2 + 1
-        assert enc.site_weight_matrix()[a, b] == 5
+        assert enc.weight_blocks()[0, 0, a, b] == 5
         assert enc.bilinear_weight(2 * a, 2 * b) == 5
         assert enc.bilinear_weight(2 * a + 1, 2 * b + 1) == 5
 
     def test_wraps_around_the_torus(self):
         enc = EncodingWeightModel("local", Lattice(1, 10), phi0=1)
-        assert enc.site_weight_matrix()[0, 9] == 2  # distance 1, not 9
+        assert enc.weight_blocks()[0, 0, 0, 9] == 2  # distance 1, not 9
+        assert enc.bilinear_weight(0, 19) == 2
 
     def test_max_weight(self):
         enc = EncodingWeightModel("local", Lattice(2, 6), phi0=2)
@@ -91,18 +176,26 @@ class TestLocalWeights:
 
     def test_phi0_zero_on_site_weight(self):
         enc = EncodingWeightModel("local", Lattice(1, 8), phi0=0)
-        assert enc.site_weight_matrix()[3, 3] == 0
+        assert enc.weight_blocks()[0, 0, 3, 3] == 0
+        assert enc.bilinear_weight(6, 7) == 0
         assert enc.max_weight() == 4
+
+    def test_single_weights_build_no_distance_matrix(self):
+        lat = Lattice(2, 48)
+        enc = EncodingWeightModel("local", lat, phi0=1)
+        assert enc.bilinear_weight(0, 2 * lat.site_index((24, 24)) + 1) == 49
+        assert lat._distance_matrix is None
 
 
 class TestJordanWigner1d:
     def test_weight_uses_plain_chain_separation(self):
         enc = EncodingWeightModel("jw1d", Lattice(1, 8))
-        w = enc.site_weight_matrix()
+        w = enc.weight_blocks()[0, 0]
         assert w[0, 1] == 2
         assert w[2, 5] == 4
         # The string runs down the whole chain: no torus shortcut.
         assert w[0, 7] == 8
+        assert enc.bilinear_weight(0, 14) == 8
         assert enc.max_weight() == 8
 
     def test_weight_matrix_expands_site_weights(self):
@@ -154,7 +247,7 @@ class TestJordanWigner1d:
 
     def test_composition_rejected_elsewhere(self):
         enc = EncodingWeightModel("local", Lattice(1, 4))
-        with pytest.raises(ValueError, match="jw1d"):
+        with pytest.raises(ValueError, match="'local'"):
             enc.string_composition(0, 1)
         jw = EncodingWeightModel("jw1d", Lattice(1, 4))
         with pytest.raises(ValueError, match="distinct"):
@@ -165,7 +258,7 @@ class TestSnakeWeights:
     def test_frozen_values(self):
         lat = Lattice(2, 4)
         enc = EncodingWeightModel("jw2d_snake", lat)
-        w = enc.site_weight_matrix()
+        w = enc.weight_blocks()[0, 0]
         a = lat.site_index((0, 0))
         # (0, 1) sits at the far end of the reversed second row.
         assert w[a, lat.site_index((0, 1))] == 8
@@ -178,7 +271,8 @@ class TestSnakeWeights:
             enc = EncodingWeightModel("jw2d_snake", lat)
             a = lat.site_index((0, 0))
             b = lat.site_index((side - 1, 1))
-            assert enc.site_weight_matrix()[a, b] == side + 1
+            assert enc.weight_blocks()[0, 0, a, b] == side + 1
+            assert enc.bilinear_weight(2 * a, 2 * b) == side + 1
 
     def test_max_weight_spans_the_whole_snake(self):
         enc = EncodingWeightModel("jw2d_snake", Lattice(2, 4))
@@ -201,7 +295,7 @@ class TestBravyiKitaev:
             bk_beta_matrix(12)
 
     def test_number_operator_weights_frozen_n8(self):
-        weights = [bk_number_operator_weight(i, 8) for i in range(8)]
+        weights = [bk_number_operator_weight_from_beta(i, 8) for i in range(8)]
         assert weights == [1, 2, 1, 3, 1, 2, 1, 4]
 
     def test_number_operator_weights_match_beta_oracle(self):
@@ -215,24 +309,24 @@ class TestBravyiKitaev:
         assert bk_max_number_operator_weight(4) == 3
         assert bk_max_number_operator_weight(8) == 4
         assert bk_max_number_operator_weight(16) == 5
+        for n in (2, 4, 8, 16, 32):
+            assert bk_max_number_operator_weight(n) == \
+                max(bk_number_operator_weight(i, n) for i in range(n))
 
     def test_mode_index_bounds(self):
         with pytest.raises(IndexError):
-            bk_number_operator_weight(8, 8)
+            bk_number_operator_weight_from_beta(8, 8)
+        enc = EncodingWeightModel("bravyi_kitaev", Lattice(1, 8))
         with pytest.raises(IndexError):
-            bk_majorana_support(16, 8)
+            enc.bilinear_weight(16, 0)
 
     def test_supports_anticommute_pairwise(self):
-        # Distinct Majorana operators anticommute, so every pair of encoded
-        # strings must have odd symplectic overlap.
+        # Distinct Majorana operators anticommute, so every pair of table
+        # rows must have odd symplectic overlap.
         for n in (2, 4, 8, 16):
-            supports = [bk_majorana_support(m, n) for m in range(2 * n)]
-            for a in range(2 * n):
-                xa, za = supports[a]
-                assert xa | za <= set(range(n))
-                for b in range(a + 1, 2 * n):
-                    xb, zb = supports[b]
-                    assert (len(xa & zb) + len(za & xb)) % 2 == 1
+            x, z = table_bits(EncodingWeightModel("bravyi_kitaev", Lattice(1, n)))
+            overlap = (x.astype(int) @ z.T.astype(int) + z.astype(int) @ x.T.astype(int)) % 2
+            assert (overlap == 1 - np.eye(2 * n, dtype=int)).all()
 
     def test_onsite_bilinear_weight_equals_number_operator_weight(self):
         # gamma_{2q} gamma_{2q+1} encodes the occupation of mode q, so the
@@ -254,8 +348,7 @@ class TestBravyiKitaev:
             for x in range(8) for y in range(8) if x != y
         ]
         assert any(len(set(quad)) > 1 for quad in flavor_pairs)
-        with pytest.raises(ValueError, match="flavor"):
-            enc.site_weight_matrix()
+        assert enc.weight_blocks().shape == (2, 2, 8, 8)
 
     def test_weight_matrix_matches_pairwise_calls(self):
         enc = EncodingWeightModel("bravyi_kitaev", Lattice(1, 4))
@@ -271,12 +364,67 @@ class TestBravyiKitaev:
         assert enc.weight_matrix().max() >= 5
 
 
-class TestModuleAliases:
-    def test_aliases_delegate(self):
-        enc = EncodingWeightModel("jw1d", Lattice(1, 6))
-        assert bilinear_weight(enc, 0, 11) == enc.bilinear_weight(0, 11)
-        assert max_weight(enc) == 6
+CONCRETE_SMALL = [("jw1d", 1, n) for n in (1, 2, 3, 5, 8)] + \
+    [("jw2d_snake", 2, 2)] + [("bravyi_kitaev", 1, n) for n in (1, 2, 4, 8)]
 
+
+class TestSymplecticTable:
+    @pytest.mark.parametrize("kind,dim,length", CONCRETE_SMALL)
+    def test_rows_are_majorana_operators(self, kind, dim, length):
+        # Rendered as dense Pauli strings, the rows square to the identity
+        # and anticommute pairwise: a valid set of Majorana operators.
+        enc = EncodingWeightModel(kind, Lattice(dim, length))
+        gammas = table_strings(enc)
+        eye = np.eye(2 ** enc.lattice.n_sites)
+        for a, ga in enumerate(gammas):
+            assert np.array_equal(ga @ ga, eye)
+            for gb in gammas[a + 1:]:
+                assert np.array_equal(ga @ gb, -(gb @ ga))
+
+    @pytest.mark.parametrize("kind,dim,length",
+                             [c for c in CONCRETE_SMALL if c[0] != "bravyi_kitaev"])
+    def test_jordan_wigner_rows_equal_the_dense_majoranas(self, kind, dim, length):
+        # Site s sits on qubit o(s), so its Majoranas are the dense chain
+        # Majoranas 2 o(s) + f (equal up to phase; here exactly equal).
+        lat = Lattice(dim, length)
+        enc = EncodingWeightModel(kind, lat)
+        order = lat.coords[:, 0] if dim == 1 else snake_index_vector(lat)
+        for m, gamma in enumerate(table_strings(enc)):
+            dense = dense_majorana(lat.n_sites, 2 * int(order[m // 2]) + m % 2)
+            assert np.array_equal(gamma, dense)
+
+    def test_bravyi_kitaev_matches_the_index_sets_at_1024_modes(self):
+        n = 1024
+        x, z = table_bits(EncodingWeightModel("bravyi_kitaev", Lattice(1, n)))
+        for m in range(2 * n):
+            x_set, z_set = index_set_support(m, n)
+            assert set(np.flatnonzero(x[m])) == x_set
+            assert set(np.flatnonzero(z[m])) == z_set
+
+    def test_jw1d_counts_match_the_closed_form_at_200_sites(self):
+        n = 200
+        enc = EncodingWeightModel("jw1d", Lattice(1, n))
+        counts = np.stack([interleave_flavors(c) for c in enc.count_blocks()])
+        ref = np.zeros_like(counts)
+        for a in range(2 * n):
+            for b in range(2 * n):
+                if a != b:
+                    ref[:, a, b] = astuple(jw1d_composition(a // 2, b // 2, a % 2 + 1, b % 2 + 1))
+        assert np.array_equal(counts, ref)
+
+    def test_snake_weights_match_the_closed_form_on_16x16(self):
+        lat = Lattice(2, 16)
+        enc = EncodingWeightModel("jw2d_snake", lat)
+        from_table = interleave_flavors(enc.count_blocks().sum(axis=0))
+        np.fill_diagonal(from_table, 0)
+        s = snake_index_vector(lat)
+        closed = np.repeat(np.repeat(1 + np.abs(s[:, None] - s[None, :]), 2, 0), 2, 1)
+        np.fill_diagonal(closed, 0)
+        assert np.array_equal(from_table, closed)
+        assert np.array_equal(enc.weight_matrix(), closed)
+
+
+class TestPairValidation:
     def test_bilinear_weight_index_errors(self):
         enc = EncodingWeightModel("jw1d", Lattice(1, 4))
         with pytest.raises(IndexError):

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from conftest import assert_close, random_correlation, random_normalized_observable
+from conftest import assert_close, random_correlation, random_normalized_observable, \
+    table_strings
 from fermion_noise import (
     EncodingWeightModel,
     GaussianState,
@@ -16,10 +17,11 @@ from fermion_noise import (
     fermi_sea_1d,
     measurement_error,
     momentum_error_map,
+    momentum_grid,
     noisy_expectation,
     pair_attenuation,
+    random_pure_state,
     sensitivity,
-    site_attenuation_matrix,
     tight_binding_ground_state_2d,
 )
 from fermion_noise.oracle import (
@@ -62,10 +64,12 @@ class TestPauliChannel:
         assert ez == pytest.approx(1.0 - 0.45 * 0.8, abs=1e-12)  # 0.640
 
     def test_string_attenuation_multiplies_factors(self):
+        # gamma^1_0 gamma^1_3 on a 4-site chain is Y Z Z X.
         ch = PauliChannel(0.3, alphas=(0.5, 0.3, 0.2))
         ex, ey, ez = ch.etas
-        comp = StringComposition(1, 1, 2)
-        assert ch.string_attenuation(comp) == pytest.approx(ex * ey * ez**2, abs=1e-14)
+        enc = EncodingWeightModel("jw1d", Lattice(1, 4))
+        assert enc.string_composition(0, 6) == StringComposition(1, 1, 2)
+        assert pair_attenuation(enc, ch, 0, 6) == pytest.approx(ex * ey * ez**2, abs=1e-14)
 
     def test_depolarizing_attenuation_needs_uniform_mix(self):
         ch = PauliChannel(0.1, alphas=(0.5, 0.25, 0.25))
@@ -139,16 +143,41 @@ class TestAttenuationMatrices:
         assert_close(lam[0, 1], 0.7 ** 2, 1e-12, "worst-case fallback")
 
     def test_site_level_matrix(self):
+        # Flavor-independent attenuation is one site-level matrix repeated in
+        # all four flavor blocks; Bravyi-Kitaev and non-uniform mixes differ.
         enc = EncodingWeightModel("jw1d", Lattice(1, 4))
         ch = PauliChannel.depolarizing(0.1)
-        lam = site_attenuation_matrix(enc, ch)
-        assert lam.shape == (4, 4)
-        assert_close(lam, 0.9 ** enc.site_weight_matrix(), 1e-12, "site matrix")
-        bk = EncodingWeightModel("bravyi_kitaev", Lattice(1, 4))
-        with pytest.raises(ValueError, match="flavor"):
-            site_attenuation_matrix(bk, ch)
-        with pytest.raises(ValueError, match="flavor"):
-            site_attenuation_matrix(enc, PauliChannel(0.1, alphas=(0.5, 0.25, 0.25)))
+        lam = attenuation_matrix(enc, ch)
+        site = 0.9 ** enc.weight_blocks()[0, 0]
+        for f, g in [(0, 0), (0, 1), (1, 0), (1, 1)]:
+            block = lam[f::2, g::2].copy()
+            if f == g:
+                np.fill_diagonal(block, site[0, 0])
+            assert_close(block, site, 1e-12, f"flavor block {f}{g}")
+        bk = attenuation_matrix(EncodingWeightModel("bravyi_kitaev", Lattice(1, 4)), ch)
+        assert not np.allclose(bk[0::2, 1::2], bk[1::2, 0::2])
+        aniso = attenuation_matrix(enc, PauliChannel(0.1, alphas=(0.5, 0.3, 0.2)))
+        assert not np.allclose(aniso[0::2, 0::2], aniso[0::2, 1::2])
+
+    @pytest.mark.parametrize("kind,dim,length", [
+        ("jw2d_snake", 2, 2), ("bravyi_kitaev", 1, 4), ("bravyi_kitaev", 2, 2),
+    ])
+    def test_non_uniform_mix_matches_the_dense_channel(self, kind, dim, length):
+        # Exact anisotropic attenuation on every concrete encoding: render
+        # each bilinear from the encoding's own table and apply the dense
+        # channel; the bilinear must come back scaled by pair_attenuation.
+        enc = EncodingWeightModel(kind, Lattice(dim, length))
+        gammas = table_strings(enc)
+        n = enc.lattice.n_sites
+        ch = PauliChannel(0.35, alphas=(0.6, 0.3, 0.1))
+        lam = attenuation_matrix(enc, ch)
+        for a in range(2 * n):
+            for b in range(a + 1, 2 * n):
+                op = gammas[a] @ gammas[b]
+                out = dense_pauli_channel(op, n, ch.p, ch.alphas)
+                factor = pair_attenuation(enc, ch, a, b)
+                assert_close(out, factor * op, 1e-12, f"{kind} bilinear ({a}, {b})")
+                assert lam[a, b] == pytest.approx(factor, abs=1e-14)
 
 
 class TestNoisyExpectations:
@@ -280,3 +309,51 @@ class TestMomentumErrorMap:
             momentum_error_map(state, enc, ch, np.array([0.1, 0.2]))
         out = momentum_error_map(state, enc, ch, np.array([[0.1], [0.2]]))
         assert out.shape == (2,)
+
+
+def per_momentum_error(state, enc, channel, k, mode):
+    """``<n_k> - <n_k>_noisy`` contracted from the dense observable of one momentum."""
+    obs = QuadraticObservable.momentum_occupation(state.lattice, k)
+    lam = attenuation_matrix(enc, channel, mode)
+    return float(np.sum(obs.coefficients * (1.0 - lam) * state.gamma))
+
+
+class TestMomentumErrorMapReference:
+    @pytest.mark.parametrize("kind,mode,alphas", [
+        ("local", "exact", None),
+        ("local", "worst-case", None),
+        ("jw1d", "exact", None),
+        ("jw1d", "worst-case", None),
+        ("jw1d", "exact", (0.5, 0.2, 0.3)),
+        ("bravyi_kitaev", "exact", None),
+        ("bravyi_kitaev", "worst-case", None),
+        ("bravyi_kitaev", "exact", (0.1, 0.3, 0.6)),
+    ])
+    def test_matches_the_per_momentum_contraction(self, rng, kind, mode, alphas):
+        # A Haar-random pure state has pairing terms, so no flavor block of
+        # the covariance is symmetric and every block of T matters.
+        lat = Lattice(1, 8)
+        state = random_pure_state(lat, rng)
+        enc = EncodingWeightModel(kind, lat, phi0=1)
+        ch = PauliChannel(0.2, alphas=alphas) if alphas else PauliChannel.depolarizing(0.2)
+        momenta = np.concatenate([momentum_grid(lat, "even").momenta, [[0.3], [2.0]]])
+        errors = momentum_error_map(state, enc, ch, momenta, mode)
+        ref = [per_momentum_error(state, enc, ch, k, mode) for k in momenta]
+        assert_close(errors, ref, 1e-12, f"{kind} {mode} {alphas}")
+
+    def test_two_dimensional_snake_matches(self, rng):
+        lat = Lattice(2, 4)
+        state = random_pure_state(lat, rng)
+        enc = EncodingWeightModel("jw2d_snake", lat)
+        ch = PauliChannel(0.2, alphas=(0.2, 0.2, 0.6))
+        momenta = momentum_grid(lat, "odd").momenta
+        errors = momentum_error_map(state, enc, ch, momenta)
+        ref = [per_momentum_error(state, enc, ch, k, "exact") for k in momenta]
+        assert_close(errors, ref, 1e-12, "snake anisotropic")
+
+    def test_weight_only_model_needs_worst_case_for_a_non_uniform_mix(self):
+        lat = Lattice(1, 4)
+        enc = EncodingWeightModel("local", lat)
+        ch = PauliChannel(0.2, alphas=(0.5, 0.25, 0.25))
+        with pytest.raises(ValueError, match="worst-case"):
+            momentum_error_map(GaussianState.vacuum(lat), enc, ch, np.array([[0.0]]))
