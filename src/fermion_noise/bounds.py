@@ -28,7 +28,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .gaussian import GaussianState, correlation_from_mode_occupations, correlation_from_occupied
+from .gaussian import ModeDiagonalState
 from .encodings import EncodingWeightModel
 from .lattice import Lattice, momentum_grid
 from .noise import PauliChannel, momentum_error_map
@@ -340,12 +340,7 @@ def fermi2d_on_surface_error(p: float, k_fermi: float) -> float:
 def _probe_error_map(length: int, occupations: np.ndarray, p: float,
                      momenta: np.ndarray) -> np.ndarray:
     lat = Lattice(1, length)
-    grid = momentum_grid(lat, "odd")
-    if occupations.dtype == bool:
-        corr = correlation_from_occupied(grid, np.nonzero(occupations)[0])
-    else:
-        corr = correlation_from_mode_occupations(grid, occupations)
-    state = GaussianState.from_correlation_matrix(lat, corr, validate=False)
+    state = ModeDiagonalState(momentum_grid(lat, "odd"), occupations)
     enc = EncodingWeightModel("local", lat, phi0=1)
     return momentum_error_map(state, enc, PauliChannel.depolarizing(p), momenta)
 

@@ -41,7 +41,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .encodings import EncodingWeightModel
-from .gaussian import GaussianState, QuadraticObservable, haar_special_orthogonal
+from .gaussian import GaussianState, QuadraticObservable, haar_rotations
 from .lattice import Lattice
 from .noise import PauliChannel, attenuation_matrix
 
@@ -89,7 +89,10 @@ def brickwork_circuit(lattice: Lattice, depth: int, radius: int = 1,
     sites along axis ``l % dim``, with brick offset ``(l // dim) % (radius +
     1)``; each gate is an independent Haar sample from SO(2 * block size)
     acting on the block's Majoranas.  Lengths that are not a multiple of the
-    block size get one truncated (smaller) gate per row.
+    block size get one truncated (smaller) gate per row.  A layer draws the
+    normals of all its gates in one ``standard_normal`` call, in gate order,
+    so the stream is that of one :func:`haar_special_orthogonal` call per
+    gate; gates of one size are orthogonalized as one stack.
     """
     if depth < 0:
         raise ValueError(f"depth must be nonnegative, got {depth}")
@@ -103,11 +106,18 @@ def brickwork_circuit(lattice: Lattice, depth: int, radius: int = 1,
     for layer_idx in range(depth):
         axis = layer_idx % lattice.dim
         offset = (layer_idx // lattice.dim) % block
+        blocks = _layer_blocks(lattice, axis, offset, block)
+        sizes = np.array([2 * len(sites) for sites in blocks])
+        starts = np.cumsum(sizes**2) - sizes**2
+        normals = rng.standard_normal(int(np.sum(sizes**2)))
         rot = np.eye(n)
-        for sites in _layer_blocks(lattice, axis, offset, block):
-            idx = [m for s in sites for m in (2 * s, 2 * s + 1)]
-            gate = haar_special_orthogonal(2 * len(sites), rng)
-            rot[np.ix_(idx, idx)] = gate
+        for size in np.unique(sizes):
+            which = np.flatnonzero(sizes == size)
+            gates = haar_rotations(normals[starts[which, None] + np.arange(size * size)]
+                                   .reshape(-1, size, size))
+            sites = np.array([blocks[g] for g in which])
+            idx = (2 * sites[:, :, None] + np.arange(2)).reshape(len(which), size)
+            rot[idx[:, :, None], idx[:, None, :]] = gates
         layers.append(rot)
     return Circuit(lattice=lattice, radius=radius, layers=tuple(layers))
 

@@ -24,13 +24,15 @@ bit depends on ``n_s``) and z = the parity of the modes below ``s``, the XOR
 of rows ``k < s`` of ``beta^-1``; Majorana ``2s + 1`` adds row ``s`` of
 ``beta^-1`` to z.  A bilinear is the XOR of two rows: its weight is the
 popcount of ``x | z``, its X/Y/Z counts those of ``x & ~z``, ``x & z`` and
-``~x & z``.  Jordan-Wigner weights keep the closed form
-``1 + |o(s) - o(t)|`` (``o`` the qubit order) as a fast path.
+``~x & z``.  Jordan-Wigner weights, single or all-pairs, keep the closed
+form ``1 + |o(s) - o(t)|`` (``o`` the qubit order) as a fast path.
 
 All-pairs weights and counts come as flavor blocks of shape ``(F, F, N, N)``
 with entry ``[f, g, s, t]`` for the pair ``(2s + f, 2t + g)``: ``F = 1``
 when one value serves every flavor pair and broadcasts, ``F = 2`` when the
-flavors differ.
+flavors differ.  Where the weight depends on the displacement ``x - y`` of
+the two sites alone (``local`` and ``jw1d``), :meth:`displacement_weights`
+gives it as one value per displacement.
 """
 
 from __future__ import annotations
@@ -272,7 +274,10 @@ class EncodingWeightModel:
         self._check_pair(a, b)
         if self.kind == "local":
             return self.phi0 + self.lattice.distance(a // 2, b // 2)
-        return self.string_composition(a, b).weight
+        if self.kind == "bravyi_kitaev":
+            return self.string_composition(a, b).weight
+        o = self._qubit_order()
+        return 1 + abs(int(o[a // 2]) - int(o[b // 2]))
 
     def string_composition(self, a: int, b: int) -> StringComposition:
         """Exact X/Y/Z composition of the encoded bilinear (concrete encodings)."""
@@ -292,6 +297,23 @@ class EncodingWeightModel:
             o = self._qubit_order()
             w = 1 + np.abs(o[:, None] - o[None, :])
         return w[None, None]
+
+    def displacement_weights(self) -> Optional[np.ndarray]:
+        """Weight of every site pair as a function of its displacement alone.
+
+        A box array of :meth:`Lattice.displacement_box`, the weight of every
+        flavor pair of sites ``x`` and ``y`` at index ``x - y``: ``phi0`` plus
+        the torus distance for ``local`` (circulant) and ``1 + |x - y|`` on
+        the open chain for ``jw1d`` (Toeplitz).  ``None`` for ``jw2d_snake``
+        and ``bravyi_kitaev``, whose weights depend on where the pair sits.
+        """
+        if self.kind not in ("local", "jw1d"):
+            return None
+        axes = self.lattice.displacement_box()
+        if self.kind == "jw1d":
+            return 1 + np.abs(axes[0])
+        length = self.lattice.length
+        return self.phi0 + sum(np.minimum(np.abs(r), length - np.abs(r)) for r in axes)
 
     def count_blocks(self) -> np.ndarray:
         """(3, 2, 2, N, N) X, Y and Z counts of every Majorana pair's string."""

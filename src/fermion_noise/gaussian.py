@@ -13,14 +13,24 @@ every direction) and the on-site entry ``Gamma[2x, 2x+1]`` equals
 scalar offset plus a real antisymmetric coefficient matrix ``O`` with
 ``<O> = offset + sum_ab O_ab Gamma_ab``.
 
-Besides mode-occupation (Fermi sea) states, the module provides synthetic
-families used to probe correlation-decay premises: Haar-random pure states,
-their Schur-damped power-law variants, and a translation-invariant circulant
-family with an exactly known power-law envelope.
+Mode-diagonal states (every Fermi sea, the scaling probes) are
+:class:`ModeDiagonalState`: the momentum grid and the occupations ``n(q)``,
+with the covariance built only when something asks for it.  Their
+``<n_k>`` and noise-induced ``n_k`` errors come from a sum over the
+``(2L)^D`` displacement box, two FFTs for a whole grid
+(:meth:`ModeDiagonalState.occupation_shift`); every other consumer, and
+every other state, uses the dense covariance, which stays the reference the
+box sum is tested against.
+
+Besides those, the module provides synthetic families used to probe
+correlation-decay premises: Haar-random pure states, their Schur-damped
+power-law variants, and a translation-invariant circulant family with an
+exactly known power-law envelope.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -30,6 +40,8 @@ from .lattice import Lattice, MomentumGrid, momentum_grid, parity_of
 from .special import riemann_zeta
 
 NORM_SLACK = 1e-8
+# How far a mode occupation may leave [0, 1] by rounding.
+OCCUPATION_SLACK = 1e-12
 
 
 class QuadraticObservable:
@@ -195,19 +207,126 @@ class GaussianState:
         """Mean occupation of one site, ``(1 + Gamma[2x, 2x+1]) / 2``."""
         if not 0 <= site < self.lattice.n_sites:
             raise IndexError(f"site {site} outside [0, {self.lattice.n_sites})")
-        return 0.5 * (1.0 + self._gamma[2 * site, 2 * site + 1])
+        return 0.5 * (1.0 + self.gamma[2 * site, 2 * site + 1])
 
     def expectation(self, obs: QuadraticObservable) -> float:
         """Expectation value of a quadratic observable in this state."""
-        return obs.offset + float(np.sum(obs.coefficients * self._gamma))
+        return obs.offset + float(np.sum(obs.coefficients * self.gamma))
 
     def particle_number(self) -> float:
         """Total mean particle number."""
-        diag = self._gamma[2 * np.arange(self.n_sites), 2 * np.arange(self.n_sites) + 1]
+        diag = self.gamma[2 * np.arange(self.n_sites), 2 * np.arange(self.n_sites) + 1]
         return float(0.5 * np.sum(1.0 + diag))
 
     def __repr__(self) -> str:
         return f"GaussianState({self.lattice!r}, N={self.particle_number():.4g})"
+
+
+class ModeDiagonalState(GaussianState):
+    """Translation-invariant state diagonal in the plane waves of a momentum grid.
+
+    Held as the grid and the mode occupations ``n(q)``; the two-point
+    function is ``C_xy = C(x - y)`` with ``C(r) = (1/N) sum_q n(q) e^{i q.r}``.
+    The covariance matrix is built from them on first use of :attr:`gamma`
+    and cached, so a state that only meets :meth:`occupation_shift` never
+    holds a ``2N x 2N`` array.  Construction checks ``0 <= n(q) <= 1`` to
+    ``OCCUPATION_SLACK``, the tolerance :func:`correlation_from_mode_occupations`
+    applies when it builds :attr:`gamma`, so a state that constructs also
+    builds.  It is built from a grid and occupations only: the dense
+    constructors :meth:`vacuum` and :meth:`from_correlation_matrix` belong to
+    :class:`GaussianState`.
+    """
+
+    def __init__(self, grid: MomentumGrid, occupations: np.ndarray):
+        n = np.array(occupations, dtype=float)
+        if n.shape != (len(grid),):
+            raise ValueError(f"occupations must have shape ({len(grid)},), got {n.shape}")
+        if n.min() < -OCCUPATION_SLACK or n.max() > 1.0 + OCCUPATION_SLACK:
+            raise InvariantViolation(
+                f"mode occupations span [{n.min():.6g}, {n.max():.6g}], outside [0, 1]; "
+                "state is unphysical"
+            )
+        n.setflags(write=False)
+        self.lattice = grid.lattice
+        self.grid = grid
+        self.occupations = n
+        self._gamma: Optional[np.ndarray] = None
+
+    @classmethod
+    def vacuum(cls, lattice: Lattice) -> "GaussianState":
+        """Not available: the dense vacuum is :meth:`GaussianState.vacuum`."""
+        raise TypeError("ModeDiagonalState is built from a grid and occupations; "
+                        "use GaussianState.vacuum")
+
+    @classmethod
+    def from_correlation_matrix(cls, lattice: Lattice, corr: np.ndarray,
+                                *, validate: bool = True) -> "GaussianState":
+        """Not available: see :meth:`GaussianState.from_correlation_matrix`."""
+        raise TypeError("ModeDiagonalState is built from a grid and occupations; "
+                        "use GaussianState.from_correlation_matrix")
+
+    @property
+    def gamma(self) -> np.ndarray:
+        """The (read-only) covariance matrix, built on first use."""
+        if self._gamma is None:
+            self._gamma = self._build_gamma()
+        return self._gamma
+
+    def _build_gamma(self) -> np.ndarray:
+        corr = correlation_from_mode_occupations(self.grid, self.occupations)
+        return GaussianState.from_correlation_matrix(self.lattice, corr, validate=False).gamma
+
+    def particle_number(self) -> float:
+        """Total mean particle number, ``sum_q n(q)``."""
+        return float(self.occupations.sum())
+
+    def occupation_shift(self, drop, momenta: np.ndarray) -> np.ndarray:
+        """``Re sum_{x,y} e^{i k.(x-y)} drop(x-y) [conj C_xy - delta_xy/2] / N`` per momentum.
+
+        The change of ``<n_k>`` when every bilinear between two sites at
+        displacement ``r`` is damped by ``1 - drop(r)``: the noise-induced
+        error of ``n_k`` for the drop ``1 - lambda(r)``, and ``<n_k> - 1/2``
+        for ``drop = 1``.  ``drop`` is a scalar or an array on the box of
+        :meth:`Lattice.displacement_box`; ``momenta`` has one row per momentum.
+
+        The pair sum is a sum over displacements weighted by their
+        multiplicity ``prod_i (L - |r_i|)``.  On the box of period ``2L`` a
+        grid momentum ``2 pi m / L`` is the integer frequency ``2m``, so
+        ``conj C`` is one FFT of ``n(q)`` placed there, every momentum with
+        ``k L / pi`` an integer is read off one more FFT of the summand, and
+        other momenta take the direct ``O(N)`` sum.
+        """
+        lat = self.lattice
+        momenta = np.asarray(momenta, dtype=float)
+        if momenta.ndim != 2 or momenta.shape[1] != lat.dim:
+            raise ValueError(f"momenta must have shape (n, {lat.dim}), got {momenta.shape}")
+        period = 2 * lat.length
+        axes = lat.displacement_box()
+        box = np.zeros((period,) * lat.dim)
+        box[tuple((np.rint(2 * self.grid.m_vectors).astype(np.int64) % period).T)] = \
+            self.occupations
+        summand = np.fft.fftn(box) / lat.n_sites  # conj C(r)
+        summand[(0,) * lat.dim] -= 0.5
+        summand *= drop * math.prod(lat.length - np.abs(r) for r in axes) / lat.n_sites
+        freq = momenta * (lat.length / np.pi)
+        index = np.rint(freq)
+        on_box = np.all(np.abs(freq - index) <= 1e-12 * np.maximum(1.0, np.abs(freq)), axis=1)
+        out = np.empty(len(momenta))
+        if on_box.any():
+            table = np.fft.ifftn(summand, norm="forward")  # sum_r S(r) e^{2 pi i j.r / 2L}
+            out[on_box] = table[tuple((index[on_box].astype(np.int64) % period).T)].real
+        if not on_box.all():
+            off = momenta[~on_box]
+            phases = [np.exp(1j * np.multiply.outer(k, r.ravel())) for k, r in zip(off.T, axes)]
+            vals = phases[0] @ summand.reshape(period, -1)
+            if lat.dim == 2:
+                vals = np.sum(vals * phases[1], axis=1)
+            out[~on_box] = vals.reshape(-1).real
+        return out
+
+    def __repr__(self) -> str:
+        return (f"ModeDiagonalState({self.lattice!r}, parity={self.grid.parity!r}, "
+                f"N={self.particle_number():.4g})")
 
 
 # ----------------------------------------------------------------------
@@ -261,24 +380,26 @@ def correlation_from_mode_occupations(grid: MomentumGrid,
     """Two-point function of a mode-diagonal ensemble with fillings in [0, 1].
 
     Generalizes :func:`correlation_from_occupied` to fractional occupations:
-    ``C_xy = (1/N) sum_q n(q) e^{i q.(x - y)}``.
+    ``C_xy = (1/N) sum_q n(q) e^{i q.(x - y)}``, summed over the modes with
+    ``n(q) != 0`` (a half-filled sea costs what its filled modes cost).
     """
     n = np.asarray(occupations, dtype=float)
     n_modes = grid.momenta.shape[0]
     if n.shape != (n_modes,):
         raise ValueError(f"occupations must have shape ({n_modes},), got {n.shape}")
-    if np.any(n < -1e-12) or np.any(n > 1 + 1e-12):
+    if np.any(n < -OCCUPATION_SLACK) or np.any(n > 1 + OCCUPATION_SLACK):
         raise ValueError("mode occupations must lie in [0, 1]")
     lat = grid.lattice
-    phases = lat.coords @ grid.momenta.T
+    filled = np.flatnonzero(n)
+    phases = lat.coords @ grid.momenta[filled].T
     phi = np.exp(1j * phases) / np.sqrt(lat.n_sites)
-    return (phi * n) @ np.conj(phi).T
+    return (phi * n[filled]) @ np.conj(phi).T
 
 
 def fermi_sea(grid: MomentumGrid, n_occ: int,
               energies: Optional[np.ndarray] = None,
               dispersion: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-              ) -> Tuple[GaussianState, np.ndarray]:
+              ) -> Tuple[ModeDiagonalState, np.ndarray]:
     """Ground state filling the ``n_occ`` lowest modes; returns (state, occupied).
 
     ``dispersion`` maps the (n_modes, dim) momentum array to energies and is
@@ -289,12 +410,13 @@ def fermi_sea(grid: MomentumGrid, n_occ: int,
     if dispersion is not None:
         energies = dispersion(grid.momenta)
     occ = occupied_modes(grid, n_occ, energies)
-    corr = correlation_from_occupied(grid, occ)
-    state = GaussianState.from_correlation_matrix(grid.lattice, corr, validate=False)
-    return state, occ
+    occupations = np.zeros(len(grid))
+    occupations[occ] = 1.0
+    return ModeDiagonalState(grid, occupations), occ
 
 
-def fermi_sea_1d(lattice: Lattice, n_occ: int) -> Tuple[GaussianState, MomentumGrid, np.ndarray]:
+def fermi_sea_1d(lattice: Lattice, n_occ: int,
+                 ) -> Tuple[ModeDiagonalState, MomentumGrid, np.ndarray]:
     """1D free-fermion ground state with ``n_occ`` particles.
 
     The momentum grid parity follows the particle number so that the lowest
@@ -308,7 +430,7 @@ def fermi_sea_1d(lattice: Lattice, n_occ: int) -> Tuple[GaussianState, MomentumG
 
 
 def tight_binding_ground_state_2d(lattice: Lattice, n_occ: int,
-                                  ) -> Tuple[GaussianState, MomentumGrid, np.ndarray]:
+                                  ) -> Tuple[ModeDiagonalState, MomentumGrid, np.ndarray]:
     """2D nearest-neighbour tight-binding ground state with ``n_occ`` particles."""
     if lattice.dim != 2:
         raise ValueError(f"expected a 2D lattice, got dim={lattice.dim}")
@@ -318,7 +440,15 @@ def tight_binding_ground_state_2d(lattice: Lattice, n_occ: int,
 
 
 def momentum_occupation(state: GaussianState, k: Sequence[float]) -> float:
-    """Expectation ``<n_k>`` of the plane-wave mode occupation at momentum k."""
+    """Expectation ``<n_k>`` of the plane-wave mode occupation at momentum k.
+
+    A mode-diagonal state answers with the box sum of
+    :meth:`ModeDiagonalState.occupation_shift` (``n(k)`` on its grid);
+    any other state contracts its covariance with the dense observable.
+    """
+    if isinstance(state, ModeDiagonalState):
+        k_vec = np.atleast_1d(np.asarray(k, dtype=float))
+        return 0.5 + float(state.occupation_shift(1.0, k_vec[None, :])[0])
     return state.expectation(QuadraticObservable.momentum_occupation(state.lattice, k))
 
 
@@ -327,19 +457,28 @@ def momentum_occupation(state: GaussianState, k: Sequence[float]) -> float:
 # ----------------------------------------------------------------------
 
 
+def haar_rotations(normals: np.ndarray) -> np.ndarray:
+    """Haar-random rotations in SO(n) from a stack of standard normal matrices.
+
+    ``normals`` has shape ``(..., n, n)``.  QR of a standard Gaussian matrix
+    with the columns of Q signed by ``diag(R)`` is Haar on O(n); flipping the
+    first column when the determinant is negative maps that onto Haar on
+    SO(n).  Each matrix of the stack gets the same QR, sign fix and
+    determinant fix as it would alone.
+    """
+    q, r = np.linalg.qr(normals)
+    q *= np.sign(np.diagonal(r, axis1=-2, axis2=-1))[..., None, :]
+    q[..., 0] *= np.where(np.linalg.det(q) < 0, -1.0, 1.0)[..., None]
+    return q
+
+
 def haar_special_orthogonal(n: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-random ``n x n`` rotation in SO(n), drawn only from ``rng``.
 
-    QR of a standard Gaussian matrix with the columns of Q signed by
-    ``diag(R)`` is Haar on O(n); flipping the first column when the
-    determinant is negative maps that onto Haar on SO(n).  The stream is
-    fixed by numpy's ``Generator`` alone.
+    One ``standard_normal((n, n))`` draw through :func:`haar_rotations`; the
+    stream is fixed by numpy's ``Generator`` alone.
     """
-    q, r = np.linalg.qr(rng.standard_normal((n, n)))
-    q *= np.sign(np.diag(r))
-    if np.linalg.det(q) < 0:
-        q[:, 0] = -q[:, 0]
-    return q
+    return haar_rotations(rng.standard_normal((n, n)))
 
 
 def random_pure_state(lattice: Lattice, rng: np.random.Generator) -> GaussianState:

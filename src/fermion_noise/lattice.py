@@ -8,7 +8,8 @@ Momentum grids follow the free-fermion quantization on a ring of even length
 L: states with an odd particle number use periodic boundary conditions
 (integer mode numbers m in {-L/2, ..., L/2 - 1}), states with an even particle
 number use antiperiodic ones (half-integer m in {-L/2 + 1/2, ..., L/2 - 1/2}),
-with momenta ``k = 2 pi m / L`` per axis.
+with momenta ``k = 2 pi m / L`` per axis.  On a box of period ``2L`` every
+such momentum is the integer frequency ``2m``, whichever the parity.
 """
 
 from __future__ import annotations
@@ -128,6 +129,19 @@ class Lattice:
             self._distance_matrix = diff.sum(axis=2)
             self._distance_matrix.setflags(write=False)
         return self._distance_matrix
+
+    def displacement_box(self) -> Tuple[np.ndarray, ...]:
+        """Per-axis displacements ``r_i = x_i - y_i`` on the box of period ``2L``.
+
+        A box array has shape ``(2L,) * dim`` and holds displacement ``r`` at
+        index ``r mod 2L`` along every axis; axis ``i`` of the result carries
+        the values ``r_i`` in ``[-L, L)`` and broadcasts against the others.
+        Every site-pair displacement, ``(-L, L)`` per axis, has its own entry
+        (no wrap around the torus); ``r_i = -L`` joins no pair.
+        """
+        period = 2 * self.length
+        r = (np.arange(period) + self.length) % period - self.length
+        return tuple(r.reshape((-1,) + (1,) * (self.dim - 1 - i)) for i in range(self.dim))
 
     # ------------------------------------------------------------------
     # Majorana bookkeeping

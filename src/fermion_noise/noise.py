@@ -18,9 +18,19 @@ per-pair attenuation factors.  Every factor comes from one formula,
 strings; worst-case mode sets all three etas to ``1 - 3p/2``.  With equal
 etas the formula is ``eta**weight``, the only case the weight-only
 ``local`` model supports.  Attenuations keep the encoding's
-``(F, F, N, N)`` flavor-block shape: the momentum error map contracts the
-blocks directly, and only :func:`attenuation_matrix` expands them to
-``(2N, 2N)``.
+``(F, F, N, N)`` flavor-block shape, and only :func:`attenuation_matrix`
+expands them to ``(2N, 2N)``.
+
+The momentum error map has two paths.  The spectral one serves a
+:class:`~fermion_noise.gaussian.ModeDiagonalState` (every Fermi sea) when
+the etas agree (any uniform mix, and worst-case mode) and the encoding's
+weight depends on the displacement of the two sites alone: ``local`` and
+``jw1d``.  The drop ``1 - eta**w(r)`` is then a function of ``r``, and the
+whole grid's errors are two FFTs on the ``(2L)^D`` displacement box, with no
+covariance, distance matrix or ``(2N, 2N)`` array.  The dense one contracts
+the covariance flavor blocks with the attenuation blocks and serves
+everything else: ``jw2d_snake`` and ``bravyi_kitaev``, non-uniform mixes in
+exact mode, and general states.  Where both apply they agree to about 1e-15.
 """
 
 from __future__ import annotations
@@ -31,7 +41,7 @@ from typing import Callable, Tuple
 import numpy as np
 
 from .encodings import EncodingWeightModel, interleave_flavors
-from .gaussian import GaussianState, QuadraticObservable
+from .gaussian import GaussianState, ModeDiagonalState, QuadraticObservable
 
 MODES = ("exact", "worst-case")
 
@@ -173,18 +183,29 @@ def momentum_error_map(state: GaussianState, enc: EncodingWeightModel,
                        mode: str = "exact") -> np.ndarray:
     """Noise-induced error of the mode occupation ``n_k`` for many momenta.
 
-    Returns ``<n_k> - <n_k>_noisy`` for each row of ``momenta``.  With the
+    Returns ``<n_k> - <n_k>_noisy`` for each row of ``momenta``.
+
+    Spectral path: a :class:`ModeDiagonalState` under equal etas and an
+    encoding with :meth:`~EncodingWeightModel.displacement_weights` has the
+    drop ``1 - eta**w(r)`` of displacement alone, and the error is the box sum
+    :meth:`ModeDiagonalState.occupation_shift`, ``O(N log N)`` for a whole grid.
+
+    Dense path, for every other state, encoding, mode and mix: with the
     covariance flavor blocks ``G_fg = Gamma[f::2, g::2]`` and the drops
     ``D_fg = 1 - lambda_fg`` broadcast from the encoding's block shape, the
     error is ``Re(phi T phi^dag) / (4N)`` with
     ``T = (D01 o G01 - D10 o G10) + i (D00 o G00 + D11 o G11)`` and
-    ``phi[k, s] = exp(i k . r_s)``: one contraction for every encoding,
-    mode and mix.
+    ``phi[k, s] = exp(i k . r_s)``.
     """
     lat = state.lattice
     momenta = np.atleast_2d(np.asarray(momenta, dtype=float))
     if momenta.shape[1] != lat.dim:
         raise ValueError(f"momenta must have {lat.dim} columns, got {momenta.shape}")
+    etas = _mode_etas(channel, mode)
+    if isinstance(state, ModeDiagonalState) and etas[0] == etas[1] == etas[2]:
+        weights = enc.displacement_weights()
+        if weights is not None:
+            return state.occupation_shift(1.0 - etas[0] ** weights, momenta)
     n = lat.n_sites
     drop = np.broadcast_to(1.0 - _attenuation_blocks(enc, channel, mode), (2, 2, n, n))
     g = state.gamma

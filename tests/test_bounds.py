@@ -32,6 +32,7 @@ from fermion_noise.bounds import (
     prop4_bound,
 
 )
+from fermion_noise.gaussian import ModeDiagonalState
 from fermion_noise.special import _zeta_continued, polylog, riemann_zeta
 
 
@@ -375,6 +376,20 @@ class TestScalingProbes:
     def test_lipschitz_probe_slope(self):
         rows, slope = lipschitz_scaling_probe(np.geomspace(1e-3, 1e-1, 5))
         assert len(rows) == 5
+        assert slope >= 0.5
+
+    def test_probes_build_no_covariance(self, monkeypatch):
+        # The probes take the spectral error map, so sizes far beyond a dense
+        # 2N x 2N covariance are in reach.
+        def refuse(state):
+            raise AssertionError("covariance built by a scaling probe")
+
+        monkeypatch.setattr(ModeDiagonalState, "_build_gamma", refuse)
+        rows = jump_scaling_probe([100, 100_000], p=1e-7, k_offset=0.0)
+        assert 800 <= rows[1][1] / rows[0][1] <= 1200
+        rows = jump_scaling_probe([100, 100_000], p=1e-7, k_offset=math.pi / 2)
+        assert rows[1][1] <= 1.2 * rows[0][1]
+        _, slope = lipschitz_scaling_probe([1e-3, 1e-2], length=20_000)
         assert slope >= 0.5
 
     def test_lipschitz_probe_validation(self):

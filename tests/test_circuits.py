@@ -118,6 +118,23 @@ class TestBrickworkConstruction:
         dist = lat.distance_matrix()[np.ix_(sites, sites)]
         assert np.abs(rot[dist > 1]).max(initial=0.0) == 0.0
 
+    @pytest.mark.parametrize("dim,length,radius", [(1, 7, 1), (1, 11, 2), (2, 5, 1), (2, 6, 1)])
+    def test_batched_draws_keep_the_per_gate_stream(self, dim, length, radius):
+        # Odd lengths mix full and truncated gates within one layer; the
+        # one-call draw must still hand the normals out gate by gate, in gate
+        # order, exactly as one haar_special_orthogonal call per gate did.
+        lat = Lattice(dim, length)
+        block = radius + 1
+        circ = brickwork_circuit(lat, 4, radius, rng=np.random.default_rng(17))
+        rng = np.random.default_rng(17)
+        for layer_idx, rot in enumerate(circ.layers):
+            expected = np.eye(lat.n_majorana)
+            for sites in circuits_module._layer_blocks(lat, layer_idx % dim,
+                                                       (layer_idx // dim) % block, block):
+                idx = [m for s in sites for m in (2 * s, 2 * s + 1)]
+                expected[np.ix_(idx, idx)] = haar_special_orthogonal(len(idx), rng)
+            assert np.array_equal(rot, expected), f"layer {layer_idx}"
+
     @pytest.mark.parametrize("dim,length", [(1, 7), (1, 8), (2, 5), (2, 6)])
     def test_layer_blocks_match_per_site_indexing(self, dim, length):
         # Blocks (and so the gate order of the Haar stream) as the per-site

@@ -9,8 +9,9 @@ from pathlib import Path
 import pytest
 
 import fermion_noise
-from fermion_noise import InvariantViolation, Lattice
+from fermion_noise import InvariantViolation, Lattice, QuadraticObservable
 from fermion_noise import cli
+from fermion_noise.gaussian import ModeDiagonalState
 
 
 def run_to_file(tmp_path, name, argv):
@@ -76,6 +77,16 @@ class TestArgumentHandling:
                                 env={**os.environ, "PYTHONPATH": str(src)})
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "[]"
+
+    def test_import_does_not_load_numpy_fft(self):
+        # The spectral error map imports numpy.fft when it first runs, which
+        # keeps it out of the start-up cost of every command.
+        src = Path(fermion_noise.__file__).resolve().parents[1]
+        probe = "import sys, fermion_noise.cli; print('numpy.fft' in sys.modules)"
+        result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                                env={**os.environ, "PYTHONPATH": str(src)})
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "False"
 
 
 class TestConfigFiles:
@@ -192,6 +203,32 @@ class TestFermi1dOutput:
         assert float(row[3]) == 0.0 and float(row[4]) == 0.0
 
 
+class TestFermi1dDensePaths:
+    def test_size_grid_builds_no_dense_array(self, tmp_path, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("dense array built on the spectral path")
+
+        monkeypatch.setattr(ModeDiagonalState, "_build_gamma", refuse)
+        monkeypatch.setattr(QuadraticObservable, "momentum_occupation", refuse)
+        code, out = run_to_file(tmp_path, "grid.csv", ["fermi1d", "--L", "100"])
+        assert code == 0
+        assert len(out.read_text().splitlines()) == 1 + 5
+
+    def test_bravyi_kitaev_sweep_builds_its_covariance_once(self, tmp_path, monkeypatch):
+        builds = []
+        original = ModeDiagonalState._build_gamma
+
+        def counting(state):
+            builds.append(state)
+            return original(state)
+
+        monkeypatch.setattr(ModeDiagonalState, "_build_gamma", counting)
+        code, _ = run_to_file(tmp_path, "sweep.csv",
+                              ["fermi1d", "--sweep-k", "--encoding", "bravyi_kitaev", "--L", "16"])
+        assert code == 0
+        assert len(builds) == 1
+
+
 class TestFermi2dOutput:
     def test_schema_and_row_count(self, tmp_path):
         code, out = run_to_file(tmp_path, "map.csv",
@@ -207,7 +244,7 @@ class TestFermi2dOutput:
         fillings = {line.split(",")[0] for line in out.read_text().splitlines()[1:]}
         assert fillings == {"300", "450", "700"}
 
-    def test_builds_one_distance_matrix(self, tmp_path, monkeypatch):
+    def test_builds_no_distance_matrix(self, tmp_path, monkeypatch):
         builds = []
         original = Lattice.distance_matrix
 
@@ -219,7 +256,19 @@ class TestFermi2dOutput:
         monkeypatch.setattr(Lattice, "distance_matrix", counting)
         code, _ = run_to_file(tmp_path, "map.csv", ["fermi2d", "--L", "30"])
         assert code == 0
-        assert len(builds) == 1
+        assert len(builds) == 0
+
+    def test_never_builds_the_covariance(self, tmp_path, monkeypatch):
+        # The local encoding on a Fermi sea takes the spectral error map: no
+        # 2N x 2N covariance and no N x N distance matrix.
+        def refuse(*args):
+            raise AssertionError("dense array built on the spectral path")
+
+        monkeypatch.setattr(ModeDiagonalState, "_build_gamma", refuse)
+        monkeypatch.setattr(Lattice, "distance_matrix", refuse)
+        code, out = run_to_file(tmp_path, "map.csv", ["fermi2d", "--L", "40"])
+        assert code == 0
+        assert len(out.read_text().splitlines()) == 1 + 3 * 1600
 
 
 class TestEncodingCompareOutput:

@@ -424,6 +424,40 @@ class TestSymplecticTable:
         assert np.array_equal(enc.weight_matrix(), closed)
 
 
+class TestSingleWeights:
+    @pytest.mark.parametrize("kind,dim,length", [("jw1d", 1, 8), ("jw2d_snake", 2, 4)])
+    def test_jordan_wigner_single_weights_read_no_table(self, monkeypatch, kind, dim, length):
+        lat = Lattice(dim, length)
+        pairs = [(a, b) for a in range(lat.n_majorana) for b in range(lat.n_majorana) if a != b]
+        enc = EncodingWeightModel(kind, lat)
+        from_table = [enc.string_composition(a, b).weight for a, b in pairs]
+
+        def refuse(self):
+            raise AssertionError("Pauli table packed for a single weight")
+
+        monkeypatch.setattr(EncodingWeightModel, "pauli_table", refuse)
+        fresh = EncodingWeightModel(kind, lat)
+        assert [fresh.bilinear_weight(a, b) for a, b in pairs] == from_table
+
+
+class TestDisplacementWeights:
+    @pytest.mark.parametrize("kind,dim,length,phi0", [
+        ("local", 1, 6, 0), ("local", 1, 7, 2), ("local", 2, 4, 1), ("local", 2, 5, 2),
+        ("jw1d", 1, 7, 1),
+    ])
+    def test_box_holds_the_weight_of_every_site_pair(self, kind, dim, length, phi0):
+        lat = Lattice(dim, length)
+        enc = EncodingWeightModel(kind, lat, phi0=phi0)
+        box = enc.displacement_weights()
+        assert box.shape == (2 * length,) * dim
+        disp = (lat.coords[:, None, :] - lat.coords[None, :, :]) % (2 * length)
+        assert np.array_equal(box[tuple(np.moveaxis(disp, -1, 0))], enc.weight_blocks()[0, 0])
+
+    def test_position_dependent_encodings_have_none(self):
+        assert EncodingWeightModel("jw2d_snake", Lattice(2, 4)).displacement_weights() is None
+        assert EncodingWeightModel("bravyi_kitaev", Lattice(1, 8)).displacement_weights() is None
+
+
 class TestPairValidation:
     def test_bilinear_weight_index_errors(self):
         enc = EncodingWeightModel("jw1d", Lattice(1, 4))

@@ -13,6 +13,7 @@ from fermion_noise import (
     GaussianState,
     InvariantViolation,
     Lattice,
+    ModeDiagonalState,
     QuadraticObservable,
     circulant_power_law_state,
     correlation_from_mode_occupations,
@@ -30,7 +31,7 @@ from fermion_noise import (
     tight_binding_dispersion,
     tight_binding_ground_state_2d,
 )
-from fermion_noise.gaussian import haar_special_orthogonal
+from fermion_noise.gaussian import haar_rotations, haar_special_orthogonal
 
 
 class TestQuadraticObservable:
@@ -267,6 +268,72 @@ class TestModeOccupationStates:
             correlation_from_mode_occupations(grid, np.array([0.0, 0.5, 1.2, 0.1]))
 
 
+class TestModeDiagonalState:
+    def test_lazy_covariance_is_the_dense_construction(self, rng):
+        grid = momentum_grid(Lattice(2, 4), "even")
+        fillings = rng.uniform(0.0, 1.0, size=16)
+        state = ModeDiagonalState(grid, fillings)
+        assert state._gamma is None
+        dense = GaussianState.from_correlation_matrix(
+            grid.lattice, correlation_from_mode_occupations(grid, fillings), validate=False)
+        assert np.array_equal(state.gamma, dense.gamma)
+        assert state.gamma is state.gamma
+        assert not state.gamma.flags.writeable
+
+    def test_fermi_seas_are_mode_diagonal(self):
+        state, grid, occ = fermi_sea_1d(Lattice(1, 8), 3)
+        assert isinstance(state, ModeDiagonalState) and state.grid is grid
+        assert state.occupations.sum() == 3 and (state.occupations[occ] == 1).all()
+        state2d, _, _ = tight_binding_ground_state_2d(Lattice(2, 4), 5)
+        assert isinstance(state2d, ModeDiagonalState) and state2d._gamma is None
+
+    def test_occupations_outside_the_unit_interval_are_unphysical(self):
+        grid = momentum_grid(Lattice(1, 4), "odd")
+        with pytest.raises(InvariantViolation, match="outside"):
+            ModeDiagonalState(grid, [0.0, 0.5, 1.2, 0.1])
+        with pytest.raises(InvariantViolation, match="outside"):
+            ModeDiagonalState(grid, [0.0, -0.01, 1.0, 0.1])
+        with pytest.raises(InvariantViolation, match="outside"):
+            ModeDiagonalState(grid, [0.0, 0.5, 1.0 + 1e-9, 0.1])
+        with pytest.raises(ValueError, match="shape"):
+            ModeDiagonalState(grid, np.zeros(3))
+        # Rounding within the slack is accepted, and such a state also
+        # builds its covariance.
+        edge = ModeDiagonalState(grid, [0.0, 1.0, 1.0 + 1e-13, -1e-13])
+        assert edge.gamma.shape == (8, 8)
+        assert edge.particle_number() == pytest.approx(2.0, abs=1e-12)
+
+    def test_dense_constructors_are_not_inherited(self):
+        lat = Lattice(1, 4)
+        with pytest.raises(TypeError, match="GaussianState.vacuum"):
+            ModeDiagonalState.vacuum(lat)
+        with pytest.raises(TypeError, match="GaussianState.from_correlation_matrix"):
+            ModeDiagonalState.from_correlation_matrix(lat, np.zeros((4, 4)))
+        assert type(GaussianState.vacuum(lat)) is GaussianState
+
+    @pytest.mark.parametrize("dim,length,parity", [(1, 10, "odd"), (1, 10, "even"),
+                                                   (2, 6, "odd"), (2, 6, "even")])
+    def test_momentum_occupation_matches_the_dense_observable(self, rng, dim, length, parity):
+        lat = Lattice(dim, length)
+        grid = momentum_grid(lat, parity)
+        fillings = rng.uniform(0.0, 1.0, size=lat.n_sites)
+        state = ModeDiagonalState(grid, fillings)
+        other = momentum_grid(lat, "even" if parity == "odd" else "odd").momenta
+        momenta = np.concatenate([grid.momenta, other, rng.uniform(-4.0, 4.0, (5, dim))])
+        spectral = [momentum_occupation(state, k) for k in momenta]
+        assert state._gamma is None
+        dense = GaussianState(lat, state.gamma)
+        assert_close(spectral, [momentum_occupation(dense, k) for k in momenta], 1e-12,
+                     "box sum vs dense observable")
+        assert_close(spectral[:lat.n_sites], fillings, 1e-12, "n(k) on the grid")
+        assert state.particle_number() == pytest.approx(dense.particle_number(), abs=1e-12)
+
+    def test_occupation_shift_validates_momenta(self):
+        state, _, _ = fermi_sea_1d(Lattice(1, 4), 2)
+        with pytest.raises(ValueError, match="shape"):
+            state.occupation_shift(1.0, np.array([0.1, 0.2]))
+
+
 class TestHaarSpecialOrthogonal:
     @pytest.mark.parametrize("n", [2, 4, 8])
     def test_orthogonal_with_unit_determinant(self, rng, n):
@@ -287,6 +354,12 @@ class TestHaarSpecialOrthogonal:
         expected = [0.7520475890230227, 0.05501402394529153,
                     -0.6563460018327744, 0.02465373992192083]
         assert_close(q[0], expected, 1e-12, "first row at seed 2026")
+
+    def test_stacked_rotations_equal_one_at_a_time(self):
+        normals = np.random.default_rng(8).standard_normal((50, 6, 6))
+        stacked = haar_rotations(normals)
+        assert all(np.array_equal(stacked[i], haar_rotations(normals[i])) for i in range(50))
+        assert (np.linalg.det(stacked) > 0).all()
 
 
 class TestMomentumOccupationRange:

@@ -9,6 +9,7 @@ from fermion_noise import (
     EncodingWeightModel,
     GaussianState,
     Lattice,
+    ModeDiagonalState,
     PauliChannel,
     QuadraticObservable,
     StringComposition,
@@ -18,7 +19,9 @@ from fermion_noise import (
     measurement_error,
     momentum_error_map,
     momentum_grid,
+    free_dispersion,
     noisy_expectation,
+    occupied_modes,
     pair_attenuation,
     random_pure_state,
     sensitivity,
@@ -357,3 +360,81 @@ class TestMomentumErrorMapReference:
         ch = PauliChannel(0.2, alphas=(0.5, 0.25, 0.25))
         with pytest.raises(ValueError, match="worst-case"):
             momentum_error_map(GaussianState.vacuum(lat), enc, ch, np.array([[0.0]]))
+
+
+def _dense_twin(state):
+    """The same covariance as a plain GaussianState, which takes the dense path."""
+    return GaussianState(state.lattice, state.gamma, validate=False)
+
+
+class TestSpectralErrorMap:
+    # The spectral path against the dense flavor-block contraction on the
+    # same covariance: 1D and 2D, both grid parities, momenta on the state's
+    # grid, on the other parity's grid and off both, sharp and Lipschitz
+    # fillings, local with phi0 in {0, 1, 2} and jw1d, exact and worst-case.
+    @pytest.mark.parametrize("dim,length", [(1, 10), (2, 6)])
+    @pytest.mark.parametrize("parity", ["odd", "even"])
+    @pytest.mark.parametrize("filling", ["sharp", "lipschitz"])
+    def test_matches_the_dense_contraction(self, rng, dim, length, parity, filling):
+        lat = Lattice(dim, length)
+        grid = momentum_grid(lat, parity)
+        if filling == "sharp":
+            occupations = (rng.uniform(size=lat.n_sites) < 0.4).astype(float)
+        else:
+            occupations = 0.5 * (1.0 + np.cos(grid.momenta[:, 0]))
+        other = momentum_grid(lat, "even" if parity == "odd" else "odd").momenta
+        momenta = np.concatenate([grid.momenta, other, rng.uniform(-4.0, 4.0, (6, dim))])
+        encodings = [EncodingWeightModel("local", lat, phi0=phi0) for phi0 in (0, 1, 2)]
+        if dim == 1:
+            encodings.append(EncodingWeightModel("jw1d", lat))
+        state = ModeDiagonalState(grid, occupations)
+        channel = PauliChannel.depolarizing(0.13)
+        spectral = {(enc.kind, enc.phi0, mode): momentum_error_map(state, enc, channel,
+                                                                   momenta, mode)
+                    for enc in encodings for mode in ("exact", "worst-case")}
+        assert state._gamma is None, "the spectral path built the covariance"
+        dense_state = _dense_twin(state)
+        for enc in encodings:
+            for mode in ("exact", "worst-case"):
+                dense = momentum_error_map(dense_state, enc, channel, momenta, mode)
+                assert_close(spectral[enc.kind, enc.phi0, mode], dense, 1e-12,
+                             f"{enc.kind} phi0={enc.phi0} {mode}")
+
+    @pytest.mark.parametrize("kind,dim,length,alphas", [
+        ("jw2d_snake", 2, 4, None),
+        ("bravyi_kitaev", 1, 8, None),
+        ("bravyi_kitaev", 2, 4, None),
+        ("jw1d", 1, 8, (0.5, 0.2, 0.3)),
+    ])
+    def test_other_encodings_and_mixes_take_the_dense_path(self, rng, kind, dim, length,
+                                                            alphas):
+        lat = Lattice(dim, length)
+        grid = momentum_grid(lat, "odd")
+        state = ModeDiagonalState(grid, rng.uniform(0.0, 1.0, size=lat.n_sites))
+        enc = EncodingWeightModel(kind, lat)
+        channel = PauliChannel(0.2, alphas=alphas) if alphas else PauliChannel.depolarizing(0.2)
+        momenta = np.concatenate([grid.momenta, [[0.3] * dim]])
+        errors = momentum_error_map(state, enc, channel, momenta)
+        assert state._gamma is not None
+        assert np.array_equal(errors, momentum_error_map(_dense_twin(state), enc, channel,
+                                                         momenta))
+
+    def test_matches_the_convolution_reference_beyond_dense_reach(self):
+        # L = 200 in 2D is N = 40000: a dense covariance would take 51 GB.
+        from test_acceptance import _direct_occupation_errors
+
+        side, p, phi0 = 200, 0.05, 1
+        lat = Lattice(2, side)
+        grid = momentum_grid(lat, "odd")
+        occ = occupied_modes(grid, 4001, energies=free_dispersion(grid.momenta))
+        occupations = np.zeros(lat.n_sites)
+        occupations[occ] = 1.0
+        state = ModeDiagonalState(grid, occupations)
+        enc = EncodingWeightModel("local", lat, phi0=phi0)
+        probes_m = [(0, 0), (35, 0), (36, 0), (25, 25), (26, 25), (-36, 3), (99, -100)]
+        probes_k = np.array(probes_m, dtype=float) * 2.0 * np.pi / side
+        errors = momentum_error_map(state, enc, PauliChannel.depolarizing(p), probes_k)
+        occ_m = np.rint(grid.m_vectors[occ]).astype(int)
+        direct = _direct_occupation_errors(side, occ_m, p, phi0, probes_m)
+        assert_close(errors, direct, 1e-12, "spectral vs convolution reference")
+        assert state._gamma is None
