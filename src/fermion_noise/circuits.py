@@ -1,8 +1,8 @@
 """Noisy free-fermion brickwork circuits on the covariance level.
 
 A circuit is a sequence of layers; each layer is a Gaussian unitary
-``U = exp(-i H)`` with ``H = (i/4) sum_ab h_ab gamma_a gamma_b`` and is
-stored as its orthogonal Majorana rotation ``R = exp(h)``:
+``U = exp(-i H)`` with ``H = (i/4) sum_ab h_ab gamma_a gamma_b`` and acts
+through its orthogonal Majorana rotation ``R = exp(h)``:
 
     U^dag gamma_a U = sum_b R_ab gamma_b,
     state:       Gamma -> R Gamma R^T,
@@ -21,38 +21,99 @@ at depth >= 2 a local expectation need not move monotonically toward its
 maximally mixed value: the elementwise damping does not commute with the
 next rotation.
 
-Observables are pulled back on their support only.  With ``S`` the Majorana
-indices of the nonzero rows and columns of the coefficient matrix, one layer
-maps the ``S x S`` block to ``T x T`` with ``T`` the columns where ``R[S]``
-has a nonzero entry: the damping is elementwise, so zeros stay zeros, and a
-column of ``R[S]`` that is exactly zero leaves an exactly zero row and column
-behind.  This is the dense pullback, not an approximation.  Brickwork layers
-are an identity with gates scattered in, so ``S`` spreads by at most
-``radius`` sites per layer and a pullback through ``depth`` layers costs
-``O(depth * (|S| * N + |S|^3))`` with ``|S|`` the light-cone volume; a dense
-rotation gives full support and the dense cost.
+A layer is stored as its gates, not as ``R``: one ``(indices, gates)`` pair
+per gate size ``k``, with the ``(G, k)`` Majorana indices of ``G`` disjoint
+blocks and the ``(G, k, k)`` stack of their rotations (:class:`Layer`).
+``R`` is the identity outside the blocks and is never built as a
+``2N x 2N`` matrix.  A state's covariance is evolved by gather, small
+matmul and scatter, per gate size.
+
+Observables are pulled back on their support only.  With ``S`` the support
+of the coefficient matrix, one layer damps the ``S x S`` block by the
+attenuation on ``S`` alone and maps it to ``T x T``, with ``T`` the union of
+the gate blocks that touch ``S``: the damping is elementwise, so zeros stay
+zeros, and ``R[S, T]`` is formed from those gates.  This is the dense
+pullback, not an approximation.  In a brickwork circuit ``S`` spreads by at
+most ``radius`` sites per layer, and a pullback through ``depth`` layers
+costs ``O(depth * |S|^3)`` with ``|S|`` the light-cone volume, whatever the
+system size; a layer with one gate on every index gives full support and
+the dense cost.  The expectation then reads the state's covariance on the
+final ``S`` only (:meth:`GaussianState.covariance_block`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .encodings import EncodingWeightModel
 from .gaussian import GaussianState, QuadraticObservable, haar_rotations
 from .lattice import Lattice
-from .noise import PauliChannel, attenuation_matrix
+from .noise import PauliChannel, attenuation_block
+
+
+@dataclass(frozen=True, eq=False)
+class Layer:
+    """Rotations on disjoint blocks of Majorana indices, the identity elsewhere.
+
+    ``blocks`` holds one ``(indices, gates)`` pair per gate size ``k``:
+    ``indices`` of shape ``(G, k)`` and the stacked rotations ``gates`` of
+    shape ``(G, k, k)``, gate ``g`` acting as
+    ``R[indices[g], indices[g]] = gates[g]``.
+    """
+
+    n_majorana: int
+    blocks: Tuple[Tuple[np.ndarray, np.ndarray], ...]
+
+    def __post_init__(self):
+        # Per Majorana: its block group (-1 if none), gate and row in that gate.
+        where = np.full((3, self.n_majorana), -1, dtype=np.int64)
+        for group, (idx, gates) in enumerate(self.blocks):
+            if idx.ndim != 2 or gates.shape != idx.shape + idx.shape[-1:]:
+                raise ValueError(f"gates of shape {gates.shape} do not match blocks {idx.shape}")
+            where[0, idx] = group
+            where[1, idx] = np.arange(len(idx))[:, None]
+            where[2, idx] = np.arange(idx.shape[1])
+        if np.count_nonzero(where[0] >= 0) != sum(idx.size for idx, _ in self.blocks):
+            raise ValueError("gate blocks must be disjoint")
+        object.__setattr__(self, "_where", where)
+
+    def apply(self, mat: np.ndarray) -> np.ndarray:
+        """``R @ mat`` for a matrix with ``n_majorana`` rows."""
+        out = mat.copy()
+        for idx, gates in self.blocks:
+            out[idx] = gates @ mat[idx]
+        return out
+
+    def rows(self, support: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """``(T, R[support, T])`` with ``T`` the sorted columns ``R[support]`` reaches.
+
+        ``T`` is the union of the gate blocks that touch ``support``, plus the
+        indices of ``support`` that no gate touches; the cost is set by
+        ``len(support)``, not by the layer's size.
+        """
+        group, gate, pos = self._where[:, support]
+        loose = group < 0
+        cols = np.sort(np.concatenate(
+            [support[loose]] + [idx[np.unique(gate[group == g])].ravel()
+                                for g, (idx, _) in enumerate(self.blocks)]))
+        rot = np.zeros((len(support), len(cols)))
+        rot[loose, np.searchsorted(cols, support[loose])] = 1.0
+        for g, (idx, gates) in enumerate(self.blocks):
+            hit = np.flatnonzero(group == g)
+            rot[hit[:, None], np.searchsorted(cols, idx[gate[hit]])] = gates[gate[hit], pos[hit]]
+        return cols, rot
 
 
 @dataclass(frozen=True)
 class Circuit:
-    """A fixed sequence of Majorana-rotation layers over one lattice."""
+    """A fixed sequence of gate layers over one lattice."""
 
     lattice: Lattice
     radius: int
-    layers: tuple
+    layers: Tuple[Layer, ...]
 
     @property
     def depth(self) -> int:
@@ -92,7 +153,8 @@ def brickwork_circuit(lattice: Lattice, depth: int, radius: int = 1,
     block size get one truncated (smaller) gate per row.  A layer draws the
     normals of all its gates in one ``standard_normal`` call, in gate order,
     so the stream is that of one :func:`haar_special_orthogonal` call per
-    gate; gates of one size are orthogonalized as one stack.
+    gate; gates of one size are orthogonalized as one stack and kept as one
+    ``(indices, gates)`` pair of the :class:`Layer`.
     """
     if depth < 0:
         raise ValueError(f"depth must be nonnegative, got {depth}")
@@ -110,27 +172,31 @@ def brickwork_circuit(lattice: Lattice, depth: int, radius: int = 1,
         sizes = np.array([2 * len(sites) for sites in blocks])
         starts = np.cumsum(sizes**2) - sizes**2
         normals = rng.standard_normal(int(np.sum(sizes**2)))
-        rot = np.eye(n)
+        gate_blocks = []
         for size in np.unique(sizes):
             which = np.flatnonzero(sizes == size)
             gates = haar_rotations(normals[starts[which, None] + np.arange(size * size)]
                                    .reshape(-1, size, size))
             sites = np.array([blocks[g] for g in which])
             idx = (2 * sites[:, :, None] + np.arange(2)).reshape(len(which), size)
-            rot[idx[:, :, None], idx[:, None, :]] = gates
-        layers.append(rot)
+            gate_blocks.append((idx, gates))
+        layers.append(Layer(n, tuple(gate_blocks)))
     return Circuit(lattice=lattice, radius=radius, layers=tuple(layers))
 
 
-def _layer_attenuation(circuit: Circuit, channel: Optional[PauliChannel],
-                       enc: Optional[EncodingWeightModel], mode: str) -> Optional[np.ndarray]:
+_Damping = Callable[[np.ndarray], np.ndarray]
+
+
+def _layer_damping(circuit: Circuit, channel: Optional[PauliChannel],
+                   enc: Optional[EncodingWeightModel], mode: str) -> Optional[_Damping]:
+    """The noise after each layer, as the attenuation on a Majorana index set."""
     if channel is None or channel.p == 0.0:
         return None
     if enc is None:
         raise ValueError("a noisy circuit needs an encoding weight model")
     if (enc.lattice.dim, enc.lattice.length) != (circuit.lattice.dim, circuit.lattice.length):
         raise ValueError("encoding and circuit lattices disagree")
-    return attenuation_matrix(enc, channel, mode)
+    return lambda idx: attenuation_block(enc, channel, idx, mode)
 
 
 def evolve_state(state: GaussianState, circuit: Circuit,
@@ -138,40 +204,36 @@ def evolve_state(state: GaussianState, circuit: Circuit,
                  enc: Optional[EncodingWeightModel] = None,
                  mode: str = "exact") -> GaussianState:
     """Push a state through the circuit (each layer: rotate, then noise)."""
-    lam = _layer_attenuation(circuit, channel, enc, mode)
-    gamma = state.gamma.copy()
-    for rot in circuit.layers:
-        gamma = rot @ gamma @ rot.T
+    damping = _layer_damping(circuit, channel, enc, mode)
+    lam = None if damping is None else damping(np.arange(state.lattice.n_majorana))
+    gamma = state.gamma
+    for layer in circuit.layers:
+        gamma = layer.apply(layer.apply(gamma).T).T
         if lam is not None:
-            gamma *= lam
+            gamma = gamma * lam
     return GaussianState(state.lattice, gamma, validate=False)
 
 
-def _pull_back(obs: QuadraticObservable, layers: Sequence[np.ndarray],
-               lam: Optional[np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
+def _pull_back(obs: QuadraticObservable, layers: Sequence[Layer],
+               damping: Optional[_Damping]) -> Tuple[np.ndarray, np.ndarray]:
     """Heisenberg pullback restricted to the support of the coefficients.
 
     Returns the Majorana indices ``S`` outside of which the pulled-back
     coefficient matrix is exactly zero, and its ``S x S`` block.
     """
-    nonzero = obs.coefficients != 0
-    support = np.flatnonzero(nonzero.any(axis=0) | nonzero.any(axis=1))
-    coeffs = obs.coefficients[np.ix_(support, support)]
-    for rot in reversed(layers):
-        if lam is not None:
-            coeffs = coeffs * lam[np.ix_(support, support)]
-        rows = rot[support]
-        support = np.flatnonzero((rows != 0).any(axis=0))
-        gate = rows[:, support]
-        coeffs = gate.T @ coeffs @ gate
+    support, coeffs = obs.support, obs.block
+    for layer in reversed(layers):
+        if damping is not None:
+            coeffs = coeffs * damping(support)
+        support, rot = layer.rows(support)
+        coeffs = rot.T @ coeffs @ rot
     return support, coeffs
 
 
 def _pulled_back_expectation(state: GaussianState, obs: QuadraticObservable,
-                             layers: Sequence[np.ndarray],
-                             lam: Optional[np.ndarray]) -> float:
-    support, coeffs = _pull_back(obs, layers, lam)
-    return obs.offset + float(np.sum(coeffs * state.gamma[np.ix_(support, support)]))
+                             layers: Sequence[Layer], damping: Optional[_Damping]) -> float:
+    support, coeffs = _pull_back(obs, layers, damping)
+    return obs.offset + float(np.sum(coeffs * state.covariance_block(support)))
 
 
 def heisenberg_observable(obs: QuadraticObservable, circuit: Circuit,
@@ -187,14 +249,13 @@ def heisenberg_observable(obs: QuadraticObservable, circuit: Circuit,
 
     Only the block on the observable's light cone is ever formed: entries
     outside it are exactly zero in the dense pullback too, so the result is
-    the same, at ``O(depth * (|S| * N + |S|^3))`` for a light cone of
-    ``|S|`` Majoranas instead of ``O(depth * N^3)``.
+    the same, held on its support, at ``O(depth * |S|^3)`` for a light cone
+    of ``|S|`` Majoranas instead of ``O(depth * N^3)``.
     """
-    lam = _layer_attenuation(circuit, channel, enc, mode)
-    support, block = _pull_back(obs, circuit.layers, lam)
-    coeffs = np.zeros_like(obs.coefficients)
-    coeffs[np.ix_(support, support)] = block
-    return QuadraticObservable(obs.lattice, coeffs, offset=obs.offset, validate=False)
+    damping = _layer_damping(circuit, channel, enc, mode)
+    support, block = _pull_back(obs, circuit.layers, damping)
+    return QuadraticObservable(obs.lattice, block, offset=obs.offset, support=support,
+                               validate=False)
 
 
 def circuit_expectation(state: GaussianState, obs: QuadraticObservable,
@@ -203,8 +264,8 @@ def circuit_expectation(state: GaussianState, obs: QuadraticObservable,
                         enc: Optional[EncodingWeightModel] = None,
                         mode: str = "exact") -> float:
     """Expectation of ``obs`` after the noisy circuit acts on ``state``."""
-    lam = _layer_attenuation(circuit, channel, enc, mode)
-    return _pulled_back_expectation(state, obs, circuit.layers, lam)
+    damping = _layer_damping(circuit, channel, enc, mode)
+    return _pulled_back_expectation(state, obs, circuit.layers, damping)
 
 
 def prefix_expectations(state: GaussianState, obs: QuadraticObservable,
@@ -214,11 +275,10 @@ def prefix_expectations(state: GaussianState, obs: QuadraticObservable,
                         mode: str = "exact") -> List[float]:
     """Expectations of ``obs`` after each prefix of the circuit, depth 0 first.
 
-    Entry ``d`` is ``circuit_expectation`` on the first ``d`` layers; the
-    attenuation matrix is built once for all ``depth + 1`` prefixes.
+    Entry ``d`` is ``circuit_expectation`` on the first ``d`` layers.
     """
-    lam = _layer_attenuation(circuit, channel, enc, mode)
-    return [_pulled_back_expectation(state, obs, circuit.layers[:d], lam)
+    damping = _layer_damping(circuit, channel, enc, mode)
+    return [_pulled_back_expectation(state, obs, circuit.layers[:d], damping)
             for d in range(circuit.depth + 1)]
 
 

@@ -17,6 +17,9 @@ bound formulas):
 ``circuit``
     Exact noisy-versus-ideal error of random brickwork circuits on a
     power-law-correlated initial state, next to its closed-form depth bound.
+    With ``--encoding local``, the premise of Proposition 3, an error above
+    that bound is a broken invariant (exit 3); ``jw1d`` and
+    ``bravyi_kitaev`` lie outside the premise and are not checked.
 ``bounds``
     Tables of the closed-form stability bounds over small parameter grids.
 
@@ -322,6 +325,12 @@ def _run_encoding_compare(cfg: Dict[str, object]) -> List[Row]:
 
 
 def _run_circuit(cfg: Dict[str, object]) -> List[Row]:
+    """Noisy-versus-ideal hopping error per depth prefix, next to its Proposition 3 bound.
+
+    With the ``local`` encoding, the premise of the bound, an error above it
+    raises :class:`InvariantViolation`; ``jw1d`` and ``bravyi_kitaev`` lie
+    outside the premise and are not checked.
+    """
     p = cfg["p"]
     depth = cfg["depth"]
     if cfg["L"] is not None:
@@ -345,13 +354,18 @@ def _run_circuit(cfg: Dict[str, object]) -> List[Row]:
         ideal = prefix_expectations(state, obs, circuit)
         noisy = prefix_expectations(state, obs, circuit, channel, enc, cfg["mode"])
         for d in range(depth + 1):
-            bound = prop3_bound(params, p, d, radius=1)
+            error = abs(noisy[d] - ideal[d])
+            bound = prop3_bound(params, p, d, radius=1).value
+            if cfg["encoding"] == "local" and error > bound:
+                raise InvariantViolation(
+                    f"circuit at n_sites {length}, depth {d}: error {error:.6g} exceeds "
+                    f"its Proposition 3 bound {bound:.6g}")
             rows.append({
                 "n_sites": length,
                 "depth": d,
                 "p": p,
-                "error": abs(noisy[d] - ideal[d]),
-                "prop3_bound": bound.value,
+                "error": error,
+                "prop3_bound": bound,
             })
     return rows
 

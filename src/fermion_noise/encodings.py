@@ -27,19 +27,21 @@ popcount of ``x | z``, its X/Y/Z counts those of ``x & ~z``, ``x & z`` and
 ``~x & z``.  Jordan-Wigner weights, single or all-pairs, keep the closed
 form ``1 + |o(s) - o(t)|`` (``o`` the qubit order) as a fast path.
 
-All-pairs weights and counts come as flavor blocks of shape ``(F, F, N, N)``
-with entry ``[f, g, s, t]`` for the pair ``(2s + f, 2t + g)``: ``F = 1``
-when one value serves every flavor pair and broadcasts, ``F = 2`` when the
-flavors differ.  Where the weight depends on the displacement ``x - y`` of
-the two sites alone (``local`` and ``jw1d``), :meth:`displacement_weights`
-gives it as one value per displacement.
+Weights and counts of every pair of a Majorana index set come from one
+method, :meth:`EncodingWeightModel.pair_weights`; a circuit's light cone
+asks for them on its support only.  All pairs come as flavor blocks of shape
+``(F, F, N, N)`` with entry ``[f, g, s, t]`` for the pair
+``(2s + f, 2t + g)``: ``F = 1`` when one value serves every flavor pair and
+broadcasts, ``F = 2`` when the flavors differ.  Where the weight depends on
+the displacement ``x - y`` of the two sites alone (``local`` and ``jw1d``),
+:meth:`displacement_weights` gives it as one value per displacement.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple, Union
 
 import numpy as np
 
@@ -248,17 +250,17 @@ class EncodingWeightModel:
             self._table = (x, z)
         return self._table
 
-    def _pair_popcounts(self, bits: Callable) -> np.ndarray:
-        """(2, 2, N, N) popcount of ``bits(x, z)`` over every Majorana pair's product."""
+    def _pair_popcounts(self, bits: Callable, rows: Union[slice, np.ndarray]) -> np.ndarray:
+        """Popcount of ``bits(x, z)`` over the product of every pair of Majoranas ``rows``."""
         x, z = self.pauli_table()
+        x, z = x[rows], z[rows]
         n_maj, words = x.shape
         out = np.empty((n_maj, n_maj), dtype=np.int64)
-        step = max(1, _CHUNK_WORDS // (n_maj * words))
+        step = max(1, _CHUNK_WORDS // max(1, n_maj * words))
         for lo in range(0, n_maj, step):
             sel = bits(x[lo:lo + step, None] ^ x, z[lo:lo + step, None] ^ z)
             out[lo:lo + step] = np.bitwise_count(sel).sum(axis=-1)
-        n = n_maj // 2
-        return out.reshape(n, 2, n, 2).transpose(1, 3, 0, 2)
+        return out
 
     # -- weights and compositions ----------------------------------------
 
@@ -287,16 +289,40 @@ class EncodingWeightModel:
         return StringComposition(*(int(np.bitwise_count(_FACTOR_BITS[p](dx, dz)).sum())
                                    for p in "XYZ"))
 
+    def pair_weights(self, idx: Optional[np.ndarray] = None,
+                     counts: bool = False) -> np.ndarray:
+        """Weights, or X/Y/Z counts, of every pair of the Majoranas ``idx``.
+
+        ``(len(idx), len(idx))`` weights, or with ``counts`` the
+        ``(3, len(idx), len(idx))`` X, Y and Z counts (concrete encodings
+        only); entry ``[i, j]`` belongs to the bilinear
+        ``gamma_idx[i] gamma_idx[j]``, and diagonal entries are not
+        bilinears.  Without ``idx`` every Majorana pair is returned in flavor
+        blocks, ``(F, F, N, N)`` and ``(3, 2, 2, N, N)``: the all-indices
+        case of the same code, which :meth:`weight_blocks` and
+        :meth:`count_blocks` name.
+        """
+        n = self.lattice.n_sites
+        if counts or self.kind == "bravyi_kitaev":
+            rows = slice(None) if idx is None else np.asarray(idx)
+            if counts:
+                out = np.stack([self._pair_popcounts(_FACTOR_BITS[p], rows) for p in "XYZ"])
+            else:
+                out = self._pair_popcounts(_FACTOR_BITS["weight"], rows)
+            if idx is None:  # (..., s, f, t, g) -> (..., f, g, s, t)
+                out = np.moveaxis(out.reshape(out.shape[:-2] + (n, 2, n, 2)), (-3, -1), (-4, -3))
+            return out
+        sites = np.arange(n) if idx is None else np.asarray(idx) // 2
+        if self.kind == "local":
+            w = self.phi0 + self.lattice.pair_distances(sites)
+        else:
+            o = self._qubit_order()[sites]
+            w = 1 + np.abs(o[:, None] - o[None, :])
+        return w[None, None] if idx is None else w
+
     def weight_blocks(self) -> np.ndarray:
         """Weights of every Majorana pair as ``(F, F, N, N)`` flavor blocks."""
-        if self.kind == "local":
-            w = self.phi0 + self.lattice.distance_matrix()
-        elif self.kind == "bravyi_kitaev":
-            return self._pair_popcounts(_FACTOR_BITS["weight"])
-        else:
-            o = self._qubit_order()
-            w = 1 + np.abs(o[:, None] - o[None, :])
-        return w[None, None]
+        return self.pair_weights()
 
     def displacement_weights(self) -> Optional[np.ndarray]:
         """Weight of every site pair as a function of its displacement alone.
@@ -317,7 +343,7 @@ class EncodingWeightModel:
 
     def count_blocks(self) -> np.ndarray:
         """(3, 2, 2, N, N) X, Y and Z counts of every Majorana pair's string."""
-        return np.stack([self._pair_popcounts(_FACTOR_BITS[p]) for p in "XYZ"])
+        return self.pair_weights(counts=True)
 
     def weight_matrix(self) -> np.ndarray:
         """(2N, 2N) weights for every Majorana pair (diagonal set to 0)."""

@@ -9,23 +9,28 @@ covariance matrix ``Gamma`` with
 
 so physical states satisfy ``||Gamma|| <= 1`` (pure states saturate it in
 every direction) and the on-site entry ``Gamma[2x, 2x+1]`` equals
-``2 <n_x> - 1``.  Observables quadratic in the Majoranas are carried as a
-scalar offset plus a real antisymmetric coefficient matrix ``O`` with
-``<O> = offset + sum_ab O_ab Gamma_ab``.
+``2 <n_x> - 1``.  Observables quadratic in the Majoranas are a scalar
+offset plus a real antisymmetric coefficient matrix ``O`` with
+``<O> = offset + sum_ab O_ab Gamma_ab``, held on their support: the indices
+``S`` of the nonzero rows and columns and the ``S x S`` block (2 x 2 for a
+site occupation, 4 x 4 for a hopping), with the full matrix scattered only
+on request.  An expectation reads the covariance on ``S`` alone
+(:meth:`GaussianState.covariance_block`).
 
-Mode-diagonal states (every Fermi sea, the scaling probes) are
-:class:`ModeDiagonalState`: the momentum grid and the occupations ``n(q)``,
-with the covariance built only when something asks for it.  Their
-``<n_k>`` and noise-induced ``n_k`` errors come from a sum over the
-``(2L)^D`` displacement box, two FFTs for a whole grid
-(:meth:`ModeDiagonalState.occupation_shift`); every other consumer, and
-every other state, uses the dense covariance, which stays the reference the
-box sum is tested against.
+Mode-diagonal states (every Fermi sea, the scaling probes, the circulant
+power-law state) are :class:`ModeDiagonalState`: the momentum grid and the
+occupations ``n(q)``, with the covariance built only when something asks
+for all of it.  ``C(r)`` is one FFT of ``n(q)`` on the ``(2L)^D``
+displacement box; the covariance on an index set is gathered from it, and
+``<n_k>`` and noise-induced ``n_k`` errors are one more FFT for a whole
+grid (:meth:`ModeDiagonalState.occupation_shift`).  The dense covariance
+stays the reference both are tested against.
 
 Besides those, the module provides synthetic families used to probe
 correlation-decay premises: Haar-random pure states, their Schur-damped
 power-law variants, and a translation-invariant circulant family with an
-exactly known power-law envelope.
+exactly known power-law envelope, whose ``n(q)`` is one FFT of that
+envelope.
 """
 
 from __future__ import annotations
@@ -47,39 +52,71 @@ OCCUPATION_SLACK = 1e-12
 class QuadraticObservable:
     """Observable ``offset + sum_ab O_ab Gamma_ab`` with O real antisymmetric.
 
+    Held on its support: the Majorana indices ``S`` outside of which ``O``
+    is zero, and the ``S x S`` block.  The ``(2N, 2N)`` matrix
+    :attr:`coefficients` is scattered from them on first use.
+
     Parameters
     ----------
     lattice : Lattice
         Lattice fixing the Majorana index space (2 * n_sites).
     coefficients : ndarray
-        Real antisymmetric matrix of shape (2N, 2N).
+        Real antisymmetric matrix of shape (2N, 2N), or with ``support`` its
+        block on those indices.
     offset : float, optional
         Scalar part of the expectation value.
+    support : array of int, optional
+        Distinct Majorana indices of the block; without it the support is
+        the set of nonzero rows and columns of the full matrix.
     """
 
     def __init__(self, lattice: Lattice, coefficients: np.ndarray, offset: float = 0.0,
-                 *, validate: bool = True):
-        coeffs = np.array(coefficients, dtype=float)
+                 *, support: Optional[np.ndarray] = None, validate: bool = True):
+        block = np.array(coefficients, dtype=float)
         n = lattice.n_majorana
-        if coeffs.shape != (n, n):
-            raise ValueError(f"coefficient matrix must be ({n}, {n}), got {coeffs.shape}")
-        if validate and not np.allclose(coeffs, -coeffs.T, atol=1e-12):
+        dense = None
+        if support is None:
+            if block.shape != (n, n):
+                raise ValueError(f"coefficient matrix must be ({n}, {n}), got {block.shape}")
+            nonzero = block != 0
+            support = np.flatnonzero(nonzero.any(axis=0) | nonzero.any(axis=1))
+            dense, block = block, block[np.ix_(support, support)]
+            dense.setflags(write=False)
+        else:
+            support = np.array(support, dtype=np.int64)
+            if support.ndim != 1 or block.shape != (len(support),) * 2:
+                raise ValueError(f"block of shape {block.shape} does not match "
+                                 f"{len(support)} support indices")
+            if support.size and (support.min() < 0 or support.max() >= n
+                                 or np.unique(support).size != support.size):
+                raise ValueError(f"support must be distinct Majorana indices in [0, {n})")
+        if validate and not np.allclose(block, -block.T, atol=1e-12):
             raise ValueError("coefficient matrix must be antisymmetric")
-        coeffs.setflags(write=False)
+        support.setflags(write=False)
+        block.setflags(write=False)
         self.lattice = lattice
-        self.coefficients = coeffs
+        self.support = support
+        self.block = block
         self.offset = float(offset)
+        self._coefficients = dense
+
+    @property
+    def coefficients(self) -> np.ndarray:
+        """The (read-only) ``(2N, 2N)`` coefficient matrix, built on first use."""
+        if self._coefficients is None:
+            coeffs = np.zeros((self.lattice.n_majorana,) * 2)
+            coeffs[np.ix_(self.support, self.support)] = self.block
+            coeffs.setflags(write=False)
+            self._coefficients = coeffs
+        return self._coefficients
 
     @classmethod
     def number(cls, lattice: Lattice, site: int) -> "QuadraticObservable":
         """Occupation ``n_x = c_x^dag c_x`` of a single site."""
         if not 0 <= site < lattice.n_sites:
             raise IndexError(f"site {site} outside [0, {lattice.n_sites})")
-        coeffs = np.zeros((lattice.n_majorana,) * 2)
-        a, b = 2 * site, 2 * site + 1
-        coeffs[a, b] = 0.25
-        coeffs[b, a] = -0.25
-        return cls(lattice, coeffs, offset=0.5, validate=False)
+        return cls(lattice, [[0.0, 0.25], [-0.25, 0.0]], offset=0.5,
+                   support=[2 * site, 2 * site + 1], validate=False)
 
     @classmethod
     def hopping(cls, lattice: Lattice, site_a: int, site_b: int) -> "QuadraticObservable":
@@ -89,11 +126,13 @@ class QuadraticObservable:
             raise IndexError(f"sites ({site_a}, {site_b}) outside [0, {n_sites})")
         if site_a == site_b:
             raise ValueError("hopping requires two distinct sites")
-        coeffs = np.zeros((lattice.n_majorana,) * 2)
+        support = np.sort([2 * site_a, 2 * site_a + 1, 2 * site_b, 2 * site_b + 1])
+        block = np.zeros((4, 4))
         for u, v in ((2 * site_a, 2 * site_b + 1), (2 * site_b, 2 * site_a + 1)):
-            coeffs[u, v] = 0.25
-            coeffs[v, u] = -0.25
-        return cls(lattice, coeffs, validate=False)
+            i, j = np.searchsorted(support, (u, v))
+            block[i, j] = 0.25
+            block[j, i] = -0.25
+        return cls(lattice, block, support=support, validate=False)
 
     @classmethod
     def momentum_occupation(cls, lattice: Lattice, k: Sequence[float]) -> "QuadraticObservable":
@@ -120,8 +159,8 @@ class QuadraticObservable:
 
     def scaled(self, factor: float) -> "QuadraticObservable":
         """The observable multiplied by a scalar (offset included)."""
-        return QuadraticObservable(self.lattice, factor * self.coefficients,
-                                   offset=factor * self.offset, validate=False)
+        return QuadraticObservable(self.lattice, factor * self.block, offset=factor * self.offset,
+                                   support=self.support, validate=False)
 
     def coefficient_trace_norm(self) -> float:
         """Trace norm (sum of singular values) of the coefficient matrix.
@@ -130,10 +169,10 @@ class QuadraticObservable:
         ``hopping`` has norm 1.  Error bounds stated for unit-norm
         observables apply after dividing by this value.
         """
-        return float(np.linalg.svd(self.coefficients, compute_uv=False).sum())
+        return float(np.linalg.svd(self.block, compute_uv=False).sum())
 
     def __repr__(self) -> str:
-        nnz = int(np.count_nonzero(self.coefficients))
+        nnz = int(np.count_nonzero(self.block))
         return f"QuadraticObservable(offset={self.offset}, nnz={nnz})"
 
 
@@ -209,9 +248,13 @@ class GaussianState:
             raise IndexError(f"site {site} outside [0, {self.lattice.n_sites})")
         return 0.5 * (1.0 + self.gamma[2 * site, 2 * site + 1])
 
+    def covariance_block(self, idx: np.ndarray) -> np.ndarray:
+        """The covariance on a Majorana index set, ``gamma[np.ix_(idx, idx)]``."""
+        return self.gamma[np.ix_(idx, idx)]
+
     def expectation(self, obs: QuadraticObservable) -> float:
         """Expectation value of a quadratic observable in this state."""
-        return obs.offset + float(np.sum(obs.coefficients * self.gamma))
+        return obs.offset + float(np.sum(obs.block * self.covariance_block(obs.support)))
 
     def particle_number(self) -> float:
         """Total mean particle number."""
@@ -251,6 +294,7 @@ class ModeDiagonalState(GaussianState):
         self.grid = grid
         self.occupations = n
         self._gamma: Optional[np.ndarray] = None
+        self._box: Optional[np.ndarray] = None
 
     @classmethod
     def vacuum(cls, lattice: Lattice) -> "GaussianState":
@@ -275,6 +319,39 @@ class ModeDiagonalState(GaussianState):
     def _build_gamma(self) -> np.ndarray:
         corr = correlation_from_mode_occupations(self.grid, self.occupations)
         return GaussianState.from_correlation_matrix(self.lattice, corr, validate=False).gamma
+
+    def _conj_correlation_box(self) -> np.ndarray:
+        """``conj C(r)`` on the box of :meth:`Lattice.displacement_box`, cached.
+
+        On the box of period ``2L`` a grid momentum ``2 pi m / L`` is the
+        integer frequency ``2m``, so this is one FFT of ``n(q)`` placed there.
+        """
+        if self._box is None:
+            lat = self.lattice
+            period = 2 * lat.length
+            box = np.zeros((period,) * lat.dim)
+            box[tuple((np.rint(2 * self.grid.m_vectors).astype(np.int64) % period).T)] = \
+                self.occupations
+            self._box = np.fft.fftn(box) / lat.n_sites
+            self._box.setflags(write=False)
+        return self._box
+
+    def covariance_block(self, idx: np.ndarray) -> np.ndarray:
+        """The covariance on a Majorana index set, gathered from ``C(r)``.
+
+        Equals ``gamma[np.ix_(idx, idx)]`` without building :attr:`gamma`:
+        ``Gamma`` is ``-2 Im C`` between equal flavors and ``+-(2 Re C - delta)``
+        between flavors 1 and 2 (``-`` for a flavor-2 row), with ``C_xy = C(x - y)``.
+        """
+        idx = np.asarray(idx)
+        lat = self.lattice
+        sites, flavor = idx // 2, idx % 2
+        coords = lat.coords[sites]
+        disp = (coords[:, None, :] - coords[None, :, :]) % (2 * lat.length)
+        corr = np.conj(self._conj_correlation_box()[tuple(np.moveaxis(disp, -1, 0))])
+        cross = 2.0 * corr.real - (sites[:, None] == sites[None, :])
+        sign = np.where(flavor[:, None] < flavor[None, :], 1.0, -1.0)
+        return np.where(flavor[:, None] == flavor[None, :], -2.0 * corr.imag, sign * cross)
 
     def particle_number(self) -> float:
         """Total mean particle number, ``sum_q n(q)``."""
@@ -302,10 +379,7 @@ class ModeDiagonalState(GaussianState):
             raise ValueError(f"momenta must have shape (n, {lat.dim}), got {momenta.shape}")
         period = 2 * lat.length
         axes = lat.displacement_box()
-        box = np.zeros((period,) * lat.dim)
-        box[tuple((np.rint(2 * self.grid.m_vectors).astype(np.int64) % period).T)] = \
-            self.occupations
-        summand = np.fft.fftn(box) / lat.n_sites  # conj C(r)
+        summand = self._conj_correlation_box().copy()
         summand[(0,) * lat.dim] -= 0.5
         summand *= drop * math.prod(lat.length - np.abs(r) for r in axes) / lat.n_sites
         freq = momenta * (lat.length / np.pi)
@@ -537,18 +611,26 @@ def _offdiagonal_decay_sum(dim: int, mu: float) -> float:
     return float(4.0 * (riemann_zeta(mu - 1.0) - riemann_zeta(mu)))
 
 
-def circulant_power_law_state(lattice: Lattice, mu: float) -> Tuple[GaussianState, float]:
+def circulant_power_law_state(lattice: Lattice, mu: float
+                              ) -> Tuple[ModeDiagonalState, float]:
     """Translation-invariant state with an exact power-law covariance envelope.
 
     The two-point function is real circulant: ``C(x, y) = 1/2`` on the
     diagonal and ``A (1 + d(x, y))^{-mu}`` off it, with A normalized against
     the infinite-lattice sum so every mode occupation stays in
-    ``[0.05, 0.95]`` on any torus size.  Returns the state and the exact
-    decay constant ``K = 2 A`` of its covariance matrix.
+    ``[0.05, 0.95]`` on any torus size.  The state is mode-diagonal on the
+    periodic grid (L even): ``n(q)`` is one FFT of that profile over the
+    displacements of the torus.  Returns the state and the exact decay
+    constant ``K = 2 A`` of its covariance matrix.
     """
     amp = 0.45 / _offdiagonal_decay_sum(lattice.dim, mu)
-    d = lattice.distance_matrix().astype(float)
-    corr = amp * (1.0 + d) ** (-mu)
-    np.fill_diagonal(corr, 0.5)
-    state = GaussianState.from_correlation_matrix(lattice, corr, validate=False)
-    return state, 2.0 * amp
+    length = lattice.length
+    r = np.arange(length)
+    dist = sum(np.minimum(r, length - r).reshape((-1,) + (1,) * (lattice.dim - 1 - i))
+               for i in range(lattice.dim))
+    profile = amp * (1.0 + dist) ** (-mu)
+    profile[(0,) * lattice.dim] = 0.5
+    grid = momentum_grid(lattice, "odd")
+    n_q = np.fft.fftn(profile).real
+    occupations = n_q[tuple((grid.m_vectors.astype(np.int64) % length).T)]
+    return ModeDiagonalState(grid, occupations), 2.0 * amp

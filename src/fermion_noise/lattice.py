@@ -120,13 +120,17 @@ class Lattice:
         """Torus distance between the sites with flat indices i and j."""
         return torus_distance(self.site_coords(i), self.site_coords(j), self.length)
 
+    def pair_distances(self, sites: np.ndarray) -> np.ndarray:
+        """(len(sites), len(sites)) torus distances between the given sites."""
+        c = self.coords[sites]
+        diff = np.abs(c[:, None, :] - c[None, :, :])
+        diff = np.minimum(diff, self.length - diff)
+        return diff.sum(axis=2)
+
     def distance_matrix(self) -> np.ndarray:
-        """(n_sites, n_sites) matrix of pairwise torus distances."""
+        """(n_sites, n_sites) matrix of pairwise torus distances, cached."""
         if self._distance_matrix is None:
-            c = self.coords
-            diff = np.abs(c[:, None, :] - c[None, :, :])
-            diff = np.minimum(diff, self.length - diff)
-            self._distance_matrix = diff.sum(axis=2)
+            self._distance_matrix = self.pair_distances(np.arange(self.n_sites))
             self._distance_matrix.setflags(write=False)
         return self._distance_matrix
 

@@ -17,9 +17,11 @@ per-pair attenuation factors.  Every factor comes from one formula,
 ``ex**nx * ey**ny * ez**nz`` over the X/Y/Z counts of the encoding's
 strings; worst-case mode sets all three etas to ``1 - 3p/2``.  With equal
 etas the formula is ``eta**weight``, the only case the weight-only
-``local`` model supports.  Attenuations keep the encoding's
-``(F, F, N, N)`` flavor-block shape, and only :func:`attenuation_matrix`
-expands them to ``(2N, 2N)``.
+``local`` model supports.  The same formula serves every pair of a
+Majorana index set (:func:`attenuation_block`, what a circuit's light cone
+needs) and all pairs at once; those keep the encoding's ``(F, F, N, N)``
+flavor-block shape, and only :func:`attenuation_matrix` expands them to
+``(2N, 2N)``.
 
 The momentum error map has two paths.  The spectral one serves a
 :class:`~fermion_noise.gaussian.ModeDiagonalState` (every Fermi sea) when
@@ -36,7 +38,7 @@ exact mode, and general states.  Where both apply they agree to about 1e-15.
 from __future__ import annotations
 
 from dataclasses import astuple, dataclass
-from typing import Callable, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -128,16 +130,29 @@ def pair_attenuation(enc: EncodingWeightModel, channel: PauliChannel,
                             lambda: astuple(enc.string_composition(a, b))))
 
 
-def _attenuation_blocks(enc: EncodingWeightModel, channel: PauliChannel,
-                        mode: str) -> np.ndarray:
-    """(F, F, N, N) attenuation of every Majorana pair, in the encoding's block shape."""
-    return _eta_power(_mode_etas(channel, mode), enc.weight_blocks, enc.count_blocks)
+def _attenuation(enc: EncodingWeightModel, channel: PauliChannel, mode: str,
+                 idx: Optional[np.ndarray] = None) -> np.ndarray:
+    """Attenuation of every pair of the Majoranas ``idx``, or flavor blocks of all pairs."""
+    return _eta_power(_mode_etas(channel, mode), lambda: enc.pair_weights(idx),
+                      lambda: enc.pair_weights(idx, counts=True))
+
+
+def attenuation_block(enc: EncodingWeightModel, channel: PauliChannel,
+                      idx: np.ndarray, mode: str = "exact") -> np.ndarray:
+    """``attenuation_matrix(...)[np.ix_(idx, idx)]``, built on the index set only.
+
+    ``idx`` holds distinct Majorana indices; the cost is ``O(len(idx)**2)``
+    whatever the system size.
+    """
+    lam = np.array(_attenuation(enc, channel, mode, np.asarray(idx)), dtype=float)
+    np.fill_diagonal(lam, 1.0)
+    return lam
 
 
 def attenuation_matrix(enc: EncodingWeightModel, channel: PauliChannel,
                        mode: str = "exact") -> np.ndarray:
     """(2N, 2N) per-bilinear attenuation factors (diagonal fixed to 1)."""
-    lam = interleave_flavors(_attenuation_blocks(enc, channel, mode))
+    lam = interleave_flavors(_attenuation(enc, channel, mode))
     np.fill_diagonal(lam, 1.0)
     return lam
 
@@ -207,7 +222,7 @@ def momentum_error_map(state: GaussianState, enc: EncodingWeightModel,
         if weights is not None:
             return state.occupation_shift(1.0 - etas[0] ** weights, momenta)
     n = lat.n_sites
-    drop = np.broadcast_to(1.0 - _attenuation_blocks(enc, channel, mode), (2, 2, n, n))
+    drop = np.broadcast_to(1.0 - _attenuation(enc, channel, mode), (2, 2, n, n))
     g = state.gamma
     t_mat = np.empty((n, n), dtype=complex)
     t_mat.real = drop[0, 1] * g[0::2, 1::2] - drop[1, 0] * g[1::2, 0::2]

@@ -18,6 +18,8 @@ _BERNOULLI = (
     5.0 / 66, -691.0 / 2730, 7.0 / 6, -3617.0 / 510,
 )
 _EM_CUTOFF = 100
+# -ln of the share of the first term below which direct polylog terms are skipped.
+_SKIP_DIGITS = 80 * math.log(2.0)
 
 
 def _zeta_continued(s: float) -> float:
@@ -55,17 +57,29 @@ def riemann_zeta(s: float) -> float:
 
 
 def _polylog_direct(s: float, z: float) -> float:
-    """Direct summation of ``sum z^k / k^s`` with a rigorous tail bound."""
+    """Direct summation of ``sum z^k / k^s`` with a rigorous tail bound.
+
+    For ``s >= 0`` the terms are below ``z^k``, so past
+    ``k_last = 1 + (ln 2^80 - ln(1 - z)) / w`` they add up to less than
+    ``2^-80 z``, some 2^-28 of the sum's last bit: they are not evaluated.
+    Zeros stand in for them, so every chunk keeps its length and its
+    pairwise-summation blocks, and the result is bit-identical to summing
+    every term.  The 1e-13 tail bound is then checked at ``k_last``.
+    """
     w = -math.log(z)
+    k_last = 1 + math.ceil((_SKIP_DIGITS - math.log(-math.expm1(-w))) / w) \
+        if s >= 0 else math.inf
     chunks: List[float] = []
     k0 = 1
     chunk = 1 << 16
     while True:
-        k = np.arange(k0, k0 + chunk, dtype=float)
-        terms = np.exp(-w * k - s * np.log(k))
+        n_live = int(min(chunk, max(1, k_last - k0 + 1)))
+        k = np.arange(k0, k0 + n_live, dtype=float)
+        terms = np.zeros(chunk)
+        terms[:n_live] = np.exp(-w * k - s * np.log(k))
         chunks.append(float(np.sum(terms)))
-        k_end = k0 + chunk - 1
-        last = terms[-1]
+        k_end = k0 + n_live - 1
+        last = terms[n_live - 1]
         # once past any initial growth the term ratio is below ratio < 1
         ratio = z * ((k_end + 1.0) / k_end) ** max(0.0, -s)
         if ratio < 1.0:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fermion_noise import GaussianState, Lattice, QuadraticObservable
-from fermion_noise.oracle import pauli_string
+from oracle import pauli_string
 
 SEED = 20240817
 
@@ -48,6 +48,14 @@ def correlation_of(state):
     real = 0.5 * (g[0::2, 1::2] + np.eye(state.lattice.n_sites))
     imag = -0.5 * g[0::2, 0::2]
     return real + 1j * imag
+
+
+def dense_rotation(layer):
+    """The (2N, 2N) rotation of a gate-block layer: an identity with the gates scattered in."""
+    rot = np.eye(layer.n_majorana)
+    for idx, gates in layer.blocks:
+        rot[idx[:, :, None], idx[:, None, :]] = gates
+    return rot
 
 
 def assert_close(actual, expected, atol, label=""):

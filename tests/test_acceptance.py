@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm, logm
 
-from conftest import SEED, random_normalized_observable
+from conftest import SEED, dense_rotation, random_normalized_observable
 from fermion_noise import (
     EncodingWeightModel,
     GaussianState,
@@ -53,7 +53,7 @@ from fermion_noise.bounds import (
     prop3_bound,
 )
 from fermion_noise.gaussian import correlation_from_occupied
-from fermion_noise.oracle import (
+from oracle import (
     dense_expectation,
     dense_free_unitary,
     dense_gaussian_density_matrix,
@@ -138,7 +138,7 @@ def test_criterion_02_dense_circuit_equivalence():
         lib_value = circuit_expectation(state, obs, circuit, channel, enc)
 
         rho = dense_gaussian_density_matrix(state.gamma)
-        for rotation in circuit.layers:
+        for rotation in map(dense_rotation, circuit.layers):
             gen = np.real(logm(rotation))
             gen = 0.5 * (gen - gen.T)
             assert np.abs(expm(gen) - rotation).max() <= 1e-9, "log/exp round trip"

@@ -79,6 +79,14 @@ class TestPolylog:
             assert polylog(s, z) == pytest.approx(float(mpmath.polylog(s, z)), abs=1e-9), \
                 f"Li_{s}({z})"
 
+    @pytest.mark.parametrize("s", [1.3, 1.7, 2.0, 3.0])
+    def test_direct_sum_against_mpmath_where_the_bounds_call_it(self, s):
+        # The z values of the bound tables (r^k1 for p = 0.1, 0.01, 0.001) and
+        # the closest approach to 1 that still sums directly.
+        for z in (0.85, 0.985, 0.9985, 1.0 - 1e-5):
+            assert polylog(s, z) == pytest.approx(float(mpmath.polylog(s, z)), abs=1e-13), \
+                f"Li_{s}({z})"
+
     def test_near_one_approaches_zeta(self):
         assert polylog(2.0, 1.0 - 1e-8) == pytest.approx(riemann_zeta(2.0), abs=1e-6)
         assert polylog(3.0, 1.0 - 1e-10) == pytest.approx(riemann_zeta(3.0), abs=1e-8)

@@ -5,8 +5,10 @@ import pytest
 from scipy.linalg import logm
 
 import fermion_noise.circuits as circuits_module
+import fermion_noise.noise as noise_module
 from conftest import (
     assert_close,
+    dense_rotation,
     random_correlation,
     random_gaussian_state,
     random_normalized_observable,
@@ -16,6 +18,7 @@ from fermion_noise import (
     EncodingWeightModel,
     GaussianState,
     Lattice,
+    Layer,
     PauliChannel,
     QuadraticObservable,
     attenuation_matrix,
@@ -30,8 +33,8 @@ from fermion_noise import (
     prefix_expectations,
 )
 from fermion_noise.circuits import _pull_back
-from fermion_noise.gaussian import haar_special_orthogonal
-from fermion_noise.oracle import (
+from fermion_noise.gaussian import haar_rotations, haar_special_orthogonal
+from oracle import (
     dense_expectation,
     dense_free_unitary,
     dense_gaussian_density_matrix,
@@ -48,11 +51,85 @@ def _coeff_trace_norm(obs):
 def _dense_pull_back(obs, circuit, lam):
     """Reference pullback: damp and rotate the full 2N x 2N matrix per layer."""
     coeffs = obs.coefficients.copy()
-    for rot in reversed(circuit.layers):
+    for rot in map(dense_rotation, reversed(circuit.layers)):
         if lam is not None:
             coeffs *= lam
         coeffs = rot.T @ coeffs @ rot
     return coeffs
+
+
+def _dense_brickwork_layers(lattice, depth, radius, rng):
+    """Reference construction: every layer an identity with its Haar gates scattered in."""
+    block = radius + 1
+    n = lattice.n_majorana
+    layers = []
+    for layer_idx in range(depth):
+        blocks = circuits_module._layer_blocks(lattice, layer_idx % lattice.dim,
+                                               (layer_idx // lattice.dim) % block, block)
+        sizes = np.array([2 * len(sites) for sites in blocks])
+        starts = np.cumsum(sizes**2) - sizes**2
+        normals = rng.standard_normal(int(np.sum(sizes**2)))
+        rot = np.eye(n)
+        for size in np.unique(sizes):
+            which = np.flatnonzero(sizes == size)
+            gates = haar_rotations(normals[starts[which, None] + np.arange(size * size)]
+                                   .reshape(-1, size, size))
+            sites = np.array([blocks[g] for g in which])
+            idx = (2 * sites[:, :, None] + np.arange(2)).reshape(len(which), size)
+            rot[idx[:, :, None], idx[:, None, :]] = gates
+        layers.append(rot)
+    return layers
+
+
+class TestGateBlockLayers:
+    @pytest.mark.parametrize("dim,length,radius,depth", [
+        (1, 512, 1, 8), (1, 7, 1, 4), (1, 11, 1, 4), (2, 5, 1, 4), (2, 6, 1, 4), (2, 7, 1, 4),
+        (1, 11, 2, 6), (2, 7, 2, 4)])
+    def test_layers_scatter_to_the_dense_construction(self, dim, length, radius, depth):
+        lat = Lattice(dim, length)
+        circ = brickwork_circuit(lat, depth, radius, rng=np.random.default_rng(71))
+        dense = _dense_brickwork_layers(lat, depth, radius, np.random.default_rng(71))
+        for layer_idx, (layer, rot) in enumerate(zip(circ.layers, dense)):
+            assert np.array_equal(dense_rotation(layer), rot), f"layer {layer_idx}"
+
+    @pytest.mark.parametrize("dim,length,radius", [(1, 9, 1), (1, 10, 2), (2, 5, 1)])
+    def test_rows_are_the_dense_rows(self, rng, dim, length, radius):
+        lat = Lattice(dim, length)
+        circ = brickwork_circuit(lat, 2 * dim, radius, rng=np.random.default_rng(73))
+        for layer in circ.layers:
+            rot = dense_rotation(layer)
+            for size in (1, 3, 7):
+                support = np.sort(rng.choice(lat.n_majorana, size, replace=False))
+                cols, rows = layer.rows(support)
+                assert np.array_equal(cols, np.unique(cols))
+                assert np.array_equal(rows, rot[np.ix_(support, cols)])
+                outside = np.setdiff1d(np.arange(lat.n_majorana), cols)
+                assert not rot[np.ix_(support, outside)].any()
+
+    def test_apply_is_the_dense_product(self, rng):
+        lat = Lattice(2, 5)
+        circ = brickwork_circuit(lat, 2, rng=np.random.default_rng(79))
+        mat = rng.normal(size=(lat.n_majorana, 3))
+        for layer in circ.layers:
+            assert_close(layer.apply(mat), dense_rotation(layer) @ mat, 1e-14, "R @ mat")
+
+    def test_indices_in_no_block_are_left_alone(self, rng):
+        gate = haar_special_orthogonal(2, rng)
+        layer = Layer(6, ((np.array([[1, 4]]), gate[None]),))
+        rot = dense_rotation(layer)
+        cols, rows = layer.rows(np.array([0, 4]))
+        assert list(cols) == [0, 1, 4]
+        assert np.array_equal(rows, rot[np.ix_([0, 4], cols)])
+        assert rows[0].tolist() == [1.0, 0.0, 0.0]
+
+    def test_blocks_must_be_disjoint_and_match_their_gates(self):
+        gates = np.stack([np.eye(2)] * 2)
+        with pytest.raises(ValueError, match="disjoint"):
+            Layer(6, ((np.array([[0, 1], [1, 2]]), gates),))
+        with pytest.raises(ValueError, match="disjoint"):
+            Layer(6, ((np.array([[0, 1]]), gates[:1]), (np.array([[1, 2]]), gates[:1])))
+        with pytest.raises(ValueError, match="do not match"):
+            Layer(6, ((np.array([[0, 1, 2]]), gates[:1]),))
 
 
 class TestBrickworkConstruction:
@@ -69,12 +146,12 @@ class TestBrickworkConstruction:
         b = brickwork_circuit(lat, 3, rng=np.random.default_rng(42))
         assert a.depth == b.depth == 3
         for la, lb in zip(a.layers, b.layers):
-            assert (la == lb).all()
+            assert (dense_rotation(la) == dense_rotation(lb)).all()
 
     def test_layers_are_orthogonal(self):
         lat = Lattice(1, 8)
         circ = brickwork_circuit(lat, 4, rng=np.random.default_rng(0))
-        for rot in circ.layers:
+        for rot in map(dense_rotation, circ.layers):
             assert_close(rot @ rot.T, np.eye(16), 1e-10, "R R^T")
             assert np.linalg.det(rot) == pytest.approx(1.0, abs=1e-9)
 
@@ -85,14 +162,14 @@ class TestBrickworkConstruction:
                                      rng=np.random.default_rng(5))
             sites = np.repeat(np.arange(lat.n_sites), 2)
             dist = lat.distance_matrix()[np.ix_(sites, sites)]
-            for rot in circ.layers:
+            for rot in map(dense_rotation, circ.layers):
                 assert np.abs(rot[dist > radius]).max(initial=0.0) == 0.0
 
     def test_brick_offset_alternates(self):
         # Layer 0 pairs (0, 1), (2, 3); layer 1 slides to (1, 2), (3, 0).
         lat = Lattice(1, 4)
         circ = brickwork_circuit(lat, 2, rng=np.random.default_rng(11))
-        first, second = circ.layers
+        first, second = map(dense_rotation, circ.layers)
         assert abs(first[0, 2]) > 1e-6   # sites 0-1 coupled in layer 0
         assert second[0, 2] == 0.0       # but not in layer 1
         assert abs(second[2, 4]) > 1e-6  # layer 1 couples sites 1-2
@@ -105,14 +182,14 @@ class TestBrickworkConstruction:
         sites = np.repeat(np.arange(lat.n_sites), 2)
         same_y = coords[sites, 1][:, None] == coords[sites, 1][None, :]
         same_x = coords[sites, 0][:, None] == coords[sites, 0][None, :]
-        assert np.abs(circ.layers[0][~same_y]).max(initial=0.0) == 0.0
-        assert np.abs(circ.layers[1][~same_x]).max(initial=0.0) == 0.0
+        assert np.abs(dense_rotation(circ.layers[0])[~same_y]).max(initial=0.0) == 0.0
+        assert np.abs(dense_rotation(circ.layers[1])[~same_x]).max(initial=0.0) == 0.0
 
     def test_odd_length_gets_truncated_block(self):
         # L = 5 with radius 1: one singleton block per layer, still disjoint.
         lat = Lattice(1, 5)
         circ = brickwork_circuit(lat, 1, rng=np.random.default_rng(9))
-        rot = circ.layers[0]
+        rot = dense_rotation(circ.layers[0])
         assert_close(rot @ rot.T, np.eye(10), 1e-10, "orthogonal")
         sites = np.repeat(np.arange(5), 2)
         dist = lat.distance_matrix()[np.ix_(sites, sites)]
@@ -127,7 +204,7 @@ class TestBrickworkConstruction:
         block = radius + 1
         circ = brickwork_circuit(lat, 4, radius, rng=np.random.default_rng(17))
         rng = np.random.default_rng(17)
-        for layer_idx, rot in enumerate(circ.layers):
+        for layer_idx, rot in enumerate(map(dense_rotation, circ.layers)):
             expected = np.eye(lat.n_majorana)
             for sites in circuits_module._layer_blocks(lat, layer_idx % dim,
                                                        (layer_idx // dim) % block, block):
@@ -202,7 +279,7 @@ class TestEvolution:
         evolved = evolve_state(state, circ, ch, enc)
 
         rho = dense_gaussian_density_matrix(state.gamma)
-        for rot in circ.layers:
+        for rot in map(dense_rotation, circ.layers):
             h = np.real(logm(rot))
             h = 0.5 * (h - h.T)
             u = dense_free_unitary(h)
@@ -249,7 +326,7 @@ class TestEvolution:
         noisy = circuit_expectation(state, obs, circ, PauliChannel.depolarizing(p), enc)
 
         rho = dense_gaussian_density_matrix(state.gamma, max_modes=6)
-        for rot in circ.layers:
+        for rot in map(dense_rotation, circ.layers):
             h = np.real(logm(rot))
             u = dense_free_unitary(0.5 * (h - h.T), max_modes=6)
             rho = dense_layer(rho, u, p, (1 / 3, 1 / 3, 1 / 3))
@@ -303,8 +380,9 @@ class TestLightConePullback:
         lat = Lattice(1, 6)
         enc = EncodingWeightModel("jw1d", lat)
         state = random_gaussian_state(lat, rng)
-        circ = Circuit(lattice=lat, radius=1,
-                       layers=(haar_special_orthogonal(lat.n_majorana, rng),))
+        n = lat.n_majorana
+        gate = haar_special_orthogonal(n, rng)
+        circ = Circuit(lattice=lat, radius=1, layers=(Layer(n, ((np.arange(n)[None], gate[None]),)),))
         obs = QuadraticObservable.hopping(lat, 0, 1)
         support, _ = _pull_back(obs, circ.layers, None)
         assert len(support) == lat.n_majorana
@@ -354,25 +432,33 @@ class TestPrefixExpectations:
                 expected = circuit_expectation(state, obs, prefix, *noise)
                 assert value == pytest.approx(expected, abs=1e-12), (noise, d)
 
-    def test_builds_the_attenuation_matrix_once(self, monkeypatch):
-        calls = []
-        original = circuits_module.attenuation_matrix
+    def test_damps_on_the_light_cone_only(self, monkeypatch):
+        # The noise after each layer is built on the support it damps, never
+        # as the (2N, 2N) attenuation matrix: at most 2 Majoranas on each of
+        # the 2 + 2 * 5 sites the cone holds before the earliest layer.
+        sizes = []
+        original = circuits_module.attenuation_block
 
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return original(*args, **kwargs)
+        def recording(enc, channel, idx, mode):
+            sizes.append(len(idx))
+            return original(enc, channel, idx, mode)
 
-        monkeypatch.setattr(circuits_module, "attenuation_matrix", counting)
-        lat = Lattice(1, 8)
-        state, _, _ = fermi_sea_1d(lat, 4)
+        def refuse(*args, **kwargs):
+            raise AssertionError("attenuation_matrix built")
+
+        monkeypatch.setattr(circuits_module, "attenuation_block", recording)
+        monkeypatch.setattr(noise_module, "attenuation_matrix", refuse)
+        lat = Lattice(1, 64)
+        state, _, _ = fermi_sea_1d(lat, 32)
         circ = brickwork_circuit(lat, 6, rng=np.random.default_rng(59))
         enc = EncodingWeightModel("jw1d", lat)
         obs = QuadraticObservable.hopping(lat, 0, 1)
         values = prefix_expectations(state, obs, circ, PauliChannel.depolarizing(0.1), enc)
         assert len(values) == 7
-        assert len(calls) == 1
+        assert len(sizes) == 6 * 7 // 2
+        assert max(sizes) <= 2 * (2 + 2 * 5)
         prefix_expectations(state, obs, circ)
-        assert len(calls) == 1
+        assert len(sizes) == 21
 
 
 class TestObservableNormContraction:

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -325,6 +326,58 @@ class TestCircuitOutput:
         for row, error, bound in zip(rows, errors, bounds):
             assert row["error"] == pytest.approx(error, abs=1e-12), row
             assert row["prop3_bound"] == pytest.approx(bound, abs=1e-12), row
+
+    def test_builds_no_dense_array(self, tmp_path, monkeypatch):
+        # Layers, attenuation, initial state and observable all stay on the
+        # light cone: none of the 2N x 2N constructions may run.
+        import fermion_noise.encodings as encodings
+        import fermion_noise.gaussian as gaussian
+        import fermion_noise.noise as noise
+        _, expected = run_to_file(tmp_path, "before.csv",
+                                  ["circuit", "--L", "512", "--depth", "8", "--seed", "1"])
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense array built")
+
+        monkeypatch.setattr(gaussian.ModeDiagonalState, "_build_gamma", refuse)
+        monkeypatch.setattr(Lattice, "distance_matrix", refuse)
+        monkeypatch.setattr(noise, "attenuation_matrix", refuse)
+        monkeypatch.setattr(noise, "interleave_flavors", refuse)
+        monkeypatch.setattr(encodings, "interleave_flavors", refuse)
+        code, out = run_to_file(tmp_path, "after.csv",
+                                ["circuit", "--L", "512", "--depth", "8", "--seed", "1"])
+        assert code == 0
+        assert out.read_bytes() == expected.read_bytes()
+
+    @staticmethod
+    def _zero_bound(monkeypatch):
+        real = cli.prop3_bound
+        monkeypatch.setattr(cli, "prop3_bound", lambda *args, **kwargs: dataclasses.replace(
+            real(*args, **kwargs), value=0.0))
+
+    def test_error_above_the_bound_exits_3_for_local(self, tmp_path, monkeypatch, capsys):
+        self._zero_bound(monkeypatch)
+        code, out = run_to_file(tmp_path, "circ.csv",
+                                ["circuit", "--L", "16", "--depth", "3", "--seed", "0"])
+        assert code == 3
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "depth 1" in err and "error 0.00316637" in err and "bound 0" in err
+
+    @pytest.mark.parametrize("kind", ["jw1d", "bravyi_kitaev"])
+    def test_encodings_outside_the_premise_are_not_checked(self, tmp_path, monkeypatch, kind):
+        self._zero_bound(monkeypatch)
+        code, out = run_to_file(tmp_path, "circ.csv",
+                                ["circuit", "--L", "16", "--depth", "3", "--encoding", kind])
+        assert code == 0
+        assert float(out.read_text().splitlines()[-1].split(",")[3]) > 0.0
+
+    def test_unphysical_initial_state_exits_3(self, tmp_path, monkeypatch, capsys):
+        import fermion_noise.gaussian as gaussian
+        monkeypatch.setattr(gaussian, "_offdiagonal_decay_sum", lambda dim, mu: 0.1)
+        code, _ = run_to_file(tmp_path, "circ.csv", ["circuit", "--L", "16", "--depth", "2"])
+        assert code == 3
+        assert "outside [0, 1]" in capsys.readouterr().err
 
     def test_seed_changes_the_circuit(self, tmp_path):
         _, a = run_to_file(tmp_path, "a.csv",

@@ -18,7 +18,7 @@ from fermion_noise import (
     interleave_flavors,
     snake_index_vector,
 )
-from fermion_noise.oracle import dense_majorana, pauli_string
+from oracle import dense_majorana, pauli_string
 
 
 def _pauli_terms(op, n_qubits, tol=1e-9):
@@ -422,6 +422,42 @@ class TestSymplecticTable:
         np.fill_diagonal(closed, 0)
         assert np.array_equal(from_table, closed)
         assert np.array_equal(enc.weight_matrix(), closed)
+
+
+_ALL_KINDS = [("local", Lattice(1, 8)), ("local", Lattice(2, 4)), ("jw1d", Lattice(1, 8)),
+              ("jw2d_snake", Lattice(2, 4)), ("bravyi_kitaev", Lattice(1, 16)),
+              ("bravyi_kitaev", Lattice(2, 4))]
+
+
+class TestIndexSetPairs:
+    @pytest.mark.parametrize("kind,lat", _ALL_KINDS)
+    def test_weights_are_entries_of_the_flavor_blocks(self, rng, kind, lat):
+        enc = EncodingWeightModel(kind, lat)
+        blocks = enc.weight_blocks()
+        full = interleave_flavors(np.broadcast_to(blocks, (2, 2) + blocks.shape[2:]))
+        for idx in (np.arange(lat.n_majorana), rng.choice(lat.n_majorana, 9, replace=False),
+                    np.array([5]), np.array([], dtype=int)):
+            assert np.array_equal(enc.pair_weights(idx), full[np.ix_(idx, idx)]), idx
+
+    @pytest.mark.parametrize("kind,lat", [c for c in _ALL_KINDS if c[0] != "local"])
+    def test_counts_are_entries_of_the_count_blocks(self, rng, kind, lat):
+        enc = EncodingWeightModel(kind, lat)
+        full = np.stack([interleave_flavors(c) for c in enc.count_blocks()])
+        idx = rng.choice(lat.n_majorana, 11, replace=False)
+        counts = enc.pair_weights(idx, counts=True)
+        assert counts.shape == (3, 11, 11)
+        assert np.array_equal(counts, full[:, idx[:, None], idx[None, :]])
+
+    def test_local_index_sets_build_no_distance_matrix(self, monkeypatch):
+        lat = Lattice(2, 6)
+        enc = EncodingWeightModel("local", lat, phi0=2)
+
+        def refuse(self):
+            raise AssertionError("distance matrix built")
+
+        monkeypatch.setattr(Lattice, "distance_matrix", refuse)
+        w = enc.pair_weights(np.array([0, 1, 14, 71]))
+        assert w.tolist() == [[2, 2, 4, 4], [2, 2, 4, 4], [4, 4, 2, 6], [4, 4, 6, 2]]
 
 
 class TestSingleWeights:

@@ -31,7 +31,16 @@ from fermion_noise import (
     tight_binding_dispersion,
     tight_binding_ground_state_2d,
 )
+import fermion_noise.gaussian as gaussian_module
 from fermion_noise.gaussian import haar_rotations, haar_special_orthogonal
+
+
+def _dense_circulant_state(lattice, mu):
+    """Reference construction: the circulant two-point function built entry by entry."""
+    amp = 0.45 / gaussian_module._offdiagonal_decay_sum(lattice.dim, mu)
+    corr = amp * (1.0 + lattice.distance_matrix().astype(float)) ** (-mu)
+    np.fill_diagonal(corr, 0.5)
+    return GaussianState.from_correlation_matrix(lattice, corr, validate=False), 2.0 * amp
 
 
 class TestQuadraticObservable:
@@ -332,6 +341,95 @@ class TestModeDiagonalState:
         state, _, _ = fermi_sea_1d(Lattice(1, 4), 2)
         with pytest.raises(ValueError, match="shape"):
             state.occupation_shift(1.0, np.array([0.1, 0.2]))
+
+
+class TestSupportHeldObservables:
+    def test_number_and_hopping_are_small_blocks(self):
+        lat = Lattice(2, 4)
+        number = QuadraticObservable.number(lat, 5)
+        hop = QuadraticObservable.hopping(lat, 9, 2)
+        assert number.support.tolist() == [10, 11]
+        assert hop.support.tolist() == [4, 5, 18, 19]
+        dense = np.zeros((lat.n_majorana,) * 2)
+        dense[10, 11], dense[11, 10] = 0.25, -0.25
+        assert np.array_equal(number.coefficients, dense)
+        dense = np.zeros((lat.n_majorana,) * 2)
+        for u, v in ((18, 5), (4, 19)):
+            dense[u, v], dense[v, u] = 0.25, -0.25
+        assert np.array_equal(hop.coefficients, dense)
+        assert not hop.coefficients.flags.writeable
+
+    def test_dense_matrix_is_held_on_its_nonzero_rows_and_columns(self, rng):
+        lat = Lattice(1, 5)
+        coeffs = np.zeros((10, 10))
+        coeffs[np.ix_([1, 6, 7], [1, 6, 7])] = [[0, 1, -2], [-1, 0, 3], [2, -3, 0]]
+        obs = QuadraticObservable(lat, coeffs, offset=0.3)
+        assert obs.support.tolist() == [1, 6, 7]
+        assert np.array_equal(obs.block, coeffs[np.ix_([1, 6, 7], [1, 6, 7])])
+        same = QuadraticObservable(lat, obs.block, offset=0.3, support=[1, 6, 7])
+        state = GaussianState.from_correlation_matrix(lat, random_correlation(rng, 5))
+        dense_value = 0.3 + float(np.sum(coeffs * state.gamma))
+        assert state.expectation(obs) == pytest.approx(dense_value, abs=1e-14)
+        assert state.expectation(same) == pytest.approx(dense_value, abs=1e-14)
+        assert obs.coefficient_trace_norm() == pytest.approx(
+            np.linalg.svd(coeffs, compute_uv=False).sum(), abs=1e-12)
+
+    def test_support_is_validated(self):
+        lat = Lattice(1, 3)
+        with pytest.raises(ValueError, match="does not match"):
+            QuadraticObservable(lat, np.zeros((2, 2)), support=[0, 1, 2])
+        with pytest.raises(ValueError, match="distinct"):
+            QuadraticObservable(lat, np.zeros((2, 2)), support=[1, 1])
+        with pytest.raises(ValueError, match="distinct"):
+            QuadraticObservable(lat, np.zeros((2, 2)), support=[0, 6])
+        with pytest.raises(ValueError, match="antisymmetric"):
+            QuadraticObservable(lat, np.eye(2), support=[0, 3])
+
+
+class TestCovarianceBlock:
+    def test_dense_state_block_is_the_submatrix(self, rng):
+        lat = Lattice(1, 6)
+        state = GaussianState.from_correlation_matrix(lat, random_correlation(rng, 6))
+        idx = np.array([7, 0, 3, 10])
+        assert np.array_equal(state.covariance_block(idx), state.gamma[np.ix_(idx, idx)])
+
+    @pytest.mark.parametrize("dim,length,parity", [(1, 10, "odd"), (1, 12, "even"),
+                                                   (2, 4, "odd"), (2, 6, "even")])
+    def test_mode_diagonal_block_gathers_the_covariance(self, rng, monkeypatch,
+                                                         dim, length, parity):
+        lat = Lattice(dim, length)
+        grid = momentum_grid(lat, parity)
+        state = ModeDiagonalState(grid, rng.uniform(0.0, 1.0, len(grid)))
+        reference = ModeDiagonalState(grid, state.occupations).gamma
+        monkeypatch.setattr(ModeDiagonalState, "_build_gamma", _refuse)
+        every = np.arange(lat.n_majorana)
+        assert_close(state.covariance_block(every), reference, 1e-12, "all indices")
+        for size in (1, 5, 12):
+            idx = rng.choice(lat.n_majorana, size, replace=False)
+            assert_close(state.covariance_block(idx), reference[np.ix_(idx, idx)], 1e-12, "block")
+
+    @pytest.mark.parametrize("dim,length", [(1, 12), (1, 64), (2, 6), (2, 8)])
+    def test_circulant_state_matches_the_dense_construction(self, monkeypatch, dim, length):
+        lat = Lattice(dim, length)
+        dense, k_dense = _dense_circulant_state(lat, dim + 2.0)
+        state, k_const = circulant_power_law_state(lat, dim + 2.0)
+        assert isinstance(state, ModeDiagonalState)
+        assert k_const == k_dense
+        assert 0.05 <= state.occupations.min() and state.occupations.max() <= 0.95
+        assert_close(state.gamma, dense.gamma, 1e-12, "gamma")
+        fresh, _ = circulant_power_law_state(lat, dim + 2.0)
+        monkeypatch.setattr(ModeDiagonalState, "_build_gamma", _refuse)
+        assert_close(fresh.covariance_block(np.arange(lat.n_majorana)), dense.gamma, 1e-12,
+                     "block")
+
+    def test_unphysical_circulant_profile_is_an_invariant_violation(self, monkeypatch):
+        monkeypatch.setattr(gaussian_module, "_offdiagonal_decay_sum", lambda dim, mu: 0.1)
+        with pytest.raises(InvariantViolation, match="outside"):
+            circulant_power_law_state(Lattice(1, 16), 3.0)
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("dense covariance built")
 
 
 class TestHaarSpecialOrthogonal:

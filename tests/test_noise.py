@@ -14,6 +14,7 @@ from fermion_noise import (
     QuadraticObservable,
     StringComposition,
     attenuated_state,
+    attenuation_block,
     attenuation_matrix,
     fermi_sea_1d,
     measurement_error,
@@ -27,7 +28,7 @@ from fermion_noise import (
     sensitivity,
     tight_binding_ground_state_2d,
 )
-from fermion_noise.oracle import (
+from oracle import (
     dense_gaussian_density_matrix,
     dense_majorana_set,
     dense_pauli_channel,
@@ -181,6 +182,23 @@ class TestAttenuationMatrices:
                 factor = pair_attenuation(enc, ch, a, b)
                 assert_close(out, factor * op, 1e-12, f"{kind} bilinear ({a}, {b})")
                 assert lam[a, b] == pytest.approx(factor, abs=1e-14)
+
+
+class TestAttenuationBlock:
+    @pytest.mark.parametrize("kind,dim,length,ch,mode", [
+        ("local", 2, 4, PauliChannel.depolarizing(0.1), "exact"),
+        ("local", 1, 9, PauliChannel.depolarizing(0.1), "worst-case"),
+        ("jw1d", 1, 8, PauliChannel(0.2, (0.5, 0.3, 0.2)), "exact"),
+        ("jw2d_snake", 2, 4, PauliChannel(0.1, (0.6, 0.1, 0.3)), "exact"),
+        ("bravyi_kitaev", 1, 16, PauliChannel(0.1, (0.2, 0.2, 0.6)), "exact"),
+        ("bravyi_kitaev", 1, 16, PauliChannel.depolarizing(0.3), "worst-case"),
+    ])
+    def test_is_the_submatrix_of_the_attenuation_matrix(self, rng, kind, dim, length, ch, mode):
+        lat = Lattice(dim, length)
+        enc = EncodingWeightModel(kind, lat)
+        full = attenuation_matrix(enc, ch, mode)
+        for idx in (np.arange(lat.n_majorana), rng.choice(lat.n_majorana, 7, replace=False)):
+            assert np.array_equal(attenuation_block(enc, ch, idx, mode), full[np.ix_(idx, idx)])
 
 
 class TestNoisyExpectations:

@@ -6,7 +6,7 @@ from scipy.linalg import expm
 
 from conftest import assert_close, random_correlation, random_normalized_observable
 from fermion_noise import GaussianState, Lattice, QuadraticObservable
-from fermion_noise.oracle import (
+from oracle import (
     dense_expectation,
     dense_free_unitary,
     dense_gaussian_density_matrix,
