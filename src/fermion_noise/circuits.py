@@ -125,23 +125,6 @@ class Circuit:
         return self.radius * d
 
 
-def _layer_blocks(lattice: Lattice, axis: int, offset: int, block: int) -> List[List[int]]:
-    """Disjoint site blocks tiling the torus along one axis with a cyclic offset.
-
-    One row of blocks per line along ``axis``, lines ordered by the other
-    coordinate.  When the length is not a multiple of the block size the
-    final chunk is truncated rather than wrapped, keeping the blocks disjoint.
-    """
-    length = lattice.length
-    along = ((offset + np.arange(length)) % length) * length ** axis
-    lines = np.zeros(1, dtype=np.int64)
-    for other in range(lattice.dim):
-        if other != axis:
-            lines = (lines[:, None] + np.arange(length) * length ** other).ravel()
-    sites = (lines[:, None] + along).tolist()
-    return [line[start:start + block] for line in sites for start in range(0, length, block)]
-
-
 def brickwork_circuit(lattice: Lattice, depth: int, radius: int = 1,
                       rng: Optional[np.random.Generator] = None) -> Circuit:
     """Haar-random brickwork circuit of the given depth.
@@ -151,10 +134,11 @@ def brickwork_circuit(lattice: Lattice, depth: int, radius: int = 1,
     1)``; each gate is an independent Haar sample from SO(2 * block size)
     acting on the block's Majoranas.  Lengths that are not a multiple of the
     block size get one truncated (smaller) gate per row.  A layer draws the
-    normals of all its gates in one ``standard_normal`` call, in gate order,
-    so the stream is that of one :func:`haar_special_orthogonal` call per
-    gate; gates of one size are orthogonalized as one stack and kept as one
-    ``(indices, gates)`` pair of the :class:`Layer`.
+    normals of all its gates in one ``standard_normal`` call, in gate order
+    (row by row, the truncated gate last), so the stream is that of one
+    :func:`haar_special_orthogonal` call per gate; gates of one size are
+    orthogonalized as one stack and kept as one ``(indices, gates)`` pair of
+    the :class:`Layer`.
     """
     if depth < 0:
         raise ValueError(f"depth must be nonnegative, got {depth}")
@@ -163,24 +147,27 @@ def brickwork_circuit(lattice: Lattice, depth: int, radius: int = 1,
     block = radius + 1
     if rng is None:
         rng = np.random.default_rng()
-    n = lattice.n_majorana
+    dim, length = lattice.dim, lattice.length
+    full = length // block * block  # sites per line in full gates
+    rest = 2 * (length - full)  # Majoranas per line in the truncated gate
+    split = full // block * (2 * block) ** 2  # normals per line of the full gates
+    grid = np.arange(lattice.n_sites).reshape((length,) * dim)  # grid[y, x] = x + L * y
     layers = []
     for layer_idx in range(depth):
-        axis = layer_idx % lattice.dim
-        offset = (layer_idx // lattice.dim) % block
-        blocks = _layer_blocks(lattice, axis, offset, block)
-        sizes = np.array([2 * len(sites) for sites in blocks])
-        starts = np.cumsum(sizes**2) - sizes**2
-        normals = rng.standard_normal(int(np.sum(sizes**2)))
+        axis = layer_idx % dim
+        offset = (layer_idx // dim) % block
+        # (lines, L): each line along ``axis``, from the brick offset on.
+        lines = np.moveaxis(grid, dim - 1 - axis, -1).reshape(-1, length)
+        sites = np.roll(lines, -offset, axis=1)
+        idx = (2 * sites[:, :, None] + np.arange(2)).reshape(len(sites), 2 * length)
+        normals = rng.standard_normal((len(sites), split + rest**2))
         gate_blocks = []
-        for size in np.unique(sizes):
-            which = np.flatnonzero(sizes == size)
-            gates = haar_rotations(normals[starts[which, None] + np.arange(size * size)]
-                                   .reshape(-1, size, size))
-            sites = np.array([blocks[g] for g in which])
-            idx = (2 * sites[:, :, None] + np.arange(2)).reshape(len(which), size)
-            gate_blocks.append((idx, gates))
-        layers.append(Layer(n, tuple(gate_blocks)))
+        for size, cols, draws in ((rest, idx[:, 2 * full:], normals[:, split:]),
+                                  (2 * block, idx[:, :2 * full], normals[:, :split])):
+            if cols.size:
+                gate_blocks.append((cols.reshape(-1, size),
+                                    haar_rotations(draws.reshape(-1, size, size))))
+        layers.append(Layer(lattice.n_majorana, tuple(gate_blocks)))
     return Circuit(lattice=lattice, radius=radius, layers=tuple(layers))
 
 
@@ -280,20 +267,6 @@ def prefix_expectations(state: GaussianState, obs: QuadraticObservable,
     damping = _layer_damping(circuit, channel, enc, mode)
     return [_pulled_back_expectation(state, obs, circuit.layers[:d], damping)
             for d in range(circuit.depth + 1)]
-
-
-def circuit_error_curve(state: GaussianState, obs: QuadraticObservable,
-                        circuit: Circuit, enc: EncodingWeightModel,
-                        p_grid: Sequence[float],
-                        mode: str = "exact") -> List[Tuple[float, float]]:
-    """|ideal - noisy| circuit expectation under depolarizing noise, per p."""
-    ideal = circuit_expectation(state, obs, circuit)
-    curve = []
-    for p in p_grid:
-        noisy = circuit_expectation(state, obs, circuit,
-                                    PauliChannel.depolarizing(p), enc, mode)
-        curve.append((float(p), abs(noisy - ideal)))
-    return curve
 
 
 @dataclass(frozen=True)

@@ -295,7 +295,7 @@ def _run_encoding_compare(cfg: Dict[str, object]) -> List[Row]:
     channel = PauliChannel.depolarizing(p)
 
     def deficit(weight: int) -> float:
-        return 1.0 - float(channel.depolarizing_attenuation(weight))
+        return 1.0 - channel.etas[0] ** weight
 
     rows: List[Row] = []
     sides = range(2, l_max + 1, 2)

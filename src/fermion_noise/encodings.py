@@ -28,13 +28,14 @@ popcount of ``x | z``, its X/Y/Z counts those of ``x & ~z``, ``x & z`` and
 form ``1 + |o(s) - o(t)|`` (``o`` the qubit order) as a fast path.
 
 Weights and counts of every pair of a Majorana index set come from one
-method, :meth:`EncodingWeightModel.pair_weights`; a circuit's light cone
-asks for them on its support only.  All pairs come as flavor blocks of shape
-``(F, F, N, N)`` with entry ``[f, g, s, t]`` for the pair
-``(2s + f, 2t + g)``: ``F = 1`` when one value serves every flavor pair and
-broadcasts, ``F = 2`` when the flavors differ.  Where the weight depends on
-the displacement ``x - y`` of the two sites alone (``local`` and ``jw1d``),
-:meth:`displacement_weights` gives it as one value per displacement.
+method, :meth:`EncodingWeightModel.pair_weights`; a circuit's light cone and
+a noisy measurement ask for them on the observable's support only.  All
+pairs come as flavor blocks of shape ``(F, F, N, N)`` with entry
+``[f, g, s, t]`` for the pair ``(2s + f, 2t + g)``: ``F = 1`` when one value
+serves every flavor pair and broadcasts, ``F = 2`` when the flavors differ.
+Where the weight depends on the displacement ``x - y`` of the two sites
+alone (``local`` and ``jw1d``), :meth:`displacement_weights` gives it as one
+value per displacement.
 """
 
 from __future__ import annotations
@@ -299,8 +300,7 @@ class EncodingWeightModel:
         ``gamma_idx[i] gamma_idx[j]``, and diagonal entries are not
         bilinears.  Without ``idx`` every Majorana pair is returned in flavor
         blocks, ``(F, F, N, N)`` and ``(3, 2, 2, N, N)``: the all-indices
-        case of the same code, which :meth:`weight_blocks` and
-        :meth:`count_blocks` name.
+        case of the same code.
         """
         n = self.lattice.n_sites
         if counts or self.kind == "bravyi_kitaev":
@@ -320,10 +320,6 @@ class EncodingWeightModel:
             w = 1 + np.abs(o[:, None] - o[None, :])
         return w[None, None] if idx is None else w
 
-    def weight_blocks(self) -> np.ndarray:
-        """Weights of every Majorana pair as ``(F, F, N, N)`` flavor blocks."""
-        return self.pair_weights()
-
     def displacement_weights(self) -> Optional[np.ndarray]:
         """Weight of every site pair as a function of its displacement alone.
 
@@ -340,29 +336,6 @@ class EncodingWeightModel:
             return 1 + np.abs(axes[0])
         length = self.lattice.length
         return self.phi0 + sum(np.minimum(np.abs(r), length - np.abs(r)) for r in axes)
-
-    def count_blocks(self) -> np.ndarray:
-        """(3, 2, 2, N, N) X, Y and Z counts of every Majorana pair's string."""
-        return self.pair_weights(counts=True)
-
-    def weight_matrix(self) -> np.ndarray:
-        """(2N, 2N) weights for every Majorana pair (diagonal set to 0)."""
-        w = interleave_flavors(self.weight_blocks())
-        np.fill_diagonal(w, 0)
-        return w
-
-    def max_weight(self) -> int:
-        """Largest weight of the encoding's fragile observable family.
-
-        For the site-distance models this is the maximum bilinear weight over
-        all pairs.  For Bravyi-Kitaev it is the maximum *number-operator*
-        weight (the on-site occupation strings the encoding is classified
-        by, growing as log of the mode count); arbitrary bilinears can reach
-        slightly higher weights, available via :meth:`weight_matrix`.
-        """
-        if self.kind == "bravyi_kitaev":
-            return bk_max_number_operator_weight(self.lattice.n_sites)
-        return int(self.weight_blocks().max())
 
     def __repr__(self) -> str:
         extra = f", phi0={self.phi0}" if self.kind == "local" else ""

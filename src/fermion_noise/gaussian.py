@@ -440,22 +440,13 @@ def occupied_modes(grid: MomentumGrid, n_occ: int,
     return np.sort(order[:n_occ])
 
 
-def correlation_from_occupied(grid: MomentumGrid, occupied: np.ndarray) -> np.ndarray:
-    """Two-point function ``C_xy = (1/N) sum_occ e^{i q.(x - y)}``."""
-    lat = grid.lattice
-    q = grid.momenta[np.asarray(occupied, dtype=int)]
-    phases = lat.coords @ q.T
-    phi = np.exp(1j * phases) / np.sqrt(lat.n_sites)
-    return phi @ np.conj(phi).T
-
-
 def correlation_from_mode_occupations(grid: MomentumGrid,
                                       occupations: np.ndarray) -> np.ndarray:
     """Two-point function of a mode-diagonal ensemble with fillings in [0, 1].
 
-    Generalizes :func:`correlation_from_occupied` to fractional occupations:
     ``C_xy = (1/N) sum_q n(q) e^{i q.(x - y)}``, summed over the modes with
-    ``n(q) != 0`` (a half-filled sea costs what its filled modes cost).
+    ``n(q) != 0`` (a half-filled sea costs what its filled modes cost); a
+    sharp Fermi sea is the 0/1 case.
     """
     n = np.asarray(occupations, dtype=float)
     n_modes = grid.momenta.shape[0]

@@ -147,26 +147,6 @@ class Lattice:
         r = (np.arange(period) + self.length) % period - self.length
         return tuple(r.reshape((-1,) + (1,) * (self.dim - 1 - i)) for i in range(self.dim))
 
-    # ------------------------------------------------------------------
-    # Majorana bookkeeping
-    # ------------------------------------------------------------------
-
-    def majorana_index(self, site: int, flavor: int) -> int:
-        """Majorana index ``2 * site + flavor - 1`` with flavor in {1, 2}."""
-        if flavor not in (1, 2):
-            raise ValueError(f"flavor must be 1 or 2, got {flavor}")
-        if not 0 <= site < self.n_sites:
-            raise IndexError(f"site index {site} outside [0, {self.n_sites})")
-        return 2 * site + flavor - 1
-
-    @staticmethod
-    def majorana_site(a: int) -> int:
-        return a // 2
-
-    @staticmethod
-    def majorana_flavor(a: int) -> int:
-        return a % 2 + 1
-
     def __repr__(self) -> str:
         return f"Lattice(dim={self.dim}, length={self.length})"
 

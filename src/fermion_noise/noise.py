@@ -18,10 +18,17 @@ per-pair attenuation factors.  Every factor comes from one formula,
 strings; worst-case mode sets all three etas to ``1 - 3p/2``.  With equal
 etas the formula is ``eta**weight``, the only case the weight-only
 ``local`` model supports.  The same formula serves every pair of a
-Majorana index set (:func:`attenuation_block`, what a circuit's light cone
-needs) and all pairs at once; those keep the encoding's ``(F, F, N, N)``
-flavor-block shape, and only :func:`attenuation_matrix` expands them to
+Majorana index set (:func:`attenuation_block`) and all pairs at once; those
+keep the encoding's ``(F, F, N, N)`` flavor-block shape, and only
+:func:`attenuation_matrix`, the dense reference, expands them to
 ``(2N, 2N)``.
+
+Measurement noise is read on the observable's support, as a circuit's light
+cone is: :func:`noisy_expectation` and :func:`measurement_error` damp the
+observable's ``S x S`` block by :func:`attenuation_block` on ``S`` and
+contract it with the state's covariance on ``S``
+(:meth:`~fermion_noise.gaussian.GaussianState.covariance_block`), so a
+mode-diagonal state never builds its ``2N x 2N`` covariance.
 
 The momentum error map has two paths.  The spectral one serves a
 :class:`~fermion_noise.gaussian.ModeDiagonalState` (every Fermi sea) when
@@ -91,16 +98,6 @@ class PauliChannel:
         """Universal per-factor lower bound ``1 - 3p/2``."""
         return 1.0 - 1.5 * self.p
 
-    def depolarizing_attenuation(self, weight) -> np.ndarray:
-        """Exact attenuation ``(1 - p)^w`` (depolarizing mix only)."""
-        if not self.is_depolarizing:
-            raise ValueError("weight alone fixes the attenuation only for the uniform mix")
-        return (1.0 - self.p) ** np.asarray(weight)
-
-    def worst_case_attenuation(self, weight) -> np.ndarray:
-        """Adversarial attenuation ``(1 - 3p/2)^w``."""
-        return self.worst_factor ** np.asarray(weight)
-
 
 def _mode_etas(channel: PauliChannel, mode: str) -> Tuple[float, float, float]:
     if mode not in MODES:
@@ -157,40 +154,20 @@ def attenuation_matrix(enc: EncodingWeightModel, channel: PauliChannel,
     return lam
 
 
-def attenuated_state(state: GaussianState, enc: EncodingWeightModel,
-                     channel: PauliChannel, mode: str = "exact") -> GaussianState:
-    """The state whose covariance is the elementwise-damped ``lam * Gamma``."""
-    lam = attenuation_matrix(enc, channel, mode)
-    return GaussianState(state.lattice, lam * state.gamma, validate=False)
-
-
 def noisy_expectation(state: GaussianState, obs: QuadraticObservable,
                       enc: EncodingWeightModel, channel: PauliChannel,
                       mode: str = "exact") -> float:
     """Expectation of an encoded observable measured through the channel."""
-    lam = attenuation_matrix(enc, channel, mode)
-    return obs.offset + float(np.sum(obs.coefficients * lam * state.gamma))
+    lam = attenuation_block(enc, channel, obs.support, mode)
+    return obs.offset + float(np.sum(obs.block * lam * state.covariance_block(obs.support)))
 
 
 def measurement_error(state: GaussianState, obs: QuadraticObservable,
                       enc: EncodingWeightModel, channel: PauliChannel,
                       mode: str = "exact") -> float:
     """Absolute shift ``|<O> - <O>_noisy|`` induced by the channel."""
-    lam = attenuation_matrix(enc, channel, mode)
-    return float(abs(np.sum(obs.coefficients * (1.0 - lam) * state.gamma)))
-
-
-def sensitivity(state: GaussianState, obs: QuadraticObservable,
-                enc: EncodingWeightModel, p: float = 1e-2,
-                mode: str = "exact") -> float:
-    """Measurement error per unit noise strength under depolarizing noise.
-
-    The ratio ``measurement_error / p`` at a small probe strength; for small
-    p it approximates the derivative of the error at p = 0.
-    """
-    if p <= 0:
-        raise ValueError(f"probe strength must be positive, got {p}")
-    return measurement_error(state, obs, enc, PauliChannel.depolarizing(p), mode) / p
+    lam = attenuation_block(enc, channel, obs.support, mode)
+    return float(abs(np.sum(obs.block * (1.0 - lam) * state.covariance_block(obs.support))))
 
 
 def momentum_error_map(state: GaussianState, enc: EncodingWeightModel,

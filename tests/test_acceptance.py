@@ -26,6 +26,7 @@ from fermion_noise import (
     brickwork_circuit,
     circuit_expectation,
     circulant_power_law_state,
+    correlation_from_mode_occupations,
     damped_random_state,
     decay_constant,
     evolve_state,
@@ -52,7 +53,6 @@ from fermion_noise.bounds import (
     noise_factor,
     prop3_bound,
 )
-from fermion_noise.gaussian import correlation_from_occupied
 from oracle import (
     dense_expectation,
     dense_free_unitary,
@@ -445,8 +445,10 @@ def test_criterion_09_surface_error_formulas():
     lat = Lattice(2, side)
     grid = momentum_grid(lat, "odd")
     occ = occupied_modes(grid, 30, energies=free_dispersion(grid.momenta))
+    filled = np.zeros(len(grid))
+    filled[occ] = 1.0
     state = GaussianState.from_correlation_matrix(
-        lat, correlation_from_occupied(grid, occ), validate=False)
+        lat, correlation_from_mode_occupations(grid, filled), validate=False)
     enc = EncodingWeightModel("local", lat, phi0=phi0)
     occ_m = np.rint(grid.momenta[occ] * side / (2 * np.pi)).astype(int)
     probes_m = [(2, 0), (1, 1), (3, 2), (0, 0)]

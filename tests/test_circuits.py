@@ -23,7 +23,6 @@ from fermion_noise import (
     QuadraticObservable,
     attenuation_matrix,
     brickwork_circuit,
-    circuit_error_curve,
     circuit_expectation,
     evolve_state,
     fermi_sea_1d,
@@ -58,14 +57,33 @@ def _dense_pull_back(obs, circuit, lam):
     return coeffs
 
 
+def _site_blocks(lattice, axis, offset, block):
+    """Per-site reference of a brickwork layer's site blocks, in gate order.
+
+    Lines ordered by the other coordinate, blocks along ``axis`` from the
+    brick offset, the last one truncated.
+    """
+    length = lattice.length
+    blocks = []
+    for other in range(length if lattice.dim == 2 else 1):
+        for start in range(0, length, block):
+            sites = []
+            for i in range(start, min(start + block, length)):
+                coord = [other, other]
+                coord[axis] = (offset + i) % length
+                sites.append(lattice.site_index(coord[:lattice.dim]))
+            blocks.append(sites)
+    return blocks
+
+
 def _dense_brickwork_layers(lattice, depth, radius, rng):
     """Reference construction: every layer an identity with its Haar gates scattered in."""
     block = radius + 1
     n = lattice.n_majorana
     layers = []
     for layer_idx in range(depth):
-        blocks = circuits_module._layer_blocks(lattice, layer_idx % lattice.dim,
-                                               (layer_idx // lattice.dim) % block, block)
+        blocks = _site_blocks(lattice, layer_idx % lattice.dim,
+                              (layer_idx // lattice.dim) % block, block)
         sizes = np.array([2 * len(sites) for sites in blocks])
         starts = np.cumsum(sizes**2) - sizes**2
         normals = rng.standard_normal(int(np.sum(sizes**2)))
@@ -206,31 +224,23 @@ class TestBrickworkConstruction:
         rng = np.random.default_rng(17)
         for layer_idx, rot in enumerate(map(dense_rotation, circ.layers)):
             expected = np.eye(lat.n_majorana)
-            for sites in circuits_module._layer_blocks(lat, layer_idx % dim,
-                                                       (layer_idx // dim) % block, block):
+            for sites in _site_blocks(lat, layer_idx % dim, (layer_idx // dim) % block, block):
                 idx = [m for s in sites for m in (2 * s, 2 * s + 1)]
                 expected[np.ix_(idx, idx)] = haar_special_orthogonal(len(idx), rng)
             assert np.array_equal(rot, expected), f"layer {layer_idx}"
 
     @pytest.mark.parametrize("dim,length", [(1, 7), (1, 8), (2, 5), (2, 6)])
-    def test_layer_blocks_match_per_site_indexing(self, dim, length):
+    @pytest.mark.parametrize("block", [2, 3])
+    def test_layer_blocks_match_per_site_indexing(self, dim, length, block):
         # Blocks (and so the gate order of the Haar stream) as the per-site
-        # construction lays them out: lines ordered by the other coordinate,
-        # blocks along the axis from the offset, the last one truncated.
+        # construction lays them out, for every axis and brick offset; a
+        # layer keeps its gates grouped by size, smallest first.
         lat = Lattice(dim, length)
-        for axis in range(dim):
-            for offset in range(3):
-                for block in (2, 3):
-                    expected = []
-                    for other in range(length if dim == 2 else 1):
-                        for start in range(0, length, block):
-                            sites = []
-                            for i in range(start, min(start + block, length)):
-                                coord = [other, other]
-                                coord[axis] = (offset + i) % length
-                                sites.append(lat.site_index(coord[:dim]))
-                            expected.append(sites)
-                    assert circuits_module._layer_blocks(lat, axis, offset, block) == expected
+        circ = brickwork_circuit(lat, dim * (block + 1), block - 1, rng=np.random.default_rng(3))
+        for layer_idx, layer in enumerate(circ.layers):
+            got = [list(row[::2] // 2) for indices, _ in layer.blocks for row in indices]
+            expected = _site_blocks(lat, layer_idx % dim, (layer_idx // dim) % block, block)
+            assert got == sorted(expected, key=len), f"layer {layer_idx}"
 
     def test_light_cone_radius_property(self):
         circ = brickwork_circuit(Lattice(1, 6), 3, rng=np.random.default_rng(1))
@@ -479,16 +489,21 @@ class TestObservableNormContraction:
 
 
 class TestErrorCurve:
+    @staticmethod
+    def _errors(state, obs, circ, enc, p_grid):
+        ideal = circuit_expectation(state, obs, circ)
+        return np.array([abs(circuit_expectation(state, obs, circ, PauliChannel.depolarizing(p),
+                                                 enc) - ideal) for p in p_grid])
+
     def test_zero_noise_gives_zero_error(self, rng):
         lat = Lattice(1, 6)
         state, _, _ = fermi_sea_1d(lat, 3)
         circ = brickwork_circuit(lat, 2, rng=np.random.default_rng(17))
         enc = EncodingWeightModel("jw1d", lat)
         obs = QuadraticObservable.number(lat, 1)
-        curve = circuit_error_curve(state, obs, circ, enc, [0.0, 0.1, 0.3])
-        assert [p for p, _ in curve] == [0.0, 0.1, 0.3]
-        assert curve[0][1] == 0.0
-        assert all(err <= 1.0 for _, err in curve)
+        errs = self._errors(state, obs, circ, enc, [0.0, 0.1, 0.3])
+        assert errs[0] == 0.0
+        assert np.all(errs <= 1.0)
 
     def test_error_is_smooth_in_p(self, rng):
         # No kinks at the 1e-4 scale: second differences stay tiny and the
@@ -500,7 +515,7 @@ class TestErrorCurve:
         obs = QuadraticObservable.number(lat, 3)
         dp = 1e-4
         p_grid = 0.05 + dp * np.arange(21)
-        errs = np.array([e for _, e in circuit_error_curve(state, obs, circ, enc, p_grid)])
+        errs = self._errors(state, obs, circ, enc, p_grid)
         first = np.abs(np.diff(errs))
         second = np.abs(np.diff(errs, n=2))
         assert first.max() <= 10.0 * dp

@@ -147,12 +147,12 @@ class TestModelValidation:
         jw = EncodingWeightModel("jw1d", Lattice(1, 4))
         bk = EncodingWeightModel("bravyi_kitaev", Lattice(1, 4))
         local = EncodingWeightModel("local", Lattice(2, 4))
-        assert jw.weight_blocks().shape == (1, 1, 4, 4)
-        assert bk.weight_blocks().shape == (2, 2, 4, 4)
-        assert local.weight_blocks().shape == (1, 1, 16, 16)
-        assert jw.count_blocks().shape == bk.count_blocks().shape == (3, 2, 2, 4, 4)
+        assert jw.pair_weights().shape == (1, 1, 4, 4)
+        assert bk.pair_weights().shape == (2, 2, 4, 4)
+        assert local.pair_weights().shape == (1, 1, 16, 16)
+        assert jw.pair_weights(counts=True).shape == bk.pair_weights(counts=True).shape == (3, 2, 2, 4, 4)
         with pytest.raises(ValueError, match="worst-case"):
-            local.count_blocks()
+            local.pair_weights(counts=True)
 
 
 class TestLocalWeights:
@@ -161,24 +161,24 @@ class TestLocalWeights:
         enc = EncodingWeightModel("local", lat, phi0=2)
         a = lat.site_index((0, 0))
         b = lat.site_index((2, 3))  # torus distance 2 + 1
-        assert enc.weight_blocks()[0, 0, a, b] == 5
+        assert enc.pair_weights()[0, 0, a, b] == 5
         assert enc.bilinear_weight(2 * a, 2 * b) == 5
         assert enc.bilinear_weight(2 * a + 1, 2 * b + 1) == 5
 
     def test_wraps_around_the_torus(self):
         enc = EncodingWeightModel("local", Lattice(1, 10), phi0=1)
-        assert enc.weight_blocks()[0, 0, 0, 9] == 2  # distance 1, not 9
+        assert enc.pair_weights()[0, 0, 0, 9] == 2  # distance 1, not 9
         assert enc.bilinear_weight(0, 19) == 2
 
-    def test_max_weight(self):
+    def test_largest_weight(self):
         enc = EncodingWeightModel("local", Lattice(2, 6), phi0=2)
-        assert enc.max_weight() == 8  # 2 + (3 + 3)
+        assert enc.pair_weights().max() == 8  # 2 + (3 + 3)
 
     def test_phi0_zero_on_site_weight(self):
         enc = EncodingWeightModel("local", Lattice(1, 8), phi0=0)
-        assert enc.weight_blocks()[0, 0, 3, 3] == 0
+        assert enc.pair_weights()[0, 0, 3, 3] == 0
         assert enc.bilinear_weight(6, 7) == 0
-        assert enc.max_weight() == 4
+        assert enc.pair_weights().max() == 4
 
     def test_single_weights_build_no_distance_matrix(self):
         lat = Lattice(2, 48)
@@ -190,21 +190,20 @@ class TestLocalWeights:
 class TestJordanWigner1d:
     def test_weight_uses_plain_chain_separation(self):
         enc = EncodingWeightModel("jw1d", Lattice(1, 8))
-        w = enc.weight_blocks()[0, 0]
+        w = enc.pair_weights()[0, 0]
         assert w[0, 1] == 2
         assert w[2, 5] == 4
         # The string runs down the whole chain: no torus shortcut.
         assert w[0, 7] == 8
         assert enc.bilinear_weight(0, 14) == 8
-        assert enc.max_weight() == 8
+        assert enc.pair_weights().max() == 8
 
-    def test_weight_matrix_expands_site_weights(self):
+    def test_all_pair_weights_expand_site_weights(self):
         lat = Lattice(1, 5)
         enc = EncodingWeightModel("jw1d", lat)
-        w = enc.weight_matrix()
+        w = enc.pair_weights(np.arange(10))
         assert w.shape == (10, 10)
         assert (w == w.T).all()
-        assert (np.diag(w) == 0).all()
         for a, b in [(0, 1), (0, 7), (3, 8), (2, 9)]:
             assert w[a, b] == enc.bilinear_weight(a, b)
 
@@ -258,7 +257,7 @@ class TestSnakeWeights:
     def test_frozen_values(self):
         lat = Lattice(2, 4)
         enc = EncodingWeightModel("jw2d_snake", lat)
-        w = enc.weight_blocks()[0, 0]
+        w = enc.pair_weights()[0, 0]
         a = lat.site_index((0, 0))
         # (0, 1) sits at the far end of the reversed second row.
         assert w[a, lat.site_index((0, 1))] == 8
@@ -271,12 +270,12 @@ class TestSnakeWeights:
             enc = EncodingWeightModel("jw2d_snake", lat)
             a = lat.site_index((0, 0))
             b = lat.site_index((side - 1, 1))
-            assert enc.weight_blocks()[0, 0, a, b] == side + 1
+            assert enc.pair_weights()[0, 0, a, b] == side + 1
             assert enc.bilinear_weight(2 * a, 2 * b) == side + 1
 
-    def test_max_weight_spans_the_whole_snake(self):
+    def test_largest_weight_spans_the_whole_snake(self):
         enc = EncodingWeightModel("jw2d_snake", Lattice(2, 4))
-        assert enc.max_weight() == 16  # 1 + (16 - 1)
+        assert enc.pair_weights().max() == 16  # 1 + (16 - 1)
 
 
 class TestBravyiKitaev:
@@ -339,29 +338,28 @@ class TestBravyiKitaev:
 
     def test_weights_depend_on_flavor(self):
         enc = EncodingWeightModel("bravyi_kitaev", Lattice(1, 8))
-        w = enc.weight_matrix()
+        w = enc.pair_weights(np.arange(16))
         assert w.shape == (16, 16)
         assert (w == w.T).all()
-        assert (np.diag(w) == 0).all()
         flavor_pairs = [
             (w[2 * x, 2 * y], w[2 * x + 1, 2 * y], w[2 * x, 2 * y + 1], w[2 * x + 1, 2 * y + 1])
             for x in range(8) for y in range(8) if x != y
         ]
         assert any(len(set(quad)) > 1 for quad in flavor_pairs)
-        assert enc.weight_blocks().shape == (2, 2, 8, 8)
+        assert enc.pair_weights().shape == (2, 2, 8, 8)
 
-    def test_weight_matrix_matches_pairwise_calls(self):
+    def test_all_pair_weights_match_pairwise_calls(self):
         enc = EncodingWeightModel("bravyi_kitaev", Lattice(1, 4))
-        w = enc.weight_matrix()
+        w = enc.pair_weights(np.arange(8))
         for a in range(8):
             for b in range(8):
                 if a != b:
                     assert w[a, b] == enc.bilinear_weight(a, b)
 
-    def test_max_weight_uses_number_operator_family(self):
+    def test_number_operator_family_sits_below_the_largest_weight(self):
         enc = EncodingWeightModel("bravyi_kitaev", Lattice(1, 16))
-        assert enc.max_weight() == 5
-        assert enc.weight_matrix().max() >= 5
+        assert bk_max_number_operator_weight(16) == 5
+        assert enc.pair_weights().max() >= 5
 
 
 CONCRETE_SMALL = [("jw1d", 1, n) for n in (1, 2, 3, 5, 8)] + \
@@ -404,7 +402,7 @@ class TestSymplecticTable:
     def test_jw1d_counts_match_the_closed_form_at_200_sites(self):
         n = 200
         enc = EncodingWeightModel("jw1d", Lattice(1, n))
-        counts = np.stack([interleave_flavors(c) for c in enc.count_blocks()])
+        counts = np.stack([interleave_flavors(c) for c in enc.pair_weights(counts=True)])
         ref = np.zeros_like(counts)
         for a in range(2 * n):
             for b in range(2 * n):
@@ -415,13 +413,15 @@ class TestSymplecticTable:
     def test_snake_weights_match_the_closed_form_on_16x16(self):
         lat = Lattice(2, 16)
         enc = EncodingWeightModel("jw2d_snake", lat)
-        from_table = interleave_flavors(enc.count_blocks().sum(axis=0))
+        from_table = interleave_flavors(enc.pair_weights(counts=True).sum(axis=0))
         np.fill_diagonal(from_table, 0)
         s = snake_index_vector(lat)
         closed = np.repeat(np.repeat(1 + np.abs(s[:, None] - s[None, :]), 2, 0), 2, 1)
         np.fill_diagonal(closed, 0)
         assert np.array_equal(from_table, closed)
-        assert np.array_equal(enc.weight_matrix(), closed)
+        weights = enc.pair_weights(np.arange(lat.n_majorana))
+        np.fill_diagonal(weights, 0)
+        assert np.array_equal(weights, closed)
 
 
 _ALL_KINDS = [("local", Lattice(1, 8)), ("local", Lattice(2, 4)), ("jw1d", Lattice(1, 8)),
@@ -433,7 +433,7 @@ class TestIndexSetPairs:
     @pytest.mark.parametrize("kind,lat", _ALL_KINDS)
     def test_weights_are_entries_of_the_flavor_blocks(self, rng, kind, lat):
         enc = EncodingWeightModel(kind, lat)
-        blocks = enc.weight_blocks()
+        blocks = enc.pair_weights()
         full = interleave_flavors(np.broadcast_to(blocks, (2, 2) + blocks.shape[2:]))
         for idx in (np.arange(lat.n_majorana), rng.choice(lat.n_majorana, 9, replace=False),
                     np.array([5]), np.array([], dtype=int)):
@@ -442,7 +442,7 @@ class TestIndexSetPairs:
     @pytest.mark.parametrize("kind,lat", [c for c in _ALL_KINDS if c[0] != "local"])
     def test_counts_are_entries_of_the_count_blocks(self, rng, kind, lat):
         enc = EncodingWeightModel(kind, lat)
-        full = np.stack([interleave_flavors(c) for c in enc.count_blocks()])
+        full = np.stack([interleave_flavors(c) for c in enc.pair_weights(counts=True)])
         idx = rng.choice(lat.n_majorana, 11, replace=False)
         counts = enc.pair_weights(idx, counts=True)
         assert counts.shape == (3, 11, 11)
@@ -487,7 +487,7 @@ class TestDisplacementWeights:
         box = enc.displacement_weights()
         assert box.shape == (2 * length,) * dim
         disp = (lat.coords[:, None, :] - lat.coords[None, :, :]) % (2 * length)
-        assert np.array_equal(box[tuple(np.moveaxis(disp, -1, 0))], enc.weight_blocks()[0, 0])
+        assert np.array_equal(box[tuple(np.moveaxis(disp, -1, 0))], enc.pair_weights()[0, 0])
 
     def test_position_dependent_encodings_have_none(self):
         assert EncodingWeightModel("jw2d_snake", Lattice(2, 4)).displacement_weights() is None

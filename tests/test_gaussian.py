@@ -17,7 +17,6 @@ from fermion_noise import (
     QuadraticObservable,
     circulant_power_law_state,
     correlation_from_mode_occupations,
-    correlation_from_occupied,
     damped_random_state,
     decay_constant,
     fermi_sea,
@@ -256,18 +255,6 @@ class TestModeOccupationStates:
         for j, k in enumerate(grid.momenta):
             assert momentum_occupation(state, k) == pytest.approx(fillings[j], abs=1e-10)
         assert state.particle_number() == pytest.approx(fillings.sum(), abs=1e-8)
-
-    def test_sharp_fillings_match_occupied_builder(self):
-        grid = momentum_grid(Lattice(1, 6), "odd")
-        occ = np.array([1, 3, 4])
-        fillings = np.zeros(6)
-        fillings[occ] = 1.0
-        assert_close(
-            correlation_from_mode_occupations(grid, fillings),
-            correlation_from_occupied(grid, occ),
-            1e-12,
-            "sharp fillings",
-        )
 
     def test_fillings_validated(self):
         grid = momentum_grid(Lattice(1, 4), "odd")

@@ -86,21 +86,6 @@ class TestDistances:
         assert Lattice(2, 6).distance_matrix().max() == 6
 
 
-class TestMajoranaIndexing:
-    def test_index_layout(self):
-        lat = Lattice(1, 3)
-        assert lat.majorana_index(0, 1) == 0
-        assert lat.majorana_index(0, 2) == 1
-        assert lat.majorana_index(2, 1) == 4
-        assert Lattice.majorana_site(5) == 2
-        assert Lattice.majorana_flavor(5) == 2
-        assert Lattice.majorana_flavor(4) == 1
-
-    def test_invalid_flavor(self):
-        with pytest.raises(ValueError):
-            Lattice(1, 3).majorana_index(0, 3)
-
-
 class TestSnakeOrdering:
     def test_small_lattice_values(self):
         lat = Lattice(2, 4)

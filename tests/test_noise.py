@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import fermion_noise.noise as noise_module
 from conftest import assert_close, random_correlation, random_normalized_observable, \
     table_strings
 from fermion_noise import (
@@ -13,7 +14,6 @@ from fermion_noise import (
     PauliChannel,
     QuadraticObservable,
     StringComposition,
-    attenuated_state,
     attenuation_block,
     attenuation_matrix,
     fermi_sea_1d,
@@ -25,7 +25,6 @@ from fermion_noise import (
     occupied_modes,
     pair_attenuation,
     random_pure_state,
-    sensitivity,
     tight_binding_ground_state_2d,
 )
 from oracle import (
@@ -75,13 +74,17 @@ class TestPauliChannel:
         assert enc.string_composition(0, 6) == StringComposition(1, 1, 2)
         assert pair_attenuation(enc, ch, 0, 6) == pytest.approx(ex * ey * ez**2, abs=1e-14)
 
-    def test_depolarizing_attenuation_needs_uniform_mix(self):
+    def test_uniform_mix_etas_are_one_minus_p(self):
+        # The weight-only attenuation (1 - p)^w reads etas[0]; it must be
+        # exactly 1 - p, and worst-case mode takes (1 - 3p/2)^w on any mix.
+        assert PauliChannel.depolarizing(0.1).etas == (1.0 - 0.1,) * 3
         ch = PauliChannel(0.1, alphas=(0.5, 0.25, 0.25))
-        with pytest.raises(ValueError, match="uniform"):
-            ch.depolarizing_attenuation(3)
-        dep = PauliChannel.depolarizing(0.1)
-        assert_close(dep.depolarizing_attenuation([1, 2]), [0.9, 0.81], 1e-12, "(1-p)^w")
-        assert_close(ch.worst_case_attenuation([1, 2]), [0.85, 0.7225], 1e-12, "worst")
+        assert len(set(ch.etas)) == 2
+        assert ch.worst_factor == pytest.approx(0.85, abs=1e-15)
+        enc = EncodingWeightModel("jw1d", Lattice(1, 4))
+        assert enc.bilinear_weight(0, 2) == 2
+        assert pair_attenuation(enc, ch, 0, 2, mode="worst-case") == \
+            pytest.approx(0.7225, abs=1e-12)
 
 
 class TestChannelEigenvalueLaw:
@@ -127,7 +130,7 @@ class TestAttenuationMatrices:
         ch = PauliChannel.depolarizing(0.1)
         lam = attenuation_matrix(enc, ch)
         assert_close(np.diag(lam), 1.0, 1e-15, "diagonal")
-        assert_close(lam[0][1:], 0.9 ** enc.weight_matrix()[0][1:], 1e-12, "row 0")
+        assert_close(lam[0][1:], 0.9 ** enc.pair_weights(np.arange(8))[0][1:], 1e-12, "row 0")
 
     def test_entries_match_pairwise_calls(self):
         enc = EncodingWeightModel("jw1d", Lattice(1, 3))
@@ -152,7 +155,7 @@ class TestAttenuationMatrices:
         enc = EncodingWeightModel("jw1d", Lattice(1, 4))
         ch = PauliChannel.depolarizing(0.1)
         lam = attenuation_matrix(enc, ch)
-        site = 0.9 ** enc.weight_blocks()[0, 0]
+        site = 0.9 ** enc.pair_weights()[0, 0]
         for f, g in [(0, 0), (0, 1), (1, 0), (1, 1)]:
             block = lam[f::2, g::2].copy()
             if f == g:
@@ -226,7 +229,7 @@ class TestNoisyExpectations:
         enc = EncodingWeightModel("local", lat, phi0=1)
         ch = PauliChannel.depolarizing(0.15)
         obs = QuadraticObservable.momentum_occupation(lat, [2 * np.pi / 5])
-        damped = attenuated_state(state, enc, ch)
+        damped = GaussianState(lat, attenuation_matrix(enc, ch) * state.gamma)
         assert noisy_expectation(state, obs, enc, ch) == \
             pytest.approx(damped.expectation(obs), abs=1e-12)
 
@@ -264,16 +267,57 @@ class TestSensitivity:
         lat = Lattice(1, 4)
         state = GaussianState.vacuum(lat)
         enc = EncodingWeightModel("local", lat, phi0=1)
+        obs = QuadraticObservable.number(lat, 1)
         for p in (1e-4, 1e-2, 0.3):
-            assert sensitivity(state, QuadraticObservable.number(lat, 1), enc, p=p) == \
-                pytest.approx(0.5, abs=1e-12)
+            error = measurement_error(state, obs, enc, PauliChannel.depolarizing(p))
+            assert error / p == pytest.approx(0.5, abs=1e-12)
 
-    def test_probe_strength_must_be_positive(self):
-        lat = Lattice(1, 2)
-        state = GaussianState.vacuum(lat)
-        enc = EncodingWeightModel("jw1d", lat)
-        with pytest.raises(ValueError, match="positive"):
-            sensitivity(state, QuadraticObservable.number(lat, 0), enc, p=0.0)
+
+class TestSupportHeldMeasurement:
+    """Measurement noise reads the observable's support only.
+
+    On a mode-diagonal state neither the ``2N x 2N`` covariance nor the dense
+    attenuation matrix is built, and the results are those of the dense state.
+    """
+
+    @pytest.mark.parametrize("kind,dim,length,channel", [
+        ("local", 1, 64, PauliChannel.depolarizing(0.1)),
+        ("jw1d", 1, 64, PauliChannel.depolarizing(0.1)),
+        ("jw1d", 1, 64, PauliChannel(0.3, alphas=(0.6, 0.3, 0.1))),
+        ("bravyi_kitaev", 1, 64, PauliChannel(0.2, alphas=(0.2, 0.5, 0.3))),
+        ("local", 2, 8, PauliChannel.depolarizing(0.1)),
+        ("jw2d_snake", 2, 8, PauliChannel.depolarizing(0.1)),
+        ("jw2d_snake", 2, 8, PauliChannel(0.3, alphas=(0.6, 0.3, 0.1))),
+        ("bravyi_kitaev", 2, 8, PauliChannel.depolarizing(0.2)),
+    ])
+    @pytest.mark.parametrize("mode", ["exact", "worst-case"])
+    def test_mode_diagonal_state_matches_dense(self, monkeypatch, kind, dim, length, channel,
+                                               mode):
+        lat = Lattice(dim, length)
+        if dim == 1:
+            sea, _, _ = fermi_sea_1d(lat, 21)
+        else:
+            sea, _, _ = tight_binding_ground_state_2d(lat, 13)
+        dense = GaussianState(lat, sea.gamma)
+        state = ModeDiagonalState(sea.grid, sea.occupations)
+        enc = EncodingWeightModel(kind, lat)
+        observables = [QuadraticObservable.number(lat, 3), QuadraticObservable.hopping(lat, 0, 9),
+                       QuadraticObservable.hopping(lat, 5, lat.n_sites - 2),
+                       QuadraticObservable.momentum_occupation(lat, sea.grid.momenta[4])]
+        expected = [(noisy_expectation(dense, obs, enc, channel, mode),
+                     measurement_error(dense, obs, enc, channel, mode)) for obs in observables]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense covariance or attenuation matrix built")
+
+        monkeypatch.setattr(ModeDiagonalState, "_build_gamma", refuse)
+        monkeypatch.setattr(noise_module, "attenuation_matrix", refuse)
+        for obs, (noisy, error) in zip(observables, expected):
+            assert noisy_expectation(state, obs, enc, channel, mode) == \
+                pytest.approx(noisy, abs=1e-12)
+            assert measurement_error(state, obs, enc, channel, mode) == \
+                pytest.approx(error, abs=1e-12)
+        assert state._gamma is None
 
 
 class TestMomentumErrorMap:
