@@ -31,8 +31,8 @@ import numpy as np
 from .gaussian import ModeDiagonalState
 from .encodings import EncodingWeightModel
 from .lattice import Lattice, momentum_grid
-from .noise import PauliChannel, momentum_error_map
-from .special import _zeta_continued, agm, polylog
+from .noise import P_MAX, PauliChannel, momentum_error_map
+from .special import agm, polylog, riemann_zeta
 
 REGIME_UNSTABLE = "mu<=D unstable"
 REGIME_SUBLINEAR = "D<mu<D+1"
@@ -110,7 +110,7 @@ def decay_regime(mu: float, dim: int) -> str:
 
 
 def _check_p(p: float) -> float:
-    if not 0.0 <= p <= 2.0 / 3.0:
+    if not 0.0 <= p <= P_MAX:
         raise ValueError(f"noise strength must lie in [0, 2/3], got {p}")
     return float(p)
 
@@ -179,7 +179,7 @@ def bound_S2(r: float, k1: float, k2: float, d0: int, mu: float, dim: int,
     s = mu - dim + 1.0
     if r == 1.0:
         return 0.0
-    zeta_s = _zeta_continued(s)
+    zeta_s = riemann_zeta(s)
     li = polylog(s, r**k1)
     return k_decay * c_dim(dim) * (d0 + 1.0) ** (dim - 1) * (zeta_s - r ** (k1 * d0 + k2) * li)
 
@@ -222,7 +222,7 @@ def _circuit_constant(params: DecayParams, radius: int) -> float:
     v = float(radius)
     dim = params.D
     s = params.mu - dim + 1.0
-    zeta_s = _zeta_continued(s)
+    zeta_s = riemann_zeta(s)
     cd = c_dim(dim)
     a3 = 2.0 * ((2 * v + params.phi0) * 3.0**dim * (2 * v) ** dim
                 + params.K * cd * (2 * v + 1) ** (dim - 1) * (2 * v + params.phi0) * zeta_s)
@@ -277,9 +277,11 @@ def prop4_bound(params: DecayParams, p: float, depth: int,
 # ----------------------------------------------------------------------
 
 
-def _decay_rate(p: float) -> float:
+def _decay_rate(p: float, k_fermi: float) -> float:
     if not 0.0 <= p < 1.0:
         raise ValueError(f"noise strength must lie in [0, 1), got {p}")
+    if k_fermi <= 0:
+        raise ValueError(f"Fermi momentum must be positive, got {k_fermi}")
     return -math.log1p(-p)
 
 
@@ -290,9 +292,7 @@ def fermi2d_limit_error(p: float, k_fermi: float, delta: float) -> float:
     from the surface; the stationary-phase form is
     ``(1/2) lambda k_F^2 / (lambda^2 + delta^2)^{3/2}``, ``lambda = -ln(1-p)``.
     """
-    lam = _decay_rate(p)
-    if k_fermi <= 0:
-        raise ValueError(f"Fermi momentum must be positive, got {k_fermi}")
+    lam = _decay_rate(p, k_fermi)
     if delta == 0.0:
         raise ValueError("delta = 0 is the on-surface case; use the on-surface form")
     return 0.5 * lam * k_fermi**2 / (lam**2 + delta**2) ** 1.5
@@ -304,9 +304,7 @@ def on_surface_integral(p: float, k_fermi: float) -> float:
     A complete elliptic integral of the first kind, evaluated in closed form
     as ``I = lam / (2 AGM(lam, sqrt(lam^2 + 4 k_F^2)))``.
     """
-    lam = _decay_rate(p)
-    if k_fermi <= 0:
-        raise ValueError(f"Fermi momentum must be positive, got {k_fermi}")
+    lam = _decay_rate(p, k_fermi)
     if lam == 0.0:
         return 0.0
     return lam / (2.0 * agm(lam, math.sqrt(lam * lam + 4.0 * k_fermi * k_fermi)))
@@ -314,9 +312,7 @@ def on_surface_integral(p: float, k_fermi: float) -> float:
 
 def on_surface_integral_bound(p: float, k_fermi: float) -> float:
     """Closed-form upper bound ``(lam / 4 k_F) arcsinh(2 k_F / lam)``."""
-    lam = _decay_rate(p)
-    if k_fermi <= 0:
-        raise ValueError(f"Fermi momentum must be positive, got {k_fermi}")
+    lam = _decay_rate(p, k_fermi)
     if lam == 0.0:
         return 0.0
     return lam / (4.0 * k_fermi) * math.asinh(2.0 * k_fermi / lam)
@@ -386,7 +382,7 @@ def lipschitz_scaling_probe(p_grid: Sequence[float], length: int = 200,
     occupations = 0.5 * (1.0 + np.cos(grid.momenta[:, 0]))
     rows = []
     for p in p_grid:
-        if not 0.0 < p <= 2.0 / 3.0:
+        if not 0.0 < p <= P_MAX:
             raise ValueError(f"probe noise strengths must lie in (0, 2/3], got {p}")
         errs = _probe_error_map(length, occupations, p, grid.momenta)
         rows.append((float(p), float(np.max(np.abs(errs)))))

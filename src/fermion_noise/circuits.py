@@ -310,7 +310,7 @@ def lightcone_correlation_check(state: GaussianState, circuit: Circuit,
         raise ValueError("light-cone check requires a product initial state")
     evolved = evolve_state(state, circuit, channel, enc, mode)
     noiseless = evolved if channel is None else evolve_state(state, circuit)
-    allowed = 2 * circuit.radius * circuit.depth
+    allowed = 2 * circuit.light_cone_radius()
     correlated = np.abs(evolved.gamma) > tol
     corr_dist = int(dist[correlated].max(initial=0))
     outside = correlated & (dist > allowed)

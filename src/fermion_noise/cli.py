@@ -32,6 +32,7 @@ configuration produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from typing import Callable, Dict, IO, List, Optional, Sequence
@@ -43,9 +44,9 @@ from .bounds import DecayParams, fermi2d_limit_error, fermi2d_on_surface_error, 
 from .circuits import brickwork_circuit, prefix_expectations
 from .encodings import ENCODING_KINDS, EncodingWeightModel, bk_max_number_operator_weight
 from .errors import ConfigError, InvariantViolation
-from .gaussian import QuadraticObservable, circulant_power_law_state, fermi_sea, \
-    fermi_sea_1d, momentum_occupation, tight_binding_dispersion
-from .lattice import Lattice, momentum_grid, parity_of
+from .gaussian import QuadraticObservable, circulant_power_law_state, fermi_sea_1d, \
+    momentum_occupation, tight_binding_ground_state_2d
+from .lattice import Lattice
 from .noise import MODES, P_MAX, PauliChannel, momentum_error_map
 
 Row = Dict[str, object]
@@ -69,14 +70,7 @@ def _cast_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
-_CASTS: Dict[type, Callable[[str], object]] = {
-    int: int,
-    float: float,
-    str: str,
-    bool: _cast_bool,
-}
-
-# name -> (type, default, help); None defaults are resolved per subcommand.
+# name -> (cast of a config-file value, default, help); None defaults resolve per subcommand.
 _OPTIONS: Dict[str, Dict[str, tuple]] = {
     "fermi1d": {
         "p": (float, 1e-2, "depolarizing probability"),
@@ -86,7 +80,7 @@ _OPTIONS: Dict[str, Dict[str, tuple]] = {
         "encoding": (str, "jw1d", "encoding weight model"),
         "phi0": (int, 1, "on-site weight of the local encoding"),
         "mode": (str, "exact", "attenuation mode: exact | worst-case"),
-        "sweep_k": (bool, False, "emit sensitivity(k) over the mode grid of one chain"),
+        "sweep_k": (_cast_bool, False, "emit sensitivity(k) over the mode grid of one chain"),
     },
     "fermi2d": {
         "p": (float, 1e-2, "depolarizing probability"),
@@ -130,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
         sub = subparsers.add_parser(command, help=f"run the {command} experiment")
         for name, (kind, _, help_text) in options.items():
             flag = "--" + name.replace("_", "-")
-            if kind is bool:
+            if kind is _cast_bool:
                 sub.add_argument(flag, action="store_const", const=True,
                                  default=None, help=help_text)
             else:
@@ -162,9 +156,8 @@ def _parse_config_file(path: str, command: str) -> Dict[str, object]:
         key = key.strip()
         if key not in options:
             raise ConfigError(f"config: unknown key {key!r} for {command}")
-        kind = options[key][0]
         try:
-            values[key] = _CASTS[kind](text.strip())
+            values[key] = options[key][0](text.strip())
         except ValueError as exc:
             raise ConfigError(f"{key}: {exc}") from exc
     return values
@@ -201,6 +194,8 @@ def _validate_common(cfg: Dict[str, object], command: str) -> None:
                  f"must be one of {'|'.join(ENCODING_KINDS)}, got {cfg['encoding']!r}")
     if "depth" in cfg:
         _require(cfg["depth"] >= 0, "depth", f"must be nonnegative, got {cfg['depth']}")
+    if "seed" in cfg:
+        _require(cfg["seed"] >= 0, "seed", f"must be nonnegative, got {cfg['seed']}")
 
 
 def _encoding_for(cfg: Dict[str, object], lattice: Lattice) -> EncodingWeightModel:
@@ -273,8 +268,7 @@ def _run_fermi2d(cfg: Dict[str, object]) -> List[Row]:
     channel = PauliChannel.depolarizing(p)
     rows: List[Row] = []
     for n_occ in fillings:
-        grid = momentum_grid(lattice, parity_of(n_occ))
-        state, _ = fermi_sea(grid, n_occ, dispersion=tight_binding_dispersion)
+        state, grid, _ = tight_binding_ground_state_2d(lattice, n_occ)
         errors = momentum_error_map(state, enc, channel, grid.momenta, cfg["mode"])
         order = np.lexsort((grid.momenta[:, 1], grid.momenta[:, 0]))
         for i in order:
@@ -297,24 +291,18 @@ def _run_encoding_compare(cfg: Dict[str, object]) -> List[Row]:
     def deficit(weight: int) -> float:
         return 1.0 - channel.etas[0] ** weight
 
+    # Each encoding's worst pair: site (0, 0) and its partner in the next row.
+    partners = {"local": lambda side: (0, 1 % side),
+                "jw2d_snake": lambda side: (side - 1, 1 % side)}
     rows: List[Row] = []
-    sides = range(2, l_max + 1, 2)
-    for side in sides:
-        lattice = Lattice(2, side)
-        enc = EncodingWeightModel("local", lattice, phi0)
-        site = lattice.site_index((0, 0))
-        above = lattice.site_index((0, 1 % side))
-        weight = enc.bilinear_weight(2 * site, 2 * above)
-        rows.append({"encoding": "local", "n_modes": lattice.n_sites,
-                     "weight": weight, "error": deficit(weight)})
-    for side in sides:
-        lattice = Lattice(2, side)
-        enc = EncodingWeightModel("jw2d_snake", lattice)
-        lower = lattice.site_index((0, 0))
-        upper = lattice.site_index((side - 1, 1 % side))
-        weight = enc.bilinear_weight(2 * lower, 2 * upper)
-        rows.append({"encoding": "jw2d_snake", "n_modes": lattice.n_sites,
-                     "weight": weight, "error": deficit(weight)})
+    for kind, partner in partners.items():
+        for side in range(2, l_max + 1, 2):
+            lattice = Lattice(2, side)
+            enc = EncodingWeightModel(kind, lattice, phi0)
+            weight = enc.bilinear_weight(2 * lattice.site_index((0, 0)),
+                                         2 * lattice.site_index(partner(side)))
+            rows.append({"encoding": kind, "n_modes": lattice.n_sites,
+                         "weight": weight, "error": deficit(weight)})
     n_modes = 2
     while n_modes <= l_max * l_max:
         weight = bk_max_number_operator_weight(n_modes)
@@ -423,11 +411,12 @@ def _format_value(value: object) -> str:
 
 
 def _jsonable(value: object) -> object:
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, (np.integer,)):
+    """``json.dump`` fallback: numpy ints and bools (numpy floats are floats)."""
+    if isinstance(value, np.integer):
         return int(value)
-    return value
+    if isinstance(value, np.bool_):
+        return bool(value)
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
 def _write_csv(rows: List[Row], stream: IO[str]) -> None:
@@ -445,14 +434,7 @@ def _write_csv(rows: List[Row], stream: IO[str]) -> None:
 
 
 def _write_json(payload: Dict[str, object], stream: IO[str]) -> None:
-    def clean(obj):
-        if isinstance(obj, dict):
-            return {key: clean(val) for key, val in obj.items()}
-        if isinstance(obj, list):
-            return [clean(item) for item in obj]
-        return _jsonable(obj)
-
-    json.dump(clean(payload), stream, indent=2)
+    json.dump(payload, stream, indent=2, default=_jsonable)
     stream.write("\n")
 
 
@@ -464,22 +446,17 @@ def _emit(result: object, cfg: Dict[str, object], command: str,
     else:
         rows = list(result)
         tables = {"rows": result}
-    payload = {"command": command, "config": {k: _jsonable(v) for k, v in cfg.items()},
-               **tables}
-    if out is None:
-        stream = sys.stdout
-        close = False
-    else:
-        stream = open(out, "w", encoding="utf-8", newline="\n")
-        close = True
+    payload = {"command": command, "config": cfg, **tables}
     try:
+        sink = contextlib.nullcontext(sys.stdout) if out is None else \
+            open(out, "w", encoding="utf-8", newline="\n")
+    except OSError as exc:
+        raise ConfigError(f"out: cannot write {out!r} ({exc})") from exc
+    with sink as stream:
         if fmt == "csv":
             _write_csv(rows, stream)
         else:
             _write_json(payload, stream)
-    finally:
-        if close:
-            stream.close()
 
 
 _RUNNERS: Dict[str, Callable[[Dict[str, object]], object]] = {

@@ -246,7 +246,7 @@ class GaussianState:
         """Mean occupation of one site, ``(1 + Gamma[2x, 2x+1]) / 2``."""
         if not 0 <= site < self.lattice.n_sites:
             raise IndexError(f"site {site} outside [0, {self.lattice.n_sites})")
-        return 0.5 * (1.0 + self.gamma[2 * site, 2 * site + 1])
+        return 0.5 * (1.0 + self.covariance_block([2 * site, 2 * site + 1])[0, 1])
 
     def covariance_block(self, idx: np.ndarray) -> np.ndarray:
         """The covariance on a Majorana index set, ``gamma[np.ix_(idx, idx)]``."""
@@ -462,19 +462,13 @@ def correlation_from_mode_occupations(grid: MomentumGrid,
 
 
 def fermi_sea(grid: MomentumGrid, n_occ: int,
-              energies: Optional[np.ndarray] = None,
-              dispersion: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+              dispersion: Callable[[np.ndarray], np.ndarray] = free_dispersion,
               ) -> Tuple[ModeDiagonalState, np.ndarray]:
     """Ground state filling the ``n_occ`` lowest modes; returns (state, occupied).
 
-    ``dispersion`` maps the (n_modes, dim) momentum array to energies and is
-    a convenience alternative to passing ``energies`` directly.
+    ``dispersion`` maps the (n_modes, dim) momentum array to energies.
     """
-    if energies is not None and dispersion is not None:
-        raise ValueError("pass either energies or dispersion, not both")
-    if dispersion is not None:
-        energies = dispersion(grid.momenta)
-    occ = occupied_modes(grid, n_occ, energies)
+    occ = occupied_modes(grid, n_occ, dispersion(grid.momenta))
     occupations = np.zeros(len(grid))
     occupations[occ] = 1.0
     return ModeDiagonalState(grid, occupations), occ
@@ -490,7 +484,7 @@ def fermi_sea_1d(lattice: Lattice, n_occ: int,
     if lattice.dim != 1:
         raise ValueError(f"expected a 1D lattice, got dim={lattice.dim}")
     grid = momentum_grid(lattice, parity_of(n_occ))
-    state, occ = fermi_sea(grid, n_occ, dispersion=free_dispersion)
+    state, occ = fermi_sea(grid, n_occ)
     return state, grid, occ
 
 

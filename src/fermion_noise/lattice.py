@@ -237,9 +237,7 @@ def momentum_grid(lat: Lattice, occupation_parity: str) -> MomentumGrid:
         axis = np.arange(-half, half, dtype=np.float64)
     else:
         axis = np.arange(-half, half, dtype=np.float64) + 0.5
-    idx = np.arange(lat.n_sites)
-    cols = [axis[(idx // lat.length ** j) % lat.length] for j in range(lat.dim)]
-    m = np.stack(cols, axis=1)
+    m = axis[lat.coords]
     k = 2.0 * np.pi * m / lat.length
     m.setflags(write=False)
     k.setflags(write=False)

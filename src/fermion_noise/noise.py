@@ -154,10 +154,16 @@ def attenuation_matrix(enc: EncodingWeightModel, channel: PauliChannel,
     return lam
 
 
+def _check_lattices(enc: EncodingWeightModel, state: GaussianState) -> None:
+    if (enc.lattice.dim, enc.lattice.length) != (state.lattice.dim, state.lattice.length):
+        raise ValueError("encoding and state lattices disagree")
+
+
 def noisy_expectation(state: GaussianState, obs: QuadraticObservable,
                       enc: EncodingWeightModel, channel: PauliChannel,
                       mode: str = "exact") -> float:
     """Expectation of an encoded observable measured through the channel."""
+    _check_lattices(enc, state)
     lam = attenuation_block(enc, channel, obs.support, mode)
     return obs.offset + float(np.sum(obs.block * lam * state.covariance_block(obs.support)))
 
@@ -166,6 +172,7 @@ def measurement_error(state: GaussianState, obs: QuadraticObservable,
                       enc: EncodingWeightModel, channel: PauliChannel,
                       mode: str = "exact") -> float:
     """Absolute shift ``|<O> - <O>_noisy|`` induced by the channel."""
+    _check_lattices(enc, state)
     lam = attenuation_block(enc, channel, obs.support, mode)
     return float(abs(np.sum(obs.block * (1.0 - lam) * state.covariance_block(obs.support))))
 
@@ -189,6 +196,7 @@ def momentum_error_map(state: GaussianState, enc: EncodingWeightModel,
     ``T = (D01 o G01 - D10 o G10) + i (D00 o G00 + D11 o G11)`` and
     ``phi[k, s] = exp(i k . r_s)``.
     """
+    _check_lattices(enc, state)
     lat = state.lattice
     momenta = np.atleast_2d(np.asarray(momenta, dtype=float))
     if momenta.shape[1] != lat.dim:

@@ -33,7 +33,7 @@ from fermion_noise.bounds import (
 
 )
 from fermion_noise.gaussian import ModeDiagonalState
-from fermion_noise.special import _zeta_continued, polylog, riemann_zeta
+from fermion_noise.special import polylog, riemann_zeta
 
 
 class TestRiemannZeta:
@@ -46,22 +46,30 @@ class TestRiemannZeta:
         assert riemann_zeta(20.0) == pytest.approx(1.0000009539620339, abs=1e-13)
 
     def test_against_mpmath_on_a_grid(self):
-        for s in (1.1, 1.3, 1.5, 2.0, 2.5, 3.7, 6.0, 10.0, 15.0):
+        for s in (0.5, 0.9, 1.1, 1.3, 1.5, 2.0, 2.5, 3.7, 6.0, 10.0, 15.0):
             assert riemann_zeta(s) == pytest.approx(float(mpmath.zeta(s)), abs=1e-10)
 
     def test_domain(self):
-        with pytest.raises(ValueError, match="requires s >"):
-            riemann_zeta(1.0)
-        with pytest.raises(ValueError, match="requires s >"):
-            riemann_zeta(0.5)
-
-    def test_analytic_continuation_of_the_internal_evaluator(self):
-        # The near-one polylog expansion leans on zeta below 1.
-        assert _zeta_continued(0.0) == pytest.approx(-0.5, abs=1e-10)
-        assert _zeta_continued(-1.0) == pytest.approx(-1.0 / 12, abs=1e-10)
-        assert _zeta_continued(-3.0) == pytest.approx(1.0 / 120, abs=1e-10)
         with pytest.raises(ValueError, match="pole"):
-            _zeta_continued(1.0)
+            riemann_zeta(1.0)
+        with pytest.raises(ValueError, match="below"):
+            riemann_zeta(-16.0)
+
+    def test_analytic_continuation(self):
+        # The near-one polylog expansion leans on zeta below 1.
+        assert riemann_zeta(0.0) == pytest.approx(-0.5, abs=1e-10)
+        assert riemann_zeta(-1.0) == pytest.approx(-1.0 / 12, abs=1e-10)
+        assert riemann_zeta(-3.0) == pytest.approx(1.0 / 120, abs=1e-10)
+
+    @pytest.mark.parametrize("s", [-0.5, -2.5, -4.5, -7.7, -9.7, -14.9])
+    def test_reflection_below_zero_against_mpmath(self, s):
+        # A direct sum cancels here: it was off by 117 at s = -7.7.
+        assert riemann_zeta(s) == pytest.approx(float(mpmath.zeta(s)), abs=1e-12)
+
+    @pytest.mark.parametrize("s", [-1e-10, -1e-6, -1e-3, -0.01, -0.0100001, -0.1])
+    def test_just_below_zero_against_mpmath(self, s):
+        # The reflection would lose eps / |s| to the pole of zeta(1 - s) here.
+        assert riemann_zeta(s) == pytest.approx(float(mpmath.zeta(s)), abs=1e-12)
 
 
 class TestPolylog:

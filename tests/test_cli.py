@@ -34,25 +34,27 @@ class TestArgumentHandling:
         code, _ = run_to_file(tmp_path, "out.csv", ["encoding-compare", "--L", "4"])
         assert code == 0
 
-    @pytest.mark.parametrize("argv", [
-        ["fermi1d", "--p", "0.9"],                      # p outside [0, 2/3]
-        ["fermi1d", "--mode", "typical"],               # unknown mode
-        ["fermi1d", "--encoding", "toric"],             # unknown encoding
-        ["fermi1d", "--n-occ", "3"],                    # n_occ without --sweep-k
-        ["fermi1d", "--sweep-k", "--L", "7"],           # odd chain
-        ["fermi1d", "--L", "10"],                       # size grid below 20
-        ["fermi2d", "--L", "5"],                        # odd side
-        ["fermi2d", "--L", "4", "--n-occ", "99"],       # filling beyond n_sites
-        ["fermi2d", "--p", "0"],                        # sensitivity needs p > 0
-        ["encoding-compare", "--L", "1"],
-        ["circuit", "--L", "5"],
-        ["circuit", "--depth", "-1"],
-        ["bounds", "--p", "0"],
-        ["fermi1d", "--sweep-k", "--encoding", "jw2d_snake"],  # dim mismatch
+    @pytest.mark.parametrize("argv, field", [
+        (["fermi1d", "--p", "0.9"], "p"),                      # p outside [0, 2/3]
+        (["fermi1d", "--mode", "typical"], "mode"),            # unknown mode
+        (["fermi1d", "--encoding", "toric"], "encoding"),      # unknown encoding
+        (["fermi1d", "--n-occ", "3"], "n_occ"),                # n_occ without --sweep-k
+        (["fermi1d", "--sweep-k", "--L", "7"], "L"),           # odd chain
+        (["fermi1d", "--L", "10"], "L"),                       # size grid below 20
+        (["fermi2d", "--L", "5"], "L"),                        # odd side
+        (["fermi2d", "--L", "4", "--n-occ", "99"], "n_occ"),   # filling beyond n_sites
+        (["fermi2d", "--p", "0"], "p"),                        # sensitivity needs p > 0
+        (["encoding-compare", "--L", "1"], "L"),
+        (["circuit", "--L", "5"], "L"),
+        (["circuit", "--depth", "-1"], "depth"),
+        (["circuit", "--seed", "-1"], "seed"),                 # no negative numpy seeds
+        (["bounds", "--p", "0"], "p"),
+        (["bounds", "--out", os.path.join(os.devnull, "x.json")], "out"),  # unwritable
+        (["fermi1d", "--sweep-k", "--encoding", "jw2d_snake"], "encoding"),  # dim mismatch
     ])
-    def test_configuration_errors_exit_two(self, capsys, argv):
+    def test_configuration_errors_exit_two(self, capsys, argv, field):
         assert cli.main(argv) == 2
-        assert "configuration error" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(f"configuration error: {field}: ")
 
     def test_invariant_violations_exit_three(self, capsys, monkeypatch):
         def explode(cfg):

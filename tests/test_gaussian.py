@@ -206,10 +206,15 @@ class TestFermiSeas:
         with pytest.raises(ValueError, match="2D"):
             tight_binding_ground_state_2d(Lattice(1, 4), 2)
 
-    def test_energies_and_dispersion_are_exclusive(self):
-        grid = momentum_grid(Lattice(1, 4), "even")
-        with pytest.raises(ValueError, match="not both"):
-            fermi_sea(grid, 2, energies=np.zeros(4), dispersion=free_dispersion)
+    def test_fermi_sea_fills_by_its_dispersion(self):
+        lat = Lattice(2, 6)
+        grid = momentum_grid(lat, "odd")
+        _, occ = fermi_sea(grid, 9)
+        assert np.array_equal(occ, occupied_modes(grid, 9, free_dispersion(grid.momenta)))
+        state, occ = fermi_sea(grid, 9, tight_binding_dispersion)
+        reference, _, occ_reference = tight_binding_ground_state_2d(lat, 9)
+        assert np.array_equal(occ, occ_reference)
+        assert np.array_equal(state.occupations, reference.occupations)
 
 
 class TestOccupiedModes:
@@ -394,6 +399,19 @@ class TestCovarianceBlock:
         for size in (1, 5, 12):
             idx = rng.choice(lat.n_majorana, size, replace=False)
             assert_close(state.covariance_block(idx), reference[np.ix_(idx, idx)], 1e-12, "block")
+
+    @pytest.mark.parametrize("lattice_state", [
+        lambda: fermi_sea_1d(Lattice(1, 64), 31)[0],
+        lambda: tight_binding_ground_state_2d(Lattice(2, 8), 21)[0],
+    ])
+    def test_site_occupation_reads_the_block(self, monkeypatch, lattice_state):
+        sea = lattice_state()
+        dense = GaussianState(sea.lattice, sea.gamma)
+        monkeypatch.setattr(ModeDiagonalState, "_build_gamma", _refuse)
+        fresh = lattice_state()
+        for site in (0, 3, sea.lattice.n_sites - 1):
+            assert dense.occupation(site) == 0.5 * (1.0 + dense.gamma[2 * site, 2 * site + 1])
+            assert fresh.occupation(site) == pytest.approx(dense.occupation(site), abs=1e-12)
 
     @pytest.mark.parametrize("dim,length", [(1, 12), (1, 64), (2, 6), (2, 8)])
     def test_circulant_state_matches_the_dense_construction(self, monkeypatch, dim, length):

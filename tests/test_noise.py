@@ -261,6 +261,20 @@ class TestNoisyExpectations:
             assert noisy_expectation(state, obs, enc, channel) == \
                 pytest.approx(dense_val, abs=1e-10)
 
+    @pytest.mark.parametrize("measure", [
+        lambda state, obs, enc, ch: noisy_expectation(state, obs, enc, ch),
+        lambda state, obs, enc, ch: measurement_error(state, obs, enc, ch),
+        lambda state, obs, enc, ch: momentum_error_map(state, enc, ch, [[0.0]]),
+    ])
+    def test_encoding_and_state_lattices_must_agree(self, measure):
+        # A 16-site sea read through encodings of 8 sites, or of 16 sites in 2D.
+        state, _, _ = fermi_sea_1d(Lattice(1, 16), 7)
+        obs = QuadraticObservable.hopping(state.lattice, 0, 7)
+        ch = PauliChannel.depolarizing(0.01)
+        for lat in (Lattice(1, 8), Lattice(2, 4)):
+            with pytest.raises(ValueError, match="disagree"):
+                measure(state, obs, EncodingWeightModel("local", lat), ch)
+
 
 class TestSensitivity:
     def test_vacuum_number_sensitivity_is_half(self):
