@@ -19,7 +19,6 @@ from .lattice import (
     parity_of,
     snake_index,
     snake_index_vector,
-    torus_distance,
 )
 from .encodings import (
     ENCODING_KINDS,

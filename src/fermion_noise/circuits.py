@@ -97,8 +97,9 @@ class Layer:
         group, gate, pos = self._where[:, support]
         loose = group < 0
         cols = np.sort(np.concatenate(
-            [support[loose]] + [idx[np.unique(gate[group == g])].ravel()
+            [support[loose]] + [idx[gate[group == g]].ravel()
                                 for g, (idx, _) in enumerate(self.blocks)]))
+        cols = cols[np.diff(cols, prepend=-1) > 0]  # distinct; np.unique would import numpy.ma
         rot = np.zeros((len(support), len(cols)))
         rot[loose, np.searchsorted(cols, support[loose])] = 1.0
         for g, (idx, gates) in enumerate(self.blocks):

@@ -28,11 +28,13 @@ popcount of ``x | z``, its X/Y/Z counts those of ``x & ~z``, ``x & z`` and
 form ``1 + |o(s) - o(t)|`` (``o`` the qubit order) as a fast path.
 
 Weights and counts of every pair of a Majorana index set come from one
-method, :meth:`EncodingWeightModel.pair_weights`; a circuit's light cone and
-a noisy measurement ask for them on the observable's support only.  All
-pairs come as flavor blocks of shape ``(F, F, N, N)`` with entry
-``[f, g, s, t]`` for the pair ``(2s + f, 2t + g)``: ``F = 1`` when one value
-serves every flavor pair and broadcasts, ``F = 2`` when the flavors differ.
+method, :meth:`EncodingWeightModel.pair_weights`.  A circuit's light cone
+and a noisy measurement ask for them on the observable's support only, and
+the weight and composition of a single bilinear ``gamma_a gamma_b`` are the
+``[0, 1]`` entry of the index set ``[a, b]``.  All pairs come as flavor
+blocks of shape ``(F, F, N, N)`` with entry ``[f, g, s, t]`` for the pair
+``(2s + f, 2t + g)``: ``F = 1`` when one value serves every flavor pair and
+broadcasts, ``F = 2`` when the flavors differ.
 Where the weight depends on the displacement ``x - y`` of the two sites
 alone (``local`` and ``jw1d``), :meth:`displacement_weights` gives it as one
 value per displacement.
@@ -275,20 +277,12 @@ class EncodingWeightModel:
     def bilinear_weight(self, a: int, b: int) -> int:
         """Pauli weight of the encoded bilinear ``gamma_a gamma_b``, a != b."""
         self._check_pair(a, b)
-        if self.kind == "local":
-            return self.phi0 + self.lattice.distance(a // 2, b // 2)
-        if self.kind == "bravyi_kitaev":
-            return self.string_composition(a, b).weight
-        o = self._qubit_order()
-        return 1 + abs(int(o[a // 2]) - int(o[b // 2]))
+        return int(self.pair_weights([a, b])[0, 1])
 
     def string_composition(self, a: int, b: int) -> StringComposition:
         """Exact X/Y/Z composition of the encoded bilinear (concrete encodings)."""
         self._check_pair(a, b)
-        x, z = self.pauli_table()
-        dx, dz = x[a] ^ x[b], z[a] ^ z[b]
-        return StringComposition(*(int(np.bitwise_count(_FACTOR_BITS[p](dx, dz)).sum())
-                                   for p in "XYZ"))
+        return StringComposition(*self.pair_weights([a, b], counts=True)[:, 0, 1].tolist())
 
     def pair_weights(self, idx: Optional[np.ndarray] = None,
                      counts: bool = False) -> np.ndarray:

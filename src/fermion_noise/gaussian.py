@@ -87,8 +87,9 @@ class QuadraticObservable:
             if support.ndim != 1 or block.shape != (len(support),) * 2:
                 raise ValueError(f"block of shape {block.shape} does not match "
                                  f"{len(support)} support indices")
-            if support.size and (support.min() < 0 or support.max() >= n
-                                 or np.unique(support).size != support.size):
+            ordered = np.sort(support)
+            if support.size and (ordered[0] < 0 or ordered[-1] >= n
+                                 or np.any(ordered[1:] == ordered[:-1])):
                 raise ValueError(f"support must be distinct Majorana indices in [0, {n})")
         if validate and not np.allclose(block, -block.T, atol=1e-12):
             raise ValueError("coefficient matrix must be antisymmetric")

@@ -2,7 +2,10 @@
 
 The lattices are D-dimensional tori of ``L**D`` sites with D in {1, 2}.  Sites
 carry two Majorana flavors each, indexed as ``a = 2 * site + (flavor - 1)``
-with flavor 1 for ``c^dag + c`` and flavor 2 for ``i (c^dag - c)``.
+with flavor 1 for ``c^dag + c`` and flavor 2 for ``i (c^dag - c)``.  The
+site layout is :attr:`Lattice.coords`, inverted by :meth:`Lattice.site_index`;
+the one torus metric is :meth:`Lattice.pair_distances` on a set of sites,
+and two sites are the set's ``[0, 1]`` entry.
 
 Momentum grids follow the free-fermion quantization on a ring of even length
 L: states with an odd particle number use periodic boundary conditions
@@ -15,45 +18,11 @@ such momentum is the integer frequency ``2m``, whichever the parity.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence, Tuple, Union
+from typing import Sequence, Tuple, Union
 
 import numpy as np
 
 Coords = Union[int, Sequence[int]]
-
-
-def _as_coord_array(r: Coords, dim: int) -> np.ndarray:
-    arr = np.atleast_1d(np.asarray(r, dtype=np.int64))
-    if arr.shape != (dim,):
-        raise ValueError(
-            f"coordinate {r!r} does not match lattice dimension {dim}"
-        )
-    return arr
-
-
-def torus_distance(r1: Coords, r2: Coords, length: int) -> int:
-    """Graph (L1) distance between two sites on a periodic torus.
-
-    Parameters
-    ----------
-    r1, r2 : int or sequence of int
-        Site coordinates; scalars are treated as 1D coordinates.
-    length : int
-        Linear size L of the torus in every direction.
-
-    Returns
-    -------
-    int
-        ``sum_i min(|r1_i - r2_i|, L - |r1_i - r2_i|)``.
-    """
-    if length < 1:
-        raise ValueError(f"length must be >= 1, got {length}")
-    a = np.atleast_1d(np.asarray(r1, dtype=np.int64))
-    b = np.atleast_1d(np.asarray(r2, dtype=np.int64))
-    if a.shape != b.shape:
-        raise ValueError("coordinates have mismatched dimensions")
-    diff = np.abs(a - b) % length
-    return int(np.minimum(diff, length - diff).sum())
 
 
 class Lattice:
@@ -90,17 +59,19 @@ class Lattice:
     # ------------------------------------------------------------------
 
     def site_index(self, r: Coords) -> int:
-        """Flat index of the site with coordinates ``r``."""
-        arr = _as_coord_array(r, self.dim)
+        """Flat index of the site with coordinates ``r``, the inverse of :attr:`coords`."""
+        arr = np.atleast_1d(np.asarray(r, dtype=np.int64))
+        if arr.shape != (self.dim,):
+            raise ValueError(f"coordinate {r!r} does not match lattice dimension {self.dim}")
         if np.any(arr < 0) or np.any(arr >= self.length):
             raise IndexError(f"coordinate {r!r} outside lattice of size {self.length}")
-        return int(sum(int(c) * self.length ** j for j, c in enumerate(arr)))
+        return int(arr @ self.length ** np.arange(self.dim))
 
     def site_coords(self, index: int) -> Tuple[int, ...]:
-        """Coordinates of the site with flat index ``index``."""
+        """Coordinates of the site with flat index ``index``: row ``index`` of :attr:`coords`."""
         if not 0 <= index < self.n_sites:
             raise IndexError(f"site index {index} outside [0, {self.n_sites})")
-        return tuple((index // self.length ** j) % self.length for j in range(self.dim))
+        return tuple(self.coords[index].tolist())
 
     @property
     def coords(self) -> np.ndarray:
@@ -116,12 +87,8 @@ class Lattice:
     # distances
     # ------------------------------------------------------------------
 
-    def distance(self, i: int, j: int) -> int:
-        """Torus distance between the sites with flat indices i and j."""
-        return torus_distance(self.site_coords(i), self.site_coords(j), self.length)
-
     def pair_distances(self, sites: np.ndarray) -> np.ndarray:
-        """(len(sites), len(sites)) torus distances between the given sites."""
+        """(len(sites), len(sites)) torus (L1) distances between the given sites."""
         c = self.coords[sites]
         diff = np.abs(c[:, None, :] - c[None, :, :])
         diff = np.minimum(diff, self.length - diff)
@@ -157,22 +124,18 @@ class Lattice:
 
 
 def snake_index(lat: Lattice, x: int, y: int) -> int:
-    """Boustrophedon ordering of a 2D lattice.
+    """Snake index of the site ``(x, y)``, read from :func:`snake_index_vector`."""
+    return int(snake_index_vector(lat)[lat.site_index((x, y))])
+
+
+def snake_index_vector(lat: Lattice) -> np.ndarray:
+    """Boustrophedon (snake) index of every site, ordered by flat site index.
 
     Row ``y`` is traversed left-to-right when ``y`` is even and right-to-left
     when ``y`` is odd, so consecutive indices are always nearest neighbors:
 
         ``index(x, y) = y * L + (x if y even else L - 1 - x)``.
     """
-    if lat.dim != 2:
-        raise ValueError("snake ordering is defined for 2D lattices only")
-    if not (0 <= x < lat.length and 0 <= y < lat.length):
-        raise IndexError(f"({x}, {y}) outside lattice of size {lat.length}")
-    return y * lat.length + (x if y % 2 == 0 else lat.length - 1 - x)
-
-
-def snake_index_vector(lat: Lattice) -> np.ndarray:
-    """Snake index of every site, ordered by flat site index."""
     if lat.dim != 2:
         raise ValueError("snake ordering is defined for 2D lattices only")
     x = lat.coords[:, 0]

@@ -18,9 +18,10 @@ per-pair attenuation factors.  Every factor comes from one formula,
 strings; worst-case mode sets all three etas to ``1 - 3p/2``.  With equal
 etas the formula is ``eta**weight``, the only case the weight-only
 ``local`` model supports.  The same formula serves every pair of a
-Majorana index set (:func:`attenuation_block`) and all pairs at once; those
-keep the encoding's ``(F, F, N, N)`` flavor-block shape, and only
-:func:`attenuation_matrix`, the dense reference, expands them to
+Majorana index set (:func:`attenuation_block`), a single bilinear
+(:func:`pair_attenuation`, the index set ``[a, b]``) and all pairs at
+once; those keep the encoding's ``(F, F, N, N)`` flavor-block shape, and
+only :func:`attenuation_matrix`, the dense reference, expands them to
 ``(2N, 2N)``.
 
 Measurement noise is read on the observable's support, as a circuit's light
@@ -44,8 +45,8 @@ exact mode, and general states.  Where both apply they agree to about 1e-15.
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass
-from typing import Callable, Optional, Tuple
+from dataclasses import dataclass
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -107,31 +108,18 @@ def _mode_etas(channel: PauliChannel, mode: str) -> Tuple[float, float, float]:
     return channel.etas
 
 
-def _eta_power(etas: Tuple[float, float, float], weight: Callable, counts: Callable):
-    """``ex**nx * ey**ny * ez**nz``, or ``eta**weight`` when the etas agree.
-
-    ``weight`` and ``counts`` are called only when needed, so a weight-only
-    model serves every case with equal etas.
-    """
-    ex, ey, ez = etas
-    if ex == ey == ez:
-        return ex ** weight()
-    nx, ny, nz = counts()
-    return ex**nx * ey**ny * ez**nz
-
-
-def pair_attenuation(enc: EncodingWeightModel, channel: PauliChannel,
-                     a: int, b: int, mode: str = "exact") -> float:
-    """Attenuation factor of the single encoded bilinear ``gamma_a gamma_b``."""
-    return float(_eta_power(_mode_etas(channel, mode), lambda: enc.bilinear_weight(a, b),
-                            lambda: astuple(enc.string_composition(a, b))))
-
-
 def _attenuation(enc: EncodingWeightModel, channel: PauliChannel, mode: str,
                  idx: Optional[np.ndarray] = None) -> np.ndarray:
-    """Attenuation of every pair of the Majoranas ``idx``, or flavor blocks of all pairs."""
-    return _eta_power(_mode_etas(channel, mode), lambda: enc.pair_weights(idx),
-                      lambda: enc.pair_weights(idx, counts=True))
+    """Attenuation of every pair of the Majoranas ``idx``, or flavor blocks of all pairs.
+
+    ``ex**nx * ey**ny * ez**nz``, or ``eta**weight`` when the etas agree, so
+    the weight-only ``local`` model serves every case with equal etas.
+    """
+    ex, ey, ez = _mode_etas(channel, mode)
+    if ex == ey == ez:
+        return ex ** enc.pair_weights(idx)
+    nx, ny, nz = enc.pair_weights(idx, counts=True)
+    return ex**nx * ey**ny * ez**nz
 
 
 def attenuation_block(enc: EncodingWeightModel, channel: PauliChannel,
@@ -144,6 +132,13 @@ def attenuation_block(enc: EncodingWeightModel, channel: PauliChannel,
     lam = np.array(_attenuation(enc, channel, mode, np.asarray(idx)), dtype=float)
     np.fill_diagonal(lam, 1.0)
     return lam
+
+
+def pair_attenuation(enc: EncodingWeightModel, channel: PauliChannel,
+                     a: int, b: int, mode: str = "exact") -> float:
+    """Attenuation factor of the single encoded bilinear ``gamma_a gamma_b``, a != b."""
+    enc._check_pair(a, b)
+    return float(attenuation_block(enc, channel, [a, b], mode)[0, 1])
 
 
 def attenuation_matrix(enc: EncodingWeightModel, channel: PauliChannel,

@@ -116,7 +116,9 @@ def polylog(s: float, z: float) -> float:
     """Real polylogarithm ``Li_s(z)`` for ``z in [0, 1]``.
 
     ``z = 1`` needs ``s > 1`` (value zeta(s)); otherwise direct summation is
-    used away from 1 and the standard expansion in ``-ln z`` close to 1.
+    used away from 1 and the standard expansion in ``-ln z`` close to 1
+    (``-ln z < 1e-5``).  That expansion reads ``zeta(s - j)`` for ``j <= 11``,
+    so close to 1 the domain is ``s >= -4``, and integer ``s <= 1`` diverges.
     Absolute error is kept below ~1e-10 across the supported domain.
     """
     if not 0.0 <= z <= 1.0:
@@ -131,6 +133,8 @@ def polylog(s: float, z: float) -> float:
         return -math.log1p(-z)
     if -math.log(z) >= 1e-5:
         return _polylog_direct(s, z)
+    if s < -4:
+        raise ValueError(f"polylog near z = 1 needs s >= -4, got s = {s} with z = {z}")
     return _polylog_near_one(s, z)
 
 

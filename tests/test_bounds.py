@@ -115,6 +115,17 @@ class TestPolylog:
         with pytest.raises(ValueError, match="diverges"):
             polylog(0.8, 1.0 - 1e-12)
 
+    def test_near_one_domain_is_named_by_its_own_arguments(self):
+        # The expansion near z = 1 reads zeta(s - 11); below s = -4 that
+        # leaves zeta's range, and the error names s and z, not s - 11.
+        with pytest.raises(ValueError, match="s >= -4") as err:
+            polylog(-4.5, 1.0 - 1e-6)
+        assert "-4.5" in str(err.value) and "-15.5" not in str(err.value)
+
+    def test_near_one_at_the_edge_of_the_domain(self):
+        z = 1.0 - 1e-6
+        assert polylog(-3.5, z) == pytest.approx(float(mpmath.polylog(-3.5, z)), rel=1e-10)
+
 
 class TestLatticeGeometry:
     def test_c_dim_values(self):

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
 import dataclasses
+import importlib
 import json
 import os
 import subprocess
@@ -90,6 +91,33 @@ class TestArgumentHandling:
                                 env={**os.environ, "PYTHONPATH": str(src)})
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "False"
+
+    def test_circuit_does_not_load_numpy_ma(self):
+        # np.unique imports numpy.ma (about 8 ms) on first use; the circuit
+        # path dedupes by sorting instead.
+        src = Path(fermion_noise.__file__).resolve().parents[1]
+        probe = ("import io, sys, contextlib, fermion_noise.cli as cli\n"
+                 "with contextlib.redirect_stdout(io.StringIO()):\n"
+                 "    code = cli.main(['circuit', '--L', '16', '--depth', '2'])\n"
+                 "print(code, 'numpy.ma' in sys.modules)")
+        result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                                env={**os.environ, "PYTHONPATH": str(src)})
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "0 False"
+
+
+class TestConsoleScript:
+    def test_declared_entry_point_runs(self, tmp_path):
+        # pyproject.toml's [project.scripts] target, called as the installed
+        # console script calls it.
+        tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        target = tomllib.loads(pyproject.read_text())["project"]["scripts"]["fermion-noise"]
+        module, func = target.split(":")
+        main = getattr(importlib.import_module(module), func)
+        out = tmp_path / "table.csv"
+        assert main(["encoding-compare", "--L", "2", "--out", str(out)]) == 0
+        assert out.read_text().startswith("encoding,n_modes,weight,error\n")
 
 
 class TestConfigFiles:

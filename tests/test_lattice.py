@@ -1,5 +1,7 @@
 """Lattice geometry, Majorana indexing, snake ordering, momentum grids."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,6 @@ from fermion_noise import (
     parity_of,
     snake_index,
     snake_index_vector,
-    torus_distance,
 )
 
 
@@ -61,24 +62,23 @@ class TestLatticeBasics:
 
 
 class TestDistances:
-    def test_torus_distance_values(self):
-        assert torus_distance(0, 3, 8) == 3
-        assert torus_distance(0, 5, 8) == 3  # wraps around
-        assert torus_distance((0, 0), (3, 3), 4) == 2
-        assert torus_distance((1, 1), (1, 1), 4) == 0
-
-    def test_torus_distance_symmetry(self, rng):
-        for _ in range(50):
-            a, b = rng.integers(0, 6, size=(2, 2))
-            assert torus_distance(a, b, 6) == torus_distance(b, a, 6)
-
-    def test_distance_matrix_matches_pairwise(self):
+    def test_pair_distance_values(self):
+        assert Lattice(1, 8).pair_distances(np.array([0, 3]))[0, 1] == 3
+        assert Lattice(1, 8).pair_distances(np.array([0, 5]))[0, 1] == 3  # wraps around
         lat = Lattice(2, 4)
-        mat = lat.distance_matrix()
-        assert mat.shape == (16, 16)
-        for i in range(16):
-            for j in range(16):
-                assert mat[i, j] == lat.distance(i, j)
+        sites = [lat.site_index((0, 0)), lat.site_index((3, 3)), lat.site_index((1, 1))]
+        assert lat.pair_distances(np.array(sites)).tolist() == [[0, 2, 2], [2, 0, 4], [2, 4, 0]]
+
+    @pytest.mark.parametrize("dim,length", [(1, 7), (1, 8), (2, 4), (2, 5)])
+    def test_torus_metric_matches_brute_force(self, rng, dim, length):
+        lat = Lattice(dim, length)
+        ref = np.zeros((lat.n_sites, lat.n_sites), dtype=np.int64)
+        for r, q in itertools.product(itertools.product(range(length), repeat=dim), repeat=2):
+            ref[lat.site_index(r), lat.site_index(q)] = sum(
+                min(abs(a - b), length - abs(a - b)) for a, b in zip(r, q))
+        assert np.array_equal(lat.distance_matrix(), ref)
+        idx = rng.choice(lat.n_sites, 5, replace=False)
+        assert np.array_equal(lat.pair_distances(idx), ref[np.ix_(idx, idx)])
 
     def test_max_distance(self):
         # Farthest pair on an even torus sits at L/2 per axis.

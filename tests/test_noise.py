@@ -204,6 +204,58 @@ class TestAttenuationBlock:
             assert np.array_equal(attenuation_block(enc, ch, idx, mode), full[np.ix_(idx, idx)])
 
 
+_SINGLE_PAIR_ENCODINGS = [("local", Lattice(1, 8)), ("local", Lattice(2, 4)),
+                          ("jw1d", Lattice(1, 8)), ("jw2d_snake", Lattice(2, 4)),
+                          ("bravyi_kitaev", Lattice(1, 16))]
+
+
+def _all_pairs(enc):
+    n = enc.lattice.n_majorana
+    return [(a, b) for a in range(n) for b in range(n) if a != b]
+
+
+class TestSinglePairsAreIndexSets:
+    """A query on one bilinear is the index-set query at ``[a, b]``, bit for bit."""
+
+    @pytest.mark.parametrize("kind,lat", _SINGLE_PAIR_ENCODINGS)
+    @pytest.mark.parametrize("mode", ["exact", "worst-case"])
+    @pytest.mark.parametrize("ch", [PauliChannel.depolarizing(0.15),
+                                    PauliChannel(0.2, (0.5, 0.3, 0.2))])
+    def test_pair_attenuation(self, kind, lat, mode, ch):
+        enc = EncodingWeightModel(kind, lat)
+        if kind == "local" and mode == "exact" and not ch.is_depolarizing:
+            with pytest.raises(ValueError, match="worst-case"):
+                pair_attenuation(enc, ch, 0, 1, mode)
+            return
+        for a, b in _all_pairs(enc):
+            assert pair_attenuation(enc, ch, a, b, mode) == \
+                attenuation_block(enc, ch, [a, b], mode)[0, 1], (a, b)
+
+    @pytest.mark.parametrize("kind,lat", _SINGLE_PAIR_ENCODINGS)
+    def test_weight_and_composition(self, kind, lat):
+        enc = EncodingWeightModel(kind, lat)
+        for a, b in _all_pairs(enc):
+            assert enc.bilinear_weight(a, b) == enc.pair_weights([a, b])[0, 1], (a, b)
+            if kind != "local":
+                counts = enc.pair_weights([a, b], counts=True)[:, 0, 1]
+                assert enc.string_composition(a, b) == StringComposition(*counts), (a, b)
+
+    @pytest.mark.parametrize("kind,lat", _SINGLE_PAIR_ENCODINGS)
+    def test_pair_errors(self, kind, lat):
+        enc = EncodingWeightModel(kind, lat)
+        ch = PauliChannel.depolarizing(0.1)
+        n = lat.n_majorana
+        for a, b in [(0, n), (n, 0), (-1, 0)]:
+            with pytest.raises(IndexError):
+                pair_attenuation(enc, ch, a, b)
+            with pytest.raises(IndexError):
+                enc.bilinear_weight(a, b)
+        with pytest.raises(ValueError, match="distinct"):
+            pair_attenuation(enc, ch, 3, 3)
+        with pytest.raises(ValueError, match="distinct"):
+            enc.bilinear_weight(3, 3)
+
+
 class TestNoisyExpectations:
     def test_occupied_site_number_error(self):
         # A filled site read through weight-1 noise: <n> drops to 1 - p/2.

@@ -5,7 +5,7 @@ import types
 import pytest
 
 import fermion_noise
-from fermion_noise import circuits, gaussian, noise
+from fermion_noise import circuits, gaussian, lattice, noise
 
 # Wrappers, aliases and duplicates with one remaining name each.
 DELETED_FUNCTIONS = [
@@ -14,6 +14,7 @@ DELETED_FUNCTIONS = [
     (circuits, "circuit_error_curve"),
     (circuits, "_layer_blocks"),
     (gaussian, "correlation_from_occupied"),
+    (lattice, "torus_distance"),
 ]
 DELETED_METHODS = [
     ("PauliChannel", "depolarizing_attenuation"),
@@ -25,6 +26,7 @@ DELETED_METHODS = [
     ("Lattice", "majorana_index"),
     ("Lattice", "majorana_site"),
     ("Lattice", "majorana_flavor"),
+    ("Lattice", "distance"),
 ]
 # Acceptance-criterion entry points and the dense references tests compare against.
 KEPT = ["measurement_error", "evolve_state", "lightcone_correlation_check", "pair_attenuation",
