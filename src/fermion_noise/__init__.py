@@ -34,7 +34,6 @@ from .gaussian import (
     ModeDiagonalState,
     QuadraticObservable,
     circulant_power_law_state,
-    correlation_from_mode_occupations,
     damped_random_state,
     decay_constant,
     fermi_sea,

@@ -182,7 +182,7 @@ def _layer_damping(circuit: Circuit, channel: Optional[PauliChannel],
         return None
     if enc is None:
         raise ValueError("a noisy circuit needs an encoding weight model")
-    if (enc.lattice.dim, enc.lattice.length) != (circuit.lattice.dim, circuit.lattice.length):
+    if enc.lattice != circuit.lattice:
         raise ValueError("encoding and circuit lattices disagree")
     return lambda idx: attenuation_block(enc, channel, idx, mode)
 

@@ -43,7 +43,7 @@ value per displacement.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Dict, Optional, Tuple, Union
 
 import numpy as np
@@ -226,8 +226,9 @@ class EncodingWeightModel:
 
     # -- the symplectic table ----------------------------------------------
 
+    @cached_property
     def _qubit_order(self) -> np.ndarray:
-        """Qubit of every site under Jordan-Wigner."""
+        """Qubit of every site under Jordan-Wigner, computed once per model."""
         if self.kind == "jw1d":
             return self.lattice.coords[:, 0]
         return snake_index_vector(self.lattice)
@@ -246,7 +247,7 @@ class EncodingWeightModel:
             else:
                 eye = np.eye(n, dtype=np.uint8)
                 x, z = _symplectic_table(eye, eye)
-                rows = (2 * self._qubit_order()[:, None] + np.arange(2)).ravel()
+                rows = (2 * self._qubit_order[:, None] + np.arange(2)).ravel()
                 x, z = x[rows], z[rows]
             x.setflags(write=False)
             z.setflags(write=False)
@@ -310,7 +311,7 @@ class EncodingWeightModel:
         if self.kind == "local":
             w = self.phi0 + self.lattice.pair_distances(sites)
         else:
-            o = self._qubit_order()[sites]
+            o = self._qubit_order[sites]
             w = 1 + np.abs(o[:, None] - o[None, :])
         return w[None, None] if idx is None else w
 

@@ -19,12 +19,12 @@ on request.  An expectation reads the covariance on ``S`` alone
 
 Mode-diagonal states (every Fermi sea, the scaling probes, the circulant
 power-law state) are :class:`ModeDiagonalState`: the momentum grid and the
-occupations ``n(q)``, with the covariance built only when something asks
-for all of it.  ``C(r)`` is one FFT of ``n(q)`` on the ``(2L)^D``
-displacement box; the covariance on an index set is gathered from it, and
-``<n_k>`` and noise-induced ``n_k`` errors are one more FFT for a whole
-grid (:meth:`ModeDiagonalState.occupation_shift`).  The dense covariance
-stays the reference both are tested against.
+occupations ``n(q)``.  ``C(r)`` is one FFT of ``n(q)`` on the ``(2L)^D``
+displacement box; the covariance on an index set, or all of it when asked
+for, is gathered from it, and ``<n_k>`` and noise-induced ``n_k`` errors
+for a whole grid are read off the box by one more FFT
+(:meth:`ModeDiagonalState.occupation_shift`, :meth:`Lattice.box_sum`).  The
+tests check both against plane-wave sums over the modes.
 
 Besides those, the module provides synthetic families used to probe
 correlation-decay premises: Haar-random pure states, their Schur-damped
@@ -271,14 +271,13 @@ class ModeDiagonalState(GaussianState):
 
     Held as the grid and the mode occupations ``n(q)``; the two-point
     function is ``C_xy = C(x - y)`` with ``C(r) = (1/N) sum_q n(q) e^{i q.r}``.
-    The covariance matrix is built from them on first use of :attr:`gamma`
-    and cached, so a state that only meets :meth:`occupation_shift` never
-    holds a ``2N x 2N`` array.  Construction checks ``0 <= n(q) <= 1`` to
-    ``OCCUPATION_SLACK``, the tolerance :func:`correlation_from_mode_occupations`
-    applies when it builds :attr:`gamma`, so a state that constructs also
-    builds.  It is built from a grid and occupations only: the dense
-    constructors :meth:`vacuum` and :meth:`from_correlation_matrix` belong to
-    :class:`GaussianState`.
+    The covariance on an index set is gathered from ``C(r)`` on the box of
+    :meth:`Lattice.displacement_box`, and so is the whole covariance on first
+    use of :attr:`gamma`, then cached: a state that only meets
+    :meth:`occupation_shift` never holds a ``2N x 2N`` array.  Construction
+    checks ``0 <= n(q) <= 1`` to ``OCCUPATION_SLACK``.  It is built from a
+    grid and occupations only: the dense constructors :meth:`vacuum` and
+    :meth:`from_correlation_matrix` belong to :class:`GaussianState`.
     """
 
     def __init__(self, grid: MomentumGrid, occupations: np.ndarray):
@@ -318,7 +317,7 @@ class ModeDiagonalState(GaussianState):
         return self._gamma
 
     def _build_gamma(self) -> np.ndarray:
-        corr = correlation_from_mode_occupations(self.grid, self.occupations)
+        corr = self._correlation(np.arange(self.n_sites))
         return GaussianState.from_correlation_matrix(self.lattice, corr, validate=False).gamma
 
     def _conj_correlation_box(self) -> np.ndarray:
@@ -337,6 +336,11 @@ class ModeDiagonalState(GaussianState):
             self._box.setflags(write=False)
         return self._box
 
+    def _correlation(self, sites: np.ndarray) -> np.ndarray:
+        """``C_xy = C(x - y)`` for every pair of ``sites``, gathered from the box."""
+        corr = self._conj_correlation_box().ravel()[self.lattice.displacement_index(sites)]
+        return np.conj(corr, out=corr)
+
     def covariance_block(self, idx: np.ndarray) -> np.ndarray:
         """The covariance on a Majorana index set, gathered from ``C(r)``.
 
@@ -345,11 +349,8 @@ class ModeDiagonalState(GaussianState):
         between flavors 1 and 2 (``-`` for a flavor-2 row), with ``C_xy = C(x - y)``.
         """
         idx = np.asarray(idx)
-        lat = self.lattice
         sites, flavor = idx // 2, idx % 2
-        coords = lat.coords[sites]
-        disp = (coords[:, None, :] - coords[None, :, :]) % (2 * lat.length)
-        corr = np.conj(self._conj_correlation_box()[tuple(np.moveaxis(disp, -1, 0))])
+        corr = self._correlation(sites)
         cross = 2.0 * corr.real - (sites[:, None] == sites[None, :])
         sign = np.where(flavor[:, None] < flavor[None, :], 1.0, -1.0)
         return np.where(flavor[:, None] == flavor[None, :], -2.0 * corr.imag, sign * cross)
@@ -368,36 +369,14 @@ class ModeDiagonalState(GaussianState):
         :meth:`Lattice.displacement_box`; ``momenta`` has one row per momentum.
 
         The pair sum is a sum over displacements weighted by their
-        multiplicity ``prod_i (L - |r_i|)``.  On the box of period ``2L`` a
-        grid momentum ``2 pi m / L`` is the integer frequency ``2m``, so
-        ``conj C`` is one FFT of ``n(q)`` placed there, every momentum with
-        ``k L / pi`` an integer is read off one more FFT of the summand, and
-        other momenta take the direct ``O(N)`` sum.
+        multiplicity ``prod_i (L - |r_i|)``, read off the box by :meth:`Lattice.box_sum`.
         """
         lat = self.lattice
-        momenta = np.asarray(momenta, dtype=float)
-        if momenta.ndim != 2 or momenta.shape[1] != lat.dim:
-            raise ValueError(f"momenta must have shape (n, {lat.dim}), got {momenta.shape}")
-        period = 2 * lat.length
         axes = lat.displacement_box()
         summand = self._conj_correlation_box().copy()
         summand[(0,) * lat.dim] -= 0.5
         summand *= drop * math.prod(lat.length - np.abs(r) for r in axes) / lat.n_sites
-        freq = momenta * (lat.length / np.pi)
-        index = np.rint(freq)
-        on_box = np.all(np.abs(freq - index) <= 1e-12 * np.maximum(1.0, np.abs(freq)), axis=1)
-        out = np.empty(len(momenta))
-        if on_box.any():
-            table = np.fft.ifftn(summand, norm="forward")  # sum_r S(r) e^{2 pi i j.r / 2L}
-            out[on_box] = table[tuple((index[on_box].astype(np.int64) % period).T)].real
-        if not on_box.all():
-            off = momenta[~on_box]
-            phases = [np.exp(1j * np.multiply.outer(k, r.ravel())) for k, r in zip(off.T, axes)]
-            vals = phases[0] @ summand.reshape(period, -1)
-            if lat.dim == 2:
-                vals = np.sum(vals * phases[1], axis=1)
-            out[~on_box] = vals.reshape(-1).real
-        return out
+        return lat.box_sum(summand, momenta)
 
     def __repr__(self) -> str:
         return (f"ModeDiagonalState({self.lattice!r}, parity={self.grid.parity!r}, "
@@ -439,27 +418,6 @@ def occupied_modes(grid: MomentumGrid, n_occ: int,
     keys = tuple(grid.m_vectors[:, d] for d in reversed(range(dim))) + (energies,)
     order = np.lexsort(keys)
     return np.sort(order[:n_occ])
-
-
-def correlation_from_mode_occupations(grid: MomentumGrid,
-                                      occupations: np.ndarray) -> np.ndarray:
-    """Two-point function of a mode-diagonal ensemble with fillings in [0, 1].
-
-    ``C_xy = (1/N) sum_q n(q) e^{i q.(x - y)}``, summed over the modes with
-    ``n(q) != 0`` (a half-filled sea costs what its filled modes cost); a
-    sharp Fermi sea is the 0/1 case.
-    """
-    n = np.asarray(occupations, dtype=float)
-    n_modes = grid.momenta.shape[0]
-    if n.shape != (n_modes,):
-        raise ValueError(f"occupations must have shape ({n_modes},), got {n.shape}")
-    if np.any(n < -OCCUPATION_SLACK) or np.any(n > 1 + OCCUPATION_SLACK):
-        raise ValueError("mode occupations must lie in [0, 1]")
-    lat = grid.lattice
-    filled = np.flatnonzero(n)
-    phases = lat.coords @ grid.momenta[filled].T
-    phi = np.exp(1j * phases) / np.sqrt(lat.n_sites)
-    return (phi * n[filled]) @ np.conj(phi).T
 
 
 def fermi_sea(grid: MomentumGrid, n_occ: int,

@@ -44,9 +44,9 @@ class Lattice:
 
     def __init__(self, dim: int, length: int):
         if dim not in (1, 2):
-            raise ValueError(f"dim must be 1 or 2, got {dim}")
-        if length < 1:
-            raise ValueError(f"length must be >= 1, got {length}")
+            raise ValueError(f"dim must be 1 or 2, got {dim!r}")
+        if int(length) != length or length < 1:
+            raise ValueError(f"length must be an integer >= 1, got {length!r}")
         self.dim = int(dim)
         self.length = int(length)
         self.n_sites = self.length ** self.dim
@@ -113,6 +113,48 @@ class Lattice:
         period = 2 * self.length
         r = (np.arange(period) + self.length) % period - self.length
         return tuple(r.reshape((-1,) + (1,) * (self.dim - 1 - i)) for i in range(self.dim))
+
+    def displacement_index(self, sites: np.ndarray) -> np.ndarray:
+        """Flat index into a raveled box array of ``x_s - x_t``, for every pair of ``sites``."""
+        period = 2 * self.length
+        index = 0
+        for axis in self.coords[sites].T:
+            index = index * period + (axis[:, None] - axis[None, :]) % period
+        return index
+
+    def box_sum(self, box: np.ndarray, momenta: np.ndarray) -> np.ndarray:
+        """``Re sum_r box[r] e^{i k.r}`` for every row ``k`` of ``momenta``.
+
+        ``box`` is a box array of :meth:`displacement_box`.  Momenta with
+        ``k L / pi`` an integer are integer frequencies of the box and are read
+        off one FFT of it; the others take the direct sum over the box.
+        """
+        momenta = np.asarray(momenta, dtype=float)
+        if momenta.ndim != 2 or momenta.shape[1] != self.dim:
+            raise ValueError(f"momenta must have {self.dim} columns, got shape {momenta.shape}")
+        period = 2 * self.length
+        freq = momenta * (self.length / np.pi)
+        index = np.rint(freq)
+        on_box = np.all(np.abs(freq - index) <= 1e-12 * np.maximum(1.0, np.abs(freq)), axis=1)
+        out = np.empty(len(momenta))
+        if on_box.any():
+            table = np.fft.ifftn(box, norm="forward")  # sum_r box(r) e^{2 pi i j.r / 2L}
+            out[on_box] = table[tuple((index[on_box].astype(np.int64) % period).T)].real
+        if not on_box.all():
+            off = momenta[~on_box]
+            phases = [np.exp(1j * np.multiply.outer(k, r.ravel()))
+                      for k, r in zip(off.T, self.displacement_box())]
+            vals = phases[0] @ box.reshape(period, -1)
+            if self.dim == 2:
+                vals = np.sum(vals * phases[1], axis=1)
+            out[~on_box] = vals.reshape(-1).real
+        return out
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Lattice) and (self.dim, self.length) == (other.dim, other.length)
+
+    def __hash__(self) -> int:
+        return hash((self.dim, self.length))
 
     def __repr__(self) -> str:
         return f"Lattice(dim={self.dim}, length={self.length})"

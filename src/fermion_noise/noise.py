@@ -31,20 +31,22 @@ contract it with the state's covariance on ``S``
 (:meth:`~fermion_noise.gaussian.GaussianState.covariance_block`), so a
 mode-diagonal state never builds its ``2N x 2N`` covariance.
 
-The momentum error map has two paths.  The spectral one serves a
-:class:`~fermion_noise.gaussian.ModeDiagonalState` (every Fermi sea) when
-the etas agree (any uniform mix, and worst-case mode) and the encoding's
-weight depends on the displacement of the two sites alone: ``local`` and
-``jw1d``.  The drop ``1 - eta**w(r)`` is then a function of ``r``, and the
-whole grid's errors are two FFTs on the ``(2L)^D`` displacement box, with no
-covariance, distance matrix or ``(2N, 2N)`` array.  The dense one contracts
-the covariance flavor blocks with the attenuation blocks and serves
-everything else: ``jw2d_snake`` and ``bravyi_kitaev``, non-uniform mixes in
-exact mode, and general states.  Where both apply they agree to about 1e-15.
+The momentum error map has two paths, both read off the ``(2L)^D``
+displacement box by :meth:`~fermion_noise.lattice.Lattice.box_sum`.  The
+spectral one serves a :class:`~fermion_noise.gaussian.ModeDiagonalState`
+(every Fermi sea) when the etas agree (any uniform mix, and worst-case mode)
+and the encoding's weight depends on the displacement of the two sites
+alone: ``local`` and ``jw1d``.  The drop ``1 - eta**w(r)`` is then a function
+of ``r``, and the whole grid's errors are two FFTs on the box, with no
+covariance, distance matrix or ``(2N, 2N)`` array.  The dense one folds the
+covariance flavor blocks times the drops onto the box and serves everything
+else: ``jw2d_snake`` and ``bravyi_kitaev``, non-uniform mixes in exact mode,
+and general states.  Where both apply they agree to about 1e-15.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -150,7 +152,7 @@ def attenuation_matrix(enc: EncodingWeightModel, channel: PauliChannel,
 
 
 def _check_lattices(enc: EncodingWeightModel, state: GaussianState) -> None:
-    if (enc.lattice.dim, enc.lattice.length) != (state.lattice.dim, state.lattice.length):
+    if enc.lattice != state.lattice:
         raise ValueError("encoding and state lattices disagree")
 
 
@@ -187,15 +189,13 @@ def momentum_error_map(state: GaussianState, enc: EncodingWeightModel,
     Dense path, for every other state, encoding, mode and mix: with the
     covariance flavor blocks ``G_fg = Gamma[f::2, g::2]`` and the drops
     ``D_fg = 1 - lambda_fg`` broadcast from the encoding's block shape, the
-    error is ``Re(phi T phi^dag) / (4N)`` with
-    ``T = (D01 o G01 - D10 o G10) + i (D00 o G00 + D11 o G11)`` and
-    ``phi[k, s] = exp(i k . r_s)``.
+    error is ``Re sum_st e^{i k.(r_s - r_t)} T_st / (4N)`` with
+    ``T = (D01 o G01 - D10 o G10) + i (D00 o G00 + D11 o G11)``, folded onto
+    the box by ``r_s - r_t`` and read off it as on the spectral path.
     """
     _check_lattices(enc, state)
     lat = state.lattice
     momenta = np.atleast_2d(np.asarray(momenta, dtype=float))
-    if momenta.shape[1] != lat.dim:
-        raise ValueError(f"momenta must have {lat.dim} columns, got {momenta.shape}")
     etas = _mode_etas(channel, mode)
     if isinstance(state, ModeDiagonalState) and etas[0] == etas[1] == etas[2]:
         weights = enc.displacement_weights()
@@ -204,9 +204,15 @@ def momentum_error_map(state: GaussianState, enc: EncodingWeightModel,
     n = lat.n_sites
     drop = np.broadcast_to(1.0 - _attenuation(enc, channel, mode), (2, 2, n, n))
     g = state.gamma
-    t_mat = np.empty((n, n), dtype=complex)
-    t_mat.real = drop[0, 1] * g[0::2, 1::2] - drop[1, 0] * g[1::2, 0::2]
-    t_mat.imag = drop[0, 0] * g[0::2, 0::2] + drop[1, 1] * g[1::2, 1::2]
-    phi = np.exp(1j * (momenta @ lat.coords.T))
-    vals = np.sum((phi @ t_mat) * phi.conj(), axis=1)
-    return vals.real / (4.0 * n)
+    t_real = drop[0, 1] * g[0::2, 1::2] - drop[1, 0] * g[1::2, 0::2]
+    t_imag = drop[0, 0] * g[0::2, 0::2] + drop[1, 1] * g[1::2, 1::2]
+    # Fold T onto the box by displacement in blocks of isqrt(N) rows, then add the blocks;
+    # one bincount adds the N alike terms of a diagonal in sequence and loses a digit.
+    size = (2 * lat.length) ** lat.dim
+    block = np.arange(n) // math.isqrt(n)
+    key = lat.displacement_index(np.arange(n))
+    key += block[:, None] * size
+    real, imag = (np.bincount(key.ravel(), t.ravel(), (block[-1] + 1) * size)
+                  .reshape(-1, size).sum(axis=0) for t in (t_real, t_imag))
+    box = (real + 1j * imag).reshape((2 * lat.length,) * lat.dim)
+    return lat.box_sum(box, momenta) / (4.0 * n)

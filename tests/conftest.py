@@ -42,6 +42,19 @@ def random_gaussian_state(lattice, rng):
     return GaussianState.from_correlation_matrix(lattice, corr)
 
 
+def plane_wave_correlation(grid, occupations):
+    """``C_xy = (1/N) sum_q n(q) e^{i q.(x - y)}`` as a product of plane-wave matrices."""
+    lat = grid.lattice
+    phi = np.exp(1j * (lat.coords @ grid.momenta.T)) / np.sqrt(lat.n_sites)
+    return (phi * occupations) @ phi.conj().T
+
+
+def plane_wave_pair_sum(lattice, pairs, momenta):
+    """``Re sum_{s,t} e^{i k.(r_s - r_t)} pairs[s, t]`` per momentum, by plane-wave matrices."""
+    phi = np.exp(1j * (np.asarray(momenta) @ lattice.coords.T))
+    return np.sum((phi @ pairs) * phi.conj(), axis=1).real
+
+
 def correlation_of(state):
     """Extract the complex <c^dag c> matrix back out of a covariance matrix."""
     g = state.gamma

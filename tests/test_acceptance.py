@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm, logm
 
-from conftest import SEED, dense_rotation, random_normalized_observable
+from conftest import SEED, dense_rotation, plane_wave_correlation, random_normalized_observable
 from fermion_noise import (
     EncodingWeightModel,
     GaussianState,
@@ -26,7 +26,6 @@ from fermion_noise import (
     brickwork_circuit,
     circuit_expectation,
     circulant_power_law_state,
-    correlation_from_mode_occupations,
     damped_random_state,
     decay_constant,
     evolve_state,
@@ -448,7 +447,7 @@ def test_criterion_09_surface_error_formulas():
     filled = np.zeros(len(grid))
     filled[occ] = 1.0
     state = GaussianState.from_correlation_matrix(
-        lat, correlation_from_mode_occupations(grid, filled), validate=False)
+        lat, plane_wave_correlation(grid, filled), validate=False)
     enc = EncodingWeightModel("local", lat, phi0=phi0)
     occ_m = np.rint(grid.momenta[occ] * side / (2 * np.pi)).astype(int)
     probes_m = [(2, 0), (1, 1), (3, 2), (0, 0)]

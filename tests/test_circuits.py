@@ -263,9 +263,12 @@ class TestEvolution:
         circ = brickwork_circuit(lat, 1, rng=np.random.default_rng(2))
         with pytest.raises(ValueError, match="encoding"):
             evolve_state(state, circ, PauliChannel.depolarizing(0.1))
-        other = EncodingWeightModel("jw1d", Lattice(1, 6))
-        with pytest.raises(ValueError, match="disagree"):
-            evolve_state(state, circ, PauliChannel.depolarizing(0.1), other)
+        for other in (Lattice(1, 6), Lattice(2, 2)):
+            with pytest.raises(ValueError, match="disagree"):
+                evolve_state(state, circ, PauliChannel.depolarizing(0.1),
+                             EncodingWeightModel("local", other))
+        evolve_state(state, circ, PauliChannel.depolarizing(0.1),
+                     EncodingWeightModel("jw1d", Lattice(1, 4)))  # an equal lattice
 
     def test_schroedinger_heisenberg_duality(self, rng):
         lat = Lattice(1, 6)

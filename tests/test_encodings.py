@@ -7,6 +7,7 @@ from typing import Set, Tuple
 import numpy as np
 import pytest
 
+import fermion_noise.encodings as encodings_module
 from conftest import table_bits, table_strings
 from fermion_noise import (
     EncodingWeightModel,
@@ -276,6 +277,20 @@ class TestSnakeWeights:
     def test_largest_weight_spans_the_whole_snake(self):
         enc = EncodingWeightModel("jw2d_snake", Lattice(2, 4))
         assert enc.pair_weights().max() == 16  # 1 + (16 - 1)
+
+    def test_snake_order_is_built_once_per_model(self, monkeypatch):
+        calls = []
+
+        def counted(lat):
+            calls.append(lat)
+            return snake_index_vector(lat)
+
+        monkeypatch.setattr(encodings_module, "snake_index_vector", counted)
+        enc = EncodingWeightModel("jw2d_snake", Lattice(2, 6))
+        for a, b in [(0, 5), (3, 40), (71, 2), (10, 11), (0, 5)]:
+            enc.bilinear_weight(a, b)
+        enc.pauli_table()
+        assert len(calls) == 1
 
 
 class TestBravyiKitaev:

@@ -6,6 +6,7 @@ import pytest
 from conftest import (
     assert_close,
     correlation_of,
+    plane_wave_correlation,
     random_correlation,
     random_normalized_observable,
 )
@@ -16,7 +17,6 @@ from fermion_noise import (
     ModeDiagonalState,
     QuadraticObservable,
     circulant_power_law_state,
-    correlation_from_mode_occupations,
     damped_random_state,
     decay_constant,
     fermi_sea,
@@ -255,18 +255,11 @@ class TestModeOccupationStates:
         lat = Lattice(1, 8)
         grid = momentum_grid(lat, "even")
         fillings = rng.uniform(0.0, 1.0, size=8)
-        corr = correlation_from_mode_occupations(grid, fillings)
+        corr = plane_wave_correlation(grid, fillings)
         state = GaussianState.from_correlation_matrix(lat, corr)
         for j, k in enumerate(grid.momenta):
             assert momentum_occupation(state, k) == pytest.approx(fillings[j], abs=1e-10)
         assert state.particle_number() == pytest.approx(fillings.sum(), abs=1e-8)
-
-    def test_fillings_validated(self):
-        grid = momentum_grid(Lattice(1, 4), "odd")
-        with pytest.raises(ValueError, match="shape"):
-            correlation_from_mode_occupations(grid, np.zeros(3))
-        with pytest.raises(ValueError, match="0, 1"):
-            correlation_from_mode_occupations(grid, np.array([0.0, 0.5, 1.2, 0.1]))
 
 
 class TestModeDiagonalState:
@@ -276,8 +269,8 @@ class TestModeDiagonalState:
         state = ModeDiagonalState(grid, fillings)
         assert state._gamma is None
         dense = GaussianState.from_correlation_matrix(
-            grid.lattice, correlation_from_mode_occupations(grid, fillings), validate=False)
-        assert np.array_equal(state.gamma, dense.gamma)
+            grid.lattice, plane_wave_correlation(grid, fillings), validate=False)
+        assert_close(state.gamma, dense.gamma, 1e-12, "box gather vs plane waves")
         assert state.gamma is state.gamma
         assert not state.gamma.flags.writeable
 

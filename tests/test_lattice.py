@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+from conftest import assert_close, plane_wave_pair_sum
 from fermion_noise import (
     Lattice,
     momentum_grid,
@@ -28,6 +29,23 @@ class TestLatticeBasics:
     def test_bad_length_rejected(self):
         with pytest.raises(ValueError):
             Lattice(1, 0)
+
+    def test_non_integer_sizes_rejected(self):
+        with pytest.raises(ValueError, match="length .*4.5"):
+            Lattice(1, 4.5)
+        with pytest.raises(ValueError, match="dim .*1.5"):
+            Lattice(1.5, 4)
+        lat = Lattice(np.int64(2), np.int32(4))
+        assert (lat.dim, lat.length, lat.n_sites) == (2, 4, 16)
+        assert type(lat.length) is int
+
+    def test_equality_and_hash_follow_dim_and_length(self):
+        assert Lattice(2, 4) == Lattice(2, 4)
+        assert Lattice(2, 4) != Lattice(2, 5)
+        assert Lattice(2, 4) != Lattice(1, 16)  # same number of sites
+        assert Lattice(1, 4) != (1, 4)
+        assert hash(Lattice(2, 4)) == hash(Lattice(2, 4))
+        assert len({Lattice(2, 4), Lattice(2, 4), Lattice(1, 16)}) == 2
 
     def test_site_index_first_coordinate_fastest(self):
         lat = Lattice(2, 4)
@@ -84,6 +102,40 @@ class TestDistances:
         # Farthest pair on an even torus sits at L/2 per axis.
         assert Lattice(1, 8).distance_matrix().max() == 4
         assert Lattice(2, 6).distance_matrix().max() == 6
+
+
+def fold(lat, pairs):
+    """``sum_{x_s - x_t = r} pairs[s, t]`` on the box, one bincount over all pairs."""
+    index = lat.displacement_index(np.arange(lat.n_sites))
+    box_shape = (2 * lat.length,) * lat.dim
+    return np.bincount(index.ravel(), pairs.ravel(), np.prod(box_shape)).reshape(box_shape)
+
+
+class TestDisplacementBox:
+    @pytest.mark.parametrize("dim,length", [(1, 7), (1, 8), (2, 3), (2, 4)])
+    def test_gather_reads_the_displacement_of_every_pair(self, rng, dim, length):
+        lat = Lattice(dim, length)
+        period = 2 * length
+        box = rng.normal(size=(period,) * dim)
+        sites = rng.permutation(lat.n_sites)
+        gathered = box.ravel()[lat.displacement_index(sites)]
+        for i, s in enumerate(sites):
+            for j, t in enumerate(sites):
+                assert gathered[i, j] == box[tuple((lat.coords[s] - lat.coords[t]) % period)]
+
+    @pytest.mark.parametrize("dim,length", [(1, 7), (1, 8), (2, 3), (2, 4)])
+    def test_box_sum_of_the_fold_is_the_plane_wave_pair_sum(self, rng, dim, length):
+        lat = Lattice(dim, length)
+        pairs = rng.normal(size=(lat.n_sites,) * 2)
+        on_box = np.pi / length * rng.integers(-3 * length, 3 * length, size=(8, dim))
+        momenta = np.concatenate([on_box, rng.uniform(-4.0, 4.0, size=(8, dim))])
+        assert_close(lat.box_sum(fold(lat, pairs), momenta),
+                     plane_wave_pair_sum(lat, pairs, momenta), 1e-12, f"{dim}D L={length}")
+
+    def test_box_sum_validates_momenta(self):
+        lat = Lattice(2, 4)
+        with pytest.raises(ValueError, match="columns"):
+            lat.box_sum(np.zeros((8, 8)), np.zeros((3, 1)))
 
 
 class TestSnakeOrdering:

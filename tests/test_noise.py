@@ -326,6 +326,7 @@ class TestNoisyExpectations:
         for lat in (Lattice(1, 8), Lattice(2, 4)):
             with pytest.raises(ValueError, match="disagree"):
                 measure(state, obs, EncodingWeightModel("local", lat), ch)
+        measure(state, obs, EncodingWeightModel("local", Lattice(1, 16)), ch)  # an equal lattice
 
 
 class TestSensitivity:
@@ -472,15 +473,18 @@ class TestMomentumErrorMapReference:
         ref = [per_momentum_error(state, enc, ch, k, mode) for k in momenta]
         assert_close(errors, ref, 1e-12, f"{kind} {mode} {alphas}")
 
-    def test_two_dimensional_snake_matches(self, rng):
+    @pytest.mark.parametrize("kind", ["jw2d_snake", "bravyi_kitaev"])
+    def test_two_dimensional_snake_matches(self, rng, kind):
+        # Off-grid momenta take the direct sum over the folded box.
         lat = Lattice(2, 4)
         state = random_pure_state(lat, rng)
-        enc = EncodingWeightModel("jw2d_snake", lat)
+        enc = EncodingWeightModel(kind, lat)
         ch = PauliChannel(0.2, alphas=(0.2, 0.2, 0.6))
-        momenta = momentum_grid(lat, "odd").momenta
+        momenta = np.concatenate([momentum_grid(lat, "odd").momenta,
+                                  [[0.3, -1.1], [2.0, 0.7], [np.pi / 4, 0.5]]])
         errors = momentum_error_map(state, enc, ch, momenta)
         ref = [per_momentum_error(state, enc, ch, k, "exact") for k in momenta]
-        assert_close(errors, ref, 1e-12, "snake anisotropic")
+        assert_close(errors, ref, 1e-12, f"{kind} anisotropic")
 
     def test_weight_only_model_needs_worst_case_for_a_non_uniform_mix(self):
         lat = Lattice(1, 4)

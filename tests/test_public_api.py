@@ -14,6 +14,7 @@ DELETED_FUNCTIONS = [
     (circuits, "circuit_error_curve"),
     (circuits, "_layer_blocks"),
     (gaussian, "correlation_from_occupied"),
+    (gaussian, "correlation_from_mode_occupations"),
     (lattice, "torus_distance"),
 ]
 DELETED_METHODS = [
