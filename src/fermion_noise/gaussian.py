@@ -20,11 +20,11 @@ on request.  An expectation reads the covariance on ``S`` alone
 Mode-diagonal states (every Fermi sea, the scaling probes, the circulant
 power-law state) are :class:`ModeDiagonalState`: the momentum grid and the
 occupations ``n(q)``.  ``C(r)`` is one FFT of ``n(q)`` on the ``(2L)^D``
-displacement box; the covariance on an index set, or all of it when asked
-for, is gathered from it, and ``<n_k>`` and noise-induced ``n_k`` errors
-for a whole grid are read off the box by one more FFT
-(:meth:`ModeDiagonalState.occupation_shift`, :meth:`Lattice.box_sum`).  The
-tests check both against plane-wave sums over the modes.
+displacement box; the covariance on an index set is gathered from it, and
+``<n_k>`` and noise-induced ``n_k`` errors for a whole grid are read off the
+box by one more FFT (:meth:`ModeDiagonalState.occupation_shift`,
+:meth:`Lattice.box_sum`).  The whole covariance is only a test reference.
+The tests check both against plane-wave sums over the modes.
 
 Besides those, the module provides synthetic families used to probe
 correlation-decay premises: Haar-random pure states, their Schur-damped
@@ -35,7 +35,6 @@ envelope.
 
 from __future__ import annotations
 
-import math
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -177,6 +176,22 @@ class QuadraticObservable:
         return f"QuadraticObservable(offset={self.offset}, nnz={nnz})"
 
 
+def _covariance(corr: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Covariance on the Majorana index set ``idx`` of a number-conserving state.
+
+    ``corr[i, j] = C_xy = <c_x^dag c_y>`` for the sites ``x = idx[i] // 2``
+    and ``y = idx[j] // 2``.  ``Gamma`` is ``-2 Im C`` between equal flavors
+    and ``+-(2 Re C - delta_xy)`` between flavors 1 and 2 (``-`` for a
+    flavor-2 row).
+    """
+    sites, flavor = idx // 2, idx % 2
+    gamma = 2.0 * corr.real
+    gamma -= sites[:, None] == sites[None, :]
+    np.negative(gamma, out=gamma, where=flavor[:, None] > flavor[None, :])
+    np.multiply(corr.imag, -2.0, out=gamma, where=flavor[:, None] == flavor[None, :])
+    return gamma
+
+
 class GaussianState:
     """A fermionic Gaussian state held as its Majorana covariance matrix."""
 
@@ -215,7 +230,8 @@ class GaussianState:
         """State of a number-conserving ensemble with ``C_xy = <c_x^dag c_y>``.
 
         The covariance blocks are ``Gamma^{11} = Gamma^{22} = -2 Im C`` and
-        ``Gamma^{12} = 2 Re C - 1`` (flavor 1 row, flavor 2 column).
+        ``Gamma^{12} = -Gamma^{21} = 2 Re C - 1`` (flavor 1 row, flavor 2
+        column), by :func:`_covariance`.
         """
         c = np.asarray(corr, dtype=complex)
         n_sites = lattice.n_sites
@@ -223,14 +239,8 @@ class GaussianState:
             raise ValueError(f"correlation matrix must be ({n_sites}, {n_sites}), got {c.shape}")
         if validate and not np.allclose(c, c.conj().T, atol=1e-10):
             raise ValueError("correlation matrix must be Hermitian")
-        same = -2.0 * c.imag
-        cross = 2.0 * c.real - np.eye(n_sites)
-        gamma = np.zeros((2 * n_sites, 2 * n_sites))
-        gamma[0::2, 0::2] = same
-        gamma[1::2, 1::2] = same
-        gamma[0::2, 1::2] = cross
-        gamma[1::2, 0::2] = -cross.T
-        return cls(lattice, gamma, validate=validate)
+        idx = np.arange(lattice.n_majorana)
+        return cls(lattice, _covariance(c[np.ix_(idx // 2, idx // 2)], idx), validate=validate)
 
     # -- accessors ------------------------------------------------------
 
@@ -272,12 +282,14 @@ class ModeDiagonalState(GaussianState):
     Held as the grid and the mode occupations ``n(q)``; the two-point
     function is ``C_xy = C(x - y)`` with ``C(r) = (1/N) sum_q n(q) e^{i q.r}``.
     The covariance on an index set is gathered from ``C(r)`` on the box of
-    :meth:`Lattice.displacement_box`, and so is the whole covariance on first
-    use of :attr:`gamma`, then cached: a state that only meets
-    :meth:`occupation_shift` never holds a ``2N x 2N`` array.  Construction
-    checks ``0 <= n(q) <= 1`` to ``OCCUPATION_SLACK``.  It is built from a
-    grid and occupations only: the dense constructors :meth:`vacuum` and
-    :meth:`from_correlation_matrix` belong to :class:`GaussianState`.
+    :meth:`Lattice.displacement_box`, and noise-induced ``n_k`` errors are
+    weighted box sums of ``C(r)`` (:meth:`occupation_shift`) for every
+    encoding, mode and mix.  No production path reads the whole covariance:
+    :attr:`gamma` is a test reference, gathered the same way on first use and
+    cached.  Construction checks ``0 <= n(q) <= 1`` to ``OCCUPATION_SLACK``.
+    It is built from a grid and occupations only: the dense constructors
+    :meth:`vacuum` and :meth:`from_correlation_matrix` belong to
+    :class:`GaussianState`.
     """
 
     def __init__(self, grid: MomentumGrid, occupations: np.ndarray):
@@ -317,8 +329,9 @@ class ModeDiagonalState(GaussianState):
         return self._gamma
 
     def _build_gamma(self) -> np.ndarray:
-        corr = self._correlation(np.arange(self.n_sites))
-        return GaussianState.from_correlation_matrix(self.lattice, corr, validate=False).gamma
+        gamma = self.covariance_block(np.arange(self.lattice.n_majorana))
+        gamma.setflags(write=False)
+        return gamma
 
     def _conj_correlation_box(self) -> np.ndarray:
         """``conj C(r)`` on the box of :meth:`Lattice.displacement_box`, cached.
@@ -336,46 +349,40 @@ class ModeDiagonalState(GaussianState):
             self._box.setflags(write=False)
         return self._box
 
-    def _correlation(self, sites: np.ndarray) -> np.ndarray:
-        """``C_xy = C(x - y)`` for every pair of ``sites``, gathered from the box."""
-        corr = self._conj_correlation_box().ravel()[self.lattice.displacement_index(sites)]
-        return np.conj(corr, out=corr)
-
     def covariance_block(self, idx: np.ndarray) -> np.ndarray:
         """The covariance on a Majorana index set, gathered from ``C(r)``.
 
         Equals ``gamma[np.ix_(idx, idx)]`` without building :attr:`gamma`:
-        ``Gamma`` is ``-2 Im C`` between equal flavors and ``+-(2 Re C - delta)``
-        between flavors 1 and 2 (``-`` for a flavor-2 row), with ``C_xy = C(x - y)``.
+        :func:`_covariance` of ``C_xy = C(x - y)`` on the sites of ``idx``.
         """
         idx = np.asarray(idx)
-        sites, flavor = idx // 2, idx % 2
-        corr = self._correlation(sites)
-        cross = 2.0 * corr.real - (sites[:, None] == sites[None, :])
-        sign = np.where(flavor[:, None] < flavor[None, :], 1.0, -1.0)
-        return np.where(flavor[:, None] == flavor[None, :], -2.0 * corr.imag, sign * cross)
+        corr = self._conj_correlation_box().ravel()[self.lattice.displacement_index(idx // 2)]
+        return _covariance(np.conj(corr, out=corr), idx)
 
     def particle_number(self) -> float:
         """Total mean particle number, ``sum_q n(q)``."""
         return float(self.occupations.sum())
 
-    def occupation_shift(self, drop, momenta: np.ndarray) -> np.ndarray:
-        """``Re sum_{x,y} e^{i k.(x-y)} drop(x-y) [conj C_xy - delta_xy/2] / N`` per momentum.
+    def occupation_shift(self, same: np.ndarray, cross: np.ndarray,
+                         momenta: np.ndarray) -> np.ndarray:
+        """``Re sum_r e^{i k.r} [cross(r) (Re C(r) - delta_r0/2) - i same(r) Im C(r)] / N``.
 
-        The change of ``<n_k>`` when every bilinear between two sites at
-        displacement ``r`` is damped by ``1 - drop(r)``: the noise-induced
-        error of ``n_k`` for the drop ``1 - lambda(r)``, and ``<n_k> - 1/2``
-        for ``drop = 1``.  ``drop`` is a scalar or an array on the box of
-        :meth:`Lattice.displacement_box`; ``momenta`` has one row per momentum.
-
-        The pair sum is a sum over displacements weighted by their
-        multiplicity ``prod_i (L - |r_i|)``, read off the box by :meth:`Lattice.box_sum`.
+        The change of ``<n_k>``, per row ``k`` of ``momenta``, when bilinears
+        are damped by ``1 - drop``.  ``same`` and ``cross`` are box arrays of
+        :meth:`Lattice.displacement_box`: at ``r``, the drops of the
+        equal-flavor and of the cross-flavor bilinears summed over the site
+        pairs at displacement ``r``, each the mean of its two flavor pairs.
+        Since the covariance blocks are ``G00 = G11 = -2 Im C(r)`` and
+        ``G01 = -G10 = 2 Re C(r) - delta``, no other pair sum is needed.  With
+        the drops ``1 - lambda`` this is the noise-induced error of ``n_k``;
+        with :meth:`Lattice.displacement_multiplicity` for both (every drop 1)
+        it is ``<n_k> - 1/2``.
         """
         lat = self.lattice
-        axes = lat.displacement_box()
         summand = self._conj_correlation_box().copy()
         summand[(0,) * lat.dim] -= 0.5
-        summand *= drop * math.prod(lat.length - np.abs(r) for r in axes) / lat.n_sites
+        summand.real *= cross / lat.n_sites
+        summand.imag *= same / lat.n_sites
         return lat.box_sum(summand, momenta)
 
     def __repr__(self) -> str:
@@ -466,7 +473,8 @@ def momentum_occupation(state: GaussianState, k: Sequence[float]) -> float:
     """
     if isinstance(state, ModeDiagonalState):
         k_vec = np.atleast_1d(np.asarray(k, dtype=float))
-        return 0.5 + float(state.occupation_shift(1.0, k_vec[None, :])[0])
+        pairs = state.lattice.displacement_multiplicity()
+        return 0.5 + float(state.occupation_shift(pairs, pairs, k_vec[None, :])[0])
     return state.expectation(QuadraticObservable.momentum_occupation(state.lattice, k))
 
 

@@ -17,8 +17,9 @@ such momentum is the integer frequency ``2m``, whichever the parity.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -114,12 +115,21 @@ class Lattice:
         r = (np.arange(period) + self.length) % period - self.length
         return tuple(r.reshape((-1,) + (1,) * (self.dim - 1 - i)) for i in range(self.dim))
 
-    def displacement_index(self, sites: np.ndarray) -> np.ndarray:
-        """Flat index into a raveled box array of ``x_s - x_t``, for every pair of ``sites``."""
+    def displacement_multiplicity(self) -> np.ndarray:
+        """Number of site pairs at each displacement, ``prod_i (L - |r_i|)``, a box array."""
+        return math.prod(self.length - np.abs(r) for r in self.displacement_box())
+
+    def displacement_index(self, sites: np.ndarray, cols: Optional[np.ndarray] = None
+                           ) -> np.ndarray:
+        """Flat index into a raveled box array of ``x_s - x_t``, for every pair of ``sites``.
+
+        With ``cols``, the rectangle of pairs ``s`` in ``sites``, ``t`` in ``cols``.
+        """
         period = 2 * self.length
+        cols = sites if cols is None else cols
         index = 0
-        for axis in self.coords[sites].T:
-            index = index * period + (axis[:, None] - axis[None, :]) % period
+        for row, col in zip(self.coords[sites].T, self.coords[cols].T):
+            index = index * period + (row[:, None] - col[None, :]) % period
         return index
 
     def box_sum(self, box: np.ndarray, momenta: np.ndarray) -> np.ndarray:

@@ -245,7 +245,9 @@ class TestFermi1dDensePaths:
         assert code == 0
         assert len(out.read_text().splitlines()) == 1 + 5
 
-    def test_bravyi_kitaev_sweep_builds_its_covariance_once(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("mode", ["exact", "worst-case"])
+    @pytest.mark.parametrize("encoding", ["local", "jw1d", "bravyi_kitaev"])
+    def test_sweep_builds_no_covariance(self, tmp_path, monkeypatch, encoding, mode):
         builds = []
         original = ModeDiagonalState._build_gamma
 
@@ -254,10 +256,12 @@ class TestFermi1dDensePaths:
             return original(state)
 
         monkeypatch.setattr(ModeDiagonalState, "_build_gamma", counting)
-        code, _ = run_to_file(tmp_path, "sweep.csv",
-                              ["fermi1d", "--sweep-k", "--encoding", "bravyi_kitaev", "--L", "16"])
+        code, out = run_to_file(tmp_path, "sweep.csv",
+                                ["fermi1d", "--sweep-k", "--encoding", encoding, "--L", "16",
+                                 "--mode", mode])
         assert code == 0
-        assert len(builds) == 1
+        assert builds == []
+        assert len(out.read_text().splitlines()) == 1 + 16
 
 
 class TestFermi2dOutput:
@@ -289,17 +293,24 @@ class TestFermi2dOutput:
         assert code == 0
         assert len(builds) == 0
 
-    def test_never_builds_the_covariance(self, tmp_path, monkeypatch):
-        # The local encoding on a Fermi sea takes the spectral error map: no
-        # 2N x 2N covariance and no N x N distance matrix.
+    @pytest.mark.parametrize("mode", ["exact", "worst-case"])
+    @pytest.mark.parametrize("argv,rows", [
+        (["--L", "40"], 3 * 1600),
+        (["--L", "8", "--n-occ", "21", "--encoding", "jw2d_snake"], 64),
+        (["--L", "8", "--n-occ", "21", "--encoding", "bravyi_kitaev"], 64),
+    ])
+    def test_never_builds_the_covariance(self, tmp_path, monkeypatch, argv, rows, mode):
+        # A Fermi sea's error map sums the drops by displacement and weights
+        # them by C(r), for every encoding and mode: no 2N x 2N covariance and
+        # no N x N distance matrix.
         def refuse(*args):
-            raise AssertionError("dense array built on the spectral path")
+            raise AssertionError("dense array built for a mode-diagonal state")
 
         monkeypatch.setattr(ModeDiagonalState, "_build_gamma", refuse)
         monkeypatch.setattr(Lattice, "distance_matrix", refuse)
-        code, out = run_to_file(tmp_path, "map.csv", ["fermi2d", "--L", "40"])
+        code, out = run_to_file(tmp_path, "map.csv", ["fermi2d", "--mode", mode] + argv)
         assert code == 0
-        assert len(out.read_text().splitlines()) == 1 + 3 * 1600
+        assert len(out.read_text().splitlines()) == 1 + rows
 
 
 class TestEncodingCompareOutput:

@@ -325,7 +325,7 @@ class TestModeDiagonalState:
     def test_occupation_shift_validates_momenta(self):
         state, _, _ = fermi_sea_1d(Lattice(1, 4), 2)
         with pytest.raises(ValueError, match="shape"):
-            state.occupation_shift(1.0, np.array([0.1, 0.2]))
+            state.occupation_shift(1.0, 1.0, np.array([0.1, 0.2]))
 
 
 class TestSupportHeldObservables:

@@ -124,6 +124,16 @@ class TestDisplacementBox:
                 assert gathered[i, j] == box[tuple((lat.coords[s] - lat.coords[t]) % period)]
 
     @pytest.mark.parametrize("dim,length", [(1, 7), (1, 8), (2, 3), (2, 4)])
+    def test_multiplicity_counts_the_pairs_and_rectangles_are_rows(self, rng, dim, length):
+        lat = Lattice(dim, length)
+        ones = np.ones((lat.n_sites,) * 2)
+        assert np.array_equal(lat.displacement_multiplicity(), fold(lat, ones))
+        sites = np.arange(lat.n_sites)
+        rows = rng.permutation(lat.n_sites)[:3]
+        assert np.array_equal(lat.displacement_index(rows, sites),
+                              lat.displacement_index(sites)[rows])
+
+    @pytest.mark.parametrize("dim,length", [(1, 7), (1, 8), (2, 3), (2, 4)])
     def test_box_sum_of_the_fold_is_the_plane_wave_pair_sum(self, rng, dim, length):
         lat = Lattice(dim, length)
         pairs = rng.normal(size=(lat.n_sites,) * 2)

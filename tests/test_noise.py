@@ -450,17 +450,29 @@ def per_momentum_error(state, enc, channel, k, mode):
     return float(np.sum(obs.coefficients * (1.0 - lam) * state.gamma))
 
 
+_KIND_MODE_MIX = [
+    ("local", "exact", None),
+    ("local", "worst-case", None),
+    ("jw1d", "exact", None),
+    ("jw1d", "worst-case", None),
+    ("jw1d", "exact", (0.5, 0.2, 0.3)),
+    ("bravyi_kitaev", "exact", None),
+    ("bravyi_kitaev", "worst-case", None),
+    ("bravyi_kitaev", "exact", (0.1, 0.3, 0.6)),
+]
+_ANISOTROPIC = (0.2, 0.2, 0.6)
+
+
+def _mode_diagonal_cases():
+    """Every kind/mode/mix above and of the 2D test, on each dimension its encoding allows."""
+    extra = [("jw2d_snake", "exact", None), ("jw2d_snake", "worst-case", None),
+             ("jw2d_snake", "exact", _ANISOTROPIC), ("bravyi_kitaev", "exact", _ANISOTROPIC)]
+    return [(kind, mode, alphas, dim) for kind, mode, alphas in _KIND_MODE_MIX + extra
+            for dim in (1, 2) if (kind, dim) not in (("jw1d", 2), ("jw2d_snake", 1))]
+
+
 class TestMomentumErrorMapReference:
-    @pytest.mark.parametrize("kind,mode,alphas", [
-        ("local", "exact", None),
-        ("local", "worst-case", None),
-        ("jw1d", "exact", None),
-        ("jw1d", "worst-case", None),
-        ("jw1d", "exact", (0.5, 0.2, 0.3)),
-        ("bravyi_kitaev", "exact", None),
-        ("bravyi_kitaev", "worst-case", None),
-        ("bravyi_kitaev", "exact", (0.1, 0.3, 0.6)),
-    ])
+    @pytest.mark.parametrize("kind,mode,alphas", _KIND_MODE_MIX)
     def test_matches_the_per_momentum_contraction(self, rng, kind, mode, alphas):
         # A Haar-random pure state has pairing terms, so no flavor block of
         # the covariance is symmetric and every block of T matters.
@@ -479,12 +491,29 @@ class TestMomentumErrorMapReference:
         lat = Lattice(2, 4)
         state = random_pure_state(lat, rng)
         enc = EncodingWeightModel(kind, lat)
-        ch = PauliChannel(0.2, alphas=(0.2, 0.2, 0.6))
+        ch = PauliChannel(0.2, alphas=_ANISOTROPIC)
         momenta = np.concatenate([momentum_grid(lat, "odd").momenta,
                                   [[0.3, -1.1], [2.0, 0.7], [np.pi / 4, 0.5]]])
         errors = momentum_error_map(state, enc, ch, momenta)
         ref = [per_momentum_error(state, enc, ch, k, "exact") for k in momenta]
         assert_close(errors, ref, 1e-12, f"{kind} anisotropic")
+
+    @pytest.mark.parametrize("kind,mode,alphas,dim", _mode_diagonal_cases())
+    def test_mode_diagonal_state_matches_the_per_momentum_contraction(self, rng, kind, mode,
+                                                                      alphas, dim):
+        # Random n(q): the drops are summed by displacement and weighted by
+        # C(r), on the state's grid, on the other parity's grid and off both.
+        lat = Lattice(dim, 8 if dim == 1 else 4)
+        grid = momentum_grid(lat, "even")
+        state = ModeDiagonalState(grid, rng.uniform(0.0, 1.0, size=lat.n_sites))
+        enc = EncodingWeightModel(kind, lat, phi0=1)
+        ch = PauliChannel(0.2, alphas=alphas) if alphas else PauliChannel.depolarizing(0.2)
+        momenta = np.concatenate([grid.momenta, momentum_grid(lat, "odd").momenta,
+                                  rng.uniform(-4.0, 4.0, (3, dim))])
+        errors = momentum_error_map(state, enc, ch, momenta, mode)
+        assert state._gamma is None
+        ref = [per_momentum_error(state, enc, ch, k, mode) for k in momenta]
+        assert_close(errors, ref, 1e-12, f"{kind} {mode} {alphas} {dim}D")
 
     def test_weight_only_model_needs_worst_case_for_a_non_uniform_mix(self):
         lat = Lattice(1, 4)
@@ -538,8 +567,7 @@ class TestSpectralErrorMap:
         ("bravyi_kitaev", 2, 4, None),
         ("jw1d", 1, 8, (0.5, 0.2, 0.3)),
     ])
-    def test_other_encodings_and_mixes_take_the_dense_path(self, rng, kind, dim, length,
-                                                            alphas):
+    def test_other_encodings_and_mixes_fold_their_drops(self, rng, kind, dim, length, alphas):
         lat = Lattice(dim, length)
         grid = momentum_grid(lat, "odd")
         state = ModeDiagonalState(grid, rng.uniform(0.0, 1.0, size=lat.n_sites))
@@ -547,9 +575,11 @@ class TestSpectralErrorMap:
         channel = PauliChannel(0.2, alphas=alphas) if alphas else PauliChannel.depolarizing(0.2)
         momenta = np.concatenate([grid.momenta, [[0.3] * dim]])
         errors = momentum_error_map(state, enc, channel, momenta)
-        assert state._gamma is not None
-        assert np.array_equal(errors, momentum_error_map(_dense_twin(state), enc, channel,
-                                                         momenta))
+        assert state._gamma is None
+        # The drops are summed over pairs before the C(r) weights, the twin's
+        # T after them: the same sum in another order.
+        assert_close(errors, momentum_error_map(_dense_twin(state), enc, channel, momenta),
+                     1e-12, f"{kind} {dim}D {alphas}")
 
     def test_matches_the_convolution_reference_beyond_dense_reach(self):
         # L = 200 in 2D is N = 40000: a dense covariance would take 51 GB.
