@@ -27,7 +27,6 @@ from .encodings import (
     bk_beta_matrix,
     bk_max_number_operator_weight,
     bk_number_operator_weight_from_beta,
-    interleave_flavors,
 )
 from .gaussian import (
     GaussianState,
@@ -51,7 +50,6 @@ from .noise import (
     P_MAX,
     PauliChannel,
     attenuation_block,
-    attenuation_matrix,
     measurement_error,
     momentum_error_map,
     noisy_expectation,

@@ -15,7 +15,8 @@ Four models are provided:
     Jordan-Wigner is ``beta = I`` over the modes in qubit order (the chain,
     or the boustrophedon "snake" through a 2D lattice); Bravyi-Kitaev uses
     the Fenwick-tree matrix :func:`bk_beta_matrix` (number of modes a power
-    of two).
+    of two), built by a recursive doubling that also gives its GF(2)
+    inverse, one extra bit per doubling.
 
 Every concrete encoding carries one bit-packed symplectic table: per
 Majorana, the x and z bits of its Pauli string over the qubits, in uint64
@@ -25,7 +26,7 @@ of rows ``k < s`` of ``beta^-1``; Majorana ``2s + 1`` adds row ``s`` of
 ``beta^-1`` to z.  A bilinear is the XOR of two rows: its weight is the
 popcount of ``x | z``, its X/Y/Z counts those of ``x & ~z``, ``x & z`` and
 ``~x & z``.  Jordan-Wigner weights, single or all-pairs, keep the closed
-form ``1 + |o(s) - o(t)|`` (``o`` the qubit order) as a fast path.
+form ``1 + |o(s) - o(t)|`` (``o`` the qubit order) as a fast path, in int32.
 
 Weights and counts of every pair of a Majorana index set come from one
 method, :meth:`EncodingWeightModel.pair_weights`.  A circuit's light cone
@@ -79,14 +80,6 @@ _FACTOR_BITS: Dict[str, Callable] = {
 }
 
 
-def interleave_flavors(blocks: np.ndarray) -> np.ndarray:
-    """The ``(2N, 2N)`` Majorana-index matrix of ``(F, F, N, N)`` flavor blocks."""
-    n = blocks.shape[-1]
-    out = np.empty((2 * n, 2 * n), dtype=blocks.dtype)
-    out.reshape(n, 2, n, 2)[...] = blocks.transpose(2, 0, 3, 1)
-    return out
-
-
 def _require_power_of_two(n: int) -> None:
     if n < 1 or n & (n - 1):
         raise ValueError(f"Bravyi-Kitaev requires a power-of-two mode count, got {n}")
@@ -97,6 +90,23 @@ def _require_power_of_two(n: int) -> None:
 # ----------------------------------------------------------------------
 
 
+def _doubling(n_modes: int, link: Callable[[int], Union[int, slice]]) -> np.ndarray:
+    """``M_2m = [[M_m, 0], [K_m, M_m]]`` from ``M_1 = [[1]]`` up to ``n_modes``.
+
+    ``K_m`` is zero but for ones in its last row, at the columns ``link(m)``.
+    """
+    _require_power_of_two(n_modes)
+    mat = np.ones((1, 1), dtype=np.uint8)
+    while len(mat) < n_modes:
+        m = len(mat)
+        grown = np.zeros((2 * m, 2 * m), dtype=np.uint8)
+        grown[:m, :m] = grown[m:, m:] = mat
+        grown[2 * m - 1, link(m)] = 1
+        mat = grown
+    mat.setflags(write=False)
+    return mat
+
+
 @lru_cache(maxsize=None)
 def bk_beta_matrix(n_modes: int) -> np.ndarray:
     """Binary encoder matrix beta with qubit bits ``b = beta n (mod 2)``.
@@ -105,45 +115,19 @@ def bk_beta_matrix(n_modes: int) -> np.ndarray:
     block on the diagonal, and the last qubit of the upper half additionally
     accumulates every mode of the lower half.
     """
-    _require_power_of_two(n_modes)
-    beta = np.array([[1]], dtype=np.uint8)
-    while beta.shape[0] < n_modes:
-        m = beta.shape[0]
-        grown = np.zeros((2 * m, 2 * m), dtype=np.uint8)
-        grown[:m, :m] = beta
-        grown[m:, m:] = beta
-        grown[2 * m - 1, :m] = 1
-        beta = grown
-    out = beta.copy()
-    out.setflags(write=False)
-    return out
-
-
-def _gf2_inverse(mat: np.ndarray) -> np.ndarray:
-    """Inverse of a binary matrix over GF(2) by Gaussian elimination."""
-    n = mat.shape[0]
-    a = (mat % 2).astype(np.uint8)
-    inv = np.eye(n, dtype=np.uint8)
-    for col in range(n):
-        pivot_rows = np.nonzero(a[col:, col])[0]
-        if pivot_rows.size == 0:
-            raise ValueError("matrix is singular over GF(2)")
-        pivot = col + int(pivot_rows[0])
-        if pivot != col:
-            a[[col, pivot]] = a[[pivot, col]]
-            inv[[col, pivot]] = inv[[pivot, col]]
-        rows = np.nonzero(a[:, col])[0]
-        rows = rows[rows != col]
-        a[rows] ^= a[col]
-        inv[rows] ^= inv[col]
-    return inv
+    return _doubling(n_modes, lambda m: slice(m))
 
 
 @lru_cache(maxsize=None)
 def _bk_beta_inverse(n_modes: int) -> np.ndarray:
-    inv = _gf2_inverse(np.asarray(bk_beta_matrix(n_modes)))
-    inv.setflags(write=False)
-    return inv
+    """``beta^-1`` over GF(2), by the doubling of :func:`bk_beta_matrix`.
+
+    With ``B = beta_m`` the corner block of ``beta_2m`` is ``e_(m-1) 1^T``,
+    so that of the inverse is ``B^-1 e_(m-1) 1^T B^-1``.  Column ``m - 1`` of
+    ``B`` is ``e_(m-1)`` and its last row is all ones, so this is
+    ``e_(m-1) e_(m-1)^T``: the single bit ``[2m - 1, m - 1]``.
+    """
+    return _doubling(n_modes, lambda m: m - 1)
 
 
 def bk_number_operator_weight_from_beta(i: int, n_modes: int) -> int:
@@ -310,9 +294,11 @@ class EncodingWeightModel:
         sites = np.arange(n) if idx is None else np.asarray(idx) // 2
         if self.kind == "local":
             w = self.phi0 + self.lattice.pair_distances(sites)
-        else:
-            o = self._qubit_order[sites]
-            w = 1 + np.abs(o[:, None] - o[None, :])
+        else:  # int32 and in place: the N x N weights are at most N + 1
+            o = self._qubit_order[sites].astype(np.int32)
+            w = np.subtract.outer(o, o)
+            np.abs(w, out=w)
+            w += 1
         return w[None, None] if idx is None else w
 
     def displacement_weights(self) -> Optional[np.ndarray]:

@@ -13,9 +13,8 @@ every direction) and the on-site entry ``Gamma[2x, 2x+1]`` equals
 offset plus a real antisymmetric coefficient matrix ``O`` with
 ``<O> = offset + sum_ab O_ab Gamma_ab``, held on their support: the indices
 ``S`` of the nonzero rows and columns and the ``S x S`` block (2 x 2 for a
-site occupation, 4 x 4 for a hopping), with the full matrix scattered only
-on request.  An expectation reads the covariance on ``S`` alone
-(:meth:`GaussianState.covariance_block`).
+site occupation, 4 x 4 for a hopping).  An expectation reads the covariance
+on ``S`` alone (:meth:`GaussianState.covariance_block`).
 
 Mode-diagonal states (every Fermi sea, the scaling probes, the circulant
 power-law state) are :class:`ModeDiagonalState`: the momentum grid and the
@@ -24,7 +23,9 @@ displacement box; the covariance on an index set is gathered from it, and
 ``<n_k>`` and noise-induced ``n_k`` errors for a whole grid are read off the
 box by one more FFT (:meth:`ModeDiagonalState.occupation_shift`,
 :meth:`Lattice.box_sum`).  The whole covariance is only a test reference.
-The tests check both against plane-wave sums over the modes.
+The tests check both against plane-wave sums over the modes, and build the
+dense references (a state from a correlation matrix, an observable's
+``(2N, 2N)`` coefficient matrix) themselves.
 
 Besides those, the module provides synthetic families used to probe
 correlation-decay premises: Haar-random pure states, their Schur-damped
@@ -52,8 +53,7 @@ class QuadraticObservable:
     """Observable ``offset + sum_ab O_ab Gamma_ab`` with O real antisymmetric.
 
     Held on its support: the Majorana indices ``S`` outside of which ``O``
-    is zero, and the ``S x S`` block.  The ``(2N, 2N)`` matrix
-    :attr:`coefficients` is scattered from them on first use.
+    is zero, and the ``S x S`` block.
 
     Parameters
     ----------
@@ -73,14 +73,12 @@ class QuadraticObservable:
                  *, support: Optional[np.ndarray] = None, validate: bool = True):
         block = np.array(coefficients, dtype=float)
         n = lattice.n_majorana
-        dense = None
         if support is None:
             if block.shape != (n, n):
                 raise ValueError(f"coefficient matrix must be ({n}, {n}), got {block.shape}")
             nonzero = block != 0
             support = np.flatnonzero(nonzero.any(axis=0) | nonzero.any(axis=1))
-            dense, block = block, block[np.ix_(support, support)]
-            dense.setflags(write=False)
+            block = block[np.ix_(support, support)]
         else:
             support = np.array(support, dtype=np.int64)
             if support.ndim != 1 or block.shape != (len(support),) * 2:
@@ -98,17 +96,6 @@ class QuadraticObservable:
         self.support = support
         self.block = block
         self.offset = float(offset)
-        self._coefficients = dense
-
-    @property
-    def coefficients(self) -> np.ndarray:
-        """The (read-only) ``(2N, 2N)`` coefficient matrix, built on first use."""
-        if self._coefficients is None:
-            coeffs = np.zeros((self.lattice.n_majorana,) * 2)
-            coeffs[np.ix_(self.support, self.support)] = self.block
-            coeffs.setflags(write=False)
-            self._coefficients = coeffs
-        return self._coefficients
 
     @classmethod
     def number(cls, lattice: Lattice, site: int) -> "QuadraticObservable":
@@ -176,22 +163,6 @@ class QuadraticObservable:
         return f"QuadraticObservable(offset={self.offset}, nnz={nnz})"
 
 
-def _covariance(corr: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """Covariance on the Majorana index set ``idx`` of a number-conserving state.
-
-    ``corr[i, j] = C_xy = <c_x^dag c_y>`` for the sites ``x = idx[i] // 2``
-    and ``y = idx[j] // 2``.  ``Gamma`` is ``-2 Im C`` between equal flavors
-    and ``+-(2 Re C - delta_xy)`` between flavors 1 and 2 (``-`` for a
-    flavor-2 row).
-    """
-    sites, flavor = idx // 2, idx % 2
-    gamma = 2.0 * corr.real
-    gamma -= sites[:, None] == sites[None, :]
-    np.negative(gamma, out=gamma, where=flavor[:, None] > flavor[None, :])
-    np.multiply(corr.imag, -2.0, out=gamma, where=flavor[:, None] == flavor[None, :])
-    return gamma
-
-
 class GaussianState:
     """A fermionic Gaussian state held as its Majorana covariance matrix."""
 
@@ -223,24 +194,6 @@ class GaussianState:
         gamma[2 * idx, 2 * idx + 1] = -1.0
         gamma[2 * idx + 1, 2 * idx] = 1.0
         return cls(lattice, gamma, validate=False)
-
-    @classmethod
-    def from_correlation_matrix(cls, lattice: Lattice, corr: np.ndarray,
-                                *, validate: bool = True) -> "GaussianState":
-        """State of a number-conserving ensemble with ``C_xy = <c_x^dag c_y>``.
-
-        The covariance blocks are ``Gamma^{11} = Gamma^{22} = -2 Im C`` and
-        ``Gamma^{12} = -Gamma^{21} = 2 Re C - 1`` (flavor 1 row, flavor 2
-        column), by :func:`_covariance`.
-        """
-        c = np.asarray(corr, dtype=complex)
-        n_sites = lattice.n_sites
-        if c.shape != (n_sites, n_sites):
-            raise ValueError(f"correlation matrix must be ({n_sites}, {n_sites}), got {c.shape}")
-        if validate and not np.allclose(c, c.conj().T, atol=1e-10):
-            raise ValueError("correlation matrix must be Hermitian")
-        idx = np.arange(lattice.n_majorana)
-        return cls(lattice, _covariance(c[np.ix_(idx // 2, idx // 2)], idx), validate=validate)
 
     # -- accessors ------------------------------------------------------
 
@@ -287,9 +240,8 @@ class ModeDiagonalState(GaussianState):
     encoding, mode and mix.  No production path reads the whole covariance:
     :attr:`gamma` is a test reference, gathered the same way on first use and
     cached.  Construction checks ``0 <= n(q) <= 1`` to ``OCCUPATION_SLACK``.
-    It is built from a grid and occupations only: the dense constructors
-    :meth:`vacuum` and :meth:`from_correlation_matrix` belong to
-    :class:`GaussianState`.
+    It is built from a grid and occupations only: the dense constructor
+    :meth:`vacuum` belongs to :class:`GaussianState`.
     """
 
     def __init__(self, grid: MomentumGrid, occupations: np.ndarray):
@@ -313,13 +265,6 @@ class ModeDiagonalState(GaussianState):
         """Not available: the dense vacuum is :meth:`GaussianState.vacuum`."""
         raise TypeError("ModeDiagonalState is built from a grid and occupations; "
                         "use GaussianState.vacuum")
-
-    @classmethod
-    def from_correlation_matrix(cls, lattice: Lattice, corr: np.ndarray,
-                                *, validate: bool = True) -> "GaussianState":
-        """Not available: see :meth:`GaussianState.from_correlation_matrix`."""
-        raise TypeError("ModeDiagonalState is built from a grid and occupations; "
-                        "use GaussianState.from_correlation_matrix")
 
     @property
     def gamma(self) -> np.ndarray:
@@ -352,12 +297,21 @@ class ModeDiagonalState(GaussianState):
     def covariance_block(self, idx: np.ndarray) -> np.ndarray:
         """The covariance on a Majorana index set, gathered from ``C(r)``.
 
-        Equals ``gamma[np.ix_(idx, idx)]`` without building :attr:`gamma`:
-        :func:`_covariance` of ``C_xy = C(x - y)`` on the sites of ``idx``.
+        Equals ``gamma[np.ix_(idx, idx)]`` without building :attr:`gamma`.
+        With ``C_xy = <c_x^dag c_y> = C(x - y)`` on the sites of ``idx``,
+        ``Gamma`` is ``-2 Im C`` between equal flavors and
+        ``+-(2 Re C - delta_xy)`` between flavors 1 and 2 (``-`` for a
+        flavor-2 row).
         """
         idx = np.asarray(idx)
-        corr = self._conj_correlation_box().ravel()[self.lattice.displacement_index(idx // 2)]
-        return _covariance(np.conj(corr, out=corr), idx)
+        sites, flavor = idx // 2, idx % 2
+        corr = self._conj_correlation_box().ravel()[self.lattice.displacement_index(sites)]
+        np.conj(corr, out=corr)
+        gamma = 2.0 * corr.real
+        gamma -= sites[:, None] == sites[None, :]
+        np.negative(gamma, out=gamma, where=flavor[:, None] > flavor[None, :])
+        np.multiply(corr.imag, -2.0, out=gamma, where=flavor[:, None] == flavor[None, :])
+        return gamma
 
     def particle_number(self) -> float:
         """Total mean particle number, ``sum_q n(q)``."""

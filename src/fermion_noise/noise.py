@@ -20,9 +20,8 @@ etas the formula is ``eta**weight``, the only case the weight-only
 ``local`` model supports.  The same formula serves every pair of a
 Majorana index set (:func:`attenuation_block`), a single bilinear
 (:func:`pair_attenuation`, the index set ``[a, b]``) and all pairs at
-once; those keep the encoding's ``(F, F, N, N)`` flavor-block shape, and
-only :func:`attenuation_matrix`, the dense reference, expands them to
-``(2N, 2N)``.
+once; those keep the encoding's ``(F, F, N, N)`` flavor-block shape and
+are never expanded to ``(2N, 2N)``.
 
 Measurement noise is read on the observable's support, as a circuit's light
 cone is: :func:`noisy_expectation` and :func:`measurement_error` damp the
@@ -41,9 +40,10 @@ built.  When the etas agree (any uniform mix, and worst-case mode), ``local``
 and ``jw1d`` have a drop of displacement alone, and its sum is the drop times
 the pair count: two FFTs for a whole grid, with no ``N x N`` array.
 ``jw2d_snake``, ``bravyi_kitaev`` and non-uniform mixes fold their ``N x N``
-drop blocks row block by row block: ``fermi2d --L 64 --n-occ 1000 --encoding
-jw2d_snake`` takes about 1.3 s and 290 MB on 2 CPUs.  Any other state folds
-its drops times its covariance the same way.
+drop blocks row block by row block, with the drops taken in place of the
+attenuation: ``fermi2d --L 64 --n-occ 1000 --encoding jw2d_snake`` takes
+about 1.35 s and 222 MB on 2 CPUs.  Any other state folds its drops times its
+covariance the same way.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .encodings import EncodingWeightModel, interleave_flavors
+from .encodings import EncodingWeightModel
 from .gaussian import GaussianState, ModeDiagonalState, QuadraticObservable
 from .lattice import Lattice
 
@@ -127,9 +127,15 @@ def _attenuation(enc: EncodingWeightModel, channel: PauliChannel, mode: str,
     return ex**nx * ey**ny * ez**nz
 
 
+def _drops(enc: EncodingWeightModel, channel: PauliChannel, mode: str) -> np.ndarray:
+    """Flavor blocks of ``1 - lambda`` over all pairs, taken in place of ``lambda``."""
+    lam = _attenuation(enc, channel, mode)
+    return np.subtract(1.0, lam, out=lam)
+
+
 def attenuation_block(enc: EncodingWeightModel, channel: PauliChannel,
                       idx: np.ndarray, mode: str = "exact") -> np.ndarray:
-    """``attenuation_matrix(...)[np.ix_(idx, idx)]``, built on the index set only.
+    """Attenuation factor of every pair of the Majoranas ``idx`` (diagonal fixed to 1).
 
     ``idx`` holds distinct Majorana indices; the cost is ``O(len(idx)**2)``
     whatever the system size.
@@ -144,14 +150,6 @@ def pair_attenuation(enc: EncodingWeightModel, channel: PauliChannel,
     """Attenuation factor of the single encoded bilinear ``gamma_a gamma_b``, a != b."""
     enc._check_pair(a, b)
     return float(attenuation_block(enc, channel, [a, b], mode)[0, 1])
-
-
-def attenuation_matrix(enc: EncodingWeightModel, channel: PauliChannel,
-                       mode: str = "exact") -> np.ndarray:
-    """(2N, 2N) per-bilinear attenuation factors (diagonal fixed to 1)."""
-    lam = interleave_flavors(_attenuation(enc, channel, mode))
-    np.fill_diagonal(lam, 1.0)
-    return lam
 
 
 def _check_lattices(enc: EncodingWeightModel, state: GaussianState) -> None:
@@ -229,12 +227,12 @@ def momentum_error_map(state: GaussianState, enc: EncodingWeightModel,
         if etas[0] == etas[1] == etas[2] and weights is not None:
             same = cross = (1.0 - etas[0] ** weights) * lat.displacement_multiplicity()
         else:
-            drop = _fold(lat, 1.0 - _attenuation(enc, channel, mode))
+            drop = _fold(lat, _drops(enc, channel, mode))
             same = (drop[0, 0] + drop[-1, -1]) / 2.0
             cross = (drop[0, -1] + drop[-1, 0]) / 2.0
         return state.occupation_shift(same, cross, momenta)
     n = lat.n_sites
-    drop = np.broadcast_to(1.0 - _attenuation(enc, channel, mode), (2, 2, n, n))
+    drop = np.broadcast_to(_drops(enc, channel, mode), (2, 2, n, n))
     g = state.gamma
     t = np.stack([drop[0, 1] * g[0::2, 1::2] - drop[1, 0] * g[1::2, 0::2],
                   drop[0, 0] * g[0::2, 0::2] + drop[1, 1] * g[1::2, 1::2]])

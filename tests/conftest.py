@@ -1,9 +1,16 @@
-"""Shared fixtures and random-instance builders for the test suite."""
+"""Shared fixtures, random-instance builders and dense references for the test suite.
+
+The dense references (a state from its correlation matrix, an observable's
+``(2N, 2N)`` coefficient matrix, the ``(2N, 2N)`` attenuation matrix) are
+what the package's support-held and flavor-block paths are checked against;
+no package code needs them.
+"""
 
 import numpy as np
 import pytest
 
 from fermion_noise import GaussianState, Lattice, QuadraticObservable
+from fermion_noise.noise import _attenuation
 from oracle import pauli_string
 
 SEED = 20240817
@@ -36,10 +43,55 @@ def random_correlation(rng, n_sites):
     return (q * fillings) @ q.conj().T
 
 
+def state_from_correlation(lattice, corr, validate=True):
+    """Gaussian state of a number-conserving ensemble with ``C_xy = <c_x^dag c_y>``.
+
+    The covariance blocks are ``Gamma^{11} = Gamma^{22} = -2 Im C`` and
+    ``Gamma^{12} = -Gamma^{21} = 2 Re C - 1`` (flavor 1 row, flavor 2 column).
+    """
+    c = np.asarray(corr, dtype=complex)
+    n = lattice.n_sites
+    if c.shape != (n, n):
+        raise ValueError(f"correlation matrix must be ({n}, {n}), got {c.shape}")
+    if validate and not np.allclose(c, c.conj().T, atol=1e-10):
+        raise ValueError("correlation matrix must be Hermitian")
+    gamma = np.empty((2 * n, 2 * n))
+    gamma[0::2, 0::2] = gamma[1::2, 1::2] = -2.0 * c.imag
+    gamma[0::2, 1::2] = 2.0 * c.real - np.eye(n)
+    gamma[1::2, 0::2] = -gamma[0::2, 1::2]
+    return GaussianState(lattice, gamma, validate=validate)
+
+
 def random_gaussian_state(lattice, rng):
     """Generally mixed Gaussian state from a random correlation matrix."""
     corr = random_correlation(rng, lattice.n_sites)
-    return GaussianState.from_correlation_matrix(lattice, corr)
+    return state_from_correlation(lattice, corr)
+
+
+def dense_coefficients(obs):
+    """The ``(2N, 2N)`` coefficient matrix of an observable, scattered from its support."""
+    coeffs = np.zeros((obs.lattice.n_majorana,) * 2)
+    coeffs[np.ix_(obs.support, obs.support)] = obs.block
+    return coeffs
+
+
+def interleave_flavors(blocks):
+    """The ``(2N, 2N)`` Majorana-index matrix of ``(F, F, N, N)`` flavor blocks."""
+    n = blocks.shape[-1]
+    out = np.empty((2 * n, 2 * n), dtype=blocks.dtype)
+    out.reshape(n, 2, n, 2)[...] = blocks.transpose(2, 0, 3, 1)
+    return out
+
+
+def attenuation_matrix(enc, channel, mode="exact"):
+    """Dense ``(2N, 2N)`` attenuation (diagonal 1) from the all-pairs flavor blocks.
+
+    The reference the index-set route of ``attenuation_block`` is checked
+    against: the blocks come from ``pair_weights()`` without an index set.
+    """
+    lam = interleave_flavors(_attenuation(enc, channel, mode))
+    np.fill_diagonal(lam, 1.0)
+    return lam
 
 
 def plane_wave_correlation(grid, occupations):

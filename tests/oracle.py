@@ -6,7 +6,9 @@ Everything here works with explicit ``2^n x 2^n`` matrices built from the
 routines are deliberately direct -- operator products, matrix exponentials,
 explicit Kraus sums -- so they can pin down sign and ordering conventions of
 the fast covariance-matrix pipeline in tests without sharing any code with
-it.  Intended for up to ~6 modes.
+it.  Intended for up to ~6 modes.  :func:`gf2_inverse`, a generic Gaussian
+elimination over GF(2), certifies the encoder-matrix inverses the package
+builds by structure.
 """
 
 from __future__ import annotations
@@ -35,6 +37,26 @@ def _check_mode_count(n_modes: int, max_modes: int) -> None:
             f"dense reference limited to {limit} modes (requested {n_modes}); "
             f"raise max_modes (hard cap {HARD_MODE_LIMIT}) for slow tests"
         )
+
+
+def gf2_inverse(mat: np.ndarray) -> np.ndarray:
+    """Inverse of a binary matrix over GF(2) by Gaussian elimination."""
+    n = mat.shape[0]
+    a = (mat % 2).astype(np.uint8)
+    inv = np.eye(n, dtype=np.uint8)
+    for col in range(n):
+        pivot_rows = np.nonzero(a[col:, col])[0]
+        if pivot_rows.size == 0:
+            raise ValueError("matrix is singular over GF(2)")
+        pivot = col + int(pivot_rows[0])
+        if pivot != col:
+            a[[col, pivot]] = a[[pivot, col]]
+            inv[[col, pivot]] = inv[[pivot, col]]
+        rows = np.nonzero(a[:, col])[0]
+        rows = rows[rows != col]
+        a[rows] ^= a[col]
+        inv[rows] ^= inv[col]
+    return inv
 
 
 def pauli(op: str) -> np.ndarray:

@@ -14,13 +14,15 @@ import numpy as np
 import pytest
 from scipy.linalg import expm, logm
 
-from conftest import SEED, dense_rotation, plane_wave_correlation, random_normalized_observable
+from conftest import (SEED, dense_coefficients, dense_rotation, plane_wave_correlation,
+                      random_normalized_observable, state_from_correlation)
 from fermion_noise import (
     EncodingWeightModel,
     GaussianState,
     Lattice,
     PauliChannel,
     QuadraticObservable,
+    bk_beta_matrix,
     bk_max_number_operator_weight,
     bk_number_operator_weight_from_beta,
     brickwork_circuit,
@@ -60,6 +62,7 @@ from oracle import (
     dense_majorana_set,
     dense_pauli_channel,
     dense_quadratic_observable,
+    gf2_inverse,
 )
 
 DEPOLARIZING_ALPHAS = (1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0)
@@ -127,7 +130,7 @@ def test_criterion_02_dense_circuit_equivalence():
         a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
         q, _ = np.linalg.qr(a)
         corr = (q * rng.uniform(0.0, 1.0, size=3)) @ q.conj().T
-        state = GaussianState.from_correlation_matrix(lat, corr)
+        state = state_from_correlation(lat, corr)
         obs = random_normalized_observable(lat, rng)
         depth = trial % 4
         p = (0.0, 0.05, 0.2)[trial % 3]
@@ -143,7 +146,7 @@ def test_criterion_02_dense_circuit_equivalence():
             assert np.abs(expm(gen) - rotation).max() <= 1e-9, "log/exp round trip"
             rho = dense_layer(rho, dense_free_unitary(gen), p, DEPOLARIZING_ALPHAS)
         dense_value = dense_expectation(
-            rho, dense_quadratic_observable(obs.coefficients, obs.offset))
+            rho, dense_quadratic_observable(dense_coefficients(obs), obs.offset))
 
         dev = abs(lib_value - dense_value)
         worst = max(worst, dev)
@@ -338,7 +341,7 @@ def test_criterion_07_fragility_closed_forms(tmp_path):
     Snake-ordered vertical hops give error 1 - (1-p)^(L+1) and the
     worst-case number operator under the tree encoding gives
     1/2 - (1/2)(1-p)^w_max, both to 1e-12, with w_max certified against
-    the GF(2) beta-matrix oracle for N <= 16.
+    the GF(2) elimination of the beta matrix (tests/oracle.py) for N <= 16.
     """
     out = tmp_path / "curves.json"
     assert cli.main(["encoding-compare", "--L", "16", "--p", "1e-2",
@@ -372,11 +375,13 @@ def test_criterion_07_fragility_closed_forms(tmp_path):
         )
 
     for n_modes in (2, 4, 8, 16):
-        certified = max(bk_number_operator_weight_from_beta(q, n_modes)
-                        for q in range(n_modes))
-        assert certified == bk_max_number_operator_weight(n_modes), (
+        # Row q of beta^-1 flags the qubits whose parity is n_q.
+        certified = gf2_inverse(bk_beta_matrix(n_modes)).sum(axis=1)
+        assert certified.max() == bk_max_number_operator_weight(n_modes), (
             f"beta-matrix certificate disagrees at N={n_modes}"
         )
+        assert certified.tolist() == [bk_number_operator_weight_from_beta(q, n_modes)
+                                      for q in range(n_modes)]
     _verdict(7, "snake and tree-encoding error curves equal closed forms to "
                 "1e-12; w_max certified for N <= 16")
 
@@ -446,7 +451,7 @@ def test_criterion_09_surface_error_formulas():
     occ = occupied_modes(grid, 30, energies=free_dispersion(grid.momenta))
     filled = np.zeros(len(grid))
     filled[occ] = 1.0
-    state = GaussianState.from_correlation_matrix(
+    state = state_from_correlation(
         lat, plane_wave_correlation(grid, filled), validate=False)
     enc = EncodingWeightModel("local", lat, phi0=phi0)
     occ_m = np.rint(grid.momenta[occ] * side / (2 * np.pi)).astype(int)
@@ -491,7 +496,7 @@ def test_criterion_10_light_cone_containment():
         lat = Lattice(dim, side)
         rng = np.random.default_rng([SEED, 10, dim])
         corr = np.diag(rng.uniform(0.0, 1.0, lat.n_sites))
-        state = GaussianState.from_correlation_matrix(lat, corr)
+        state = state_from_correlation(lat, corr)
         enc = EncodingWeightModel("local", lat, phi0=1)
         for depth in depths:
             circuit = brickwork_circuit(lat, radius=1, depth=depth,

@@ -8,12 +8,16 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import fermion_noise
-from fermion_noise import InvariantViolation, Lattice, QuadraticObservable
+from fermion_noise import EncodingWeightModel, InvariantViolation, Lattice, QuadraticObservable
 from fermion_noise import cli
 from fermion_noise.gaussian import ModeDiagonalState
+
+
+REFERENCE_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
 
 
 def run_to_file(tmp_path, name, argv):
@@ -226,6 +230,18 @@ class TestFermi1dOutput:
         assert len(ks) == 12
         assert ks == sorted(ks)
 
+    def test_bravyi_kitaev_sweep_matches_the_recorded_reference(self, tmp_path):
+        # Recorded from the seed code; the benchmark's bk-sweep workload runs
+        # the same command against the same file.
+        reference = REFERENCE_DIR / "fermi1d_sweep_bk_L512.csv"
+        code, out = run_to_file(tmp_path, "sweep.csv", ["fermi1d", "--sweep-k", "--encoding",
+                                                        "bravyi_kitaev", "--L", "512"])
+        assert code == 0
+        assert out.read_text().splitlines()[0] == reference.read_text().splitlines()[0]
+        got, want = (np.loadtxt(path, delimiter=",", skiprows=1) for path in (out, reference))
+        assert got.shape == want.shape == (512, 2)
+        np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10)
+
     def test_zero_noise_grid_has_zero_errors(self, tmp_path):
         code, out = run_to_file(tmp_path, "grid.csv",
                                 ["fermi1d", "--L", "20", "--p", "0"])
@@ -371,20 +387,23 @@ class TestCircuitOutput:
     def test_builds_no_dense_array(self, tmp_path, monkeypatch):
         # Layers, attenuation, initial state and observable all stay on the
         # light cone: none of the 2N x 2N constructions may run.
-        import fermion_noise.encodings as encodings
         import fermion_noise.gaussian as gaussian
-        import fermion_noise.noise as noise
         _, expected = run_to_file(tmp_path, "before.csv",
                                   ["circuit", "--L", "512", "--depth", "8", "--seed", "1"])
 
         def refuse(*args, **kwargs):
             raise AssertionError("dense array built")
 
+        all_pairs = EncodingWeightModel.pair_weights
+
+        def index_sets_only(self, idx=None, counts=False):
+            if idx is None:
+                raise AssertionError("all-pairs weights built")
+            return all_pairs(self, idx, counts)
+
         monkeypatch.setattr(gaussian.ModeDiagonalState, "_build_gamma", refuse)
         monkeypatch.setattr(Lattice, "distance_matrix", refuse)
-        monkeypatch.setattr(noise, "attenuation_matrix", refuse)
-        monkeypatch.setattr(noise, "interleave_flavors", refuse)
-        monkeypatch.setattr(encodings, "interleave_flavors", refuse)
+        monkeypatch.setattr(EncodingWeightModel, "pair_weights", index_sets_only)
         code, out = run_to_file(tmp_path, "after.csv",
                                 ["circuit", "--L", "512", "--depth", "8", "--seed", "1"])
         assert code == 0

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import fermion_noise.encodings as encodings_module
-from conftest import table_bits, table_strings
+from conftest import interleave_flavors, table_bits, table_strings
 from fermion_noise import (
     EncodingWeightModel,
     Lattice,
@@ -16,10 +16,9 @@ from fermion_noise import (
     bk_beta_matrix,
     bk_max_number_operator_weight,
     bk_number_operator_weight_from_beta,
-    interleave_flavors,
     snake_index_vector,
 )
-from oracle import dense_majorana, pauli_string
+from oracle import dense_majorana, gf2_inverse, pauli_string
 
 
 def _pauli_terms(op, n_qubits, tol=1e-9):
@@ -307,6 +306,22 @@ class TestBravyiKitaev:
     def test_beta_matrix_rejects_other_sizes(self):
         with pytest.raises(ValueError, match="power-of-two"):
             bk_beta_matrix(12)
+
+    @pytest.mark.parametrize("n", [2 ** k for k in range(12)])
+    def test_doubled_inverse_is_the_gf2_elimination(self, n):
+        beta = bk_beta_matrix(n)
+        inv = encodings_module._bk_beta_inverse(n)
+        assert np.array_equal(inv, gf2_inverse(beta))
+        product = beta.astype(np.float32) @ inv.astype(np.float32)  # exact below 2**24
+        assert np.array_equal(product % 2, np.eye(n))
+        assert not inv.flags.writeable
+
+    def test_table_is_built_from_the_eliminated_inverse_at_512_modes(self):
+        n = 512
+        beta = bk_beta_matrix(n)
+        x, z = EncodingWeightModel("bravyi_kitaev", Lattice(1, n)).pauli_table()
+        ref_x, ref_z = encodings_module._symplectic_table(beta, gf2_inverse(beta))
+        assert np.array_equal(x, ref_x) and np.array_equal(z, ref_z)
 
     def test_number_operator_weights_frozen_n8(self):
         weights = [bk_number_operator_weight_from_beta(i, 8) for i in range(8)]

@@ -3,9 +3,8 @@
 import numpy as np
 import pytest
 
-import fermion_noise.noise as noise_module
-from conftest import assert_close, random_correlation, random_normalized_observable, \
-    table_strings
+from conftest import assert_close, attenuation_matrix, dense_coefficients, \
+    random_correlation, random_normalized_observable, state_from_correlation, table_strings
 from fermion_noise import (
     EncodingWeightModel,
     GaussianState,
@@ -15,7 +14,6 @@ from fermion_noise import (
     QuadraticObservable,
     StringComposition,
     attenuation_block,
-    attenuation_matrix,
     fermi_sea_1d,
     measurement_error,
     momentum_error_map,
@@ -277,7 +275,7 @@ class TestNoisyExpectations:
 
     def test_matches_attenuated_state(self, rng):
         lat = Lattice(1, 5)
-        state = GaussianState.from_correlation_matrix(lat, random_correlation(rng, 5))
+        state = state_from_correlation(lat, random_correlation(rng, 5))
         enc = EncodingWeightModel("local", lat, phi0=1)
         ch = PauliChannel.depolarizing(0.15)
         obs = QuadraticObservable.momentum_occupation(lat, [2 * np.pi / 5])
@@ -287,7 +285,7 @@ class TestNoisyExpectations:
 
     def test_error_is_absolute_shift(self, rng):
         lat = Lattice(1, 4)
-        state = GaussianState.from_correlation_matrix(lat, random_correlation(rng, 4))
+        state = state_from_correlation(lat, random_correlation(rng, 4))
         enc = EncodingWeightModel("jw1d", lat)
         ch = PauliChannel.depolarizing(0.2)
         obs = random_normalized_observable(lat, rng)
@@ -301,13 +299,13 @@ class TestNoisyExpectations:
     def test_agrees_with_dense_reference(self, rng, channel):
         n = 3
         lat = Lattice(1, n)
-        state = GaussianState.from_correlation_matrix(lat, random_correlation(rng, n))
+        state = state_from_correlation(lat, random_correlation(rng, n))
         enc = EncodingWeightModel("jw1d", lat)
         rho = dense_gaussian_density_matrix(state.gamma)
         for _ in range(5):
             obs = random_normalized_observable(lat, rng)
             dense_val = dense_noisy_expectation(
-                rho, dense_quadratic_observable(obs.coefficients),
+                rho, dense_quadratic_observable(dense_coefficients(obs)),
                 channel.p, channel.alphas,
             )
             assert noisy_expectation(state, obs, enc, channel) == \
@@ -343,8 +341,8 @@ class TestSensitivity:
 class TestSupportHeldMeasurement:
     """Measurement noise reads the observable's support only.
 
-    On a mode-diagonal state neither the ``2N x 2N`` covariance nor the dense
-    attenuation matrix is built, and the results are those of the dense state.
+    On a mode-diagonal state the ``2N x 2N`` covariance is not built, and the
+    results are those of the dense state.
     """
 
     @pytest.mark.parametrize("kind,dim,length,channel", [
@@ -375,10 +373,9 @@ class TestSupportHeldMeasurement:
                      measurement_error(dense, obs, enc, channel, mode)) for obs in observables]
 
         def refuse(*args, **kwargs):
-            raise AssertionError("dense covariance or attenuation matrix built")
+            raise AssertionError("dense covariance built")
 
         monkeypatch.setattr(ModeDiagonalState, "_build_gamma", refuse)
-        monkeypatch.setattr(noise_module, "attenuation_matrix", refuse)
         for obs, (noisy, error) in zip(observables, expected):
             assert noisy_expectation(state, obs, enc, channel, mode) == \
                 pytest.approx(noisy, abs=1e-12)
@@ -397,7 +394,7 @@ class TestMomentumErrorMap:
         lam = attenuation_matrix(enc, ch)
         for j, k in enumerate(grid.momenta):
             obs = QuadraticObservable.momentum_occupation(lat, k)
-            manual = float(np.sum(obs.coefficients * (1.0 - lam) * state.gamma))
+            manual = float(np.sum(dense_coefficients(obs) * (1.0 - lam) * state.gamma))
             assert errors[j] == pytest.approx(manual, abs=1e-14)
 
     def test_generic_path_matches_fast_path(self):
@@ -429,7 +426,7 @@ class TestMomentumErrorMap:
         lam = attenuation_matrix(enc, ch)
         for j in (0, 7, 15):
             obs = QuadraticObservable.momentum_occupation(lat, grid.momenta[j])
-            manual = float(np.sum(obs.coefficients * (1.0 - lam) * state.gamma))
+            manual = float(np.sum(dense_coefficients(obs) * (1.0 - lam) * state.gamma))
             assert errors[j] == pytest.approx(manual, abs=1e-14)
 
     def test_momenta_shape_validated(self):
@@ -447,7 +444,7 @@ def per_momentum_error(state, enc, channel, k, mode):
     """``<n_k> - <n_k>_noisy`` contracted from the dense observable of one momentum."""
     obs = QuadraticObservable.momentum_occupation(state.lattice, k)
     lam = attenuation_matrix(enc, channel, mode)
-    return float(np.sum(obs.coefficients * (1.0 - lam) * state.gamma))
+    return float(np.sum(dense_coefficients(obs) * (1.0 - lam) * state.gamma))
 
 
 _KIND_MODE_MIX = [

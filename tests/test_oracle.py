@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from conftest import assert_close, random_correlation, random_normalized_observable
+from conftest import assert_close, dense_coefficients, random_correlation, \
+    random_normalized_observable, state_from_correlation
 from fermion_noise import GaussianState, Lattice, QuadraticObservable
 from oracle import (
     dense_expectation,
@@ -17,6 +18,7 @@ from oracle import (
     dense_pauli_channel,
     dense_quadratic_observable,
     dense_to_covariance,
+    gf2_inverse,
     pauli,
     pauli_string,
 )
@@ -87,7 +89,7 @@ class TestDensityMatrices:
 
     def test_single_occupied_site(self):
         lat = Lattice(1, 3)
-        state = GaussianState.from_correlation_matrix(lat, np.diag([0.0, 1.0, 0.0]))
+        state = state_from_correlation(lat, np.diag([0.0, 1.0, 0.0]))
         rho = dense_gaussian_density_matrix(state.gamma)
         # |010> sits at binary index 2 with site 0 the leftmost factor.
         want = np.zeros((8, 8))
@@ -96,7 +98,7 @@ class TestDensityMatrices:
 
     def test_product_of_partially_filled_sites(self):
         lat = Lattice(1, 2)
-        state = GaussianState.from_correlation_matrix(lat, np.diag([0.3, 0.8]))
+        state = state_from_correlation(lat, np.diag([0.3, 0.8]))
         rho = dense_gaussian_density_matrix(state.gamma)
         want = np.kron(np.diag([0.7, 0.3]), np.diag([0.2, 0.8]))
         assert_close(rho, want, 1e-12, "product state")
@@ -109,7 +111,7 @@ class TestDensityMatrices:
 
     def test_round_trip_through_dense(self, rng):
         lat = Lattice(1, 3)
-        state = GaussianState.from_correlation_matrix(lat, random_correlation(rng, 3))
+        state = state_from_correlation(lat, random_correlation(rng, 3))
         rho = dense_gaussian_density_matrix(state.gamma)
         assert abs(np.trace(rho).real - 1.0) < 1e-10
         assert np.linalg.eigvalsh(rho).min() > -1e-10
@@ -128,16 +130,16 @@ class TestQuadraticOperators:
     def test_number_operator_dense_form(self):
         lat = Lattice(1, 2)
         obs = QuadraticObservable.number(lat, 0)
-        op = dense_quadratic_observable(obs.coefficients, obs.offset)
+        op = dense_quadratic_observable(dense_coefficients(obs), obs.offset)
         assert_close(op, np.diag([0.0, 0.0, 1.0, 1.0]), 1e-12, "n_0")
 
     def test_expectations_agree_with_covariance_pipeline(self, rng):
         lat = Lattice(1, 3)
-        state = GaussianState.from_correlation_matrix(lat, random_correlation(rng, 3))
+        state = state_from_correlation(lat, random_correlation(rng, 3))
         rho = dense_gaussian_density_matrix(state.gamma)
         for _ in range(5):
             obs = random_normalized_observable(lat, rng)
-            dense_val = dense_expectation(rho, dense_quadratic_observable(obs.coefficients))
+            dense_val = dense_expectation(rho, dense_quadratic_observable(dense_coefficients(obs)))
             assert dense_val == pytest.approx(state.expectation(obs), abs=1e-9)
 
     def test_expectation_rejects_imaginary_values(self):
@@ -218,3 +220,18 @@ class TestFreeUnitaries:
         out = dense_layer(rho, u, 0.1, DEPOL)
         manual = dense_pauli_channel(u @ rho @ u.conj().T, 2, 0.1, DEPOL)
         assert_close(out, manual, 1e-12, "layer")
+
+
+class TestGF2Inverse:
+    def test_inverts_a_random_invertible_matrix(self, rng):
+        n = 12
+        lower = np.tril(rng.integers(0, 2, (n, n)), -1) + np.eye(n, dtype=int)
+        upper = np.triu(rng.integers(0, 2, (n, n)), 1) + np.eye(n, dtype=int)
+        mat = (lower @ upper % 2)[rng.permutation(n)]
+        inv = gf2_inverse(mat)
+        assert np.array_equal(mat @ inv % 2, np.eye(n))
+        assert np.array_equal(inv @ mat % 2, np.eye(n))
+
+    def test_singular_matrix_rejected(self):
+        with pytest.raises(ValueError, match="singular"):
+            gf2_inverse(np.array([[1, 1], [1, 1]]))
