@@ -181,7 +181,7 @@ def _require(condition: bool, field: str, message: str) -> None:
         raise ConfigError(f"{field}: {message}")
 
 
-def _validate_common(cfg: Dict[str, object], command: str) -> None:
+def _validate_common(cfg: Dict[str, object]) -> None:
     if "p" in cfg:
         _require(0.0 <= cfg["p"] <= P_MAX, "p", f"must lie in [0, {P_MAX:.6g}], got {cfg['p']}")
     if "phi0" in cfg:
@@ -473,7 +473,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _resolve(args)
-        _validate_common(cfg, args.command)
+        _validate_common(cfg)
         result = _RUNNERS[args.command](cfg)
         fmt = args.format if args.format is not None else _DEFAULT_FORMAT[args.command]
         _emit(result, cfg, args.command, args.out, fmt)

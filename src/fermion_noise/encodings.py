@@ -9,24 +9,26 @@ Four models are provided:
     An abstract geometrically local encoding: weight ``phi0 + d(r, r')`` with
     ``d`` the torus distance and ``phi0`` a constant overhead per bilinear.
     Only the weight is modelled, not the X/Y/Z content of the string.
-``jw1d``, ``jw2d_snake``, ``bravyi_kitaev``
-    Concrete encodings in the binary-encoder form of Seeley, Richard and
-    Love (2012): qubit bits ``b = beta n (mod 2)`` for occupations ``n``.
-    Jordan-Wigner is ``beta = I`` over the modes in qubit order (the chain,
-    or the boustrophedon "snake" through a 2D lattice); Bravyi-Kitaev uses
-    the Fenwick-tree matrix :func:`bk_beta_matrix` (number of modes a power
-    of two), built by a recursive doubling that also gives its GF(2)
-    inverse, one extra bit per doubling.
-
-Every concrete encoding carries one bit-packed symplectic table: per
-Majorana, the x and z bits of its Pauli string over the qubits, in uint64
-words.  Majorana ``2s`` has x = column ``s`` of ``beta`` (the qubits whose
-bit depends on ``n_s``) and z = the parity of the modes below ``s``, the XOR
-of rows ``k < s`` of ``beta^-1``; Majorana ``2s + 1`` adds row ``s`` of
-``beta^-1`` to z.  A bilinear is the XOR of two rows: its weight is the
-popcount of ``x | z``, its X/Y/Z counts those of ``x & ~z``, ``x & z`` and
-``~x & z``.  Jordan-Wigner weights, single or all-pairs, keep the closed
-form ``1 + |o(s) - o(t)|`` (``o`` the qubit order) as a fast path, in int32.
+``jw1d``, ``jw2d_snake``
+    Jordan-Wigner in qubit order ``o`` (the chain, or the boustrophedon
+    "snake" through a 2D lattice): ``gamma_2s = Z_(<o) X_o`` and
+    ``gamma_2s+1 = Z_(<o) Y_o`` with ``o = o(s)``.  Weights and X/Y/Z counts
+    are int32 closed forms in ``o``: two sites have ``|o_s - o_t| - 1`` Zs
+    between them, the lower qubit swaps its Pauli (X for Y) and the upper
+    keeps its own, so the weight is ``1 + |o_s - o_t|``; the two flavors of
+    one site give a single Z.
+``bravyi_kitaev``
+    The binary encoder of Seeley, Richard and Love (2012), qubit bits
+    ``b = beta n (mod 2)`` for occupations ``n``, with the Fenwick-tree
+    matrix :func:`bk_beta_matrix` (modes a power of two) and its GF(2)
+    inverse, both by recursive doubling.  It is held as a bit-packed
+    symplectic table: per Majorana, the x and z bits of its string in uint64
+    words.  Majorana ``2s`` has x = column ``s`` of ``beta`` and z = the
+    parity of the modes below ``s``, the XOR of rows ``k < s`` of
+    ``beta^-1``; ``2s + 1`` adds row ``s`` to z.  A bilinear is the XOR of
+    two rows, one per chunk of pairs: its weight is the popcount of
+    ``x | z``, its Y count that of ``x & z``, and its X and Z counts those of
+    ``x`` and ``z`` less the Ys.
 
 Weights and counts of every pair of a Majorana index set come from one
 method, :meth:`EncodingWeightModel.pair_weights`.  A circuit's light cone
@@ -45,7 +47,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable, Dict, Optional, Tuple, Union
+from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
 
@@ -53,8 +55,9 @@ from .lattice import Lattice, snake_index_vector
 
 ENCODING_KINDS = ("local", "jw1d", "jw2d_snake", "bravyi_kitaev")
 
-# Pair-table work is chunked to about this many uint64 words per temporary.
-_CHUNK_WORDS = 1 << 20
+# Pair-table work is chunked to about this many uint64 words per temporary, and
+# at least two rows: one row per chunk was slower at 8192 Majoranas.
+_CHUNK_WORDS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -68,16 +71,6 @@ class StringComposition:
     @property
     def weight(self) -> int:
         return self.n_x + self.n_y + self.n_z
-
-
-# Bits of one Pauli factor type in the product string with x bits ``x`` and
-# z bits ``z``; "weight" selects every non-identity factor.
-_FACTOR_BITS: Dict[str, Callable] = {
-    "weight": lambda x, z: x | z,
-    "X": lambda x, z: x & ~z,
-    "Y": lambda x, z: x & z,
-    "Z": lambda x, z: ~x & z,
-}
 
 
 def _require_power_of_two(n: int) -> None:
@@ -165,6 +158,8 @@ def _symplectic_table(beta: np.ndarray, inverse: np.ndarray) -> Tuple[np.ndarray
     z = np.zeros_like(x)
     z[2::2] = parity[:-1]
     z[1::2] = parity
+    x.setflags(write=False)
+    z.setflags(write=False)
     return x, z
 
 
@@ -206,9 +201,6 @@ class EncodingWeightModel:
             self.phi0 = 1
         self.kind = kind
         self.lattice = lattice
-        self._table: Optional[Tuple[np.ndarray, np.ndarray]] = None
-
-    # -- the symplectic table ----------------------------------------------
 
     @cached_property
     def _qubit_order(self) -> np.ndarray:
@@ -217,38 +209,41 @@ class EncodingWeightModel:
             return self.lattice.coords[:, 0]
         return snake_index_vector(self.lattice)
 
+    @cached_property
+    def _table(self) -> Tuple[np.ndarray, np.ndarray]:
+        n = self.lattice.n_sites
+        return _symplectic_table(bk_beta_matrix(n), _bk_beta_inverse(n))
+
     def pauli_table(self) -> Tuple[np.ndarray, np.ndarray]:
-        """``(x, z)``: (2N, words) uint64 bits of every encoded Majorana."""
-        if self.kind == "local":
-            raise ValueError(
-                "the 'local' model assigns Pauli weights only, not the X/Y/Z strings "
-                "that exact attenuation under a non-uniform mix needs; use mode='worst-case'"
-            )
-        if self._table is None:
-            n = self.lattice.n_sites
-            if self.kind == "bravyi_kitaev":
-                x, z = _symplectic_table(bk_beta_matrix(n), _bk_beta_inverse(n))
-            else:
-                eye = np.eye(n, dtype=np.uint8)
-                x, z = _symplectic_table(eye, eye)
-                rows = (2 * self._qubit_order[:, None] + np.arange(2)).ravel()
-                x, z = x[rows], z[rows]
-            x.setflags(write=False)
-            z.setflags(write=False)
-            self._table = (x, z)
+        """``(x, z)``: read-only (2N, words) uint64 bits of every Bravyi-Kitaev Majorana."""
+        if self.kind != "bravyi_kitaev":
+            raise ValueError(f"only bravyi_kitaev is held as a Pauli table, not {self.kind!r}")
         return self._table
 
-    def _pair_popcounts(self, bits: Callable, rows: Union[slice, np.ndarray]) -> np.ndarray:
-        """Popcount of ``bits(x, z)`` over the product of every pair of Majoranas ``rows``."""
-        x, z = self.pauli_table()
-        x, z = x[rows], z[rows]
+    def _table_pairs(self, rows: np.ndarray, counts: bool) -> np.ndarray:
+        """Weights, or X/Y/Z counts, of every pair of table rows: one XOR per chunk."""
+        x, z = (bits[rows] for bits in self.pauli_table())
         n_maj, words = x.shape
-        out = np.empty((n_maj, n_maj), dtype=np.int64)
-        step = max(1, _CHUNK_WORDS // max(1, n_maj * words))
+        out = np.empty((3, n_maj, n_maj) if counts else (n_maj, n_maj), dtype=np.int32)
+        step = max(2, _CHUNK_WORDS // max(1, n_maj * words))
         for lo in range(0, n_maj, step):
-            sel = bits(x[lo:lo + step, None] ^ x, z[lo:lo + step, None] ^ z)
-            out[lo:lo + step] = np.bitwise_count(sel).sum(axis=-1)
+            px, pz = x[lo:lo + step, None] ^ x, z[lo:lo + step, None] ^ z
+            if counts:
+                ny = np.bitwise_count(px & pz).sum(axis=-1)
+                out[:, lo:lo + step] = (np.bitwise_count(px).sum(axis=-1) - ny, ny,
+                                        np.bitwise_count(pz).sum(axis=-1) - ny)
+            else:
+                out[lo:lo + step] = np.bitwise_count(px | pz).sum(axis=-1)
         return out
+
+    def _jordan_wigner_counts(self, idx: np.ndarray) -> np.ndarray:
+        """X/Y/Z counts of every pair of the Majoranas ``idx`` from the qubit order, in int32."""
+        o = self._qubit_order[idx // 2].astype(np.int32)
+        f = (idx % 2).astype(np.int32)
+        d, flip = np.subtract.outer(o, o), np.subtract.outer(f, f)
+        apart = d != 0
+        ys = np.sign(d) * flip  # (n_y - n_x) / 2: the lower qubit swaps its Pauli
+        return np.stack([apart - ys, apart + ys, np.abs(d) - apart + (~apart) * np.abs(flip)])
 
     # -- weights and compositions ----------------------------------------
 
@@ -282,12 +277,14 @@ class EncodingWeightModel:
         case of the same code.
         """
         n = self.lattice.n_sites
+        if counts and self.kind == "local":
+            raise ValueError("the 'local' model assigns Pauli weights only, not the X/Y/Z strings "
+                             "that exact attenuation under a non-uniform mix needs; "
+                             "use mode='worst-case'")
         if counts or self.kind == "bravyi_kitaev":
-            rows = slice(None) if idx is None else np.asarray(idx)
-            if counts:
-                out = np.stack([self._pair_popcounts(_FACTOR_BITS[p], rows) for p in "XYZ"])
-            else:
-                out = self._pair_popcounts(_FACTOR_BITS["weight"], rows)
+            rows = np.arange(2 * n) if idx is None else np.asarray(idx)
+            out = (self._table_pairs(rows, counts) if self.kind == "bravyi_kitaev"
+                   else self._jordan_wigner_counts(rows))
             if idx is None:  # (..., s, f, t, g) -> (..., f, g, s, t)
                 out = np.moveaxis(out.reshape(out.shape[:-2] + (n, 2, n, 2)), (-3, -1), (-4, -3))
             return out
@@ -315,8 +312,7 @@ class EncodingWeightModel:
         axes = self.lattice.displacement_box()
         if self.kind == "jw1d":
             return 1 + np.abs(axes[0])
-        length = self.lattice.length
-        return self.phi0 + sum(np.minimum(np.abs(r), length - np.abs(r)) for r in axes)
+        return self.phi0 + sum(self.lattice._wrap(r) for r in axes)
 
     def __repr__(self) -> str:
         extra = f", phi0={self.phi0}" if self.kind == "local" else ""

@@ -114,11 +114,8 @@ class QuadraticObservable:
         if site_a == site_b:
             raise ValueError("hopping requires two distinct sites")
         support = np.sort([2 * site_a, 2 * site_a + 1, 2 * site_b, 2 * site_b + 1])
-        block = np.zeros((4, 4))
-        for u, v in ((2 * site_a, 2 * site_b + 1), (2 * site_b, 2 * site_a + 1)):
-            i, j = np.searchsorted(support, (u, v))
-            block[i, j] = 0.25
-            block[j, i] = -0.25
+        # 1/4 at the support's (2a, 2b + 1) and (2b, 2a + 1): the same block either site order
+        block = [[0, 0, 0, 0.25], [0, 0, -0.25, 0], [0, 0.25, 0, 0], [-0.25, 0, 0, 0]]
         return cls(lattice, block, support=support, validate=False)
 
     @classmethod
@@ -394,6 +391,16 @@ def fermi_sea(grid: MomentumGrid, n_occ: int,
     return ModeDiagonalState(grid, occupations), occ
 
 
+def _ground_state(lattice: Lattice, n_occ: int, dim: int, dispersion: Callable
+                  ) -> Tuple[ModeDiagonalState, MomentumGrid, np.ndarray]:
+    """Fermi sea of ``n_occ`` particles on the grid whose parity follows ``n_occ``."""
+    if lattice.dim != dim:
+        raise ValueError(f"expected a {dim}D lattice, got dim={lattice.dim}")
+    grid = momentum_grid(lattice, parity_of(n_occ))
+    state, occ = fermi_sea(grid, n_occ, dispersion)
+    return state, grid, occ
+
+
 def fermi_sea_1d(lattice: Lattice, n_occ: int,
                  ) -> Tuple[ModeDiagonalState, MomentumGrid, np.ndarray]:
     """1D free-fermion ground state with ``n_occ`` particles.
@@ -401,21 +408,13 @@ def fermi_sea_1d(lattice: Lattice, n_occ: int,
     The momentum grid parity follows the particle number so that the lowest
     ``|k|`` modes fill symmetrically; returns (state, grid, occupied).
     """
-    if lattice.dim != 1:
-        raise ValueError(f"expected a 1D lattice, got dim={lattice.dim}")
-    grid = momentum_grid(lattice, parity_of(n_occ))
-    state, occ = fermi_sea(grid, n_occ)
-    return state, grid, occ
+    return _ground_state(lattice, n_occ, 1, free_dispersion)
 
 
 def tight_binding_ground_state_2d(lattice: Lattice, n_occ: int,
                                   ) -> Tuple[ModeDiagonalState, MomentumGrid, np.ndarray]:
     """2D nearest-neighbour tight-binding ground state with ``n_occ`` particles."""
-    if lattice.dim != 2:
-        raise ValueError(f"expected a 2D lattice, got dim={lattice.dim}")
-    grid = momentum_grid(lattice, parity_of(n_occ))
-    state, occ = fermi_sea(grid, n_occ, dispersion=tight_binding_dispersion)
-    return state, grid, occ
+    return _ground_state(lattice, n_occ, 2, tight_binding_dispersion)
 
 
 def momentum_occupation(state: GaussianState, k: Sequence[float]) -> float:
@@ -532,7 +531,7 @@ def circulant_power_law_state(lattice: Lattice, mu: float
     amp = 0.45 / _offdiagonal_decay_sum(lattice.dim, mu)
     length = lattice.length
     r = np.arange(length)
-    dist = sum(np.minimum(r, length - r).reshape((-1,) + (1,) * (lattice.dim - 1 - i))
+    dist = sum(lattice._wrap(r.reshape((-1,) + (1,) * (lattice.dim - 1 - i)))
                for i in range(lattice.dim))
     profile = amp * (1.0 + dist) ** (-mu)
     profile[(0,) * lattice.dim] = 0.5

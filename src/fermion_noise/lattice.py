@@ -88,12 +88,15 @@ class Lattice:
     # distances
     # ------------------------------------------------------------------
 
+    def _wrap(self, r: np.ndarray) -> np.ndarray:
+        """Torus distance ``min(|r|, L - |r|)`` of displacements ``r`` along one axis each."""
+        r = np.abs(r)
+        return np.minimum(r, self.length - r)
+
     def pair_distances(self, sites: np.ndarray) -> np.ndarray:
         """(len(sites), len(sites)) torus (L1) distances between the given sites."""
         c = self.coords[sites]
-        diff = np.abs(c[:, None, :] - c[None, :, :])
-        diff = np.minimum(diff, self.length - diff)
-        return diff.sum(axis=2)
+        return self._wrap(c[:, None, :] - c[None, :, :]).sum(axis=2)
 
     def distance_matrix(self) -> np.ndarray:
         """(n_sites, n_sites) matrix of pairwise torus distances, cached."""

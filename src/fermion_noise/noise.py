@@ -15,13 +15,14 @@ the quadratic sector exactly, as an elementwise damping of the covariance
 (or, in the Heisenberg picture, of the observable's coefficient matrix) by
 per-pair attenuation factors.  Every factor comes from one formula,
 ``ex**nx * ey**ny * ez**nz`` over the X/Y/Z counts of the encoding's
-strings; worst-case mode sets all three etas to ``1 - 3p/2``.  With equal
-etas the formula is ``eta**weight``, the only case the weight-only
-``local`` model supports.  The same formula serves every pair of a
-Majorana index set (:func:`attenuation_block`), a single bilinear
-(:func:`pair_attenuation`, the index set ``[a, b]``) and all pairs at
-once; those keep the encoding's ``(F, F, N, N)`` flavor-block shape and
-are never expanded to ``(2N, 2N)``.
+strings (closed forms in the qubit order for Jordan-Wigner, popcounts of
+the table for Bravyi-Kitaev); worst-case mode sets all three etas to
+``1 - 3p/2``.  With equal etas the formula is ``eta**weight``, the only
+case the weight-only ``local`` model supports.  The same formula serves
+every pair of a Majorana index set (:func:`attenuation_block`), a single
+bilinear (:func:`pair_attenuation`, the index set ``[a, b]``) and all
+pairs at once; those keep the encoding's ``(F, F, N, N)`` flavor-block
+shape and are never expanded to ``(2N, 2N)``.
 
 Measurement noise is read on the observable's support, as a circuit's light
 cone is: :func:`noisy_expectation` and :func:`measurement_error` damp the
@@ -178,22 +179,22 @@ def measurement_error(state: GaussianState, obs: QuadraticObservable,
 def _fold(lat: Lattice, pairs: np.ndarray) -> np.ndarray:
     """``sum_{x_s - x_t = r} pairs[..., s, t]``: box arrays of :meth:`Lattice.displacement_box`.
 
-    ``pairs`` stacks ``N x N`` site-pair matrices.  Rows are folded in blocks
-    of ``isqrt(N)`` and the partial boxes added: one bincount over all rows
-    adds the N alike terms of a translation-invariant diagonal in sequence and
-    loses a digit.
+    ``pairs`` stacks ``N x N`` site-pair matrices, read in place in any layout.
+    Rows are folded in blocks of ``isqrt(N)`` and the partial boxes added: one
+    bincount over all rows adds the N alike terms of a translation-invariant
+    diagonal in sequence and loses a digit.
     """
     n = lat.n_sites
     period = 2 * lat.length
-    stack = pairs.reshape(-1, n, n)
-    box = np.zeros((len(stack), period ** lat.dim))
+    lead = pairs.shape[:-2]
+    box = np.zeros((math.prod(lead), period ** lat.dim))
     sites = np.arange(n)
     step = math.isqrt(n)
     for lo in range(0, n, step):
         key = lat.displacement_index(sites[lo:lo + step], sites).ravel()
-        for out, rows in zip(box, stack[:, lo:lo + step]):
-            out += np.bincount(key, rows.ravel(), box.shape[1])
-    return box.reshape(pairs.shape[:-2] + (period,) * lat.dim)
+        for out, at in zip(box, np.ndindex(lead)):
+            out += np.bincount(key, pairs[at][lo:lo + step].ravel(), box.shape[1])
+    return box.reshape(lead + (period,) * lat.dim)
 
 
 def momentum_error_map(state: GaussianState, enc: EncodingWeightModel,

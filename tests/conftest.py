@@ -1,15 +1,15 @@
 """Shared fixtures, random-instance builders and dense references for the test suite.
 
 The dense references (a state from its correlation matrix, an observable's
-``(2N, 2N)`` coefficient matrix, the ``(2N, 2N)`` attenuation matrix) are
-what the package's support-held and flavor-block paths are checked against;
-no package code needs them.
+``(2N, 2N)`` coefficient matrix, the ``(2N, 2N)`` attenuation matrix, the
+Jordan-Wigner Pauli rows) are what the package's support-held, flavor-block
+and closed-form paths are checked against; no package code needs them.
 """
 
 import numpy as np
 import pytest
 
-from fermion_noise import GaussianState, Lattice, QuadraticObservable
+from fermion_noise import GaussianState, Lattice, QuadraticObservable, snake_index_vector
 from fermion_noise.noise import _attenuation
 from oracle import pauli_string
 
@@ -130,8 +130,27 @@ def assert_close(actual, expected, atol, label=""):
     assert worst <= atol, f"{label} max deviation {worst:.3e} > {atol:.1e}"
 
 
+def jordan_wigner_bits(lattice):
+    """Reference x and z bits, (2N, N) 0/1 arrays, of the Jordan-Wigner Majoranas.
+
+    Site ``s`` sits on qubit ``o(s)``, its chain coordinate or in 2D its snake
+    index; Majorana ``2s`` is ``Z_(<o) X_o`` and ``2s + 1`` is ``Z_(<o) Y_o``.
+    """
+    order = lattice.coords[:, 0] if lattice.dim == 1 else snake_index_vector(lattice)
+    qubit = np.repeat(order, 2)[:, None]
+    flavor = (np.arange(lattice.n_majorana) % 2)[:, None]
+    q = np.arange(lattice.n_sites)
+    return (q == qubit).astype(np.uint8), ((q < qubit) | (q == qubit) & flavor).astype(np.uint8)
+
+
 def table_bits(enc):
-    """The encoding's symplectic table unpacked to (2N, N) 0/1 arrays."""
+    """Every encoded Majorana as (2N, N) 0/1 x and z arrays.
+
+    Bravyi-Kitaev unpacks the package's own table; Jordan-Wigner, which the
+    package answers in closed form, is :func:`jordan_wigner_bits`.
+    """
+    if enc.kind != "bravyi_kitaev":
+        return jordan_wigner_bits(enc.lattice)
     n = enc.lattice.n_sites
     x, z = enc.pauli_table()
 

@@ -8,29 +8,19 @@ import numpy as np
 import pytest
 
 import fermion_noise.encodings as encodings_module
-from conftest import interleave_flavors, table_bits, table_strings
+from conftest import interleave_flavors, jordan_wigner_bits, table_bits, table_strings
 from fermion_noise import (
     EncodingWeightModel,
     Lattice,
+    PauliChannel,
     StringComposition,
+    attenuation_block,
     bk_beta_matrix,
     bk_max_number_operator_weight,
     bk_number_operator_weight_from_beta,
     snake_index_vector,
 )
 from oracle import dense_majorana, gf2_inverse, pauli_string
-
-
-def _pauli_terms(op, n_qubits, tol=1e-9):
-    """All Pauli strings with a nonzero coefficient in ``op``."""
-    dim = 2 ** n_qubits
-    found = []
-    for labels in itertools.product("IXYZ", repeat=n_qubits):
-        factors = {i: l for i, l in enumerate(labels) if l != "I"}
-        coeff = np.trace(pauli_string(n_qubits, factors).conj().T @ op) / dim
-        if abs(coeff) > tol:
-            found.append((labels, coeff))
-    return found
 
 
 # ----------------------------------------------------------------------
@@ -109,6 +99,11 @@ def jw1d_composition(x: int, y: int, flavor_x: int, flavor_y: int) -> StringComp
     n_x = (left == "X") + (right == "X")
     n_y = (left == "Y") + (right == "Y")
     return StringComposition(int(n_x), int(n_y), y - x - 1)
+
+
+def _count_matrices(enc):
+    """(3, 2N, 2N) X/Y/Z counts of every Majorana pair, from the all-pairs count blocks."""
+    return np.stack([interleave_flavors(c) for c in enc.pair_weights(counts=True)])
 
 
 class TestModelValidation:
@@ -219,26 +214,6 @@ class TestJordanWigner1d:
         comp = enc.string_composition(0, 2)
         assert (comp.n_x, comp.n_y, comp.n_z) == (1, 1, 0)
 
-    def test_composition_matches_dense_strings(self):
-        # Multiply the dense encoded Majoranas and read the single Pauli
-        # string back off; its X/Y/Z census must match string_composition.
-        n = 3
-        enc = EncodingWeightModel("jw1d", Lattice(1, n))
-        gammas = [dense_majorana(n, m) for m in range(2 * n)]
-        for a in range(2 * n):
-            for b in range(2 * n):
-                if a == b:
-                    continue
-                terms = _pauli_terms(gammas[a] @ gammas[b], n)
-                assert len(terms) == 1
-                labels, coeff = terms[0]
-                assert abs(abs(coeff) - 1.0) < 1e-12
-                comp = enc.string_composition(a, b)
-                assert labels.count("X") == comp.n_x
-                assert labels.count("Y") == comp.n_y
-                assert labels.count("Z") == comp.n_z
-                assert enc.bilinear_weight(a, b) == comp.weight
-
     def test_composition_symmetric_in_the_pair(self):
         enc = EncodingWeightModel("jw1d", Lattice(1, 6))
         for a, b in [(0, 5), (1, 8), (7, 2)]:
@@ -288,7 +263,8 @@ class TestSnakeWeights:
         enc = EncodingWeightModel("jw2d_snake", Lattice(2, 6))
         for a, b in [(0, 5), (3, 40), (71, 2), (10, 11), (0, 5)]:
             enc.bilinear_weight(a, b)
-        enc.pauli_table()
+            enc.string_composition(a, b)
+        enc.pair_weights(counts=True)
         assert len(calls) == 1
 
 
@@ -433,7 +409,7 @@ class TestSymplecticTable:
     def test_jw1d_counts_match_the_closed_form_at_200_sites(self):
         n = 200
         enc = EncodingWeightModel("jw1d", Lattice(1, n))
-        counts = np.stack([interleave_flavors(c) for c in enc.pair_weights(counts=True)])
+        counts = _count_matrices(enc)
         ref = np.zeros_like(counts)
         for a in range(2 * n):
             for b in range(2 * n):
@@ -473,7 +449,7 @@ class TestIndexSetPairs:
     @pytest.mark.parametrize("kind,lat", [c for c in _ALL_KINDS if c[0] != "local"])
     def test_counts_are_entries_of_the_count_blocks(self, rng, kind, lat):
         enc = EncodingWeightModel(kind, lat)
-        full = np.stack([interleave_flavors(c) for c in enc.pair_weights(counts=True)])
+        full = _count_matrices(enc)
         idx = rng.choice(lat.n_majorana, 11, replace=False)
         counts = enc.pair_weights(idx, counts=True)
         assert counts.shape == (3, 11, 11)
@@ -491,20 +467,83 @@ class TestIndexSetPairs:
         assert w.tolist() == [[2, 2, 4, 4], [2, 2, 4, 4], [4, 4, 2, 6], [4, 4, 6, 2]]
 
 
+def _refuse_the_table(monkeypatch):
+    def refuse(self):
+        raise AssertionError("Pauli table read for a Jordan-Wigner pair")
+
+    monkeypatch.setattr(EncodingWeightModel, "pauli_table", refuse)
+
+
+def _reference_counts(x, z, rows=64):
+    """(3, 2N, 2N) X/Y/Z counts of every product of two rows of 0/1 x and z bits."""
+    out = np.empty((3, len(x), len(x)), dtype=np.int64)
+    for lo in range(0, len(x), rows):
+        px, pz = x[lo:lo + rows, None] ^ x, z[lo:lo + rows, None] ^ z
+        out[:, lo:lo + rows] = (px > pz).sum(-1), (px & pz).sum(-1), (pz > px).sum(-1)
+    return out
+
+
 class TestSingleWeights:
     @pytest.mark.parametrize("kind,dim,length", [("jw1d", 1, 8), ("jw2d_snake", 2, 4)])
     def test_jordan_wigner_single_weights_read_no_table(self, monkeypatch, kind, dim, length):
         lat = Lattice(dim, length)
         pairs = [(a, b) for a in range(lat.n_majorana) for b in range(lat.n_majorana) if a != b]
+        from_table = _reference_counts(*jordan_wigner_bits(lat)).sum(axis=0)
+        _refuse_the_table(monkeypatch)
         enc = EncodingWeightModel(kind, lat)
-        from_table = [enc.string_composition(a, b).weight for a, b in pairs]
+        assert [enc.bilinear_weight(a, b) for a, b in pairs] == [from_table[p] for p in pairs]
 
-        def refuse(self):
-            raise AssertionError("Pauli table packed for a single weight")
 
-        monkeypatch.setattr(EncodingWeightModel, "pauli_table", refuse)
-        fresh = EncodingWeightModel(kind, lat)
-        assert [fresh.bilinear_weight(a, b) for a, b in pairs] == from_table
+class TestJordanWignerCounts:
+    """Jordan-Wigner X/Y/Z counts are a closed form in the qubit order, with no table."""
+
+    @pytest.mark.parametrize("kind,dim,length", [("jw1d", 1, 8), ("jw2d_snake", 2, 4)])
+    def test_counts_and_non_uniform_attenuation_read_no_table(self, monkeypatch, kind, dim,
+                                                              length):
+        lat = Lattice(dim, length)
+        ref = _reference_counts(*jordan_wigner_bits(lat))
+        with pytest.raises(ValueError, match="bravyi_kitaev"):
+            EncodingWeightModel(kind, lat).pauli_table()
+        _refuse_the_table(monkeypatch)
+        enc = EncodingWeightModel(kind, lat)
+        assert np.array_equal(_count_matrices(enc), ref)
+        assert astuple(enc.string_composition(3, 12)) == tuple(ref[:, 3, 12])
+        idx = np.array([0, 3, 7, 12, 13])
+        ch = PauliChannel(0.2, (0.6, 0.1, 0.3))
+        etas = np.array(ch.etas)[:, None, None]
+        expected = np.prod(etas ** ref[:, idx[:, None], idx[None, :]], axis=0)
+        np.fill_diagonal(expected, 1.0)
+        assert np.allclose(attenuation_block(enc, ch, idx), expected, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("kind,dim,length",
+                             [("jw1d", 1, n) for n in (1, 2, 3, 4)] + [("jw2d_snake", 2, 2)])
+    def test_counts_match_the_dense_product_strings(self, kind, dim, length):
+        # Every product of two dense Majoranas is one Pauli string: find it
+        # among all 4^n strings and count its X, Y and Z factors.  The count
+        # blocks, string_composition and bilinear_weight must all agree.
+        lat = Lattice(dim, length)
+        n = lat.n_sites
+        enc = EncodingWeightModel(kind, lat)
+        counts = _count_matrices(enc)
+        order = lat.coords[:, 0] if dim == 1 else snake_index_vector(lat)
+        gammas = [dense_majorana(n, 2 * int(order[m // 2]) + m % 2) for m in range(2 * n)]
+        labels = list(itertools.product("IXYZ", repeat=n))
+        strings = np.stack([pauli_string(n, dict(enumerate(lab))) for lab in labels])
+        for a, b in itertools.permutations(range(2 * n), 2):
+            overlap = np.abs(np.einsum("kij,ij->k", strings.conj(), gammas[a] @ gammas[b]))
+            found = labels[int(np.argmax(overlap))]
+            assert overlap.max() == pytest.approx(2 ** n)
+            census = tuple(found.count(p) for p in "XYZ")
+            assert tuple(counts[:, a, b]) == astuple(enc.string_composition(a, b)) == census
+            assert enc.bilinear_weight(a, b) == sum(census)
+
+    @pytest.mark.parametrize("kind,dim,length", [("jw1d", 1, 200), ("jw2d_snake", 2, 16)])
+    def test_counts_are_popcounts_of_the_reference_table(self, kind, dim, length):
+        lat = Lattice(dim, length)
+        enc = EncodingWeightModel(kind, lat)
+        counts = _count_matrices(enc)
+        assert counts.dtype == np.int32
+        assert np.array_equal(counts, _reference_counts(*jordan_wigner_bits(lat)))
 
 
 class TestDisplacementWeights:
