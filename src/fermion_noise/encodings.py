@@ -21,14 +21,10 @@ Four models are provided:
     The binary encoder of Seeley, Richard and Love (2012), qubit bits
     ``b = beta n (mod 2)`` for occupations ``n``, with the Fenwick-tree
     matrix :func:`bk_beta_matrix` (modes a power of two) and its GF(2)
-    inverse, both by recursive doubling.  It is held as a bit-packed
-    symplectic table: per Majorana, the x and z bits of its string in uint64
-    words.  Majorana ``2s`` has x = column ``s`` of ``beta`` and z = the
-    parity of the modes below ``s``, the XOR of rows ``k < s`` of
-    ``beta^-1``; ``2s + 1`` adds row ``s`` to z.  A bilinear is the XOR of
-    two rows, one per chunk of pairs: its weight is the popcount of
-    ``x | z``, its Y count that of ``x & z``, and its X and Z counts those of
-    ``x`` and ``z`` less the Ys.
+    inverse, both by recursive doubling.  Qubit ``j`` holds the parity of
+    the ``2^tau(j)`` modes ending at ``j`` (``tau`` the trailing ones), so
+    weights and X/Y/Z counts are int32 closed forms in the bits of the two
+    sites (:func:`_fenwick_pairs`).
 
 Weights and counts of every pair of a Majorana index set come from one
 method, :meth:`EncodingWeightModel.pair_weights`.  A circuit's light cone
@@ -47,17 +43,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable, Optional, Tuple, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
 from .lattice import Lattice, snake_index_vector
 
 ENCODING_KINDS = ("local", "jw1d", "jw2d_snake", "bravyi_kitaev")
-
-# Pair-table work is chunked to about this many uint64 words per temporary, and
-# at least two rows: one row per chunk was slower at 8192 Majoranas.
-_CHUNK_WORDS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -79,7 +71,7 @@ def _require_power_of_two(n: int) -> None:
 
 
 # ----------------------------------------------------------------------
-# binary encoder matrices and the symplectic table
+# binary encoder matrices and the Fenwick closed form
 # ----------------------------------------------------------------------
 
 
@@ -142,25 +134,53 @@ def bk_max_number_operator_weight(n_modes: int) -> int:
     return n_modes.bit_length()
 
 
-def _pack(bits: np.ndarray) -> np.ndarray:
-    """Rows of a 0/1 matrix as little-endian uint64 words (bit q = qubit q)."""
-    n_rows, n_bits = bits.shape
-    packed = np.zeros((n_rows, 8 * -(-n_bits // 64)), dtype=np.uint8)
-    packed[:, :-(-n_bits // 8)] = np.packbits(bits, axis=1, bitorder="little")
-    return packed.view("<u8")
+def _fenwick_pairs(n_modes: int, s: np.ndarray, t: np.ndarray, f: np.ndarray, g: np.ndarray,
+                   counts: bool) -> np.ndarray:
+    """Bravyi-Kitaev weights, or X/Y/Z counts, of the pairs ``(2s + f, 2t + g)``, in int32.
 
-
-def _symplectic_table(beta: np.ndarray, inverse: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """x and z words of the ``2n`` Majoranas of the encoder ``beta``."""
-    occupation = _pack(inverse)
-    parity = np.bitwise_xor.accumulate(occupation, axis=0)  # modes k <= s
-    x = np.repeat(_pack(beta.T), 2, axis=0)
-    z = np.zeros_like(x)
-    z[2::2] = parity[:-1]
-    z[1::2] = parity
-    x.setflags(write=False)
-    z.setflags(write=False)
-    return x, z
+    ``s`` and ``t`` are a column and a row of the same sites; the flavors
+    broadcast against them, as ``(n, 1)`` and ``(1, n)`` or ``(2, 1, 1, 1)``
+    and ``(1, 2, 1, 1)``.  Majorana ``2s`` is X on qubit ``s`` and its
+    ancestors times Z on the ``popcount(s)`` qubits tiling the modes below
+    ``s``; ``2s + 1`` adds Z on ``s`` and drops it on the ``tau(s)`` children
+    of ``s``.  For sites first differing at bit ``h``, in the two halves of a
+    block of ``2^(h + 1)`` modes, ``f = g = 0`` gives X on the two paths
+    below the block root, Z on the ``O`` qubits tiling each half below its
+    site (``O`` the one bits of ``s`` and ``t`` below ``h``) and a Y at the
+    root of the lower half; with ``P[s, t] = h - |tau(s) - h|`` and
+    ``R[s, t] = tau(s) >= h``, ``w = 1 + 2h - f P[s, t] - g P[t, s]``,
+    ``y = f + g + 1 - 2 (f R[s, t] or g R[t, s])``, ``x = 1 + 2h - O - y``
+    and ``z = w - x - y``.  A site with itself is its number operator,
+    ``1 + tau(s)`` Zs, for ``f != g`` and all zero for ``f == g``.  Site
+    terms are int32 and flavors enter by ``where=``: full-shape or int8
+    temporaries raised the peak RSS.
+    """
+    modes = np.arange(n_modes, dtype=np.int32)
+    top = np.frexp(modes)[1] - 1  # highest set bit, -1 at 0
+    tau = np.bitwise_count(modes ^ (modes + 1)) - 1  # trailing ones
+    ones_below = np.bitwise_count(modes[:, None] & ((1 << np.arange(n_modes.bit_length())) - 1))
+    h = top[s ^ t]
+    same, ends = h < 0, ((s, f), (t, g))  # the two ends enter alike
+    h2 = 2 * h + 1
+    shape = np.broadcast_shapes(f.shape, g.shape, h.shape)
+    out = np.empty(((3,) if counts else ()) + shape, dtype=np.int32)
+    w = out[2] if counts else out
+    w[...] = h2
+    for site, flavor in ends:
+        np.subtract(w, h - np.abs(tau[site] - h), out=w, where=flavor == 1)
+    np.multiply(w, f != g, out=w, where=same)
+    if not counts:
+        return out
+    nx, ny, nz = out
+    ny[...] = 0
+    for site, flavor in ends:  # -2 (f R[s, t] or g R[t, s])
+        np.minimum(ny, -2 * flavor, out=ny, where=tau[site] >= h)
+        h2 -= ones_below[site, h]  # to x + y off the diagonal
+    ny += f + g + 1
+    np.subtract(h2, ny, out=nx)
+    np.copyto(out[:2], 0, where=same)
+    np.subtract(nz, h2, out=nz, where=~same)
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -209,48 +229,18 @@ class EncodingWeightModel:
             return self.lattice.coords[:, 0]
         return snake_index_vector(self.lattice)
 
-    @cached_property
-    def _table(self) -> Tuple[np.ndarray, np.ndarray]:
-        n = self.lattice.n_sites
-        return _symplectic_table(bk_beta_matrix(n), _bk_beta_inverse(n))
-
-    def pauli_table(self) -> Tuple[np.ndarray, np.ndarray]:
-        """``(x, z)``: read-only (2N, words) uint64 bits of every Bravyi-Kitaev Majorana."""
-        if self.kind != "bravyi_kitaev":
-            raise ValueError(f"only bravyi_kitaev is held as a Pauli table, not {self.kind!r}")
-        return self._table
-
-    def _table_pairs(self, rows: np.ndarray, counts: bool) -> np.ndarray:
-        """Weights, or X/Y/Z counts, of every pair of table rows: one XOR per chunk."""
-        x, z = (bits[rows] for bits in self.pauli_table())
-        n_maj, words = x.shape
-        out = np.empty((3, n_maj, n_maj) if counts else (n_maj, n_maj), dtype=np.int32)
-        step = max(2, _CHUNK_WORDS // max(1, n_maj * words))
-        for lo in range(0, n_maj, step):
-            px, pz = x[lo:lo + step, None] ^ x, z[lo:lo + step, None] ^ z
-            if counts:
-                ny = np.bitwise_count(px & pz).sum(axis=-1)
-                out[:, lo:lo + step] = (np.bitwise_count(px).sum(axis=-1) - ny, ny,
-                                        np.bitwise_count(pz).sum(axis=-1) - ny)
-            else:
-                out[lo:lo + step] = np.bitwise_count(px | pz).sum(axis=-1)
-        return out
-
-    def _jordan_wigner_counts(self, idx: np.ndarray) -> np.ndarray:
-        """X/Y/Z counts of every pair of the Majoranas ``idx`` from the qubit order, in int32."""
-        o = self._qubit_order[idx // 2].astype(np.int32)
-        f = (idx % 2).astype(np.int32)
-        d, flip = np.subtract.outer(o, o), np.subtract.outer(f, f)
+    def _jordan_wigner_counts(self, s: np.ndarray, f: np.ndarray, g: np.ndarray) -> np.ndarray:
+        """X/Y/Z counts of the pairs ``(2s + f, 2t + g)`` from the qubit order, in int32."""
+        o = self._qubit_order[s].astype(np.int32)
+        d, flip = np.subtract.outer(o, o), f - g
         apart = d != 0
         ys = np.sign(d) * flip  # (n_y - n_x) / 2: the lower qubit swaps its Pauli
         return np.stack([apart - ys, apart + ys, np.abs(d) - apart + (~apart) * np.abs(flip)])
 
     # -- weights and compositions ----------------------------------------
 
-    def _check_pair(self, a: int, b: int) -> None:
-        n = self.lattice.n_majorana
-        if not (0 <= a < n and 0 <= b < n):
-            raise IndexError(f"Majorana indices ({a}, {b}) outside [0, {n})")
+    @staticmethod
+    def _check_pair(a: int, b: int) -> None:
         if a == b:
             raise ValueError("a bilinear needs two distinct Majorana indices")
 
@@ -274,21 +264,24 @@ class EncodingWeightModel:
         ``gamma_idx[i] gamma_idx[j]``, and diagonal entries are not
         bilinears.  Without ``idx`` every Majorana pair is returned in flavor
         blocks, ``(F, F, N, N)`` and ``(3, 2, 2, N, N)``: the all-indices
-        case of the same code.
+        case of the same code.  Indices outside ``[0, 2N)`` raise ``IndexError``.
         """
-        n = self.lattice.n_sites
         if counts and self.kind == "local":
             raise ValueError("the 'local' model assigns Pauli weights only, not the X/Y/Z strings "
                              "that exact attenuation under a non-uniform mix needs; "
                              "use mode='worst-case'")
-        if counts or self.kind == "bravyi_kitaev":
-            rows = np.arange(2 * n) if idx is None else np.asarray(idx)
-            out = (self._table_pairs(rows, counts) if self.kind == "bravyi_kitaev"
-                   else self._jordan_wigner_counts(rows))
-            if idx is None:  # (..., s, f, t, g) -> (..., f, g, s, t)
-                out = np.moveaxis(out.reshape(out.shape[:-2] + (n, 2, n, 2)), (-3, -1), (-4, -3))
-            return out
-        sites = np.arange(n) if idx is None else np.asarray(idx) // 2
+        n = self.lattice.n_sites
+        if idx is None:  # entry [f, g, s, t] is the pair (2s + f, 2t + g)
+            sites = np.arange(n, dtype=np.int32)
+            f = np.arange(2, dtype=np.int32).reshape(2, 1, 1, 1)
+            g = f.reshape(1, 2, 1, 1)
+        else:
+            sites, flavor = np.divmod(self.lattice._majoranas(idx), 2)
+            f, g = flavor.astype(np.int32)[:, None], flavor.astype(np.int32)[None, :]
+        if self.kind == "bravyi_kitaev":
+            return _fenwick_pairs(n, sites[:, None], sites[None, :], f, g, counts)
+        if counts:
+            return self._jordan_wigner_counts(sites, f, g)
         if self.kind == "local":
             w = self.phi0 + self.lattice.pair_distances(sites)
         else:  # int32 and in place: the N x N weights are at most N + 1

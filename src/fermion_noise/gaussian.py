@@ -205,12 +205,11 @@ class GaussianState:
 
     def occupation(self, site: int) -> float:
         """Mean occupation of one site, ``(1 + Gamma[2x, 2x+1]) / 2``."""
-        if not 0 <= site < self.lattice.n_sites:
-            raise IndexError(f"site {site} outside [0, {self.lattice.n_sites})")
         return 0.5 * (1.0 + self.covariance_block([2 * site, 2 * site + 1])[0, 1])
 
     def covariance_block(self, idx: np.ndarray) -> np.ndarray:
         """The covariance on a Majorana index set, ``gamma[np.ix_(idx, idx)]``."""
+        idx = self.lattice._majoranas(idx)
         return self.gamma[np.ix_(idx, idx)]
 
     def expectation(self, obs: QuadraticObservable) -> float:
@@ -300,8 +299,7 @@ class ModeDiagonalState(GaussianState):
         ``+-(2 Re C - delta_xy)`` between flavors 1 and 2 (``-`` for a
         flavor-2 row).
         """
-        idx = np.asarray(idx)
-        sites, flavor = idx // 2, idx % 2
+        sites, flavor = np.divmod(self.lattice._majoranas(idx), 2)
         corr = self._conj_correlation_box().ravel()[self.lattice.displacement_index(sites)]
         np.conj(corr, out=corr)
         gamma = 2.0 * corr.real

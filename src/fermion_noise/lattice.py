@@ -74,6 +74,14 @@ class Lattice:
             raise IndexError(f"site index {index} outside [0, {self.n_sites})")
         return tuple(self.coords[index].tolist())
 
+    def _majoranas(self, idx) -> np.ndarray:
+        """``idx`` as an array of Majorana indices, checked to lie in ``[0, 2N)``."""
+        idx = np.asarray(idx)
+        if idx.size and not (0 <= idx.min() and idx.max() < self.n_majorana):
+            raise IndexError(f"Majorana indices {idx.min()}..{idx.max()} "
+                             f"outside [0, {self.n_majorana})")
+        return idx
+
     @property
     def coords(self) -> np.ndarray:
         """Array of shape (n_sites, dim) with the coordinates of every site."""

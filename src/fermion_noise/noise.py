@@ -15,10 +15,10 @@ the quadratic sector exactly, as an elementwise damping of the covariance
 (or, in the Heisenberg picture, of the observable's coefficient matrix) by
 per-pair attenuation factors.  Every factor comes from one formula,
 ``ex**nx * ey**ny * ez**nz`` over the X/Y/Z counts of the encoding's
-strings (closed forms in the qubit order for Jordan-Wigner, popcounts of
-the table for Bravyi-Kitaev); worst-case mode sets all three etas to
-``1 - 3p/2``.  With equal etas the formula is ``eta**weight``, the only
-case the weight-only ``local`` model supports.  The same formula serves
+strings (closed forms in the qubit order for Jordan-Wigner, and in the
+bits of the two sites for Bravyi-Kitaev); worst-case mode sets all three
+etas to ``1 - 3p/2``.  With equal etas the formula is ``eta**weight``, the
+only case the weight-only ``local`` model supports.  The same formula serves
 every pair of a Majorana index set (:func:`attenuation_block`), a single
 bilinear (:func:`pair_attenuation`, the index set ``[a, b]``) and all
 pairs at once; those keep the encoding's ``(F, F, N, N)`` flavor-block

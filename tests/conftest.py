@@ -2,16 +2,23 @@
 
 The dense references (a state from its correlation matrix, an observable's
 ``(2N, 2N)`` coefficient matrix, the ``(2N, 2N)`` attenuation matrix, the
-Jordan-Wigner Pauli rows) are what the package's support-held, flavor-block
-and closed-form paths are checked against; no package code needs them.
+Jordan-Wigner and Bravyi-Kitaev Pauli rows) are what the package's
+support-held, flavor-block and closed-form paths are checked against; no
+package code needs them.
 """
 
 import numpy as np
 import pytest
 
-from fermion_noise import GaussianState, Lattice, QuadraticObservable, snake_index_vector
+from fermion_noise import (
+    GaussianState,
+    Lattice,
+    QuadraticObservable,
+    bk_beta_matrix,
+    snake_index_vector,
+)
 from fermion_noise.noise import _attenuation
-from oracle import pauli_string
+from oracle import gf2_inverse, pauli_string
 
 SEED = 20240817
 
@@ -143,21 +150,33 @@ def jordan_wigner_bits(lattice):
     return (q == qubit).astype(np.uint8), ((q < qubit) | (q == qubit) & flavor).astype(np.uint8)
 
 
+def bravyi_kitaev_bits(n_modes):
+    """Reference x and z bits, (2N, N) 0/1 arrays, of the Bravyi-Kitaev Majoranas.
+
+    Built from the encoder matrix ``beta`` and its GF(2) elimination: x is
+    column ``s`` of ``beta`` for both flavors of site ``s``; z is the parity
+    of the modes below ``s``, the XOR of rows ``k < s`` of ``beta^-1``, and
+    for flavor 1 also of row ``s``.
+    """
+    beta = bk_beta_matrix(n_modes)
+    parity = np.bitwise_xor.accumulate(gf2_inverse(beta), axis=0)  # modes k <= s
+    x = np.repeat(beta.T, 2, axis=0)
+    z = np.zeros_like(x)
+    z[2::2] = parity[:-1]
+    z[1::2] = parity
+    return x, z
+
+
 def table_bits(enc):
     """Every encoded Majorana as (2N, N) 0/1 x and z arrays.
 
-    Bravyi-Kitaev unpacks the package's own table; Jordan-Wigner, which the
-    package answers in closed form, is :func:`jordan_wigner_bits`.
+    The package answers every concrete encoding in closed form; these are
+    the tables it is checked against: :func:`bravyi_kitaev_bits` and
+    :func:`jordan_wigner_bits`.
     """
-    if enc.kind != "bravyi_kitaev":
-        return jordan_wigner_bits(enc.lattice)
-    n = enc.lattice.n_sites
-    x, z = enc.pauli_table()
-
-    def unpack(words):
-        return np.unpackbits(words.view(np.uint8), axis=1, bitorder="little")[:, :n]
-
-    return unpack(x), unpack(z)
+    if enc.kind == "bravyi_kitaev":
+        return bravyi_kitaev_bits(enc.lattice.n_sites)
+    return jordan_wigner_bits(enc.lattice)
 
 
 def table_strings(enc):

@@ -10,6 +10,7 @@ import pytest
 import fermion_noise.encodings as encodings_module
 from conftest import interleave_flavors, jordan_wigner_bits, table_bits, table_strings
 from fermion_noise import (
+    ENCODING_KINDS,
     EncodingWeightModel,
     Lattice,
     PauliChannel,
@@ -292,12 +293,9 @@ class TestBravyiKitaev:
         assert np.array_equal(product % 2, np.eye(n))
         assert not inv.flags.writeable
 
-    def test_table_is_built_from_the_eliminated_inverse_at_512_modes(self):
-        n = 512
-        beta = bk_beta_matrix(n)
-        x, z = EncodingWeightModel("bravyi_kitaev", Lattice(1, n)).pauli_table()
-        ref_x, ref_z = encodings_module._symplectic_table(beta, gf2_inverse(beta))
-        assert np.array_equal(x, ref_x) and np.array_equal(z, ref_z)
+    def test_counts_are_popcounts_of_the_eliminated_table_at_512_modes(self):
+        enc = EncodingWeightModel("bravyi_kitaev", Lattice(1, 512))
+        assert np.array_equal(_count_matrices(enc), _reference_counts(*table_bits(enc)))
 
     def test_number_operator_weights_frozen_n8(self):
         weights = [bk_number_operator_weight_from_beta(i, 8) for i in range(8)]
@@ -406,8 +404,8 @@ class TestSymplecticTable:
             assert set(np.flatnonzero(x[m])) == x_set
             assert set(np.flatnonzero(z[m])) == z_set
 
-    def test_jw1d_counts_match_the_closed_form_at_200_sites(self):
-        n = 200
+    def test_jw1d_counts_match_the_closed_form_at_48_sites(self):
+        n = 48  # the 200-site chain is checked against the reference table below
         enc = EncodingWeightModel("jw1d", Lattice(1, n))
         counts = _count_matrices(enc)
         ref = np.zeros_like(counts)
@@ -468,18 +466,29 @@ class TestIndexSetPairs:
 
 
 def _refuse_the_table(monkeypatch):
-    def refuse(self):
-        raise AssertionError("Pauli table read for a Jordan-Wigner pair")
+    """Fail any build of the Bravyi-Kitaev encoder matrices, from which a Pauli table is made."""
+    def refuse(*args):
+        raise AssertionError("encoder matrix built for a pair weight")
 
-    monkeypatch.setattr(EncodingWeightModel, "pauli_table", refuse)
+    monkeypatch.setattr(encodings_module, "bk_beta_matrix", refuse)
+    monkeypatch.setattr(encodings_module, "_bk_beta_inverse", refuse)
 
 
-def _reference_counts(x, z, rows=64):
-    """(3, 2N, 2N) X/Y/Z counts of every product of two rows of 0/1 x and z bits."""
+def _reference_counts(x, z):
+    """(3, 2N, 2N) X/Y/Z counts of every product of two rows of 0/1 x and z bits.
+
+    The rows are packed eight bits a byte; a product is the XOR of two rows,
+    its Y count the popcount of ``x & z``, and its X and Z counts those of
+    ``x`` and ``z`` less the Ys.
+    """
+    x, z = np.packbits(x, axis=1), np.packbits(z, axis=1)
     out = np.empty((3, len(x), len(x)), dtype=np.int64)
+    rows = max(1, (1 << 22) // max(1, x.size))  # about 4 MB per temporary
     for lo in range(0, len(x), rows):
         px, pz = x[lo:lo + rows, None] ^ x, z[lo:lo + rows, None] ^ z
-        out[:, lo:lo + rows] = (px > pz).sum(-1), (px & pz).sum(-1), (pz > px).sum(-1)
+        ny = np.bitwise_count(px & pz).sum(axis=-1)
+        out[:, lo:lo + rows] = (np.bitwise_count(px).sum(axis=-1) - ny, ny,
+                                np.bitwise_count(pz).sum(axis=-1) - ny)
     return out
 
 
@@ -497,13 +506,13 @@ class TestSingleWeights:
 class TestJordanWignerCounts:
     """Jordan-Wigner X/Y/Z counts are a closed form in the qubit order, with no table."""
 
-    @pytest.mark.parametrize("kind,dim,length", [("jw1d", 1, 8), ("jw2d_snake", 2, 4)])
+    @pytest.mark.parametrize("kind,dim,length", [("jw1d", 1, 8), ("jw2d_snake", 2, 4),
+                                                 ("bravyi_kitaev", 1, 16)])
     def test_counts_and_non_uniform_attenuation_read_no_table(self, monkeypatch, kind, dim,
                                                               length):
+        # Bravyi-Kitaev too answers from index arithmetic, not its encoder matrices.
         lat = Lattice(dim, length)
-        ref = _reference_counts(*jordan_wigner_bits(lat))
-        with pytest.raises(ValueError, match="bravyi_kitaev"):
-            EncodingWeightModel(kind, lat).pauli_table()
+        ref = _reference_counts(*table_bits(EncodingWeightModel(kind, lat)))
         _refuse_the_table(monkeypatch)
         enc = EncodingWeightModel(kind, lat)
         assert np.array_equal(_count_matrices(enc), ref)
@@ -546,6 +555,34 @@ class TestJordanWignerCounts:
         assert np.array_equal(counts, _reference_counts(*jordan_wigner_bits(lat)))
 
 
+class TestFenwickClosedForm:
+    """Bravyi-Kitaev weights and X/Y/Z counts are closed forms in the bits of the two sites."""
+
+    @pytest.mark.parametrize("dim,length", [(1, 2 ** k) for k in range(9)] + [(2, 16)])
+    def test_all_pairs_equal_the_reference_table(self, dim, length):
+        lat = Lattice(dim, length)
+        enc = EncodingWeightModel("bravyi_kitaev", lat)
+        ref = _reference_counts(*table_bits(enc))  # diagonal included: 0 for a == b
+        n = lat.n_sites
+        counts, weights = enc.pair_weights(counts=True), enc.pair_weights()
+        assert counts.dtype == weights.dtype == np.int32
+        assert counts.shape == (3, 2, 2, n, n) and weights.shape == (2, 2, n, n)
+        assert np.array_equal(_count_matrices(enc), ref)
+        assert np.array_equal(interleave_flavors(weights), ref.sum(axis=0))
+
+    def test_index_sets_at_64x64_equal_the_reference_rows(self, rng):
+        lat = Lattice(2, 64)
+        enc = EncodingWeightModel("bravyi_kitaev", lat)
+        x, z = table_bits(enc)
+        picks = [rng.choice(lat.n_majorana, size, replace=False) for size in (1, 2, 160)]
+        picks.append(np.concatenate([picks[-1], picks[-1][:7]]))  # repeats: a == b gives 0
+        for idx in picks:
+            ref = _reference_counts(x[idx], z[idx])
+            counts = enc.pair_weights(idx, counts=True)
+            assert counts.dtype == np.int32 and np.array_equal(counts, ref)
+            assert np.array_equal(enc.pair_weights(idx), ref.sum(axis=0))
+
+
 class TestDisplacementWeights:
     @pytest.mark.parametrize("kind,dim,length,phi0", [
         ("local", 1, 6, 0), ("local", 1, 7, 2), ("local", 2, 4, 1), ("local", 2, 5, 2),
@@ -565,6 +602,16 @@ class TestDisplacementWeights:
 
 
 class TestPairValidation:
+    @pytest.mark.parametrize("kind", ENCODING_KINDS)
+    def test_index_sets_outside_the_majoranas_are_refused(self, kind):
+        # Index arithmetic would read -1 as some other pair, not as an error.
+        enc = EncodingWeightModel(kind, Lattice(1, 16) if kind == "jw1d" else Lattice(2, 4))
+        for idx in ([-1, 0], [0, 32], [5, -3, 2]):
+            with pytest.raises(IndexError, match=r"outside \[0, 32\)"):
+                enc.pair_weights(idx)
+        with pytest.raises(IndexError, match=r"outside \[0, 32\)"):
+            attenuation_block(enc, PauliChannel(0.1), [-2, 3], mode="worst-case")
+
     def test_bilinear_weight_index_errors(self):
         enc = EncodingWeightModel("jw1d", Lattice(1, 4))
         with pytest.raises(IndexError):

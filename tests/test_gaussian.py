@@ -419,6 +419,15 @@ class TestCovarianceBlock:
         assert_close(fresh.covariance_block(np.arange(lat.n_majorana)), dense.gamma, 1e-12,
                      "block")
 
+    @pytest.mark.parametrize("idx", [[-1, 0], [0, 16], [3, -2, 5]])
+    def test_blocks_refuse_indices_outside_the_majoranas(self, idx):
+        # A negative index would wrap to the far end of the lattice and
+        # answer for some other pair.
+        lat = Lattice(1, 8)
+        for state in (GaussianState.vacuum(lat), fermi_sea_1d(lat, 3)[0]):
+            with pytest.raises(IndexError, match=r"outside \[0, 16\)"):
+                state.covariance_block(idx)
+
     def test_unphysical_circulant_profile_is_an_invariant_violation(self, monkeypatch):
         monkeypatch.setattr(gaussian_module, "_offdiagonal_decay_sum", lambda dim, mu: 0.1)
         with pytest.raises(InvariantViolation, match="outside"):
