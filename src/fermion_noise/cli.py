@@ -23,6 +23,12 @@ bound formulas):
 ``bounds``
     Tables of the closed-form stability bounds over small parameter grids.
 
+A table is a dict of equal-length numpy columns from the runner to the writer
+(``bounds`` returns four named ones, tagged by a ``table`` column in CSV).  CSV
+formats each table's rows by one ``%`` template from its column dtypes
+(``%.12g`` floats, ``%d`` integers, ``%s`` strings) in blocks of rows; JSON
+writes row objects of the columns' ``tolist()`` values.
+
 Configuration comes from flags or from a flat ``key=value`` file passed via
 ``--config`` (flags win).  Exit codes: 0 on success, 2 for configuration
 errors, 3 when a numerical invariant breaks mid-run.  Reruns with identical
@@ -33,6 +39,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import sys
 from typing import Callable, Dict, IO, List, Optional, Sequence
@@ -50,6 +57,7 @@ from .lattice import Lattice
 from .noise import MODES, P_MAX, PauliChannel, momentum_error_map
 
 Row = Dict[str, object]
+Table = Dict[str, np.ndarray]   # equal-length columns, in output order
 
 _FERMI2D_DEFAULT_FILLINGS = (300, 450, 700)
 _CIRCUIT_DEFAULT_SIZES = (16, 64, 256)
@@ -114,6 +122,7 @@ _DEFAULT_FORMAT = {command: "csv" for command in _OPTIONS}
 _DEFAULT_FORMAT["bounds"] = "json"
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fermion-noise",
@@ -211,7 +220,16 @@ def _encoding_for(cfg: Dict[str, object], lattice: Lattice) -> EncodingWeightMod
 # ----------------------------------------------------------------------
 
 
-def _run_fermi1d(cfg: Dict[str, object]) -> List[Row]:
+def _columns(rows: List[Row]) -> Table:
+    """The table of a few per-system rows that share their keys."""
+    return {name: np.array([row[name] for row in rows]) for name in rows[0]}
+
+
+def _concat(tables: List[Table]) -> Table:
+    return {name: np.concatenate([table[name] for table in tables]) for name in tables[0]}
+
+
+def _run_fermi1d(cfg: Dict[str, object]) -> Table:
     p = cfg["p"]
     channel = PauliChannel.depolarizing(p)
     if cfg["sweep_k"]:
@@ -225,10 +243,7 @@ def _run_fermi1d(cfg: Dict[str, object]) -> List[Row]:
         state, grid, _ = fermi_sea_1d(lattice, n_occ)
         errors = momentum_error_map(state, enc, channel, grid.momenta, cfg["mode"])
         order = np.argsort(grid.momenta[:, 0])
-        return [
-            {"k": grid.momenta[i, 0], "sensitivity": abs(errors[i]) / p}
-            for i in order
-        ]
+        return {"k": grid.momenta[order, 0], "sensitivity": np.abs(errors[order]) / p}
     _require(cfg["n_occ"] is None, "n_occ", "only meaningful together with --sweep-k")
     n_max = cfg["L"] if cfg["L"] is not None else 200
     _require(n_max >= 20, "L", f"size grid needs L >= 20, got {n_max}")
@@ -248,40 +263,33 @@ def _run_fermi1d(cfg: Dict[str, object]) -> List[Row]:
             "error_kf": err_kf,
             "error_q0": err_q0,
         })
-    return rows
+    return _columns(rows)
 
 
-def _run_fermi2d(cfg: Dict[str, object]) -> List[Row]:
+def _run_fermi2d(cfg: Dict[str, object]) -> Table:
     p = cfg["p"]
     _require(p > 0, "p", "sensitivity maps need p > 0")
     length = cfg["L"]
     _require(length >= 2 and length % 2 == 0, "L", f"must be even and >= 2, got {length}")
     lattice = Lattice(2, length)
-    if cfg["n_occ"] is not None:
-        fillings: Sequence[int] = (cfg["n_occ"],)
-    else:
-        fillings = _FERMI2D_DEFAULT_FILLINGS
+    fillings = _FERMI2D_DEFAULT_FILLINGS if cfg["n_occ"] is None else (cfg["n_occ"],)
     for n_occ in fillings:
         _require(0 <= n_occ <= lattice.n_sites, "n_occ",
                  f"must lie in [0, {lattice.n_sites}], got {n_occ}")
     enc = _encoding_for(cfg, lattice)
     channel = PauliChannel.depolarizing(p)
-    rows: List[Row] = []
+    tables: List[Table] = []
     for n_occ in fillings:
         state, grid, _ = tight_binding_ground_state_2d(lattice, n_occ)
         errors = momentum_error_map(state, enc, channel, grid.momenta, cfg["mode"])
         order = np.lexsort((grid.momenta[:, 1], grid.momenta[:, 0]))
-        for i in order:
-            rows.append({
-                "n_occ": n_occ,
-                "kx": grid.momenta[i, 0],
-                "ky": grid.momenta[i, 1],
-                "sensitivity": abs(errors[i]) / p,
-            })
-    return rows
+        momenta = grid.momenta[order]
+        tables.append({"n_occ": np.full(order.size, n_occ), "kx": momenta[:, 0],
+                       "ky": momenta[:, 1], "sensitivity": np.abs(errors[order]) / p})
+    return _concat(tables)
 
 
-def _run_encoding_compare(cfg: Dict[str, object]) -> List[Row]:
+def _run_encoding_compare(cfg: Dict[str, object]) -> Table:
     p = cfg["p"]
     phi0 = cfg["phi0"]
     l_max = cfg["L"]
@@ -309,10 +317,10 @@ def _run_encoding_compare(cfg: Dict[str, object]) -> List[Row]:
         rows.append({"encoding": "bravyi_kitaev", "n_modes": n_modes,
                      "weight": weight, "error": 0.5 * deficit(weight)})
         n_modes *= 2
-    return rows
+    return _columns(rows)
 
 
-def _run_circuit(cfg: Dict[str, object]) -> List[Row]:
+def _run_circuit(cfg: Dict[str, object]) -> Table:
     """Noisy-versus-ideal hopping error per depth prefix, next to its Proposition 3 bound.
 
     With the ``local`` encoding, the premise of the bound, an error above it
@@ -321,15 +329,12 @@ def _run_circuit(cfg: Dict[str, object]) -> List[Row]:
     """
     p = cfg["p"]
     depth = cfg["depth"]
-    if cfg["L"] is not None:
-        sizes: Sequence[int] = (cfg["L"],)
-    else:
-        sizes = _CIRCUIT_DEFAULT_SIZES
+    sizes = _CIRCUIT_DEFAULT_SIZES if cfg["L"] is None else (cfg["L"],)
     for length in sizes:
         _require(length >= 2 and length % 2 == 0, "L",
                  f"must be even and >= 2 (radius-1 bricks), got {length}")
     channel = PauliChannel.depolarizing(p)
-    rows: List[Row] = []
+    tables: List[Table] = []
     for length in sizes:
         lattice = Lattice(1, length)
         enc = _encoding_for(cfg, lattice)
@@ -341,24 +346,20 @@ def _run_circuit(cfg: Dict[str, object]) -> List[Row]:
         circuit = brickwork_circuit(lattice, depth, radius=1, rng=rng)
         ideal = prefix_expectations(state, obs, circuit)
         noisy = prefix_expectations(state, obs, circuit, channel, enc, cfg["mode"])
-        for d in range(depth + 1):
-            error = abs(noisy[d] - ideal[d])
-            bound = prop3_bound(params, p, d, radius=1).value
-            if cfg["encoding"] == "local" and error > bound:
-                raise InvariantViolation(
-                    f"circuit at n_sites {length}, depth {d}: error {error:.6g} exceeds "
-                    f"its Proposition 3 bound {bound:.6g}")
-            rows.append({
-                "n_sites": length,
-                "depth": d,
-                "p": p,
-                "error": error,
-                "prop3_bound": bound,
-            })
-    return rows
+        depths = np.arange(depth + 1)
+        error = np.abs(np.subtract(noisy, ideal))
+        bound = np.array([prop3_bound(params, p, d, radius=1).value for d in depths])
+        if cfg["encoding"] == "local" and np.any(error > bound):
+            d = np.argmax(error > bound)
+            raise InvariantViolation(
+                f"circuit at n_sites {length}, depth {d}: error {error[d]:.6g} exceeds "
+                f"its Proposition 3 bound {bound[d]:.6g}")
+        tables.append({"n_sites": np.full(depths.size, length), "depth": depths,
+                       "p": np.full(depths.size, p), "error": error, "prop3_bound": bound})
+    return _concat(tables)
 
 
-def _run_bounds(cfg: Dict[str, object]) -> Dict[str, object]:
+def _run_bounds(cfg: Dict[str, object]) -> Dict[str, Table]:
     p = cfg["p"]
     _require(p > 0, "p", "the bound tables need p > 0")
     phi0 = cfg["phi0"]
@@ -390,10 +391,10 @@ def _run_bounds(cfg: Dict[str, object]) -> Dict[str, object]:
                         "value": fermi2d_on_surface_error(p, k_fermi),
                         "integral_bound": on_surface_integral_bound(p, k_fermi)})
     return {
-        "prop1": prop1_rows,
-        "prop3_prop4": circuit_rows,
-        "fermi2d_off_surface": off_rows,
-        "fermi2d_on_surface": on_rows,
+        "prop1": _columns(prop1_rows),
+        "prop3_prop4": _columns(circuit_rows),
+        "fermi2d_off_surface": _columns(off_rows),
+        "fermi2d_on_surface": _columns(on_rows),
     }
 
 
@@ -402,61 +403,60 @@ def _run_bounds(cfg: Dict[str, object]) -> Dict[str, object]:
 # ----------------------------------------------------------------------
 
 
-def _format_value(value: object) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (float, np.floating)):
-        return f"{float(value):.12g}"
-    return str(value)
+# Row templates by dtype kind; any other kind (strings, objects) formats as ``%s``.
+_CSV_SPECS = {"f": "%.12g", "i": "%d", "u": "%d"}
+_CSV_BLOCK_ROWS = 65536
 
 
-def _jsonable(value: object) -> object:
-    """``json.dump`` fallback: numpy ints and bools (numpy floats are floats)."""
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, np.bool_):
-        return bool(value)
-    raise TypeError(f"{type(value).__name__} is not JSON serializable")
+def _n_rows(table: Table) -> int:
+    return len(next(iter(table.values())))
 
 
-def _write_csv(rows: List[Row], stream: IO[str]) -> None:
-    if not rows:
+def _write_csv(tables: Sequence[Table], stream: IO[str]) -> None:
+    """Union header in first-seen order, then each table by one row template.
+
+    A column a table lacks is an empty field.  Rows are formatted in blocks of
+    ``_CSV_BLOCK_ROWS`` so the full text is never held at once; a result
+    without rows writes nothing.
+    """
+    tables = [table for table in tables if _n_rows(table)]
+    header = list(dict.fromkeys(name for table in tables for name in table))
+    if not header:
         return
-    header: List[str] = []
-    for row in rows:
-        for name in row:
-            if name not in header:
-                header.append(name)
     stream.write(",".join(header) + "\n")
-    for row in rows:
-        stream.write(",".join(_format_value(row[name]) if name in row else ""
-                              for name in header) + "\n")
+    for table in tables:
+        template = ",".join(_CSV_SPECS.get(table[name].dtype.kind, "%s") if name in table
+                            else "" for name in header) + "\n"
+        columns = [table[name] for name in header if name in table]
+        for lo in range(0, _n_rows(table), _CSV_BLOCK_ROWS):
+            block = zip(*(column[lo:lo + _CSV_BLOCK_ROWS].tolist() for column in columns))
+            stream.write("".join([template % row for row in block]))
 
 
-def _write_json(payload: Dict[str, object], stream: IO[str]) -> None:
-    json.dump(payload, stream, indent=2, default=_jsonable)
+def _write_json(head: Dict[str, object], tables: Dict[str, Table], stream: IO[str]) -> None:
+    """``head``, then each named table as a list of row objects."""
+    rows = {name: [dict(zip(table, row)) for row in zip(*(c.tolist() for c in table.values()))]
+            for name, table in tables.items()}
+    json.dump({**head, **rows}, stream, indent=2)
     stream.write("\n")
 
 
-def _emit(result: object, cfg: Dict[str, object], command: str,
+def _emit(result: Dict[str, object], cfg: Dict[str, object], command: str,
           out: Optional[str], fmt: str) -> None:
-    if isinstance(result, dict):
-        tables = result
-        rows = [dict(table=name, **row) for name, sub in tables.items() for row in sub]
-    else:
-        rows = list(result)
-        tables = {"rows": result}
-    payload = {"command": command, "config": cfg, **tables}
+    """Write one table, or named tables (``bounds``), which CSV tags by a ``table`` column."""
+    named = isinstance(next(iter(result.values())), dict)
+    tables = result if named else {"rows": result}
     try:
         sink = contextlib.nullcontext(sys.stdout) if out is None else \
             open(out, "w", encoding="utf-8", newline="\n")
     except OSError as exc:
         raise ConfigError(f"out: cannot write {out!r} ({exc})") from exc
     with sink as stream:
-        if fmt == "csv":
-            _write_csv(rows, stream)
+        if fmt == "json":
+            _write_json({"command": command, "config": cfg}, tables, stream)
         else:
-            _write_json(payload, stream)
+            _write_csv([{"table": np.full(_n_rows(table), name), **table}
+                        for name, table in tables.items()] if named else [result], stream)
 
 
 _RUNNERS: Dict[str, Callable[[Dict[str, object]], object]] = {

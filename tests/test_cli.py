@@ -2,6 +2,7 @@
 
 import dataclasses
 import importlib
+import io
 import json
 import os
 import subprocess
@@ -18,6 +19,7 @@ from fermion_noise.gaussian import ModeDiagonalState
 
 
 REFERENCE_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
+GOLDEN_DIR = Path(__file__).resolve().parent / "data" / "cli"
 
 
 def run_to_file(tmp_path, name, argv):
@@ -494,3 +496,84 @@ class TestJsonFormat:
         first = out.read_text().splitlines()[1].split(",")
         want = 1.0 - (1.0 - p) ** 2
         assert float(first[3]) == pytest.approx(want, rel=1e-11)
+
+
+class TestGoldenOutput:
+    """Exact output bytes of a fixed command set (the perfbench references check to 1e-10 only)."""
+
+    @pytest.mark.parametrize("name, argv", [
+        ("fermi1d_L60.csv", "fermi1d --L 60"),
+        ("fermi1d_L60_worst_case.json", "fermi1d --L 60 --format json --mode worst-case"),
+        ("fermi1d_sweep_k_L32_bravyi_kitaev.csv",
+         "fermi1d --sweep-k --L 32 --encoding bravyi_kitaev"),
+        ("fermi2d_L8_n10.csv", "fermi2d --L 8 --n-occ 10"),
+        ("fermi2d_L8_n10.json", "fermi2d --L 8 --n-occ 10 --format json"),
+        ("fermi2d_L16_n100_jw2d_snake.csv", "fermi2d --L 16 --n-occ 100 --encoding jw2d_snake"),
+        ("encoding_compare_L8.csv", "encoding-compare --L 8"),
+        ("encoding_compare_L8.json", "encoding-compare --L 8 --format json"),
+        ("circuit_L16_depth3_seed0.json", "circuit --L 16 --depth 3 --seed 0 --format json"),
+        ("bounds.json", "bounds"),
+        ("bounds.csv", "bounds --format csv"),
+    ])
+    def test_output_matches_the_recorded_bytes(self, tmp_path, name, argv):
+        code, out = run_to_file(tmp_path, name, argv.split())
+        assert code == 0
+        assert out.read_bytes() == (GOLDEN_DIR / name).read_bytes()
+
+
+class TestCsvWriter:
+    @staticmethod
+    def write(tables):
+        stream = io.StringIO()
+        cli._write_csv(tables, stream)
+        return stream.getvalue()
+
+    def test_floats_format_at_twelve_significant_digits(self):
+        values = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e16, 3.0, -2.0, 0.1 + 0.2]
+        lines = self.write([{"x": np.array(values)}]).splitlines()
+        assert lines == ["x"] + [format(value, ".12g") for value in values]
+
+    def test_integer_and_string_columns_are_written_as_str(self):
+        table = {"i": np.array([0, -7, 2**62]),
+                 "u": np.array([3, 0, 2**64 - 1], dtype=np.uint64),
+                 "s": np.array(["local", "mu>D+1", "bravyi_kitaev"])}
+        lines = self.write([table]).splitlines()
+        assert lines[0] == "i,u,s"
+        assert lines[1:] == [",".join(str(column[r]) for column in table.values())
+                             for r in range(3)]
+
+    def test_a_missing_column_is_an_empty_field(self):
+        tables = [{"table": np.array(["a"]), "x": np.array([0.5]), "n": np.array([1])},
+                  {"table": np.array(["b"]), "n": np.array([2]), "y": np.array([0.25])}]
+        assert self.write(tables) == "table,x,n,y\na,0.5,1,\nb,,2,0.25\n"
+
+    def test_zero_rows_write_nothing(self):
+        assert self.write([{"x": np.array([], dtype=float)}]) == ""
+        # An empty table adds no column to the header of the others.
+        tables = [{"x": np.array([], dtype=float)}, {"n": np.array([4])}]
+        assert self.write(tables) == "n\n4\n"
+
+    def test_row_blocks_give_the_bytes_of_single_rows(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        table = {"n": np.arange(10), "x": rng.normal(size=10), "s": np.array(list("abcdefghij"))}
+        one_at_a_time = self.write([{name: column[r:r + 1] for name, column in table.items()}
+                                    for r in range(10)])
+        assert self.write([table]) == one_at_a_time
+        monkeypatch.setattr(cli, "_CSV_BLOCK_ROWS", 3)
+        assert self.write([table]) == one_at_a_time
+
+
+class TestParserReuse:
+    def test_parser_is_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_a_second_call_gets_its_defaults_back(self, tmp_path):
+        code, _ = run_to_file(tmp_path, "first.json", ["circuit", "--L", "8", "--depth", "2",
+                                                       "--seed", "5", "--format", "json"])
+        assert code == 0
+        code, second = run_to_file(tmp_path, "second.csv", ["circuit", "--L", "8"])
+        assert code == 0
+        _, explicit = run_to_file(tmp_path, "explicit.csv", ["circuit", "--L", "8", "--depth", "3",
+                                                             "--seed", "0", "--format", "csv"])
+        assert second.read_bytes() == explicit.read_bytes()
+        assert len(second.read_text().splitlines()) == 1 + 4
