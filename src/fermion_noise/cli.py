@@ -27,7 +27,8 @@ A table is a dict of equal-length numpy columns from the runner to the writer
 (``bounds`` returns four named ones, tagged by a ``table`` column in CSV).  CSV
 formats each table's rows by one ``%`` template from its column dtypes
 (``%.12g`` floats, ``%d`` integers, ``%s`` strings) in blocks of rows; JSON
-writes row objects of the columns' ``tolist()`` values.
+writes row objects by one template per table too, with the bytes of
+``json.dump(..., indent=2)``.
 
 Configuration comes from flags or from a flat ``key=value`` file passed via
 ``--config`` (flags win).  Exit codes: 0 on success, 2 for configuration
@@ -415,9 +416,10 @@ def _n_rows(table: Table) -> int:
 def _write_csv(tables: Sequence[Table], stream: IO[str]) -> None:
     """Union header in first-seen order, then each table by one row template.
 
-    A column a table lacks is an empty field.  Rows are formatted in blocks of
-    ``_CSV_BLOCK_ROWS`` so the full text is never held at once; a result
-    without rows writes nothing.
+    A column a table lacks is an empty field.  Columns are read in blocks of
+    ``_CSV_BLOCK_ROWS`` rows and each row is written as it is formatted, so
+    neither all values nor the full text are held at once; a result without
+    rows writes nothing.
     """
     tables = [table for table in tables if _n_rows(table)]
     header = list(dict.fromkeys(name for table in tables for name in table))
@@ -430,15 +432,41 @@ def _write_csv(tables: Sequence[Table], stream: IO[str]) -> None:
         columns = [table[name] for name in header if name in table]
         for lo in range(0, _n_rows(table), _CSV_BLOCK_ROWS):
             block = zip(*(column[lo:lo + _CSV_BLOCK_ROWS].tolist() for column in columns))
-            stream.write("".join([template % row for row in block]))
+            stream.writelines(map(template.__mod__, block))
+
+
+def _json_column(column: np.ndarray):
+    """Row-template spec and values of one column, each value as ``json`` writes it."""
+    if column.dtype.kind in "iu":
+        return "%d", column
+    if column.dtype.kind == "f" and np.isfinite(column).all():
+        return "%r", column
+    return "%s", np.array([json.dumps(value) for value in column.tolist()], dtype=object)
 
 
 def _write_json(head: Dict[str, object], tables: Dict[str, Table], stream: IO[str]) -> None:
-    """``head``, then each named table as a list of row objects."""
-    rows = {name: [dict(zip(table, row)) for row in zip(*(c.tolist() for c in table.values()))]
-            for name, table in tables.items()}
-    json.dump({**head, **rows}, stream, indent=2)
-    stream.write("\n")
+    """``head``, then each named table as a list of row objects.
+
+    The bytes of ``json.dump({**head, **rows}, stream, indent=2)`` and a
+    newline, for a nonempty ``head``: ``head`` goes through ``json.dumps``, and
+    each table's rows through one row template (``repr`` floats, ``%d``
+    integers, ``json.dumps`` for the rest and for non-finite floats), read and
+    written as in :func:`_write_csv`.
+    """
+    stream.write(json.dumps(head, indent=2)[:-2])
+    for name, table in tables.items():
+        stream.write(f",\n  {json.dumps(name)}: [")
+        specs, columns = zip(*map(_json_column, table.values()))
+        template = ",\n    {\n" + ",\n".join(
+            f"      {json.dumps(key).replace('%', '%%')}: {spec}"
+            for key, spec in zip(table, specs)) + "\n    }"
+        for lo in range(0, _n_rows(table), _CSV_BLOCK_ROWS):
+            block = zip(*(column[lo:lo + _CSV_BLOCK_ROWS].tolist() for column in columns))
+            if not lo:  # the first row takes no comma
+                stream.write(template[1:] % next(block))
+            stream.writelines(map(template.__mod__, block))
+        stream.write("\n  ]" if _n_rows(table) else "]")
+    stream.write("\n}\n")
 
 
 def _emit(result: Dict[str, object], cfg: Dict[str, object], command: str,

@@ -24,7 +24,8 @@ Four models are provided:
     inverse, both by recursive doubling.  Qubit ``j`` holds the parity of
     the ``2^tau(j)`` modes ending at ``j`` (``tau`` the trailing ones), so
     weights and X/Y/Z counts are int32 closed forms in the bits of the two
-    sites (:func:`_fenwick_pairs`).
+    sites (:func:`_fenwick_pairs`), whose per-end terms are also given one
+    Fenwick level at a time (:func:`_fenwick_levels`).
 
 Weights and counts of every pair of a Majorana index set come from one
 method, :meth:`EncodingWeightModel.pair_weights`.  A circuit's light cone
@@ -43,7 +44,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable, Optional, Union
+from typing import Callable, Dict, Optional, Union
 
 import numpy as np
 
@@ -134,6 +135,15 @@ def bk_max_number_operator_weight(n_modes: int) -> int:
     return n_modes.bit_length()
 
 
+def _fenwick_bits(n_modes: int):
+    """Per-mode tables: highest set bit (-1 at 0), trailing ones ``tau``, ones below each bit."""
+    modes = np.arange(n_modes, dtype=np.int32)
+    top = np.frexp(modes)[1] - 1
+    tau = np.bitwise_count(modes ^ (modes + 1)) - 1
+    ones_below = np.bitwise_count(modes[:, None] & ((1 << np.arange(n_modes.bit_length())) - 1))
+    return top, tau, ones_below
+
+
 def _fenwick_pairs(n_modes: int, s: np.ndarray, t: np.ndarray, f: np.ndarray, g: np.ndarray,
                    counts: bool) -> np.ndarray:
     """Bravyi-Kitaev weights, or X/Y/Z counts, of the pairs ``(2s + f, 2t + g)``, in int32.
@@ -155,10 +165,7 @@ def _fenwick_pairs(n_modes: int, s: np.ndarray, t: np.ndarray, f: np.ndarray, g:
     terms are int32 and flavors enter by ``where=``: full-shape or int8
     temporaries raised the peak RSS.
     """
-    modes = np.arange(n_modes, dtype=np.int32)
-    top = np.frexp(modes)[1] - 1  # highest set bit, -1 at 0
-    tau = np.bitwise_count(modes ^ (modes + 1)) - 1  # trailing ones
-    ones_below = np.bitwise_count(modes[:, None] & ((1 << np.arange(n_modes.bit_length())) - 1))
+    top, tau, ones_below = _fenwick_bits(n_modes)
     h = top[s ^ t]
     same, ends = h < 0, ((s, f), (t, g))  # the two ends enter alike
     h2 = 2 * h + 1
@@ -181,6 +188,24 @@ def _fenwick_pairs(n_modes: int, s: np.ndarray, t: np.ndarray, f: np.ndarray, g:
     np.copyto(out[:2], 0, where=same)
     np.subtract(nz, h2, out=nz, where=~same)
     return out
+
+
+def _fenwick_levels(n_modes: int):
+    """Per-end exponent tables of :func:`_fenwick_pairs`, one level ``h`` at a time.
+
+    Yields ``(h, o, p, r, p_last)`` for ``h = 0 .. log2(n) - 1``.  Two sites
+    first differing at bit ``h`` lie in the two halves of one block of
+    ``2^(h + 1)`` modes; ``o``, ``p`` and ``r`` are ``O``, ``P`` and ``R`` at
+    the sites of block 0, and every block has the same ones but at its last
+    site, whose trailing ones run on into the block number: ``p_last`` is
+    ``P`` at the last site of every block, where ``O = h`` and ``R = 1``.
+    """
+    _, tau, ones_below = _fenwick_bits(n_modes)
+    tau = tau.astype(np.int64)
+    for h in range(n_modes.bit_length() - 1):
+        size = 2 << h
+        yield (h, ones_below[:size, h].astype(np.int64), h - np.abs(tau[:size] - h),
+               tau[:size] >= h, h - np.abs(tau[size - 1::size] - h))
 
 
 # ----------------------------------------------------------------------
@@ -221,6 +246,8 @@ class EncodingWeightModel:
             self.phi0 = 1
         self.kind = kind
         self.lattice = lattice
+        # Drop boxes of noise.momentum_error_map by etas: they do not depend on the state.
+        self._drop_boxes: Dict[tuple, tuple] = {}
 
     @cached_property
     def _qubit_order(self) -> np.ndarray:

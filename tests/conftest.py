@@ -17,7 +17,7 @@ from fermion_noise import (
     bk_beta_matrix,
     snake_index_vector,
 )
-from fermion_noise.noise import _attenuation
+from fermion_noise.noise import _attenuation, _mode_etas
 from oracle import gf2_inverse, pauli_string
 
 SEED = 20240817
@@ -96,7 +96,7 @@ def attenuation_matrix(enc, channel, mode="exact"):
     The reference the index-set route of ``attenuation_block`` is checked
     against: the blocks come from ``pair_weights()`` without an index set.
     """
-    lam = interleave_flavors(_attenuation(enc, channel, mode))
+    lam = interleave_flavors(_attenuation(enc, _mode_etas(channel, mode)))
     np.fill_diagonal(lam, 1.0)
     return lam
 

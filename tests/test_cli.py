@@ -514,6 +514,13 @@ class TestGoldenOutput:
         ("circuit_L16_depth3_seed0.json", "circuit --L 16 --depth 3 --seed 0 --format json"),
         ("bounds.json", "bounds"),
         ("bounds.csv", "bounds --format csv"),
+        ("fermi2d_L16_n100_bravyi_kitaev.csv",
+         "fermi2d --L 16 --n-occ 100 --encoding bravyi_kitaev"),
+        ("fermi2d_L8_n10_bravyi_kitaev_worst_case.csv",
+         "fermi2d --L 8 --n-occ 10 --encoding bravyi_kitaev --mode worst-case"),
+        ("fermi1d_sweep_k_L64_bravyi_kitaev_eta0.csv",  # worst-case etas of 0
+         "fermi1d --sweep-k --encoding bravyi_kitaev --L 64 --p 0.6666666666666666 "
+         "--mode worst-case"),
     ])
     def test_output_matches_the_recorded_bytes(self, tmp_path, name, argv):
         code, out = run_to_file(tmp_path, name, argv.split())
@@ -561,6 +568,44 @@ class TestCsvWriter:
         assert self.write([table]) == one_at_a_time
         monkeypatch.setattr(cli, "_CSV_BLOCK_ROWS", 3)
         assert self.write([table]) == one_at_a_time
+
+
+class TestJsonWriter:
+    @staticmethod
+    def write(head, tables):
+        stream = io.StringIO()
+        cli._write_json(head, tables, stream)
+        return stream.getvalue()
+
+    @staticmethod
+    def reference(head, tables):
+        rows = {name: [dict(zip(table, row)) for row in zip(*(c.tolist() for c in table.values()))]
+                for name, table in tables.items()}
+        return json.dumps({**head, **rows}, indent=2) + "\n"
+
+    def test_non_finite_floats_are_written_as_json_writes_them(self):
+        head = {"command": "x", "config": {"p": 0.5, "L": None, "flag": True}}
+        tables = {"rows": {"x": np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e16, 0.1]),
+                           "n": np.arange(7)}}
+        text = self.write(head, tables)
+        assert text == self.reference(head, tables)
+        x_lines = [line.strip() for line in text.splitlines() if line.strip().startswith('"x"')]
+        assert x_lines[:3] == ['"x": NaN,', '"x": Infinity,', '"x": -Infinity,']
+
+    def test_any_tables_give_the_bytes_of_json_dump(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        head = {"command": "bounds", "config": {"p": 1e-3, "name": 'a "b" %d'}}
+        tables = {
+            "one": {"i": np.array([0, -7, 2**62]), "u": np.array([3, 0, 2**64 - 1], dtype=np.uint64),
+                    "s": np.array(['plain', 'quote "q"', "percent %s"]),
+                    "b": np.array([True, False, True]), "f": rng.normal(size=3) * 1e300},
+            "empty": {"x": np.array([], dtype=float)},
+            "100% \"odd\" name": {"k%d": np.arange(10) / 7.0, "v": rng.normal(size=10)},
+        }
+        want = self.reference(head, tables)
+        assert self.write(head, tables) == want
+        monkeypatch.setattr(cli, "_CSV_BLOCK_ROWS", 3)
+        assert self.write(head, tables) == want
 
 
 class TestParserReuse:

@@ -25,6 +25,8 @@ from fermion_noise import (
     random_pure_state,
     tight_binding_ground_state_2d,
 )
+from fermion_noise import encodings
+from fermion_noise.noise import _drop_box, _drops, _fold, _mode_etas
 from oracle import (
     dense_gaussian_density_matrix,
     dense_majorana_set,
@@ -597,3 +599,82 @@ class TestSpectralErrorMap:
         direct = _direct_occupation_errors(side, occ_m, p, phi0, probes_m)
         assert_close(errors, direct, 1e-12, "spectral vs convolution reference")
         assert state._gamma is None
+
+
+_FENWICK_NOISE = [
+    (PauliChannel.depolarizing(0.2), "exact"),
+    (PauliChannel.depolarizing(0.2), "worst-case"),
+    (PauliChannel(0.2, alphas=(0.1, 0.1, 0.8)), "exact"),
+    (PauliChannel(0.2, alphas=(0.5, 0.5, 0.0)), "exact"),
+    (PauliChannel(0.2, alphas=(0.0, 0.0, 1.0)), "exact"),
+    (PauliChannel(0.2, alphas=(0.7, 0.2, 0.1)), "exact"),
+    (PauliChannel(2 / 3, alphas=(0.0, 0.5, 0.5)), "exact"),  # eta_x = 0
+    (PauliChannel(2 / 3), "worst-case"),  # every eta 0
+]
+
+
+def _streamed_drop_box(lat, eta):
+    """``(same, cross)`` of the uniform-mix Bravyi-Kitaev drops, folded by rows of sites."""
+    n = lat.n_sites
+    sites = np.arange(n, dtype=np.int32)
+    f = np.arange(2, dtype=np.int32).reshape(2, 1, 1, 1)
+    box = np.zeros((2, 2, (2 * lat.length) ** lat.dim))
+    for rows in np.split(sites, lat.length):
+        drop = 1.0 - eta ** encodings._fenwick_pairs(n, rows[:, None], sites[None, :],
+                                                     f, f.reshape(1, 2, 1, 1), False)
+        key = lat.displacement_index(rows, sites).ravel()
+        for out, pairs in zip(box.reshape(4, -1), drop.reshape(4, -1)):
+            out += np.bincount(key, pairs, box.shape[-1])
+    box = box.reshape((2, 2) + (2 * lat.length,) * lat.dim)
+    return (box[0, 0] + box[1, 1]) / 2.0, (box[0, 1] + box[1, 0]) / 2.0
+
+
+class TestFenwickLevels:
+    # Bravyi-Kitaev's drop box by Fenwick level against the fold of all its
+    # N x N drop blocks, the path it replaced.
+    @pytest.mark.parametrize("dim,length", [(1, 1), (1, 2), (1, 4), (1, 16), (1, 512),
+                                            (2, 1), (2, 2), (2, 4), (2, 8), (2, 16), (2, 32)])
+    @pytest.mark.parametrize("channel,mode", _FENWICK_NOISE, ids=[
+        "uniform", "worst-case", "0.1,0.1,0.8", "0.5,0.5,0", "0,0,1", "0.7,0.2,0.1",
+        "eta_x=0", "eta=0"])
+    def test_levels_match_the_fold(self, dim, length, channel, mode):
+        lat = Lattice(dim, length)
+        etas = _mode_etas(channel, mode)
+        enc = EncodingWeightModel("bravyi_kitaev", lat)
+        drop = _fold(lat, _drops(enc, etas))
+        want = np.stack([drop[0, 0] + drop[1, 1], drop[0, 1] + drop[1, 0]]) / 2.0
+        got = np.stack(_drop_box(enc, etas))
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), f"{dim}D L={length} {etas}"
+
+    def test_the_map_at_64_by_64_builds_no_pair_table(self, monkeypatch):
+        lat = Lattice(2, 64)
+        state, grid, _ = tight_binding_ground_state_2d(lat, 1000)
+        p = 0.01
+        same, cross = _streamed_drop_box(lat, 1.0 - p)
+        want = state.occupation_shift(same, cross, grid.momenta)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the level path built pair weights")
+
+        monkeypatch.setattr(EncodingWeightModel, "pair_weights", refuse)
+        monkeypatch.setattr(encodings, "_fenwick_pairs", refuse)
+        enc = EncodingWeightModel("bravyi_kitaev", lat)
+        errors = momentum_error_map(state, enc, PauliChannel.depolarizing(p), grid.momenta)
+        assert_close(errors, want, 1e-12, "levels vs streamed fold at L = 64")
+        assert state._gamma is None
+
+    def test_drop_boxes_are_kept_per_etas_on_the_model(self):
+        lat = Lattice(2, 8)
+        enc = EncodingWeightModel("jw2d_snake", lat)
+        ch = PauliChannel.depolarizing(0.1)
+        errors = []
+        for n_occ in (10, 20):
+            state, grid, _ = tight_binding_ground_state_2d(lat, n_occ)
+            errors.append(momentum_error_map(state, enc, ch, grid.momenta))
+        assert list(enc._drop_boxes) == [ch.etas]
+        momentum_error_map(state, enc, ch, grid.momenta, "worst-case")
+        assert list(enc._drop_boxes) == [ch.etas, (ch.worst_factor,) * 3]
+        fresh = EncodingWeightModel("jw2d_snake", lat)
+        assert_close(errors[1], momentum_error_map(state, fresh, ch, grid.momenta), 0.0,
+                     "kept box")
