@@ -3,11 +3,17 @@
 One Riemann zeta function on ``s >= -15`` except the pole at 1 (summed
 down to just below 0, reflected under that), the real polylogarithm and the
 arithmetic-geometric mean, each with documented error control, so the
-runtime needs nothing beyond numpy.
+runtime needs nothing beyond numpy.  Zeta and the polylogarithm are pure
+functions of their float arguments, and the bound tables ask for the same
+values again and again (``zeta(s)`` in every row of an exponent, ``f(p)``
+once per circuit depth): both are memoized in a bounded LRU cache, so each
+value is summed once and a sweep over ``p`` cannot grow the cache without
+limit.  Errors are not cached; an invalid call raises every time.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import List
 
@@ -21,10 +27,13 @@ _BERNOULLI = (
 _EM_CUTOFF = 100
 # -ln of the share of the first term below which direct polylog terms are skipped.
 _SKIP_DIGITS = 80 * math.log(2.0)
+# Entries of each memo: a few hundred, far above the distinct values of one run.
+_CACHE_SIZE = 256
 
 
+@functools.lru_cache(maxsize=_CACHE_SIZE)
 def riemann_zeta(s: float) -> float:
-    """Riemann zeta on ``s >= -15`` except the pole at ``s = 1``.
+    """Riemann zeta on ``s >= -15`` except the pole at ``s = 1``, memoized.
 
     From ``s = -0.01`` up: the direct sum to a cutoff M = 100, the tail
     ``M^{1-s}/(s-1) + M^{-s}/2`` and Euler-Maclaurin terms through B_16.
@@ -61,9 +70,16 @@ def _polylog_direct(s: float, z: float) -> float:
     For ``s >= 0`` the terms are below ``z^k``, so past
     ``k_last = 1 + (ln 2^80 - ln(1 - z)) / w`` they add up to less than
     ``2^-80 z``, some 2^-28 of the sum's last bit: they are not evaluated.
-    Zeros stand in for them, so every chunk keeps its length and its
-    pairwise-summation blocks, and the result is bit-identical to summing
-    every term.  The 1e-13 tail bound is then checked at ``k_last``.
+    The 1e-13 tail bound is then checked at ``k_last``.
+
+    Chunks double from 2^16 to 2^21 terms.  The live terms of a chunk are
+    evaluated in place into one buffer, padded with zeros only to the next
+    power of two (at least 128) rather than to the chunk length.  The result
+    is still bit-identical to summing every term of every chunk: numpy's
+    pairwise sum splits a power-of-two length into equal halves down to
+    blocks of 128, so the padded buffer is the leftmost subtree of the full
+    chunk's tree, and every other subtree holds only zeros and adds an
+    exact ``+0.0`` to the positive terms.
     """
     w = -math.log(z)
     k_last = 1 + math.ceil((_SKIP_DIGITS - math.log(-math.expm1(-w))) / w) \
@@ -74,8 +90,14 @@ def _polylog_direct(s: float, z: float) -> float:
     while True:
         n_live = int(min(chunk, max(1, k_last - k0 + 1)))
         k = np.arange(k0, k0 + n_live, dtype=float)
-        terms = np.zeros(chunk)
-        terms[:n_live] = np.exp(-w * k - s * np.log(k))
+        terms = np.zeros(min(chunk, max(128, 1 << (n_live - 1).bit_length())))
+        live = terms[:n_live]
+        # exp(-w k - s log k), operation for operation, without temporaries
+        np.log(k, out=live)
+        live *= s
+        k *= -w
+        np.subtract(k, live, out=live)
+        np.exp(live, out=live)
         chunks.append(float(np.sum(terms)))
         k_end = k0 + n_live - 1
         last = terms[n_live - 1]
@@ -112,8 +134,9 @@ def _polylog_near_one(s: float, z: float) -> float:
     return total
 
 
+@functools.lru_cache(maxsize=_CACHE_SIZE)
 def polylog(s: float, z: float) -> float:
-    """Real polylogarithm ``Li_s(z)`` for ``z in [0, 1]``.
+    """Real polylogarithm ``Li_s(z)`` for ``z in [0, 1]``, memoized.
 
     ``z = 1`` needs ``s > 1`` (value zeta(s)); otherwise direct summation is
     used away from 1 and the standard expansion in ``-ln z`` close to 1

@@ -4,8 +4,11 @@ The dense references (a state from its correlation matrix, an observable's
 ``(2N, 2N)`` coefficient matrix, the ``(2N, 2N)`` attenuation matrix, the
 Jordan-Wigner and Bravyi-Kitaev Pauli rows) are what the package's
 support-held, flavor-block and closed-form paths are checked against; no
-package code needs them.
+package code needs them.  So is the full-width direct polylogarithm sum,
+which the padded in-place sum of the package must match bit for bit.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -18,6 +21,7 @@ from fermion_noise import (
     snake_index_vector,
 )
 from fermion_noise.noise import _attenuation, _mode_etas
+from fermion_noise.special import _SKIP_DIGITS
 from oracle import gf2_inverse, pauli_string
 
 SEED = 20240817
@@ -187,3 +191,34 @@ def table_strings(enc):
                          {q: labels[(xq, zq)] for q, (xq, zq) in enumerate(zip(xm, zm))
                           if xq or zq})
             for xm, zm in zip(x, z)]
+
+
+def full_width_polylog_direct(s, z):
+    """``sum z^k / k^s`` with every chunk summed at its full length.
+
+    Chunks of 2^16 doubling to 2^21 terms; the terms past ``k_last`` (for
+    ``s >= 0``) are zeros, and each chunk is evaluated out of place as
+    ``exp(-w k - s log k)``.  The reference for the package's direct sum,
+    which pads only to the next power of two and evaluates in place.
+    """
+    w = -math.log(z)
+    k_last = 1 + math.ceil((_SKIP_DIGITS - math.log(-math.expm1(-w))) / w) \
+        if s >= 0 else math.inf
+    chunks = []
+    k0 = 1
+    chunk = 1 << 16
+    while True:
+        n_live = int(min(chunk, max(1, k_last - k0 + 1)))
+        k = np.arange(k0, k0 + n_live, dtype=float)
+        terms = np.zeros(chunk)
+        terms[:n_live] = np.exp(-w * k - s * np.log(k))
+        chunks.append(float(np.sum(terms)))
+        k_end = k0 + n_live - 1
+        last = terms[n_live - 1]
+        ratio = z * ((k_end + 1.0) / k_end) ** max(0.0, -s)
+        if ratio < 1.0:
+            tail = last * ratio / (1.0 - ratio)
+            if tail < 1e-13:
+                return math.fsum(chunks)
+        k0 += chunk
+        chunk = min(2 * chunk, 1 << 21)

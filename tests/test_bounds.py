@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 from scipy.special import ellipk
 
+from conftest import full_width_polylog_direct
+from fermion_noise import cli, special
 from fermion_noise.bounds import (
     DecayParams,
     REGIME_LINEAR,
@@ -50,10 +52,11 @@ class TestRiemannZeta:
             assert riemann_zeta(s) == pytest.approx(float(mpmath.zeta(s)), abs=1e-10)
 
     def test_domain(self):
-        with pytest.raises(ValueError, match="pole"):
-            riemann_zeta(1.0)
-        with pytest.raises(ValueError, match="below"):
-            riemann_zeta(-16.0)
+        for _ in range(2):  # errors are not cached: every call raises
+            with pytest.raises(ValueError, match="pole"):
+                riemann_zeta(1.0)
+            with pytest.raises(ValueError, match="below"):
+                riemann_zeta(-16.0)
 
     def test_analytic_continuation(self):
         # The near-one polylog expansion leans on zeta below 1.
@@ -106,25 +109,70 @@ class TestPolylog:
                                     abs=1e-6)
 
     def test_domain_and_divergences(self):
-        with pytest.raises(ValueError, match="lie in"):
-            polylog(2.0, -0.1)
-        with pytest.raises(ValueError, match="lie in"):
-            polylog(2.0, 1.5)
-        with pytest.raises(ValueError, match="diverges"):
-            polylog(1.0, 1.0)
-        with pytest.raises(ValueError, match="diverges"):
-            polylog(0.8, 1.0 - 1e-12)
+        for _ in range(2):  # errors are not cached: every call raises
+            with pytest.raises(ValueError, match="lie in"):
+                polylog(2.0, -0.1)
+            with pytest.raises(ValueError, match="lie in"):
+                polylog(2.0, 1.5)
+            with pytest.raises(ValueError, match="diverges"):
+                polylog(1.0, 1.0)
+            with pytest.raises(ValueError, match="diverges"):
+                polylog(0.8, 1.0 - 1e-12)
 
     def test_near_one_domain_is_named_by_its_own_arguments(self):
         # The expansion near z = 1 reads zeta(s - 11); below s = -4 that
         # leaves zeta's range, and the error names s and z, not s - 11.
-        with pytest.raises(ValueError, match="s >= -4") as err:
-            polylog(-4.5, 1.0 - 1e-6)
-        assert "-4.5" in str(err.value) and "-15.5" not in str(err.value)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="s >= -4") as err:
+                polylog(-4.5, 1.0 - 1e-6)
+            assert "-4.5" in str(err.value) and "-15.5" not in str(err.value)
 
     def test_near_one_at_the_edge_of_the_domain(self):
         z = 1.0 - 1e-6
         assert polylog(-3.5, z) == pytest.approx(float(mpmath.polylog(-3.5, z)), rel=1e-10)
+
+
+class TestDirectSum:
+    """The padded in-place direct sum against the full-width reference, bit for bit."""
+
+    # The bound tables' z = r^k1 at p = 0.1, 0.01, 0.001, then w = -ln z of
+    # 5, 1e-3 (a padded partial chunk of ~62000 terms) and 1.05e-5, just
+    # above the switch to the near-one expansion, where the sums run over
+    # several full chunks.
+    @pytest.mark.parametrize("z", [0.85, 0.985, 0.9985, math.exp(-5.0), math.exp(-1e-3),
+                                   math.exp(-1.05e-5)])
+    def test_bit_identical_to_the_full_width_sum(self, z):
+        for s in (-3.0, -0.5, 0.0, 0.5, 1.2999999999999998, 1.3, 2.0, 3.0, 6.0):
+            assert special._polylog_direct(s, z) == full_width_polylog_direct(s, z), \
+                f"Li_{s}({z})"
+
+
+class TestMemo:
+    def test_a_repeated_call_returns_the_same_float(self):
+        for s, z in ((1.3, 0.985), (2.0, 0.5), (-0.5, 0.9985), (3.0, 1.0 - 1e-7)):
+            assert polylog(s, z) == polylog(s, z)
+        for s in (2.5, 0.5, -7.5):
+            assert riemann_zeta(s) == riemann_zeta(s)
+
+    def test_integer_and_float_orders_agree(self):
+        polylog.cache_clear()
+        assert polylog(2, 0.5) == polylog(2.0, 0.5)
+        polylog.cache_clear()
+        assert polylog(2.0, 0.5) == polylog(2, 0.5)
+
+    def test_each_direct_sum_of_the_bounds_table_runs_once(self, tmp_path, monkeypatch):
+        calls = []
+        direct = special._polylog_direct
+
+        def counted(s, z):
+            calls.append((s, z))
+            return direct(s, z)
+
+        monkeypatch.setattr(special, "_polylog_direct", counted)
+        polylog.cache_clear()
+        riemann_zeta.cache_clear()
+        assert cli.main(["bounds", "--out", str(tmp_path / "bounds.json")]) == 0
+        assert len(calls) == len(set(calls)) == 18
 
 
 class TestLatticeGeometry:

@@ -514,6 +514,8 @@ class TestGoldenOutput:
         ("circuit_L16_depth3_seed0.json", "circuit --L 16 --depth 3 --seed 0 --format json"),
         ("bounds.json", "bounds"),
         ("bounds.csv", "bounds --format csv"),
+        ("bounds_p0.001.json", "bounds --p 0.001"),  # p/10 sums span two full chunks
+        ("bounds_p0.00007.json", "bounds --p 0.00007"),  # six full chunks, the largest
         ("fermi2d_L16_n100_bravyi_kitaev.csv",
          "fermi2d --L 16 --n-occ 100 --encoding bravyi_kitaev"),
         ("fermi2d_L8_n10_bravyi_kitaev_worst_case.csv",
