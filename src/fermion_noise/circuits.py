@@ -37,14 +37,15 @@ pullback, not an approximation.  In a brickwork circuit ``S`` spreads by at
 most ``radius`` sites per layer, and a pullback through ``depth`` layers
 costs ``O(depth * |S|^3)`` with ``|S|`` the light-cone volume, whatever the
 system size; a layer with one gate on every index gives full support and
-the dense cost.  The expectation then reads the state's covariance on the
-final ``S`` only (:meth:`GaussianState.covariance_block`).
+the dense cost.  Every circuit expectation is
+:meth:`GaussianState.expectation` of :func:`heisenberg_observable`, which
+reads the state's covariance on the final ``S`` only.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -172,11 +173,9 @@ def brickwork_circuit(lattice: Lattice, depth: int, radius: int = 1,
     return Circuit(lattice=lattice, radius=radius, layers=tuple(layers))
 
 
-_Damping = Callable[[np.ndarray], np.ndarray]
-
-
 def _layer_damping(circuit: Circuit, channel: Optional[PauliChannel],
-                   enc: Optional[EncodingWeightModel], mode: str) -> Optional[_Damping]:
+                   enc: Optional[EncodingWeightModel],
+                   mode: str) -> Optional[Callable[[np.ndarray], np.ndarray]]:
     """The noise after each layer, as the attenuation on a Majorana index set."""
     if channel is None or channel.p == 0.0:
         return None
@@ -202,28 +201,6 @@ def evolve_state(state: GaussianState, circuit: Circuit,
     return GaussianState(state.lattice, gamma, validate=False)
 
 
-def _pull_back(obs: QuadraticObservable, layers: Sequence[Layer],
-               damping: Optional[_Damping]) -> Tuple[np.ndarray, np.ndarray]:
-    """Heisenberg pullback restricted to the support of the coefficients.
-
-    Returns the Majorana indices ``S`` outside of which the pulled-back
-    coefficient matrix is exactly zero, and its ``S x S`` block.
-    """
-    support, coeffs = obs.support, obs.block
-    for layer in reversed(layers):
-        if damping is not None:
-            coeffs = coeffs * damping(support)
-        support, rot = layer.rows(support)
-        coeffs = rot.T @ coeffs @ rot
-    return support, coeffs
-
-
-def _pulled_back_expectation(state: GaussianState, obs: QuadraticObservable,
-                             layers: Sequence[Layer], damping: Optional[_Damping]) -> float:
-    support, coeffs = _pull_back(obs, layers, damping)
-    return obs.offset + float(np.sum(coeffs * state.covariance_block(support)))
-
-
 def heisenberg_observable(obs: QuadraticObservable, circuit: Circuit,
                           channel: Optional[PauliChannel] = None,
                           enc: Optional[EncodingWeightModel] = None,
@@ -241,8 +218,13 @@ def heisenberg_observable(obs: QuadraticObservable, circuit: Circuit,
     of ``|S|`` Majoranas instead of ``O(depth * N^3)``.
     """
     damping = _layer_damping(circuit, channel, enc, mode)
-    support, block = _pull_back(obs, circuit.layers, damping)
-    return QuadraticObservable(obs.lattice, block, offset=obs.offset, support=support,
+    support, coeffs = obs.support, obs.block
+    for layer in reversed(circuit.layers):
+        if damping is not None:
+            coeffs = coeffs * damping(support)
+        support, rot = layer.rows(support)
+        coeffs = rot.T @ coeffs @ rot
+    return QuadraticObservable(obs.lattice, coeffs, offset=obs.offset, support=support,
                                validate=False)
 
 
@@ -252,8 +234,7 @@ def circuit_expectation(state: GaussianState, obs: QuadraticObservable,
                         enc: Optional[EncodingWeightModel] = None,
                         mode: str = "exact") -> float:
     """Expectation of ``obs`` after the noisy circuit acts on ``state``."""
-    damping = _layer_damping(circuit, channel, enc, mode)
-    return _pulled_back_expectation(state, obs, circuit.layers, damping)
+    return state.expectation(heisenberg_observable(obs, circuit, channel, enc, mode))
 
 
 def prefix_expectations(state: GaussianState, obs: QuadraticObservable,
@@ -265,8 +246,8 @@ def prefix_expectations(state: GaussianState, obs: QuadraticObservable,
 
     Entry ``d`` is ``circuit_expectation`` on the first ``d`` layers.
     """
-    damping = _layer_damping(circuit, channel, enc, mode)
-    return [_pulled_back_expectation(state, obs, circuit.layers[:d], damping)
+    return [circuit_expectation(state, obs, replace(circuit, layers=circuit.layers[:d]),
+                                channel, enc, mode)
             for d in range(circuit.depth + 1)]
 
 

@@ -50,8 +50,8 @@ and 37 MB on 2 CPUs.  ``jw2d_snake`` and non-uniform ``jw1d`` fold their
 ``N x N`` drop blocks row block by row block, with the drops taken in place
 of the attenuation: ``fermi2d --L 64 --n-occ 1000 --encoding jw2d_snake``
 takes about 1.2 s and 222 MB.  The summed drops depend on the encoding and
-the etas, not on the state, and are kept on the model.  Any other state
-folds its drops times its covariance the same way.
+the etas, not on the state, and the last few are kept on the model.  Any
+other state folds its drops times its covariance the same way.
 """
 
 from __future__ import annotations
@@ -69,6 +69,10 @@ from .lattice import Lattice
 MODES = ("exact", "worst-case")
 
 P_MAX = 2.0 / 3.0
+
+# Drop boxes kept per model, the oldest dropped first: one run asks for at
+# most two (exact and worst-case), and a sweep over ``p`` must not grow RSS.
+_DROP_BOXES_KEPT = 8
 
 
 @dataclass(frozen=True)
@@ -280,10 +284,12 @@ def _drop_box(enc: EncodingWeightModel, etas: Tuple[float, float, float]
     displacement alone, times the pair count; ``bravyi_kitaev`` goes by
     Fenwick levels (:func:`_fenwick_drop_box`); the rest fold their ``N x N``
     drop blocks.  They depend on the encoding and the etas, not on the state,
-    and are kept on the model per etas.
+    and the last ``_DROP_BOXES_KEPT`` etas' boxes are kept on the model.
     """
     boxes = enc._drop_boxes
     if etas not in boxes:
+        if len(boxes) >= _DROP_BOXES_KEPT:
+            del boxes[next(iter(boxes))]
         lat = enc.lattice
         weights = enc.displacement_weights()
         if etas[0] == etas[1] == etas[2] and weights is not None:

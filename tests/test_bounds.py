@@ -380,6 +380,18 @@ class TestCircuitBounds:
         assert values[0] == 0.0
         assert all(a < b for a, b in zip(values, values[1:]))
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_constant_without_on_site_weight(self, dim):
+        # phi0 = 0 merges both slots: (a3 + b3) / (2 K C_D) at radius v = 1.
+        K, mu, v = 1.3, dim + 2.0, 1
+        cd = c_dim(dim)
+        zeta_s = float(mpmath.zeta(mu - dim + 1.0))
+        a3 = 2.0 * (2 * v * 3.0**dim * (2 * v) ** dim
+                    + K * cd * (2 * v + 1) ** (dim - 1) * 2 * v * zeta_s)
+        b3 = 2.0 * K * cd * (2 * v + 1) ** (dim - 1)
+        rep = prop3_bound(DecayParams(K=K, mu=mu, D=dim, phi0=0), 0.01, 3)
+        assert rep.constant == pytest.approx((a3 + b3) / (2.0 * K * cd), rel=1e-12)
+
     def test_validation(self):
         with pytest.raises(ValueError, match="depth"):
             prop3_bound(self.PARAMS, 0.01, -1)
@@ -423,6 +435,9 @@ class TestFermiSurfaceFormulas:
             m = 4 * k_f**2 / (lam**2 + 4 * k_f**2)
             want = lam / math.pi * ellipk(m) / math.sqrt(lam**2 + 4 * k_f**2)
             assert on_surface_integral(p, k_f) == pytest.approx(want, rel=1e-8)
+
+    def test_noiseless_on_surface_integral_bound_is_zero(self):
+        assert on_surface_integral_bound(0.0, 1.0) == 0.0
 
     def test_on_surface_integral_bound_dominates(self):
         for p in (1e-4, 1e-2, 0.1, 0.5):

@@ -32,7 +32,6 @@ from fermion_noise import (
     pair_attenuation,
     prefix_expectations,
 )
-from fermion_noise.circuits import _pull_back
 from fermion_noise.gaussian import haar_rotations, haar_special_orthogonal
 from oracle import (
     dense_expectation,
@@ -398,7 +397,7 @@ class TestLightConePullback:
         gate = haar_special_orthogonal(n, rng)
         circ = Circuit(lattice=lat, radius=1, layers=(Layer(n, ((np.arange(n)[None], gate[None]),)),))
         obs = QuadraticObservable.hopping(lat, 0, 1)
-        support, _ = _pull_back(obs, circ.layers, None)
+        support = heisenberg_observable(obs, circ).support
         assert len(support) == lat.n_majorana
         self._assert_matches_dense(state, obs, circ, PauliChannel.depolarizing(0.1),
                                    enc, "exact")
@@ -422,7 +421,8 @@ class TestLightConePullback:
         obs = QuadraticObservable.hopping(lat, 0, 1)
         to_pair = lat.distance_matrix()[:, [0, 1]].min(axis=1)
         for d in range(depth + 1):
-            support, _ = _pull_back(obs, circ.layers[:d], None)
+            prefix = Circuit(lattice=lat, radius=radius, layers=circ.layers[:d])
+            support = heisenberg_observable(obs, prefix).support
             assert to_pair[support // 2].max() <= circ.light_cone_radius(d), d
         if length == 512:
             # 2 Majoranas on each of the 2 + 2 * 8 sites of the cone, of 1024.

@@ -140,10 +140,22 @@ class TestConfigFiles:
         assert cli.main(["fermi1d", "--config", str(cfg)]) == 2
         assert "key=value" in capsys.readouterr().err
 
-    def test_bad_value_type(self, capsys, tmp_path):
+    @pytest.mark.parametrize("line, field", [("p=very-noisy", "p"), ("sweep_k=maybe", "sweep_k")])
+    def test_bad_value_type(self, capsys, tmp_path, line, field):
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text("p=very-noisy\n")
+        cfg.write_text(line + "\n")
         assert cli.main(["fermi1d", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith(f"configuration error: {field}: ")
+
+    @pytest.mark.parametrize("value, header", [
+        *[(v, "k,sensitivity\n") for v in ("true", "yes", "on", "1", " TRUE ")],
+        *[(v, "N,n_noisy_kf,") for v in ("false", "no", "off", "0", "Off")]])
+    def test_boolean_value(self, tmp_path, value, header):
+        cfg = tmp_path / "ok.cfg"
+        cfg.write_text(f"sweep_k={value}\nL=20\n")
+        code, out = run_to_file(tmp_path, "out.csv", ["fermi1d", "--config", str(cfg)])
+        assert code == 0
+        assert out.read_text().startswith(header)
 
     def test_missing_file(self, capsys):
         assert cli.main(["fermi1d", "--config", "/nonexistent/path.cfg"]) == 2
@@ -410,6 +422,30 @@ class TestCircuitOutput:
                                 ["circuit", "--L", "512", "--depth", "8", "--seed", "1"])
         assert code == 0
         assert out.read_bytes() == expected.read_bytes()
+
+    def test_every_prefix_is_one_heisenberg_pullback(self, tmp_path, monkeypatch):
+        # Ideal and noisy runs each pull the observable back through the
+        # prefixes of depth 0..3: 8 calls through 12 layers in all.
+        import fermion_noise.circuits as circuits
+        depths = []
+        pull_back = circuits.heisenberg_observable
+
+        def counted(obs, circuit, *args, **kwargs):
+            depths.append(circuit.depth)
+            return pull_back(obs, circuit, *args, **kwargs)
+
+        monkeypatch.setattr(circuits, "heisenberg_observable", counted)
+        code, _ = run_to_file(tmp_path, "circ.csv", ["circuit", "--L", "16", "--depth", "3"])
+        assert code == 0
+        assert len(depths) == 8 and sum(depths) == 12
+
+    def test_phi0_zero_stays_within_the_bound(self, tmp_path):
+        code, out = run_to_file(tmp_path, "circ.json",
+                                ["circuit", "--phi0", "0", "--format", "json"])
+        assert code == 0
+        rows = json.loads(out.read_text())["rows"]
+        assert len(rows) == 3 * 4
+        assert all(row["error"] <= row["prop3_bound"] for row in rows)
 
     @staticmethod
     def _zero_bound(monkeypatch):

@@ -26,7 +26,7 @@ from fermion_noise import (
     tight_binding_ground_state_2d,
 )
 from fermion_noise import encodings
-from fermion_noise.noise import _drop_box, _drops, _fold, _mode_etas
+from fermion_noise.noise import _DROP_BOXES_KEPT, _drop_box, _drops, _fold, _mode_etas
 from oracle import (
     dense_gaussian_density_matrix,
     dense_majorana_set,
@@ -678,3 +678,17 @@ class TestFenwickLevels:
         fresh = EncodingWeightModel("jw2d_snake", lat)
         assert_close(errors[1], momentum_error_map(state, fresh, ch, grid.momenta), 0.0,
                      "kept box")
+
+    def test_a_sweep_over_p_keeps_a_bounded_number_of_drop_boxes(self):
+        lat = Lattice(2, 8)
+        enc = EncodingWeightModel("bravyi_kitaev", lat)
+        state, grid, _ = tight_binding_ground_state_2d(lat, 20)
+        sweep = np.linspace(0.001, 0.5, 50)
+        for p in np.concatenate([sweep, sweep[:3]]):
+            ch = PauliChannel.depolarizing(float(p))
+            got = momentum_error_map(state, enc, ch, grid.momenta)
+            assert len(enc._drop_boxes) <= _DROP_BOXES_KEPT
+            fresh = EncodingWeightModel("bravyi_kitaev", lat)
+            assert_close(got, momentum_error_map(state, fresh, ch, grid.momenta), 0.0,
+                         f"p = {p}")
+        assert list(enc._drop_boxes)[-1] == ch.etas
