@@ -21,30 +21,36 @@ at depth >= 2 a local expectation need not move monotonically toward its
 maximally mixed value: the elementwise damping does not commute with the
 next rotation.
 
-A layer is stored as its gates, not as ``R``: one ``(indices, gates)`` pair
+A layer is stored as its gates, not as ``R``: one ``(indices, draws)`` pair
 per gate size ``k``, with the ``(G, k)`` Majorana indices of ``G`` disjoint
-blocks and the ``(G, k, k)`` stack of their rotations (:class:`Layer`).
-``R`` is the identity outside the blocks and is never built as a
-``2N x 2N`` matrix.  A state's covariance is evolved by gather, small
-matmul and scatter, per gate size.
+blocks and the ``(G, k, k)`` standard normal draws the gates are made from
+(:class:`Layer`).  ``R`` is the identity outside the blocks and is never
+built as a ``2N x 2N`` matrix, and a gate is orthogonalized only when it is
+used.
 
-Observables are pulled back on their support only.  With ``S`` the support
-of the coefficient matrix, one layer damps the ``S x S`` block by the
-attenuation on ``S`` alone and maps it to ``T x T``, with ``T`` the union of
-the gate blocks that touch ``S``: the damping is elementwise, so zeros stay
-zeros, and ``R[S, T]`` is formed from those gates.  This is the dense
-pullback, not an approximation.  In a brickwork circuit ``S`` spreads by at
-most ``radius`` sites per layer, and a pullback through ``depth`` layers
-costs ``O(depth * |S|^3)`` with ``|S|`` the light-cone volume, whatever the
-system size; a layer with one gate on every index gives full support and
-the dense cost.  Every circuit expectation is
-:meth:`GaussianState.expectation` of :func:`heisenberg_observable`, which
-reads the state's covariance on the final ``S`` only.
+Expectations follow the light cone.  A layer's window (:meth:`Layer.window`)
+maps an index set ``W`` to the set ``T`` that ``R[W]`` reaches: the gate
+blocks that touch ``W`` and the indices of ``W`` no gate touches.  ``R[T,
+T]`` is block diagonal, so both pictures apply the touched gates alone, by
+gather, stacked ``k x k`` matmul and scatter, at ``O(|T|^2 k)`` per layer.
+:func:`prefix_expectations` builds the windows backwards from the
+observable, ``W_depth = supp(O)`` and ``W_(d-1)`` the window of layer ``d``
+from ``W_d``, gathers the covariance on ``W_0`` once and sweeps forward:
+rotate, restrict to ``W_d``, damp by the attenuation on ``W_d`` alone, and
+read prefix ``d`` on ``supp(O)``.  The damping is elementwise and ``R`` is
+zero between ``W_d`` and the indices outside ``W_(d-1)``, so this is the
+dense evolution restricted, not an approximation.  In a brickwork circuit a
+window grows by at most ``radius`` sites per layer, so every prefix of a
+``depth``-layer circuit costs ``O(depth * |W|^2 k)`` with ``|W|`` the
+light-cone volume, whatever the system size, and only the gates inside the
+cone are orthogonalized; a layer with one gate on every index gives the full
+window and the dense cost.  :func:`heisenberg_observable` is the same
+windows walked backwards, with the touched gates transposed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
@@ -54,59 +60,73 @@ from .gaussian import GaussianState, QuadraticObservable, haar_rotations
 from .lattice import Lattice
 from .noise import PauliChannel, attenuation_block
 
+# Per gate size: the (g, k) positions of g touched blocks in a window, and their rotations.
+Touched = Tuple[Tuple[np.ndarray, np.ndarray], ...]
+
 
 @dataclass(frozen=True, eq=False)
 class Layer:
-    """Rotations on disjoint blocks of Majorana indices, the identity elsewhere.
+    """Haar-random rotations on disjoint blocks of Majorana indices, the identity elsewhere.
 
-    ``blocks`` holds one ``(indices, gates)`` pair per gate size ``k``:
-    ``indices`` of shape ``(G, k)`` and the stacked rotations ``gates`` of
-    shape ``(G, k, k)``, gate ``g`` acting as
-    ``R[indices[g], indices[g]] = gates[g]``.
+    ``blocks`` holds one ``(indices, draws)`` pair per gate size ``k``:
+    ``indices`` of shape ``(G, k)`` and the standard normal ``draws`` of
+    shape ``(G, k, k)``, gate ``g`` acting as ``R[indices[g], indices[g]] =
+    haar_rotations(draws[g])``.  Gates are orthogonalized when a window
+    touches them, never all at once; numpy's stacked QR works matrix by
+    matrix, so any subset comes out bit for bit as ``haar_rotations(draws)``
+    of the whole stack.
     """
 
     n_majorana: int
     blocks: Tuple[Tuple[np.ndarray, np.ndarray], ...]
 
     def __post_init__(self):
-        # Per Majorana: its block group (-1 if none), gate and row in that gate.
-        where = np.full((3, self.n_majorana), -1, dtype=np.int64)
-        for group, (idx, gates) in enumerate(self.blocks):
-            if idx.ndim != 2 or gates.shape != idx.shape + idx.shape[-1:]:
-                raise ValueError(f"gates of shape {gates.shape} do not match blocks {idx.shape}")
+        # Per Majorana: its block group (-1 if none) and its gate in that group.
+        where = np.full((2, self.n_majorana), -1, dtype=np.int64)
+        for group, (idx, draws) in enumerate(self.blocks):
+            if idx.ndim != 2 or draws.shape != idx.shape + idx.shape[-1:]:
+                raise ValueError(f"draws of shape {draws.shape} do not match blocks {idx.shape}")
             where[0, idx] = group
             where[1, idx] = np.arange(len(idx))[:, None]
-            where[2, idx] = np.arange(idx.shape[1])
         if np.count_nonzero(where[0] >= 0) != sum(idx.size for idx, _ in self.blocks):
             raise ValueError("gate blocks must be disjoint")
         object.__setattr__(self, "_where", where)
 
-    def apply(self, mat: np.ndarray) -> np.ndarray:
-        """``R @ mat`` for a matrix with ``n_majorana`` rows."""
-        out = mat.copy()
-        for idx, gates in self.blocks:
-            out[idx] = gates @ mat[idx]
-        return out
-
-    def rows(self, support: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """``(T, R[support, T])`` with ``T`` the sorted columns ``R[support]`` reaches.
+    def window(self, support: np.ndarray) -> Tuple[np.ndarray, Touched]:
+        """``(T, touched)``: the sorted columns ``T`` that ``R[support]`` reaches, and their gates.
 
         ``T`` is the union of the gate blocks that touch ``support``, plus the
-        indices of ``support`` that no gate touches; the cost is set by
-        ``len(support)``, not by the layer's size.
+        indices of ``support`` that no gate touches, so ``R[T, T]`` is block
+        diagonal.  ``touched`` holds one ``(positions, gates)`` pair per gate
+        size: the blocks' positions in ``T`` and their rotations, orthogonalized
+        here, these gates only.  The cost is set by ``len(support)``, not by
+        the layer's size.
         """
-        group, gate, pos = self._where[:, support]
-        loose = group < 0
-        cols = np.sort(np.concatenate(
-            [support[loose]] + [idx[gate[group == g]].ravel()
-                                for g, (idx, _) in enumerate(self.blocks)]))
-        cols = cols[np.diff(cols, prepend=-1) > 0]  # distinct; np.unique would import numpy.ma
-        rot = np.zeros((len(support), len(cols)))
-        rot[loose, np.searchsorted(cols, support[loose])] = 1.0
-        for g, (idx, gates) in enumerate(self.blocks):
-            hit = np.flatnonzero(group == g)
-            rot[hit[:, None], np.searchsorted(cols, idx[gate[hit]])] = gates[gate[hit], pos[hit]]
-        return cols, rot
+        group, gate = self._where[:, support]
+        cols, hits = [support[group < 0]], []
+        for g, (idx, _) in enumerate(self.blocks):
+            hit = np.sort(gate[group == g])
+            hit = hit[np.diff(hit, prepend=-1) > 0]  # distinct; np.unique would import numpy.ma
+            cols.append(idx[hit].ravel())
+            hits.append(hit)
+        cols = np.sort(np.concatenate(cols))
+        return cols, tuple((np.searchsorted(cols, idx[hit]), haar_rotations(draws[hit]))
+                           for (idx, draws), hit in zip(self.blocks, hits) if hit.size)
+
+    def apply(self, mat: np.ndarray) -> np.ndarray:
+        """``R @ mat`` for a matrix with ``n_majorana`` rows."""
+        return _rotate(mat.copy(), self.window(np.arange(self.n_majorana))[1])
+
+
+def _rotate(mat: np.ndarray, touched: Touched) -> np.ndarray:
+    """``mat = R[T, T] @ mat`` in place, for rows on a window ``T`` and ``touched`` its gates.
+
+    Only the touched rows are gathered, rotated and written back; the blocks
+    are disjoint, so each gather is complete before its scatter.
+    """
+    for pos, gates in touched:
+        mat[pos] = gates @ mat[pos]
+    return mat
 
 
 @dataclass(frozen=True)
@@ -138,9 +158,9 @@ def brickwork_circuit(lattice: Lattice, depth: int, radius: int = 1,
     block size get one truncated (smaller) gate per row.  A layer draws the
     normals of all its gates in one ``standard_normal`` call, in gate order
     (row by row, the truncated gate last), so the stream is that of one
-    :func:`haar_special_orthogonal` call per gate; gates of one size are
-    orthogonalized as one stack and kept as one ``(indices, gates)`` pair of
-    the :class:`Layer`.
+    :func:`haar_special_orthogonal` call per gate.  Gates of one size are
+    kept as one ``(indices, draws)`` pair of the :class:`Layer`, which
+    orthogonalizes a gate only when a window touches it.
     """
     if depth < 0:
         raise ValueError(f"depth must be nonnegative, got {depth}")
@@ -167,8 +187,7 @@ def brickwork_circuit(lattice: Lattice, depth: int, radius: int = 1,
         for size, cols, draws in ((rest, idx[:, 2 * full:], normals[:, split:]),
                                   (2 * block, idx[:, :2 * full], normals[:, :split])):
             if cols.size:
-                gate_blocks.append((cols.reshape(-1, size),
-                                    haar_rotations(draws.reshape(-1, size, size))))
+                gate_blocks.append((cols.reshape(-1, size), draws.reshape(-1, size, size)))
         layers.append(Layer(lattice.n_majorana, tuple(gate_blocks)))
     return Circuit(lattice=lattice, radius=radius, layers=tuple(layers))
 
@@ -212,18 +231,25 @@ def heisenberg_observable(obs: QuadraticObservable, circuit: Circuit,
     by the rotation ``O -> R^T O R``.  The scalar offset is untouched since
     the channel is unital.
 
-    Only the block on the observable's light cone is ever formed: entries
-    outside it are exactly zero in the dense pullback too, so the result is
-    the same, held on its support, at ``O(depth * |S|^3)`` for a light cone
-    of ``|S|`` Majoranas instead of ``O(depth * N^3)``.
+    The support ``S`` moves to the layer's window ``T`` (:meth:`Layer.window`):
+    the damped block is placed in a ``T x T`` zero matrix and rotated by the
+    touched gates transposed, ``R[S, T]`` never being formed.  Entries
+    outside the light cone are exactly zero in the dense pullback too, so the
+    result is the same, held on its support, at ``O(|T|^2 k)`` per layer.
+    :func:`prefix_expectations` sweeps the same windows forward; this
+    pullback is its reference.
     """
     damping = _layer_damping(circuit, channel, enc, mode)
     support, coeffs = obs.support, obs.block
     for layer in reversed(circuit.layers):
         if damping is not None:
             coeffs = coeffs * damping(support)
-        support, rot = layer.rows(support)
-        coeffs = rot.T @ coeffs @ rot
+        cols, touched = layer.window(support)
+        back = tuple((pos, np.swapaxes(gates, 1, 2)) for pos, gates in touched)
+        at = np.searchsorted(cols, support)
+        pulled = np.zeros((len(cols),) * 2)
+        pulled[np.ix_(at, at)] = coeffs
+        support, coeffs = cols, _rotate(_rotate(pulled, back).T, back).T
     return QuadraticObservable(obs.lattice, coeffs, offset=obs.offset, support=support,
                                validate=False)
 
@@ -233,8 +259,8 @@ def circuit_expectation(state: GaussianState, obs: QuadraticObservable,
                         channel: Optional[PauliChannel] = None,
                         enc: Optional[EncodingWeightModel] = None,
                         mode: str = "exact") -> float:
-    """Expectation of ``obs`` after the noisy circuit acts on ``state``."""
-    return state.expectation(heisenberg_observable(obs, circuit, channel, enc, mode))
+    """Expectation of ``obs`` after the noisy circuit acts on ``state``: the sweep's last entry."""
+    return prefix_expectations(state, obs, circuit, channel, enc, mode)[-1]
 
 
 def prefix_expectations(state: GaussianState, obs: QuadraticObservable,
@@ -244,11 +270,38 @@ def prefix_expectations(state: GaussianState, obs: QuadraticObservable,
                         mode: str = "exact") -> List[float]:
     """Expectations of ``obs`` after each prefix of the circuit, depth 0 first.
 
-    Entry ``d`` is ``circuit_expectation`` on the first ``d`` layers.
+    One forward sweep on shrinking windows.  ``W_depth = supp(O)``, and
+    ``W_(d-1)`` is the window that layer ``d`` reaches from ``W_d``; only
+    these index arrays and each layer's touched gates are kept.  The
+    covariance on ``W_0`` is gathered once; layer ``d`` rotates it by block,
+    restricts it to ``W_d`` and damps it by the attenuation on ``W_d``, and
+    entry ``d`` is read on ``supp(O)``, which every window holds.  That is
+    ``depth`` window steps and ``depth`` damping calls when noisy, none when
+    ideal, at ``O(|W|^2 k)`` each; entry ``d`` equals
+    ``state.expectation(heisenberg_observable(...))`` on the first ``d``
+    layers, summed in another order.
     """
-    return [circuit_expectation(state, obs, replace(circuit, layers=circuit.layers[:d]),
-                                channel, enc, mode)
-            for d in range(circuit.depth + 1)]
+    damping = _layer_damping(circuit, channel, enc, mode)
+    order = np.argsort(obs.support)
+    support, block = obs.support[order], obs.block[np.ix_(order, order)]
+    windows, steps = [support], []
+    for layer in reversed(circuit.layers):
+        cols, touched = layer.window(windows[-1])
+        windows.append(cols)
+        steps.append(touched)
+    windows.reverse()
+    steps.reverse()
+    gamma = np.array(state.covariance_block(windows[0]))  # rotated in place below
+    values = []
+    for d, window in enumerate(windows):
+        if d:
+            keep = np.searchsorted(windows[d - 1], window)
+            gamma = _rotate(_rotate(gamma.T, steps[d - 1]).T, steps[d - 1])[np.ix_(keep, keep)]
+            if damping is not None:
+                gamma = gamma * damping(window)
+        at = np.searchsorted(window, support)
+        values.append(obs.offset + float(np.sum(block * gamma[np.ix_(at, at)])))
+    return values
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ from fermion_noise import (
     bk_beta_matrix,
     snake_index_vector,
 )
+from fermion_noise.gaussian import haar_rotations
 from fermion_noise.noise import _attenuation, _mode_etas
 from fermion_noise.special import _SKIP_DIGITS
 from oracle import gf2_inverse, pauli_string
@@ -127,10 +128,13 @@ def correlation_of(state):
 
 
 def dense_rotation(layer):
-    """The (2N, 2N) rotation of a gate-block layer: an identity with the gates scattered in."""
+    """The (2N, 2N) rotation of a gate-block layer: an identity with the gates scattered in.
+
+    Each size's whole stack of draws is orthogonalized at once.
+    """
     rot = np.eye(layer.n_majorana)
-    for idx, gates in layer.blocks:
-        rot[idx[:, :, None], idx[:, None, :]] = gates
+    for idx, draws in layer.blocks:
+        rot[idx[:, :, None], idx[:, None, :]] = haar_rotations(draws)
     return rot
 
 

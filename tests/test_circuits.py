@@ -25,6 +25,7 @@ from fermion_noise import (
     QuadraticObservable,
     brickwork_circuit,
     circuit_expectation,
+    circulant_power_law_state,
     evolve_state,
     fermi_sea_1d,
     heisenberg_observable,
@@ -55,6 +56,14 @@ def _dense_pull_back(obs, circuit, lam):
             coeffs *= lam
         coeffs = rot.T @ coeffs @ rot
     return coeffs
+
+
+def _window_rotation(cols, touched):
+    """``R[T, T]`` of a window: an identity on ``T`` with the touched gates scattered in."""
+    rot = np.eye(len(cols))
+    for pos, gates in touched:
+        rot[pos[:, :, None], pos[:, None, :]] = gates
+    return rot
 
 
 def _site_blocks(lattice, axis, offset, block):
@@ -111,18 +120,44 @@ class TestGateBlockLayers:
             assert np.array_equal(dense_rotation(layer), rot), f"layer {layer_idx}"
 
     @pytest.mark.parametrize("dim,length,radius", [(1, 9, 1), (1, 10, 2), (2, 5, 1)])
-    def test_rows_are_the_dense_rows(self, rng, dim, length, radius):
+    def test_window_is_the_dense_block(self, rng, dim, length, radius):
+        # R[support] reaches every column of T and none outside it, and the
+        # touched gates scattered into an identity on T are exactly R[T, T].
         lat = Lattice(dim, length)
         circ = brickwork_circuit(lat, 2 * dim, radius, rng=np.random.default_rng(73))
         for layer in circ.layers:
             rot = dense_rotation(layer)
             for size in (1, 3, 7):
-                support = np.sort(rng.choice(lat.n_majorana, size, replace=False))
-                cols, rows = layer.rows(support)
+                support = rng.choice(lat.n_majorana, size, replace=False)
+                cols, touched = layer.window(support)
                 assert np.array_equal(cols, np.unique(cols))
-                assert np.array_equal(rows, rot[np.ix_(support, cols)])
+                assert np.all(np.abs(rot[np.ix_(support, cols)]).max(axis=0) > 0)
+                assert np.array_equal(_window_rotation(cols, touched), rot[np.ix_(cols, cols)])
                 outside = np.setdiff1d(np.arange(lat.n_majorana), cols)
-                assert not rot[np.ix_(support, outside)].any()
+                assert not rot[np.ix_(cols, outside)].any()
+
+    @pytest.mark.parametrize("dim,length,radius", [(1, 7, 1), (1, 11, 2), (2, 5, 1), (2, 6, 1)])
+    def test_gates_on_demand_are_the_whole_stack_bit_for_bit(self, rng, dim, length, radius):
+        # A gate is orthogonalized only when a window touches it; for any
+        # subset the result is haar_rotations of the layer's whole stack and
+        # the per-gate haar_special_orthogonal stream of the same seed.
+        lat = Lattice(dim, length)
+        block = radius + 1
+        circ = brickwork_circuit(lat, 2 * dim, radius, rng=np.random.default_rng(17))
+        stream = np.random.default_rng(17)
+        for layer_idx, layer in enumerate(circ.layers):
+            per_gate = {}
+            for sites in _site_blocks(lat, layer_idx % dim, (layer_idx // dim) % block, block):
+                idx = tuple(m for s in sites for m in (2 * s, 2 * s + 1))
+                per_gate[idx] = haar_special_orthogonal(len(idx), stream)
+            whole = {tuple(idx[g]): gates[g] for idx, draws in layer.blocks
+                     for gates in [haar_rotations(draws)] for g in range(len(idx))}
+            for size in (1, 4, 9, lat.n_majorana):
+                cols, touched = layer.window(rng.choice(lat.n_majorana, size, replace=False))
+                for pos, gates in touched:
+                    for where, gate in zip(cols[pos], gates):
+                        assert np.array_equal(gate, whole[tuple(where)])
+                        assert np.array_equal(gate, per_gate[tuple(where)])
 
     def test_apply_is_the_dense_product(self, rng):
         lat = Lattice(2, 5)
@@ -132,13 +167,12 @@ class TestGateBlockLayers:
             assert_close(layer.apply(mat), dense_rotation(layer) @ mat, 1e-14, "R @ mat")
 
     def test_indices_in_no_block_are_left_alone(self, rng):
-        gate = haar_special_orthogonal(2, rng)
-        layer = Layer(6, ((np.array([[1, 4]]), gate[None]),))
-        rot = dense_rotation(layer)
-        cols, rows = layer.rows(np.array([0, 4]))
+        layer = Layer(6, ((np.array([[1, 4]]), rng.standard_normal((1, 2, 2))),))
+        cols, touched = layer.window(np.array([0, 4]))
         assert list(cols) == [0, 1, 4]
-        assert np.array_equal(rows, rot[np.ix_([0, 4], cols)])
-        assert rows[0].tolist() == [1.0, 0.0, 0.0]
+        rot = _window_rotation(cols, touched)
+        assert np.array_equal(rot, dense_rotation(layer)[np.ix_(cols, cols)])
+        assert rot[0].tolist() == [1.0, 0.0, 0.0]
 
     def test_blocks_must_be_disjoint_and_match_their_gates(self):
         gates = np.stack([np.eye(2)] * 2)
@@ -394,8 +428,8 @@ class TestLightConePullback:
         enc = EncodingWeightModel("jw1d", lat)
         state = random_gaussian_state(lat, rng)
         n = lat.n_majorana
-        gate = haar_special_orthogonal(n, rng)
-        circ = Circuit(lattice=lat, radius=1, layers=(Layer(n, ((np.arange(n)[None], gate[None]),)),))
+        dense = Layer(n, ((np.arange(n)[None], rng.standard_normal((1, n, n))),))
+        circ = Circuit(lattice=lat, radius=1, layers=(dense,))
         obs = QuadraticObservable.hopping(lat, 0, 1)
         support = heisenberg_observable(obs, circ).support
         assert len(support) == lat.n_majorana
@@ -446,18 +480,77 @@ class TestPrefixExpectations:
                 expected = circuit_expectation(state, obs, prefix, *noise)
                 assert value == pytest.approx(expected, abs=1e-12), (noise, d)
 
+    # (dim, length, radius, encoding, channel, mode): odd lengths and the
+    # 5 x 5 torus leave a truncated gate in every row.
+    SWEEP_CASES = [
+        (1, 7, 1, "jw1d", PauliChannel(0.2, (0.5, 0.3, 0.2)), "exact"),
+        (1, 7, 2, "local", PauliChannel.depolarizing(0.1), "worst-case"),
+        (1, 11, 1, "jw1d", PauliChannel.depolarizing(0.15), "exact"),
+        (1, 16, 1, "bravyi_kitaev", PauliChannel.depolarizing(0.15), "exact"),
+        (1, 11, 2, "jw1d", PauliChannel(0.25, (0.1, 0.2, 0.7)), "worst-case"),
+        (2, 5, 1, "local", PauliChannel.depolarizing(0.1), "exact"),
+        (2, 5, 2, "jw2d_snake", PauliChannel.depolarizing(0.2), "worst-case"),
+        (2, 5, 1, "local", None, "exact"),
+    ]
+
+    @staticmethod
+    def _assert_every_prefix_is_the_pullback(state, obs, circ, ch, enc, mode):
+        values = prefix_expectations(state, obs, circ, ch, enc, mode)
+        assert len(values) == circ.depth + 1
+        for d, value in enumerate(values):
+            prefix = Circuit(lattice=circ.lattice, radius=circ.radius, layers=circ.layers[:d])
+            pulled = heisenberg_observable(obs, prefix, ch, enc, mode)
+            expected = pulled.offset + float(np.sum(pulled.block
+                                                    * state.covariance_block(pulled.support)))
+            assert value == pytest.approx(expected, abs=1e-12), (mode, d)
+
+    @pytest.mark.parametrize("dim,length,radius,kind,ch,mode", SWEEP_CASES)
+    def test_every_prefix_matches_the_pullback(self, rng, dim, length, radius, kind, ch, mode):
+        lat = Lattice(dim, length)
+        enc = EncodingWeightModel(kind, lat)
+        state = random_gaussian_state(lat, rng)
+        circ = brickwork_circuit(lat, 5, radius=radius, rng=np.random.default_rng(61))
+        zero = QuadraticObservable(lat, np.zeros((lat.n_majorana,) * 2), offset=0.3)
+        # An unsorted support: the sweep reads it in its own order.
+        shuffled = QuadraticObservable(lat, [[0.0, 0.3], [-0.3, 0.0]], offset=0.1,
+                                       support=[2 * lat.n_sites - 1, 2], validate=False)
+        for obs in (random_normalized_observable(lat, rng), QuadraticObservable.hopping(lat, 0, 1),
+                    QuadraticObservable.number(lat, lat.n_sites - 1), zero, shuffled):
+            self._assert_every_prefix_is_the_pullback(state, obs, circ, ch, enc, mode)
+
+    def test_a_dense_layer_fills_the_window(self, rng):
+        # A full-support Haar layer between two brickwork layers: every
+        # earlier window is the whole index set, and the sweep still matches.
+        lat = Lattice(1, 7)
+        n = lat.n_majorana
+        enc = EncodingWeightModel("jw1d", lat)
+        state = random_gaussian_state(lat, rng)
+        first, last = brickwork_circuit(lat, 2, rng=np.random.default_rng(67)).layers
+        dense = Layer(n, ((np.arange(n)[None], rng.standard_normal((1, n, n))),))
+        circ = Circuit(lattice=lat, radius=1, layers=(first, dense, last))
+        obs = QuadraticObservable.hopping(lat, 0, 1)
+        assert len(dense.window(obs.support)[0]) == n
+        for noise in ((None, None, "exact"), (PauliChannel.depolarizing(0.1), enc, "exact")):
+            self._assert_every_prefix_is_the_pullback(state, obs, circ, *noise)
+
     def test_damps_on_the_light_cone_only(self, monkeypatch):
-        # The noise after each layer is built on the support it damps, never
-        # as the (2N, 2N) attenuation matrix: at most 2 Majoranas on each of
-        # the 2 + 2 * 5 sites the cone holds before the earliest layer.
-        sizes = []
-        original = circuits_module.attenuation_block
+        # One window step and, when noisy, one damping per layer, never the
+        # depth (depth + 1) / 2 pullbacks of prefix by prefix, and never the
+        # (2N, 2N) attenuation matrix: each window holds at most 2 Majoranas
+        # on each of the 2 + 2 * (6 - d) sites of the cone after layer d.
+        steps, damped = [], []
+        window, attenuation = Layer.window, circuits_module.attenuation_block
 
-        def recording(enc, channel, idx, mode):
-            sizes.append(len(idx))
-            return original(enc, channel, idx, mode)
+        def stepping(layer, support):
+            steps.append(len(support))
+            return window(layer, support)
 
-        monkeypatch.setattr(circuits_module, "attenuation_block", recording)
+        def damping(enc, channel, idx, mode):
+            damped.append(len(idx))
+            return attenuation(enc, channel, idx, mode)
+
+        monkeypatch.setattr(Layer, "window", stepping)
+        monkeypatch.setattr(circuits_module, "attenuation_block", damping)
         lat = Lattice(1, 64)
         state, _, _ = fermi_sea_1d(lat, 32)
         circ = brickwork_circuit(lat, 6, rng=np.random.default_rng(59))
@@ -465,10 +558,39 @@ class TestPrefixExpectations:
         obs = QuadraticObservable.hopping(lat, 0, 1)
         values = prefix_expectations(state, obs, circ, PauliChannel.depolarizing(0.1), enc)
         assert len(values) == 7
-        assert len(sizes) == 6 * 7 // 2
-        assert max(sizes) <= 2 * (2 + 2 * 5)
+        assert len(steps) == 6 and len(damped) == 6
+        # Window calls run from the last layer back, damping from the first on.
+        assert all(size <= 2 * (2 + 2 * j) for j, size in enumerate(steps))
+        assert damped == steps[::-1]
         prefix_expectations(state, obs, circ)
-        assert len(sizes) == 21
+        assert len(steps) == 12 and len(damped) == 6
+
+    def test_only_the_gates_in_the_cone_are_orthogonalized(self, monkeypatch):
+        # Building the circuit orthogonalizes nothing; one sweep orthogonalizes
+        # the gates that its windows touch, counted here on the dense
+        # per-site light cone, out of 8 * 256 = 2048.
+        orthogonalized = []
+
+        def counting(normals):
+            orthogonalized.append(len(normals))
+            return haar_rotations(normals)
+
+        monkeypatch.setattr(circuits_module, "haar_rotations", counting)
+        lat = Lattice(1, 512)
+        circ = brickwork_circuit(lat, 8, rng=np.random.default_rng(1))
+        assert orthogonalized == []
+        assert sum(len(idx) for layer in circ.layers for idx, _ in layer.blocks) == 2048
+        cone, touched = {0, 1, 2, 3}, 0
+        for layer in reversed(circ.layers):
+            (idx, _), = layer.blocks
+            hit = [set(row) for row in idx.tolist() if cone & set(row)]
+            touched += len(hit)
+            cone = cone.union(*hit)
+        state, _ = circulant_power_law_state(lat, 2.0)
+        enc = EncodingWeightModel("local", lat)
+        prefix_expectations(state, QuadraticObservable.hopping(lat, 0, 1), circ,
+                            PauliChannel.depolarizing(0.01), enc)
+        assert sum(orthogonalized) == touched <= 2 + 3 + 4 + 5 + 6 + 7 + 8 + 9
 
 
 class TestObservableNormContraction:

@@ -423,21 +423,33 @@ class TestCircuitOutput:
         assert code == 0
         assert out.read_bytes() == expected.read_bytes()
 
-    def test_every_prefix_is_one_heisenberg_pullback(self, tmp_path, monkeypatch):
-        # Ideal and noisy runs each pull the observable back through the
-        # prefixes of depth 0..3: 8 calls through 12 layers in all.
+    def test_every_prefix_is_one_step_of_one_sweep(self, tmp_path, monkeypatch):
+        # Ideal and noisy runs each sweep the 3 layers once: 6 window steps,
+        # 3 damping calls (noisy run only) and no Heisenberg pullback, where
+        # prefix by prefix took 8 pullbacks through 12 layers.
         import fermion_noise.circuits as circuits
-        depths = []
-        pull_back = circuits.heisenberg_observable
+        steps, damped = [], []
+        window, attenuation = circuits.Layer.window, circuits.attenuation_block
 
-        def counted(obs, circuit, *args, **kwargs):
-            depths.append(circuit.depth)
-            return pull_back(obs, circuit, *args, **kwargs)
+        def stepping(layer, support):
+            steps.append(len(support))
+            return window(layer, support)
 
-        monkeypatch.setattr(circuits, "heisenberg_observable", counted)
+        def damping(enc, channel, idx, mode):
+            damped.append(len(idx))
+            return attenuation(enc, channel, idx, mode)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("Heisenberg pullback on the CLI path")
+
+        monkeypatch.setattr(circuits.Layer, "window", stepping)
+        monkeypatch.setattr(circuits, "attenuation_block", damping)
+        monkeypatch.setattr(circuits, "heisenberg_observable", refuse)
         code, _ = run_to_file(tmp_path, "circ.csv", ["circuit", "--L", "16", "--depth", "3"])
         assert code == 0
-        assert len(depths) == 8 and sum(depths) == 12
+        assert len(steps) == 6 and len(damped) == 3
+        # At most 2 Majoranas on each of the 2 + 2 * (3 - d) sites of window d.
+        assert max(steps) <= 2 * (2 + 2 * 2) and max(damped) <= 2 * (2 + 2 * 2)
 
     def test_phi0_zero_stays_within_the_bound(self, tmp_path):
         code, out = run_to_file(tmp_path, "circ.json",
