@@ -23,12 +23,18 @@ bound formulas):
 ``bounds``
     Tables of the closed-form stability bounds over small parameter grids.
 
-A table is a dict of equal-length numpy columns from the runner to the writer
-(``bounds`` returns four named ones, tagged by a ``table`` column in CSV).  CSV
-formats each table's rows by one ``%`` template from its column dtypes
-(``%.12g`` floats, ``%d`` integers, ``%s`` strings) in blocks of rows; JSON
+A table is a dict of equal-length columns from the runner to the writer
+(``bounds`` returns four named ones, tagged by a ``table`` column in CSV).  A
+column is a numpy array, or a coded column ``(values, codes)``: row ``i``
+holds ``values[codes[i]]``, so a column that repeats a few distinct values
+(``fermi2d``'s ``n_occ``, ``kx`` and ``ky``: one per filling and L per axis)
+has each of them formatted once.  CSV formats each table's rows by one ``%``
+template from its column dtypes (``%.12g`` floats, ``%d`` integers, ``%s``
+strings and coded columns, whose values take the spec of their dtype); JSON
 writes row objects by one template per table too, with the bytes of
-``json.dump(..., indent=2)``.
+``json.dump(..., indent=2)``.  A block of rows is one ``%`` call on the
+template repeated over the block, and a coded column writes the bytes of
+the plain column it stands for.
 
 Configuration comes from flags or from a flat ``key=value`` file passed via
 ``--config`` (flags win).  Exit codes: 0 on success, 2 for configuration
@@ -43,7 +49,7 @@ import contextlib
 import functools
 import json
 import sys
-from typing import Callable, Dict, IO, List, Optional, Sequence
+from typing import Callable, Dict, IO, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -52,13 +58,14 @@ from .bounds import DecayParams, fermi2d_limit_error, fermi2d_on_surface_error, 
 from .circuits import brickwork_circuit, prefix_expectations
 from .encodings import ENCODING_KINDS, EncodingWeightModel, bk_max_number_operator_weight
 from .errors import ConfigError, InvariantViolation
-from .gaussian import QuadraticObservable, circulant_power_law_state, fermi_sea_1d, \
-    momentum_occupation, tight_binding_ground_state_2d
-from .lattice import Lattice
+from .gaussian import QuadraticObservable, circulant_power_law_state, fermi_sea, fermi_sea_1d, \
+    tight_binding_dispersion
+from .lattice import Lattice, momentum_grid, parity_of
 from .noise import MODES, P_MAX, PauliChannel, momentum_error_map
 
 Row = Dict[str, object]
-Table = Dict[str, np.ndarray]   # equal-length columns, in output order
+Column = Union[np.ndarray, Tuple[np.ndarray, np.ndarray]]  # an array, or (values, codes)
+Table = Dict[str, Column]   # equal-length columns, in output order
 
 _FERMI2D_DEFAULT_FILLINGS = (300, 450, 700)
 _CIRCUIT_DEFAULT_SIZES = (16, 64, 256)
@@ -257,10 +264,13 @@ def _run_fermi1d(cfg: Dict[str, object]) -> Table:
         q0 = 2.0 * np.pi / length
         momenta = np.array([[k_fermi], [q0]])
         err_kf, err_q0 = momentum_error_map(state, enc, channel, momenta, cfg["mode"])
+        # <n_k> at both momenta at once: momentum_occupation's sum, every drop 1.
+        pairs = lattice.displacement_multiplicity()
+        n_kf, n_q0 = 0.5 + state.occupation_shift(pairs, pairs, momenta)
         rows.append({
             "N": length,
-            "n_noisy_kf": momentum_occupation(state, [k_fermi]) - err_kf,
-            "n_noisy_q0": momentum_occupation(state, [q0]) - err_q0,
+            "n_noisy_kf": n_kf - err_kf,
+            "n_noisy_q0": n_q0 - err_q0,
             "error_kf": err_kf,
             "error_q0": err_q0,
         })
@@ -268,6 +278,11 @@ def _run_fermi1d(cfg: Dict[str, object]) -> Table:
 
 
 def _run_fermi2d(cfg: Dict[str, object]) -> Table:
+    """Sensitivity of every mode per filling, rows sorted by ``(kx, ky)``.
+
+    Fillings of one parity share their grid, row order and ``kx``/``ky``
+    codes; ``n_occ``, ``kx`` and ``ky`` are coded columns.
+    """
     p = cfg["p"]
     _require(p > 0, "p", "sensitivity maps need p > 0")
     length = cfg["L"]
@@ -279,15 +294,26 @@ def _run_fermi2d(cfg: Dict[str, object]) -> Table:
                  f"must lie in [0, {lattice.n_sites}], got {n_occ}")
     enc = _encoding_for(cfg, lattice)
     channel = PauliChannel.depolarizing(p)
-    tables: List[Table] = []
+    grids: Dict[str, tuple] = {}  # parity -> grid, row order, (kx, ky) codes
+    values: List[np.ndarray] = []  # (kx, ky) values of each grid
+    codes, sensitivity = [], []
     for n_occ in fillings:
-        state, grid, _ = tight_binding_ground_state_2d(lattice, n_occ)
+        parity = parity_of(n_occ)
+        if parity not in grids:
+            grid = momentum_grid(lattice, parity)
+            order = np.lexsort((grid.momenta[:, 1], grid.momenta[:, 0]))
+            # Sites run x fastest: the first L sites hold every kx, every L-th site every ky.
+            grids[parity] = grid, order, lattice.coords[order].T + length * len(values)
+            values.append(np.stack([grid.momenta[:length, 0], grid.momenta[::length, 1]]))
+        grid, order, grid_codes = grids[parity]
+        state, _ = fermi_sea(grid, n_occ, tight_binding_dispersion)
         errors = momentum_error_map(state, enc, channel, grid.momenta, cfg["mode"])
-        order = np.lexsort((grid.momenta[:, 1], grid.momenta[:, 0]))
-        momenta = grid.momenta[order]
-        tables.append({"n_occ": np.full(order.size, n_occ), "kx": momenta[:, 0],
-                       "ky": momenta[:, 1], "sensitivity": np.abs(errors[order]) / p})
-    return _concat(tables)
+        codes.append(grid_codes)
+        sensitivity.append(np.abs(errors[order]) / p)
+    kx, ky = np.concatenate(values, axis=1)
+    code_x, code_y = np.concatenate(codes, axis=1)
+    return {"n_occ": (np.array(fillings), np.repeat(np.arange(len(fillings)), lattice.n_sites)),
+            "kx": (kx, code_x), "ky": (ky, code_y), "sensitivity": np.concatenate(sensitivity)}
 
 
 def _run_encoding_compare(cfg: Dict[str, object]) -> Table:
@@ -410,16 +436,48 @@ _CSV_BLOCK_ROWS = 65536
 
 
 def _n_rows(table: Table) -> int:
-    return len(next(iter(table.values())))
+    column = next(iter(table.values()))
+    return len(column[1] if isinstance(column, tuple) else column)
+
+
+def _coded(spec_of: Callable[[np.ndarray], tuple], column: Column) -> tuple:
+    """Row-template spec and cells of a column; a coded column's values are formatted once."""
+    if not isinstance(column, tuple):
+        return spec_of(column)
+    values, codes = column
+    spec, cells = spec_of(values)
+    return "%s", (np.array([spec % value for value in cells.tolist()], dtype=object), codes)
+
+
+def _row_blocks(template: str, columns: Sequence[tuple], n_rows: int):
+    """The rows' text in blocks of ``_CSV_BLOCK_ROWS``, each by one ``%`` on a repeated template.
+
+    ``columns`` are cells of :func:`_coded`; only one block of values is
+    held at a time.
+    """
+    width = len(columns)
+    for lo in range(0, n_rows, _CSV_BLOCK_ROWS):
+        hi = min(lo + _CSV_BLOCK_ROWS, n_rows)
+        cells: List[object] = [None] * ((hi - lo) * width)
+        for at, column in enumerate(columns):
+            if isinstance(column, tuple):
+                text, codes = column
+                cells[at::width] = text[codes[lo:hi]].tolist()
+            else:
+                cells[at::width] = column[lo:hi].tolist()
+        yield (template * (hi - lo)) % tuple(cells)
+
+
+def _csv_column(column: np.ndarray) -> tuple:
+    return _CSV_SPECS.get(column.dtype.kind, "%s"), column
 
 
 def _write_csv(tables: Sequence[Table], stream: IO[str]) -> None:
     """Union header in first-seen order, then each table by one row template.
 
-    A column a table lacks is an empty field.  Columns are read in blocks of
-    ``_CSV_BLOCK_ROWS`` rows and each row is written as it is formatted, so
-    neither all values nor the full text are held at once; a result without
-    rows writes nothing.
+    A column a table lacks is an empty field.  Rows are written in blocks of
+    :func:`_row_blocks`, so neither all values nor the full text are held at
+    once; a result without rows writes nothing.
     """
     tables = [table for table in tables if _n_rows(table)]
     header = list(dict.fromkeys(name for table in tables for name in table))
@@ -427,15 +485,13 @@ def _write_csv(tables: Sequence[Table], stream: IO[str]) -> None:
         return
     stream.write(",".join(header) + "\n")
     for table in tables:
-        template = ",".join(_CSV_SPECS.get(table[name].dtype.kind, "%s") if name in table
-                            else "" for name in header) + "\n"
-        columns = [table[name] for name in header if name in table]
-        for lo in range(0, _n_rows(table), _CSV_BLOCK_ROWS):
-            block = zip(*(column[lo:lo + _CSV_BLOCK_ROWS].tolist() for column in columns))
-            stream.writelines(map(template.__mod__, block))
+        coded = {name: _coded(_csv_column, table[name]) for name in header if name in table}
+        template = ",".join(coded[name][0] if name in coded else "" for name in header) + "\n"
+        columns = [cells for _, cells in coded.values()]
+        stream.writelines(_row_blocks(template, columns, _n_rows(table)))
 
 
-def _json_column(column: np.ndarray):
+def _json_column(column: np.ndarray) -> tuple:
     """Row-template spec and values of one column, each value as ``json`` writes it."""
     if column.dtype.kind in "iu":
         return "%d", column
@@ -450,21 +506,18 @@ def _write_json(head: Dict[str, object], tables: Dict[str, Table], stream: IO[st
     The bytes of ``json.dump({**head, **rows}, stream, indent=2)`` and a
     newline, for a nonempty ``head``: ``head`` goes through ``json.dumps``, and
     each table's rows through one row template (``repr`` floats, ``%d``
-    integers, ``json.dumps`` for the rest and for non-finite floats), read and
-    written as in :func:`_write_csv`.
+    integers, ``json.dumps`` for the rest and for non-finite floats), in the
+    blocks of :func:`_row_blocks`.
     """
     stream.write(json.dumps(head, indent=2)[:-2])
     for name, table in tables.items():
         stream.write(f",\n  {json.dumps(name)}: [")
-        specs, columns = zip(*map(_json_column, table.values()))
+        specs, columns = zip(*(_coded(_json_column, column) for column in table.values()))
         template = ",\n    {\n" + ",\n".join(
             f"      {json.dumps(key).replace('%', '%%')}: {spec}"
             for key, spec in zip(table, specs)) + "\n    }"
-        for lo in range(0, _n_rows(table), _CSV_BLOCK_ROWS):
-            block = zip(*(column[lo:lo + _CSV_BLOCK_ROWS].tolist() for column in columns))
-            if not lo:  # the first row takes no comma
-                stream.write(template[1:] % next(block))
-            stream.writelines(map(template.__mod__, block))
+        for block, text in enumerate(_row_blocks(template, columns, _n_rows(table))):
+            stream.write(text if block else text[1:])  # the first row takes no comma
         stream.write("\n  ]" if _n_rows(table) else "]")
     stream.write("\n}\n")
 

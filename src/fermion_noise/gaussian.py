@@ -18,14 +18,16 @@ on ``S`` alone (:meth:`GaussianState.covariance_block`).
 
 Mode-diagonal states (every Fermi sea, the scaling probes, the circulant
 power-law state) are :class:`ModeDiagonalState`: the momentum grid and the
-occupations ``n(q)``.  ``C(r)`` is one FFT of ``n(q)`` on the ``(2L)^D``
-displacement box; the covariance on an index set is gathered from it, and
-``<n_k>`` and noise-induced ``n_k`` errors for a whole grid are read off the
-box by one more FFT (:meth:`ModeDiagonalState.occupation_shift`,
-:meth:`Lattice.box_sum`).  The whole covariance is only a test reference.
-The tests check both against plane-wave sums over the modes, and build the
-dense references (a state from a correlation matrix, an observable's
-``(2N, 2N)`` coefficient matrix) themselves.
+occupations ``n(q)``.  ``C(r)`` is one FFT of ``n(q)`` on the ``L^D`` torus
+(with a half-period twist on the antiperiodic grid); the covariance on an
+index set is gathered from it, and ``<n_k>`` and noise-induced ``n_k``
+errors for a whole grid are read off one more ``L^D`` FFT of the drop boxes
+folded onto the torus (:meth:`ModeDiagonalState.occupation_shift`,
+:meth:`Lattice.torus_sum`).  The whole covariance is only a test reference.
+The tests check both against plane-wave sums over the modes and against the
+``(2L)^D`` box route, and build the dense references (a state from a
+correlation matrix, an observable's ``(2N, 2N)`` coefficient matrix)
+themselves.
 
 Besides those, the module provides synthetic families used to probe
 correlation-decay premises: Haar-random pure states, their Schur-damped
@@ -229,15 +231,17 @@ class ModeDiagonalState(GaussianState):
     """Translation-invariant state diagonal in the plane waves of a momentum grid.
 
     Held as the grid and the mode occupations ``n(q)``; the two-point
-    function is ``C_xy = C(x - y)`` with ``C(r) = (1/N) sum_q n(q) e^{i q.r}``.
-    The covariance on an index set is gathered from ``C(r)`` on the box of
-    :meth:`Lattice.displacement_box`, and noise-induced ``n_k`` errors are
-    weighted box sums of ``C(r)`` (:meth:`occupation_shift`) for every
-    encoding, mode and mix.  No production path reads the whole covariance:
-    :attr:`gamma` is a test reference, gathered the same way on first use and
-    cached.  Construction checks ``0 <= n(q) <= 1`` to ``OCCUPATION_SLACK``.
-    It is built from a grid and occupations only: the dense constructor
-    :meth:`vacuum` belongs to :class:`GaussianState`.
+    function is ``C_xy = C(x - y)`` with ``C(r) = (1/N) sum_q n(q) e^{i q.r}``,
+    kept as ``conj C(r)`` on the ``L^D`` torus: one ``L^D`` FFT of ``n(q)``,
+    periodic on the periodic grid and antiperiodic on the other.  The
+    covariance on an index set is gathered from the torus, and noise-induced
+    ``n_k`` errors are the drop boxes folded onto the torus and weighted by
+    ``C(r)`` (:meth:`occupation_shift`) for every encoding, mode and mix.  No
+    production path reads the whole covariance: :attr:`gamma` is a test
+    reference, gathered the same way on first use and cached.  Construction
+    checks ``0 <= n(q) <= 1`` to ``OCCUPATION_SLACK``.  It is built from a
+    grid and occupations only: the dense constructor :meth:`vacuum` belongs
+    to :class:`GaussianState`.
     """
 
     def __init__(self, grid: MomentumGrid, occupations: np.ndarray):
@@ -254,7 +258,8 @@ class ModeDiagonalState(GaussianState):
         self.grid = grid
         self.occupations = n
         self._gamma: Optional[np.ndarray] = None
-        self._box: Optional[np.ndarray] = None
+        self._torus: Optional[np.ndarray] = None
+        self._half = grid.parity == "even"  # half-integer modes, an antiperiodic C(r)
 
     @classmethod
     def vacuum(cls, lattice: Lattice) -> "GaussianState":
@@ -274,34 +279,46 @@ class ModeDiagonalState(GaussianState):
         gamma.setflags(write=False)
         return gamma
 
-    def _conj_correlation_box(self) -> np.ndarray:
-        """``conj C(r)`` on the box of :meth:`Lattice.displacement_box`, cached.
+    def _conj_correlation(self) -> np.ndarray:
+        """``conj C(r)`` for ``r`` in ``[0, L)^D``, the ``L^D`` torus, cached.
 
-        On the box of period ``2L`` a grid momentum ``2 pi m / L`` is the
-        integer frequency ``2m``, so this is one FFT of ``n(q)`` placed there.
+        A grid momentum is ``2 pi (n + h) / L`` per axis, ``n`` an integer and
+        ``h`` 0 on the periodic grid or 1/2 on the antiperiodic one, so this is
+        one ``L^D`` FFT of ``n(q)`` placed at ``n mod L``, times the
+        half-period twist ``e^{-i pi r / L}`` per axis when ``h = 1/2``.
+        ``C(r - L) = C(r)`` per axis on the periodic grid and ``-C(r)`` on the
+        antiperiodic one.
         """
-        if self._box is None:
+        if self._torus is None:
             lat = self.lattice
-            period = 2 * lat.length
-            box = np.zeros((period,) * lat.dim)
-            box[tuple((np.rint(2 * self.grid.m_vectors).astype(np.int64) % period).T)] = \
+            torus = np.zeros((lat.length,) * lat.dim)
+            torus[tuple((np.floor(self.grid.m_vectors).astype(np.int64) % lat.length).T)] = \
                 self.occupations
-            self._box = np.fft.fftn(box) / lat.n_sites
-            self._box.setflags(write=False)
-        return self._box
+            torus = np.fft.fftn(torus)
+            if self._half:
+                for axis in range(lat.dim):
+                    torus *= lat.half_twist(axis, -1)
+            torus /= lat.n_sites
+            torus.setflags(write=False)
+            self._torus = torus
+        return self._torus
 
     def covariance_block(self, idx: np.ndarray) -> np.ndarray:
         """The covariance on a Majorana index set, gathered from ``C(r)``.
 
         Equals ``gamma[np.ix_(idx, idx)]`` without building :attr:`gamma`.
-        With ``C_xy = <c_x^dag c_y> = C(x - y)`` on the sites of ``idx``,
-        ``Gamma`` is ``-2 Im C`` between equal flavors and
-        ``+-(2 Re C - delta_xy)`` between flavors 1 and 2 (``-`` for a
-        flavor-2 row).
+        With ``C_xy = <c_x^dag c_y> = C(x - y)`` on the sites of ``idx``, read
+        off the torus at ``x - y mod L`` (negated when it wraps on an odd
+        number of axes of the antiperiodic grid), ``Gamma`` is ``-2 Im C``
+        between equal flavors and ``+-(2 Re C - delta_xy)`` between flavors 1
+        and 2 (``-`` for a flavor-2 row).
         """
         sites, flavor = np.divmod(self.lattice._majoranas(idx), 2)
-        corr = self._conj_correlation_box().ravel()[self.lattice.displacement_index(sites)]
+        index, wraps = self.lattice.torus_index(sites)
+        corr = self._conj_correlation().ravel()[index]
         np.conj(corr, out=corr)
+        if self._half:
+            np.negative(corr, out=corr, where=wraps)
         gamma = 2.0 * corr.real
         gamma -= sites[:, None] == sites[None, :]
         np.negative(gamma, out=gamma, where=flavor[:, None] > flavor[None, :])
@@ -320,19 +337,48 @@ class ModeDiagonalState(GaussianState):
         are damped by ``1 - drop``.  ``same`` and ``cross`` are box arrays of
         :meth:`Lattice.displacement_box`: at ``r``, the drops of the
         equal-flavor and of the cross-flavor bilinears summed over the site
-        pairs at displacement ``r``, each the mean of its two flavor pairs.
-        Since the covariance blocks are ``G00 = G11 = -2 Im C(r)`` and
-        ``G01 = -G10 = 2 Re C(r) - delta``, no other pair sum is needed.  With
-        the drops ``1 - lambda`` this is the noise-induced error of ``n_k``;
-        with :meth:`Lattice.displacement_multiplicity` for both (every drop 1)
-        it is ``<n_k> - 1/2``.
+        pairs at displacement ``r``, each the mean of its two flavor pairs
+        (so 0 where no pair lies, an axis at ``-L``).  Since the covariance
+        blocks are ``G00 = G11 = -2 Im C(r)`` and ``G01 = -G10 = 2 Re C(r) -
+        delta``, no other pair sum is needed.  With the drops ``1 - lambda``
+        this is the noise-induced error of ``n_k``; with
+        :meth:`Lattice.displacement_multiplicity` for both (every drop 1) it
+        is ``<n_k> - 1/2``.
+
+        On an axis where ``k`` has the state's grid parity, ``e^{i k.r} C(r)``
+        has period ``L``, so the drops fold onto the torus as ``r`` plus
+        ``r - L``; where it has the other parity (``fermi1d``'s ``q0``), the
+        product changes sign after ``L`` and they fold as ``r`` minus
+        ``r - L`` (:meth:`Lattice.fold`).  Each class of momenta
+        (:meth:`Lattice.frequency_classes`) is then one ``L^D`` FFT
+        (:meth:`Lattice.torus_sum`).  Momenta off every grid take the direct
+        sum over the box of the summand with ``C(r)`` on the whole box.
         """
         lat = self.lattice
-        summand = self._conj_correlation_box().copy()
-        summand[(0,) * lat.dim] -= 0.5
-        summand.real *= cross / lat.n_sites
-        summand.imag *= same / lat.n_sites
-        return lat.box_sum(summand, momenta)
+        classes = lat.frequency_classes(momenta)
+        momenta = np.asarray(momenta, dtype=float)
+        out = np.empty(len(momenta))
+        for rows, odd, index in classes:
+            if odd is None:
+                corr = self._conj_correlation()
+                for axis in range(lat.dim):
+                    corr = np.concatenate([corr, -corr if self._half else corr], axis=axis)
+                out[rows] = lat.box_sum(self._summand(same, cross, corr), momenta[rows])
+            else:
+                signs = [1 if o == self._half else -1 for o in odd]
+                same_t = lat.fold(same, signs)
+                cross_t = same_t if cross is same else lat.fold(cross, signs)
+                summand = self._summand(same_t, cross_t, self._conj_correlation())
+                out[rows] = lat.torus_sum(summand, odd, index)
+        return out
+
+    def _summand(self, same: np.ndarray, cross: np.ndarray, corr: np.ndarray) -> np.ndarray:
+        """``cross (Re C - delta_r0/2) - i same Im C``, over ``N``, on the arrays of ``conj C``."""
+        summand = corr.copy()
+        summand[(0,) * self.lattice.dim] -= 0.5
+        summand.real *= cross / self.lattice.n_sites
+        summand.imag *= same / self.lattice.n_sites
+        return summand
 
     def __repr__(self) -> str:
         return (f"ModeDiagonalState({self.lattice!r}, parity={self.grid.parity!r}, "
@@ -418,9 +464,10 @@ def tight_binding_ground_state_2d(lattice: Lattice, n_occ: int,
 def momentum_occupation(state: GaussianState, k: Sequence[float]) -> float:
     """Expectation ``<n_k>`` of the plane-wave mode occupation at momentum k.
 
-    A mode-diagonal state answers with the box sum of
-    :meth:`ModeDiagonalState.occupation_shift` (``n(k)`` on its grid);
-    any other state contracts its covariance with the dense observable.
+    A mode-diagonal state answers with
+    :meth:`ModeDiagonalState.occupation_shift` with every drop 1, the pair
+    count folded onto its torus (``n(k)`` on its grid); any other state
+    contracts its covariance with the dense observable.
     """
     if isinstance(state, ModeDiagonalState):
         k_vec = np.atleast_1d(np.asarray(k, dtype=float))

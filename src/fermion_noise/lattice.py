@@ -11,15 +11,25 @@ Momentum grids follow the free-fermion quantization on a ring of even length
 L: states with an odd particle number use periodic boundary conditions
 (integer mode numbers m in {-L/2, ..., L/2 - 1}), states with an even particle
 number use antiperiodic ones (half-integer m in {-L/2 + 1/2, ..., L/2 - 1/2}),
-with momenta ``k = 2 pi m / L`` per axis.  On a box of period ``2L`` every
-such momentum is the integer frequency ``2m``, whichever the parity.
+with momenta ``k = 2 pi m / L`` per axis.
+
+Momentum sums run on the ``L^D`` torus.  A pair displacement ``r`` lies in
+``(-L, L)`` per axis, so sums over pairs are first collected on the
+``(2L)^D`` displacement box; a momentum ``k = pi f / L`` with ``f`` an
+integer on every axis (both parities of grid) turns ``e^{i k.r}`` into a
+function of period ``L`` (``f`` even) or ``-1`` times itself after ``L``
+(``f`` odd).  So the box folds onto the torus, ``r`` plus or minus
+``r - L`` per axis (:meth:`Lattice.fold`), and the sum for every such
+momentum is read off one ``L^D`` FFT, with a half-period twist on the axes
+where ``f`` is odd (:meth:`Lattice.torus_sum`).  Other momenta take the
+direct sum over the box (:meth:`Lattice.box_sum`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -54,6 +64,7 @@ class Lattice:
         self.n_majorana = 2 * self.n_sites
         self._coords = None
         self._distance_matrix = None
+        self._twist = None
 
     # ------------------------------------------------------------------
     # site indexing
@@ -143,32 +154,106 @@ class Lattice:
             index = index * period + (row[:, None] - col[None, :]) % period
         return index
 
-    def box_sum(self, box: np.ndarray, momenta: np.ndarray) -> np.ndarray:
-        """``Re sum_r box[r] e^{i k.r}`` for every row ``k`` of ``momenta``.
+    def torus_index(self, sites: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Flat index into a raveled torus array of ``x_s - x_t mod L``, all pairs of ``sites``.
 
-        ``box`` is a box array of :meth:`displacement_box`.  Momenta with
-        ``k L / pi`` an integer are integer frequencies of the box and are read
-        off one FFT of it; the others take the direct sum over the box.
+        Also whether the displacement wraps on an odd number of axes
+        (``x_s - x_t < 0`` there), where an antiperiodic function changes sign.
+        """
+        index, wraps = 0, False
+        for row, col in zip(self.coords[sites].T, self.coords[sites].T):
+            r = row[:, None] - col[None, :]
+            index = index * self.length + r % self.length
+            wraps = wraps ^ (r < 0)
+        return index, wraps
+
+    def fold(self, box: np.ndarray, signs: Sequence[int]) -> np.ndarray:
+        """A box array folded onto the ``L^D`` torus, ``box[r] + signs[i] box[r - L]`` on axis i.
+
+        Index ``j`` of the torus collects the displacements ``j`` and ``j - L``
+        of every axis (``L`` is never a pair displacement), each ``j - L``
+        entry taken with that axis's sign.
+        """
+        for axis, sign in enumerate(signs):
+            near = box[(slice(None),) * axis + (slice(None, self.length),)]
+            far = box[(slice(None),) * axis + (slice(self.length, None),)]
+            box = near + far if sign > 0 else near - far
+        return box
+
+    def frequency_classes(self, momenta: np.ndarray) -> List[tuple]:
+        """Rows of ``momenta`` by the parity of their box frequencies ``f = k L / pi``.
+
+        One ``(rows, odd, index)`` for every class of momenta with ``f`` an
+        integer on all axes: ``odd`` a tuple of per-axis bools, ``f`` odd
+        there, and ``index`` the torus index ``(f - odd) / 2 mod L`` of each
+        row, as :meth:`torus_sum` reads them.  The remaining rows come last,
+        with ``odd`` and ``index`` None.
         """
         momenta = np.asarray(momenta, dtype=float)
         if momenta.ndim != 2 or momenta.shape[1] != self.dim:
             raise ValueError(f"momenta must have {self.dim} columns, got shape {momenta.shape}")
-        period = 2 * self.length
         freq = momenta * (self.length / np.pi)
-        index = np.rint(freq)
-        on_box = np.all(np.abs(freq - index) <= 1e-12 * np.maximum(1.0, np.abs(freq)), axis=1)
+        nearest = np.rint(freq)
+        on_box = (np.abs(freq - nearest) <= 1e-12 * np.maximum(1.0, np.abs(freq))).all(axis=1)
+        f = np.where(on_box[:, None], nearest, 0.0).astype(np.int64)  # no cast of nan or inf
+        key = f[:, 0] & 1  # bit i: f odd on axis i
+        if self.dim == 2:
+            key |= (f[:, 1] & 1) << 1
+        key[~on_box] = 1 << self.dim  # the rows of the direct sum, last
+        present = np.flatnonzero(np.bincount(key)).tolist()
+        classes = []
+        for c in present:
+            rows = np.flatnonzero(key == c) if len(present) > 1 else np.arange(len(key))
+            if c >> self.dim:
+                classes.append((rows, None, None))
+            else:
+                odd = tuple(bool(c >> axis & 1) for axis in range(self.dim))
+                classes.append((rows, odd, (f[rows] >> 1) % self.length))
+        return classes
+
+    def half_twist(self, axis: int, sign: int = 1) -> np.ndarray:
+        """``e^{i sign pi j / L}`` for ``j`` in ``[0, L)`` along ``axis`` of a torus array."""
+        if self._twist is None:
+            self._twist = np.exp(1j * np.pi / self.length * np.arange(self.length))
+        twist = self._twist if sign > 0 else self._twist.conj()
+        return twist.reshape((-1,) + (1,) * (self.dim - 1 - axis))
+
+    def torus_sum(self, torus: np.ndarray, odd: Sequence[bool], index: np.ndarray
+                  ) -> np.ndarray:
+        """``Re sum_j torus[j] e^{i pi f.j / L}`` with ``f = 2 index + odd``, one ``L^D`` FFT.
+
+        ``odd`` and ``index`` are one class of :meth:`frequency_classes`; the
+        axes where ``f`` is odd take the half-period twist ``e^{i pi j / L}``.
+        """
+        for axis in range(self.dim):
+            if odd[axis]:
+                torus = torus * self.half_twist(axis)
+        table = np.fft.ifftn(torus, norm="forward")  # sum_j torus(j) e^{2 pi i n.j / L}
+        return table[tuple(index.T)].real
+
+    def box_sum(self, box: np.ndarray, momenta: np.ndarray) -> np.ndarray:
+        """``Re sum_r box[r] e^{i k.r}`` for every row ``k`` of ``momenta``.
+
+        ``box`` is a box array of :meth:`displacement_box`.  Momenta with
+        ``k L / pi`` an integer on every axis are read off one ``L^D`` FFT of
+        the box folded onto the torus per class of :meth:`frequency_classes`
+        (``r`` plus ``r - L`` on an axis where that integer is even, minus
+        where it is odd); the others take the direct sum over the box.
+        """
+        classes = self.frequency_classes(momenta)
+        momenta = np.asarray(momenta, dtype=float)
         out = np.empty(len(momenta))
-        if on_box.any():
-            table = np.fft.ifftn(box, norm="forward")  # sum_r box(r) e^{2 pi i j.r / 2L}
-            out[on_box] = table[tuple((index[on_box].astype(np.int64) % period).T)].real
-        if not on_box.all():
-            off = momenta[~on_box]
-            phases = [np.exp(1j * np.multiply.outer(k, r.ravel()))
-                      for k, r in zip(off.T, self.displacement_box())]
-            vals = phases[0] @ box.reshape(period, -1)
-            if self.dim == 2:
-                vals = np.sum(vals * phases[1], axis=1)
-            out[~on_box] = vals.reshape(-1).real
+        for rows, odd, index in classes:
+            if odd is None:
+                phases = [np.exp(1j * np.multiply.outer(k, r.ravel()))
+                          for k, r in zip(momenta[rows].T, self.displacement_box())]
+                vals = phases[0] @ box.reshape(2 * self.length, -1)
+                if self.dim == 2:
+                    vals = np.sum(vals * phases[1], axis=1)
+                out[rows] = vals.reshape(-1).real
+            else:
+                out[rows] = self.torus_sum(self.fold(box, [-1 if o else 1 for o in odd]),
+                                           odd, index)
         return out
 
     def __eq__(self, other: object) -> bool:

@@ -31,15 +31,17 @@ contract it with the state's covariance on ``S``
 (:meth:`~fermion_noise.gaussian.GaussianState.covariance_block`), so a
 mode-diagonal state never builds its ``2N x 2N`` covariance.
 
-The momentum error map is a pair sum read off the ``(2L)^D`` displacement
-box by :meth:`~fermion_noise.lattice.Lattice.box_sum`.  A
+The momentum error map is a pair sum collected on the ``(2L)^D``
+displacement box and read off the ``L^D`` torus, the box folded onto it, by
+one FFT (:meth:`~fermion_noise.lattice.Lattice.box_sum`).  A
 :class:`~fermion_noise.gaussian.ModeDiagonalState` (every Fermi sea) has a
 covariance that depends on the displacement of the two sites alone, so for
 every encoding, mode and mix only the drops ``1 - lambda`` are summed by
-displacement, then weighted by ``C(r)``; its ``2N x 2N`` covariance is never
-built.  When the etas agree (any uniform mix, and worst-case mode), ``local``
-and ``jw1d`` have a drop of displacement alone, and its sum is the drop times
-the pair count: two FFTs for a whole grid, with no ``N x N`` array.
+displacement, folded onto the torus and weighted by ``C(r)``; its
+``2N x 2N`` covariance is never built.  When the etas agree (any uniform
+mix, and worst-case mode), ``local`` and ``jw1d`` have a drop of
+displacement alone, and its sum is the drop times the pair count: two
+``L^D`` FFTs for a whole grid, with no ``N x N`` array.
 ``bravyi_kitaev`` goes by Fenwick levels under every mode and mix: a pair
 first differing at bit ``h`` lies in a block of ``2^(h + 1)`` modes, every
 such block is a lattice translate of the first, and its attenuation is a
@@ -316,12 +318,14 @@ def momentum_error_map(state: GaussianState, enc: EncodingWeightModel,
     ``D_fg = 1 - lambda_fg`` in the encoding's block shape, the error is
     ``Re sum_st e^{i k.(r_s - r_t)} T_st / (4N)`` with
     ``T = (D01 o G01 - D10 o G10) + i (D00 o G00 + D11 o G11)``, a pair sum
-    read off the ``(2L)^D`` displacement box by :meth:`Lattice.box_sum`.
+    folded onto the ``(2L)^D`` displacement box and read off the ``L^D``
+    torus by :meth:`Lattice.box_sum`.
 
     A :class:`ModeDiagonalState` has ``G`` a function of ``r_s - r_t``, so
-    only the drops are summed by displacement (:func:`_drop_box`) and
-    weighted by ``C(r)`` (:meth:`ModeDiagonalState.occupation_shift`); its
-    covariance is never built.  Under equal etas, ``local`` and ``jw1d`` give
+    only the drops are summed by displacement (:func:`_drop_box`), folded
+    onto the torus and weighted by ``C(r)``
+    (:meth:`ModeDiagonalState.occupation_shift`), one ``L^D`` FFT per class
+    of momenta; its covariance is never built.  Under equal etas, ``local`` and ``jw1d`` give
     the drop ``1 - eta**w(r)`` of displacement alone
     (:meth:`~EncodingWeightModel.displacement_weights`), and its sum is that
     drop times the pair count :meth:`Lattice.displacement_multiplicity`;

@@ -5,7 +5,11 @@ The dense references (a state from its correlation matrix, an observable's
 Jordan-Wigner and Bravyi-Kitaev Pauli rows) are what the package's
 support-held, flavor-block and closed-form paths are checked against; no
 package code needs them.  So is the full-width direct polylogarithm sum,
-which the padded in-place sum of the package must match bit for bit.
+which the padded in-place sum of the package must match bit for bit, and
+the ``(2L)^D`` Fourier route, which the package's ``L^D`` torus is checked
+against: ``C(r)`` as one FFT of ``n(q)`` on the displacement box, where every
+grid momentum ``2 pi m / L`` is the integer frequency ``2m``, and every
+momentum sum read off one more FFT of the box.
 """
 
 import math
@@ -21,7 +25,7 @@ from fermion_noise import (
     snake_index_vector,
 )
 from fermion_noise.gaussian import haar_rotations
-from fermion_noise.noise import _attenuation, _mode_etas
+from fermion_noise.noise import _attenuation, _drop_box, _mode_etas
 from fermion_noise.special import _SKIP_DIGITS
 from oracle import gf2_inverse, pauli_string
 
@@ -226,3 +230,68 @@ def full_width_polylog_direct(s, z):
                 return math.fsum(chunks)
         k0 += chunk
         chunk = min(2 * chunk, 1 << 21)
+
+
+def box_sum(lat, box, momenta):
+    """``Re sum_r box[r] e^{i k.r}`` by one FFT of the ``(2L)^D`` box, or the direct sum.
+
+    Momenta with ``k L / pi`` an integer on every axis are integer
+    frequencies of the box; the others take the direct sum over it.
+    """
+    momenta = np.asarray(momenta, dtype=float)
+    period = 2 * lat.length
+    freq = momenta * (lat.length / np.pi)
+    index = np.rint(freq)
+    on_box = np.all(np.abs(freq - index) <= 1e-12 * np.maximum(1.0, np.abs(freq)), axis=1)
+    out = np.empty(len(momenta))
+    if on_box.any():
+        table = np.fft.ifftn(box, norm="forward")  # sum_r box(r) e^{2 pi i j.r / 2L}
+        out[on_box] = table[tuple((index[on_box].astype(np.int64) % period).T)].real
+    if not on_box.all():
+        r = np.stack(np.broadcast_arrays(*lat.displacement_box())).reshape(lat.dim, -1)
+        out[~on_box] = (np.exp(1j * momenta[~on_box] @ r) @ box.ravel()).real
+    return out
+
+
+def box_conj_correlation(state):
+    """``conj C(r)`` on the ``(2L)^D`` box: one FFT of ``n(q)`` placed at frequency ``2m``."""
+    lat = state.lattice
+    period = 2 * lat.length
+    box = np.zeros((period,) * lat.dim)
+    box[tuple((np.rint(2 * state.grid.m_vectors).astype(np.int64) % period).T)] = \
+        state.occupations
+    return np.fft.fftn(box) / lat.n_sites
+
+
+def box_covariance_block(state, idx):
+    """The covariance of a mode-diagonal state on an index set, gathered from the box."""
+    sites, flavor = np.divmod(np.asarray(idx), 2)
+    corr = box_conj_correlation(state).ravel()[state.lattice.displacement_index(sites)]
+    corr = corr.conj()
+    gamma = 2.0 * corr.real - (sites[:, None] == sites[None, :])
+    gamma[flavor[:, None] > flavor[None, :]] *= -1.0
+    same = flavor[:, None] == flavor[None, :]
+    gamma[same] = -2.0 * corr.imag[same]
+    return gamma
+
+
+def box_occupation_shift(state, same, cross, momenta):
+    """``ModeDiagonalState.occupation_shift`` with ``C(r)`` and the sum on the box."""
+    lat = state.lattice
+    summand = box_conj_correlation(state)
+    summand[(0,) * lat.dim] -= 0.5
+    summand.real *= cross / lat.n_sites
+    summand.imag *= same / lat.n_sites
+    return box_sum(lat, summand, momenta)
+
+
+def box_momentum_error_map(state, enc, channel, momenta, mode="exact"):
+    """``momentum_error_map`` of a mode-diagonal state by the box route."""
+    return box_occupation_shift(state, *_drop_box(enc, _mode_etas(channel, mode)),
+                                np.atleast_2d(momenta))
+
+
+def box_momentum_occupation(state, k):
+    """``momentum_occupation`` of a mode-diagonal state by the box route."""
+    pairs = state.lattice.displacement_multiplicity()
+    return 0.5 + float(box_occupation_shift(state, pairs, pairs, np.atleast_2d(k))[0])

@@ -98,6 +98,15 @@ class TestArgumentHandling:
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "False"
 
+    def test_import_does_not_load_numpy_random_or_ma(self):
+        src = Path(fermion_noise.__file__).resolve().parents[1]
+        probe = ("import sys, fermion_noise.cli\n"
+                 "print([m for m in ('numpy.random', 'numpy.ma') if m in sys.modules])")
+        result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                                env={**os.environ, "PYTHONPATH": str(src)})
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"
+
     def test_circuit_does_not_load_numpy_ma(self):
         # np.unique imports numpy.ma (about 8 ms) on first use; the circuit
         # path dedupes by sorting instead.
@@ -341,6 +350,36 @@ class TestFermi2dOutput:
         code, out = run_to_file(tmp_path, "map.csv", ["fermi2d", "--mode", mode] + argv)
         assert code == 0
         assert len(out.read_text().splitlines()) == 1 + rows
+
+    def test_fillings_of_both_parities_write_the_rows_of_each_alone(self, tmp_path, monkeypatch):
+        # Fillings share a grid per parity; the codes of the second grid are
+        # offset past the first one's values.
+        fillings = (9, 10, 11, 12)
+        alone = ""
+        for n in fillings:
+            _, out = run_to_file(tmp_path, f"{n}.csv", ["fermi2d", "--L", "6", "--n-occ", str(n)])
+            alone += out.read_text().split("\n", 1)[1]
+        monkeypatch.setattr(cli, "_FERMI2D_DEFAULT_FILLINGS", fillings)
+        code, out = run_to_file(tmp_path, "all.csv", ["fermi2d", "--L", "6"])
+        assert code == 0
+        assert out.read_text() == "n_occ,kx,ky,sensitivity\n" + alone
+
+    @pytest.mark.parametrize("argv", [["--L", "30"],
+                                      ["--L", "8", "--n-occ", "21", "--encoding", "jw2d_snake"]])
+    def test_runs_no_fft_on_the_box(self, tmp_path, monkeypatch, argv):
+        # C(r) and every momentum sum live on the L^D torus: no FFT of the
+        # fermi2d path has an axis of length 2L.  (Bravyi-Kitaev's drop box,
+        # which does not depend on the state, is summed on the box by level.)
+        shapes = []
+        for name in ("fft", "ifft", "rfft", "irfft", "fftn", "ifftn", "rfftn", "irfftn"):
+            def record(a, *args, _original=getattr(np.fft, name), **kwargs):
+                shapes.append(np.shape(a))
+                return _original(a, *args, **kwargs)
+            monkeypatch.setattr(np.fft, name, record)
+        code, _ = run_to_file(tmp_path, "map.csv", ["fermi2d"] + argv)
+        assert code == 0
+        length = int(argv[1])
+        assert shapes and all(shape == (length, length) for shape in shapes), shapes
 
 
 class TestEncodingCompareOutput:
@@ -656,6 +695,57 @@ class TestJsonWriter:
         assert self.write(head, tables) == want
         monkeypatch.setattr(cli, "_CSV_BLOCK_ROWS", 3)
         assert self.write(head, tables) == want
+
+
+class TestCodedColumns:
+    # A coded column (values, codes) writes the bytes of the plain column
+    # values[codes], in CSV and in JSON.
+    FLOATS = np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324, 0.1 + 0.2, 1e16])
+
+    @staticmethod
+    def plain(tables):
+        return [{name: column[0][column[1]] if isinstance(column, tuple) else column
+                 for name, column in table.items()} for table in tables]
+
+    @staticmethod
+    def write_csv(tables):
+        stream = io.StringIO()
+        cli._write_csv(tables, stream)
+        return stream.getvalue()
+
+    @staticmethod
+    def write_json(tables):
+        stream = io.StringIO()
+        cli._write_json({"command": "x"}, {f"t{i}": t for i, t in enumerate(tables)}, stream)
+        return stream.getvalue()
+
+    def tables(self, rng):
+        n = 10
+
+        def coded(values):  # every value in some row, in a shuffled order
+            return values, rng.permutation(np.arange(n) % len(values))
+
+        return [{"f": coded(self.FLOATS), "i": coded(np.array([300, -7, 2**62])),
+                 "s": coded(np.array(["local", "50%", 'say "x"'])), "x": rng.normal(size=n)}]
+
+    @pytest.mark.parametrize("block_rows", [65536, 3])
+    def test_coded_columns_write_the_bytes_of_plain_ones(self, rng, monkeypatch, block_rows):
+        monkeypatch.setattr(cli, "_CSV_BLOCK_ROWS", block_rows)
+        tables = self.tables(rng)
+        assert self.write_csv(tables) == self.write_csv(self.plain(tables))
+        assert self.write_json(tables) == self.write_json(self.plain(tables))
+        assert "NaN" in self.write_json(tables) and "nan" in self.write_csv(tables)
+
+    def test_a_table_without_the_coded_column_and_an_empty_one(self, rng, monkeypatch):
+        monkeypatch.setattr(cli, "_CSV_BLOCK_ROWS", 3)
+        tables = [{"n": np.array([4, 5])},
+                  *self.tables(rng),
+                  {"f": (self.FLOATS, np.array([], dtype=np.int64)), "y": np.array([])}]
+        assert self.write_csv(tables) == self.write_csv(self.plain(tables))
+        assert self.write_csv(tables).splitlines()[0] == "n,f,i,s,x"
+        assert self.write_json(tables) == self.write_json(self.plain(tables))
+        assert self.write_csv(tables[-1:]) == ""
+        assert self.write_json(tables[-1:]).endswith('"t0": []\n}\n')
 
 
 class TestParserReuse:

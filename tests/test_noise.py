@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from conftest import assert_close, attenuation_matrix, dense_coefficients, \
+from conftest import assert_close, attenuation_matrix, box_covariance_block, \
+    box_momentum_error_map, box_momentum_occupation, box_occupation_shift, dense_coefficients, \
     random_correlation, random_normalized_observable, state_from_correlation, table_strings
 from fermion_noise import (
     EncodingWeightModel,
@@ -18,6 +19,7 @@ from fermion_noise import (
     measurement_error,
     momentum_error_map,
     momentum_grid,
+    momentum_occupation,
     free_dispersion,
     noisy_expectation,
     occupied_modes,
@@ -692,3 +694,71 @@ class TestFenwickLevels:
             assert_close(got, momentum_error_map(state, fresh, ch, grid.momenta), 0.0,
                          f"p = {p}")
         assert list(enc._drop_boxes)[-1] == ch.etas
+
+
+# Every (dim, L, encoding) of the torus-route checks: both dimensions, L = 2
+# included, and every encoding where it applies (Bravyi-Kitaev needs a
+# power-of-two mode count).
+_TORUS_CASES = [(dim, length, kind)
+                for dim, lengths, kinds in [
+                    (1, (2, 8, 16), ("local", "jw1d", "bravyi_kitaev")),
+                    (2, (2, 4, 8), ("local", "jw2d_snake", "bravyi_kitaev"))]
+                for length in lengths for kind in kinds]
+_TORUS_NOISE = [(PauliChannel.depolarizing(0.2), "exact"),
+                (PauliChannel.depolarizing(0.2), "worst-case"),
+                (PauliChannel(0.2, alphas=(0.1, 0.1, 0.8)), "exact")]
+
+
+def _torus_momenta(rng, grid):
+    """Momenta of the state's parity, of the other parity, of mixed parity (2D) and off-grid."""
+    lat = grid.lattice
+    other = momentum_grid(lat, "even" if grid.parity == "odd" else "odd").momenta
+    momenta = [grid.momenta, other, rng.uniform(-4.0, 4.0, size=(5, lat.dim))]
+    if lat.dim == 2:
+        momenta.append(np.stack([grid.momenta[:, 0], other[:, 1]], axis=1))
+    return np.concatenate(momenta)
+
+
+class TestTorusRoute:
+    # The L^D torus against the (2L)^D box route of conftest.py, which reads
+    # every momentum off an FFT of twice the period.
+    @pytest.mark.parametrize("parity", ["odd", "even"])
+    @pytest.mark.parametrize("dim,length,kind", _TORUS_CASES)
+    def test_error_maps_match_the_box_route(self, rng, dim, length, kind, parity):
+        lat = Lattice(dim, length)
+        grid = momentum_grid(lat, parity)
+        state = ModeDiagonalState(grid, rng.uniform(0.0, 1.0, size=lat.n_sites))
+        momenta = _torus_momenta(rng, grid)
+        enc = EncodingWeightModel(kind, lat)
+        label = f"{dim}D L={length} {kind} {parity}"
+        for channel, mode in _TORUS_NOISE:
+            if kind == "local" and not (channel.is_depolarizing or mode == "worst-case"):
+                continue  # weights only: a non-uniform mix needs X/Y/Z counts
+            assert_close(momentum_error_map(state, enc, channel, momenta, mode),
+                         box_momentum_error_map(state, enc, channel, momenta, mode), 1e-14,
+                         f"{label} {channel.alphas} {mode}")
+        # Any drops, zero where no pair lies (an axis at -L), as every drop box is.
+        same, cross = rng.normal(size=(2,) + (2 * length,) * dim)
+        no_pair = lat.displacement_multiplicity() == 0
+        same[no_pair] = cross[no_pair] = 0.0
+        assert_close(state.occupation_shift(same, cross, momenta),
+                     box_occupation_shift(state, same, cross, momenta), 1e-14,
+                     f"{label} random drop boxes")
+        assert state._gamma is None
+
+    @pytest.mark.parametrize("parity", ["odd", "even"])
+    @pytest.mark.parametrize("dim,length", [(1, 2), (1, 10), (2, 2), (2, 6)])
+    def test_occupations_and_covariance_match_the_box_route(self, rng, dim, length, parity):
+        lat = Lattice(dim, length)
+        grid = momentum_grid(lat, parity)
+        state = ModeDiagonalState(grid, rng.uniform(0.0, 1.0, size=lat.n_sites))
+        momenta = _torus_momenta(rng, grid)
+        assert_close([momentum_occupation(state, k) for k in momenta],
+                     [box_momentum_occupation(state, k) for k in momenta], 1e-14,
+                     f"n(k), {dim}D L={length} {parity}")
+        everything = np.arange(lat.n_majorana)
+        some = rng.permutation(lat.n_majorana)[:5]
+        for idx in (everything, some):
+            assert_close(state.covariance_block(idx), box_covariance_block(state, idx), 1e-14,
+                         f"covariance, {dim}D L={length} {parity}")
+        assert state._gamma is None
