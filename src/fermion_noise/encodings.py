@@ -31,26 +31,25 @@ Weights and counts of every pair of a Majorana index set come from one
 method, :meth:`EncodingWeightModel.pair_weights`.  A circuit's light cone
 and a noisy measurement ask for them on the observable's support only, and
 the weight and composition of a single bilinear ``gamma_a gamma_b`` are the
-``[0, 1]`` entry of the index set ``[a, b]``.  All pairs come as flavor
-blocks of shape ``(F, F, N, N)`` with entry ``[f, g, s, t]`` for the pair
-``(2s + f, 2t + g)``: ``F = 1`` when one value serves every flavor pair and
-broadcasts, ``F = 2`` when the flavors differ.
-Where the weight depends on the displacement ``x - y`` of the two sites
-alone (``local`` and ``jw1d``), :meth:`displacement_weights` gives it as one
-value per displacement.
+``[0, 1]`` entry of the index set ``[a, b]``.  No ``N x N`` table of all
+pairs is built: the momentum error map sums the drops of every pair by
+displacement from the same closed forms (:mod:`fermion_noise.noise`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable, Dict, Optional, Union
+from typing import Callable, Dict, Union
 
 import numpy as np
 
 from .lattice import Lattice, snake_index_vector
 
 ENCODING_KINDS = ("local", "jw1d", "jw2d_snake", "bravyi_kitaev")
+
+_WEIGHTS_ONLY = ("the 'local' model assigns Pauli weights only, not the X/Y/Z strings "
+                 "that exact attenuation under a non-uniform mix needs; use mode='worst-case'")
 
 
 @dataclass(frozen=True)
@@ -281,58 +280,28 @@ class EncodingWeightModel:
         self._check_pair(a, b)
         return StringComposition(*self.pair_weights([a, b], counts=True)[:, 0, 1].tolist())
 
-    def pair_weights(self, idx: Optional[np.ndarray] = None,
-                     counts: bool = False) -> np.ndarray:
+    def pair_weights(self, idx: np.ndarray, counts: bool = False) -> np.ndarray:
         """Weights, or X/Y/Z counts, of every pair of the Majoranas ``idx``.
 
         ``(len(idx), len(idx))`` weights, or with ``counts`` the
         ``(3, len(idx), len(idx))`` X, Y and Z counts (concrete encodings
         only); entry ``[i, j]`` belongs to the bilinear
         ``gamma_idx[i] gamma_idx[j]``, and diagonal entries are not
-        bilinears.  Without ``idx`` every Majorana pair is returned in flavor
-        blocks, ``(F, F, N, N)`` and ``(3, 2, 2, N, N)``: the all-indices
-        case of the same code.  Indices outside ``[0, 2N)`` raise ``IndexError``.
+        bilinears.  Indices outside ``[0, 2N)`` raise ``IndexError``.
         """
         if counts and self.kind == "local":
-            raise ValueError("the 'local' model assigns Pauli weights only, not the X/Y/Z strings "
-                             "that exact attenuation under a non-uniform mix needs; "
-                             "use mode='worst-case'")
-        n = self.lattice.n_sites
-        if idx is None:  # entry [f, g, s, t] is the pair (2s + f, 2t + g)
-            sites = np.arange(n, dtype=np.int32)
-            f = np.arange(2, dtype=np.int32).reshape(2, 1, 1, 1)
-            g = f.reshape(1, 2, 1, 1)
-        else:
-            sites, flavor = np.divmod(self.lattice._majoranas(idx), 2)
-            f, g = flavor.astype(np.int32)[:, None], flavor.astype(np.int32)[None, :]
+            raise ValueError(_WEIGHTS_ONLY)
+        sites, flavor = np.divmod(self.lattice._majoranas(idx), 2)
+        f, g = flavor.astype(np.int32)[:, None], flavor.astype(np.int32)[None, :]
         if self.kind == "bravyi_kitaev":
-            return _fenwick_pairs(n, sites[:, None], sites[None, :], f, g, counts)
+            return _fenwick_pairs(self.lattice.n_sites, sites[:, None], sites[None, :], f, g,
+                                  counts)
         if counts:
             return self._jordan_wigner_counts(sites, f, g)
         if self.kind == "local":
-            w = self.phi0 + self.lattice.pair_distances(sites)
-        else:  # int32 and in place: the N x N weights are at most N + 1
-            o = self._qubit_order[sites].astype(np.int32)
-            w = np.subtract.outer(o, o)
-            np.abs(w, out=w)
-            w += 1
-        return w[None, None] if idx is None else w
-
-    def displacement_weights(self) -> Optional[np.ndarray]:
-        """Weight of every site pair as a function of its displacement alone.
-
-        A box array of :meth:`Lattice.displacement_box`, the weight of every
-        flavor pair of sites ``x`` and ``y`` at index ``x - y``: ``phi0`` plus
-        the torus distance for ``local`` (circulant) and ``1 + |x - y|`` on
-        the open chain for ``jw1d`` (Toeplitz).  ``None`` for ``jw2d_snake``
-        and ``bravyi_kitaev``, whose weights depend on where the pair sits.
-        """
-        if self.kind not in ("local", "jw1d"):
-            return None
-        axes = self.lattice.displacement_box()
-        if self.kind == "jw1d":
-            return 1 + np.abs(axes[0])
-        return self.phi0 + sum(self.lattice._wrap(r) for r in axes)
+            return self.phi0 + self.lattice.pair_distances(sites)
+        o = self._qubit_order[sites].astype(np.int32)
+        return 1 + np.abs(np.subtract.outer(o, o))
 
     def __repr__(self) -> str:
         extra = f", phi0={self.phi0}" if self.kind == "local" else ""

@@ -19,10 +19,8 @@ strings (closed forms in the qubit order for Jordan-Wigner, and in the
 bits of the two sites for Bravyi-Kitaev); worst-case mode sets all three
 etas to ``1 - 3p/2``.  With equal etas the formula is ``eta**weight``, the
 only case the weight-only ``local`` model supports.  The same formula serves
-every pair of a Majorana index set (:func:`attenuation_block`), a single
-bilinear (:func:`pair_attenuation`, the index set ``[a, b]``) and all
-pairs at once; those keep the encoding's ``(F, F, N, N)`` flavor-block
-shape and are never expanded to ``(2N, 2N)``.
+every pair of a Majorana index set (:func:`attenuation_block`) and a single
+bilinear (:func:`pair_attenuation`, the index set ``[a, b]``).
 
 Measurement noise is read on the observable's support, as a circuit's light
 cone is: :func:`noisy_expectation` and :func:`measurement_error` damp the
@@ -31,40 +29,41 @@ contract it with the state's covariance on ``S``
 (:meth:`~fermion_noise.gaussian.GaussianState.covariance_block`), so a
 mode-diagonal state never builds its ``2N x 2N`` covariance.
 
-The momentum error map is a pair sum collected on the ``(2L)^D``
-displacement box and read off the ``L^D`` torus, the box folded onto it, by
-one FFT (:meth:`~fermion_noise.lattice.Lattice.box_sum`).  A
-:class:`~fermion_noise.gaussian.ModeDiagonalState` (every Fermi sea) has a
-covariance that depends on the displacement of the two sites alone, so for
-every encoding, mode and mix only the drops ``1 - lambda`` are summed by
-displacement, folded onto the torus and weighted by ``C(r)``; its
-``2N x 2N`` covariance is never built.  When the etas agree (any uniform
-mix, and worst-case mode), ``local`` and ``jw1d`` have a drop of
-displacement alone, and its sum is the drop times the pair count: two
-``L^D`` FFTs for a whole grid, with no ``N x N`` array.
-``bravyi_kitaev`` goes by Fenwick levels under every mode and mix: a pair
-first differing at bit ``h`` lies in a block of ``2^(h + 1)`` modes, every
-such block is a lattice translate of the first, and its attenuation is a
-product of one factor per end (two under a non-uniform mix), so each level
-is one FFT cross-correlation on the box, ``O(N log N)`` in all:
-``fermi2d --L 64 --n-occ 1000 --encoding bravyi_kitaev`` takes about 0.33 s
-and 37 MB on 2 CPUs.  ``jw2d_snake`` and non-uniform ``jw1d`` fold their
-``N x N`` drop blocks row block by row block, with the drops taken in place
-of the attenuation: ``fermi2d --L 64 --n-occ 1000 --encoding jw2d_snake``
-takes about 1.2 s and 222 MB.  The summed drops depend on the encoding and
-the etas, not on the state, and the last few are kept on the model.  Any
-other state folds its drops times its covariance the same way.
+The momentum error map is defined on a
+:class:`~fermion_noise.gaussian.ModeDiagonalState` (every Fermi sea), whose
+covariance depends on the displacement of the two sites alone.  So only the
+drops ``1 - lambda`` are summed by displacement on the ``(2L)^D`` box,
+folded onto the ``L^D`` torus and weighted by ``C(r)``, one FFT per class of
+momenta; neither the ``2N x 2N`` covariance nor an ``N x N`` pair table is
+built.  Each encoding kind has one producer of the summed drops, for every
+mode and mix it supports:
+
+``local``
+    ``1 - eta**(phi0 + d(r))`` of displacement alone, times the pair count.
+``jw1d``, ``jw2d_snake``
+    A drop of the qubit separation ``|o_s - o_t|`` alone, summed by rows of
+    the chain or the snake from one ``(2L - 1)^D`` table
+    (:func:`_jordan_wigner_drop_box`): ``fermi2d --L 1024 --encoding
+    jw2d_snake`` takes about 5 s and 330 MB on 2 CPUs.
+``bravyi_kitaev``
+    By Fenwick levels: a pair first differing at bit ``h`` lies in a block
+    of ``2^(h + 1)`` modes, every such block is a lattice translate of the
+    first, and its attenuation is a product of one factor per end (two
+    under a non-uniform mix), so each level is one FFT cross-correlation on
+    the box, ``O(N log N)`` in all (:func:`_fenwick_drop_box`).
+
+The summed drops depend on the encoding and the etas, not on the state, and
+the last few are kept on the model.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
-from .encodings import EncodingWeightModel, _fenwick_bits, _fenwick_levels
+from .encodings import _WEIGHTS_ONLY, EncodingWeightModel, _fenwick_bits, _fenwick_levels
 from .gaussian import GaussianState, ModeDiagonalState, QuadraticObservable
 from .lattice import Lattice
 
@@ -127,34 +126,21 @@ def _mode_etas(channel: PauliChannel, mode: str) -> Tuple[float, float, float]:
     return channel.etas
 
 
-def _attenuation(enc: EncodingWeightModel, etas: Tuple[float, float, float],
-                 idx: Optional[np.ndarray] = None) -> np.ndarray:
-    """Attenuation of every pair of the Majoranas ``idx``, or flavor blocks of all pairs.
-
-    ``ex**nx * ey**ny * ez**nz``, or ``eta**weight`` when the etas agree, so
-    the weight-only ``local`` model serves every case with equal etas.
-    """
-    ex, ey, ez = etas
-    if ex == ey == ez:
-        return ex ** enc.pair_weights(idx)
-    nx, ny, nz = enc.pair_weights(idx, counts=True)
-    return ex**nx * ey**ny * ez**nz
-
-
-def _drops(enc: EncodingWeightModel, etas: Tuple[float, float, float]) -> np.ndarray:
-    """Flavor blocks of ``1 - lambda`` over all pairs, taken in place of ``lambda``."""
-    lam = _attenuation(enc, etas)
-    return np.subtract(1.0, lam, out=lam)
-
-
 def attenuation_block(enc: EncodingWeightModel, channel: PauliChannel,
                       idx: np.ndarray, mode: str = "exact") -> np.ndarray:
     """Attenuation factor of every pair of the Majoranas ``idx`` (diagonal fixed to 1).
 
+    ``ex**nx * ey**ny * ez**nz``, or ``eta**weight`` when the etas agree, so
+    the weight-only ``local`` model serves every case with equal etas.
     ``idx`` holds distinct Majorana indices; the cost is ``O(len(idx)**2)``
     whatever the system size.
     """
-    lam = np.array(_attenuation(enc, _mode_etas(channel, mode), np.asarray(idx)), dtype=float)
+    ex, ey, ez = _mode_etas(channel, mode)
+    if ex == ey == ez:
+        lam = ex ** enc.pair_weights(idx)
+    else:
+        nx, ny, nz = enc.pair_weights(idx, counts=True)
+        lam = ex**nx * ey**ny * ez**nz
     np.fill_diagonal(lam, 1.0)
     return lam
 
@@ -187,27 +173,6 @@ def measurement_error(state: GaussianState, obs: QuadraticObservable,
     _check_lattices(enc, state)
     lam = attenuation_block(enc, channel, obs.support, mode)
     return float(abs(np.sum(obs.block * (1.0 - lam) * state.covariance_block(obs.support))))
-
-
-def _fold(lat: Lattice, pairs: np.ndarray) -> np.ndarray:
-    """``sum_{x_s - x_t = r} pairs[..., s, t]``: box arrays of :meth:`Lattice.displacement_box`.
-
-    ``pairs`` stacks ``N x N`` site-pair matrices, read in place in any layout.
-    Rows are folded in blocks of ``isqrt(N)`` and the partial boxes added: one
-    bincount over all rows adds the N alike terms of a translation-invariant
-    diagonal in sequence and loses a digit.
-    """
-    n = lat.n_sites
-    period = 2 * lat.length
-    lead = pairs.shape[:-2]
-    box = np.zeros((math.prod(lead), period ** lat.dim))
-    sites = np.arange(n)
-    step = math.isqrt(n)
-    for lo in range(0, n, step):
-        key = lat.displacement_index(sites[lo:lo + step], sites).ravel()
-        for out, at in zip(box, np.ndindex(lead)):
-            out += np.bincount(key, pairs[at][lo:lo + step].ravel(), box.shape[1])
-    return box.reshape(lead + (period,) * lat.dim)
 
 
 def _fenwick_drop_box(lat: Lattice, etas: Tuple[float, float, float]
@@ -275,6 +240,62 @@ def _fenwick_drop_box(lat: Lattice, etas: Tuple[float, float, float]
     return same, cross
 
 
+def _jordan_wigner_drop_box(lat: Lattice, etas: Tuple[float, float, float]
+                            ) -> Tuple[np.ndarray, np.ndarray]:
+    """Jordan-Wigner's ``(same, cross)`` drops of :func:`_drop_box`, by qubit separation.
+
+    In either qubit order ``o`` the X/Y/Z counts of a site pair, averaged over
+    its two flavor pairs, depend on the separation ``m = |o_s - o_t|`` alone
+    (:meth:`~fermion_noise.encodings.EncodingWeightModel._jordan_wigner_counts`),
+    so the drops are ``h(m)``: ``1 - ex ey ez**(m - 1)`` within a flavor (0 on
+    site) and ``1 - (ex**2 + ey**2)/2 ez**(m - 1)`` across (``1 - ez`` on
+    site), both ``1 - eta**(m + 1)`` when the etas agree.  The chain has
+    ``L - |r|`` pairs at ``r``, all at ``m = |r|``.  The snake,
+    ``o = y L + x'`` with ``x' = x`` on even rows and ``L - 1 - x`` on odd
+    ones, has at ``(u, d)`` the separation ``|d L + x1' - x2'|``.  For ``d``
+    even both rows share a parity and ``x1' - x2'`` is ``u`` on even rows and
+    ``-u`` on odd ones, over ``L - |u|`` columns each.  For ``d`` odd,
+    whichever row is even, it runs once over ``-(L - 1 - |u|) .. L - 1 - |u|``
+    in steps of 2, on each of the ``L - |d|`` row pairs: a stride-2 running sum
+    of ``h(|d L + t|) + h(|d L - t|)`` from ``t = 0`` out.  ``O(N)`` from one
+    ``(2L - 1)^2`` table of ``h(|d L + t|)``, with no ``N x N`` array.
+    """
+    length = lat.length
+    ex, ey, ez = etas
+
+    def drops(m):
+        if ex == ey == ez:
+            return (1.0 - ex ** (m + 1),)
+        z = ez ** np.maximum(m - 1, 0)
+        same, cross = 1.0 - ex * ey * z, 1.0 - (ex**2 + ey**2) / 2.0 * z
+        same[m == 0], cross[m == 0] = 0.0, 1.0 - ez
+        return same, cross
+
+    if lat.dim == 1:
+        r = np.abs(lat.displacement_box()[0])
+        boxes = [h * (length - r) for h in drops(r)]
+    else:
+        t = np.arange(1 - length, length)  # the row offset d, and x1' - x2'
+        pairs = length - np.abs(t)
+        odd = t % 2 == 1
+        # Even rows y1 in [max(0, d), L - 1 + min(0, d)], read at even d.
+        even = ((length - 1 + np.minimum(t, 0)) // 2 - (np.maximum(t, 0) - 1) // 2)[~odd, None]
+        at = np.ix_(t % (2 * length), t % (2 * length))
+        boxes = []
+        for h in drops(np.abs(length * t[:, None] + t[None, :])):  # [d, t]
+            by_rows = np.empty_like(h)
+            by_rows[~odd] = (even * h[~odd] + (pairs[~odd, None] - even) * h[~odd, ::-1]) * pairs
+            window = h[odd, length - 1:] + h[odd, length - 1::-1]  # h(dL + t) + h(dL - t)
+            window[:, 0] = h[odd, length - 1]
+            for p in (0, 1):  # column k: the sum over t = -k, -k + 2, .., k
+                window[:, p::2] = np.cumsum(window[:, p::2], axis=1)
+            by_rows[odd] = window[:, length - 1 - np.abs(t)] * pairs[odd, None]
+            box = np.zeros((2 * length,) * 2)
+            box[at] = by_rows.T
+            boxes.append(box)
+    return boxes[0], boxes[-1]
+
+
 def _drop_box(enc: EncodingWeightModel, etas: Tuple[float, float, float]
               ) -> Tuple[np.ndarray, np.ndarray]:
     """Drops ``1 - lambda`` summed over the site pairs at every displacement.
@@ -282,67 +303,51 @@ def _drop_box(enc: EncodingWeightModel, etas: Tuple[float, float, float]
     Box arrays of :meth:`Lattice.displacement_box`, ``same`` for the
     equal-flavor and ``cross`` for the cross-flavor bilinears, each the mean
     of its two flavor pairs, as :meth:`ModeDiagonalState.occupation_shift`
-    takes them.  ``local`` and ``jw1d`` under equal etas have a drop of
-    displacement alone, times the pair count; ``bravyi_kitaev`` goes by
-    Fenwick levels (:func:`_fenwick_drop_box`); the rest fold their ``N x N``
-    drop blocks.  They depend on the encoding and the etas, not on the state,
-    and the last ``_DROP_BOXES_KEPT`` etas' boxes are kept on the model.
+    takes them.  One producer per encoding kind: ``local`` has the drop
+    ``1 - eta**(phi0 + d(r))`` of displacement alone, times the pair count
+    (equal etas only: it models weights, not X/Y/Z strings);
+    ``bravyi_kitaev`` goes by Fenwick levels (:func:`_fenwick_drop_box`);
+    ``jw1d`` and ``jw2d_snake`` by qubit separation
+    (:func:`_jordan_wigner_drop_box`).  They depend on the encoding and the
+    etas, not on the state, and the last ``_DROP_BOXES_KEPT`` etas' boxes are
+    kept on the model.
     """
     boxes = enc._drop_boxes
     if etas not in boxes:
         if len(boxes) >= _DROP_BOXES_KEPT:
             del boxes[next(iter(boxes))]
         lat = enc.lattice
-        weights = enc.displacement_weights()
-        if etas[0] == etas[1] == etas[2] and weights is not None:
+        if enc.kind == "local":
+            if not etas[0] == etas[1] == etas[2]:
+                raise ValueError(_WEIGHTS_ONLY)
+            weights = enc.phi0 + sum(lat._wrap(r) for r in lat.displacement_box())
             same = cross = (1.0 - etas[0] ** weights) * lat.displacement_multiplicity()
         elif enc.kind == "bravyi_kitaev":
             same, cross = _fenwick_drop_box(lat, etas)
         else:
-            drop = _fold(lat, _drops(enc, etas))
-            same = (drop[0, 0] + drop[-1, -1]) / 2.0
-            cross = (drop[0, -1] + drop[-1, 0]) / 2.0
+            same, cross = _jordan_wigner_drop_box(lat, etas)
         for drop in (same, cross):
             drop.setflags(write=False)
         boxes[etas] = same, cross
     return boxes[etas]
 
 
-def momentum_error_map(state: GaussianState, enc: EncodingWeightModel,
+def momentum_error_map(state: ModeDiagonalState, enc: EncodingWeightModel,
                        channel: PauliChannel, momenta: np.ndarray,
                        mode: str = "exact") -> np.ndarray:
     """Noise-induced error of the mode occupation ``n_k`` for many momenta.
 
-    Returns ``<n_k> - <n_k>_noisy`` for each row of ``momenta``.  With the
-    covariance flavor blocks ``G_fg = Gamma[f::2, g::2]`` and the drops
-    ``D_fg = 1 - lambda_fg`` in the encoding's block shape, the error is
-    ``Re sum_st e^{i k.(r_s - r_t)} T_st / (4N)`` with
-    ``T = (D01 o G01 - D10 o G10) + i (D00 o G00 + D11 o G11)``, a pair sum
-    folded onto the ``(2L)^D`` displacement box and read off the ``L^D``
-    torus by :meth:`Lattice.box_sum`.
-
-    A :class:`ModeDiagonalState` has ``G`` a function of ``r_s - r_t``, so
-    only the drops are summed by displacement (:func:`_drop_box`), folded
-    onto the torus and weighted by ``C(r)``
-    (:meth:`ModeDiagonalState.occupation_shift`), one ``L^D`` FFT per class
-    of momenta; its covariance is never built.  Under equal etas, ``local`` and ``jw1d`` give
-    the drop ``1 - eta**w(r)`` of displacement alone
-    (:meth:`~EncodingWeightModel.displacement_weights`), and its sum is that
-    drop times the pair count :meth:`Lattice.displacement_multiplicity`;
-    ``bravyi_kitaev`` sums its drops by Fenwick level, one FFT per level
-    (:func:`_fenwick_drop_box`): both ``O(N log N)`` for a whole grid.
-    ``jw2d_snake`` and non-uniform ``jw1d`` fold their ``N x N`` drop blocks.
-    Any other state folds ``T``.
+    Returns ``<n_k> - <n_k>_noisy`` for each row of ``momenta``.  A
+    :class:`ModeDiagonalState` has a covariance that depends on the
+    displacement ``r`` of the two sites alone, so only the drops
+    ``1 - lambda`` are summed by displacement (:func:`_drop_box`, ``O(N log
+    N)`` or less for every encoding, mode and mix), folded onto the torus and
+    weighted by ``C(r)`` (:meth:`ModeDiagonalState.occupation_shift`), one
+    ``L^D`` FFT per class of momenta; its covariance is never built.  Any
+    other :class:`GaussianState` raises ``TypeError``.
     """
     _check_lattices(enc, state)
-    lat = state.lattice
+    if not isinstance(state, ModeDiagonalState):
+        raise TypeError(f"momentum_error_map needs a ModeDiagonalState, got {type(state).__name__}")
     momenta = np.atleast_2d(np.asarray(momenta, dtype=float))
-    if isinstance(state, ModeDiagonalState):
-        return state.occupation_shift(*_drop_box(enc, _mode_etas(channel, mode)), momenta)
-    n = lat.n_sites
-    drop = np.broadcast_to(_drops(enc, _mode_etas(channel, mode)), (2, 2, n, n))
-    g = state.gamma
-    t = np.stack([drop[0, 1] * g[0::2, 1::2] - drop[1, 0] * g[1::2, 0::2],
-                  drop[0, 0] * g[0::2, 0::2] + drop[1, 1] * g[1::2, 1::2]])
-    real, imag = _fold(lat, t)
-    return lat.box_sum(real + 1j * imag, momenta) / (4.0 * n)
+    return state.occupation_shift(*_drop_box(enc, _mode_etas(channel, mode)), momenta)

@@ -3,21 +3,27 @@
 The dense references (a state from its correlation matrix, an observable's
 ``(2N, 2N)`` coefficient matrix, the ``(2N, 2N)`` attenuation matrix, the
 Jordan-Wigner and Bravyi-Kitaev Pauli rows) are what the package's
-support-held, flavor-block and closed-form paths are checked against; no
-package code needs them.  So is the full-width direct polylogarithm sum,
-which the padded in-place sum of the package must match bit for bit, and
-the ``(2L)^D`` Fourier route, which the package's ``L^D`` torus is checked
-against: ``C(r)`` as one FFT of ``n(q)`` on the displacement box, where every
-grid momentum ``2 pi m / L`` is the integer frequency ``2m``, and every
-momentum sum read off one more FFT of the box.
+support-held, displacement-summed and closed-form paths are checked against;
+no package code needs them.  The ``(F, F, N, N)`` flavor blocks of every
+Majorana pair come from independent data, the popcounts of the Pauli tables
+or the lattice's distance matrix, and their drops folded by displacement are
+the reference for the package's drop boxes, as their contraction with a
+covariance is for its error maps.  So is the full-width direct polylogarithm
+sum, which the padded in-place sum of the package must match bit for bit,
+and the ``(2L)^D`` Fourier route, which the package's ``L^D`` torus is
+checked against: ``C(r)`` as one FFT of ``n(q)`` on the displacement box,
+where every grid momentum ``2 pi m / L`` is the integer frequency ``2m``,
+and every momentum sum read off one more FFT of the box.
 """
 
+import functools
 import math
 
 import numpy as np
 import pytest
 
 from fermion_noise import (
+    EncodingWeightModel,
     GaussianState,
     Lattice,
     QuadraticObservable,
@@ -25,7 +31,7 @@ from fermion_noise import (
     snake_index_vector,
 )
 from fermion_noise.gaussian import haar_rotations
-from fermion_noise.noise import _attenuation, _drop_box, _mode_etas
+from fermion_noise.noise import _drop_box, _mode_etas
 from fermion_noise.special import _SKIP_DIGITS
 from oracle import gf2_inverse, pauli_string
 
@@ -97,17 +103,6 @@ def interleave_flavors(blocks):
     out = np.empty((2 * n, 2 * n), dtype=blocks.dtype)
     out.reshape(n, 2, n, 2)[...] = blocks.transpose(2, 0, 3, 1)
     return out
-
-
-def attenuation_matrix(enc, channel, mode="exact"):
-    """Dense ``(2N, 2N)`` attenuation (diagonal 1) from the all-pairs flavor blocks.
-
-    The reference the index-set route of ``attenuation_block`` is checked
-    against: the blocks come from ``pair_weights()`` without an index set.
-    """
-    lam = interleave_flavors(_attenuation(enc, _mode_etas(channel, mode)))
-    np.fill_diagonal(lam, 1.0)
-    return lam
 
 
 def plane_wave_correlation(grid, occupations):
@@ -199,6 +194,127 @@ def table_strings(enc):
                          {q: labels[(xq, zq)] for q, (xq, zq) in enumerate(zip(xm, zm))
                           if xq or zq})
             for xm, zm in zip(x, z)]
+
+
+def _packed_words(bits):
+    """Rows of 0/1 bits packed 64 to a uint64 word, zero-padded."""
+    packed = np.packbits(bits, axis=1)
+    return np.pad(packed, ((0, 0), (0, -packed.shape[1] % 8))).view(np.uint64)
+
+
+def reference_counts(x, z):
+    """(3, 2N, 2N) X/Y/Z counts of every product of two rows of 0/1 x and z bits.
+
+    A product is the XOR of two rows, its Y count the popcount of ``x & z``,
+    and its X and Z counts those of ``x`` and ``z`` less the Ys.  Counts are
+    int16: the tables of up to 1024 modes are kept for the session.
+    """
+    x, z = _packed_words(x), _packed_words(z)
+    out = np.empty((3, len(x), len(x)), dtype=np.int16)
+    rows = max(1, (1 << 19) // max(1, x.size))  # about 4 MB per temporary
+    for lo in range(0, len(x), rows):
+        px, pz = x[lo:lo + rows, None] ^ x, z[lo:lo + rows, None] ^ z
+        ny = np.bitwise_count(px & pz).sum(axis=-1)
+        out[:, lo:lo + rows] = (np.bitwise_count(px).sum(axis=-1) - ny, ny,
+                                np.bitwise_count(pz).sum(axis=-1) - ny)
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _table_counts(kind, dim, length):
+    counts = reference_counts(*table_bits(EncodingWeightModel(kind, Lattice(dim, length))))
+    counts.setflags(write=False)
+    return counts
+
+
+def flavor_blocks(enc, counts=False):
+    """Weights, or X/Y/Z counts, of every Majorana pair as ``(2, 2, N, N)`` flavor blocks.
+
+    Entry ``[f, g, s, t]`` belongs to the pair ``(2s + f, 2t + g)``, with the
+    counts stacked in front.  The concrete encodings take the popcounts of
+    their Pauli tables (:func:`table_bits`, 0 for a Majorana with itself);
+    ``local`` takes ``phi0`` plus :meth:`Lattice.distance_matrix` for every
+    flavor pair and has no counts.
+    """
+    lat = enc.lattice
+    n = lat.n_sites
+    if enc.kind == "local":
+        if counts:
+            raise ValueError("the 'local' model has no X/Y/Z strings")
+        return np.broadcast_to(enc.phi0 + lat.distance_matrix(), (2, 2, n, n))
+    table = _table_counts(enc.kind, lat.dim, lat.length)
+    table = table if counts else table.sum(axis=0)
+    table = table.reshape(table.shape[:-2] + (n, 2, n, 2))  # [..., s, f, t, g]
+    return np.moveaxis(table, (-4, -3, -2, -1), (-2, -4, -1, -3))
+
+
+def attenuation_blocks(enc, etas):
+    """``ex**nx * ey**ny * ez**nz`` on the flavor blocks, or ``eta**weight`` when the etas agree."""
+    ex, ey, ez = etas
+    if ex == ey == ez:
+        return ex ** flavor_blocks(enc)
+    nx, ny, nz = flavor_blocks(enc, counts=True)
+    return ex**nx * ey**ny * ez**nz
+
+
+def attenuation_matrix(enc, channel, mode="exact"):
+    """Dense ``(2N, 2N)`` attenuation (diagonal 1) from the reference flavor blocks.
+
+    The reference the index-set route of ``attenuation_block`` is checked
+    against.
+    """
+    lam = interleave_flavors(attenuation_blocks(enc, _mode_etas(channel, mode)))
+    np.fill_diagonal(lam, 1.0)
+    return lam
+
+
+def fold(lat, pairs):
+    """``sum_{x_s - x_t = r} pairs[..., s, t]``: box arrays of :meth:`Lattice.displacement_box`.
+
+    ``pairs`` stacks ``N x N`` site-pair matrices, read in place in any layout.
+    Rows are folded in blocks of ``isqrt(N)`` and the partial boxes added: one
+    bincount over all rows adds the N alike terms of a translation-invariant
+    diagonal in sequence and loses a digit.
+    """
+    n = lat.n_sites
+    period = 2 * lat.length
+    lead = pairs.shape[:-2]
+    box = np.zeros((math.prod(lead), period ** lat.dim))
+    sites = np.arange(n)
+    step = math.isqrt(n)
+    for lo in range(0, n, step):
+        key = lat.displacement_index(sites[lo:lo + step], sites).ravel()
+        for out, at in zip(box, np.ndindex(lead)):
+            out += np.bincount(key, pairs[at][lo:lo + step].ravel(), box.shape[1])
+    return box.reshape(lead + (period,) * lat.dim)
+
+
+def drops(enc, etas):
+    """Flavor blocks of ``1 - lambda`` over all pairs."""
+    return 1.0 - attenuation_blocks(enc, etas)
+
+
+def fold_drop_box(enc, etas):
+    """``_drop_box`` as the fold of all ``N x N`` drop blocks: ``(same, cross)`` flavor means."""
+    drop = fold(enc.lattice, drops(enc, etas))
+    return (drop[0, 0] + drop[1, 1]) / 2.0, (drop[0, 1] + drop[1, 0]) / 2.0
+
+
+def dense_momentum_error_map(state, enc, channel, momenta, mode="exact"):
+    """``momentum_error_map`` of any Gaussian state, from its covariance.
+
+    With the covariance flavor blocks ``G_fg = Gamma[f::2, g::2]`` and the
+    drops ``D_fg``, the error is ``Re sum_st e^{i k.(r_s - r_t)} T_st / (4N)``
+    with ``T = (D01 o G01 - D10 o G10) + i (D00 o G00 + D11 o G11)``, folded
+    onto the box and read off its FFT.
+    """
+    lat = state.lattice
+    drop = drops(enc, _mode_etas(channel, mode))
+    g = state.gamma
+    t = np.stack([drop[0, 1] * g[0::2, 1::2] - drop[1, 0] * g[1::2, 0::2],
+                  drop[0, 0] * g[0::2, 0::2] + drop[1, 1] * g[1::2, 1::2]])
+    real, imag = fold(lat, t)
+    return box_sum(lat, real + 1j * imag, np.atleast_2d(momenta)) / (4.0 * lat.n_sites)
 
 
 def full_width_polylog_direct(s, z):

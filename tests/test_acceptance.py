@@ -14,12 +14,13 @@ import numpy as np
 import pytest
 from scipy.linalg import expm, logm
 
-from conftest import (SEED, dense_coefficients, dense_rotation, plane_wave_correlation,
-                      random_normalized_observable, state_from_correlation)
+from conftest import (SEED, dense_coefficients, dense_rotation, random_normalized_observable,
+                      state_from_correlation)
 from fermion_noise import (
     EncodingWeightModel,
     GaussianState,
     Lattice,
+    ModeDiagonalState,
     PauliChannel,
     QuadraticObservable,
     bk_beta_matrix,
@@ -451,8 +452,7 @@ def test_criterion_09_surface_error_formulas():
     occ = occupied_modes(grid, 30, energies=free_dispersion(grid.momenta))
     filled = np.zeros(len(grid))
     filled[occ] = 1.0
-    state = state_from_correlation(
-        lat, plane_wave_correlation(grid, filled), validate=False)
+    state = ModeDiagonalState(grid, filled)
     enc = EncodingWeightModel("local", lat, phi0=phi0)
     occ_m = np.rint(grid.momenta[occ] * side / (2 * np.pi)).astype(int)
     probes_m = [(2, 0), (1, 1), (3, 2), (0, 0)]

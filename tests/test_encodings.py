@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 import fermion_noise.encodings as encodings_module
-from conftest import interleave_flavors, jordan_wigner_bits, table_bits, table_strings
+from conftest import flavor_blocks, interleave_flavors, jordan_wigner_bits, reference_counts, \
+    table_bits, table_strings
 from fermion_noise import (
     ENCODING_KINDS,
     EncodingWeightModel,
@@ -102,9 +103,14 @@ def jw1d_composition(x: int, y: int, flavor_x: int, flavor_y: int) -> StringComp
     return StringComposition(int(n_x), int(n_y), y - x - 1)
 
 
+def _weights(enc):
+    """(2N, 2N) weights of every Majorana pair, all Majoranas as one index set."""
+    return enc.pair_weights(np.arange(enc.lattice.n_majorana))
+
+
 def _count_matrices(enc):
-    """(3, 2N, 2N) X/Y/Z counts of every Majorana pair, from the all-pairs count blocks."""
-    return np.stack([interleave_flavors(c) for c in enc.pair_weights(counts=True)])
+    """(3, 2N, 2N) X/Y/Z counts of every Majorana pair, all Majoranas as one index set."""
+    return enc.pair_weights(np.arange(enc.lattice.n_majorana), counts=True)
 
 
 class TestModelValidation:
@@ -137,19 +143,6 @@ class TestModelValidation:
         assert EncodingWeightModel("jw1d", Lattice(1, 4), phi0=7).phi0 == 1
         assert EncodingWeightModel("jw2d_snake", Lattice(2, 4), phi0=7).phi0 == 1
 
-    def test_flavor_dependence_is_the_block_shape(self):
-        # Flavor-independent weights come as one broadcastable block; only
-        # the weight-only local model lacks X/Y/Z compositions.
-        jw = EncodingWeightModel("jw1d", Lattice(1, 4))
-        bk = EncodingWeightModel("bravyi_kitaev", Lattice(1, 4))
-        local = EncodingWeightModel("local", Lattice(2, 4))
-        assert jw.pair_weights().shape == (1, 1, 4, 4)
-        assert bk.pair_weights().shape == (2, 2, 4, 4)
-        assert local.pair_weights().shape == (1, 1, 16, 16)
-        assert jw.pair_weights(counts=True).shape == bk.pair_weights(counts=True).shape == (3, 2, 2, 4, 4)
-        with pytest.raises(ValueError, match="worst-case"):
-            local.pair_weights(counts=True)
-
 
 class TestLocalWeights:
     def test_weight_is_offset_plus_torus_distance(self):
@@ -157,24 +150,24 @@ class TestLocalWeights:
         enc = EncodingWeightModel("local", lat, phi0=2)
         a = lat.site_index((0, 0))
         b = lat.site_index((2, 3))  # torus distance 2 + 1
-        assert enc.pair_weights()[0, 0, a, b] == 5
+        assert _weights(enc)[2 * a, 2 * b] == 5
         assert enc.bilinear_weight(2 * a, 2 * b) == 5
         assert enc.bilinear_weight(2 * a + 1, 2 * b + 1) == 5
 
     def test_wraps_around_the_torus(self):
         enc = EncodingWeightModel("local", Lattice(1, 10), phi0=1)
-        assert enc.pair_weights()[0, 0, 0, 9] == 2  # distance 1, not 9
+        assert _weights(enc)[0, 18] == 2  # distance 1, not 9
         assert enc.bilinear_weight(0, 19) == 2
 
     def test_largest_weight(self):
         enc = EncodingWeightModel("local", Lattice(2, 6), phi0=2)
-        assert enc.pair_weights().max() == 8  # 2 + (3 + 3)
+        assert _weights(enc).max() == 8  # 2 + (3 + 3)
 
     def test_phi0_zero_on_site_weight(self):
         enc = EncodingWeightModel("local", Lattice(1, 8), phi0=0)
-        assert enc.pair_weights()[0, 0, 3, 3] == 0
+        assert _weights(enc)[6, 6] == 0
         assert enc.bilinear_weight(6, 7) == 0
-        assert enc.pair_weights().max() == 4
+        assert _weights(enc).max() == 4
 
     def test_single_weights_build_no_distance_matrix(self):
         lat = Lattice(2, 48)
@@ -186,13 +179,13 @@ class TestLocalWeights:
 class TestJordanWigner1d:
     def test_weight_uses_plain_chain_separation(self):
         enc = EncodingWeightModel("jw1d", Lattice(1, 8))
-        w = enc.pair_weights()[0, 0]
+        w = _weights(enc)[0::2, 0::2]
         assert w[0, 1] == 2
         assert w[2, 5] == 4
         # The string runs down the whole chain: no torus shortcut.
         assert w[0, 7] == 8
         assert enc.bilinear_weight(0, 14) == 8
-        assert enc.pair_weights().max() == 8
+        assert _weights(enc).max() == 8
 
     def test_all_pair_weights_expand_site_weights(self):
         lat = Lattice(1, 5)
@@ -224,6 +217,8 @@ class TestJordanWigner1d:
         enc = EncodingWeightModel("local", Lattice(1, 4))
         with pytest.raises(ValueError, match="'local'"):
             enc.string_composition(0, 1)
+        with pytest.raises(ValueError, match="worst-case"):
+            enc.pair_weights(np.arange(8), counts=True)
         jw = EncodingWeightModel("jw1d", Lattice(1, 4))
         with pytest.raises(ValueError, match="distinct"):
             jw.string_composition(3, 3)
@@ -233,7 +228,7 @@ class TestSnakeWeights:
     def test_frozen_values(self):
         lat = Lattice(2, 4)
         enc = EncodingWeightModel("jw2d_snake", lat)
-        w = enc.pair_weights()[0, 0]
+        w = _weights(enc)[0::2, 0::2]
         a = lat.site_index((0, 0))
         # (0, 1) sits at the far end of the reversed second row.
         assert w[a, lat.site_index((0, 1))] == 8
@@ -246,12 +241,12 @@ class TestSnakeWeights:
             enc = EncodingWeightModel("jw2d_snake", lat)
             a = lat.site_index((0, 0))
             b = lat.site_index((side - 1, 1))
-            assert enc.pair_weights()[0, 0, a, b] == side + 1
+            assert _weights(enc)[2 * a, 2 * b] == side + 1
             assert enc.bilinear_weight(2 * a, 2 * b) == side + 1
 
     def test_largest_weight_spans_the_whole_snake(self):
         enc = EncodingWeightModel("jw2d_snake", Lattice(2, 4))
-        assert enc.pair_weights().max() == 16  # 1 + (16 - 1)
+        assert _weights(enc).max() == 16  # 1 + (16 - 1)
 
     def test_snake_order_is_built_once_per_model(self, monkeypatch):
         calls = []
@@ -265,7 +260,7 @@ class TestSnakeWeights:
         for a, b in [(0, 5), (3, 40), (71, 2), (10, 11), (0, 5)]:
             enc.bilinear_weight(a, b)
             enc.string_composition(a, b)
-        enc.pair_weights(counts=True)
+        _count_matrices(enc)
         assert len(calls) == 1
 
 
@@ -295,7 +290,7 @@ class TestBravyiKitaev:
 
     def test_counts_are_popcounts_of_the_eliminated_table_at_512_modes(self):
         enc = EncodingWeightModel("bravyi_kitaev", Lattice(1, 512))
-        assert np.array_equal(_count_matrices(enc), _reference_counts(*table_bits(enc)))
+        assert np.array_equal(_count_matrices(enc), reference_counts(*table_bits(enc)))
 
     def test_number_operator_weights_frozen_n8(self):
         weights = [bk_number_operator_weight_from_beta(i, 8) for i in range(8)]
@@ -350,7 +345,6 @@ class TestBravyiKitaev:
             for x in range(8) for y in range(8) if x != y
         ]
         assert any(len(set(quad)) > 1 for quad in flavor_pairs)
-        assert enc.pair_weights().shape == (2, 2, 8, 8)
 
     def test_all_pair_weights_are_popcounts_of_the_table_bits(self):
         enc = EncodingWeightModel("bravyi_kitaev", Lattice(1, 4))
@@ -364,7 +358,7 @@ class TestBravyiKitaev:
     def test_number_operator_family_sits_below_the_largest_weight(self):
         enc = EncodingWeightModel("bravyi_kitaev", Lattice(1, 16))
         assert bk_max_number_operator_weight(16) == 5
-        assert enc.pair_weights().max() >= 5
+        assert _weights(enc).max() >= 5
 
 
 CONCRETE_SMALL = [("jw1d", 1, n) for n in (1, 2, 3, 5, 8)] + \
@@ -418,7 +412,7 @@ class TestSymplecticTable:
     def test_snake_weights_match_the_closed_form_on_16x16(self):
         lat = Lattice(2, 16)
         enc = EncodingWeightModel("jw2d_snake", lat)
-        from_table = interleave_flavors(enc.pair_weights(counts=True).sum(axis=0))
+        from_table = _count_matrices(enc).sum(axis=0)
         np.fill_diagonal(from_table, 0)
         s = snake_index_vector(lat)
         closed = np.repeat(np.repeat(1 + np.abs(s[:, None] - s[None, :]), 2, 0), 2, 1)
@@ -438,16 +432,16 @@ class TestIndexSetPairs:
     @pytest.mark.parametrize("kind,lat", _ALL_KINDS)
     def test_weights_are_entries_of_the_flavor_blocks(self, rng, kind, lat):
         enc = EncodingWeightModel(kind, lat)
-        blocks = enc.pair_weights()
-        full = interleave_flavors(np.broadcast_to(blocks, (2, 2) + blocks.shape[2:]))
+        full = interleave_flavors(flavor_blocks(enc))
         for idx in (np.arange(lat.n_majorana), rng.choice(lat.n_majorana, 9, replace=False),
                     np.array([5]), np.array([], dtype=int)):
-            assert np.array_equal(enc.pair_weights(idx), full[np.ix_(idx, idx)]), idx
+            pairs = idx[:, None] != idx[None, :]  # a Majorana with itself is no bilinear
+            assert np.array_equal(enc.pair_weights(idx)[pairs], full[np.ix_(idx, idx)][pairs]), idx
 
     @pytest.mark.parametrize("kind,lat", [c for c in _ALL_KINDS if c[0] != "local"])
     def test_counts_are_entries_of_the_count_blocks(self, rng, kind, lat):
         enc = EncodingWeightModel(kind, lat)
-        full = _count_matrices(enc)
+        full = np.stack([interleave_flavors(c) for c in flavor_blocks(enc, counts=True)])
         idx = rng.choice(lat.n_majorana, 11, replace=False)
         counts = enc.pair_weights(idx, counts=True)
         assert counts.shape == (3, 11, 11)
@@ -474,30 +468,12 @@ def _refuse_the_table(monkeypatch):
     monkeypatch.setattr(encodings_module, "_bk_beta_inverse", refuse)
 
 
-def _reference_counts(x, z):
-    """(3, 2N, 2N) X/Y/Z counts of every product of two rows of 0/1 x and z bits.
-
-    The rows are packed eight bits a byte; a product is the XOR of two rows,
-    its Y count the popcount of ``x & z``, and its X and Z counts those of
-    ``x`` and ``z`` less the Ys.
-    """
-    x, z = np.packbits(x, axis=1), np.packbits(z, axis=1)
-    out = np.empty((3, len(x), len(x)), dtype=np.int64)
-    rows = max(1, (1 << 22) // max(1, x.size))  # about 4 MB per temporary
-    for lo in range(0, len(x), rows):
-        px, pz = x[lo:lo + rows, None] ^ x, z[lo:lo + rows, None] ^ z
-        ny = np.bitwise_count(px & pz).sum(axis=-1)
-        out[:, lo:lo + rows] = (np.bitwise_count(px).sum(axis=-1) - ny, ny,
-                                np.bitwise_count(pz).sum(axis=-1) - ny)
-    return out
-
-
 class TestSingleWeights:
     @pytest.mark.parametrize("kind,dim,length", [("jw1d", 1, 8), ("jw2d_snake", 2, 4)])
     def test_jordan_wigner_single_weights_read_no_table(self, monkeypatch, kind, dim, length):
         lat = Lattice(dim, length)
         pairs = [(a, b) for a in range(lat.n_majorana) for b in range(lat.n_majorana) if a != b]
-        from_table = _reference_counts(*jordan_wigner_bits(lat)).sum(axis=0)
+        from_table = reference_counts(*jordan_wigner_bits(lat)).sum(axis=0)
         _refuse_the_table(monkeypatch)
         enc = EncodingWeightModel(kind, lat)
         assert [enc.bilinear_weight(a, b) for a, b in pairs] == [from_table[p] for p in pairs]
@@ -512,7 +488,7 @@ class TestJordanWignerCounts:
                                                               length):
         # Bravyi-Kitaev too answers from index arithmetic, not its encoder matrices.
         lat = Lattice(dim, length)
-        ref = _reference_counts(*table_bits(EncodingWeightModel(kind, lat)))
+        ref = reference_counts(*table_bits(EncodingWeightModel(kind, lat)))
         _refuse_the_table(monkeypatch)
         enc = EncodingWeightModel(kind, lat)
         assert np.array_equal(_count_matrices(enc), ref)
@@ -552,7 +528,7 @@ class TestJordanWignerCounts:
         enc = EncodingWeightModel(kind, lat)
         counts = _count_matrices(enc)
         assert counts.dtype == np.int32
-        assert np.array_equal(counts, _reference_counts(*jordan_wigner_bits(lat)))
+        assert np.array_equal(counts, reference_counts(*jordan_wigner_bits(lat)))
 
 
 class TestFenwickClosedForm:
@@ -562,13 +538,13 @@ class TestFenwickClosedForm:
     def test_all_pairs_equal_the_reference_table(self, dim, length):
         lat = Lattice(dim, length)
         enc = EncodingWeightModel("bravyi_kitaev", lat)
-        ref = _reference_counts(*table_bits(enc))  # diagonal included: 0 for a == b
+        ref = reference_counts(*table_bits(enc))  # diagonal included: 0 for a == b
         n = lat.n_sites
-        counts, weights = enc.pair_weights(counts=True), enc.pair_weights()
+        counts, weights = _count_matrices(enc), _weights(enc)
         assert counts.dtype == weights.dtype == np.int32
-        assert counts.shape == (3, 2, 2, n, n) and weights.shape == (2, 2, n, n)
-        assert np.array_equal(_count_matrices(enc), ref)
-        assert np.array_equal(interleave_flavors(weights), ref.sum(axis=0))
+        assert counts.shape == (3, 2 * n, 2 * n) and weights.shape == (2 * n, 2 * n)
+        assert np.array_equal(counts, ref)
+        assert np.array_equal(weights, ref.sum(axis=0))
 
     def test_index_sets_at_64x64_equal_the_reference_rows(self, rng):
         lat = Lattice(2, 64)
@@ -577,28 +553,10 @@ class TestFenwickClosedForm:
         picks = [rng.choice(lat.n_majorana, size, replace=False) for size in (1, 2, 160)]
         picks.append(np.concatenate([picks[-1], picks[-1][:7]]))  # repeats: a == b gives 0
         for idx in picks:
-            ref = _reference_counts(x[idx], z[idx])
+            ref = reference_counts(x[idx], z[idx])
             counts = enc.pair_weights(idx, counts=True)
             assert counts.dtype == np.int32 and np.array_equal(counts, ref)
             assert np.array_equal(enc.pair_weights(idx), ref.sum(axis=0))
-
-
-class TestDisplacementWeights:
-    @pytest.mark.parametrize("kind,dim,length,phi0", [
-        ("local", 1, 6, 0), ("local", 1, 7, 2), ("local", 2, 4, 1), ("local", 2, 5, 2),
-        ("jw1d", 1, 7, 1),
-    ])
-    def test_box_holds_the_weight_of_every_site_pair(self, kind, dim, length, phi0):
-        lat = Lattice(dim, length)
-        enc = EncodingWeightModel(kind, lat, phi0=phi0)
-        box = enc.displacement_weights()
-        assert box.shape == (2 * length,) * dim
-        disp = (lat.coords[:, None, :] - lat.coords[None, :, :]) % (2 * length)
-        assert np.array_equal(box[tuple(np.moveaxis(disp, -1, 0))], enc.pair_weights()[0, 0])
-
-    def test_position_dependent_encodings_have_none(self):
-        assert EncodingWeightModel("jw2d_snake", Lattice(2, 4)).displacement_weights() is None
-        assert EncodingWeightModel("bravyi_kitaev", Lattice(1, 8)).displacement_weights() is None
 
 
 class TestPairValidation:

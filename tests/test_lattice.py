@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import assert_close, plane_wave_pair_sum
+from conftest import assert_close, fold, plane_wave_pair_sum
 from fermion_noise import (
     Lattice,
     momentum_grid,
@@ -102,13 +102,6 @@ class TestDistances:
         # Farthest pair on an even torus sits at L/2 per axis.
         assert Lattice(1, 8).distance_matrix().max() == 4
         assert Lattice(2, 6).distance_matrix().max() == 6
-
-
-def fold(lat, pairs):
-    """``sum_{x_s - x_t = r} pairs[s, t]`` on the box, one bincount over all pairs."""
-    index = lat.displacement_index(np.arange(lat.n_sites))
-    box_shape = (2 * lat.length,) * lat.dim
-    return np.bincount(index.ravel(), pairs.ravel(), np.prod(box_shape)).reshape(box_shape)
 
 
 class TestDisplacementBox:

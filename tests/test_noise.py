@@ -5,7 +5,8 @@ import pytest
 
 from conftest import assert_close, attenuation_matrix, box_covariance_block, \
     box_momentum_error_map, box_momentum_occupation, box_occupation_shift, dense_coefficients, \
-    random_correlation, random_normalized_observable, state_from_correlation, table_strings
+    dense_momentum_error_map, fold_drop_box, random_correlation, random_normalized_observable, \
+    state_from_correlation, table_strings
 from fermion_noise import (
     EncodingWeightModel,
     GaussianState,
@@ -25,10 +26,11 @@ from fermion_noise import (
     occupied_modes,
     pair_attenuation,
     random_pure_state,
+    snake_index_vector,
     tight_binding_ground_state_2d,
 )
 from fermion_noise import encodings
-from fermion_noise.noise import _DROP_BOXES_KEPT, _drop_box, _drops, _fold, _mode_etas
+from fermion_noise.noise import _DROP_BOXES_KEPT, _drop_box, _mode_etas
 from oracle import (
     dense_gaussian_density_matrix,
     dense_majorana_set,
@@ -146,9 +148,10 @@ class TestAttenuationMatrices:
     def test_non_uniform_mix_needs_composition(self):
         enc = EncodingWeightModel("local", Lattice(1, 4))
         ch = PauliChannel(0.2, alphas=(0.5, 0.25, 0.25))
+        everything = np.arange(enc.lattice.n_majorana)
         with pytest.raises(ValueError, match="worst-case"):
-            attenuation_matrix(enc, ch)
-        lam = attenuation_matrix(enc, ch, mode="worst-case")
+            attenuation_block(enc, ch, everything)
+        lam = attenuation_block(enc, ch, everything, mode="worst-case")
         assert_close(lam[0, 1], 0.7 ** 2, 1e-12, "worst-case fallback")
 
     def test_site_level_matrix(self):
@@ -157,7 +160,7 @@ class TestAttenuationMatrices:
         enc = EncodingWeightModel("jw1d", Lattice(1, 4))
         ch = PauliChannel.depolarizing(0.1)
         lam = attenuation_matrix(enc, ch)
-        site = 0.9 ** enc.pair_weights()[0, 0]
+        site = 0.9 ** enc.pair_weights(np.arange(8))[0::2, 0::2]
         for f, g in [(0, 0), (0, 1), (1, 0), (1, 1)]:
             block = lam[f::2, g::2].copy()
             if f == g:
@@ -402,8 +405,8 @@ class TestMomentumErrorMap:
             assert errors[j] == pytest.approx(manual, abs=1e-14)
 
     def test_generic_path_matches_fast_path(self):
-        # Same jw1d model through the composition fallback: with the uniform
-        # mix entered as explicit alphas the two branches must agree.
+        # Same jw1d model through the X/Y/Z drops: with the uniform mix
+        # entered as explicit alphas the two branches must agree.
         lat = Lattice(1, 6)
         state, grid, _ = fermi_sea_1d(lat, 3)
         enc = EncodingWeightModel("jw1d", lat)
@@ -435,7 +438,7 @@ class TestMomentumErrorMap:
 
     def test_momenta_shape_validated(self):
         lat = Lattice(1, 4)
-        state = GaussianState.vacuum(lat)
+        state, _, _ = fermi_sea_1d(lat, 2)
         enc = EncodingWeightModel("jw1d", lat)
         ch = PauliChannel.depolarizing(0.1)
         with pytest.raises(ValueError, match="columns"):
@@ -482,7 +485,7 @@ class TestMomentumErrorMapReference:
         enc = EncodingWeightModel(kind, lat, phi0=1)
         ch = PauliChannel(0.2, alphas=alphas) if alphas else PauliChannel.depolarizing(0.2)
         momenta = np.concatenate([momentum_grid(lat, "even").momenta, [[0.3], [2.0]]])
-        errors = momentum_error_map(state, enc, ch, momenta, mode)
+        errors = dense_momentum_error_map(state, enc, ch, momenta, mode)
         ref = [per_momentum_error(state, enc, ch, k, mode) for k in momenta]
         assert_close(errors, ref, 1e-12, f"{kind} {mode} {alphas}")
 
@@ -495,7 +498,7 @@ class TestMomentumErrorMapReference:
         ch = PauliChannel(0.2, alphas=_ANISOTROPIC)
         momenta = np.concatenate([momentum_grid(lat, "odd").momenta,
                                   [[0.3, -1.1], [2.0, 0.7], [np.pi / 4, 0.5]]])
-        errors = momentum_error_map(state, enc, ch, momenta)
+        errors = dense_momentum_error_map(state, enc, ch, momenta)
         ref = [per_momentum_error(state, enc, ch, k, "exact") for k in momenta]
         assert_close(errors, ref, 1e-12, f"{kind} anisotropic")
 
@@ -518,15 +521,18 @@ class TestMomentumErrorMapReference:
 
     def test_weight_only_model_needs_worst_case_for_a_non_uniform_mix(self):
         lat = Lattice(1, 4)
+        state, _, _ = fermi_sea_1d(lat, 2)
         enc = EncodingWeightModel("local", lat)
         ch = PauliChannel(0.2, alphas=(0.5, 0.25, 0.25))
         with pytest.raises(ValueError, match="worst-case"):
-            momentum_error_map(GaussianState.vacuum(lat), enc, ch, np.array([[0.0]]))
+            momentum_error_map(state, enc, ch, np.array([[0.0]]))
 
-
-def _dense_twin(state):
-    """The same covariance as a plain GaussianState, which takes the dense path."""
-    return GaussianState(state.lattice, state.gamma, validate=False)
+    def test_a_state_that_is_not_mode_diagonal_is_refused(self):
+        lat = Lattice(1, 4)
+        enc = EncodingWeightModel("jw1d", lat)
+        with pytest.raises(TypeError, match="ModeDiagonalState"):
+            momentum_error_map(GaussianState.vacuum(lat), enc, PauliChannel.depolarizing(0.1),
+                               np.array([[0.0]]))
 
 
 class TestSpectralErrorMap:
@@ -555,10 +561,9 @@ class TestSpectralErrorMap:
                                                                    momenta, mode)
                     for enc in encodings for mode in ("exact", "worst-case")}
         assert state._gamma is None, "the spectral path built the covariance"
-        dense_state = _dense_twin(state)
         for enc in encodings:
             for mode in ("exact", "worst-case"):
-                dense = momentum_error_map(dense_state, enc, channel, momenta, mode)
+                dense = dense_momentum_error_map(state, enc, channel, momenta, mode)
                 assert_close(spectral[enc.kind, enc.phi0, mode], dense, 1e-12,
                              f"{enc.kind} phi0={enc.phi0} {mode}")
 
@@ -577,9 +582,9 @@ class TestSpectralErrorMap:
         momenta = np.concatenate([grid.momenta, [[0.3] * dim]])
         errors = momentum_error_map(state, enc, channel, momenta)
         assert state._gamma is None
-        # The drops are summed over pairs before the C(r) weights, the twin's
-        # T after them: the same sum in another order.
-        assert_close(errors, momentum_error_map(_dense_twin(state), enc, channel, momenta),
+        # The drops are summed over pairs before the C(r) weights, the dense
+        # reference's T after them: the same sum in another order.
+        assert_close(errors, dense_momentum_error_map(state, enc, channel, momenta),
                      1e-12, f"{kind} {dim}D {alphas}")
 
     def test_matches_the_convolution_reference_beyond_dense_reach(self):
@@ -613,17 +618,22 @@ _FENWICK_NOISE = [
     (PauliChannel(2 / 3, alphas=(0.0, 0.5, 0.5)), "exact"),  # eta_x = 0
     (PauliChannel(2 / 3), "worst-case"),  # every eta 0
 ]
+_FENWICK_IDS = ["uniform", "worst-case", "0.1,0.1,0.8", "0.5,0.5,0", "0,0,1", "0.7,0.2,0.1",
+                "eta_x=0", "eta=0"]
 
 
-def _streamed_drop_box(lat, eta):
-    """``(same, cross)`` of the uniform-mix Bravyi-Kitaev drops, folded by rows of sites."""
+def _streamed_drop_box(lat, eta, weights):
+    """``(same, cross)`` of the uniform-mix drops ``1 - eta**w``, folded by rows of sites.
+
+    ``weights(rows, sites)`` gives the weights of the pairs ``(2s + f, 2t + g)``,
+    ``s`` in ``rows`` and ``t`` in ``sites``, as ``(2, 2, rows, N)`` flavor
+    blocks or an array that broadcasts to them.
+    """
     n = lat.n_sites
     sites = np.arange(n, dtype=np.int32)
-    f = np.arange(2, dtype=np.int32).reshape(2, 1, 1, 1)
     box = np.zeros((2, 2, (2 * lat.length) ** lat.dim))
     for rows in np.split(sites, lat.length):
-        drop = 1.0 - eta ** encodings._fenwick_pairs(n, rows[:, None], sites[None, :],
-                                                     f, f.reshape(1, 2, 1, 1), False)
+        drop = np.broadcast_to(1.0 - eta ** weights(rows, sites), (2, 2, len(rows), n))
         key = lat.displacement_index(rows, sites).ravel()
         for out, pairs in zip(box.reshape(4, -1), drop.reshape(4, -1)):
             out += np.bincount(key, pairs, box.shape[-1])
@@ -631,20 +641,23 @@ def _streamed_drop_box(lat, eta):
     return (box[0, 0] + box[1, 1]) / 2.0, (box[0, 1] + box[1, 0]) / 2.0
 
 
+def _fenwick_weights(lat):
+    f = np.arange(2, dtype=np.int32).reshape(2, 1, 1, 1)
+    return lambda rows, sites: encodings._fenwick_pairs(
+        lat.n_sites, rows[:, None], sites[None, :], f, f.reshape(1, 2, 1, 1), False)
+
+
 class TestFenwickLevels:
     # Bravyi-Kitaev's drop box by Fenwick level against the fold of all its
-    # N x N drop blocks, the path it replaced.
+    # N x N drop blocks from the Pauli tables, the path it replaced.
     @pytest.mark.parametrize("dim,length", [(1, 1), (1, 2), (1, 4), (1, 16), (1, 512),
                                             (2, 1), (2, 2), (2, 4), (2, 8), (2, 16), (2, 32)])
-    @pytest.mark.parametrize("channel,mode", _FENWICK_NOISE, ids=[
-        "uniform", "worst-case", "0.1,0.1,0.8", "0.5,0.5,0", "0,0,1", "0.7,0.2,0.1",
-        "eta_x=0", "eta=0"])
+    @pytest.mark.parametrize("channel,mode", _FENWICK_NOISE, ids=_FENWICK_IDS)
     def test_levels_match_the_fold(self, dim, length, channel, mode):
         lat = Lattice(dim, length)
         etas = _mode_etas(channel, mode)
         enc = EncodingWeightModel("bravyi_kitaev", lat)
-        drop = _fold(lat, _drops(enc, etas))
-        want = np.stack([drop[0, 0] + drop[1, 1], drop[0, 1] + drop[1, 0]]) / 2.0
+        want = np.stack(fold_drop_box(enc, etas))
         got = np.stack(_drop_box(enc, etas))
         assert got.shape == want.shape
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), f"{dim}D L={length} {etas}"
@@ -653,7 +666,7 @@ class TestFenwickLevels:
         lat = Lattice(2, 64)
         state, grid, _ = tight_binding_ground_state_2d(lat, 1000)
         p = 0.01
-        same, cross = _streamed_drop_box(lat, 1.0 - p)
+        same, cross = _streamed_drop_box(lat, 1.0 - p, _fenwick_weights(lat))
         want = state.occupation_shift(same, cross, grid.momenta)
 
         def refuse(*args, **kwargs):
@@ -695,6 +708,50 @@ class TestFenwickLevels:
                          f"p = {p}")
         assert list(enc._drop_boxes)[-1] == ch.etas
 
+
+
+class TestJordanWignerBox:
+    # Jordan-Wigner's drop box by qubit separation against the fold of all its
+    # N x N drop blocks from the Pauli tables, the path it replaced.  ``same``
+    # at the origin pairs each Majorana with itself, which no sum reads:
+    # Im C(0) = 0.
+    @pytest.mark.parametrize("kind,dim,length",
+                             [("jw1d", 1, length) for length in (1, 2, 3, 8, 17, 512)]
+                             + [("jw2d_snake", 2, length) for length in (1, 2, 3, 4, 5, 6, 7, 8,
+                                                                         11, 32)])
+    @pytest.mark.parametrize("channel,mode", _FENWICK_NOISE, ids=_FENWICK_IDS)
+    def test_separations_match_the_fold(self, kind, dim, length, channel, mode):
+        lat = Lattice(dim, length)
+        etas = _mode_etas(channel, mode)
+        enc = EncodingWeightModel(kind, lat)
+        origin = (0,) * dim
+        for name, got, want in zip(("same", "cross"), _drop_box(enc, etas),
+                                   fold_drop_box(enc, etas)):
+            assert got.shape == want.shape
+            if name == "same":
+                got, want = got.copy(), want.copy()
+                got[origin] = want[origin] = 0.0
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), \
+                f"{kind} L={length} {etas} {name}"
+
+    def test_the_snake_at_64_by_64_builds_no_pair_table(self, monkeypatch):
+        lat = Lattice(2, 64)
+        state, grid, _ = tight_binding_ground_state_2d(lat, 1000)
+        p = 0.01
+        order = snake_index_vector(lat).astype(np.int64)
+        same, cross = _streamed_drop_box(
+            lat, 1.0 - p, lambda rows, sites: 1 + np.abs(order[rows, None] - order[None, sites]))
+        want = state.occupation_shift(same, cross, grid.momenta)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the snake path built pair weights")
+
+        monkeypatch.setattr(EncodingWeightModel, "pair_weights", refuse)
+        monkeypatch.setattr(EncodingWeightModel, "_jordan_wigner_counts", refuse)
+        enc = EncodingWeightModel("jw2d_snake", lat)
+        errors = momentum_error_map(state, enc, PauliChannel.depolarizing(p), grid.momenta)
+        assert_close(errors, want, 1e-12, "qubit separations vs streamed fold at L = 64")
+        assert state._gamma is None
 
 # Every (dim, L, encoding) of the torus-route checks: both dimensions, L = 2
 # included, and every encoding where it applies (Bravyi-Kitaev needs a

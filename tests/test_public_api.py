@@ -27,6 +27,7 @@ DELETED_METHODS = [
     ("EncodingWeightModel", "count_blocks"),
     ("EncodingWeightModel", "weight_matrix"),
     ("EncodingWeightModel", "max_weight"),
+    ("EncodingWeightModel", "displacement_weights"),
     ("Lattice", "majorana_index"),
     ("Lattice", "majorana_site"),
     ("Lattice", "majorana_flavor"),
