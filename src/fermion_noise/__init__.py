@@ -33,15 +33,11 @@ from .gaussian import (
     ModeDiagonalState,
     QuadraticObservable,
     circulant_power_law_state,
-    damped_random_state,
-    decay_constant,
     fermi_sea,
     fermi_sea_1d,
     free_dispersion,
     momentum_occupation,
     occupied_modes,
-    power_law_mask,
-    random_pure_state,
     tight_binding_dispersion,
     tight_binding_ground_state_2d,
 )
@@ -58,12 +54,9 @@ from .noise import (
 from .circuits import (
     Circuit,
     Layer,
-    LightConeReport,
     brickwork_circuit,
     circuit_expectation,
-    evolve_state,
     heisenberg_observable,
-    lightcone_correlation_check,
     prefix_expectations,
 )
 from .bounds import (

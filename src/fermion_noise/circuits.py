@@ -46,6 +46,11 @@ light-cone volume, whatever the system size, and only the gates inside the
 cone are orthogonalized; a layer with one gate on every index gives the full
 window and the dense cost.  :func:`heisenberg_observable` is the same
 windows walked backwards, with the touched gates transposed.
+
+That sweep is the package's one circuit evolution, and the pullback its
+reference.  The dense ``2N x 2N`` evolution of the whole covariance, and the
+light-cone check of a product state's correlations built on it, are test
+references.
 """
 
 from __future__ import annotations
@@ -112,10 +117,6 @@ class Layer:
         cols = np.sort(np.concatenate(cols))
         return cols, tuple((np.searchsorted(cols, idx[hit]), haar_rotations(draws[hit]))
                            for (idx, draws), hit in zip(self.blocks, hits) if hit.size)
-
-    def apply(self, mat: np.ndarray) -> np.ndarray:
-        """``R @ mat`` for a matrix with ``n_majorana`` rows."""
-        return _rotate(mat.copy(), self.window(np.arange(self.n_majorana))[1])
 
 
 def _rotate(mat: np.ndarray, touched: Touched) -> np.ndarray:
@@ -205,21 +206,6 @@ def _layer_damping(circuit: Circuit, channel: Optional[PauliChannel],
     return lambda idx: attenuation_block(enc, channel, idx, mode)
 
 
-def evolve_state(state: GaussianState, circuit: Circuit,
-                 channel: Optional[PauliChannel] = None,
-                 enc: Optional[EncodingWeightModel] = None,
-                 mode: str = "exact") -> GaussianState:
-    """Push a state through the circuit (each layer: rotate, then noise)."""
-    damping = _layer_damping(circuit, channel, enc, mode)
-    lam = None if damping is None else damping(np.arange(state.lattice.n_majorana))
-    gamma = state.gamma
-    for layer in circuit.layers:
-        gamma = layer.apply(layer.apply(gamma).T).T
-        if lam is not None:
-            gamma = gamma * lam
-    return GaussianState(state.lattice, gamma, validate=False)
-
-
 def heisenberg_observable(obs: QuadraticObservable, circuit: Circuit,
                           channel: Optional[PauliChannel] = None,
                           enc: Optional[EncodingWeightModel] = None,
@@ -302,60 +288,3 @@ def prefix_expectations(state: GaussianState, obs: QuadraticObservable,
         at = np.searchsorted(window, support)
         values.append(obs.offset + float(np.sum(block * gamma[np.ix_(at, at)])))
     return values
-
-
-@dataclass(frozen=True)
-class LightConeReport:
-    """Outcome of a correlation-spreading check after a brickwork circuit.
-
-    ``allowed_distance`` is the strict cone ``2 * radius * depth`` for
-    correlations (each of the two operator endpoints spreads by ``radius``
-    per layer).  ``largest_violation_distance`` is 0 when the cone holds.
-    """
-
-    allowed_distance: int
-    largest_correlated_distance: int
-    largest_violation_distance: int
-    max_outside_magnitude: float
-    support_subset_of_noiseless: bool
-
-    @property
-    def ok(self) -> bool:
-        return self.largest_violation_distance == 0
-
-
-def lightcone_correlation_check(state: GaussianState, circuit: Circuit,
-                                channel: Optional[PauliChannel] = None,
-                                enc: Optional[EncodingWeightModel] = None,
-                                mode: str = "exact",
-                                tol: float = 1e-10) -> LightConeReport:
-    """Verify that circuit evolution correlates no sites beyond the cone.
-
-    Requires a product initial state (no correlations between distinct
-    sites), evolves it exactly with and without noise, and reports the
-    largest site distance carrying a correlation above ``tol`` outside the
-    allowed region, plus whether the noisy support stayed inside the
-    noiseless one.
-    """
-    lat = state.lattice
-    sites = np.repeat(np.arange(lat.n_sites), 2)
-    dist = lat.distance_matrix()[np.ix_(sites, sites)]
-    off_site = dist > 0
-    if np.abs(state.gamma[off_site]).max(initial=0.0) > tol:
-        raise ValueError("light-cone check requires a product initial state")
-    evolved = evolve_state(state, circuit, channel, enc, mode)
-    noiseless = evolved if channel is None else evolve_state(state, circuit)
-    allowed = 2 * circuit.light_cone_radius()
-    correlated = np.abs(evolved.gamma) > tol
-    corr_dist = int(dist[correlated].max(initial=0))
-    outside = correlated & (dist > allowed)
-    violation = int(dist[outside].max(initial=0)) if outside.any() else 0
-    max_outside = float(np.abs(evolved.gamma[dist > allowed]).max(initial=0.0))
-    subset = bool(np.all(np.abs(noiseless.gamma)[correlated] > tol))
-    return LightConeReport(
-        allowed_distance=allowed,
-        largest_correlated_distance=corr_dist,
-        largest_violation_distance=violation,
-        max_outside_magnitude=max_outside,
-        support_subset_of_noiseless=subset,
-    )

@@ -26,14 +26,13 @@ folded onto the torus (:meth:`ModeDiagonalState.occupation_shift`,
 :meth:`Lattice.torus_sum`).  The whole covariance is only a test reference.
 The tests check both against plane-wave sums over the modes and against the
 ``(2L)^D`` box route, and build the dense references (a state from a
-correlation matrix, an observable's ``(2N, 2N)`` coefficient matrix)
-themselves.
+correlation matrix, an observable's ``(2N, 2N)`` coefficient matrix, the
+Haar-random and power-law-damped states) themselves.
 
-Besides those, the module provides synthetic families used to probe
-correlation-decay premises: Haar-random pure states, their Schur-damped
-power-law variants, and a translation-invariant circulant family with an
+Besides those, the module provides a synthetic family used to probe
+correlation-decay premises: a translation-invariant circulant state with an
 exactly known power-law envelope, whose ``n(q)`` is one FFT of that
-envelope.
+envelope.  Haar rotations serve the circuits' gates.
 """
 
 from __future__ import annotations
@@ -352,7 +351,8 @@ class ModeDiagonalState(GaussianState):
         ``r - L`` (:meth:`Lattice.fold`).  Each class of momenta
         (:meth:`Lattice.frequency_classes`) is then one ``L^D`` FFT
         (:meth:`Lattice.torus_sum`).  Momenta off every grid take the direct
-        sum over the box of the summand with ``C(r)`` on the whole box.
+        sum over the box of the summand with ``C(r)`` on the whole box
+        (:meth:`Lattice.box_sum`).
         """
         lat = self.lattice
         classes = lat.frequency_classes(momenta)
@@ -477,7 +477,7 @@ def momentum_occupation(state: GaussianState, k: Sequence[float]) -> float:
 
 
 # ----------------------------------------------------------------------
-# Synthetic states with controlled correlation decay
+# Haar rotations and the circulant power-law state
 # ----------------------------------------------------------------------
 
 
@@ -503,49 +503,6 @@ def haar_special_orthogonal(n: int, rng: np.random.Generator) -> np.ndarray:
     stream is fixed by numpy's ``Generator`` alone.
     """
     return haar_rotations(rng.standard_normal((n, n)))
-
-
-def random_pure_state(lattice: Lattice, rng: np.random.Generator) -> GaussianState:
-    """Haar-random pure Gaussian state, ``Gamma = Q S Q^T`` with Q in SO(2N)."""
-    n = lattice.n_majorana
-    block = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    sigma = np.kron(np.eye(lattice.n_sites), block)
-    q = haar_special_orthogonal(n, rng)
-    return GaussianState(lattice, q @ sigma @ q.T, validate=False)
-
-
-def power_law_mask(lattice: Lattice, mu: float) -> np.ndarray:
-    """Positive-semidefinite Schur mask decaying as ``(1 + d)^{-mu}``.
-
-    Off-diagonal entries are scaled so each row sums (off the diagonal) to at
-    most 0.9, making the mask diagonally dominant with unit diagonal; Schur
-    multiplication by it therefore cannot push a covariance past norm 1.
-    """
-    if mu <= 0:
-        raise ValueError(f"decay exponent must be positive, got {mu}")
-    d = lattice.distance_matrix().astype(float)
-    decay = (1.0 + d) ** (-mu)
-    row_offdiag = decay.sum(axis=1).max() - 1.0
-    scale = min(1.0, 0.9 / row_offdiag) if row_offdiag > 0 else 1.0
-    mask = scale * decay
-    np.fill_diagonal(mask, 1.0)
-    return np.repeat(np.repeat(mask, 2, axis=0), 2, axis=1)
-
-
-def damped_random_state(lattice: Lattice, mu: float,
-                        rng: np.random.Generator) -> GaussianState:
-    """Random state whose correlations decay at least as ``(1 + d)^{-mu}``."""
-    pure = random_pure_state(lattice, rng)
-    gamma = pure.gamma * power_law_mask(lattice, mu)
-    return GaussianState(lattice, gamma, validate=False)
-
-
-def decay_constant(state: GaussianState, mu: float) -> float:
-    """Smallest K with ``|Gamma_ab| <= K (1 + d(a, b))^{-mu}`` for all pairs."""
-    lat = state.lattice
-    d = np.repeat(np.repeat(lat.distance_matrix(), 2, axis=0), 2, axis=1).astype(float)
-    ratio = np.abs(state.gamma) * (1.0 + d) ** mu
-    return float(ratio.max())
 
 
 def _offdiagonal_decay_sum(dim: int, mu: float) -> float:

@@ -22,14 +22,15 @@ function of period ``L`` (``f`` even) or ``-1`` times itself after ``L``
 ``r - L`` per axis (:meth:`Lattice.fold`), and the sum for every such
 momentum is read off one ``L^D`` FFT, with a half-period twist on the axes
 where ``f`` is odd (:meth:`Lattice.torus_sum`).  Other momenta take the
-direct sum over the box (:meth:`Lattice.box_sum`).
+direct sum over the box (:meth:`Lattice.box_sum`).  Which route a momentum
+takes is decided once, by :meth:`Lattice.frequency_classes`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -141,19 +142,6 @@ class Lattice:
         """Number of site pairs at each displacement, ``prod_i (L - |r_i|)``, a box array."""
         return math.prod(self.length - np.abs(r) for r in self.displacement_box())
 
-    def displacement_index(self, sites: np.ndarray, cols: Optional[np.ndarray] = None
-                           ) -> np.ndarray:
-        """Flat index into a raveled box array of ``x_s - x_t``, for every pair of ``sites``.
-
-        With ``cols``, the rectangle of pairs ``s`` in ``sites``, ``t`` in ``cols``.
-        """
-        period = 2 * self.length
-        cols = sites if cols is None else cols
-        index = 0
-        for row, col in zip(self.coords[sites].T, self.coords[cols].T):
-            index = index * period + (row[:, None] - col[None, :]) % period
-        return index
-
     def torus_index(self, sites: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Flat index into a raveled torus array of ``x_s - x_t mod L``, all pairs of ``sites``.
 
@@ -189,10 +177,7 @@ class Lattice:
         row, as :meth:`torus_sum` reads them.  The remaining rows come last,
         with ``odd`` and ``index`` None.
         """
-        momenta = np.asarray(momenta, dtype=float)
-        if momenta.ndim != 2 or momenta.shape[1] != self.dim:
-            raise ValueError(f"momenta must have {self.dim} columns, got shape {momenta.shape}")
-        freq = momenta * (self.length / np.pi)
+        freq = self._momenta(momenta) * (self.length / np.pi)
         nearest = np.rint(freq)
         on_box = (np.abs(freq - nearest) <= 1e-12 * np.maximum(1.0, np.abs(freq))).all(axis=1)
         f = np.where(on_box[:, None], nearest, 0.0).astype(np.int64)  # no cast of nan or inf
@@ -232,29 +217,27 @@ class Lattice:
         return table[tuple(index.T)].real
 
     def box_sum(self, box: np.ndarray, momenta: np.ndarray) -> np.ndarray:
-        """``Re sum_r box[r] e^{i k.r}`` for every row ``k`` of ``momenta``.
+        """``Re sum_r box[r] e^{i k.r}`` for every row ``k`` of ``momenta``, the direct sum.
 
-        ``box`` is a box array of :meth:`displacement_box`.  Momenta with
-        ``k L / pi`` an integer on every axis are read off one ``L^D`` FFT of
-        the box folded onto the torus per class of :meth:`frequency_classes`
-        (``r`` plus ``r - L`` on an axis where that integer is even, minus
-        where it is odd); the others take the direct sum over the box.
+        ``box`` is a box array of :meth:`displacement_box`.  This serves any
+        momentum at ``O((2L)^D)`` per row; the momenta of a class of
+        :meth:`frequency_classes` are read off the torus instead
+        (:meth:`fold`, then :meth:`torus_sum`).
         """
-        classes = self.frequency_classes(momenta)
+        momenta = self._momenta(momenta)
+        phases = [np.exp(1j * np.multiply.outer(k, r.ravel()))
+                  for k, r in zip(momenta.T, self.displacement_box())]
+        vals = phases[0] @ box.reshape(2 * self.length, -1)
+        if self.dim == 2:
+            vals = np.sum(vals * phases[1], axis=1)
+        return vals.reshape(-1).real
+
+    def _momenta(self, momenta) -> np.ndarray:
+        """``momenta`` as a float array of shape ``(n, dim)``, checked."""
         momenta = np.asarray(momenta, dtype=float)
-        out = np.empty(len(momenta))
-        for rows, odd, index in classes:
-            if odd is None:
-                phases = [np.exp(1j * np.multiply.outer(k, r.ravel()))
-                          for k, r in zip(momenta[rows].T, self.displacement_box())]
-                vals = phases[0] @ box.reshape(2 * self.length, -1)
-                if self.dim == 2:
-                    vals = np.sum(vals * phases[1], axis=1)
-                out[rows] = vals.reshape(-1).real
-            else:
-                out[rows] = self.torus_sum(self.fold(box, [-1 if o else 1 for o in odd]),
-                                           odd, index)
-        return out
+        if momenta.ndim != 2 or momenta.shape[1] != self.dim:
+            raise ValueError(f"momenta must have {self.dim} columns, got shape {momenta.shape}")
+        return momenta
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Lattice) and (self.dim, self.length) == (other.dim, other.length)

@@ -2,8 +2,10 @@
 
 The dense references (a state from its correlation matrix, an observable's
 ``(2N, 2N)`` coefficient matrix, the ``(2N, 2N)`` attenuation matrix, the
-Jordan-Wigner and Bravyi-Kitaev Pauli rows) are what the package's
-support-held, displacement-summed and closed-form paths are checked against;
+dense circuit evolution and the light-cone check built on it, the
+Haar-random and power-law-damped states, the Jordan-Wigner and
+Bravyi-Kitaev Pauli rows) are what the package's support-held,
+light-cone, displacement-summed and closed-form paths are checked against;
 no package code needs them.  The ``(F, F, N, N)`` flavor blocks of every
 Majorana pair come from independent data, the popcounts of the Pauli tables
 or the lattice's distance matrix, and their drops folded by displacement are
@@ -18,6 +20,7 @@ and every momentum sum read off one more FFT of the box.
 
 import functools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -30,7 +33,7 @@ from fermion_noise import (
     bk_beta_matrix,
     snake_index_vector,
 )
-from fermion_noise.gaussian import haar_rotations
+from fermion_noise.gaussian import haar_rotations, haar_special_orthogonal
 from fermion_noise.noise import _drop_box, _mode_etas
 from fermion_noise.special import _SKIP_DIGITS
 from oracle import gf2_inverse, pauli_string
@@ -90,6 +93,43 @@ def random_gaussian_state(lattice, rng):
     return state_from_correlation(lattice, corr)
 
 
+def random_pure_state(lattice, rng):
+    """Haar-random pure Gaussian state: the filled state rotated by one Haar ``Q`` in SO(2N)."""
+    q = haar_special_orthogonal(lattice.n_majorana, rng)
+    filled = state_from_correlation(lattice, np.eye(lattice.n_sites), validate=False).gamma
+    return GaussianState(lattice, q @ filled @ q.T, validate=False)
+
+
+def power_law_mask(lattice, mu):
+    """Positive-semidefinite ``(2N, 2N)`` Schur mask decaying as ``(1 + d)^{-mu}``.
+
+    Off-diagonal entries are scaled so each row sums (off the diagonal) to at
+    most 0.9, making the mask diagonally dominant with unit diagonal; Schur
+    multiplication by it therefore cannot push a covariance past norm 1.
+    """
+    if mu <= 0:
+        raise ValueError(f"decay exponent must be positive, got {mu}")
+    decay = (1.0 + lattice.pair_distances(np.arange(lattice.n_sites))) ** (-mu)
+    row_offdiag = decay.sum(axis=1).max() - 1.0
+    scale = min(1.0, 0.9 / row_offdiag) if row_offdiag > 0 else 1.0
+    mask = scale * decay
+    np.fill_diagonal(mask, 1.0)
+    return np.repeat(np.repeat(mask, 2, axis=0), 2, axis=1)
+
+
+def damped_random_state(lattice, mu, rng):
+    """Random state whose correlations decay at least as ``(1 + d)^{-mu}``."""
+    gamma = random_pure_state(lattice, rng).gamma * power_law_mask(lattice, mu)
+    return GaussianState(lattice, gamma, validate=False)
+
+
+def decay_constant(state, mu):
+    """Smallest K with ``|Gamma_ab| <= K (1 + d(a, b))^{-mu}`` for all pairs."""
+    lat = state.lattice
+    d = lat.pair_distances(np.repeat(np.arange(lat.n_sites), 2))
+    return float((np.abs(state.gamma) * (1.0 + d) ** mu).max())
+
+
 def dense_coefficients(obs):
     """The ``(2N, 2N)`` coefficient matrix of an observable, scattered from its support."""
     coeffs = np.zeros((obs.lattice.n_majorana,) * 2)
@@ -135,6 +175,64 @@ def dense_rotation(layer):
     for idx, draws in layer.blocks:
         rot[idx[:, :, None], idx[:, None, :]] = haar_rotations(draws)
     return rot
+
+
+def evolve_state(state, circuit, channel=None, enc=None):
+    """Push a state through the circuit densely: per layer ``R Gamma R^T``, then the noise.
+
+    The ``(2N, 2N)`` reference of the package's light-cone sweep: each layer
+    is :func:`dense_rotation`, and the noise the whole :func:`attenuation_matrix`.
+    """
+    lam = None if channel is None else attenuation_matrix(enc, channel)
+    gamma = state.gamma
+    for rot in map(dense_rotation, circuit.layers):
+        gamma = rot @ gamma @ rot.T
+        if lam is not None:
+            gamma = gamma * lam
+    return GaussianState(state.lattice, gamma, validate=False)
+
+
+@dataclass(frozen=True)
+class LightConeReport:
+    """Outcome of a correlation-spreading check after a brickwork circuit.
+
+    ``allowed_distance`` is the strict cone ``2 * radius * depth`` for
+    correlations (each of the two operator endpoints spreads by ``radius``
+    per layer).  ``largest_violation_distance`` is 0 when the cone holds.
+    """
+
+    allowed_distance: int
+    largest_correlated_distance: int
+    largest_violation_distance: int
+    max_outside_magnitude: float
+    support_subset_of_noiseless: bool
+
+
+def lightcone_correlation_check(state, circuit, channel=None, enc=None):
+    """Check that dense circuit evolution correlates no sites beyond the cone.
+
+    Requires a product initial state (no correlations between distinct
+    sites), evolves it with and without noise by :func:`evolve_state`, and
+    reports the largest site distance carrying a correlation above ``tol =
+    1e-10`` outside the allowed region, plus whether the noisy support stayed
+    inside the noiseless one.
+    """
+    lat, tol = state.lattice, 1e-10
+    dist = lat.pair_distances(np.repeat(np.arange(lat.n_sites), 2))
+    if np.abs(state.gamma[dist > 0]).max(initial=0.0) > tol:
+        raise ValueError("light-cone check requires a product initial state")
+    evolved = evolve_state(state, circuit, channel, enc)
+    noiseless = evolved if channel is None else evolve_state(state, circuit)
+    allowed = 2 * circuit.light_cone_radius()
+    correlated = np.abs(evolved.gamma) > tol
+    outside = correlated & (dist > allowed)
+    return LightConeReport(
+        allowed_distance=allowed,
+        largest_correlated_distance=int(dist[correlated].max(initial=0)),
+        largest_violation_distance=int(dist[outside].max(initial=0)),
+        max_outside_magnitude=float(np.abs(evolved.gamma[dist > allowed]).max(initial=0.0)),
+        support_subset_of_noiseless=bool(np.all(np.abs(noiseless.gamma)[correlated] > tol)),
+    )
 
 
 def assert_close(actual, expected, atol, label=""):
@@ -268,6 +366,19 @@ def attenuation_matrix(enc, channel, mode="exact"):
     return lam
 
 
+def displacement_index(lat, sites, cols=None):
+    """Flat index into a raveled box array of ``x_s - x_t``, for every pair of ``sites``.
+
+    With ``cols``, the rectangle of pairs ``s`` in ``sites``, ``t`` in ``cols``.
+    """
+    period = 2 * lat.length
+    cols = sites if cols is None else cols
+    index = 0
+    for row, col in zip(lat.coords[sites].T, lat.coords[cols].T):
+        index = index * period + (row[:, None] - col[None, :]) % period
+    return index
+
+
 def fold(lat, pairs):
     """``sum_{x_s - x_t = r} pairs[..., s, t]``: box arrays of :meth:`Lattice.displacement_box`.
 
@@ -283,7 +394,7 @@ def fold(lat, pairs):
     sites = np.arange(n)
     step = math.isqrt(n)
     for lo in range(0, n, step):
-        key = lat.displacement_index(sites[lo:lo + step], sites).ravel()
+        key = displacement_index(lat, sites[lo:lo + step], sites).ravel()
         for out, at in zip(box, np.ndindex(lead)):
             out += np.bincount(key, pairs[at][lo:lo + step].ravel(), box.shape[1])
     return box.reshape(lead + (period,) * lat.dim)
@@ -382,7 +493,7 @@ def box_conj_correlation(state):
 def box_covariance_block(state, idx):
     """The covariance of a mode-diagonal state on an index set, gathered from the box."""
     sites, flavor = np.divmod(np.asarray(idx), 2)
-    corr = box_conj_correlation(state).ravel()[state.lattice.displacement_index(sites)]
+    corr = box_conj_correlation(state).ravel()[displacement_index(state.lattice, sites)]
     corr = corr.conj()
     gamma = 2.0 * corr.real - (sites[:, None] == sites[None, :])
     gamma[flavor[:, None] > flavor[None, :]] *= -1.0

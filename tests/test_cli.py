@@ -447,16 +447,16 @@ class TestCircuitOutput:
         def refuse(*args, **kwargs):
             raise AssertionError("dense array built")
 
-        all_pairs = EncodingWeightModel.pair_weights
+        pair_weights = EncodingWeightModel.pair_weights
 
-        def index_sets_only(self, idx=None, counts=False):
-            if idx is None:
-                raise AssertionError("all-pairs weights built")
-            return all_pairs(self, idx, counts)
+        def light_cone_only(self, idx, counts=False):
+            if np.bincount(np.ravel(idx), minlength=self.lattice.n_majorana).all():
+                raise AssertionError("weights of all 2N Majoranas built")
+            return pair_weights(self, idx, counts)
 
         monkeypatch.setattr(gaussian.ModeDiagonalState, "_build_gamma", refuse)
         monkeypatch.setattr(Lattice, "distance_matrix", refuse)
-        monkeypatch.setattr(EncodingWeightModel, "pair_weights", index_sets_only)
+        monkeypatch.setattr(EncodingWeightModel, "pair_weights", light_cone_only)
         code, out = run_to_file(tmp_path, "after.csv",
                                 ["circuit", "--L", "512", "--depth", "8", "--seed", "1"])
         assert code == 0

@@ -6,10 +6,14 @@ import pytest
 from conftest import (
     assert_close,
     correlation_of,
+    damped_random_state,
+    decay_constant,
     dense_coefficients,
     plane_wave_correlation,
+    power_law_mask,
     random_correlation,
     random_normalized_observable,
+    random_pure_state,
     state_from_correlation,
 )
 from fermion_noise import (
@@ -19,16 +23,12 @@ from fermion_noise import (
     ModeDiagonalState,
     QuadraticObservable,
     circulant_power_law_state,
-    damped_random_state,
-    decay_constant,
     fermi_sea,
     fermi_sea_1d,
     free_dispersion,
     momentum_grid,
     momentum_occupation,
     occupied_modes,
-    power_law_mask,
-    random_pure_state,
     tight_binding_dispersion,
     tight_binding_ground_state_2d,
 )

@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import assert_close, fold, plane_wave_pair_sum
+from conftest import assert_close, displacement_index, fold, plane_wave_pair_sum
 from fermion_noise import (
     Lattice,
     momentum_grid,
@@ -111,7 +111,7 @@ class TestDisplacementBox:
         period = 2 * length
         box = rng.normal(size=(period,) * dim)
         sites = rng.permutation(lat.n_sites)
-        gathered = box.ravel()[lat.displacement_index(sites)]
+        gathered = box.ravel()[displacement_index(lat, sites)]
         for i, s in enumerate(sites):
             for j, t in enumerate(sites):
                 assert gathered[i, j] == box[tuple((lat.coords[s] - lat.coords[t]) % period)]
@@ -123,17 +123,25 @@ class TestDisplacementBox:
         assert np.array_equal(lat.displacement_multiplicity(), fold(lat, ones))
         sites = np.arange(lat.n_sites)
         rows = rng.permutation(lat.n_sites)[:3]
-        assert np.array_equal(lat.displacement_index(rows, sites),
-                              lat.displacement_index(sites)[rows])
+        assert np.array_equal(displacement_index(lat, rows, sites),
+                              displacement_index(lat, sites)[rows])
 
     @pytest.mark.parametrize("dim,length", [(1, 7), (1, 8), (2, 3), (2, 4)])
     def test_box_sum_of_the_fold_is_the_plane_wave_pair_sum(self, rng, dim, length):
+        # box_sum is the direct sum for any momentum; the on-box momenta also
+        # take the torus route, frequency_classes -> Lattice.fold -> torus_sum.
         lat = Lattice(dim, length)
         pairs = rng.normal(size=(lat.n_sites,) * 2)
+        box = fold(lat, pairs)
         on_box = np.pi / length * rng.integers(-3 * length, 3 * length, size=(8, dim))
         momenta = np.concatenate([on_box, rng.uniform(-4.0, 4.0, size=(8, dim))])
-        assert_close(lat.box_sum(fold(lat, pairs), momenta),
-                     plane_wave_pair_sum(lat, pairs, momenta), 1e-12, f"{dim}D L={length}")
+        expected = plane_wave_pair_sum(lat, pairs, momenta)
+        assert_close(lat.box_sum(box, momenta), expected, 1e-12, f"{dim}D L={length}")
+        torus = np.full(len(on_box), np.nan)
+        for rows, odd, index in lat.frequency_classes(on_box):
+            assert odd is not None
+            torus[rows] = lat.torus_sum(lat.fold(box, [-1 if o else 1 for o in odd]), odd, index)
+        assert_close(torus, expected[:len(on_box)], 1e-12, f"{dim}D L={length} on the torus")
 
     def test_box_sum_validates_momenta(self):
         lat = Lattice(2, 4)

@@ -5,8 +5,8 @@ import pytest
 
 from conftest import assert_close, attenuation_matrix, box_covariance_block, \
     box_momentum_error_map, box_momentum_occupation, box_occupation_shift, dense_coefficients, \
-    dense_momentum_error_map, fold_drop_box, random_correlation, random_normalized_observable, \
-    state_from_correlation, table_strings
+    dense_momentum_error_map, displacement_index, fold_drop_box, random_correlation, \
+    random_normalized_observable, random_pure_state, state_from_correlation, table_strings
 from fermion_noise import (
     EncodingWeightModel,
     GaussianState,
@@ -25,7 +25,6 @@ from fermion_noise import (
     noisy_expectation,
     occupied_modes,
     pair_attenuation,
-    random_pure_state,
     snake_index_vector,
     tight_binding_ground_state_2d,
 )
@@ -634,7 +633,7 @@ def _streamed_drop_box(lat, eta, weights):
     box = np.zeros((2, 2, (2 * lat.length) ** lat.dim))
     for rows in np.split(sites, lat.length):
         drop = np.broadcast_to(1.0 - eta ** weights(rows, sites), (2, 2, len(rows), n))
-        key = lat.displacement_index(rows, sites).ravel()
+        key = displacement_index(lat, rows, sites).ravel()
         for out, pairs in zip(box.reshape(4, -1), drop.reshape(4, -1)):
             out += np.bincount(key, pairs, box.shape[-1])
     box = box.reshape((2, 2) + (2 * lat.length,) * lat.dim)

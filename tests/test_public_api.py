@@ -1,5 +1,7 @@
 """The package's public surface: ``__all__`` is what the package imports."""
 
+import ast
+import pathlib
 import types
 
 import pytest
@@ -19,6 +21,13 @@ DELETED_FUNCTIONS = [
     (lattice, "torus_distance"),
     (noise, "attenuation_matrix"),
     (encodings, "interleave_flavors"),
+    (circuits, "evolve_state"),
+    (circuits, "lightcone_correlation_check"),
+    (circuits, "LightConeReport"),
+    (gaussian, "random_pure_state"),
+    (gaussian, "power_law_mask"),
+    (gaussian, "damped_random_state"),
+    (gaussian, "decay_constant"),
 ]
 DELETED_METHODS = [
     ("PauliChannel", "depolarizing_attenuation"),
@@ -34,10 +43,11 @@ DELETED_METHODS = [
     ("Lattice", "distance"),
     ("GaussianState", "from_correlation_matrix"),
     ("QuadraticObservable", "coefficients"),
+    ("Layer", "apply"),
+    ("Lattice", "displacement_index"),
 ]
 # Acceptance-criterion entry points.
-KEPT = ["measurement_error", "evolve_state", "lightcone_correlation_check", "pair_attenuation",
-        "tight_binding_ground_state_2d", "damped_random_state",
+KEPT = ["measurement_error", "pair_attenuation", "tight_binding_ground_state_2d",
         "bk_number_operator_weight_from_beta", "snake_index"]
 
 
@@ -66,3 +76,15 @@ def test_deleted_functions_are_gone(module, name):
 @pytest.mark.parametrize("cls,name", DELETED_METHODS)
 def test_deleted_methods_are_gone(cls, name):
     assert not hasattr(getattr(fermion_noise, cls), name)
+
+
+def test_only_the_lattice_calls_distance_matrix():
+    # The cached N x N distance matrix is for tests and the benchmark; every
+    # package path measures the index sets it needs with ``pair_distances``.
+    package = pathlib.Path(fermion_noise.__file__).parent
+    callers = [f"{path.name}:{node.lineno}"
+               for path in sorted(package.glob("*.py")) if path.name != "lattice.py"
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.Call) and "distance_matrix" in
+               (getattr(node.func, "attr", None), getattr(node.func, "id", None))]
+    assert callers == []
