@@ -158,10 +158,11 @@ def brickwork_circuit(lattice: Lattice, depth: int, radius: int = 1,
     acting on the block's Majoranas.  Lengths that are not a multiple of the
     block size get one truncated (smaller) gate per row.  A layer draws the
     normals of all its gates in one ``standard_normal`` call, in gate order
-    (row by row, the truncated gate last), so the stream is that of one
-    :func:`haar_special_orthogonal` call per gate.  Gates of one size are
-    kept as one ``(indices, draws)`` pair of the :class:`Layer`, which
-    orthogonalizes a gate only when a window touches it.
+    (row by row, the truncated gate last), each gate one ``(n, n)`` matrix of
+    it through :func:`haar_rotations`, so the stream is fixed by numpy's
+    ``Generator`` alone.  Gates of one size are kept as one ``(indices,
+    draws)`` pair of the :class:`Layer`, which orthogonalizes a gate only
+    when a window touches it.
     """
     if depth < 0:
         raise ValueError(f"depth must be nonnegative, got {depth}")

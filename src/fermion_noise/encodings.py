@@ -2,13 +2,17 @@
 
 For a pair of Majorana operators ``gamma_a gamma_b`` each encoding maps the
 bilinear to a single Pauli string (up to phase); what matters for
-single-qubit noise is how many tensor factors of that string are X, Y and Z.
-Four models are provided:
+single-qubit noise is how many tensor factors of that string are X, Y and Z,
+and a Pauli channel damps it by ``lambda = ex**nx * ey**ny * ez**nz``.
+Four models are provided, each with its drops ``1 - lambda`` summed over the
+site pairs at every displacement:
 
 ``local``
     An abstract geometrically local encoding: weight ``phi0 + d(r, r')`` with
     ``d`` the torus distance and ``phi0`` a constant overhead per bilinear.
-    Only the weight is modelled, not the X/Y/Z content of the string.
+    Only the weight is modelled, not the X/Y/Z content of the string, so
+    only equal etas apply: the drop ``1 - eta**(phi0 + d(r))`` of
+    displacement alone, times the pair count.
 ``jw1d``, ``jw2d_snake``
     Jordan-Wigner in qubit order ``o`` (the chain, or the boustrophedon
     "snake" through a 2D lattice): ``gamma_2s = Z_(<o) X_o`` and
@@ -16,7 +20,9 @@ Four models are provided:
     are int32 closed forms in ``o``: two sites have ``|o_s - o_t| - 1`` Zs
     between them, the lower qubit swaps its Pauli (X for Y) and the upper
     keeps its own, so the weight is ``1 + |o_s - o_t|``; the two flavors of
-    one site give a single Z.
+    one site give a single Z.  A drop depends on the qubit separation alone
+    and is summed by rows of the chain or the snake
+    (:func:`_jordan_wigner_drop_box`).
 ``bravyi_kitaev``
     The binary encoder of Seeley, Richard and Love (2012), qubit bits
     ``b = beta n (mod 2)`` for occupations ``n``, with the Fenwick-tree
@@ -25,22 +31,29 @@ Four models are provided:
     the ``2^tau(j)`` modes ending at ``j`` (``tau`` the trailing ones), so
     weights and X/Y/Z counts are int32 closed forms in the bits of the two
     sites (:func:`_fenwick_pairs`), whose per-end terms are also given one
-    Fenwick level at a time (:func:`_fenwick_levels`).
+    Fenwick level at a time (:func:`_fenwick_levels`).  A pair first
+    differing at bit ``h`` lies in a block of ``2^(h + 1)`` modes, every such
+    block is a lattice translate of the first, and its attenuation is a
+    product of one factor per end (two under a non-uniform mix), so each
+    level is one FFT cross-correlation on the box, ``O(N log N)`` in all
+    (:func:`_fenwick_drop_box`).
 
 Weights and counts of every pair of a Majorana index set come from one
 method, :meth:`EncodingWeightModel.pair_weights`.  A circuit's light cone
 and a noisy measurement ask for them on the observable's support only, and
 the weight and composition of a single bilinear ``gamma_a gamma_b`` are the
-``[0, 1]`` entry of the index set ``[a, b]``.  No ``N x N`` table of all
-pairs is built: the momentum error map sums the drops of every pair by
-displacement from the same closed forms (:mod:`fermion_noise.noise`).
+``[0, 1]`` entry of the index set ``[a, b]``.  The summed drops come from
+one method too, :meth:`EncodingWeightModel.drop_box`, which the momentum
+error map of :mod:`fermion_noise.noise` folds onto the torus; no ``N x N``
+table of all pairs is built.  They depend on the encoding and the etas, not
+on the state, and the last few are kept on the model.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable, Dict, Union
+from typing import Callable, Dict, Tuple, Union
 
 import numpy as np
 
@@ -50,6 +63,10 @@ ENCODING_KINDS = ("local", "jw1d", "jw2d_snake", "bravyi_kitaev")
 
 _WEIGHTS_ONLY = ("the 'local' model assigns Pauli weights only, not the X/Y/Z strings "
                  "that exact attenuation under a non-uniform mix needs; use mode='worst-case'")
+
+# Drop boxes kept per model, the oldest dropped first: one run asks for at
+# most two (exact and worst-case), and a sweep over ``p`` must not grow RSS.
+_DROP_BOXES_KEPT = 8
 
 
 @dataclass(frozen=True)
@@ -208,6 +225,135 @@ def _fenwick_levels(n_modes: int):
 
 
 # ----------------------------------------------------------------------
+# drops summed by displacement
+# ----------------------------------------------------------------------
+
+
+def _fenwick_drop_box(lat: Lattice, etas: Tuple[float, float, float]
+                      ) -> Tuple[np.ndarray, np.ndarray]:
+    """Bravyi-Kitaev's ``(same, cross)`` drops of :meth:`EncodingWeightModel.drop_box`, by level.
+
+    At level ``h`` (:func:`_fenwick_levels`) every X/Y/Z exponent of
+    :func:`_fenwick_pairs` is a sum of one term per end but for the ``or`` in
+    ``y``.  For the flavors ``(f, g)`` the attenuation of a pair is
+    ``a_fg A_f(s) A_g(t)``, plus ``b_fg B_f(s) B_g(t)``, with the end factors
+
+        ``A_f = ex**(h - O) ez**(O - f P)``,
+        ``B_f = (1 - f R) ex**(h - O - f) ez**(O - f P)``,
+
+    ``a_00 = ey``, ``b_00 = 0`` and otherwise ``a_fg = ex**(2 - f - g)
+    ey**(f + g - 1)`` and ``b_fg = ey**(f + g - 1) (ey**2 - ex**2)``.  Every
+    power is nonnegative, so an eta of 0 is no special case.  Every level-``h``
+    block is a lattice translate of block 0 (row-major sites, ``N = 2^n``), so
+    the pair sum by displacement is one cross-correlation of the two halves of
+    block 0, by FFT on the box, with the upper half's factors summed over the
+    blocks: the block count times block 0's, but at the last site, which takes
+    every block's own.  The factors enter the FFTs as ``A - 1``: the ``1 * 1``
+    terms are the pair count, the multiplicity, whose drop ``1 - a_fg`` is
+    exact, so the sum keeps the digits of ``1 - lambda``.  The diagonal is the
+    number operator, ``1 + tau`` Zs between the two flavors and no drop within
+    one.  ``O(N log N)`` in all, with no ``N x N`` array.
+    """
+    ex, ey, ez = etas
+    n, dim = lat.n_sites, lat.dim
+    box, axes = (2 * lat.length,) * dim, tuple(range(-dim, 0))
+    swap = (ey - ex) * (ey + ex)  # b_fg / ey**(f + g - 1)
+    # Spectra of the same- and cross-flavor sums of lambda - a over the two
+    # orders of every pair, halved; real, as both sums are even in r.
+    spectra = np.zeros((2,) + box[:-1] + (box[-1] // 2 + 1,))
+
+    def ends(h, o, p, r):  # 1, A_0 - 1 (B_0 = A_0), A_1 - 1 and B_1
+        up, down = ex ** (h - o), ez ** (o - p)
+        return np.stack(np.broadcast_arrays(
+            1.0, up * ez ** o - 1.0, up * down - 1.0,
+            np.where(r, 0.0, ex ** np.maximum(h - o - 1, 0) * down)))
+
+    for h, o, p, r, p_last in _fenwick_levels(n):
+        size = len(o)
+        factors = ends(h, o, p, r)
+        factors[:, size // 2:] *= n // size
+        factors[:, -1] = ends(h, h, p_last, True).sum(axis=1)
+        grids = np.zeros((2, 4) + box)
+        for grid, sites in zip(grids, np.split(np.arange(size), 2)):
+            grid[(slice(None),) + tuple(lat.coords[sites].T)] = factors[:, sites]
+        (li, l0, l1, l2), (ui, u0, u1, u2) = np.fft.rfftn(grids, axes=axes)
+        a0, au0 = li + l0, ui + u0
+        spectra[0] += (ey * (a0 * u0.conj() + l0 * ui.conj() + (li + l1) * u1.conj()
+                         + l1 * ui.conj() + swap * l2 * u2.conj())).real
+        spectra[1] += (ex * (a0 * u1.conj() + l0 * ui.conj() + au0 * l1.conj() + u0 * li.conj())
+                   + swap * (a0 * u2.conj() + au0 * l2.conj())).real
+    mult = lat.displacement_multiplicity()
+    lam = np.fft.irfftn(spectra, box, axes=axes)
+    same, cross = np.multiply.outer((1.0 - ey, 1.0 - ex), mult) - lam
+    for drop in (same, cross):
+        drop[mult == 0] = 0.0
+    origin = (0,) * dim
+    same[origin] = 0.0
+    cross[origin] = np.sum(1.0 - ez ** (1 + _fenwick_bits(n)[1].astype(np.int64)))
+    return same, cross
+
+
+def _jordan_wigner_drop_box(lat: Lattice, etas: Tuple[float, float, float]
+                            ) -> Tuple[np.ndarray, np.ndarray]:
+    """Jordan-Wigner's ``(same, cross)`` drops of :meth:`EncodingWeightModel.drop_box`.
+
+    In either qubit order ``o`` the X/Y/Z counts of a site pair, averaged over
+    its two flavor pairs, depend on the separation ``m = |o_s - o_t|`` alone
+    (:meth:`EncodingWeightModel._jordan_wigner_counts`), so the drops are
+    ``h(m)``: ``1 - ex ey ez**(m - 1)`` within a flavor (0 on site) and
+    ``1 - (ex**2 + ey**2)/2 ez**(m - 1)`` across (``1 - ez`` on site), both
+    ``1 - eta**(m + 1)`` when the etas agree, each evaluated once per
+    separation ``m < N``.  The chain has ``L - |r|`` pairs at ``r``, all at
+    ``m = |r|``.  The snake,
+    ``o = y L + x'`` with ``x' = x`` on even rows and ``L - 1 - x`` on odd
+    ones, has at ``(u, d)`` the separation ``|d L + x1' - x2'|``.  For ``d``
+    even both rows share a parity and ``x1' - x2'`` is ``u`` on even rows and
+    ``-u`` on odd ones, over ``L - |u|`` columns each.  For ``d`` odd,
+    whichever row is even, it runs once over ``-(L - 1 - |u|) .. L - 1 - |u|``
+    in steps of 2, on each of the ``L - |d|`` row pairs: a stride-2 running sum
+    of ``h(|d L + t|) + h(|d L - t|)`` from ``t = 0`` out.  ``O(N)`` from one
+    ``(2L - 1)^2`` table of ``h(|d L + t|)``, gathered from ``h`` by
+    separation, with no ``N x N`` array.
+    """
+    length = lat.length
+    ex, ey, ez = etas
+
+    def drops(m):
+        if ex == ey == ez:
+            return (1.0 - ex ** (m + 1),)
+        z = ez ** np.maximum(m - 1, 0)
+        same, cross = 1.0 - ex * ey * z, 1.0 - (ex**2 + ey**2) / 2.0 * z
+        same[m == 0], cross[m == 0] = 0.0, 1.0 - ez
+        return same, cross
+
+    if lat.dim == 1:
+        r = np.abs(lat.displacement_box()[0])
+        boxes = [h[r] * (length - r) for h in drops(np.arange(length + 1))]
+    else:
+        t = np.arange(1 - length, length)  # the row offset d, and x1' - x2'
+        pairs = length - np.abs(t)
+        odd = t % 2 == 1
+        # Even rows y1 in [max(0, d), L - 1 + min(0, d)], read at even d.
+        even = ((length - 1 + np.minimum(t, 0)) // 2 - (np.maximum(t, 0) - 1) // 2)[~odd, None]
+        at = np.ix_(t % (2 * length), t % (2 * length))
+        boxes = []
+        # h(|d L + t|) at [d, t], gathered from one drop per separation m < N.
+        for h in np.take(drops(np.arange(lat.n_sites)), np.abs(length * t[:, None] + t[None, :]),
+                         axis=-1):
+            by_rows = np.empty_like(h)
+            by_rows[~odd] = (even * h[~odd] + (pairs[~odd, None] - even) * h[~odd, ::-1]) * pairs
+            window = h[odd, length - 1:] + h[odd, length - 1::-1]  # h(dL + t) + h(dL - t)
+            window[:, 0] = h[odd, length - 1]
+            for p in (0, 1):  # column k: the sum over t = -k, -k + 2, .., k
+                window[:, p::2] = np.cumsum(window[:, p::2], axis=1)
+            by_rows[odd] = window[:, length - 1 - np.abs(t)] * pairs[odd, None]
+            box = np.zeros((2 * length,) * 2)
+            box[at] = by_rows.T
+            boxes.append(box)
+    return boxes[0], boxes[-1]
+
+
+# ----------------------------------------------------------------------
 # the weight model
 # ----------------------------------------------------------------------
 
@@ -245,8 +391,7 @@ class EncodingWeightModel:
             self.phi0 = 1
         self.kind = kind
         self.lattice = lattice
-        # Drop boxes of noise.momentum_error_map by etas: they do not depend on the state.
-        self._drop_boxes: Dict[tuple, tuple] = {}
+        self._drop_boxes: Dict[tuple, tuple] = {}  # drop_box by etas, oldest first
 
     @cached_property
     def _qubit_order(self) -> np.ndarray:
@@ -302,6 +447,41 @@ class EncodingWeightModel:
             return self.phi0 + self.lattice.pair_distances(sites)
         o = self._qubit_order[sites].astype(np.int32)
         return 1 + np.abs(np.subtract.outer(o, o))
+
+    def drop_box(self, etas: Tuple[float, float, float]) -> Tuple[np.ndarray, np.ndarray]:
+        """Drops ``1 - lambda`` summed over the site pairs at every displacement.
+
+        Box arrays of :meth:`Lattice.displacement_box`, ``same`` for the
+        equal-flavor and ``cross`` for the cross-flavor bilinears, each the mean
+        of its two flavor pairs, as :meth:`ModeDiagonalState.occupation_shift`
+        takes them; ``lambda = ex**nx * ey**ny * ez**nz``.  One producer per
+        encoding kind: ``local`` has the drop ``1 - eta**(phi0 + d(r))`` of
+        displacement alone, times the pair count (equal etas only: it models
+        weights, not X/Y/Z strings); ``bravyi_kitaev`` goes by Fenwick levels
+        (:func:`_fenwick_drop_box`); ``jw1d`` and ``jw2d_snake`` by qubit
+        separation (:func:`_jordan_wigner_drop_box`).  The boxes are
+        read-only, and under equal etas one array serves both flavors but on
+        ``bravyi_kitaev``.  They depend on the encoding and the etas, not on
+        the state, and the last ``_DROP_BOXES_KEPT`` etas' boxes are kept.
+        """
+        boxes = self._drop_boxes
+        if etas not in boxes:
+            if len(boxes) >= _DROP_BOXES_KEPT:
+                del boxes[next(iter(boxes))]
+            lat = self.lattice
+            if self.kind == "local":
+                if not etas[0] == etas[1] == etas[2]:
+                    raise ValueError(_WEIGHTS_ONLY)
+                weights = self.phi0 + sum(lat._wrap(r) for r in lat.displacement_box())
+                same = cross = (1.0 - etas[0] ** weights) * lat.displacement_multiplicity()
+            elif self.kind == "bravyi_kitaev":
+                same, cross = _fenwick_drop_box(lat, etas)
+            else:
+                same, cross = _jordan_wigner_drop_box(lat, etas)
+            for drop in (same, cross):
+                drop.setflags(write=False)
+            boxes[etas] = same, cross
+        return boxes[etas]
 
     def __repr__(self) -> str:
         extra = f", phi0={self.phi0}" if self.kind == "local" else ""

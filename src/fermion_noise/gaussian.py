@@ -496,15 +496,6 @@ def haar_rotations(normals: np.ndarray) -> np.ndarray:
     return q
 
 
-def haar_special_orthogonal(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-random ``n x n`` rotation in SO(n), drawn only from ``rng``.
-
-    One ``standard_normal((n, n))`` draw through :func:`haar_rotations`; the
-    stream is fixed by numpy's ``Generator`` alone.
-    """
-    return haar_rotations(rng.standard_normal((n, n)))
-
-
 def _offdiagonal_decay_sum(dim: int, mu: float) -> float:
     """Infinite-lattice sum of ``(1 + |s|_1)^{-mu}`` over nonzero sites.
 

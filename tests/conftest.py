@@ -2,20 +2,20 @@
 
 The dense references (a state from its correlation matrix, an observable's
 ``(2N, 2N)`` coefficient matrix, the ``(2N, 2N)`` attenuation matrix, the
-dense circuit evolution and the light-cone check built on it, the
-Haar-random and power-law-damped states, the Jordan-Wigner and
-Bravyi-Kitaev Pauli rows) are what the package's support-held,
-light-cone, displacement-summed and closed-form paths are checked against;
-no package code needs them.  The ``(F, F, N, N)`` flavor blocks of every
-Majorana pair come from independent data, the popcounts of the Pauli tables
-or the lattice's distance matrix, and their drops folded by displacement are
-the reference for the package's drop boxes, as their contraction with a
-covariance is for its error maps.  So is the full-width direct polylogarithm
-sum, which the padded in-place sum of the package must match bit for bit,
-and the ``(2L)^D`` Fourier route, which the package's ``L^D`` torus is
-checked against: ``C(r)`` as one FFT of ``n(q)`` on the displacement box,
-where every grid momentum ``2 pi m / L`` is the integer frequency ``2m``,
-and every momentum sum read off one more FFT of the box.
+dense circuit evolution and the light-cone check built on it, the single
+Haar rotation, the Haar-random and power-law-damped states, the
+Jordan-Wigner and Bravyi-Kitaev Pauli rows) are what the package's
+support-held, light-cone, displacement-summed and closed-form paths are
+checked against; no package code needs them.  The ``(F, F, N, N)`` flavor
+blocks of every Majorana pair come from independent data, the popcounts of
+the Pauli tables or the lattice's distance matrix, and their drops folded by
+displacement are the reference for the package's drop boxes, as their
+contraction with a covariance is for its error maps.  So is the full-width
+direct polylogarithm sum, which the padded in-place sum of the package must
+match bit for bit, and the ``(2L)^D`` Fourier route, which the package's
+``L^D`` torus is checked against: ``C(r)`` as one FFT of ``n(q)`` on the
+displacement box, where every grid momentum ``2 pi m / L`` is the integer
+frequency ``2m``, and every momentum sum read off one more FFT of the box.
 """
 
 import functools
@@ -33,8 +33,8 @@ from fermion_noise import (
     bk_beta_matrix,
     snake_index_vector,
 )
-from fermion_noise.gaussian import haar_rotations, haar_special_orthogonal
-from fermion_noise.noise import _drop_box, _mode_etas
+from fermion_noise.gaussian import haar_rotations
+from fermion_noise.noise import _mode_etas
 from fermion_noise.special import _SKIP_DIGITS
 from oracle import gf2_inverse, pauli_string
 
@@ -91,6 +91,11 @@ def random_gaussian_state(lattice, rng):
     """Generally mixed Gaussian state from a random correlation matrix."""
     corr = random_correlation(rng, lattice.n_sites)
     return state_from_correlation(lattice, corr)
+
+
+def haar_special_orthogonal(n, rng):
+    """Haar-random ``n x n`` rotation in SO(n): one ``standard_normal((n, n))`` draw."""
+    return haar_rotations(rng.standard_normal((n, n)))
 
 
 def random_pure_state(lattice, rng):
@@ -406,7 +411,7 @@ def drops(enc, etas):
 
 
 def fold_drop_box(enc, etas):
-    """``_drop_box`` as the fold of all ``N x N`` drop blocks: ``(same, cross)`` flavor means."""
+    """``EncodingWeightModel.drop_box`` as the fold of all ``N x N`` drop blocks: ``(same, cross)`` flavor means."""
     drop = fold(enc.lattice, drops(enc, etas))
     return (drop[0, 0] + drop[1, 1]) / 2.0, (drop[0, 1] + drop[1, 0]) / 2.0
 
@@ -514,7 +519,7 @@ def box_occupation_shift(state, same, cross, momenta):
 
 def box_momentum_error_map(state, enc, channel, momenta, mode="exact"):
     """``momentum_error_map`` of a mode-diagonal state by the box route."""
-    return box_occupation_shift(state, *_drop_box(enc, _mode_etas(channel, mode)),
+    return box_occupation_shift(state, *enc.drop_box(_mode_etas(channel, mode)),
                                 np.atleast_2d(momenta))
 
 

@@ -11,6 +11,7 @@ from conftest import (
     dense_coefficients,
     dense_rotation,
     evolve_state,
+    haar_special_orthogonal,
     lightcone_correlation_check,
     random_correlation,
     random_gaussian_state,
@@ -33,7 +34,7 @@ from fermion_noise import (
     pair_attenuation,
     prefix_expectations,
 )
-from fermion_noise.gaussian import haar_rotations, haar_special_orthogonal
+from fermion_noise.gaussian import haar_rotations
 from oracle import (
     dense_expectation,
     dense_free_unitary,

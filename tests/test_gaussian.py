@@ -9,6 +9,7 @@ from conftest import (
     damped_random_state,
     decay_constant,
     dense_coefficients,
+    haar_special_orthogonal,
     plane_wave_correlation,
     power_law_mask,
     random_correlation,
@@ -33,7 +34,7 @@ from fermion_noise import (
     tight_binding_ground_state_2d,
 )
 import fermion_noise.gaussian as gaussian_module
-from fermion_noise.gaussian import haar_rotations, haar_special_orthogonal
+from fermion_noise.gaussian import haar_rotations
 
 
 def _dense_circulant_state(lattice, mu):

@@ -29,7 +29,7 @@ from fermion_noise import (
     tight_binding_ground_state_2d,
 )
 from fermion_noise import encodings
-from fermion_noise.noise import _DROP_BOXES_KEPT, _drop_box, _mode_etas
+from fermion_noise.noise import _mode_etas
 from oracle import (
     dense_gaussian_density_matrix,
     dense_majorana_set,
@@ -657,7 +657,7 @@ class TestFenwickLevels:
         etas = _mode_etas(channel, mode)
         enc = EncodingWeightModel("bravyi_kitaev", lat)
         want = np.stack(fold_drop_box(enc, etas))
-        got = np.stack(_drop_box(enc, etas))
+        got = np.stack(enc.drop_box(etas))
         assert got.shape == want.shape
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), f"{dim}D L={length} {etas}"
 
@@ -701,12 +701,25 @@ class TestFenwickLevels:
         for p in np.concatenate([sweep, sweep[:3]]):
             ch = PauliChannel.depolarizing(float(p))
             got = momentum_error_map(state, enc, ch, grid.momenta)
-            assert len(enc._drop_boxes) <= _DROP_BOXES_KEPT
+            assert len(enc._drop_boxes) <= encodings._DROP_BOXES_KEPT
             fresh = EncodingWeightModel("bravyi_kitaev", lat)
             assert_close(got, momentum_error_map(state, fresh, ch, grid.momenta), 0.0,
                          f"p = {p}")
         assert list(enc._drop_boxes)[-1] == ch.etas
 
+    @pytest.mark.parametrize("kind,dim,shared", [("local", 1, True), ("local", 2, True),
+                                                 ("jw1d", 1, True), ("jw2d_snake", 2, True),
+                                                 ("bravyi_kitaev", 1, False),
+                                                 ("bravyi_kitaev", 2, False)])
+    def test_equal_etas_share_one_read_only_box_across_flavors(self, kind, dim, shared):
+        # One array for both flavors lets occupation_shift fold it once; the
+        # Fenwick levels give the two flavors different drops.
+        enc = EncodingWeightModel(kind, Lattice(dim, 8))
+        for etas in ((0.9,) * 3, (1.0 / 3.0,) * 3):
+            same, cross = enc.drop_box(etas)
+            assert (same is cross) is shared, f"{kind} {etas}"
+            assert not same.flags.writeable and not cross.flags.writeable
+            assert enc.drop_box(etas)[0] is same
 
 
 class TestJordanWignerBox:
@@ -724,7 +737,7 @@ class TestJordanWignerBox:
         etas = _mode_etas(channel, mode)
         enc = EncodingWeightModel(kind, lat)
         origin = (0,) * dim
-        for name, got, want in zip(("same", "cross"), _drop_box(enc, etas),
+        for name, got, want in zip(("same", "cross"), enc.drop_box(etas),
                                    fold_drop_box(enc, etas)):
             assert got.shape == want.shape
             if name == "same":

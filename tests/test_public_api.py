@@ -28,6 +28,10 @@ DELETED_FUNCTIONS = [
     (gaussian, "power_law_mask"),
     (gaussian, "damped_random_state"),
     (gaussian, "decay_constant"),
+    (noise, "_drop_box"),
+    (noise, "_fenwick_drop_box"),
+    (noise, "_jordan_wigner_drop_box"),
+    (gaussian, "haar_special_orthogonal"),
 ]
 DELETED_METHODS = [
     ("PauliChannel", "depolarizing_attenuation"),
@@ -88,3 +92,20 @@ def test_only_the_lattice_calls_distance_matrix():
                if isinstance(node, ast.Call) and "distance_matrix" in
                (getattr(node.func, "attr", None), getattr(node.func, "id", None))]
     assert callers == []
+
+
+def test_encoding_internals_stay_in_their_module():
+    # An encoding's Pauli strings, and the drop boxes summed from them, live in
+    # encodings.py: no module imports a sibling's private name, and no other
+    # module reaches into the model's cache of boxes.
+    package = pathlib.Path(fermion_noise.__file__).parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                found += [f"{path.name}:{node.lineno} imports {alias.name}"
+                          for alias in node.names if alias.name.startswith("_")]
+            elif path.name != "encodings.py" and "_drop_boxes" in (
+                    getattr(node, "attr", None), getattr(node, "id", None)):
+                found.append(f"{path.name}:{node.lineno} names _drop_boxes")
+    assert found == []
