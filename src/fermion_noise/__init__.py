@@ -17,16 +17,12 @@ from .lattice import (
     MomentumGrid,
     momentum_grid,
     parity_of,
-    snake_index,
     snake_index_vector,
 )
 from .encodings import (
     ENCODING_KINDS,
     EncodingWeightModel,
-    StringComposition,
-    bk_beta_matrix,
     bk_max_number_operator_weight,
-    bk_number_operator_weight_from_beta,
 )
 from .gaussian import (
     GaussianState,
@@ -39,7 +35,6 @@ from .gaussian import (
     momentum_occupation,
     occupied_modes,
     tight_binding_dispersion,
-    tight_binding_ground_state_2d,
 )
 from .noise import (
     MODES,
@@ -49,13 +44,11 @@ from .noise import (
     measurement_error,
     momentum_error_map,
     noisy_expectation,
-    pair_attenuation,
 )
 from .circuits import (
     Circuit,
     Layer,
     brickwork_circuit,
-    circuit_expectation,
     heisenberg_observable,
     prefix_expectations,
 )

@@ -73,10 +73,10 @@ class DecayParams:
     phi0: int
 
     def __post_init__(self):
-        if self.K <= 0:
-            raise ValueError(f"decay prefactor K must be positive, got {self.K}")
-        if self.mu <= 0:
-            raise ValueError(f"decay exponent mu must be positive, got {self.mu}")
+        if not (math.isfinite(self.K) and self.K > 0):
+            raise ValueError(f"decay prefactor K must be finite and positive, got {self.K}")
+        if not (math.isfinite(self.mu) and self.mu > 0):
+            raise ValueError(f"decay exponent mu must be finite and positive, got {self.mu}")
         if self.D not in (1, 2):
             raise ValueError(f"dimension must be 1 or 2, got {self.D}")
         if self.phi0 < 0 or int(self.phi0) != self.phi0:

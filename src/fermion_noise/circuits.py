@@ -142,11 +142,6 @@ class Circuit:
     def depth(self) -> int:
         return len(self.layers)
 
-    def light_cone_radius(self, depth: Optional[int] = None) -> int:
-        """Largest site distance an operator can spread after ``depth`` layers."""
-        d = self.depth if depth is None else depth
-        return self.radius * d
-
 
 def brickwork_circuit(lattice: Lattice, depth: int, radius: int = 1,
                       rng: Optional[np.random.Generator] = None) -> Circuit:
@@ -239,15 +234,6 @@ def heisenberg_observable(obs: QuadraticObservable, circuit: Circuit,
         support, coeffs = cols, _rotate(_rotate(pulled, back).T, back).T
     return QuadraticObservable(obs.lattice, coeffs, offset=obs.offset, support=support,
                                validate=False)
-
-
-def circuit_expectation(state: GaussianState, obs: QuadraticObservable,
-                        circuit: Circuit,
-                        channel: Optional[PauliChannel] = None,
-                        enc: Optional[EncodingWeightModel] = None,
-                        mode: str = "exact") -> float:
-    """Expectation of ``obs`` after the noisy circuit acts on ``state``: the sweep's last entry."""
-    return prefix_expectations(state, obs, circuit, channel, enc, mode)[-1]
 
 
 def prefix_expectations(state: GaussianState, obs: QuadraticObservable,

@@ -26,11 +26,12 @@ site pairs at every displacement:
 ``bravyi_kitaev``
     The binary encoder of Seeley, Richard and Love (2012), qubit bits
     ``b = beta n (mod 2)`` for occupations ``n``, with the Fenwick-tree
-    matrix :func:`bk_beta_matrix` (modes a power of two) and its GF(2)
-    inverse, both by recursive doubling.  Qubit ``j`` holds the parity of
-    the ``2^tau(j)`` modes ending at ``j`` (``tau`` the trailing ones), so
-    weights and X/Y/Z counts are int32 closed forms in the bits of the two
-    sites (:func:`_fenwick_pairs`), whose per-end terms are also given one
+    matrix ``beta`` (modes a power of two); ``beta`` and its GF(2) inverse
+    are test references that certify the closed forms, and the package
+    never builds them.  Qubit ``j`` holds the parity of the ``2^tau(j)``
+    modes ending at ``j`` (``tau`` the trailing ones), so weights and X/Y/Z
+    counts are int32 closed forms in the bits of the two sites
+    (:func:`_fenwick_pairs`), whose per-end terms are also given one
     Fenwick level at a time (:func:`_fenwick_levels`).  A pair first
     differing at bit ``h`` lies in a block of ``2^(h + 1)`` modes, every such
     block is a lattice translate of the first, and its attenuation is a
@@ -51,9 +52,8 @@ on the state, and the last few are kept on the model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from typing import Callable, Dict, Tuple, Union
+from functools import cached_property
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -69,80 +69,14 @@ _WEIGHTS_ONLY = ("the 'local' model assigns Pauli weights only, not the X/Y/Z st
 _DROP_BOXES_KEPT = 8
 
 
-@dataclass(frozen=True)
-class StringComposition:
-    """Multiplicities of X, Y, and Z factors in an encoded bilinear."""
-
-    n_x: int
-    n_y: int
-    n_z: int
-
-    @property
-    def weight(self) -> int:
-        return self.n_x + self.n_y + self.n_z
-
-
 def _require_power_of_two(n: int) -> None:
     if n < 1 or n & (n - 1):
         raise ValueError(f"Bravyi-Kitaev requires a power-of-two mode count, got {n}")
 
 
 # ----------------------------------------------------------------------
-# binary encoder matrices and the Fenwick closed form
+# the Fenwick closed form
 # ----------------------------------------------------------------------
-
-
-def _doubling(n_modes: int, link: Callable[[int], Union[int, slice]]) -> np.ndarray:
-    """``M_2m = [[M_m, 0], [K_m, M_m]]`` from ``M_1 = [[1]]`` up to ``n_modes``.
-
-    ``K_m`` is zero but for ones in its last row, at the columns ``link(m)``.
-    """
-    _require_power_of_two(n_modes)
-    mat = np.ones((1, 1), dtype=np.uint8)
-    while len(mat) < n_modes:
-        m = len(mat)
-        grown = np.zeros((2 * m, 2 * m), dtype=np.uint8)
-        grown[:m, :m] = grown[m:, m:] = mat
-        grown[2 * m - 1, link(m)] = 1
-        mat = grown
-    mat.setflags(write=False)
-    return mat
-
-
-@lru_cache(maxsize=None)
-def bk_beta_matrix(n_modes: int) -> np.ndarray:
-    """Binary encoder matrix beta with qubit bits ``b = beta n (mod 2)``.
-
-    Built by the standard recursive doubling: two copies of the half-size
-    block on the diagonal, and the last qubit of the upper half additionally
-    accumulates every mode of the lower half.
-    """
-    return _doubling(n_modes, lambda m: slice(m))
-
-
-@lru_cache(maxsize=None)
-def _bk_beta_inverse(n_modes: int) -> np.ndarray:
-    """``beta^-1`` over GF(2), by the doubling of :func:`bk_beta_matrix`.
-
-    With ``B = beta_m`` the corner block of ``beta_2m`` is ``e_(m-1) 1^T``,
-    so that of the inverse is ``B^-1 e_(m-1) 1^T B^-1``.  Column ``m - 1`` of
-    ``B`` is ``e_(m-1)`` and its last row is all ones, so this is
-    ``e_(m-1) e_(m-1)^T``: the single bit ``[2m - 1, m - 1]``.
-    """
-    return _doubling(n_modes, lambda m: m - 1)
-
-
-def bk_number_operator_weight_from_beta(i: int, n_modes: int) -> int:
-    """Number-operator weight recovered from the encoder matrix.
-
-    Decoding ``n = beta^{-1} b`` expresses the occupation of mode i as the
-    parity of the qubits flagged in row i of the inverse; the weight of the
-    corresponding Z-string is the number of ones in that row.
-    """
-    _require_power_of_two(n_modes)
-    if not 0 <= i < n_modes:
-        raise IndexError(f"mode index {i} outside [0, {n_modes})")
-    return int(_bk_beta_inverse(n_modes)[i].sum())
 
 
 def bk_max_number_operator_weight(n_modes: int) -> int:
@@ -419,11 +353,6 @@ class EncodingWeightModel:
         """Pauli weight of the encoded bilinear ``gamma_a gamma_b``, a != b."""
         self._check_pair(a, b)
         return int(self.pair_weights([a, b])[0, 1])
-
-    def string_composition(self, a: int, b: int) -> StringComposition:
-        """Exact X/Y/Z composition of the encoded bilinear (concrete encodings)."""
-        self._check_pair(a, b)
-        return StringComposition(*self.pair_weights([a, b], counts=True)[:, 0, 1].tolist())
 
     def pair_weights(self, idx: np.ndarray, counts: bool = False) -> np.ndarray:
         """Weights, or X/Y/Z counts, of every pair of the Majoranas ``idx``.

@@ -37,6 +37,7 @@ envelope.  Haar rotations serve the circuits' gates.
 
 from __future__ import annotations
 
+import operator
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -101,6 +102,7 @@ class QuadraticObservable:
     @classmethod
     def number(cls, lattice: Lattice, site: int) -> "QuadraticObservable":
         """Occupation ``n_x = c_x^dag c_x`` of a single site."""
+        site = operator.index(site)
         if not 0 <= site < lattice.n_sites:
             raise IndexError(f"site {site} outside [0, {lattice.n_sites})")
         return cls(lattice, [[0.0, 0.25], [-0.25, 0.0]], offset=0.5,
@@ -109,6 +111,7 @@ class QuadraticObservable:
     @classmethod
     def hopping(cls, lattice: Lattice, site_a: int, site_b: int) -> "QuadraticObservable":
         """Hermitian hopping ``c_a^dag c_b + c_b^dag c_a`` between two sites."""
+        site_a, site_b = operator.index(site_a), operator.index(site_b)
         n_sites = lattice.n_sites
         if not (0 <= site_a < n_sites and 0 <= site_b < n_sites):
             raise IndexError(f"sites ({site_a}, {site_b}) outside [0, {n_sites})")
@@ -141,11 +144,6 @@ class QuadraticObservable:
         coeffs[0::2, 1::2] = cos_block
         coeffs[1::2, 0::2] = -cos_block
         return cls(lattice, coeffs, offset=0.5, validate=False)
-
-    def scaled(self, factor: float) -> "QuadraticObservable":
-        """The observable multiplied by a scalar (offset included)."""
-        return QuadraticObservable(self.lattice, factor * self.block, offset=factor * self.offset,
-                                   support=self.support, validate=False)
 
     def coefficient_trace_norm(self) -> float:
         """Trace norm (sum of singular values) of the coefficient matrix.
@@ -435,16 +433,6 @@ def fermi_sea(grid: MomentumGrid, n_occ: int,
     return ModeDiagonalState(grid, occupations), occ
 
 
-def _ground_state(lattice: Lattice, n_occ: int, dim: int, dispersion: Callable
-                  ) -> Tuple[ModeDiagonalState, MomentumGrid, np.ndarray]:
-    """Fermi sea of ``n_occ`` particles on the grid whose parity follows ``n_occ``."""
-    if lattice.dim != dim:
-        raise ValueError(f"expected a {dim}D lattice, got dim={lattice.dim}")
-    grid = momentum_grid(lattice, parity_of(n_occ))
-    state, occ = fermi_sea(grid, n_occ, dispersion)
-    return state, grid, occ
-
-
 def fermi_sea_1d(lattice: Lattice, n_occ: int,
                  ) -> Tuple[ModeDiagonalState, MomentumGrid, np.ndarray]:
     """1D free-fermion ground state with ``n_occ`` particles.
@@ -452,13 +440,11 @@ def fermi_sea_1d(lattice: Lattice, n_occ: int,
     The momentum grid parity follows the particle number so that the lowest
     ``|k|`` modes fill symmetrically; returns (state, grid, occupied).
     """
-    return _ground_state(lattice, n_occ, 1, free_dispersion)
-
-
-def tight_binding_ground_state_2d(lattice: Lattice, n_occ: int,
-                                  ) -> Tuple[ModeDiagonalState, MomentumGrid, np.ndarray]:
-    """2D nearest-neighbour tight-binding ground state with ``n_occ`` particles."""
-    return _ground_state(lattice, n_occ, 2, tight_binding_dispersion)
+    if lattice.dim != 1:
+        raise ValueError(f"expected a 1D lattice, got dim={lattice.dim}")
+    grid = momentum_grid(lattice, parity_of(n_occ))
+    state, occ = fermi_sea(grid, n_occ)
+    return state, grid, occ
 
 
 def momentum_occupation(state: GaussianState, k: Sequence[float]) -> float:

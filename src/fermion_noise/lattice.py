@@ -73,18 +73,15 @@ class Lattice:
 
     def site_index(self, r: Coords) -> int:
         """Flat index of the site with coordinates ``r``, the inverse of :attr:`coords`."""
-        arr = np.atleast_1d(np.asarray(r, dtype=np.int64))
+        arr = np.atleast_1d(np.asarray(r))
         if arr.shape != (self.dim,):
             raise ValueError(f"coordinate {r!r} does not match lattice dimension {self.dim}")
+        if arr.dtype.kind not in "iu":  # numpy integers too, but no float is truncated
+            raise TypeError(f"coordinate {r!r} must have integer entries")
+        arr = arr.astype(np.int64)
         if np.any(arr < 0) or np.any(arr >= self.length):
             raise IndexError(f"coordinate {r!r} outside lattice of size {self.length}")
         return int(arr @ self.length ** np.arange(self.dim))
-
-    def site_coords(self, index: int) -> Tuple[int, ...]:
-        """Coordinates of the site with flat index ``index``: row ``index`` of :attr:`coords`."""
-        if not 0 <= index < self.n_sites:
-            raise IndexError(f"site index {index} outside [0, {self.n_sites})")
-        return tuple(self.coords[index].tolist())
 
     def _majoranas(self, idx) -> np.ndarray:
         """``idx`` as an array of Majorana indices, checked to lie in ``[0, 2N)``."""
@@ -252,11 +249,6 @@ class Lattice:
 # ----------------------------------------------------------------------
 # snake (boustrophedon) ordering for 2D Jordan-Wigner
 # ----------------------------------------------------------------------
-
-
-def snake_index(lat: Lattice, x: int, y: int) -> int:
-    """Snake index of the site ``(x, y)``, read from :func:`snake_index_vector`."""
-    return int(snake_index_vector(lat)[lat.site_index((x, y))])
 
 
 def snake_index_vector(lat: Lattice) -> np.ndarray:

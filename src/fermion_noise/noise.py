@@ -19,8 +19,9 @@ strings (closed forms in the qubit order for Jordan-Wigner, and in the
 bits of the two sites for Bravyi-Kitaev); worst-case mode sets all three
 etas to ``1 - 3p/2``.  With equal etas the formula is ``eta**weight``, the
 only case the weight-only ``local`` model supports.  The same formula serves
-every pair of a Majorana index set (:func:`attenuation_block`) and a single
-bilinear (:func:`pair_attenuation`, the index set ``[a, b]``).
+every pair of a Majorana index set (:func:`attenuation_block`); a single
+bilinear ``gamma_a gamma_b`` is the ``[0, 1]`` entry of the index set
+``[a, b]``.
 
 Measurement noise is read on the observable's support, as a circuit's light
 cone is: :func:`noisy_expectation` and :func:`measurement_error` damp the
@@ -65,8 +66,8 @@ class PauliChannel:
         if not 0.0 <= self.p <= P_MAX:
             raise ValueError(f"noise strength must lie in [0, 2/3], got {self.p}")
         a = np.asarray(self.alphas, dtype=float)
-        if a.shape != (3,) or np.any(a < -1e-12):
-            raise ValueError(f"alphas must be three nonnegative weights, got {self.alphas}")
+        if a.shape != (3,) or not np.all(np.isfinite(a)) or np.any(a < -1e-12):
+            raise ValueError(f"alphas must be three finite nonnegative weights, got {self.alphas}")
         if abs(a.sum() - 1.0) > 1e-9:
             raise ValueError(f"alphas must sum to 1, got sum {a.sum()}")
         a = np.clip(a, 0.0, None)
@@ -121,13 +122,6 @@ def attenuation_block(enc: EncodingWeightModel, channel: PauliChannel,
         lam = ex**nx * ey**ny * ez**nz
     np.fill_diagonal(lam, 1.0)
     return lam
-
-
-def pair_attenuation(enc: EncodingWeightModel, channel: PauliChannel,
-                     a: int, b: int, mode: str = "exact") -> float:
-    """Attenuation factor of the single encoded bilinear ``gamma_a gamma_b``, a != b."""
-    enc._check_pair(a, b)
-    return float(attenuation_block(enc, channel, [a, b], mode)[0, 1])
 
 
 def _check_lattices(enc: EncodingWeightModel, state: GaussianState) -> None:

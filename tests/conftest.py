@@ -4,7 +4,8 @@ The dense references (a state from its correlation matrix, an observable's
 ``(2N, 2N)`` coefficient matrix, the ``(2N, 2N)`` attenuation matrix, the
 dense circuit evolution and the light-cone check built on it, the single
 Haar rotation, the Haar-random and power-law-damped states, the
-Jordan-Wigner and Bravyi-Kitaev Pauli rows) are what the package's
+Bravyi-Kitaev encoder matrix and its GF(2) inverse, the Jordan-Wigner and
+Bravyi-Kitaev Pauli rows) are what the package's
 support-held, light-cone, displacement-summed and closed-form paths are
 checked against; no package code needs them.  The ``(F, F, N, N)`` flavor
 blocks of every Majorana pair come from independent data, the popcounts of
@@ -21,6 +22,7 @@ frequency ``2m``, and every momentum sum read off one more FFT of the box.
 import functools
 import math
 from dataclasses import dataclass
+from typing import Callable, Union
 
 import numpy as np
 import pytest
@@ -30,9 +32,9 @@ from fermion_noise import (
     GaussianState,
     Lattice,
     QuadraticObservable,
-    bk_beta_matrix,
     snake_index_vector,
 )
+from fermion_noise.encodings import _require_power_of_two
 from fermion_noise.gaussian import haar_rotations
 from fermion_noise.noise import _mode_etas
 from fermion_noise.special import _SKIP_DIGITS
@@ -228,7 +230,7 @@ def lightcone_correlation_check(state, circuit, channel=None, enc=None):
         raise ValueError("light-cone check requires a product initial state")
     evolved = evolve_state(state, circuit, channel, enc)
     noiseless = evolved if channel is None else evolve_state(state, circuit)
-    allowed = 2 * circuit.light_cone_radius()
+    allowed = 2 * circuit.radius * circuit.depth
     correlated = np.abs(evolved.gamma) > tol
     outside = correlated & (dist > allowed)
     return LightConeReport(
@@ -258,6 +260,61 @@ def jordan_wigner_bits(lattice):
     flavor = (np.arange(lattice.n_majorana) % 2)[:, None]
     q = np.arange(lattice.n_sites)
     return (q == qubit).astype(np.uint8), ((q < qubit) | (q == qubit) & flavor).astype(np.uint8)
+
+
+def _doubling(n_modes: int, link: Callable[[int], Union[int, slice]]) -> np.ndarray:
+    """``M_2m = [[M_m, 0], [K_m, M_m]]`` from ``M_1 = [[1]]`` up to ``n_modes``.
+
+    ``K_m`` is zero but for ones in its last row, at the columns ``link(m)``.
+    """
+    _require_power_of_two(n_modes)
+    mat = np.ones((1, 1), dtype=np.uint8)
+    while len(mat) < n_modes:
+        m = len(mat)
+        grown = np.zeros((2 * m, 2 * m), dtype=np.uint8)
+        grown[:m, :m] = grown[m:, m:] = mat
+        grown[2 * m - 1, link(m)] = 1
+        mat = grown
+    mat.setflags(write=False)
+    return mat
+
+
+@functools.lru_cache(maxsize=None)
+def bk_beta_matrix(n_modes: int) -> np.ndarray:
+    """Binary encoder matrix beta with qubit bits ``b = beta n (mod 2)``.
+
+    Built by the standard recursive doubling: two copies of the half-size
+    block on the diagonal, and the last qubit of the upper half additionally
+    accumulates every mode of the lower half.
+    """
+    return _doubling(n_modes, lambda m: slice(m))
+
+
+@functools.lru_cache(maxsize=None)
+def _bk_beta_inverse(n_modes: int) -> np.ndarray:
+    """``beta^-1`` over GF(2), by the doubling of :func:`bk_beta_matrix`.
+
+    With ``B = beta_m`` the corner block of ``beta_2m`` is ``e_(m-1) 1^T``,
+    so that of the inverse is ``B^-1 e_(m-1) 1^T B^-1``.  Column ``m - 1`` of
+    ``B`` is ``e_(m-1)`` and its last row is all ones, so this is
+    ``e_(m-1) e_(m-1)^T``: the single bit ``[2m - 1, m - 1]``.
+    """
+    return _doubling(n_modes, lambda m: m - 1)
+
+
+def bk_number_operator_weight_from_beta(i: int, n_modes: int) -> int:
+    """Number-operator weight recovered from the encoder matrix.
+
+    Decoding ``n = beta^{-1} b`` expresses the occupation of mode i as the
+    parity of the qubits flagged in row i of the inverse; the weight of the
+    corresponding Z-string is the number of ones in that row.
+    """
+    _require_power_of_two(n_modes)
+    if not 0 <= i < n_modes:
+        raise IndexError(f"mode index {i} outside [0, {n_modes})")
+    return int(_bk_beta_inverse(n_modes)[i].sum())
+
+
 
 
 def bravyi_kitaev_bits(n_modes):

@@ -14,9 +14,10 @@ import numpy as np
 import pytest
 from scipy.linalg import expm, logm
 
-from conftest import (SEED, damped_random_state, decay_constant, dense_coefficients,
-                      dense_rotation, evolve_state, lightcone_correlation_check,
-                      random_normalized_observable, state_from_correlation)
+from conftest import (SEED, bk_beta_matrix, bk_number_operator_weight_from_beta,
+                      damped_random_state, decay_constant, dense_coefficients, dense_rotation,
+                      evolve_state, lightcone_correlation_check, random_normalized_observable,
+                      state_from_correlation)
 from fermion_noise import (
     EncodingWeightModel,
     GaussianState,
@@ -24,20 +25,20 @@ from fermion_noise import (
     ModeDiagonalState,
     PauliChannel,
     QuadraticObservable,
-    bk_beta_matrix,
+    attenuation_block,
     bk_max_number_operator_weight,
-    bk_number_operator_weight_from_beta,
     brickwork_circuit,
-    circuit_expectation,
     circulant_power_law_state,
+    fermi_sea,
     fermi_sea_1d,
     free_dispersion,
     measurement_error,
     momentum_error_map,
     momentum_grid,
     occupied_modes,
-    pair_attenuation,
-    tight_binding_ground_state_2d,
+    parity_of,
+    prefix_expectations,
+    tight_binding_dispersion,
 )
 from fermion_noise import cli
 from fermion_noise.bounds import (
@@ -99,7 +100,7 @@ def test_criterion_01_channel_eigenvalue_lock():
                     bilinear = gammas[a] @ gammas[b]
                     mapped = dense_pauli_channel(bilinear, n_modes, channel.p,
                                                  channel.alphas)
-                    lam = pair_attenuation(enc, channel, a, b, mode="exact")
+                    lam = attenuation_block(enc, channel, [a, b], "exact")[0, 1]
                     dev = np.abs(mapped - lam * bilinear).max()
                     assert dev <= 1e-12, (
                         f"bilinear ({a},{b}) at N={n_modes}: eigenvalue "
@@ -135,7 +136,7 @@ def test_criterion_02_dense_circuit_equivalence():
         circuit = brickwork_circuit(lat, radius=1, depth=depth, rng=rng)
 
         channel = PauliChannel.depolarizing(p)
-        lib_value = circuit_expectation(state, obs, circuit, channel, enc)
+        lib_value = prefix_expectations(state, obs, circuit, channel, enc)[-1]
 
         rho = dense_gaussian_density_matrix(state.gamma)
         for rotation in map(dense_rotation, circuit.layers):
@@ -297,7 +298,8 @@ def test_criterion_06_fermi_contour_sensitivity_2d():
     channel = PauliChannel.depolarizing(p)
     fractions = {}
     for n_occ in (300, 450, 700):
-        state, grid, occ = tight_binding_ground_state_2d(lat, n_occ)
+        grid = momentum_grid(lat, parity_of(n_occ))
+        state, occ = fermi_sea(grid, n_occ, tight_binding_dispersion)
         sens = np.abs(momentum_error_map(state, enc, channel, grid.momenta)) / p
 
         m = np.rint((grid.momenta - grid.momenta.min(axis=0))

@@ -213,6 +213,13 @@ class TestDecayParams:
         with pytest.raises(ValueError, match="phi0"):
             DecayParams(K=1.0, mu=2.0, D=1, phi0=-2)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_k_and_mu_rejected(self, bad):
+        with pytest.raises(ValueError, match="decay prefactor K must be finite"):
+            DecayParams(K=bad, mu=2.0, D=1, phi0=1)
+        with pytest.raises(ValueError, match="decay exponent mu must be finite"):
+            DecayParams(K=1.0, mu=bad, D=1, phi0=1)
+
     def test_stability_flag(self):
         assert DecayParams(K=1.0, mu=1.5, D=1, phi0=1).stable
         assert not DecayParams(K=1.0, mu=1.0, D=1, phi0=1).stable

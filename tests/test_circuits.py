@@ -26,12 +26,11 @@ from fermion_noise import (
     Layer,
     PauliChannel,
     QuadraticObservable,
+    attenuation_block,
     brickwork_circuit,
-    circuit_expectation,
     circulant_power_law_state,
     fermi_sea_1d,
     heisenberg_observable,
-    pair_attenuation,
     prefix_expectations,
 )
 from fermion_noise.gaussian import haar_rotations
@@ -270,11 +269,6 @@ class TestBrickworkConstruction:
             expected = _site_blocks(lat, layer_idx % dim, (layer_idx // dim) % block, block)
             assert got == sorted(expected, key=len), f"layer {layer_idx}"
 
-    def test_light_cone_radius_property(self):
-        circ = brickwork_circuit(Lattice(1, 6), 3, rng=np.random.default_rng(1))
-        assert circ.light_cone_radius() == 3
-        assert circ.light_cone_radius(depth=2) == 2
-
 
 class TestEvolution:
     def test_depth_zero_is_identity_even_with_noise(self):
@@ -309,8 +303,8 @@ class TestEvolution:
         ch = PauliChannel.depolarizing(0.12)
         obs = random_normalized_observable(lat, rng)
         forward = evolve_state(state, circ, ch, enc).expectation(obs)
-        pullback = circuit_expectation(state, obs, circ, ch, enc)
-        assert forward == pytest.approx(pullback, abs=1e-12)
+        sweep = prefix_expectations(state, obs, circ, ch, enc)[-1]
+        assert forward == pytest.approx(sweep, abs=1e-12)
 
     @pytest.mark.parametrize("p", [0.0, 0.2])
     def test_matches_dense_reference(self, rng, p):
@@ -345,11 +339,11 @@ class TestEvolution:
         obs = QuadraticObservable.number(lat, 0)
         for seed in range(24):
             circ = brickwork_circuit(lat, 1, rng=np.random.default_rng(seed))
-            ideal = circuit_expectation(state, obs, circ)
+            ideal = prefix_expectations(state, obs, circ)[-1]
             noisy = {}
             for mode in ("exact", "worst-case"):
-                noisy[mode] = circuit_expectation(state, obs, circ, ch, enc, mode=mode)
-                lam = pair_attenuation(enc, ch, 0, 1, mode)
+                noisy[mode] = prefix_expectations(state, obs, circ, ch, enc, mode=mode)[-1]
+                lam = attenuation_block(enc, ch, [0, 1], mode)[0, 1]
                 assert noisy[mode] - 0.5 == pytest.approx(lam * (ideal - 0.5), abs=1e-12), \
                     f"seed {seed}, {mode}"
             # Both noisy values shrink toward the maximally mixed value 1/2.
@@ -367,7 +361,7 @@ class TestEvolution:
         enc = EncodingWeightModel("jw1d", lat)
         p = 0.2
         obs = QuadraticObservable.number(lat, 0)
-        noisy = circuit_expectation(state, obs, circ, PauliChannel.depolarizing(p), enc)
+        noisy = prefix_expectations(state, obs, circ, PauliChannel.depolarizing(p), enc)[-1]
 
         rho = dense_gaussian_density_matrix(state.gamma, max_modes=6)
         for rot in map(dense_rotation, circ.layers):
@@ -406,7 +400,7 @@ class TestLightConePullback:
         assert_close(dense_coefficients(pulled), dense, 1e-12, "pullback")
         assert pulled.offset == obs.offset
         expected = obs.offset + float(np.sum(dense * state.gamma))
-        value = circuit_expectation(state, obs, circ, ch, enc, mode)
+        value = prefix_expectations(state, obs, circ, ch, enc, mode)[-1]
         assert value == pytest.approx(expected, abs=1e-12)
 
     @pytest.mark.parametrize("dim,length,radius,kind,ch,mode", CASES)
@@ -440,7 +434,6 @@ class TestLightConePullback:
         circ = brickwork_circuit(lat, 3, rng=np.random.default_rng(43))
         zero = QuadraticObservable(lat, np.zeros((16, 16)), offset=-0.25)
         ch = PauliChannel.depolarizing(0.3)
-        assert circuit_expectation(state, zero, circ, ch, enc) == -0.25
         assert prefix_expectations(state, zero, circ, ch, enc) == [-0.25] * 4
         assert not heisenberg_observable(zero, circ, ch, enc).block.any()
 
@@ -454,15 +447,15 @@ class TestLightConePullback:
         for d in range(depth + 1):
             prefix = Circuit(lattice=lat, radius=radius, layers=circ.layers[:d])
             support = heisenberg_observable(obs, prefix).support
-            assert to_pair[support // 2].max() <= circ.light_cone_radius(d), d
+            assert to_pair[support // 2].max() <= radius * d, d
         if length == 512:
             # 2 Majoranas on each of the 2 + 2 * 8 sites of the cone, of 1024.
-            assert len(support) <= 2 * (2 + 2 * circ.light_cone_radius())
+            assert len(support) <= 2 * (2 + 2 * radius * depth)
             assert len(support) <= lat.n_majorana // 16
 
 
 class TestPrefixExpectations:
-    def test_entries_match_circuit_expectation_per_prefix(self, rng):
+    def test_entries_match_the_pullback_per_prefix(self, rng):
         lat = Lattice(1, 10)
         enc = EncodingWeightModel("jw1d", lat)
         state = random_gaussian_state(lat, rng)
@@ -474,7 +467,7 @@ class TestPrefixExpectations:
             assert len(values) == full.depth + 1
             for d, value in enumerate(values):
                 prefix = Circuit(lattice=lat, radius=1, layers=full.layers[:d])
-                expected = circuit_expectation(state, obs, prefix, *noise)
+                expected = state.expectation(heisenberg_observable(obs, prefix, *noise))
                 assert value == pytest.approx(expected, abs=1e-12), (noise, d)
 
     # (dim, length, radius, encoding, channel, mode): odd lengths and the
@@ -610,9 +603,9 @@ class TestObservableNormContraction:
 class TestErrorCurve:
     @staticmethod
     def _errors(state, obs, circ, enc, p_grid):
-        ideal = circuit_expectation(state, obs, circ)
-        return np.array([abs(circuit_expectation(state, obs, circ, PauliChannel.depolarizing(p),
-                                                 enc) - ideal) for p in p_grid])
+        ideal = prefix_expectations(state, obs, circ)[-1]
+        return np.array([abs(prefix_expectations(state, obs, circ, PauliChannel.depolarizing(p),
+                                                 enc)[-1] - ideal) for p in p_grid])
 
     def test_zero_noise_gives_zero_error(self, rng):
         lat = Lattice(1, 6)

@@ -1,25 +1,22 @@
 """Tests for the Pauli-weight models of the fermion-to-qubit encodings."""
 
 import itertools
-from dataclasses import astuple
 from typing import Set, Tuple
 
 import numpy as np
 import pytest
 
 import fermion_noise.encodings as encodings_module
-from conftest import flavor_blocks, interleave_flavors, jordan_wigner_bits, reference_counts, \
-    table_bits, table_strings
+from conftest import _bk_beta_inverse, bk_beta_matrix, bk_number_operator_weight_from_beta, \
+    flavor_blocks, interleave_flavors, jordan_wigner_bits, reference_counts, table_bits, \
+    table_strings
 from fermion_noise import (
     ENCODING_KINDS,
     EncodingWeightModel,
     Lattice,
     PauliChannel,
-    StringComposition,
     attenuation_block,
-    bk_beta_matrix,
     bk_max_number_operator_weight,
-    bk_number_operator_weight_from_beta,
     snake_index_vector,
 )
 from oracle import dense_majorana, gf2_inverse, pauli_string
@@ -81,8 +78,8 @@ def bk_number_operator_weight(i: int, n_modes: int) -> int:
     return len(occupation_set(i))
 
 
-def jw1d_composition(x: int, y: int, flavor_x: int, flavor_y: int) -> StringComposition:
-    """Composition of the 1D Jordan-Wigner string for gamma_a gamma_b.
+def jw1d_composition(x: int, y: int, flavor_x: int, flavor_y: int) -> Tuple[int, int, int]:
+    """X, Y and Z counts of the 1D Jordan-Wigner string for gamma_a gamma_b.
 
     For sites ``x < y`` the product collapses to an endpoint factor at each
     site and Z on everything strictly between: the left endpoint is Y for
@@ -90,7 +87,7 @@ def jw1d_composition(x: int, y: int, flavor_x: int, flavor_y: int) -> StringComp
     flavor 2.  Equal sites with different flavors give a single Z.
     """
     if x == y:
-        return StringComposition(0, 0, 1)
+        return 0, 0, 1
     if x < y:
         lo_flavor, hi_flavor = flavor_x, flavor_y
     else:
@@ -100,7 +97,7 @@ def jw1d_composition(x: int, y: int, flavor_x: int, flavor_y: int) -> StringComp
     right = "X" if hi_flavor == 1 else "Y"
     n_x = (left == "X") + (right == "X")
     n_y = (left == "Y") + (right == "Y")
-    return StringComposition(int(n_x), int(n_y), y - x - 1)
+    return int(n_x), int(n_y), y - x - 1
 
 
 def _weights(enc):
@@ -198,30 +195,26 @@ class TestJordanWigner1d:
 
     def test_same_site_bilinear_is_single_z(self):
         enc = EncodingWeightModel("jw1d", Lattice(1, 4))
-        comp = enc.string_composition(4, 5)
-        assert comp == StringComposition(0, 0, 1)
-        assert comp.weight == 1
+        assert enc.pair_weights([4, 5], counts=True)[:, 0, 1].tolist() == [0, 0, 1]
+        assert enc.bilinear_weight(4, 5) == 1
 
     def test_neighbor_composition(self):
         # gamma^1_x gamma^1_{x+1} collapses to Y_x X_{x+1}.
         enc = EncodingWeightModel("jw1d", Lattice(1, 4))
-        comp = enc.string_composition(0, 2)
-        assert (comp.n_x, comp.n_y, comp.n_z) == (1, 1, 0)
+        assert enc.pair_weights([0, 2], counts=True)[:, 0, 1].tolist() == [1, 1, 0]
 
     def test_composition_symmetric_in_the_pair(self):
         enc = EncodingWeightModel("jw1d", Lattice(1, 6))
         for a, b in [(0, 5), (1, 8), (7, 2)]:
-            assert enc.string_composition(a, b) == enc.string_composition(b, a)
+            counts = enc.pair_weights([a, b], counts=True)
+            assert np.array_equal(counts[:, 0, 1], counts[:, 1, 0])
 
     def test_composition_rejected_elsewhere(self):
         enc = EncodingWeightModel("local", Lattice(1, 4))
         with pytest.raises(ValueError, match="'local'"):
-            enc.string_composition(0, 1)
+            enc.pair_weights([0, 1], counts=True)
         with pytest.raises(ValueError, match="worst-case"):
             enc.pair_weights(np.arange(8), counts=True)
-        jw = EncodingWeightModel("jw1d", Lattice(1, 4))
-        with pytest.raises(ValueError, match="distinct"):
-            jw.string_composition(3, 3)
 
 
 class TestSnakeWeights:
@@ -259,7 +252,7 @@ class TestSnakeWeights:
         enc = EncodingWeightModel("jw2d_snake", Lattice(2, 6))
         for a, b in [(0, 5), (3, 40), (71, 2), (10, 11), (0, 5)]:
             enc.bilinear_weight(a, b)
-            enc.string_composition(a, b)
+            enc.pair_weights([a, b], counts=True)
         _count_matrices(enc)
         assert len(calls) == 1
 
@@ -282,7 +275,7 @@ class TestBravyiKitaev:
     @pytest.mark.parametrize("n", [2 ** k for k in range(12)])
     def test_doubled_inverse_is_the_gf2_elimination(self, n):
         beta = bk_beta_matrix(n)
-        inv = encodings_module._bk_beta_inverse(n)
+        inv = _bk_beta_inverse(n)
         assert np.array_equal(inv, gf2_inverse(beta))
         product = beta.astype(np.float32) @ inv.astype(np.float32)  # exact below 2**24
         assert np.array_equal(product % 2, np.eye(n))
@@ -406,7 +399,7 @@ class TestSymplecticTable:
         for a in range(2 * n):
             for b in range(2 * n):
                 if a != b:
-                    ref[:, a, b] = astuple(jw1d_composition(a // 2, b // 2, a % 2 + 1, b % 2 + 1))
+                    ref[:, a, b] = jw1d_composition(a // 2, b // 2, a % 2 + 1, b % 2 + 1)
         assert np.array_equal(counts, ref)
 
     def test_snake_weights_match_the_closed_form_on_16x16(self):
@@ -459,22 +452,12 @@ class TestIndexSetPairs:
         assert w.tolist() == [[2, 2, 4, 4], [2, 2, 4, 4], [4, 4, 2, 6], [4, 4, 6, 2]]
 
 
-def _refuse_the_table(monkeypatch):
-    """Fail any build of the Bravyi-Kitaev encoder matrices, from which a Pauli table is made."""
-    def refuse(*args):
-        raise AssertionError("encoder matrix built for a pair weight")
-
-    monkeypatch.setattr(encodings_module, "bk_beta_matrix", refuse)
-    monkeypatch.setattr(encodings_module, "_bk_beta_inverse", refuse)
-
-
 class TestSingleWeights:
     @pytest.mark.parametrize("kind,dim,length", [("jw1d", 1, 8), ("jw2d_snake", 2, 4)])
-    def test_jordan_wigner_single_weights_read_no_table(self, monkeypatch, kind, dim, length):
+    def test_jordan_wigner_single_weights_read_no_table(self, kind, dim, length):
         lat = Lattice(dim, length)
         pairs = [(a, b) for a in range(lat.n_majorana) for b in range(lat.n_majorana) if a != b]
         from_table = reference_counts(*jordan_wigner_bits(lat)).sum(axis=0)
-        _refuse_the_table(monkeypatch)
         enc = EncodingWeightModel(kind, lat)
         assert [enc.bilinear_weight(a, b) for a, b in pairs] == [from_table[p] for p in pairs]
 
@@ -484,15 +467,14 @@ class TestJordanWignerCounts:
 
     @pytest.mark.parametrize("kind,dim,length", [("jw1d", 1, 8), ("jw2d_snake", 2, 4),
                                                  ("bravyi_kitaev", 1, 16)])
-    def test_counts_and_non_uniform_attenuation_read_no_table(self, monkeypatch, kind, dim,
-                                                              length):
-        # Bravyi-Kitaev too answers from index arithmetic, not its encoder matrices.
+    def test_counts_and_non_uniform_attenuation_read_no_table(self, kind, dim, length):
+        # Bravyi-Kitaev too answers from index arithmetic: its encoder matrices
+        # are test references (conftest.py), not in the package.
         lat = Lattice(dim, length)
         ref = reference_counts(*table_bits(EncodingWeightModel(kind, lat)))
-        _refuse_the_table(monkeypatch)
         enc = EncodingWeightModel(kind, lat)
         assert np.array_equal(_count_matrices(enc), ref)
-        assert astuple(enc.string_composition(3, 12)) == tuple(ref[:, 3, 12])
+        assert tuple(enc.pair_weights([3, 12], counts=True)[:, 0, 1]) == tuple(ref[:, 3, 12])
         idx = np.array([0, 3, 7, 12, 13])
         ch = PauliChannel(0.2, (0.6, 0.1, 0.3))
         etas = np.array(ch.etas)[:, None, None]
@@ -505,7 +487,7 @@ class TestJordanWignerCounts:
     def test_counts_match_the_dense_product_strings(self, kind, dim, length):
         # Every product of two dense Majoranas is one Pauli string: find it
         # among all 4^n strings and count its X, Y and Z factors.  The count
-        # blocks, string_composition and bilinear_weight must all agree.
+        # blocks, the pair's own index set and bilinear_weight must all agree.
         lat = Lattice(dim, length)
         n = lat.n_sites
         enc = EncodingWeightModel(kind, lat)
@@ -519,7 +501,8 @@ class TestJordanWignerCounts:
             found = labels[int(np.argmax(overlap))]
             assert overlap.max() == pytest.approx(2 ** n)
             census = tuple(found.count(p) for p in "XYZ")
-            assert tuple(counts[:, a, b]) == astuple(enc.string_composition(a, b)) == census
+            single = tuple(enc.pair_weights([a, b], counts=True)[:, 0, 1])
+            assert tuple(counts[:, a, b]) == single == census
             assert enc.bilinear_weight(a, b) == sum(census)
 
     @pytest.mark.parametrize("kind,dim,length", [("jw1d", 1, 200), ("jw2d_snake", 2, 16)])

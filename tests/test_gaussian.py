@@ -30,8 +30,8 @@ from fermion_noise import (
     momentum_grid,
     momentum_occupation,
     occupied_modes,
+    parity_of,
     tight_binding_dispersion,
-    tight_binding_ground_state_2d,
 )
 import fermion_noise.gaussian as gaussian_module
 from fermion_noise.gaussian import haar_rotations
@@ -64,12 +64,21 @@ class TestQuadraticObservable:
         with pytest.raises(ValueError, match="components"):
             QuadraticObservable.momentum_occupation(lat, [0.1, 0.2])
 
-    def test_scaled(self):
-        lat = Lattice(1, 2)
-        obs = QuadraticObservable.number(lat, 0).scaled(3.0)
-        state = GaussianState.vacuum(lat)
-        assert state.expectation(obs) == pytest.approx(0.0, abs=1e-12)
-        assert obs.offset == pytest.approx(1.5)
+    @pytest.mark.parametrize("build", [
+        lambda lat: QuadraticObservable.number(lat, 1.5),
+        lambda lat: QuadraticObservable.number(lat, np.float64(1)),
+        lambda lat: QuadraticObservable.hopping(lat, 0, 1.5),
+        lambda lat: QuadraticObservable.hopping(lat, 1.0, 2),
+    ])
+    def test_non_integer_sites_rejected(self, build):
+        with pytest.raises(TypeError):
+            build(Lattice(1, 4))
+
+    def test_numpy_integer_sites_accepted(self):
+        lat = Lattice(1, 4)
+        assert QuadraticObservable.number(lat, np.int64(1)).support.tolist() == [2, 3]
+        assert QuadraticObservable.hopping(lat, np.int32(2), np.uint8(0)).support.tolist() == \
+            [0, 1, 4, 5]
 
     def test_trace_norms(self):
         lat = Lattice(1, 6)
@@ -176,7 +185,8 @@ class TestFermiSeas:
     def test_single_particle_tight_binding_plane(self):
         # One particle condenses into k = (0, 0): C_xy = 1/4 everywhere.
         lat = Lattice(2, 2)
-        state, grid, occ = tight_binding_ground_state_2d(lat, 1)
+        grid = momentum_grid(lat, parity_of(1))
+        state, occ = fermi_sea(grid, 1, tight_binding_dispersion)
         assert len(occ) == 1
         assert (grid.momenta[occ[0]] == 0.0).all()
         assert_close(correlation_of(state), np.full((4, 4), 0.25), 1e-12, "condensate")
@@ -206,8 +216,6 @@ class TestFermiSeas:
     def test_dimension_checks(self):
         with pytest.raises(ValueError, match="1D"):
             fermi_sea_1d(Lattice(2, 4), 2)
-        with pytest.raises(ValueError, match="2D"):
-            tight_binding_ground_state_2d(Lattice(1, 4), 2)
 
     def test_fermi_sea_fills_by_its_dispersion(self):
         lat = Lattice(2, 6)
@@ -215,9 +223,9 @@ class TestFermiSeas:
         _, occ = fermi_sea(grid, 9)
         assert np.array_equal(occ, occupied_modes(grid, 9, free_dispersion(grid.momenta)))
         state, occ = fermi_sea(grid, 9, tight_binding_dispersion)
-        reference, _, occ_reference = tight_binding_ground_state_2d(lat, 9)
-        assert np.array_equal(occ, occ_reference)
-        assert np.array_equal(state.occupations, reference.occupations)
+        energies = tight_binding_dispersion(grid.momenta)
+        assert np.array_equal(np.sort(energies[occ]), np.sort(energies)[:9])
+        assert np.array_equal(np.flatnonzero(state.occupations), occ)
 
 
 class TestOccupiedModes:
@@ -281,7 +289,7 @@ class TestModeDiagonalState:
         state, grid, occ = fermi_sea_1d(Lattice(1, 8), 3)
         assert isinstance(state, ModeDiagonalState) and state.grid is grid
         assert state.occupations.sum() == 3 and (state.occupations[occ] == 1).all()
-        state2d, _, _ = tight_binding_ground_state_2d(Lattice(2, 4), 5)
+        state2d, _ = fermi_sea(momentum_grid(Lattice(2, 4), "odd"), 5, tight_binding_dispersion)
         assert isinstance(state2d, ModeDiagonalState) and state2d._gamma is None
 
     def test_occupations_outside_the_unit_interval_are_unphysical(self):
@@ -395,7 +403,7 @@ class TestCovarianceBlock:
 
     @pytest.mark.parametrize("lattice_state", [
         lambda: fermi_sea_1d(Lattice(1, 64), 31)[0],
-        lambda: tight_binding_ground_state_2d(Lattice(2, 8), 21)[0],
+        lambda: fermi_sea(momentum_grid(Lattice(2, 8), "odd"), 21, tight_binding_dispersion)[0],
     ])
     def test_site_occupation_reads_the_block(self, monkeypatch, lattice_state):
         sea = lattice_state()

@@ -10,7 +10,6 @@ from fermion_noise import (
     Lattice,
     momentum_grid,
     parity_of,
-    snake_index,
     snake_index_vector,
 )
 
@@ -53,16 +52,23 @@ class TestLatticeBasics:
         assert lat.site_index((1, 0)) == 1
         assert lat.site_index((0, 1)) == 4
         assert lat.site_index((3, 2)) == 11
+        assert lat.site_index((np.int64(3), np.int32(2))) == 11
+        assert lat.site_index(np.array([3, 2], dtype=np.uint8)) == 11
 
     def test_site_index_round_trip(self):
         lat = Lattice(2, 5)
         for idx in range(lat.n_sites):
-            assert lat.site_index(lat.site_coords(idx)) == idx
+            assert lat.site_index(lat.coords[idx]) == idx
 
-    def test_coords_table_matches_site_coords(self):
+    def test_coords_table_matches_site_index(self):
         lat = Lattice(2, 3)
-        for idx in range(lat.n_sites):
-            assert tuple(lat.coords[idx]) == lat.site_coords(idx)
+        for x, y in itertools.product(range(3), repeat=2):
+            assert tuple(lat.coords[lat.site_index((x, y))]) == (x, y)
+
+    @pytest.mark.parametrize("coords", [(1.5, 0), (1.0, 0), (np.float64(1), 0)])
+    def test_site_index_rejects_non_integer_coordinates(self, coords):
+        with pytest.raises(TypeError, match="integer"):
+            Lattice(2, 4).site_index(coords)
 
     def test_coords_read_only(self):
         lat = Lattice(1, 4)
@@ -73,8 +79,6 @@ class TestLatticeBasics:
         lat = Lattice(2, 4)
         with pytest.raises(IndexError):
             lat.site_index((4, 0))
-        with pytest.raises(IndexError):
-            lat.site_coords(16)
         with pytest.raises(ValueError):
             lat.site_index((1, 2, 3))
 
@@ -152,12 +156,10 @@ class TestDisplacementBox:
 class TestSnakeOrdering:
     def test_small_lattice_values(self):
         lat = Lattice(2, 4)
+        vec = snake_index_vector(lat)
         # row 0 runs left to right, row 1 right to left
-        assert snake_index(lat, 0, 0) == 0
-        assert snake_index(lat, 3, 0) == 3
-        assert snake_index(lat, 3, 1) == 4
-        assert snake_index(lat, 0, 1) == 7
-        assert snake_index(lat, 0, 2) == 8
+        for (x, y), expected in {(0, 0): 0, (3, 0): 3, (3, 1): 4, (0, 1): 7, (0, 2): 8}.items():
+            assert vec[lat.site_index((x, y))] == expected
 
     def test_consecutive_indices_are_neighbors(self):
         lat = Lattice(2, 6)
@@ -167,12 +169,11 @@ class TestSnakeOrdering:
             da = np.abs(lat.coords[a] - lat.coords[b]).sum()
             assert da == 1
 
-    def test_vector_matches_scalar(self):
+    def test_vector_matches_formula(self):
         lat = Lattice(2, 5)
         vec = snake_index_vector(lat)
-        for idx in range(lat.n_sites):
-            x, y = lat.site_coords(idx)
-            assert vec[idx] == snake_index(lat, x, y)
+        for x, y in itertools.product(range(5), repeat=2):
+            assert vec[lat.site_index((x, y))] == 5 * y + (x if y % 2 == 0 else 4 - x)
 
     def test_is_a_bijection(self):
         vec = snake_index_vector(Lattice(2, 6))
@@ -180,7 +181,7 @@ class TestSnakeOrdering:
 
     def test_requires_2d(self):
         with pytest.raises(ValueError):
-            snake_index(Lattice(1, 4), 0, 0)
+            snake_index_vector(Lattice(1, 4))
 
 
 class TestMomentumGrids:

@@ -8,14 +8,15 @@ from conftest import assert_close, attenuation_matrix, box_covariance_block, \
     dense_momentum_error_map, displacement_index, fold_drop_box, random_correlation, \
     random_normalized_observable, random_pure_state, state_from_correlation, table_strings
 from fermion_noise import (
+    MODES,
     EncodingWeightModel,
     GaussianState,
     Lattice,
     ModeDiagonalState,
     PauliChannel,
     QuadraticObservable,
-    StringComposition,
     attenuation_block,
+    fermi_sea,
     fermi_sea_1d,
     measurement_error,
     momentum_error_map,
@@ -24,9 +25,9 @@ from fermion_noise import (
     free_dispersion,
     noisy_expectation,
     occupied_modes,
-    pair_attenuation,
+    parity_of,
     snake_index_vector,
-    tight_binding_ground_state_2d,
+    tight_binding_dispersion,
 )
 from fermion_noise import encodings
 from fermion_noise.noise import _mode_etas
@@ -55,6 +56,12 @@ class TestPauliChannel:
         with pytest.raises(ValueError, match="sum to 1"):
             PauliChannel(0.1, alphas=(0.5, 0.3, 0.1))
 
+    @pytest.mark.parametrize("alphas", [(np.nan, 0.5, 0.5), (0.5, np.inf, 0.5),
+                                        (np.nan, np.nan, np.nan), (-np.inf, 1.0, 1.0)])
+    def test_non_finite_alphas_rejected(self, alphas):
+        with pytest.raises(ValueError, match="alphas must be three finite"):
+            PauliChannel(0.01, alphas)
+
     def test_depolarizing_properties(self):
         ch = PauliChannel.depolarizing(0.2)
         assert ch.is_depolarizing
@@ -74,8 +81,8 @@ class TestPauliChannel:
         ch = PauliChannel(0.3, alphas=(0.5, 0.3, 0.2))
         ex, ey, ez = ch.etas
         enc = EncodingWeightModel("jw1d", Lattice(1, 4))
-        assert enc.string_composition(0, 6) == StringComposition(1, 1, 2)
-        assert pair_attenuation(enc, ch, 0, 6) == pytest.approx(ex * ey * ez**2, abs=1e-14)
+        assert enc.pair_weights([0, 6], counts=True)[:, 0, 1].tolist() == [1, 1, 2]
+        assert attenuation_block(enc, ch, [0, 6])[0, 1] == pytest.approx(ex * ey * ez**2, abs=1e-14)
 
     def test_uniform_mix_etas_are_one_minus_p(self):
         # The weight-only attenuation (1 - p)^w reads etas[0]; it must be
@@ -86,7 +93,7 @@ class TestPauliChannel:
         assert ch.worst_factor == pytest.approx(0.85, abs=1e-15)
         enc = EncodingWeightModel("jw1d", Lattice(1, 4))
         assert enc.bilinear_weight(0, 2) == 2
-        assert pair_attenuation(enc, ch, 0, 2, mode="worst-case") == \
+        assert attenuation_block(enc, ch, [0, 2], "worst-case")[0, 1] == \
             pytest.approx(0.7225, abs=1e-12)
 
 
@@ -107,7 +114,7 @@ class TestChannelEigenvalueLaw:
                     continue
                 op = gammas[a] @ gammas[b]
                 out = dense_pauli_channel(op, n, channel.p, channel.alphas)
-                lam = pair_attenuation(enc, channel, a, b)
+                lam = attenuation_block(enc, channel, [a, b])[0, 1]
                 assert_close(out, lam * op, 1e-12, f"bilinear ({a}, {b})")
 
     def test_exact_factor_sits_between_worst_case_and_one(self, rng):
@@ -117,7 +124,7 @@ class TestChannelEigenvalueLaw:
             alphas = rng.dirichlet(np.ones(3))
             ch = PauliChannel(p, alphas=tuple(alphas))
             a, b = rng.choice(8, size=2, replace=False)
-            lam = pair_attenuation(enc, ch, int(a), int(b))
+            lam = attenuation_block(enc, ch, [int(a), int(b)])[0, 1]
             floor = ch.worst_factor ** enc.bilinear_weight(int(a), int(b))
             assert floor - 1e-12 <= lam <= 1.0 + 1e-12
 
@@ -142,7 +149,8 @@ class TestAttenuationMatrices:
         for a in range(6):
             for b in range(6):
                 if a != b:
-                    assert lam[a, b] == pytest.approx(pair_attenuation(enc, ch, a, b), abs=1e-14)
+                    single = attenuation_block(enc, ch, [a, b])[0, 1]
+                    assert lam[a, b] == pytest.approx(single, abs=1e-14)
 
     def test_non_uniform_mix_needs_composition(self):
         enc = EncodingWeightModel("local", Lattice(1, 4))
@@ -176,7 +184,7 @@ class TestAttenuationMatrices:
     def test_non_uniform_mix_matches_the_dense_channel(self, kind, dim, length):
         # Exact anisotropic attenuation on every concrete encoding: render
         # each bilinear from the encoding's own table and apply the dense
-        # channel; the bilinear must come back scaled by pair_attenuation.
+        # channel; the bilinear must come back scaled by its attenuation.
         enc = EncodingWeightModel(kind, Lattice(dim, length))
         gammas = table_strings(enc)
         n = enc.lattice.n_sites
@@ -186,7 +194,7 @@ class TestAttenuationMatrices:
             for b in range(a + 1, 2 * n):
                 op = gammas[a] @ gammas[b]
                 out = dense_pauli_channel(op, n, ch.p, ch.alphas)
-                factor = pair_attenuation(enc, ch, a, b)
+                factor = attenuation_block(enc, ch, [a, b])[0, 1]
                 assert_close(out, factor * op, 1e-12, f"{kind} bilinear ({a}, {b})")
                 assert lam[a, b] == pytest.approx(factor, abs=1e-14)
 
@@ -222,27 +230,10 @@ class TestSinglePairsAreIndexSets:
     """A query on one bilinear is the index-set query at ``[a, b]``, bit for bit."""
 
     @pytest.mark.parametrize("kind,lat", _SINGLE_PAIR_ENCODINGS)
-    @pytest.mark.parametrize("mode", ["exact", "worst-case"])
-    @pytest.mark.parametrize("ch", [PauliChannel.depolarizing(0.15),
-                                    PauliChannel(0.2, (0.5, 0.3, 0.2))])
-    def test_pair_attenuation(self, kind, lat, mode, ch):
-        enc = EncodingWeightModel(kind, lat)
-        if kind == "local" and mode == "exact" and not ch.is_depolarizing:
-            with pytest.raises(ValueError, match="worst-case"):
-                pair_attenuation(enc, ch, 0, 1, mode)
-            return
-        for a, b in _all_pairs(enc):
-            assert pair_attenuation(enc, ch, a, b, mode) == \
-                attenuation_block(enc, ch, [a, b], mode)[0, 1], (a, b)
-
-    @pytest.mark.parametrize("kind,lat", _SINGLE_PAIR_ENCODINGS)
-    def test_weight_and_composition(self, kind, lat):
+    def test_weight(self, kind, lat):
         enc = EncodingWeightModel(kind, lat)
         for a, b in _all_pairs(enc):
             assert enc.bilinear_weight(a, b) == enc.pair_weights([a, b])[0, 1], (a, b)
-            if kind != "local":
-                counts = enc.pair_weights([a, b], counts=True)[:, 0, 1]
-                assert enc.string_composition(a, b) == StringComposition(*counts), (a, b)
 
     @pytest.mark.parametrize("kind,lat", _SINGLE_PAIR_ENCODINGS)
     def test_pair_errors(self, kind, lat):
@@ -251,11 +242,9 @@ class TestSinglePairsAreIndexSets:
         n = lat.n_majorana
         for a, b in [(0, n), (n, 0), (-1, 0)]:
             with pytest.raises(IndexError):
-                pair_attenuation(enc, ch, a, b)
+                attenuation_block(enc, ch, [a, b])
             with pytest.raises(IndexError):
                 enc.bilinear_weight(a, b)
-        with pytest.raises(ValueError, match="distinct"):
-            pair_attenuation(enc, ch, 3, 3)
         with pytest.raises(ValueError, match="distinct"):
             enc.bilinear_weight(3, 3)
 
@@ -368,7 +357,7 @@ class TestSupportHeldMeasurement:
         if dim == 1:
             sea, _, _ = fermi_sea_1d(lat, 21)
         else:
-            sea, _, _ = tight_binding_ground_state_2d(lat, 13)
+            sea, _ = fermi_sea(momentum_grid(lat, parity_of(13)), 13, tight_binding_dispersion)
         dense = GaussianState(lat, sea.gamma)
         state = ModeDiagonalState(sea.grid, sea.occupations)
         enc = EncodingWeightModel(kind, lat)
@@ -425,7 +414,8 @@ class TestMomentumErrorMap:
 
     def test_two_dimensional_map(self):
         lat = Lattice(2, 4)
-        state, grid, _ = tight_binding_ground_state_2d(lat, 5)
+        grid = momentum_grid(lat, parity_of(5))
+        state, _ = fermi_sea(grid, 5, tight_binding_dispersion)
         enc = EncodingWeightModel("local", lat, phi0=1)
         ch = PauliChannel.depolarizing(0.05)
         errors = momentum_error_map(state, enc, ch, grid.momenta)
@@ -444,6 +434,29 @@ class TestMomentumErrorMap:
             momentum_error_map(state, enc, ch, np.array([0.1, 0.2]))
         out = momentum_error_map(state, enc, ch, np.array([[0.1], [0.2]]))
         assert out.shape == (2,)
+
+    @pytest.mark.parametrize("dim,length,kind", [
+        (2, 16, "local"), (2, 16, "jw2d_snake"), (2, 16, "bravyi_kitaev"), (2, 64, "local"),
+        (1, 64, "jw1d"), (1, 64, "bravyi_kitaev"), (1, 30, "local")])
+    def test_zero_mode_identity(self, dim, length, kind):
+        # sum_k e^{ikr} = N delta_r0 on a whole grid, so the errors of all its
+        # modes sum to the on-site cross-flavor drop, summed over sites, times
+        # the on-site <gamma_2x gamma_2x+1> part, n_bar - 1/2.
+        lat = Lattice(dim, length)
+        enc = EncodingWeightModel(kind, lat)
+        dispersion = tight_binding_dispersion if dim == 2 else free_dispersion
+        for n_occ in (5, 12, lat.n_sites // 3):
+            grid = momentum_grid(lat, parity_of(n_occ))
+            state, _ = fermi_sea(grid, n_occ, dispersion)
+            for ch in (PauliChannel.depolarizing(0.1), PauliChannel(0.1, (0.1, 0.1, 0.8))):
+                for mode in MODES:
+                    if kind == "local" and mode == "exact" and not ch.is_depolarizing:
+                        continue
+                    total = momentum_error_map(state, enc, ch, grid.momenta, mode).sum()
+                    cross = enc.drop_box(_mode_etas(ch, mode))[1]
+                    expected = cross[(0,) * dim] * (n_occ / lat.n_sites - 0.5)
+                    assert abs(total - expected) <= 1e-12 * max(1.0, abs(expected)), \
+                        (n_occ, ch.alphas, mode)
 
 
 def per_momentum_error(state, enc, channel, k, mode):
@@ -663,7 +676,8 @@ class TestFenwickLevels:
 
     def test_the_map_at_64_by_64_builds_no_pair_table(self, monkeypatch):
         lat = Lattice(2, 64)
-        state, grid, _ = tight_binding_ground_state_2d(lat, 1000)
+        grid = momentum_grid(lat, parity_of(1000))
+        state, _ = fermi_sea(grid, 1000, tight_binding_dispersion)
         p = 0.01
         same, cross = _streamed_drop_box(lat, 1.0 - p, _fenwick_weights(lat))
         want = state.occupation_shift(same, cross, grid.momenta)
@@ -684,7 +698,8 @@ class TestFenwickLevels:
         ch = PauliChannel.depolarizing(0.1)
         errors = []
         for n_occ in (10, 20):
-            state, grid, _ = tight_binding_ground_state_2d(lat, n_occ)
+            grid = momentum_grid(lat, parity_of(n_occ))
+            state, _ = fermi_sea(grid, n_occ, tight_binding_dispersion)
             errors.append(momentum_error_map(state, enc, ch, grid.momenta))
         assert list(enc._drop_boxes) == [ch.etas]
         momentum_error_map(state, enc, ch, grid.momenta, "worst-case")
@@ -696,7 +711,8 @@ class TestFenwickLevels:
     def test_a_sweep_over_p_keeps_a_bounded_number_of_drop_boxes(self):
         lat = Lattice(2, 8)
         enc = EncodingWeightModel("bravyi_kitaev", lat)
-        state, grid, _ = tight_binding_ground_state_2d(lat, 20)
+        grid = momentum_grid(lat, parity_of(20))
+        state, _ = fermi_sea(grid, 20, tight_binding_dispersion)
         sweep = np.linspace(0.001, 0.5, 50)
         for p in np.concatenate([sweep, sweep[:3]]):
             ch = PauliChannel.depolarizing(float(p))
@@ -748,7 +764,8 @@ class TestJordanWignerBox:
 
     def test_the_snake_at_64_by_64_builds_no_pair_table(self, monkeypatch):
         lat = Lattice(2, 64)
-        state, grid, _ = tight_binding_ground_state_2d(lat, 1000)
+        grid = momentum_grid(lat, parity_of(1000))
+        state, _ = fermi_sea(grid, 1000, tight_binding_dispersion)
         p = 0.01
         order = snake_index_vector(lat).astype(np.int64)
         same, cross = _streamed_drop_box(
