@@ -1,9 +1,9 @@
 """Noise stability of fermionic observables under qubit encodings.
 
-Free-fermion states are carried as Majorana covariance matrices (or, when
-diagonal in momentum, as their mode occupations), fermion-to-qubit
-encodings as Pauli-weight models, and single-qubit Pauli noise as an
-eigenvalue attenuation of each encoded bilinear.  On top of that sit noisy
+Free-fermion states are carried as their mode occupations (states diagonal
+in momentum) and read through their Majorana covariance on index sets,
+fermion-to-qubit encodings as Pauli-weight models, and single-qubit Pauli
+noise as an eigenvalue attenuation of each encoded bilinear.  On top of that sit noisy
 free-fermion brickwork circuits and closed-form stability bounds for
 power-law-correlated states.  The small dense oracle that pins every sign
 convention lives with the test suite.
@@ -25,7 +25,6 @@ from .encodings import (
     bk_max_number_operator_weight,
 )
 from .gaussian import (
-    GaussianState,
     ModeDiagonalState,
     QuadraticObservable,
     circulant_power_law_state,

@@ -61,7 +61,7 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 
 from .encodings import EncodingWeightModel
-from .gaussian import GaussianState, QuadraticObservable, haar_rotations
+from .gaussian import CovarianceBlocks, QuadraticObservable, haar_rotations
 from .lattice import Lattice
 from .noise import PauliChannel, attenuation_block
 
@@ -236,7 +236,7 @@ def heisenberg_observable(obs: QuadraticObservable, circuit: Circuit,
                                validate=False)
 
 
-def prefix_expectations(state: GaussianState, obs: QuadraticObservable,
+def prefix_expectations(state: CovarianceBlocks, obs: QuadraticObservable,
                         circuit: Circuit,
                         channel: Optional[PauliChannel] = None,
                         enc: Optional[EncodingWeightModel] = None,
@@ -252,7 +252,8 @@ def prefix_expectations(state: GaussianState, obs: QuadraticObservable,
     ``depth`` window steps and ``depth`` damping calls when noisy, none when
     ideal, at ``O(|W|^2 k)`` each; entry ``d`` equals
     ``state.expectation(heisenberg_observable(...))`` on the first ``d``
-    layers, summed in another order.
+    layers, summed in another order.  ``state`` is any object with
+    ``lattice`` and ``covariance_block``.
     """
     damping = _layer_damping(circuit, channel, enc, mode)
     order = np.argsort(obs.support)

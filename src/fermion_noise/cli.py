@@ -59,7 +59,7 @@ from .circuits import brickwork_circuit, prefix_expectations
 from .encodings import ENCODING_KINDS, EncodingWeightModel, bk_max_number_operator_weight
 from .errors import ConfigError, InvariantViolation
 from .gaussian import QuadraticObservable, circulant_power_law_state, fermi_sea, fermi_sea_1d, \
-    tight_binding_dispersion
+    momentum_occupation, tight_binding_dispersion
 from .lattice import Lattice, momentum_grid, parity_of
 from .noise import MODES, P_MAX, PauliChannel, momentum_error_map
 
@@ -264,9 +264,7 @@ def _run_fermi1d(cfg: Dict[str, object]) -> Table:
         q0 = 2.0 * np.pi / length
         momenta = np.array([[k_fermi], [q0]])
         err_kf, err_q0 = momentum_error_map(state, enc, channel, momenta, cfg["mode"])
-        # <n_k> at both momenta at once: momentum_occupation's sum, every drop 1.
-        pairs = lattice.displacement_multiplicity()
-        n_kf, n_q0 = 0.5 + state.occupation_shift(pairs, pairs, momenta)
+        n_kf, n_q0 = momentum_occupation(state, momenta)
         rows.append({
             "N": length,
             "n_noisy_kf": n_kf - err_kf,

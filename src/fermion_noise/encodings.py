@@ -52,12 +52,11 @@ on the state, and the last few are kept on the model.
 
 from __future__ import annotations
 
-from functools import cached_property
 from typing import Dict, Tuple
 
 import numpy as np
 
-from .lattice import Lattice, snake_index_vector
+from .lattice import Lattice
 
 ENCODING_KINDS = ("local", "jw1d", "jw2d_snake", "bravyi_kitaev")
 
@@ -327,16 +326,15 @@ class EncodingWeightModel:
         self.lattice = lattice
         self._drop_boxes: Dict[tuple, tuple] = {}  # drop_box by etas, oldest first
 
-    @cached_property
-    def _qubit_order(self) -> np.ndarray:
-        """Qubit of every site under Jordan-Wigner, computed once per model."""
+    def _qubits(self, sites: np.ndarray) -> np.ndarray:
+        """Qubit of each site under Jordan-Wigner: its chain coordinate or its snake index."""
         if self.kind == "jw1d":
-            return self.lattice.coords[:, 0]
-        return snake_index_vector(self.lattice)
+            return self.lattice._coords_of(sites)[:, 0]
+        return self.lattice._snake_of(sites)
 
     def _jordan_wigner_counts(self, s: np.ndarray, f: np.ndarray, g: np.ndarray) -> np.ndarray:
         """X/Y/Z counts of the pairs ``(2s + f, 2t + g)`` from the qubit order, in int32."""
-        o = self._qubit_order[s].astype(np.int32)
+        o = self._qubits(s).astype(np.int32)
         d, flip = np.subtract.outer(o, o), f - g
         apart = d != 0
         ys = np.sign(d) * flip  # (n_y - n_x) / 2: the lower qubit swaps its Pauli
@@ -374,7 +372,7 @@ class EncodingWeightModel:
             return self._jordan_wigner_counts(sites, f, g)
         if self.kind == "local":
             return self.phi0 + self.lattice.pair_distances(sites)
-        o = self._qubit_order[sites].astype(np.int32)
+        o = self._qubits(sites).astype(np.int32)
         return 1 + np.abs(np.subtract.outer(o, o))
 
     def drop_box(self, etas: Tuple[float, float, float]) -> Tuple[np.ndarray, np.ndarray]:

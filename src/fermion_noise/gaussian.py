@@ -1,4 +1,4 @@
-"""Fermionic Gaussian states on a torus, in Majorana covariance form.
+"""Translation-invariant fermionic Gaussian states, in Majorana covariance form.
 
 Site ``x`` carries two Majorana operators, ``gamma^1_x = c_x^dag + c_x`` at
 even index ``2x`` and ``gamma^2_x = i (c_x^dag - c_x)`` at odd index
@@ -14,20 +14,21 @@ offset plus a real antisymmetric coefficient matrix ``O`` with
 ``<O> = offset + sum_ab O_ab Gamma_ab``, held on their support: the indices
 ``S`` of the nonzero rows and columns and the ``S x S`` block (2 x 2 for a
 site occupation, 4 x 4 for a hopping).  An expectation reads the covariance
-on ``S`` alone (:meth:`GaussianState.covariance_block`).
+on ``S`` alone, through the state's ``covariance_block``.
 
-Mode-diagonal states (every Fermi sea, the scaling probes, the circulant
-power-law state) are :class:`ModeDiagonalState`: the momentum grid and the
+The one state class is :class:`ModeDiagonalState` (every Fermi sea, the
+scaling probes, the circulant power-law state): the momentum grid and the
 occupations ``n(q)``.  ``C(r)`` is one FFT of ``n(q)`` on the ``L^D`` torus
 (with a half-period twist on the antiperiodic grid); the covariance on an
 index set is gathered from it, and ``<n_k>`` and noise-induced ``n_k``
 errors for a whole grid are read off one more ``L^D`` FFT of the drop boxes
 folded onto the torus (:meth:`ModeDiagonalState.occupation_shift`,
-:meth:`Lattice.torus_sum`).  The whole covariance is only a test reference.
-The tests check both against plane-wave sums over the modes and against the
-``(2L)^D`` box route, and build the dense references (a state from a
-correlation matrix, an observable's ``(2N, 2N)`` coefficient matrix, the
-Haar-random and power-law-damped states) themselves.
+:meth:`Lattice.torus_sum`).  No package path reads the whole covariance.
+The dense references live with the tests: a state held as its whole
+``2N x 2N`` covariance (from a correlation matrix, Haar-random or
+power-law damped), an observable's ``(2N, 2N)`` coefficient matrix and the
+dense plane-wave occupation.  Measurements and circuits read any state
+through :class:`CovarianceBlocks`, so those dense states reach them too.
 
 Besides those, the module provides a synthetic family used to probe
 correlation-decay premises: a translation-invariant circulant state with an
@@ -38,7 +39,7 @@ envelope.  Haar rotations serve the circuits' gates.
 from __future__ import annotations
 
 import operator
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Optional, Protocol, Tuple
 
 import numpy as np
 
@@ -46,7 +47,6 @@ from .errors import InvariantViolation
 from .lattice import Lattice, MomentumGrid, momentum_grid, parity_of
 from .special import riemann_zeta
 
-NORM_SLACK = 1e-8
 # How far a mode occupation may leave [0, 1] by rounding.
 OCCUPATION_SLACK = 1e-12
 
@@ -62,34 +62,25 @@ class QuadraticObservable:
     lattice : Lattice
         Lattice fixing the Majorana index space (2 * n_sites).
     coefficients : ndarray
-        Real antisymmetric matrix of shape (2N, 2N), or with ``support`` its
-        block on those indices.
+        Real antisymmetric block of ``O`` on the support.
     offset : float, optional
         Scalar part of the expectation value.
-    support : array of int, optional
-        Distinct Majorana indices of the block; without it the support is
-        the set of nonzero rows and columns of the full matrix.
+    support : array of int
+        Distinct Majorana indices of the block.
     """
 
     def __init__(self, lattice: Lattice, coefficients: np.ndarray, offset: float = 0.0,
-                 *, support: Optional[np.ndarray] = None, validate: bool = True):
+                 *, support: np.ndarray, validate: bool = True):
         block = np.array(coefficients, dtype=float)
         n = lattice.n_majorana
-        if support is None:
-            if block.shape != (n, n):
-                raise ValueError(f"coefficient matrix must be ({n}, {n}), got {block.shape}")
-            nonzero = block != 0
-            support = np.flatnonzero(nonzero.any(axis=0) | nonzero.any(axis=1))
-            block = block[np.ix_(support, support)]
-        else:
-            support = np.array(support, dtype=np.int64)
-            if support.ndim != 1 or block.shape != (len(support),) * 2:
-                raise ValueError(f"block of shape {block.shape} does not match "
-                                 f"{len(support)} support indices")
-            ordered = np.sort(support)
-            if support.size and (ordered[0] < 0 or ordered[-1] >= n
-                                 or np.any(ordered[1:] == ordered[:-1])):
-                raise ValueError(f"support must be distinct Majorana indices in [0, {n})")
+        support = np.array(support, dtype=np.int64)
+        if support.ndim != 1 or block.shape != (len(support),) * 2:
+            raise ValueError(f"block of shape {block.shape} does not match "
+                             f"{len(support)} support indices")
+        ordered = np.sort(support)
+        if support.size and (ordered[0] < 0 or ordered[-1] >= n
+                             or np.any(ordered[1:] == ordered[:-1])):
+            raise ValueError(f"support must be distinct Majorana indices in [0, {n})")
         if validate and not np.allclose(block, -block.T, atol=1e-12):
             raise ValueError("coefficient matrix must be antisymmetric")
         support.setflags(write=False)
@@ -122,35 +113,12 @@ class QuadraticObservable:
         block = [[0, 0, 0, 0.25], [0, 0, -0.25, 0], [0, 0.25, 0, 0], [-0.25, 0, 0, 0]]
         return cls(lattice, block, support=support, validate=False)
 
-    @classmethod
-    def momentum_occupation(cls, lattice: Lattice, k: Sequence[float]) -> "QuadraticObservable":
-        """Mode occupation ``n_k = b_k^dag b_k`` of the plane wave at k.
-
-        With ``b_k = N^{-1/2} sum_x e^{-i k.x} c_x`` the operator is a
-        rank-one projector (unit trace norm).  Its coefficient matrix couples
-        all site pairs through ``sin``/``cos`` of ``k . (x - y)``.
-        """
-        k_vec = np.atleast_1d(np.asarray(k, dtype=float))
-        if k_vec.shape != (lattice.dim,):
-            raise ValueError(f"momentum must have {lattice.dim} components, got {k_vec.shape}")
-        n_sites = lattice.n_sites
-        phase = lattice.coords @ k_vec
-        delta = phase[None, :] - phase[:, None]
-        sin_block = np.sin(delta) / (4.0 * n_sites)
-        cos_block = np.cos(delta) / (4.0 * n_sites)
-        coeffs = np.zeros((2 * n_sites, 2 * n_sites))
-        coeffs[0::2, 0::2] = sin_block
-        coeffs[1::2, 1::2] = sin_block
-        coeffs[0::2, 1::2] = cos_block
-        coeffs[1::2, 0::2] = -cos_block
-        return cls(lattice, coeffs, offset=0.5, validate=False)
-
     def coefficient_trace_norm(self) -> float:
         """Trace norm (sum of singular values) of the coefficient matrix.
 
-        ``number`` and ``momentum_occupation`` observables have norm 1/2,
-        ``hopping`` has norm 1.  Error bounds stated for unit-norm
-        observables apply after dividing by this value.
+        ``number`` observables have norm 1/2, ``hopping`` has norm 1.  Error
+        bounds stated for unit-norm observables apply after dividing by this
+        value.
         """
         return float(np.linalg.svd(self.block, compute_uv=False).sum())
 
@@ -159,72 +127,18 @@ class QuadraticObservable:
         return f"QuadraticObservable(offset={self.offset}, nnz={nnz})"
 
 
-class GaussianState:
-    """A fermionic Gaussian state held as its Majorana covariance matrix."""
+class CovarianceBlocks(Protocol):
+    """What a measurement or a circuit reads of a state: its covariance on index sets.
 
-    def __init__(self, lattice: Lattice, gamma: np.ndarray, *, validate: bool = True):
-        g = np.array(gamma, dtype=float)
-        n = lattice.n_majorana
-        if g.shape != (n, n):
-            raise ValueError(f"covariance matrix must be ({n}, {n}), got {g.shape}")
-        if validate:
-            if not np.allclose(g, -g.T, atol=1e-10):
-                raise ValueError("covariance matrix must be antisymmetric")
-            norm = np.linalg.norm(g, 2)
-            if norm > 1.0 + NORM_SLACK:
-                raise InvariantViolation(
-                    f"covariance norm {norm:.6g} exceeds 1; state is unphysical"
-                )
-        g.setflags(write=False)
-        self.lattice = lattice
-        self._gamma = g
+    :class:`ModeDiagonalState` is one; the tests' dense states are others.
+    """
 
-    # -- constructors ---------------------------------------------------
+    lattice: Lattice
 
-    @classmethod
-    def vacuum(cls, lattice: Lattice) -> "GaussianState":
-        """The Fock vacuum: every site empty."""
-        n_sites = lattice.n_sites
-        gamma = np.zeros((2 * n_sites, 2 * n_sites))
-        idx = np.arange(n_sites)
-        gamma[2 * idx, 2 * idx + 1] = -1.0
-        gamma[2 * idx + 1, 2 * idx] = 1.0
-        return cls(lattice, gamma, validate=False)
-
-    # -- accessors ------------------------------------------------------
-
-    @property
-    def gamma(self) -> np.ndarray:
-        """The (read-only) covariance matrix."""
-        return self._gamma
-
-    @property
-    def n_sites(self) -> int:
-        return self.lattice.n_sites
-
-    def occupation(self, site: int) -> float:
-        """Mean occupation of one site, ``(1 + Gamma[2x, 2x+1]) / 2``."""
-        return 0.5 * (1.0 + self.covariance_block([2 * site, 2 * site + 1])[0, 1])
-
-    def covariance_block(self, idx: np.ndarray) -> np.ndarray:
-        """The covariance on a Majorana index set, ``gamma[np.ix_(idx, idx)]``."""
-        idx = self.lattice._majoranas(idx)
-        return self.gamma[np.ix_(idx, idx)]
-
-    def expectation(self, obs: QuadraticObservable) -> float:
-        """Expectation value of a quadratic observable in this state."""
-        return obs.offset + float(np.sum(obs.block * self.covariance_block(obs.support)))
-
-    def particle_number(self) -> float:
-        """Total mean particle number."""
-        diag = self.gamma[2 * np.arange(self.n_sites), 2 * np.arange(self.n_sites) + 1]
-        return float(0.5 * np.sum(1.0 + diag))
-
-    def __repr__(self) -> str:
-        return f"GaussianState({self.lattice!r}, N={self.particle_number():.4g})"
+    def covariance_block(self, idx: np.ndarray) -> np.ndarray: ...
 
 
-class ModeDiagonalState(GaussianState):
+class ModeDiagonalState:
     """Translation-invariant state diagonal in the plane waves of a momentum grid.
 
     Held as the grid and the mode occupations ``n(q)``; the two-point
@@ -233,12 +147,8 @@ class ModeDiagonalState(GaussianState):
     periodic on the periodic grid and antiperiodic on the other.  The
     covariance on an index set is gathered from the torus, and noise-induced
     ``n_k`` errors are the drop boxes folded onto the torus and weighted by
-    ``C(r)`` (:meth:`occupation_shift`) for every encoding, mode and mix.  No
-    production path reads the whole covariance: :attr:`gamma` is a test
-    reference, gathered the same way on first use and cached.  Construction
-    checks ``0 <= n(q) <= 1`` to ``OCCUPATION_SLACK``.  It is built from a
-    grid and occupations only: the dense constructor :meth:`vacuum` belongs
-    to :class:`GaussianState`.
+    ``C(r)`` (:meth:`occupation_shift`) for every encoding, mode and mix.
+    Construction checks ``0 <= n(q) <= 1`` to ``OCCUPATION_SLACK``.
     """
 
     def __init__(self, grid: MomentumGrid, occupations: np.ndarray):
@@ -254,27 +164,8 @@ class ModeDiagonalState(GaussianState):
         self.lattice = grid.lattice
         self.grid = grid
         self.occupations = n
-        self._gamma: Optional[np.ndarray] = None
         self._torus: Optional[np.ndarray] = None
         self._half = grid.parity == "even"  # half-integer modes, an antiperiodic C(r)
-
-    @classmethod
-    def vacuum(cls, lattice: Lattice) -> "GaussianState":
-        """Not available: the dense vacuum is :meth:`GaussianState.vacuum`."""
-        raise TypeError("ModeDiagonalState is built from a grid and occupations; "
-                        "use GaussianState.vacuum")
-
-    @property
-    def gamma(self) -> np.ndarray:
-        """The (read-only) covariance matrix, built on first use."""
-        if self._gamma is None:
-            self._gamma = self._build_gamma()
-        return self._gamma
-
-    def _build_gamma(self) -> np.ndarray:
-        gamma = self.covariance_block(np.arange(self.lattice.n_majorana))
-        gamma.setflags(write=False)
-        return gamma
 
     def _conj_correlation(self) -> np.ndarray:
         """``conj C(r)`` for ``r`` in ``[0, L)^D``, the ``L^D`` torus, cached.
@@ -303,8 +194,8 @@ class ModeDiagonalState(GaussianState):
     def covariance_block(self, idx: np.ndarray) -> np.ndarray:
         """The covariance on a Majorana index set, gathered from ``C(r)``.
 
-        Equals ``gamma[np.ix_(idx, idx)]`` without building :attr:`gamma`.
-        With ``C_xy = <c_x^dag c_y> = C(x - y)`` on the sites of ``idx``, read
+        ``Gamma[np.ix_(idx, idx)]`` of the whole covariance, which is never
+        built: with ``C_xy = <c_x^dag c_y> = C(x - y)`` on the sites of ``idx``, read
         off the torus at ``x - y mod L`` (negated when it wraps on an odd
         number of axes of the antiperiodic grid), ``Gamma`` is ``-2 Im C``
         between equal flavors and ``+-(2 Re C - delta_xy)`` between flavors 1
@@ -321,6 +212,10 @@ class ModeDiagonalState(GaussianState):
         np.negative(gamma, out=gamma, where=flavor[:, None] > flavor[None, :])
         np.multiply(corr.imag, -2.0, out=gamma, where=flavor[:, None] == flavor[None, :])
         return gamma
+
+    def expectation(self, obs: QuadraticObservable) -> float:
+        """Expectation value of a quadratic observable, read on its support."""
+        return obs.offset + float(np.sum(obs.block * self.covariance_block(obs.support)))
 
     def particle_number(self) -> float:
         """Total mean particle number, ``sum_q n(q)``."""
@@ -447,19 +342,14 @@ def fermi_sea_1d(lattice: Lattice, n_occ: int,
     return state, grid, occ
 
 
-def momentum_occupation(state: GaussianState, k: Sequence[float]) -> float:
-    """Expectation ``<n_k>`` of the plane-wave mode occupation at momentum k.
+def momentum_occupation(state: ModeDiagonalState, momenta: np.ndarray) -> np.ndarray:
+    """``<n_k>`` of the plane-wave mode occupation for each row ``k`` of ``momenta``.
 
-    A mode-diagonal state answers with
     :meth:`ModeDiagonalState.occupation_shift` with every drop 1, the pair
-    count folded onto its torus (``n(k)`` on its grid); any other state
-    contracts its covariance with the dense observable.
+    count folded onto the state's torus (``n(k)`` on its grid).
     """
-    if isinstance(state, ModeDiagonalState):
-        k_vec = np.atleast_1d(np.asarray(k, dtype=float))
-        pairs = state.lattice.displacement_multiplicity()
-        return 0.5 + float(state.occupation_shift(pairs, pairs, k_vec[None, :])[0])
-    return state.expectation(QuadraticObservable.momentum_occupation(state.lattice, k))
+    pairs = state.lattice.displacement_multiplicity()
+    return 0.5 + state.occupation_shift(pairs, pairs, np.atleast_2d(momenta))
 
 
 # ----------------------------------------------------------------------

@@ -3,9 +3,11 @@
 The lattices are D-dimensional tori of ``L**D`` sites with D in {1, 2}.  Sites
 carry two Majorana flavors each, indexed as ``a = 2 * site + (flavor - 1)``
 with flavor 1 for ``c^dag + c`` and flavor 2 for ``i (c^dag - c)``.  The
-site layout is :attr:`Lattice.coords`, inverted by :meth:`Lattice.site_index`;
-the one torus metric is :meth:`Lattice.pair_distances` on a set of sites,
-and two sites are the set's ``[0, 1]`` entry.
+site layout is one formula, :meth:`Lattice._coords_of` on any set of sites
+and cached for all of them as :attr:`Lattice.coords`, inverted by
+:meth:`Lattice.site_index`; the one torus metric is
+:meth:`Lattice.pair_distances` on a set of sites, and two sites are the
+set's ``[0, 1]`` entry.  Neither builds the table of all sites.
 
 Momentum grids follow the free-fermion quantization on a ring of even length
 L: states with an odd particle number use periodic boundary conditions
@@ -91,15 +93,28 @@ class Lattice:
                              f"outside [0, {self.n_majorana})")
         return idx
 
+    def _coords_of(self, sites: np.ndarray) -> np.ndarray:
+        """Array of shape (len(sites), dim) with the coordinates of the given sites."""
+        sites = np.asarray(sites, dtype=np.int64)
+        if sites.size and not (0 <= sites.min() and sites.max() < self.n_sites):
+            raise IndexError(f"sites {sites.min()}..{sites.max()} outside [0, {self.n_sites})")
+        coords = np.empty(sites.shape + (self.dim,), dtype=np.int64)
+        for j in range(self.dim):
+            np.remainder(sites // self.length ** j, self.length, out=coords[..., j])
+        return coords
+
     @property
     def coords(self) -> np.ndarray:
-        """Array of shape (n_sites, dim) with the coordinates of every site."""
+        """Array of shape (n_sites, dim) with the coordinates of every site, cached."""
         if self._coords is None:
-            idx = np.arange(self.n_sites)
-            cols = [(idx // self.length ** j) % self.length for j in range(self.dim)]
-            self._coords = np.stack(cols, axis=1).astype(np.int64)
+            self._coords = self._coords_of(np.arange(self.n_sites))
             self._coords.setflags(write=False)
         return self._coords
+
+    def _snake_of(self, sites: np.ndarray) -> np.ndarray:
+        """Snake index ``y L + (x if y even else L - 1 - x)`` of the given sites (2D only)."""
+        x, y = self._coords_of(sites).T
+        return y * self.length + np.where(y % 2 == 0, x, self.length - 1 - x)
 
     # ------------------------------------------------------------------
     # distances
@@ -112,7 +127,7 @@ class Lattice:
 
     def pair_distances(self, sites: np.ndarray) -> np.ndarray:
         """(len(sites), len(sites)) torus (L1) distances between the given sites."""
-        c = self.coords[sites]
+        c = self._coords_of(sites)
         return self._wrap(c[:, None, :] - c[None, :, :]).sum(axis=2)
 
     def distance_matrix(self) -> np.ndarray:
@@ -256,14 +271,12 @@ def snake_index_vector(lat: Lattice) -> np.ndarray:
 
     Row ``y`` is traversed left-to-right when ``y`` is even and right-to-left
     when ``y`` is odd, so consecutive indices are always nearest neighbors:
-
-        ``index(x, y) = y * L + (x if y even else L - 1 - x)``.
+    ``index(x, y) = y * L + (x if y even else L - 1 - x)``, which
+    :meth:`Lattice._snake_of` gives for any set of sites.
     """
     if lat.dim != 2:
         raise ValueError("snake ordering is defined for 2D lattices only")
-    x = lat.coords[:, 0]
-    y = lat.coords[:, 1]
-    return y * lat.length + np.where(y % 2 == 0, x, lat.length - 1 - x)
+    return lat._snake_of(np.arange(lat.n_sites))
 
 
 # ----------------------------------------------------------------------

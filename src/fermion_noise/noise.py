@@ -26,9 +26,10 @@ bilinear ``gamma_a gamma_b`` is the ``[0, 1]`` entry of the index set
 Measurement noise is read on the observable's support, as a circuit's light
 cone is: :func:`noisy_expectation` and :func:`measurement_error` damp the
 observable's ``S x S`` block by :func:`attenuation_block` on ``S`` and
-contract it with the state's covariance on ``S``
-(:meth:`~fermion_noise.gaussian.GaussianState.covariance_block`), so a
-mode-diagonal state never builds its ``2N x 2N`` covariance.
+contract it with the state's covariance on ``S``: any state with a
+``lattice`` and a ``covariance_block``
+(:class:`~fermion_noise.gaussian.CovarianceBlocks`), so a mode-diagonal
+state never builds its ``2N x 2N`` covariance.
 
 The momentum error map is defined on a
 :class:`~fermion_noise.gaussian.ModeDiagonalState` (every Fermi sea), whose
@@ -48,7 +49,7 @@ from typing import Tuple
 import numpy as np
 
 from .encodings import EncodingWeightModel
-from .gaussian import GaussianState, ModeDiagonalState, QuadraticObservable
+from .gaussian import CovarianceBlocks, ModeDiagonalState, QuadraticObservable
 
 MODES = ("exact", "worst-case")
 
@@ -124,24 +125,31 @@ def attenuation_block(enc: EncodingWeightModel, channel: PauliChannel,
     return lam
 
 
-def _check_lattices(enc: EncodingWeightModel, state: GaussianState) -> None:
+def _check_lattices(enc: EncodingWeightModel, state: CovarianceBlocks) -> None:
     if enc.lattice != state.lattice:
         raise ValueError("encoding and state lattices disagree")
 
 
-def noisy_expectation(state: GaussianState, obs: QuadraticObservable,
+def noisy_expectation(state: CovarianceBlocks, obs: QuadraticObservable,
                       enc: EncodingWeightModel, channel: PauliChannel,
                       mode: str = "exact") -> float:
-    """Expectation of an encoded observable measured through the channel."""
+    """Expectation of an encoded observable measured through the channel.
+
+    ``state`` is any object with ``lattice`` and ``covariance_block``; only
+    its covariance on the observable's support is read.
+    """
     _check_lattices(enc, state)
     lam = attenuation_block(enc, channel, obs.support, mode)
     return obs.offset + float(np.sum(obs.block * lam * state.covariance_block(obs.support)))
 
 
-def measurement_error(state: GaussianState, obs: QuadraticObservable,
+def measurement_error(state: CovarianceBlocks, obs: QuadraticObservable,
                       enc: EncodingWeightModel, channel: PauliChannel,
                       mode: str = "exact") -> float:
-    """Absolute shift ``|<O> - <O>_noisy|`` induced by the channel."""
+    """Absolute shift ``|<O> - <O>_noisy|`` induced by the channel.
+
+    ``state`` is read as in :func:`noisy_expectation`.
+    """
     _check_lattices(enc, state)
     lam = attenuation_block(enc, channel, obs.support, mode)
     return float(abs(np.sum(obs.block * (1.0 - lam) * state.covariance_block(obs.support))))
@@ -159,7 +167,7 @@ def momentum_error_map(state: ModeDiagonalState, enc: EncodingWeightModel,
     ``O(N log N)`` or less for every encoding, mode and mix), folded onto the
     torus and weighted by ``C(r)`` (:meth:`ModeDiagonalState.occupation_shift`),
     one ``L^D`` FFT per class of momenta; its covariance is never built.  Any
-    other :class:`GaussianState` raises ``TypeError``.
+    other state raises ``TypeError``.
     """
     _check_lattices(enc, state)
     if not isinstance(state, ModeDiagonalState):

@@ -1,13 +1,14 @@
 """Shared fixtures, random-instance builders and dense references for the test suite.
 
-The dense references (a state from its correlation matrix, an observable's
-``(2N, 2N)`` coefficient matrix, the ``(2N, 2N)`` attenuation matrix, the
-dense circuit evolution and the light-cone check built on it, the single
-Haar rotation, the Haar-random and power-law-damped states, the
-Bravyi-Kitaev encoder matrix and its GF(2) inverse, the Jordan-Wigner and
-Bravyi-Kitaev Pauli rows) are what the package's
-support-held, light-cone, displacement-summed and closed-form paths are
-checked against; no package code needs them.  The ``(F, F, N, N)`` flavor
+The dense references (:class:`GaussianState`, a state held as its whole
+``(2N, 2N)`` covariance, built from a correlation matrix, Haar-random or
+power-law damped; an observable from or to its ``(2N, 2N)`` coefficient
+matrix and the dense plane-wave mode occupation; the ``(2N, 2N)``
+attenuation matrix, the dense circuit evolution and the light-cone check
+built on it, the single Haar rotation, the Bravyi-Kitaev encoder matrix and
+its GF(2) inverse, the Jordan-Wigner and Bravyi-Kitaev Pauli rows) are what
+the package's mode-diagonal, support-held, light-cone, displacement-summed
+and closed-form paths are checked against; no package code needs them.  The ``(F, F, N, N)`` flavor
 blocks of every Majorana pair come from independent data, the popcounts of
 the Pauli tables or the lattice's distance matrix, and their drops folded by
 displacement are the reference for the package's drop boxes, as their
@@ -29,8 +30,9 @@ import pytest
 
 from fermion_noise import (
     EncodingWeightModel,
-    GaussianState,
+    InvariantViolation,
     Lattice,
+    ModeDiagonalState,
     QuadraticObservable,
     snake_index_vector,
 )
@@ -41,12 +43,140 @@ from fermion_noise.special import _SKIP_DIGITS
 from oracle import gf2_inverse, pauli_string
 
 SEED = 20240817
+NORM_SLACK = 1e-8
 
 
 @pytest.fixture
 def rng():
     """Fresh deterministic generator per test."""
     return np.random.default_rng(SEED)
+
+
+class GaussianState:
+    """A fermionic Gaussian state held as its Majorana covariance matrix."""
+
+    def __init__(self, lattice: Lattice, gamma: np.ndarray, *, validate: bool = True):
+        g = np.array(gamma, dtype=float)
+        n = lattice.n_majorana
+        if g.shape != (n, n):
+            raise ValueError(f"covariance matrix must be ({n}, {n}), got {g.shape}")
+        if validate:
+            if not np.allclose(g, -g.T, atol=1e-10):
+                raise ValueError("covariance matrix must be antisymmetric")
+            norm = np.linalg.norm(g, 2)
+            if norm > 1.0 + NORM_SLACK:
+                raise InvariantViolation(
+                    f"covariance norm {norm:.6g} exceeds 1; state is unphysical"
+                )
+        g.setflags(write=False)
+        self.lattice = lattice
+        self._gamma = g
+
+    # -- constructors ---------------------------------------------------
+
+    @classmethod
+    def vacuum(cls, lattice: Lattice) -> "GaussianState":
+        """The Fock vacuum: every site empty."""
+        n_sites = lattice.n_sites
+        gamma = np.zeros((2 * n_sites, 2 * n_sites))
+        idx = np.arange(n_sites)
+        gamma[2 * idx, 2 * idx + 1] = -1.0
+        gamma[2 * idx + 1, 2 * idx] = 1.0
+        return cls(lattice, gamma, validate=False)
+
+    # -- accessors ------------------------------------------------------
+
+    @property
+    def gamma(self) -> np.ndarray:
+        """The (read-only) covariance matrix."""
+        return self._gamma
+
+    @property
+    def n_sites(self) -> int:
+        return self.lattice.n_sites
+
+    def occupation(self, site: int) -> float:
+        """Mean occupation of one site, ``(1 + Gamma[2x, 2x+1]) / 2``."""
+        return 0.5 * (1.0 + self.covariance_block([2 * site, 2 * site + 1])[0, 1])
+
+    def covariance_block(self, idx: np.ndarray) -> np.ndarray:
+        """The covariance on a Majorana index set, ``gamma[np.ix_(idx, idx)]``."""
+        idx = self.lattice._majoranas(idx)
+        return self.gamma[np.ix_(idx, idx)]
+
+    def expectation(self, obs: QuadraticObservable) -> float:
+        """Expectation value of a quadratic observable in this state."""
+        return obs.offset + float(np.sum(obs.block * self.covariance_block(obs.support)))
+
+    def particle_number(self) -> float:
+        """Total mean particle number."""
+        diag = self.gamma[2 * np.arange(self.n_sites), 2 * np.arange(self.n_sites) + 1]
+        return float(0.5 * np.sum(1.0 + diag))
+
+    def __repr__(self) -> str:
+        return f"GaussianState({self.lattice!r}, N={self.particle_number():.4g})"
+
+
+def full_covariance(state):
+    """The whole ``(2N, 2N)`` covariance of any state, gathered as its block on every index."""
+    return state.covariance_block(np.arange(state.lattice.n_majorana))
+
+
+def dense_state(state):
+    """A mode-diagonal state as the dense reference, held as its whole covariance."""
+    return GaussianState(state.lattice, full_covariance(state))
+
+
+def refuse_full_covariance(monkeypatch):
+    """Make ``ModeDiagonalState.covariance_block`` refuse index sets covering all 2N Majoranas."""
+    original = ModeDiagonalState.covariance_block
+
+    def guarded(state, idx):
+        if np.unique(np.asarray(idx)).size == state.lattice.n_majorana:
+            raise AssertionError("the whole covariance was gathered")
+        return original(state, idx)
+
+    monkeypatch.setattr(ModeDiagonalState, "covariance_block", guarded)
+
+
+def observable_from_matrix(lattice, coeffs, offset=0.0, validate=True):
+    """The observable of a ``(2N, 2N)`` matrix, held on its nonzero rows and columns."""
+    coeffs = np.array(coeffs, dtype=float)
+    n = lattice.n_majorana
+    if coeffs.shape != (n, n):
+        raise ValueError(f"coefficient matrix must be ({n}, {n}), got {coeffs.shape}")
+    nonzero = coeffs != 0
+    support = np.flatnonzero(nonzero.any(axis=0) | nonzero.any(axis=1))
+    return QuadraticObservable(lattice, coeffs[np.ix_(support, support)], offset,
+                               support=support, validate=validate)
+
+
+def momentum_occupation_observable(lattice, k):
+    """Mode occupation ``n_k = b_k^dag b_k`` of the plane wave at k, densely.
+
+    With ``b_k = N^{-1/2} sum_x e^{-i k.x} c_x`` the operator is a rank-one
+    projector (unit trace norm, coefficient trace norm 1/2).  Its coefficient
+    matrix couples all site pairs through ``sin``/``cos`` of ``k . (x - y)``.
+    """
+    k_vec = np.atleast_1d(np.asarray(k, dtype=float))
+    if k_vec.shape != (lattice.dim,):
+        raise ValueError(f"momentum must have {lattice.dim} components, got {k_vec.shape}")
+    n_sites = lattice.n_sites
+    phase = lattice.coords @ k_vec
+    delta = phase[None, :] - phase[:, None]
+    sin_block = np.sin(delta) / (4.0 * n_sites)
+    cos_block = np.cos(delta) / (4.0 * n_sites)
+    coeffs = np.zeros((2 * n_sites, 2 * n_sites))
+    coeffs[0::2, 0::2] = sin_block
+    coeffs[1::2, 1::2] = sin_block
+    coeffs[0::2, 1::2] = cos_block
+    coeffs[1::2, 0::2] = -cos_block
+    return observable_from_matrix(lattice, coeffs, offset=0.5, validate=False)
+
+
+def dense_momentum_occupation(state, k):
+    """``<n_k>`` of any state from its covariance and the dense observable."""
+    return state.expectation(momentum_occupation_observable(state.lattice, k))
 
 
 def random_antisymmetric(rng, n):
@@ -59,7 +189,7 @@ def random_normalized_observable(lattice, rng):
     """Random traceless quadratic observable with unit coefficient trace norm."""
     coeffs = random_antisymmetric(rng, lattice.n_majorana)
     coeffs /= np.linalg.svd(coeffs, compute_uv=False).sum()
-    return QuadraticObservable(lattice, coeffs, offset=0.0, validate=False)
+    return observable_from_matrix(lattice, coeffs, validate=False)
 
 
 def random_correlation(rng, n_sites):
@@ -134,7 +264,7 @@ def decay_constant(state, mu):
     """Smallest K with ``|Gamma_ab| <= K (1 + d(a, b))^{-mu}`` for all pairs."""
     lat = state.lattice
     d = lat.pair_distances(np.repeat(np.arange(lat.n_sites), 2))
-    return float((np.abs(state.gamma) * (1.0 + d) ** mu).max())
+    return float((np.abs(full_covariance(state)) * (1.0 + d) ** mu).max())
 
 
 def dense_coefficients(obs):
@@ -167,7 +297,7 @@ def plane_wave_pair_sum(lattice, pairs, momenta):
 
 def correlation_of(state):
     """Extract the complex <c^dag c> matrix back out of a covariance matrix."""
-    g = state.gamma
+    g = full_covariance(state)
     real = 0.5 * (g[0::2, 1::2] + np.eye(state.lattice.n_sites))
     imag = -0.5 * g[0::2, 0::2]
     return real + 1j * imag
@@ -191,7 +321,7 @@ def evolve_state(state, circuit, channel=None, enc=None):
     is :func:`dense_rotation`, and the noise the whole :func:`attenuation_matrix`.
     """
     lam = None if channel is None else attenuation_matrix(enc, channel)
-    gamma = state.gamma
+    gamma = full_covariance(state)
     for rot in map(dense_rotation, circuit.layers):
         gamma = rot @ gamma @ rot.T
         if lam is not None:
@@ -226,7 +356,7 @@ def lightcone_correlation_check(state, circuit, channel=None, enc=None):
     """
     lat, tol = state.lattice, 1e-10
     dist = lat.pair_distances(np.repeat(np.arange(lat.n_sites), 2))
-    if np.abs(state.gamma[dist > 0]).max(initial=0.0) > tol:
+    if np.abs(full_covariance(state)[dist > 0]).max(initial=0.0) > tol:
         raise ValueError("light-cone check requires a product initial state")
     evolved = evolve_state(state, circuit, channel, enc)
     noiseless = evolved if channel is None else evolve_state(state, circuit)
@@ -483,7 +613,7 @@ def dense_momentum_error_map(state, enc, channel, momenta, mode="exact"):
     """
     lat = state.lattice
     drop = drops(enc, _mode_etas(channel, mode))
-    g = state.gamma
+    g = full_covariance(state)
     t = np.stack([drop[0, 1] * g[0::2, 1::2] - drop[1, 0] * g[1::2, 0::2],
                   drop[0, 0] * g[0::2, 0::2] + drop[1, 1] * g[1::2, 1::2]])
     real, imag = fold(lat, t)

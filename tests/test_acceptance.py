@@ -20,7 +20,6 @@ from conftest import (SEED, bk_beta_matrix, bk_number_operator_weight_from_beta,
                       state_from_correlation)
 from fermion_noise import (
     EncodingWeightModel,
-    GaussianState,
     Lattice,
     ModeDiagonalState,
     PauliChannel,

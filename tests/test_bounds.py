@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.special import ellipk
 
-from conftest import full_width_polylog_direct
+from conftest import full_width_polylog_direct, refuse_full_covariance
 from fermion_noise import cli, special
 from fermion_noise.bounds import (
     DecayParams,
@@ -34,7 +34,6 @@ from fermion_noise.bounds import (
     prop4_bound,
 
 )
-from fermion_noise.gaussian import ModeDiagonalState
 from fermion_noise.special import polylog, riemann_zeta
 
 
@@ -478,10 +477,7 @@ class TestScalingProbes:
     def test_probes_build_no_covariance(self, monkeypatch):
         # The probes take the spectral error map, so sizes far beyond a dense
         # 2N x 2N covariance are in reach.
-        def refuse(state):
-            raise AssertionError("covariance built by a scaling probe")
-
-        monkeypatch.setattr(ModeDiagonalState, "_build_gamma", refuse)
+        refuse_full_covariance(monkeypatch)
         rows = jump_scaling_probe([100, 100_000], p=1e-7, k_offset=0.0)
         assert 800 <= rows[1][1] / rows[0][1] <= 1200
         rows = jump_scaling_probe([100, 100_000], p=1e-7, k_offset=math.pi / 2)

@@ -6,13 +6,16 @@ from scipy.linalg import logm
 
 import fermion_noise.circuits as circuits_module
 from conftest import (
+    GaussianState,
     assert_close,
     attenuation_matrix,
     dense_coefficients,
     dense_rotation,
     evolve_state,
+    full_covariance,
     haar_special_orthogonal,
     lightcone_correlation_check,
+    observable_from_matrix,
     random_correlation,
     random_gaussian_state,
     random_normalized_observable,
@@ -21,7 +24,6 @@ from conftest import (
 from fermion_noise import (
     Circuit,
     EncodingWeightModel,
-    GaussianState,
     Lattice,
     Layer,
     PauliChannel,
@@ -277,7 +279,7 @@ class TestEvolution:
         circ = Circuit(lattice=lat, radius=1, layers=())
         enc = EncodingWeightModel("jw1d", lat)
         out = evolve_state(state, circ, PauliChannel.depolarizing(0.3), enc)
-        assert_close(out.gamma, state.gamma, 1e-15, "depth 0")
+        assert_close(out.gamma, full_covariance(state), 1e-15, "depth 0")
 
     def test_noise_needs_encoding_and_matching_lattice(self):
         # Both production entry points: the forward sweep and the pullback.
@@ -363,7 +365,7 @@ class TestEvolution:
         obs = QuadraticObservable.number(lat, 0)
         noisy = prefix_expectations(state, obs, circ, PauliChannel.depolarizing(p), enc)[-1]
 
-        rho = dense_gaussian_density_matrix(state.gamma, max_modes=6)
+        rho = dense_gaussian_density_matrix(full_covariance(state), max_modes=6)
         for rot in map(dense_rotation, circ.layers):
             h = np.real(logm(rot))
             u = dense_free_unitary(0.5 * (h - h.T), max_modes=6)
@@ -388,7 +390,7 @@ class TestLightConePullback:
 
     @staticmethod
     def _observables(lat, rng):
-        zero = QuadraticObservable(lat, np.zeros((lat.n_majorana,) * 2), offset=0.7)
+        zero = observable_from_matrix(lat, np.zeros((lat.n_majorana,) * 2), offset=0.7)
         return [random_normalized_observable(lat, rng),
                 QuadraticObservable.hopping(lat, 0, 1), zero]
 
@@ -399,7 +401,7 @@ class TestLightConePullback:
         pulled = heisenberg_observable(obs, circ, ch, enc, mode)
         assert_close(dense_coefficients(pulled), dense, 1e-12, "pullback")
         assert pulled.offset == obs.offset
-        expected = obs.offset + float(np.sum(dense * state.gamma))
+        expected = obs.offset + float(np.sum(dense * full_covariance(state)))
         value = prefix_expectations(state, obs, circ, ch, enc, mode)[-1]
         assert value == pytest.approx(expected, abs=1e-12)
 
@@ -432,7 +434,7 @@ class TestLightConePullback:
         enc = EncodingWeightModel("jw1d", lat)
         state = random_gaussian_state(lat, rng)
         circ = brickwork_circuit(lat, 3, rng=np.random.default_rng(43))
-        zero = QuadraticObservable(lat, np.zeros((16, 16)), offset=-0.25)
+        zero = observable_from_matrix(lat, np.zeros((16, 16)), offset=-0.25)
         ch = PauliChannel.depolarizing(0.3)
         assert prefix_expectations(state, zero, circ, ch, enc) == [-0.25] * 4
         assert not heisenberg_observable(zero, circ, ch, enc).block.any()
@@ -500,7 +502,7 @@ class TestPrefixExpectations:
         enc = EncodingWeightModel(kind, lat)
         state = random_gaussian_state(lat, rng)
         circ = brickwork_circuit(lat, 5, radius=radius, rng=np.random.default_rng(61))
-        zero = QuadraticObservable(lat, np.zeros((lat.n_majorana,) * 2), offset=0.3)
+        zero = observable_from_matrix(lat, np.zeros((lat.n_majorana,) * 2), offset=0.3)
         # An unsorted support: the sweep reads it in its own order.
         shuffled = QuadraticObservable(lat, [[0.0, 0.3], [-0.3, 0.0]], offset=0.1,
                                        support=[2 * lat.n_sites - 1, 2], validate=False)

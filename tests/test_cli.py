@@ -13,9 +13,9 @@ import numpy as np
 import pytest
 
 import fermion_noise
-from fermion_noise import EncodingWeightModel, InvariantViolation, Lattice, QuadraticObservable
+from conftest import refuse_full_covariance
+from fermion_noise import EncodingWeightModel, InvariantViolation, Lattice
 from fermion_noise import cli
-from fermion_noise.gaussian import ModeDiagonalState
 
 
 REFERENCE_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
@@ -274,12 +274,10 @@ class TestFermi1dOutput:
 
 
 class TestFermi1dDensePaths:
+    # A Fermi sea's covariance is gathered on index sets; none of these runs
+    # may gather it on all 2N Majoranas.
     def test_size_grid_builds_no_dense_array(self, tmp_path, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("dense array built on the spectral path")
-
-        monkeypatch.setattr(ModeDiagonalState, "_build_gamma", refuse)
-        monkeypatch.setattr(QuadraticObservable, "momentum_occupation", refuse)
+        refuse_full_covariance(monkeypatch)
         code, out = run_to_file(tmp_path, "grid.csv", ["fermi1d", "--L", "100"])
         assert code == 0
         assert len(out.read_text().splitlines()) == 1 + 5
@@ -287,19 +285,11 @@ class TestFermi1dDensePaths:
     @pytest.mark.parametrize("mode", ["exact", "worst-case"])
     @pytest.mark.parametrize("encoding", ["local", "jw1d", "bravyi_kitaev"])
     def test_sweep_builds_no_covariance(self, tmp_path, monkeypatch, encoding, mode):
-        builds = []
-        original = ModeDiagonalState._build_gamma
-
-        def counting(state):
-            builds.append(state)
-            return original(state)
-
-        monkeypatch.setattr(ModeDiagonalState, "_build_gamma", counting)
+        refuse_full_covariance(monkeypatch)
         code, out = run_to_file(tmp_path, "sweep.csv",
                                 ["fermi1d", "--sweep-k", "--encoding", encoding, "--L", "16",
                                  "--mode", mode])
         assert code == 0
-        assert builds == []
         assert len(out.read_text().splitlines()) == 1 + 16
 
 
@@ -345,7 +335,7 @@ class TestFermi2dOutput:
         def refuse(*args):
             raise AssertionError("dense array built for a mode-diagonal state")
 
-        monkeypatch.setattr(ModeDiagonalState, "_build_gamma", refuse)
+        refuse_full_covariance(monkeypatch)
         monkeypatch.setattr(Lattice, "distance_matrix", refuse)
         code, out = run_to_file(tmp_path, "map.csv", ["fermi2d", "--mode", mode] + argv)
         assert code == 0
@@ -440,7 +430,6 @@ class TestCircuitOutput:
     def test_builds_no_dense_array(self, tmp_path, monkeypatch):
         # Layers, attenuation, initial state and observable all stay on the
         # light cone: none of the 2N x 2N constructions may run.
-        import fermion_noise.gaussian as gaussian
         _, expected = run_to_file(tmp_path, "before.csv",
                                   ["circuit", "--L", "512", "--depth", "8", "--seed", "1"])
 
@@ -454,7 +443,7 @@ class TestCircuitOutput:
                 raise AssertionError("weights of all 2N Majoranas built")
             return pair_weights(self, idx, counts)
 
-        monkeypatch.setattr(gaussian.ModeDiagonalState, "_build_gamma", refuse)
+        refuse_full_covariance(monkeypatch)
         monkeypatch.setattr(Lattice, "distance_matrix", refuse)
         monkeypatch.setattr(EncodingWeightModel, "pair_weights", light_cone_only)
         code, out = run_to_file(tmp_path, "after.csv",

@@ -6,7 +6,6 @@ from typing import Set, Tuple
 import numpy as np
 import pytest
 
-import fermion_noise.encodings as encodings_module
 from conftest import _bk_beta_inverse, bk_beta_matrix, bk_number_operator_weight_from_beta, \
     flavor_blocks, interleave_flavors, jordan_wigner_bits, reference_counts, table_bits, \
     table_strings
@@ -241,21 +240,6 @@ class TestSnakeWeights:
         enc = EncodingWeightModel("jw2d_snake", Lattice(2, 4))
         assert _weights(enc).max() == 16  # 1 + (16 - 1)
 
-    def test_snake_order_is_built_once_per_model(self, monkeypatch):
-        calls = []
-
-        def counted(lat):
-            calls.append(lat)
-            return snake_index_vector(lat)
-
-        monkeypatch.setattr(encodings_module, "snake_index_vector", counted)
-        enc = EncodingWeightModel("jw2d_snake", Lattice(2, 6))
-        for a, b in [(0, 5), (3, 40), (71, 2), (10, 11), (0, 5)]:
-            enc.bilinear_weight(a, b)
-            enc.pair_weights([a, b], counts=True)
-        _count_matrices(enc)
-        assert len(calls) == 1
-
 
 class TestBravyiKitaev:
     def test_beta_matrix_frozen_n4(self):
@@ -460,6 +444,26 @@ class TestSingleWeights:
         from_table = reference_counts(*jordan_wigner_bits(lat)).sum(axis=0)
         enc = EncodingWeightModel(kind, lat)
         assert [enc.bilinear_weight(a, b) for a, b in pairs] == [from_table[p] for p in pairs]
+
+    @pytest.mark.parametrize("kind,dim,weight", [("local", 1, 7), ("jw1d", 1, 6),
+                                                 ("local", 2, 4), ("jw2d_snake", 2, 1025)])
+    def test_a_pair_reads_its_two_sites_alone(self, monkeypatch, kind, dim, weight):
+        # One pair per side is all encoding-compare asks: its cost must not
+        # grow with N, so no table over all sites (coordinates, snake order).
+        coords_of = Lattice._coords_of
+
+        def two_sites(lat, sites):
+            assert np.size(sites) <= 2, "a table over all sites was built"
+            return coords_of(lat, sites)
+
+        monkeypatch.setattr(Lattice, "_coords_of", two_sites)
+        lat = Lattice(dim, 1 << 20 if dim == 1 else 1024)
+        enc = EncodingWeightModel(kind, lat)
+        # Sites 0 and 5 of the chain; (0, 0) and (L - 1, 1), L apart on the snake.
+        a, b = (0, 5) if dim == 1 else (0, 2 * lat.length - 1)
+        assert enc.bilinear_weight(2 * a, 2 * b + 1) == weight
+        if kind != "local":
+            assert enc.pair_weights([2 * a, 2 * b + 1], counts=True)[:, 0, 1].sum() == weight
 
 
 class TestJordanWignerCounts:

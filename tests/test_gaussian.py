@@ -4,21 +4,27 @@ import numpy as np
 import pytest
 
 from conftest import (
+    GaussianState,
     assert_close,
     correlation_of,
     damped_random_state,
     decay_constant,
     dense_coefficients,
+    dense_momentum_occupation,
+    dense_state,
+    full_covariance,
     haar_special_orthogonal,
+    momentum_occupation_observable,
+    observable_from_matrix,
     plane_wave_correlation,
     power_law_mask,
     random_correlation,
     random_normalized_observable,
     random_pure_state,
+    refuse_full_covariance,
     state_from_correlation,
 )
 from fermion_noise import (
-    GaussianState,
     InvariantViolation,
     Lattice,
     ModeDiagonalState,
@@ -49,9 +55,9 @@ class TestQuadraticObservable:
     def test_shape_and_antisymmetry_validated(self):
         lat = Lattice(1, 3)
         with pytest.raises(ValueError, match="6, 6"):
-            QuadraticObservable(lat, np.zeros((4, 4)))
+            observable_from_matrix(lat, np.zeros((4, 4)))
         with pytest.raises(ValueError, match="antisymmetric"):
-            QuadraticObservable(lat, np.eye(6))
+            observable_from_matrix(lat, np.eye(6))
 
     def test_site_index_bounds(self):
         lat = Lattice(1, 4)
@@ -62,7 +68,7 @@ class TestQuadraticObservable:
         with pytest.raises(ValueError, match="distinct"):
             QuadraticObservable.hopping(lat, 2, 2)
         with pytest.raises(ValueError, match="components"):
-            QuadraticObservable.momentum_occupation(lat, [0.1, 0.2])
+            momentum_occupation_observable(lat, [0.1, 0.2])
 
     @pytest.mark.parametrize("build", [
         lambda lat: QuadraticObservable.number(lat, 1.5),
@@ -87,7 +93,7 @@ class TestQuadraticObservable:
         assert QuadraticObservable.hopping(lat, 0, 3).coefficient_trace_norm() == \
             pytest.approx(1.0, abs=1e-12)
         k = 2.0 * np.pi / 6.0
-        assert QuadraticObservable.momentum_occupation(lat, [k]).coefficient_trace_norm() == \
+        assert momentum_occupation_observable(lat, [k]).coefficient_trace_norm() == \
             pytest.approx(0.5, abs=1e-12)
 
     def test_helper_observables_are_antisymmetric(self):
@@ -95,7 +101,7 @@ class TestQuadraticObservable:
         for obs in (
             QuadraticObservable.number(lat, 5),
             QuadraticObservable.hopping(lat, 0, 9),
-            QuadraticObservable.momentum_occupation(lat, [0.3, -1.1]),
+            momentum_occupation_observable(lat, [0.3, -1.1]),
         ):
             c = dense_coefficients(obs)
             assert np.allclose(c, -c.T, atol=1e-14)
@@ -122,7 +128,7 @@ class TestGaussianStateBasics:
         assert state.particle_number() == pytest.approx(0.0, abs=1e-12)
         for x in range(5):
             assert state.occupation(x) == pytest.approx(0.0, abs=1e-12)
-        assert momentum_occupation(state, [0.7]) == pytest.approx(0.0, abs=1e-12)
+        assert dense_momentum_occupation(state, [0.7]) == pytest.approx(0.0, abs=1e-12)
 
     def test_gamma_read_only(self):
         state = GaussianState.vacuum(Lattice(1, 2))
@@ -170,8 +176,8 @@ class TestFermiSeas:
 
     def test_pure_states_have_orthogonal_covariance(self, rng):
         lat = Lattice(1, 8)
-        state, _, _ = fermi_sea_1d(lat, 3)
-        assert_close(state.gamma @ state.gamma.T, np.eye(16), 1e-10, "Gamma Gamma^T")
+        gamma = full_covariance(fermi_sea_1d(lat, 3)[0])
+        assert_close(gamma @ gamma.T, np.eye(16), 1e-10, "Gamma Gamma^T")
         pure = random_pure_state(lat, rng)
         assert_close(pure.gamma @ pure.gamma.T, np.eye(16), 1e-10, "random pure")
 
@@ -179,8 +185,7 @@ class TestFermiSeas:
         lat = Lattice(1, 4)
         state, grid, _ = fermi_sea_1d(lat, 4)
         assert_close(correlation_of(state), np.eye(4), 1e-12, "full filling")
-        for k in grid.momenta:
-            assert momentum_occupation(state, k) == pytest.approx(1.0, abs=1e-12)
+        assert_close(momentum_occupation(state, grid.momenta), 1.0, 1e-12, "n(k)")
 
     def test_single_particle_tight_binding_plane(self):
         # One particle condenses into k = (0, 0): C_xy = 1/4 everywhere.
@@ -194,16 +199,15 @@ class TestFermiSeas:
     def test_mode_occupations_are_sharp(self):
         lat = Lattice(1, 8)
         state, grid, occ = fermi_sea_1d(lat, 3)
-        occ_set = set(int(i) for i in occ)
-        for j, k in enumerate(grid.momenta):
-            want = 1.0 if j in occ_set else 0.0
-            assert momentum_occupation(state, k) == pytest.approx(want, abs=1e-12)
+        want = np.zeros(len(grid))
+        want[occ] = 1.0
+        assert_close(momentum_occupation(state, grid.momenta), want, 1e-12, "n(k)")
 
     def test_total_momentum_occupation_counts_particles(self):
         for n_occ in (1, 2, 5, 8):
             lat = Lattice(1, 8)
             state, grid, _ = fermi_sea_1d(lat, n_occ)
-            total = sum(momentum_occupation(state, k) for k in grid.momenta)
+            total = momentum_occupation(state, grid.momenta).sum()
             assert total == pytest.approx(n_occ, abs=1e-8)
 
     def test_grid_parity_follows_particle_number(self):
@@ -269,28 +273,25 @@ class TestModeOccupationStates:
         corr = plane_wave_correlation(grid, fillings)
         state = state_from_correlation(lat, corr)
         for j, k in enumerate(grid.momenta):
-            assert momentum_occupation(state, k) == pytest.approx(fillings[j], abs=1e-10)
+            assert dense_momentum_occupation(state, k) == pytest.approx(fillings[j], abs=1e-10)
         assert state.particle_number() == pytest.approx(fillings.sum(), abs=1e-8)
 
 
 class TestModeDiagonalState:
-    def test_lazy_covariance_is_the_dense_construction(self, rng):
+    def test_whole_covariance_is_the_dense_construction(self, rng):
         grid = momentum_grid(Lattice(2, 4), "even")
         fillings = rng.uniform(0.0, 1.0, size=16)
         state = ModeDiagonalState(grid, fillings)
-        assert state._gamma is None
         dense = state_from_correlation(
             grid.lattice, plane_wave_correlation(grid, fillings), validate=False)
-        assert_close(state.gamma, dense.gamma, 1e-12, "box gather vs plane waves")
-        assert state.gamma is state.gamma
-        assert not state.gamma.flags.writeable
+        assert_close(full_covariance(state), dense.gamma, 1e-12, "torus gather vs plane waves")
 
     def test_fermi_seas_are_mode_diagonal(self):
         state, grid, occ = fermi_sea_1d(Lattice(1, 8), 3)
         assert isinstance(state, ModeDiagonalState) and state.grid is grid
         assert state.occupations.sum() == 3 and (state.occupations[occ] == 1).all()
         state2d, _ = fermi_sea(momentum_grid(Lattice(2, 4), "odd"), 5, tight_binding_dispersion)
-        assert isinstance(state2d, ModeDiagonalState) and state2d._gamma is None
+        assert isinstance(state2d, ModeDiagonalState)
 
     def test_occupations_outside_the_unit_interval_are_unphysical(self):
         grid = momentum_grid(Lattice(1, 4), "odd")
@@ -303,31 +304,26 @@ class TestModeDiagonalState:
         with pytest.raises(ValueError, match="shape"):
             ModeDiagonalState(grid, np.zeros(3))
         # Rounding within the slack is accepted, and such a state also
-        # builds its covariance.
+        # gathers its covariance.
         edge = ModeDiagonalState(grid, [0.0, 1.0, 1.0 + 1e-13, -1e-13])
-        assert edge.gamma.shape == (8, 8)
+        assert full_covariance(edge).shape == (8, 8)
         assert edge.particle_number() == pytest.approx(2.0, abs=1e-12)
-
-    def test_dense_constructors_are_not_inherited(self):
-        lat = Lattice(1, 4)
-        with pytest.raises(TypeError, match="GaussianState.vacuum"):
-            ModeDiagonalState.vacuum(lat)
-        assert type(GaussianState.vacuum(lat)) is GaussianState
 
     @pytest.mark.parametrize("dim,length,parity", [(1, 10, "odd"), (1, 10, "even"),
                                                    (2, 6, "odd"), (2, 6, "even")])
-    def test_momentum_occupation_matches_the_dense_observable(self, rng, dim, length, parity):
+    def test_momentum_occupation_matches_the_dense_observable(self, rng, monkeypatch,
+                                                              dim, length, parity):
         lat = Lattice(dim, length)
         grid = momentum_grid(lat, parity)
         fillings = rng.uniform(0.0, 1.0, size=lat.n_sites)
         state = ModeDiagonalState(grid, fillings)
         other = momentum_grid(lat, "even" if parity == "odd" else "odd").momenta
         momenta = np.concatenate([grid.momenta, other, rng.uniform(-4.0, 4.0, (5, dim))])
-        spectral = [momentum_occupation(state, k) for k in momenta]
-        assert state._gamma is None
-        dense = GaussianState(lat, state.gamma)
-        assert_close(spectral, [momentum_occupation(dense, k) for k in momenta], 1e-12,
-                     "box sum vs dense observable")
+        dense = dense_state(state)
+        refuse_full_covariance(monkeypatch)
+        spectral = momentum_occupation(state, momenta)
+        assert_close(spectral, [dense_momentum_occupation(dense, k) for k in momenta], 1e-12,
+                     "torus sum vs dense observable")
         assert_close(spectral[:lat.n_sites], fillings, 1e-12, "n(k) on the grid")
         assert state.particle_number() == pytest.approx(dense.particle_number(), abs=1e-12)
 
@@ -356,7 +352,7 @@ class TestSupportHeldObservables:
         lat = Lattice(1, 5)
         coeffs = np.zeros((10, 10))
         coeffs[np.ix_([1, 6, 7], [1, 6, 7])] = [[0, 1, -2], [-1, 0, 3], [2, -3, 0]]
-        obs = QuadraticObservable(lat, coeffs, offset=0.3)
+        obs = observable_from_matrix(lat, coeffs, offset=0.3)
         assert obs.support.tolist() == [1, 6, 7]
         assert np.array_equal(obs.block, coeffs[np.ix_([1, 6, 7], [1, 6, 7])])
         same = QuadraticObservable(lat, obs.block, offset=0.3, support=[1, 6, 7])
@@ -388,13 +384,12 @@ class TestCovarianceBlock:
 
     @pytest.mark.parametrize("dim,length,parity", [(1, 10, "odd"), (1, 12, "even"),
                                                    (2, 4, "odd"), (2, 6, "even")])
-    def test_mode_diagonal_block_gathers_the_covariance(self, rng, monkeypatch,
-                                                         dim, length, parity):
+    def test_mode_diagonal_block_gathers_the_covariance(self, rng, dim, length, parity):
         lat = Lattice(dim, length)
         grid = momentum_grid(lat, parity)
         state = ModeDiagonalState(grid, rng.uniform(0.0, 1.0, len(grid)))
-        reference = ModeDiagonalState(grid, state.occupations).gamma
-        monkeypatch.setattr(ModeDiagonalState, "_build_gamma", _refuse)
+        reference = state_from_correlation(
+            lat, plane_wave_correlation(grid, state.occupations), validate=False).gamma
         every = np.arange(lat.n_majorana)
         assert_close(state.covariance_block(every), reference, 1e-12, "all indices")
         for size in (1, 5, 12):
@@ -407,26 +402,22 @@ class TestCovarianceBlock:
     ])
     def test_site_occupation_reads_the_block(self, monkeypatch, lattice_state):
         sea = lattice_state()
-        dense = GaussianState(sea.lattice, sea.gamma)
-        monkeypatch.setattr(ModeDiagonalState, "_build_gamma", _refuse)
-        fresh = lattice_state()
+        dense = dense_state(sea)
+        refuse_full_covariance(monkeypatch)
         for site in (0, 3, sea.lattice.n_sites - 1):
             assert dense.occupation(site) == 0.5 * (1.0 + dense.gamma[2 * site, 2 * site + 1])
-            assert fresh.occupation(site) == pytest.approx(dense.occupation(site), abs=1e-12)
+            number = QuadraticObservable.number(sea.lattice, site)
+            assert sea.expectation(number) == pytest.approx(dense.occupation(site), abs=1e-12)
 
     @pytest.mark.parametrize("dim,length", [(1, 12), (1, 64), (2, 6), (2, 8)])
-    def test_circulant_state_matches_the_dense_construction(self, monkeypatch, dim, length):
+    def test_circulant_state_matches_the_dense_construction(self, dim, length):
         lat = Lattice(dim, length)
         dense, k_dense = _dense_circulant_state(lat, dim + 2.0)
         state, k_const = circulant_power_law_state(lat, dim + 2.0)
         assert isinstance(state, ModeDiagonalState)
         assert k_const == k_dense
         assert 0.05 <= state.occupations.min() and state.occupations.max() <= 0.95
-        assert_close(state.gamma, dense.gamma, 1e-12, "gamma")
-        fresh, _ = circulant_power_law_state(lat, dim + 2.0)
-        monkeypatch.setattr(ModeDiagonalState, "_build_gamma", _refuse)
-        assert_close(fresh.covariance_block(np.arange(lat.n_majorana)), dense.gamma, 1e-12,
-                     "block")
+        assert_close(full_covariance(state), dense.gamma, 1e-12, "gamma")
 
     @pytest.mark.parametrize("idx", [[-1, 0], [0, 16], [3, -2, 5]])
     def test_blocks_refuse_indices_outside_the_majoranas(self, idx):
@@ -441,10 +432,6 @@ class TestCovarianceBlock:
         monkeypatch.setattr(gaussian_module, "_offdiagonal_decay_sum", lambda dim, mu: 0.1)
         with pytest.raises(InvariantViolation, match="outside"):
             circulant_power_law_state(Lattice(1, 16), 3.0)
-
-
-def _refuse(*args, **kwargs):
-    raise AssertionError("dense covariance built")
 
 
 class TestHaarSpecialOrthogonal:
@@ -485,7 +472,7 @@ class TestMomentumOccupationRange:
             state = random_pure_state(lat, rng)
             grid = momentum_grid(lat, "odd" if trial % 2 else "even")
             for k in grid.momenta:
-                val = momentum_occupation(state, k)
+                val = dense_momentum_occupation(state, k)
                 assert -1e-9 <= val <= 1.0 + 1e-9
                 checked += 1
         assert checked > 1000
@@ -526,10 +513,8 @@ class TestDecayControlledStates:
             rolled = np.roll(np.roll(corr, shift, axis=0), shift, axis=1)
             assert_close(rolled, corr, 1e-12, f"shift {shift}")
         # Mode occupations sit inside the advertised window.
-        grid = momentum_grid(lat, "odd")
-        for k in grid.momenta:
-            nk = momentum_occupation(state, k)
-            assert 0.05 - 1e-9 <= nk <= 0.95 + 1e-9
+        nk = momentum_occupation(state, momentum_grid(lat, "odd").momenta)
+        assert (0.05 - 1e-9 <= nk).all() and (nk <= 0.95 + 1e-9).all()
 
     def test_vacuum_decay_constant(self):
         state = GaussianState.vacuum(Lattice(1, 6))

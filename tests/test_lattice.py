@@ -91,6 +91,13 @@ class TestDistances:
         sites = [lat.site_index((0, 0)), lat.site_index((3, 3)), lat.site_index((1, 1))]
         assert lat.pair_distances(np.array(sites)).tolist() == [[0, 2, 2], [2, 0, 4], [2, 4, 0]]
 
+    @pytest.mark.parametrize("sites", [[0, 16], [-1, 3]])
+    def test_pair_distances_refuse_sites_outside_the_lattice(self, sites):
+        # The coordinates are computed, not looked up: a site past the end
+        # would wrap onto another row, a negative one onto the far end.
+        with pytest.raises(IndexError, match=r"outside \[0, 16\)"):
+            Lattice(2, 4).pair_distances(np.array(sites))
+
     @pytest.mark.parametrize("dim,length", [(1, 7), (1, 8), (2, 4), (2, 5)])
     def test_torus_metric_matches_brute_force(self, rng, dim, length):
         lat = Lattice(dim, length)

@@ -3,14 +3,14 @@
 import numpy as np
 import pytest
 
-from conftest import assert_close, attenuation_matrix, box_covariance_block, \
+from conftest import GaussianState, assert_close, attenuation_matrix, box_covariance_block, \
     box_momentum_error_map, box_momentum_occupation, box_occupation_shift, dense_coefficients, \
-    dense_momentum_error_map, displacement_index, fold_drop_box, random_correlation, \
-    random_normalized_observable, random_pure_state, state_from_correlation, table_strings
+    dense_momentum_error_map, dense_state, displacement_index, fold_drop_box, full_covariance, \
+    momentum_occupation_observable, random_correlation, random_normalized_observable, \
+    random_pure_state, refuse_full_covariance, state_from_correlation, table_strings
 from fermion_noise import (
     MODES,
     EncodingWeightModel,
-    GaussianState,
     Lattice,
     ModeDiagonalState,
     PauliChannel,
@@ -273,7 +273,7 @@ class TestNoisyExpectations:
         state = state_from_correlation(lat, random_correlation(rng, 5))
         enc = EncodingWeightModel("local", lat, phi0=1)
         ch = PauliChannel.depolarizing(0.15)
-        obs = QuadraticObservable.momentum_occupation(lat, [2 * np.pi / 5])
+        obs = momentum_occupation_observable(lat, [2 * np.pi / 5])
         damped = GaussianState(lat, attenuation_matrix(enc, ch) * state.gamma)
         assert noisy_expectation(state, obs, enc, ch) == \
             pytest.approx(damped.expectation(obs), abs=1e-12)
@@ -336,8 +336,8 @@ class TestSensitivity:
 class TestSupportHeldMeasurement:
     """Measurement noise reads the observable's support only.
 
-    On a mode-diagonal state the ``2N x 2N`` covariance is not built, and the
-    results are those of the dense state.
+    On a mode-diagonal state that is its covariance block gathered from
+    ``C(r)``, and the results are those of the dense state.
     """
 
     @pytest.mark.parametrize("kind,dim,length,channel", [
@@ -351,32 +351,22 @@ class TestSupportHeldMeasurement:
         ("bravyi_kitaev", 2, 8, PauliChannel.depolarizing(0.2)),
     ])
     @pytest.mark.parametrize("mode", ["exact", "worst-case"])
-    def test_mode_diagonal_state_matches_dense(self, monkeypatch, kind, dim, length, channel,
-                                               mode):
+    def test_mode_diagonal_state_matches_dense(self, kind, dim, length, channel, mode):
         lat = Lattice(dim, length)
         if dim == 1:
-            sea, _, _ = fermi_sea_1d(lat, 21)
+            state, _, _ = fermi_sea_1d(lat, 21)
         else:
-            sea, _ = fermi_sea(momentum_grid(lat, parity_of(13)), 13, tight_binding_dispersion)
-        dense = GaussianState(lat, sea.gamma)
-        state = ModeDiagonalState(sea.grid, sea.occupations)
+            state, _ = fermi_sea(momentum_grid(lat, parity_of(13)), 13, tight_binding_dispersion)
+        dense = dense_state(state)
         enc = EncodingWeightModel(kind, lat)
         observables = [QuadraticObservable.number(lat, 3), QuadraticObservable.hopping(lat, 0, 9),
                        QuadraticObservable.hopping(lat, 5, lat.n_sites - 2),
-                       QuadraticObservable.momentum_occupation(lat, sea.grid.momenta[4])]
-        expected = [(noisy_expectation(dense, obs, enc, channel, mode),
-                     measurement_error(dense, obs, enc, channel, mode)) for obs in observables]
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("dense covariance built")
-
-        monkeypatch.setattr(ModeDiagonalState, "_build_gamma", refuse)
-        for obs, (noisy, error) in zip(observables, expected):
+                       momentum_occupation_observable(lat, state.grid.momenta[4])]
+        for obs in observables:
             assert noisy_expectation(state, obs, enc, channel, mode) == \
-                pytest.approx(noisy, abs=1e-12)
+                pytest.approx(noisy_expectation(dense, obs, enc, channel, mode), abs=1e-12)
             assert measurement_error(state, obs, enc, channel, mode) == \
-                pytest.approx(error, abs=1e-12)
-        assert state._gamma is None
+                pytest.approx(measurement_error(dense, obs, enc, channel, mode), abs=1e-12)
 
 
 class TestMomentumErrorMap:
@@ -388,8 +378,8 @@ class TestMomentumErrorMap:
         errors = momentum_error_map(state, enc, ch, grid.momenta)
         lam = attenuation_matrix(enc, ch)
         for j, k in enumerate(grid.momenta):
-            obs = QuadraticObservable.momentum_occupation(lat, k)
-            manual = float(np.sum(dense_coefficients(obs) * (1.0 - lam) * state.gamma))
+            obs = momentum_occupation_observable(lat, k)
+            manual = float(np.sum(dense_coefficients(obs) * (1.0 - lam) * full_covariance(state)))
             assert errors[j] == pytest.approx(manual, abs=1e-14)
 
     def test_generic_path_matches_fast_path(self):
@@ -421,8 +411,8 @@ class TestMomentumErrorMap:
         errors = momentum_error_map(state, enc, ch, grid.momenta)
         lam = attenuation_matrix(enc, ch)
         for j in (0, 7, 15):
-            obs = QuadraticObservable.momentum_occupation(lat, grid.momenta[j])
-            manual = float(np.sum(dense_coefficients(obs) * (1.0 - lam) * state.gamma))
+            obs = momentum_occupation_observable(lat, grid.momenta[j])
+            manual = float(np.sum(dense_coefficients(obs) * (1.0 - lam) * full_covariance(state)))
             assert errors[j] == pytest.approx(manual, abs=1e-14)
 
     def test_momenta_shape_validated(self):
@@ -441,9 +431,15 @@ class TestMomentumErrorMap:
     def test_zero_mode_identity(self, dim, length, kind):
         # sum_k e^{ikr} = N delta_r0 on a whole grid, so the errors of all its
         # modes sum to the on-site cross-flavor drop, summed over sites, times
-        # the on-site <gamma_2x gamma_2x+1> part, n_bar - 1/2.
+        # the on-site <gamma_2x gamma_2x+1> part, n_bar - 1/2.  The on-site
+        # drop comes from the number operators' Z strings, not from the box:
+        # one Z for Jordan-Wigner, 1 + tau(s) for Bravyi-Kitaev (tau the
+        # trailing ones of s) and weight phi0 for ``local``.
         lat = Lattice(dim, length)
         enc = EncodingWeightModel(kind, lat)
+        n = lat.n_sites
+        z_counts = {"local": np.full(n, enc.phi0), "jw1d": np.ones(n), "jw2d_snake": np.ones(n),
+                    "bravyi_kitaev": np.array([(s ^ (s + 1)).bit_length() for s in range(n)])}
         dispersion = tight_binding_dispersion if dim == 2 else free_dispersion
         for n_occ in (5, 12, lat.n_sites // 3):
             grid = momentum_grid(lat, parity_of(n_occ))
@@ -453,17 +449,18 @@ class TestMomentumErrorMap:
                     if kind == "local" and mode == "exact" and not ch.is_depolarizing:
                         continue
                     total = momentum_error_map(state, enc, ch, grid.momenta, mode).sum()
-                    cross = enc.drop_box(_mode_etas(ch, mode))[1]
-                    expected = cross[(0,) * dim] * (n_occ / lat.n_sites - 0.5)
+                    ez = _mode_etas(ch, mode)[2]
+                    on_site = np.sum(1.0 - ez ** z_counts[kind])
+                    expected = on_site * (n_occ / lat.n_sites - 0.5)
                     assert abs(total - expected) <= 1e-12 * max(1.0, abs(expected)), \
                         (n_occ, ch.alphas, mode)
 
 
 def per_momentum_error(state, enc, channel, k, mode):
     """``<n_k> - <n_k>_noisy`` contracted from the dense observable of one momentum."""
-    obs = QuadraticObservable.momentum_occupation(state.lattice, k)
+    obs = momentum_occupation_observable(state.lattice, k)
     lam = attenuation_matrix(enc, channel, mode)
-    return float(np.sum(dense_coefficients(obs) * (1.0 - lam) * state.gamma))
+    return float(np.sum(dense_coefficients(obs) * (1.0 - lam) * full_covariance(state)))
 
 
 _KIND_MODE_MIX = [
@@ -515,8 +512,8 @@ class TestMomentumErrorMapReference:
         assert_close(errors, ref, 1e-12, f"{kind} anisotropic")
 
     @pytest.mark.parametrize("kind,mode,alphas,dim", _mode_diagonal_cases())
-    def test_mode_diagonal_state_matches_the_per_momentum_contraction(self, rng, kind, mode,
-                                                                      alphas, dim):
+    def test_mode_diagonal_state_matches_the_per_momentum_contraction(self, rng, monkeypatch,
+                                                                      kind, mode, alphas, dim):
         # Random n(q): the drops are summed by displacement and weighted by
         # C(r), on the state's grid, on the other parity's grid and off both.
         lat = Lattice(dim, 8 if dim == 1 else 4)
@@ -526,9 +523,10 @@ class TestMomentumErrorMapReference:
         ch = PauliChannel(0.2, alphas=alphas) if alphas else PauliChannel.depolarizing(0.2)
         momenta = np.concatenate([grid.momenta, momentum_grid(lat, "odd").momenta,
                                   rng.uniform(-4.0, 4.0, (3, dim))])
+        dense = dense_state(state)
+        refuse_full_covariance(monkeypatch)
         errors = momentum_error_map(state, enc, ch, momenta, mode)
-        assert state._gamma is None
-        ref = [per_momentum_error(state, enc, ch, k, mode) for k in momenta]
+        ref = [per_momentum_error(dense, enc, ch, k, mode) for k in momenta]
         assert_close(errors, ref, 1e-12, f"{kind} {mode} {alphas} {dim}D")
 
     def test_weight_only_model_needs_worst_case_for_a_non_uniform_mix(self):
@@ -555,7 +553,8 @@ class TestSpectralErrorMap:
     @pytest.mark.parametrize("dim,length", [(1, 10), (2, 6)])
     @pytest.mark.parametrize("parity", ["odd", "even"])
     @pytest.mark.parametrize("filling", ["sharp", "lipschitz"])
-    def test_matches_the_dense_contraction(self, rng, dim, length, parity, filling):
+    def test_matches_the_dense_contraction(self, rng, monkeypatch, dim, length, parity,
+                                           filling):
         lat = Lattice(dim, length)
         grid = momentum_grid(lat, parity)
         if filling == "sharp":
@@ -568,14 +567,15 @@ class TestSpectralErrorMap:
         if dim == 1:
             encodings.append(EncodingWeightModel("jw1d", lat))
         state = ModeDiagonalState(grid, occupations)
+        reference = dense_state(state)
+        refuse_full_covariance(monkeypatch)
         channel = PauliChannel.depolarizing(0.13)
         spectral = {(enc.kind, enc.phi0, mode): momentum_error_map(state, enc, channel,
                                                                    momenta, mode)
                     for enc in encodings for mode in ("exact", "worst-case")}
-        assert state._gamma is None, "the spectral path built the covariance"
         for enc in encodings:
             for mode in ("exact", "worst-case"):
-                dense = dense_momentum_error_map(state, enc, channel, momenta, mode)
+                dense = dense_momentum_error_map(reference, enc, channel, momenta, mode)
                 assert_close(spectral[enc.kind, enc.phi0, mode], dense, 1e-12,
                              f"{enc.kind} phi0={enc.phi0} {mode}")
 
@@ -585,23 +585,27 @@ class TestSpectralErrorMap:
         ("bravyi_kitaev", 2, 4, None),
         ("jw1d", 1, 8, (0.5, 0.2, 0.3)),
     ])
-    def test_other_encodings_and_mixes_fold_their_drops(self, rng, kind, dim, length, alphas):
+    def test_other_encodings_and_mixes_fold_their_drops(self, rng, monkeypatch, kind, dim,
+                                                        length, alphas):
         lat = Lattice(dim, length)
         grid = momentum_grid(lat, "odd")
         state = ModeDiagonalState(grid, rng.uniform(0.0, 1.0, size=lat.n_sites))
         enc = EncodingWeightModel(kind, lat)
         channel = PauliChannel(0.2, alphas=alphas) if alphas else PauliChannel.depolarizing(0.2)
         momenta = np.concatenate([grid.momenta, [[0.3] * dim]])
+        dense = dense_state(state)
+        refuse_full_covariance(monkeypatch)
         errors = momentum_error_map(state, enc, channel, momenta)
-        assert state._gamma is None
         # The drops are summed over pairs before the C(r) weights, the dense
         # reference's T after them: the same sum in another order.
-        assert_close(errors, dense_momentum_error_map(state, enc, channel, momenta),
+        assert_close(errors, dense_momentum_error_map(dense, enc, channel, momenta),
                      1e-12, f"{kind} {dim}D {alphas}")
 
-    def test_matches_the_convolution_reference_beyond_dense_reach(self):
+    def test_matches_the_convolution_reference_beyond_dense_reach(self, monkeypatch):
         # L = 200 in 2D is N = 40000: a dense covariance would take 51 GB.
         from test_acceptance import _direct_occupation_errors
+
+        refuse_full_covariance(monkeypatch)
 
         side, p, phi0 = 200, 0.05, 1
         lat = Lattice(2, side)
@@ -617,7 +621,6 @@ class TestSpectralErrorMap:
         occ_m = np.rint(grid.m_vectors[occ]).astype(int)
         direct = _direct_occupation_errors(side, occ_m, p, phi0, probes_m)
         assert_close(errors, direct, 1e-12, "spectral vs convolution reference")
-        assert state._gamma is None
 
 
 _FENWICK_NOISE = [
@@ -687,10 +690,10 @@ class TestFenwickLevels:
 
         monkeypatch.setattr(EncodingWeightModel, "pair_weights", refuse)
         monkeypatch.setattr(encodings, "_fenwick_pairs", refuse)
+        refuse_full_covariance(monkeypatch)
         enc = EncodingWeightModel("bravyi_kitaev", lat)
         errors = momentum_error_map(state, enc, PauliChannel.depolarizing(p), grid.momenta)
         assert_close(errors, want, 1e-12, "levels vs streamed fold at L = 64")
-        assert state._gamma is None
 
     def test_drop_boxes_are_kept_per_etas_on_the_model(self):
         lat = Lattice(2, 8)
@@ -777,10 +780,10 @@ class TestJordanWignerBox:
 
         monkeypatch.setattr(EncodingWeightModel, "pair_weights", refuse)
         monkeypatch.setattr(EncodingWeightModel, "_jordan_wigner_counts", refuse)
+        refuse_full_covariance(monkeypatch)
         enc = EncodingWeightModel("jw2d_snake", lat)
         errors = momentum_error_map(state, enc, PauliChannel.depolarizing(p), grid.momenta)
         assert_close(errors, want, 1e-12, "qubit separations vs streamed fold at L = 64")
-        assert state._gamma is None
 
 # Every (dim, L, encoding) of the torus-route checks: both dimensions, L = 2
 # included, and every encoding where it applies (Bravyi-Kitaev needs a
@@ -810,7 +813,8 @@ class TestTorusRoute:
     # every momentum off an FFT of twice the period.
     @pytest.mark.parametrize("parity", ["odd", "even"])
     @pytest.mark.parametrize("dim,length,kind", _TORUS_CASES)
-    def test_error_maps_match_the_box_route(self, rng, dim, length, kind, parity):
+    def test_error_maps_match_the_box_route(self, rng, monkeypatch, dim, length, kind, parity):
+        refuse_full_covariance(monkeypatch)
         lat = Lattice(dim, length)
         grid = momentum_grid(lat, parity)
         state = ModeDiagonalState(grid, rng.uniform(0.0, 1.0, size=lat.n_sites))
@@ -830,7 +834,6 @@ class TestTorusRoute:
         assert_close(state.occupation_shift(same, cross, momenta),
                      box_occupation_shift(state, same, cross, momenta), 1e-14,
                      f"{label} random drop boxes")
-        assert state._gamma is None
 
     @pytest.mark.parametrize("parity", ["odd", "even"])
     @pytest.mark.parametrize("dim,length", [(1, 2), (1, 10), (2, 2), (2, 6)])
@@ -839,7 +842,7 @@ class TestTorusRoute:
         grid = momentum_grid(lat, parity)
         state = ModeDiagonalState(grid, rng.uniform(0.0, 1.0, size=lat.n_sites))
         momenta = _torus_momenta(rng, grid)
-        assert_close([momentum_occupation(state, k) for k in momenta],
+        assert_close(momentum_occupation(state, momenta),
                      [box_momentum_occupation(state, k) for k in momenta], 1e-14,
                      f"n(k), {dim}D L={length} {parity}")
         everything = np.arange(lat.n_majorana)
@@ -847,4 +850,3 @@ class TestTorusRoute:
         for idx in (everything, some):
             assert_close(state.covariance_block(idx), box_covariance_block(state, idx), 1e-14,
                          f"covariance, {dim}D L={length} {parity}")
-        assert state._gamma is None

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from conftest import assert_close, dense_coefficients, random_correlation, \
+from conftest import GaussianState, assert_close, dense_coefficients, random_correlation, \
     random_normalized_observable, state_from_correlation
-from fermion_noise import GaussianState, Lattice, QuadraticObservable
+from fermion_noise import Lattice, QuadraticObservable
 from oracle import (
     dense_expectation,
     dense_free_unitary,

@@ -6,6 +6,7 @@ import types
 
 import pytest
 
+import conftest
 import fermion_noise
 from fermion_noise import circuits, encodings, gaussian, lattice, noise
 
@@ -42,6 +43,7 @@ DELETED_FUNCTIONS = [
     (gaussian, "_ground_state"),
     (noise, "pair_attenuation"),
     (circuits, "circuit_expectation"),
+    (gaussian, "GaussianState"),
 ]
 DELETED_METHODS = [
     ("PauliChannel", "depolarizing_attenuation"),
@@ -63,6 +65,9 @@ DELETED_METHODS = [
     ("QuadraticObservable", "scaled"),
     ("EncodingWeightModel", "string_composition"),
     ("Circuit", "light_cone_radius"),
+    ("ModeDiagonalState", "gamma"),
+    ("ModeDiagonalState", "vacuum"),
+    ("QuadraticObservable", "momentum_occupation"),
 ]
 # Public names that no other package module refers to, each with why it stays.
 KEPT = {
@@ -72,6 +77,8 @@ KEPT = {
                              "(criterion 2)",
     "jump_scaling_probe": "criterion 8's fragile finite-size probe",
     "lipschitz_scaling_probe": "criterion 8's stable finite-size probe",
+    "snake_index_vector": "the jw2d_snake qubit order read whole; the package reads it "
+                          "per site set",
     "__version__": "the package version",
 }
 
@@ -100,19 +107,33 @@ def test_deleted_functions_are_gone(module, name):
 
 @pytest.mark.parametrize("cls,name", DELETED_METHODS)
 def test_deleted_methods_are_gone(cls, name):
-    assert not hasattr(getattr(fermion_noise, cls), name)
+    # A class that left the package for the tests is read there.
+    owner = getattr(fermion_noise, cls) if hasattr(fermion_noise, cls) else getattr(conftest, cls)
+    assert not hasattr(owner, name)
 
 
 def _referenced_names(package):
-    """Names that the package's modules, ``__init__.py`` aside, use, import or look up."""
+    """Names that the package's modules, ``__init__.py`` aside, use, import or look up.
+
+    An attribute counts only when it is looked up on a package module
+    (``noise.momentum_error_map``): a method of the same name, such as a
+    classmethod ``QuadraticObservable.f``, is no caller of a module function
+    ``f``.
+    """
     names = set()
     for path in sorted(package.glob("*.py")):
         if path.name == "__init__.py":
             continue
-        for node in ast.walk(ast.parse(path.read_text())):
+        nodes = list(ast.walk(ast.parse(path.read_text())))
+        # Names this file binds to sibling modules: ``from . import m``.
+        modules = {alias.asname or alias.name for node in nodes
+                   if isinstance(node, ast.ImportFrom) and node.level and node.module is None
+                   for alias in node.names}
+        for node in nodes:
             if isinstance(node, ast.Name):
                 names.add(node.id)
-            elif isinstance(node, ast.Attribute):
+            elif isinstance(node, ast.Attribute) and \
+                    getattr(node.value, "id", None) in modules:
                 names.add(node.attr)
             elif isinstance(node, ast.ImportFrom):
                 names.update(alias.name for alias in node.names)
