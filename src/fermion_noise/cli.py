@@ -36,17 +36,28 @@ writes row objects by one template per table too, with the bytes of
 template repeated over the block, and a coded column writes the bytes of
 the plain column it stands for.
 
-Configuration comes from flags or from a flat ``key=value`` file passed via
-``--config`` (flags win).  Exit codes: 0 on success, 2 for configuration
-errors, 3 when a numerical invariant breaks mid-run.  Reruns with identical
+Flags and config keys are one table, ``_OPTIONS``: each command's keys, each
+with the cast of its values, a default and a help text.  A key is the flag
+``--key`` with ``-`` for ``_`` (``n_occ`` is ``--n-occ``) and a ``key=value``
+line of the flat file passed via ``--config``; ``--out``, ``--format csv|json``
+and ``--config`` are flags only.  A flag takes its value as the next argument
+or after ``=``, but a boolean flag (``--sweep-k``) takes none, and a unique
+prefix of a flag stands for it (``--enc`` for ``--encoding``).  Flag and
+config values go through the same casts; defaults, then the config file,
+then the flags, the last one winning.  ``--help`` (or ``-h``) prints the
+commands, or after a command its flags, from the table's help texts.
+
+Exit codes: 0 on success (and for ``--help``), 2 for configuration errors,
+3 when a numerical invariant breaks mid-run.  A configuration error prints
+``configuration error: <field>: <message>`` to stderr, the field being
+``command``, the key of a bad or missing value, or an unknown flag or stray
+argument as given; no error raises ``SystemExit``.  Reruns with identical
 configuration produce byte-identical output.
 """
 
 from __future__ import annotations
 
-import argparse
 import contextlib
-import functools
 import json
 import sys
 from typing import Callable, Dict, IO, List, Optional, Sequence, Tuple, Union
@@ -86,7 +97,8 @@ def _cast_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
-# name -> (cast of a config-file value, default, help); None defaults resolve per subcommand.
+# key -> (cast of a flag or config-file value, default, help); None defaults resolve per
+# subcommand.
 _OPTIONS: Dict[str, Dict[str, tuple]] = {
     "fermi1d": {
         "p": (float, 1e-2, "depolarizing probability"),
@@ -130,29 +142,91 @@ _DEFAULT_FORMAT = {command: "csv" for command in _OPTIONS}
 _DEFAULT_FORMAT["bounds"] = "json"
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="fermion-noise",
-        description="Noise-error experiments for encoded free-fermion observables.",
-    )
-    subparsers = parser.add_subparsers(dest="command", required=True)
-    for command, options in _OPTIONS.items():
-        sub = subparsers.add_parser(command, help=f"run the {command} experiment")
-        for name, (kind, _, help_text) in options.items():
-            flag = "--" + name.replace("_", "-")
-            if kind is _cast_bool:
-                sub.add_argument(flag, action="store_const", const=True,
-                                 default=None, help=help_text)
-            else:
-                sub.add_argument(flag, type=kind, default=None, help=help_text)
-        sub.add_argument("--out", type=str, default=None,
-                         help="output path (default: stdout)")
-        sub.add_argument("--format", type=str, default=None, choices=("csv", "json"),
-                         help=f"output format (default: {_DEFAULT_FORMAT[command]})")
-        sub.add_argument("--config", type=str, default=None,
-                         help="flat key=value configuration file; flags win")
-    return parser
+def _cast_format(text: str) -> str:
+    if text not in ("csv", "json"):
+        raise ValueError(f"must be one of csv|json, got {text!r}")
+    return text
+
+
+# Flags of every command that a config file does not hold.
+_OUTPUT_OPTIONS: Dict[str, tuple] = {
+    "out": (str, None, "output path (default: stdout)"),
+    "format": (_cast_format, None, "output format: csv | json"),
+    "config": (str, None, "flat key=value configuration file; flags win"),
+}
+_COMMANDS = "|".join(_OPTIONS)
+
+
+def _cast(options: Dict[str, tuple], key: str, text: str) -> object:
+    try:
+        return options[key][0](text)
+    except ValueError as exc:
+        raise ConfigError(f"{key}: {exc}") from exc
+
+
+def _parse_argv(argv: Sequence[str]) -> Tuple[Optional[str], Optional[Dict[str, object]]]:
+    """The command and its flags by key, cast; flags ``None`` ask for help.
+
+    Help of the command, or with command ``None`` of all commands.  Reads
+    ``--flag value``, ``--flag=value`` and a bare boolean ``--flag`` against
+    the command's options and ``_OUTPUT_OPTIONS``; a unique prefix of a flag
+    stands for it, and a value is never a flag (``--...`` or ``-h``).
+    """
+    if not argv:
+        raise ConfigError(f"command: missing; expected one of {_COMMANDS}")
+    command, tokens = argv[0], iter(argv[1:])
+    if command in ("-h", "--help"):
+        return None, None
+    if command not in _OPTIONS:
+        raise ConfigError(f"command: unknown {command!r}; expected one of {_COMMANDS}")
+    options = {**_OPTIONS[command], **_OUTPUT_OPTIONS}
+    keys = {"--" + key.replace("_", "-"): key for key in options}
+    keys["--help"] = None
+    flags: Dict[str, object] = {}
+    for token in tokens:
+        if token == "-h":
+            return command, None
+        flag, has_value, text = token.partition("=")
+        if not flag.startswith("--") or flag == "--":
+            raise ConfigError(f"{token}: unexpected argument to {command}")
+        matches = [flag] if flag in keys else [name for name in keys if name.startswith(flag)]
+        if len(matches) != 1:  # none, or the prefix of several
+            raise ConfigError(f"{flag}: unknown flag of {command}")
+        key = keys[matches[0]]
+        if key is None:
+            return command, None
+        if options[key][0] is _cast_bool:
+            if has_value:
+                raise ConfigError(f"{key}: {matches[0]} takes no value, got {text!r}")
+            flags[key] = True
+            continue
+        if not has_value:
+            text = next(tokens, None)
+            if text is None or text.startswith("--") or text == "-h":
+                raise ConfigError(f"{key}: {matches[0]} needs a value")
+        flags[key] = _cast(options, key, text)
+    return command, flags
+
+
+def _usage(command: Optional[str]) -> str:
+    """The ``--help`` text: the commands, or one command's flags from their help texts."""
+    if command is None:
+        return ("usage: fermion-noise COMMAND [--FLAG VALUE ...]\n\n"
+                "Noise-error experiments for encoded free-fermion observables.\n\n"
+                f"commands: {', '.join(_OPTIONS)}\n\n"
+                "fermion-noise COMMAND --help lists the flags of a command.")
+    lines = [f"usage: fermion-noise {command} [--FLAG VALUE ...]", "", "flags:"]
+    for key, (cast, default, text) in {**_OPTIONS[command], **_OUTPUT_OPTIONS}.items():
+        flag = "--" + key.replace("_", "-")
+        if cast is not _cast_bool:
+            flag += " " + key.upper()
+            default = _DEFAULT_FORMAT[command] if key == "format" else default
+            if default is not None:
+                text += f" (default: {default})"
+        lines.append(f"  {flag:<22} {text}")
+    lines += ["", "Every flag but --out, --format and --config is also a key=value line of a",
+              "--config file, the key being its name with _ for -; flags win."]
+    return "\n".join(lines)
 
 
 def _parse_config_file(path: str, command: str) -> Dict[str, object]:
@@ -173,23 +247,17 @@ def _parse_config_file(path: str, command: str) -> Dict[str, object]:
         key = key.strip()
         if key not in options:
             raise ConfigError(f"config: unknown key {key!r} for {command}")
-        try:
-            values[key] = options[key][0](text.strip())
-        except ValueError as exc:
-            raise ConfigError(f"{key}: {exc}") from exc
+        values[key] = _cast(options, key, text.strip())
     return values
 
 
-def _resolve(args: argparse.Namespace) -> Dict[str, object]:
-    """Merge flag, config-file and default values (in that priority order)."""
-    options = _OPTIONS[args.command]
-    cfg: Dict[str, object] = {name: opt[1] for name, opt in options.items()}
-    if args.config is not None:
-        cfg.update(_parse_config_file(args.config, args.command))
-    for name in options:
-        value = getattr(args, name)
-        if value is not None:
-            cfg[name] = value
+def _resolve(command: str, flags: Dict[str, object]) -> Dict[str, object]:
+    """Merge defaults, config-file values and flags, the last one winning."""
+    options = _OPTIONS[command]
+    cfg: Dict[str, object] = {key: opt[1] for key, opt in options.items()}
+    if "config" in flags:
+        cfg.update(_parse_config_file(flags["config"], command))
+    cfg.update((key, value) for key, value in flags.items() if key in options)
     return cfg
 
 
@@ -548,14 +616,16 @@ _RUNNERS: Dict[str, Callable[[Dict[str, object]], object]] = {
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        cfg = _resolve(args)
+        command, flags = _parse_argv(sys.argv[1:] if argv is None else argv)
+        if flags is None:
+            print(_usage(command))
+            return 0
+        cfg = _resolve(command, flags)
         _validate_common(cfg)
-        result = _RUNNERS[args.command](cfg)
-        fmt = args.format if args.format is not None else _DEFAULT_FORMAT[args.command]
-        _emit(result, cfg, args.command, args.out, fmt)
+        result = _RUNNERS[command](cfg)
+        _emit(result, cfg, command, flags.get("out"),
+              flags.get("format", _DEFAULT_FORMAT[command]))
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -84,16 +84,12 @@ def bk_max_number_operator_weight(n_modes: int) -> int:
     return n_modes.bit_length()
 
 
-def _fenwick_bits(n_modes: int):
-    """Per-mode tables: highest set bit (-1 at 0), trailing ones ``tau``, ones below each bit."""
-    modes = np.arange(n_modes, dtype=np.int32)
-    top = np.frexp(modes)[1] - 1
-    tau = np.bitwise_count(modes ^ (modes + 1)) - 1
-    ones_below = np.bitwise_count(modes[:, None] & ((1 << np.arange(n_modes.bit_length())) - 1))
-    return top, tau, ones_below
+def _trailing_ones(sites: np.ndarray) -> np.ndarray:
+    """``tau`` of each site, its trailing one bits: qubit ``s`` holds ``2^tau(s)`` modes."""
+    return np.bitwise_count(sites ^ (sites + 1)) - 1
 
 
-def _fenwick_pairs(n_modes: int, s: np.ndarray, t: np.ndarray, f: np.ndarray, g: np.ndarray,
+def _fenwick_pairs(s: np.ndarray, t: np.ndarray, f: np.ndarray, g: np.ndarray,
                    counts: bool) -> np.ndarray:
     """Bravyi-Kitaev weights, or X/Y/Z counts, of the pairs ``(2s + f, 2t + g)``, in int32.
 
@@ -112,26 +108,28 @@ def _fenwick_pairs(n_modes: int, s: np.ndarray, t: np.ndarray, f: np.ndarray, g:
     and ``z = w - x - y``.  A site with itself is its number operator,
     ``1 + tau(s)`` Zs, for ``f != g`` and all zero for ``f == g``.  Site
     terms are int32 and flavors enter by ``where=``: full-shape or int8
-    temporaries raised the peak RSS.
+    temporaries raised the peak RSS.  Every term is read off the bits of the
+    two sites, so the cost does not grow with the number of modes.
     """
-    top, tau, ones_below = _fenwick_bits(n_modes)
-    h = top[s ^ t]
-    same, ends = h < 0, ((s, f), (t, g))  # the two ends enter alike
+    h = np.frexp(s ^ t)[1] - 1  # highest differing bit, -1 for a site with itself
+    same = h < 0
+    ends = ((s, f, _trailing_ones(s)), (t, g, _trailing_ones(t)))  # the two ends enter alike
     h2 = 2 * h + 1
     shape = np.broadcast_shapes(f.shape, g.shape, h.shape)
     out = np.empty(((3,) if counts else ()) + shape, dtype=np.int32)
     w = out[2] if counts else out
     w[...] = h2
-    for site, flavor in ends:
-        np.subtract(w, h - np.abs(tau[site] - h), out=w, where=flavor == 1)
+    for _, flavor, tau in ends:
+        np.subtract(w, h - np.abs(tau - h), out=w, where=flavor == 1)
     np.multiply(w, f != g, out=w, where=same)
     if not counts:
         return out
     nx, ny, nz = out
     ny[...] = 0
-    for site, flavor in ends:  # -2 (f R[s, t] or g R[t, s])
-        np.minimum(ny, -2 * flavor, out=ny, where=tau[site] >= h)
-        h2 -= ones_below[site, h]  # to x + y off the diagonal
+    below = np.left_shift(1, h) - 1  # the bits under h
+    for site, flavor, tau in ends:  # -2 (f R[s, t] or g R[t, s])
+        np.minimum(ny, -2 * flavor, out=ny, where=tau >= h)
+        h2 -= np.bitwise_count(site & below)  # O, to x + y off the diagonal
     ny += f + g + 1
     np.subtract(h2, ny, out=nx)
     np.copyto(out[:2], 0, where=same)
@@ -139,22 +137,22 @@ def _fenwick_pairs(n_modes: int, s: np.ndarray, t: np.ndarray, f: np.ndarray, g:
     return out
 
 
-def _fenwick_levels(n_modes: int):
+def _fenwick_levels(tau: np.ndarray):
     """Per-end exponent tables of :func:`_fenwick_pairs`, one level ``h`` at a time.
 
-    Yields ``(h, o, p, r, p_last)`` for ``h = 0 .. log2(n) - 1``.  Two sites
+    ``tau`` holds the trailing ones of every mode, int64.  Yields
+    ``(h, o, p, r, p_last)`` for ``h = 0 .. log2(n) - 1``.  Two sites
     first differing at bit ``h`` lie in the two halves of one block of
     ``2^(h + 1)`` modes; ``o``, ``p`` and ``r`` are ``O``, ``P`` and ``R`` at
     the sites of block 0, and every block has the same ones but at its last
     site, whose trailing ones run on into the block number: ``p_last`` is
     ``P`` at the last site of every block, where ``O = h`` and ``R = 1``.
     """
-    _, tau, ones_below = _fenwick_bits(n_modes)
-    tau = tau.astype(np.int64)
-    for h in range(n_modes.bit_length() - 1):
+    for h in range(len(tau).bit_length() - 1):
         size = 2 << h
-        yield (h, ones_below[:size, h].astype(np.int64), h - np.abs(tau[:size] - h),
-               tau[:size] >= h, h - np.abs(tau[size - 1::size] - h))
+        o = np.bitwise_count(np.arange(size) & ((1 << h) - 1)).astype(np.int64)
+        yield (h, o, h - np.abs(tau[:size] - h), tau[:size] >= h,
+               h - np.abs(tau[size - 1::size] - h))
 
 
 # ----------------------------------------------------------------------
@@ -201,7 +199,8 @@ def _fenwick_drop_box(lat: Lattice, etas: Tuple[float, float, float]
             1.0, up * ez ** o - 1.0, up * down - 1.0,
             np.where(r, 0.0, ex ** np.maximum(h - o - 1, 0) * down)))
 
-    for h, o, p, r, p_last in _fenwick_levels(n):
+    tau = _trailing_ones(np.arange(n)).astype(np.int64)
+    for h, o, p, r, p_last in _fenwick_levels(tau):
         size = len(o)
         factors = ends(h, o, p, r)
         factors[:, size // 2:] *= n // size
@@ -222,7 +221,7 @@ def _fenwick_drop_box(lat: Lattice, etas: Tuple[float, float, float]
         drop[mult == 0] = 0.0
     origin = (0,) * dim
     same[origin] = 0.0
-    cross[origin] = np.sum(1.0 - ez ** (1 + _fenwick_bits(n)[1].astype(np.int64)))
+    cross[origin] = np.sum(1.0 - ez ** (1 + tau))
     return same, cross
 
 
@@ -366,8 +365,8 @@ class EncodingWeightModel:
         sites, flavor = np.divmod(self.lattice._majoranas(idx), 2)
         f, g = flavor.astype(np.int32)[:, None], flavor.astype(np.int32)[None, :]
         if self.kind == "bravyi_kitaev":
-            return _fenwick_pairs(self.lattice.n_sites, sites[:, None], sites[None, :], f, g,
-                                  counts)
+            sites = sites.astype(np.int32)
+            return _fenwick_pairs(sites[:, None], sites[None, :], f, g, counts)
         if counts:
             return self._jordan_wigner_counts(sites, f, g)
         if self.kind == "local":

@@ -180,8 +180,7 @@ class ModeDiagonalState:
         if self._torus is None:
             lat = self.lattice
             torus = np.zeros((lat.length,) * lat.dim)
-            torus[tuple((np.floor(self.grid.m_vectors).astype(np.int64) % lat.length).T)] = \
-                self.occupations
+            torus[tuple(self.grid.torus_index().T)] = self.occupations
             torus = np.fft.fftn(torus)
             if self._half:
                 for axis in range(lat.dim):
@@ -243,12 +242,17 @@ class ModeDiagonalState:
         product changes sign after ``L`` and they fold as ``r`` minus
         ``r - L`` (:meth:`Lattice.fold`).  Each class of momenta
         (:meth:`Lattice.frequency_classes`) is then one ``L^D`` FFT
-        (:meth:`Lattice.torus_sum`).  Momenta off every grid take the direct
-        sum over the box of the summand with ``C(r)`` on the whole box
-        (:meth:`Lattice.box_sum`).
+        (:meth:`Lattice.torus_sum`); ``momenta`` that are the state's own
+        ``grid.momenta`` array are one class, read off the grid
+        (:meth:`MomentumGrid.torus_index`) rather than classified.  Momenta
+        off every grid take the direct sum over the box of the summand with
+        ``C(r)`` on the whole box (:meth:`Lattice.box_sum`).
         """
         lat = self.lattice
-        classes = lat.frequency_classes(momenta)
+        if momenta is self.grid.momenta:
+            classes = [(slice(None), (self._half,) * lat.dim, self.grid.torus_index())]
+        else:
+            classes = lat.frequency_classes(momenta)
         momenta = np.asarray(momenta, dtype=float)
         out = np.empty(len(momenta))
         for rows, odd, index in classes:
@@ -293,6 +297,21 @@ def tight_binding_dispersion(momenta: np.ndarray) -> np.ndarray:
     return -2.0 * np.cos(np.atleast_2d(momenta)).sum(axis=1)
 
 
+def _check_filling(grid: MomentumGrid, n_occ: int) -> None:
+    if not 0 <= n_occ <= len(grid):
+        raise ValueError(f"n_occ must lie in [0, {len(grid)}], got {n_occ}")
+
+
+def _fill_order(grid: MomentumGrid, energies: np.ndarray) -> np.ndarray:
+    """Every mode, lowest energy first, ties broken lexicographically on the mode vector."""
+    energies = np.asarray(energies, dtype=float)
+    if energies.shape != (len(grid),):
+        raise ValueError(f"energies must have shape ({len(grid)},), got {energies.shape}")
+    dim = grid.m_vectors.shape[1]
+    keys = tuple(grid.m_vectors[:, d] for d in reversed(range(dim))) + (energies,)
+    return np.lexsort(keys)
+
+
 def occupied_modes(grid: MomentumGrid, n_occ: int,
                    energies: Optional[np.ndarray] = None) -> np.ndarray:
     """Indices of the ``n_occ`` lowest-energy modes of a momentum grid.
@@ -301,18 +320,10 @@ def occupied_modes(grid: MomentumGrid, n_occ: int,
     selection is deterministic.  ``energies`` defaults to the free dispersion
     ``|k|``.
     """
-    n_modes = grid.momenta.shape[0]
-    if not 0 <= n_occ <= n_modes:
-        raise ValueError(f"n_occ must lie in [0, {n_modes}], got {n_occ}")
+    _check_filling(grid, n_occ)
     if energies is None:
         energies = free_dispersion(grid.momenta)
-    energies = np.asarray(energies, dtype=float)
-    if energies.shape != (n_modes,):
-        raise ValueError(f"energies must have shape ({n_modes},), got {energies.shape}")
-    dim = grid.m_vectors.shape[1]
-    keys = tuple(grid.m_vectors[:, d] for d in reversed(range(dim))) + (energies,)
-    order = np.lexsort(keys)
-    return np.sort(order[:n_occ])
+    return np.sort(_fill_order(grid, energies)[:n_occ])
 
 
 def fermi_sea(grid: MomentumGrid, n_occ: int,
@@ -320,9 +331,18 @@ def fermi_sea(grid: MomentumGrid, n_occ: int,
               ) -> Tuple[ModeDiagonalState, np.ndarray]:
     """Ground state filling the ``n_occ`` lowest modes; returns (state, occupied).
 
-    ``dispersion`` maps the (n_modes, dim) momentum array to energies.
+    ``dispersion`` maps the (n_modes, dim) momentum array to energies.  The
+    modes of :func:`occupied_modes` are the first ``n_occ`` of one fill
+    order, which is sorted once per grid and dispersion and kept on the
+    grid (int32), so the fillings of one grid cut the same order.
     """
-    occ = occupied_modes(grid, n_occ, dispersion(grid.momenta))
+    _check_filling(grid, n_occ)
+    key = ("fill_order", dispersion)
+    if key not in grid._kept:
+        order = _fill_order(grid, dispersion(grid.momenta)).astype(np.int32)
+        order.setflags(write=False)
+        grid._kept[key] = order
+    occ = np.sort(grid._kept[key][:n_occ])
     occupations = np.zeros(len(grid))
     occupations[occ] = 1.0
     return ModeDiagonalState(grid, occupations), occ
@@ -406,5 +426,5 @@ def circulant_power_law_state(lattice: Lattice, mu: float
     profile[(0,) * lattice.dim] = 0.5
     grid = momentum_grid(lattice, "odd")
     n_q = np.fft.fftn(profile).real
-    occupations = n_q[tuple((grid.m_vectors.astype(np.int64) % length).T)]
+    occupations = n_q[tuple(grid.torus_index().T)]
     return ModeDiagonalState(grid, occupations), 2.0 * amp

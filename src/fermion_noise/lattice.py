@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Sequence, Tuple, Union
+from typing import Dict, List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -299,15 +299,35 @@ class MomentumGrid:
         (n_sites, dim) mode numbers, first axis varying fastest.
     momenta : np.ndarray
         (n_sites, dim) momenta ``2 pi m / L`` componentwise in [-pi, pi).
+
+    What is derived from the grid alone is computed once and kept on it:
+    :meth:`torus_index`, and the fill order of each dispersion
+    (:func:`fermion_noise.gaussian.fermi_sea`).
     """
 
     lattice: Lattice
     parity: str
     m_vectors: np.ndarray = field(repr=False)
     momenta: np.ndarray = field(repr=False)
+    _kept: Dict[object, np.ndarray] = field(default_factory=dict, init=False, repr=False,
+                                            compare=False)
 
     def __len__(self) -> int:
         return self.momenta.shape[0]
+
+    def torus_index(self) -> np.ndarray:
+        """``floor(m) mod L`` of every mode, ``(n_sites, dim)`` int32, read-only.
+
+        Where ``n(q)`` sits on the ``L^D`` torus.  The grid's own momenta are
+        one class of :meth:`Lattice.frequency_classes` (``f = 2m`` is even on
+        every axis of the periodic grid and odd on every axis of the
+        antiperiodic one), and this is its torus index.
+        """
+        if "torus_index" not in self._kept:
+            index = (np.floor(self.m_vectors) % self.lattice.length).astype(np.int32)
+            index.setflags(write=False)
+            self._kept["torus_index"] = index
+        return self._kept["torus_index"]
 
 
 def momentum_grid(lat: Lattice, occupation_parity: str) -> MomentumGrid:

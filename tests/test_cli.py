@@ -29,13 +29,14 @@ def run_to_file(tmp_path, name, argv):
 
 
 class TestArgumentHandling:
-    def test_requires_a_subcommand(self):
-        with pytest.raises(SystemExit):
-            cli.main([])
+    def test_requires_a_subcommand(self, capsys):
+        assert cli.main([]) == 2
+        assert capsys.readouterr().err.startswith("configuration error: command: ")
 
-    def test_unknown_subcommand(self):
-        with pytest.raises(SystemExit):
-            cli.main(["frobnicate"])
+    def test_unknown_subcommand(self, capsys):
+        assert cli.main(["frobnicate"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: command: ") and "frobnicate" in err
 
     def test_success_returns_zero(self, tmp_path):
         code, _ = run_to_file(tmp_path, "out.csv", ["encoding-compare", "--L", "4"])
@@ -119,6 +120,112 @@ class TestArgumentHandling:
                                 env={**os.environ, "PYTHONPATH": str(src)})
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "0 False"
+
+
+# A value of each option other than its default, as a flag or a config line gives it.
+_SAMPLE_TEXT = {"encoding": "bravyi_kitaev", "mode": "worst-case", "p": "0.02", "sweep_k": "true"}
+
+
+def _shortest_prefix(command, key):
+    """The shortest start of ``key``'s flag that names it alone."""
+    flags = ["--" + name.replace("_", "-")
+             for name in [*cli._OPTIONS[command], "out", "format", "config", "help"]]
+    flag = "--" + key.replace("_", "-")
+    return next(flag[:n] for n in range(3, len(flag) + 1)
+                if flag[:n] == flag or [f for f in flags if f.startswith(flag[:n])] == [flag])
+
+
+class TestParser:
+    """Flags and config lines are one table: ``cli._OPTIONS``."""
+
+    @pytest.mark.parametrize("command,key", [(command, key) for command in cli._OPTIONS
+                                             for key in cli._OPTIONS[command]])
+    def test_every_key_reads_alike_as_flag_prefix_and_config_line(self, tmp_path, command,
+                                                                  key):
+        options = cli._OPTIONS[command]
+        text = _SAMPLE_TEXT.get(key, "6")
+        flag, prefix = "--" + key.replace("_", "-"), _shortest_prefix(command, key)
+        cfg = tmp_path / "one.cfg"
+        cfg.write_text(f"{key}={text}\n")
+        if options[key][0] is cli._cast_bool:
+            forms = [[flag], [prefix]]
+        else:
+            forms = [[flag, text], [f"{flag}={text}"], [prefix, text], [f"{prefix}={text}"]]
+        forms.append(["--config", str(cfg)])
+        configs = []
+        for form in forms:
+            parsed, flags = cli._parse_argv([command, *form])
+            assert parsed == command
+            configs.append(cli._resolve(command, flags))
+        want = {name: default for name, (_, default, _) in options.items()}
+        want[key] = options[key][0](text)
+        assert want[key] != options[key][1]
+        assert all(list(got.items()) == list(want.items()) for got in configs), configs
+
+    def test_flags_win_over_the_config_file_and_the_last_flag_wins(self, tmp_path):
+        cfg = tmp_path / "ok.cfg"
+        cfg.write_text("depth=5\nseed=9\n")
+        _, flags = cli._parse_argv(["circuit", "--depth", "2", "--config", str(cfg),
+                                    "--dep=4", "--format", "json", "--format=csv"])
+        assert flags == {"depth": 4, "config": str(cfg), "format": "csv"}
+        resolved = cli._resolve("circuit", flags)
+        assert (resolved["depth"], resolved["seed"]) == (4, 9)
+        assert "format" not in resolved and "config" not in resolved
+
+    @pytest.mark.parametrize("argv, field", [
+        (["fermi2d", "--frob", "1"], "--frob"),             # unknown flag
+        (["fermi2d", "--sweep-k"], "--sweep-k"),            # another command's flag
+        (["fermi2d", "--n_occ", "3"], "--n_occ"),           # a key is no flag
+        (["fermi2d", "--L"], "L"),                          # missing value
+        (["fermi2d", "--L", "--p", "0.1"], "L"),            # a flag is no value
+        (["fermi2d", "--out", "-h"], "out"),
+        (["fermi1d", "--sweep-k=yes"], "sweep_k"),          # a value on a boolean flag
+        (["fermi1d", "--sweep-k", "yes"], "yes"),           # stray positional
+        (["fermi2d", "30"], "30"),
+        (["fermi2d", "--", "--L", "4"], "--"),
+        (["fermi2d", "-L", "4"], "-L"),
+        (["fermi2d", "--format", "xml"], "format"),
+        (["fermi2d", "--L", "x"], "L"),                     # a bad value: the cast's message
+        (["circuit", "--depth=2.5"], "depth"),
+        (["bounds", "--p", "lots"], "p"),
+        (["--L", "4"], "command"),                          # flags come after the command
+    ])
+    def test_parse_errors_exit_two_and_name_their_field(self, capsys, argv, field):
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"configuration error: {field}: ")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("argv", [["--help"], ["-h"],
+                                      *([command, flag] for command in cli._OPTIONS
+                                        for flag in ("--help", "-h", "--he")),
+                                      ["fermi2d", "--L", "8", "--help", "--frob"]])
+    def test_help_prints_the_table_and_returns_zero(self, capsys, argv):
+        assert cli.main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("usage: fermion-noise ") and captured.err == ""
+        if len(argv) == 1:
+            assert all(command in captured.out for command in cli._OPTIONS)
+        else:
+            for key, (_, _, text) in cli._OPTIONS[argv[0]].items():
+                assert f"--{key.replace('_', '-')}" in captured.out and text in captured.out
+            assert "--out" in captured.out and "--config" in captured.out
+
+    def test_a_run_of_each_command_loads_no_argparse_gettext_or_locale(self):
+        src = Path(fermion_noise.__file__).resolve().parents[1]
+        runs = [["fermi1d", "--L", "20"], ["fermi1d", "--sweep-k", "--L", "8"],
+                ["fermi2d", "--L", "4", "--n-occ", "3"], ["encoding-compare", "--L", "2"],
+                ["circuit", "--L", "4", "--depth", "1"], ["bounds", "--format", "csv"],
+                ["bounds", "--help"], ["fermi2d", "--L", "x"]]
+        probe = ("import io, sys, contextlib, fermion_noise.cli as cli\n"
+                 "with contextlib.redirect_stdout(io.StringIO()), "
+                 "contextlib.redirect_stderr(io.StringIO()):\n"
+                 f"    codes = [cli.main(argv) for argv in {runs!r}]\n"
+                 "print(codes, [m for m in ('argparse', 'gettext', 'locale') if m in sys.modules])")
+        result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                                env={**os.environ, "PYTHONPATH": str(src)})
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[0, 0, 0, 0, 0, 0, 0, 2] []"
 
 
 class TestConsoleScript:
@@ -738,9 +845,6 @@ class TestCodedColumns:
 
 
 class TestParserReuse:
-    def test_parser_is_built_once(self):
-        assert cli.build_parser() is cli.build_parser()
-
     def test_a_second_call_gets_its_defaults_back(self, tmp_path):
         code, _ = run_to_file(tmp_path, "first.json", ["circuit", "--L", "8", "--depth", "2",
                                                        "--seed", "5", "--format", "json"])

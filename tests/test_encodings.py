@@ -1,6 +1,7 @@
 """Tests for the Pauli-weight models of the fermion-to-qubit encodings."""
 
 import itertools
+import tracemalloc
 from typing import Set, Tuple
 
 import numpy as np
@@ -464,6 +465,24 @@ class TestSingleWeights:
         assert enc.bilinear_weight(2 * a, 2 * b + 1) == weight
         if kind != "local":
             assert enc.pair_weights([2 * a, 2 * b + 1], counts=True)[:, 0, 1].sum() == weight
+
+    def test_a_bravyi_kitaev_pair_reads_the_bits_of_its_sites_alone(self):
+        # A pair's Pauli string lies in the Fenwick block of its two sites, so
+        # its counts are those of the same sites on 16 modes; at N = 2^20 a
+        # per-mode table (top bit, tau, ones below each bit) would take MBs.
+        idx = [0, 1, 11, 20, 31]
+        want = EncodingWeightModel("bravyi_kitaev", Lattice(1, 16)).pair_weights(idx, counts=True)
+        enc = EncodingWeightModel("bravyi_kitaev", Lattice(1, 1 << 20))
+        tracemalloc.start()
+        try:
+            counts = enc.pair_weights(idx, counts=True)
+            weights = enc.pair_weights(idx)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024, f"{peak} B traced: a table over the modes was built"
+        assert np.array_equal(counts, want)
+        assert np.array_equal(weights, want.sum(axis=0))
 
 
 class TestJordanWignerCounts:

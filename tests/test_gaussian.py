@@ -231,6 +231,22 @@ class TestFermiSeas:
         assert np.array_equal(np.sort(energies[occ]), np.sort(energies)[:9])
         assert np.array_equal(np.flatnonzero(state.occupations), occ)
 
+    def test_fillings_of_one_grid_cut_one_kept_order(self, monkeypatch):
+        grid = momentum_grid(Lattice(2, 8), "even")
+        sorts = []
+        fill_order = gaussian_module._fill_order
+        monkeypatch.setattr(gaussian_module, "_fill_order",
+                            lambda *args: sorts.append(1) or fill_order(*args))
+        for n_occ in (0, 10, 30, 64, 10):
+            _, occ = fermi_sea(grid, n_occ, tight_binding_dispersion)
+            want = occupied_modes(grid, n_occ, tight_binding_dispersion(grid.momenta))
+            assert np.array_equal(occ, want), n_occ
+        assert len(sorts) == 1 + 5  # one kept order; occupied_modes sorts every time
+        fermi_sea(grid, 3)
+        assert len(sorts) == 7  # another dispersion, another order
+        with pytest.raises(ValueError, match="n_occ"):
+            fermi_sea(grid, 65, tight_binding_dispersion)
+
 
 class TestOccupiedModes:
     def test_degenerate_shell_resolved_deterministically(self):
@@ -326,6 +342,24 @@ class TestModeDiagonalState:
                      "torus sum vs dense observable")
         assert_close(spectral[:lat.n_sites], fillings, 1e-12, "n(k) on the grid")
         assert state.particle_number() == pytest.approx(dense.particle_number(), abs=1e-12)
+
+    @pytest.mark.parametrize("dim,length,n_occ", [(1, 10, 3), (1, 10, 4), (2, 6, 7), (2, 6, 10)])
+    def test_own_grid_momenta_read_the_class_of_the_grid(self, rng, monkeypatch, dim, length,
+                                                         n_occ):
+        # The grid's own momenta skip the classification and give the same bits.
+        lat = Lattice(dim, length)
+        grid = momentum_grid(lat, parity_of(n_occ))
+        state, _ = fermi_sea(grid, n_occ, tight_binding_dispersion)
+        mult = lat.displacement_multiplicity()
+        same, cross = rng.random((2,) + mult.shape) * mult
+        want = state.occupation_shift(same, cross, grid.momenta.copy())
+
+        def refuse(self, momenta):
+            raise AssertionError("the grid's own momenta were classified")
+
+        monkeypatch.setattr(Lattice, "frequency_classes", refuse)
+        assert np.array_equal(state.occupation_shift(same, cross, grid.momenta), want)
+        assert np.array_equal(grid.torus_index(), np.floor(grid.m_vectors) % length)
 
     def test_occupation_shift_validates_momenta(self):
         state, _, _ = fermi_sea_1d(Lattice(1, 4), 2)

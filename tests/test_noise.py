@@ -659,7 +659,7 @@ def _streamed_drop_box(lat, eta, weights):
 def _fenwick_weights(lat):
     f = np.arange(2, dtype=np.int32).reshape(2, 1, 1, 1)
     return lambda rows, sites: encodings._fenwick_pairs(
-        lat.n_sites, rows[:, None], sites[None, :], f, f.reshape(1, 2, 1, 1), False)
+        rows[:, None], sites[None, :], f, f.reshape(1, 2, 1, 1), False)
 
 
 class TestFenwickLevels:

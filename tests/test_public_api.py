@@ -79,6 +79,8 @@ KEPT = {
     "lipschitz_scaling_probe": "criterion 8's stable finite-size probe",
     "snake_index_vector": "the jw2d_snake qubit order read whole; the package reads it "
                           "per site set",
+    "occupied_modes": "the lowest modes of any energies; fermi_sea cuts the same order, "
+                      "kept on the grid per dispersion",
     "__version__": "the package version",
 }
 
