@@ -280,8 +280,8 @@ def prop4_bound(params: DecayParams, p: float, depth: int,
 def _decay_rate(p: float, k_fermi: float) -> float:
     if not 0.0 <= p < 1.0:
         raise ValueError(f"noise strength must lie in [0, 1), got {p}")
-    if k_fermi <= 0:
-        raise ValueError(f"Fermi momentum must be positive, got {k_fermi}")
+    if not (math.isfinite(k_fermi) and k_fermi > 0):
+        raise ValueError(f"Fermi momentum must be finite and positive, got {k_fermi}")
     return -math.log1p(-p)
 
 
@@ -293,6 +293,8 @@ def fermi2d_limit_error(p: float, k_fermi: float, delta: float) -> float:
     ``(1/2) lambda k_F^2 / (lambda^2 + delta^2)^{3/2}``, ``lambda = -ln(1-p)``.
     """
     lam = _decay_rate(p, k_fermi)
+    if not math.isfinite(delta):
+        raise ValueError(f"delta must be finite, got {delta}")
     if delta == 0.0:
         raise ValueError("delta = 0 is the on-surface case; use the on-surface form")
     return 0.5 * lam * k_fermi**2 / (lam**2 + delta**2) ** 1.5
@@ -358,8 +360,7 @@ def jump_scaling_probe(n_grid: Sequence[int], p: float,
     for length in n_grid:
         if length < 4 or length % 2:
             raise ValueError(f"probe sizes must be even and >= 4, got {length}")
-        grid = momentum_grid(Lattice(1, length), "odd")
-        occupied = grid.m_vectors[:, 0] >= 0
+        occupied = Lattice(1, length).coords[:, 0] >= length // 2  # the modes m >= 0
         err = _probe_error_map(length, occupied, p, np.array([[k_offset]]))
         rows.append((int(length), float(abs(err[0]))))
     return rows

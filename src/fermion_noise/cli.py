@@ -48,11 +48,15 @@ then the flags, the last one winning.  ``--help`` (or ``-h``) prints the
 commands, or after a command its flags, from the table's help texts.
 
 Exit codes: 0 on success (and for ``--help``), 2 for configuration errors,
-3 when a numerical invariant breaks mid-run.  A configuration error prints
-``configuration error: <field>: <message>`` to stderr, the field being
-``command``, the key of a bad or missing value, or an unknown flag or stray
-argument as given; no error raises ``SystemExit``.  Reruns with identical
-configuration produce byte-identical output.
+3 when a numerical invariant breaks mid-run.  A size past its cap is a
+configuration error, raised before anything is allocated: at most
+``_MAX_SITES`` sites per system, and for ``circuit`` at most
+``_MAX_SITE_LAYERS`` site-layers ``depth * L`` of Haar draws.  A
+configuration error prints ``configuration error: <field>: <message>`` to
+stderr, the field being ``command``, the key of a bad or missing value, or
+an unknown flag or stray argument as given; no error raises
+``SystemExit``.  Reruns with identical configuration produce byte-identical
+output.
 """
 
 from __future__ import annotations
@@ -81,6 +85,10 @@ Table = Dict[str, Column]   # equal-length columns, in output order
 _FERMI2D_DEFAULT_FILLINGS = (300, 450, 700)
 _CIRCUIT_DEFAULT_SIZES = (16, 64, 256)
 _CIRCUIT_MU_OFFSET = 2.0
+# Sites of one system: four times the largest scale run's 2^20; larger sizes exit 2 unallocated.
+_MAX_SITES = 1 << 22
+# A circuit's depth * L**D site-layers, 8 Haar normals each: 256 MiB of draws.
+_MAX_SITE_LAYERS = 1 << 22
 
 
 # ----------------------------------------------------------------------
@@ -266,6 +274,11 @@ def _require(condition: bool, field: str, message: str) -> None:
         raise ConfigError(f"{field}: {message}")
 
 
+def _require_sites(length: int, dim: int) -> None:
+    _require(length ** dim <= _MAX_SITES, "L",
+             f"must give at most {_MAX_SITES} sites (L**{dim}), got {length}")
+
+
 def _validate_common(cfg: Dict[str, object]) -> None:
     if "p" in cfg:
         _require(0.0 <= cfg["p"] <= P_MAX, "p", f"must lie in [0, {P_MAX:.6g}], got {cfg['p']}")
@@ -312,6 +325,7 @@ def _run_fermi1d(cfg: Dict[str, object]) -> Table:
         _require(p > 0, "p", "sensitivity sweeps need p > 0")
         length = cfg["L"] if cfg["L"] is not None else 100
         _require(length >= 2 and length % 2 == 0, "L", f"must be even and >= 2, got {length}")
+        _require_sites(length, 1)
         lattice = Lattice(1, length)
         n_occ = cfg["n_occ"] if cfg["n_occ"] is not None else length // 2
         _require(0 <= n_occ <= length, "n_occ", f"must lie in [0, {length}], got {n_occ}")
@@ -323,6 +337,7 @@ def _run_fermi1d(cfg: Dict[str, object]) -> Table:
     _require(cfg["n_occ"] is None, "n_occ", "only meaningful together with --sweep-k")
     n_max = cfg["L"] if cfg["L"] is not None else 200
     _require(n_max >= 20, "L", f"size grid needs L >= 20, got {n_max}")
+    _require_sites(n_max, 1)
     rows: List[Row] = []
     for length in range(20, n_max + 1, 20):
         lattice = Lattice(1, length)
@@ -353,6 +368,7 @@ def _run_fermi2d(cfg: Dict[str, object]) -> Table:
     _require(p > 0, "p", "sensitivity maps need p > 0")
     length = cfg["L"]
     _require(length >= 2 and length % 2 == 0, "L", f"must be even and >= 2, got {length}")
+    _require_sites(length, 2)
     lattice = Lattice(2, length)
     fillings = _FERMI2D_DEFAULT_FILLINGS if cfg["n_occ"] is None else (cfg["n_occ"],)
     for n_occ in fillings:
@@ -387,6 +403,7 @@ def _run_encoding_compare(cfg: Dict[str, object]) -> Table:
     phi0 = cfg["phi0"]
     l_max = cfg["L"]
     _require(l_max >= 2, "L", f"curve grid needs L >= 2, got {l_max}")
+    _require_sites(l_max, 2)
     channel = PauliChannel.depolarizing(p)
 
     def deficit(weight: int) -> float:
@@ -426,6 +443,9 @@ def _run_circuit(cfg: Dict[str, object]) -> Table:
     for length in sizes:
         _require(length >= 2 and length % 2 == 0, "L",
                  f"must be even and >= 2 (radius-1 bricks), got {length}")
+        _require_sites(length, 1)
+        _require(depth * length <= _MAX_SITE_LAYERS, "depth",
+                 f"depth * L must be at most {_MAX_SITE_LAYERS}, got {depth} * {length}")
     channel = PauliChannel.depolarizing(p)
     tables: List[Table] = []
     for length in sizes:

@@ -47,12 +47,13 @@ the weight and composition of a single bilinear ``gamma_a gamma_b`` are the
 one method too, :meth:`EncodingWeightModel.drop_box`, which the momentum
 error map of :mod:`fermion_noise.noise` folds onto the torus; no ``N x N``
 table of all pairs is built.  They depend on the encoding and the etas, not
-on the state, and the last few are kept on the model.
+on the state, and the boxes of the last etas are kept on the model: a run
+fixes the mode and the channel, so it asks each model for one etas.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -62,11 +63,6 @@ ENCODING_KINDS = ("local", "jw1d", "jw2d_snake", "bravyi_kitaev")
 
 _WEIGHTS_ONLY = ("the 'local' model assigns Pauli weights only, not the X/Y/Z strings "
                  "that exact attenuation under a non-uniform mix needs; use mode='worst-case'")
-
-# Drop boxes kept per model, the oldest dropped first: one run asks for at
-# most two (exact and worst-case), and a sweep over ``p`` must not grow RSS.
-_DROP_BOXES_KEPT = 8
-
 
 def _require_power_of_two(n: int) -> None:
     if n < 1 or n & (n - 1):
@@ -323,7 +319,7 @@ class EncodingWeightModel:
             self.phi0 = 1
         self.kind = kind
         self.lattice = lattice
-        self._drop_boxes: Dict[tuple, tuple] = {}  # drop_box by etas, oldest first
+        self._last_drop_box: Tuple[tuple, tuple] = ((), ())  # the last etas and their boxes
 
     def _qubits(self, sites: np.ndarray) -> np.ndarray:
         """Qubit of each site under Jordan-Wigner: its chain coordinate or its snake index."""
@@ -388,12 +384,9 @@ class EncodingWeightModel:
         separation (:func:`_jordan_wigner_drop_box`).  The boxes are
         read-only, and under equal etas one array serves both flavors but on
         ``bravyi_kitaev``.  They depend on the encoding and the etas, not on
-        the state, and the last ``_DROP_BOXES_KEPT`` etas' boxes are kept.
+        the state, and the last etas' boxes are kept.
         """
-        boxes = self._drop_boxes
-        if etas not in boxes:
-            if len(boxes) >= _DROP_BOXES_KEPT:
-                del boxes[next(iter(boxes))]
+        if self._last_drop_box[0] != etas:
             lat = self.lattice
             if self.kind == "local":
                 if not etas[0] == etas[1] == etas[2]:
@@ -406,8 +399,8 @@ class EncodingWeightModel:
                 same, cross = _jordan_wigner_drop_box(lat, etas)
             for drop in (same, cross):
                 drop.setflags(write=False)
-            boxes[etas] = same, cross
-        return boxes[etas]
+            self._last_drop_box = etas, (same, cross)
+        return self._last_drop_box[1]
 
     def __repr__(self) -> str:
         extra = f", phi0={self.phi0}" if self.kind == "local" else ""

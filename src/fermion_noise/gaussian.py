@@ -19,11 +19,11 @@ on ``S`` alone, through the state's ``covariance_block``.
 The one state class is :class:`ModeDiagonalState` (every Fermi sea, the
 scaling probes, the circulant power-law state): the momentum grid and the
 occupations ``n(q)``.  ``C(r)`` is one FFT of ``n(q)`` on the ``L^D`` torus
-(with a half-period twist on the antiperiodic grid); the covariance on an
-index set is gathered from it, and ``<n_k>`` and noise-induced ``n_k``
-errors for a whole grid are read off one more ``L^D`` FFT of the drop boxes
-folded onto the torus (:meth:`ModeDiagonalState.occupation_shift`,
-:meth:`Lattice.torus_sum`).  No package path reads the whole covariance.
+(with a half-period twist on the antiperiodic grid), a cached property of
+the state; the covariance on an index set is gathered from it, and
+``<n_k>`` and noise-induced ``n_k`` errors for a whole grid are read off
+one more ``L^D`` FFT of the drop boxes folded onto the torus
+(:meth:`ModeDiagonalState.occupation_shift`, :meth:`Lattice.torus_sum`).  No package path reads the whole covariance.
 The dense references live with the tests: a state held as its whole
 ``2N x 2N`` covariance (from a correlation matrix, Haar-random or
 power-law damped), an observable's ``(2N, 2N)`` coefficient matrix and the
@@ -38,6 +38,7 @@ envelope.  Haar rotations serve the circuits' gates.
 
 from __future__ import annotations
 
+import functools
 import operator
 from typing import Callable, Optional, Protocol, Tuple
 
@@ -148,14 +149,15 @@ class ModeDiagonalState:
     covariance on an index set is gathered from the torus, and noise-induced
     ``n_k`` errors are the drop boxes folded onto the torus and weighted by
     ``C(r)`` (:meth:`occupation_shift`) for every encoding, mode and mix.
-    Construction checks ``0 <= n(q) <= 1`` to ``OCCUPATION_SLACK``.
+    Construction checks ``0 <= n(q) <= 1`` to ``OCCUPATION_SLACK``, which a
+    NaN occupation fails too.
     """
 
     def __init__(self, grid: MomentumGrid, occupations: np.ndarray):
         n = np.array(occupations, dtype=float)
         if n.shape != (len(grid),):
             raise ValueError(f"occupations must have shape ({len(grid)},), got {n.shape}")
-        if n.min() < -OCCUPATION_SLACK or n.max() > 1.0 + OCCUPATION_SLACK:
+        if not (n.min() >= -OCCUPATION_SLACK and n.max() <= 1.0 + OCCUPATION_SLACK):  # NaN too
             raise InvariantViolation(
                 f"mode occupations span [{n.min():.6g}, {n.max():.6g}], outside [0, 1]; "
                 "state is unphysical"
@@ -164,11 +166,11 @@ class ModeDiagonalState:
         self.lattice = grid.lattice
         self.grid = grid
         self.occupations = n
-        self._torus: Optional[np.ndarray] = None
         self._half = grid.parity == "even"  # half-integer modes, an antiperiodic C(r)
 
+    @functools.cached_property
     def _conj_correlation(self) -> np.ndarray:
-        """``conj C(r)`` for ``r`` in ``[0, L)^D``, the ``L^D`` torus, cached.
+        """``conj C(r)`` for ``r`` in ``[0, L)^D``, the ``L^D`` torus, read-only.
 
         A grid momentum is ``2 pi (n + h) / L`` per axis, ``n`` an integer and
         ``h`` 0 on the periodic grid or 1/2 on the antiperiodic one, so this is
@@ -177,18 +179,16 @@ class ModeDiagonalState:
         ``C(r - L) = C(r)`` per axis on the periodic grid and ``-C(r)`` on the
         antiperiodic one.
         """
-        if self._torus is None:
-            lat = self.lattice
-            torus = np.zeros((lat.length,) * lat.dim)
-            torus[tuple(self.grid.torus_index().T)] = self.occupations
-            torus = np.fft.fftn(torus)
-            if self._half:
-                for axis in range(lat.dim):
-                    torus *= lat.half_twist(axis, -1)
-            torus /= lat.n_sites
-            torus.setflags(write=False)
-            self._torus = torus
-        return self._torus
+        lat = self.lattice
+        torus = np.zeros((lat.length,) * lat.dim)
+        torus[tuple(self.grid.torus_index.T)] = self.occupations
+        torus = np.fft.fftn(torus)
+        if self._half:
+            for axis in range(lat.dim):
+                torus *= lat.half_twist(axis, -1)
+        torus /= lat.n_sites
+        torus.setflags(write=False)
+        return torus
 
     def covariance_block(self, idx: np.ndarray) -> np.ndarray:
         """The covariance on a Majorana index set, gathered from ``C(r)``.
@@ -202,7 +202,7 @@ class ModeDiagonalState:
         """
         sites, flavor = np.divmod(self.lattice._majoranas(idx), 2)
         index, wraps = self.lattice.torus_index(sites)
-        corr = self._conj_correlation().ravel()[index]
+        corr = self._conj_correlation.ravel()[index]
         np.conj(corr, out=corr)
         if self._half:
             np.negative(corr, out=corr, where=wraps)
@@ -244,20 +244,20 @@ class ModeDiagonalState:
         (:meth:`Lattice.frequency_classes`) is then one ``L^D`` FFT
         (:meth:`Lattice.torus_sum`); ``momenta`` that are the state's own
         ``grid.momenta`` array are one class, read off the grid
-        (:meth:`MomentumGrid.torus_index`) rather than classified.  Momenta
+        (:attr:`MomentumGrid.torus_index`) rather than classified.  Momenta
         off every grid take the direct sum over the box of the summand with
         ``C(r)`` on the whole box (:meth:`Lattice.box_sum`).
         """
         lat = self.lattice
         if momenta is self.grid.momenta:
-            classes = [(slice(None), (self._half,) * lat.dim, self.grid.torus_index())]
+            classes = [(slice(None), (self._half,) * lat.dim, self.grid.torus_index)]
         else:
             classes = lat.frequency_classes(momenta)
         momenta = np.asarray(momenta, dtype=float)
         out = np.empty(len(momenta))
         for rows, odd, index in classes:
             if odd is None:
-                corr = self._conj_correlation()
+                corr = self._conj_correlation
                 for axis in range(lat.dim):
                     corr = np.concatenate([corr, -corr if self._half else corr], axis=axis)
                 out[rows] = lat.box_sum(self._summand(same, cross, corr), momenta[rows])
@@ -265,7 +265,7 @@ class ModeDiagonalState:
                 signs = [1 if o == self._half else -1 for o in odd]
                 same_t = lat.fold(same, signs)
                 cross_t = same_t if cross is same else lat.fold(cross, signs)
-                summand = self._summand(same_t, cross_t, self._conj_correlation())
+                summand = self._summand(same_t, cross_t, self._conj_correlation)
                 out[rows] = lat.torus_sum(summand, odd, index)
         return out
 
@@ -303,13 +303,15 @@ def _check_filling(grid: MomentumGrid, n_occ: int) -> None:
 
 
 def _fill_order(grid: MomentumGrid, energies: np.ndarray) -> np.ndarray:
-    """Every mode, lowest energy first, ties broken lexicographically on the mode vector."""
+    """Every mode, lowest energy first, ties broken lexicographically on the mode vector.
+
+    The mode vector ``m`` is the site's coordinates shifted by a constant,
+    so the ties are broken on the coordinates.
+    """
     energies = np.asarray(energies, dtype=float)
     if energies.shape != (len(grid),):
         raise ValueError(f"energies must have shape ({len(grid)},), got {energies.shape}")
-    dim = grid.m_vectors.shape[1]
-    keys = tuple(grid.m_vectors[:, d] for d in reversed(range(dim))) + (energies,)
-    return np.lexsort(keys)
+    return np.lexsort(tuple(grid.lattice.coords.T[::-1]) + (energies,))
 
 
 def occupied_modes(grid: MomentumGrid, n_occ: int,
@@ -337,12 +339,11 @@ def fermi_sea(grid: MomentumGrid, n_occ: int,
     grid (int32), so the fillings of one grid cut the same order.
     """
     _check_filling(grid, n_occ)
-    key = ("fill_order", dispersion)
-    if key not in grid._kept:
-        order = _fill_order(grid, dispersion(grid.momenta)).astype(np.int32)
-        order.setflags(write=False)
-        grid._kept[key] = order
-    occ = np.sort(grid._kept[key][:n_occ])
+    orders = grid._fill_orders
+    if dispersion not in orders:
+        orders[dispersion] = _fill_order(grid, dispersion(grid.momenta)).astype(np.int32)
+        orders[dispersion].setflags(write=False)
+    occ = np.sort(orders[dispersion][:n_occ])
     occupations = np.zeros(len(grid))
     occupations[occ] = 1.0
     return ModeDiagonalState(grid, occupations), occ
@@ -426,5 +427,5 @@ def circulant_power_law_state(lattice: Lattice, mu: float
     profile[(0,) * lattice.dim] = 0.5
     grid = momentum_grid(lattice, "odd")
     n_q = np.fft.fftn(profile).real
-    occupations = n_q[tuple(grid.torus_index().T)]
+    occupations = n_q[tuple(grid.torus_index.T)]
     return ModeDiagonalState(grid, occupations), 2.0 * amp

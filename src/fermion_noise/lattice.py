@@ -4,7 +4,7 @@ The lattices are D-dimensional tori of ``L**D`` sites with D in {1, 2}.  Sites
 carry two Majorana flavors each, indexed as ``a = 2 * site + (flavor - 1)``
 with flavor 1 for ``c^dag + c`` and flavor 2 for ``i (c^dag - c)``.  The
 site layout is one formula, :meth:`Lattice._coords_of` on any set of sites
-and cached for all of them as :attr:`Lattice.coords`, inverted by
+and a cached property for all of them, :attr:`Lattice.coords`, inverted by
 :meth:`Lattice.site_index`; the one torus metric is
 :meth:`Lattice.pair_distances` on a set of sites, and two sites are the
 set's ``[0, 1]`` entry.  Neither builds the table of all sites.
@@ -13,7 +13,16 @@ Momentum grids follow the free-fermion quantization on a ring of even length
 L: states with an odd particle number use periodic boundary conditions
 (integer mode numbers m in {-L/2, ..., L/2 - 1}), states with an even particle
 number use antiperiodic ones (half-integer m in {-L/2 + 1/2, ..., L/2 - 1/2}),
-with momenta ``k = 2 pi m / L`` per axis.
+with momenta ``k = 2 pi m / L`` per axis.  A :class:`MomentumGrid` holds
+its lattice, parity and momenta; mode ``i`` has ``m = coords[i] - L/2``
+(plus 1/2 on the antiperiodic grid), so what the mode numbers give is read
+off :attr:`Lattice.coords` instead.
+
+Every array a lattice or grid derives from itself alone (the coordinates,
+the half-period twist, the grid's torus slots) is a
+``functools.cached_property``, built on first use and then kept; the dense
+:meth:`Lattice.distance_matrix` of tests and benchmarks keeps its own
+attribute.
 
 Momentum sums run on the ``L^D`` torus.  A pair displacement ``r`` lies in
 ``(-L, L)`` per axis, so sums over pairs are first collected on the
@@ -30,6 +39,7 @@ takes is decided once, by :meth:`Lattice.frequency_classes`.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple, Union
@@ -65,9 +75,7 @@ class Lattice:
         self.length = int(length)
         self.n_sites = self.length ** self.dim
         self.n_majorana = 2 * self.n_sites
-        self._coords = None
         self._distance_matrix = None
-        self._twist = None
 
     # ------------------------------------------------------------------
     # site indexing
@@ -103,13 +111,12 @@ class Lattice:
             np.remainder(sites // self.length ** j, self.length, out=coords[..., j])
         return coords
 
-    @property
+    @functools.cached_property
     def coords(self) -> np.ndarray:
-        """Array of shape (n_sites, dim) with the coordinates of every site, cached."""
-        if self._coords is None:
-            self._coords = self._coords_of(np.arange(self.n_sites))
-            self._coords.setflags(write=False)
-        return self._coords
+        """Array of shape (n_sites, dim) with the coordinates of every site, read-only."""
+        coords = self._coords_of(np.arange(self.n_sites))
+        coords.setflags(write=False)
+        return coords
 
     def _snake_of(self, sites: np.ndarray) -> np.ndarray:
         """Snake index ``y L + (x if y even else L - 1 - x)`` of the given sites (2D only)."""
@@ -208,10 +215,13 @@ class Lattice:
                 classes.append((rows, odd, (f[rows] >> 1) % self.length))
         return classes
 
+    @functools.cached_property
+    def _twist(self) -> np.ndarray:
+        """``e^{i pi j / L}`` for ``j`` in ``[0, L)``, the half-period twist table."""
+        return np.exp(1j * np.pi / self.length * np.arange(self.length))
+
     def half_twist(self, axis: int, sign: int = 1) -> np.ndarray:
         """``e^{i sign pi j / L}`` for ``j`` in ``[0, L)`` along ``axis`` of a torus array."""
-        if self._twist is None:
-            self._twist = np.exp(1j * np.pi / self.length * np.arange(self.length))
         twist = self._twist if sign > 0 else self._twist.conj()
         return twist.reshape((-1,) + (1,) * (self.dim - 1 - axis))
 
@@ -245,10 +255,12 @@ class Lattice:
         return vals.reshape(-1).real
 
     def _momenta(self, momenta) -> np.ndarray:
-        """``momenta`` as a float array of shape ``(n, dim)``, checked."""
+        """``momenta`` as a finite float array of shape ``(n, dim)``, checked."""
         momenta = np.asarray(momenta, dtype=float)
         if momenta.ndim != 2 or momenta.shape[1] != self.dim:
             raise ValueError(f"momenta must have {self.dim} columns, got shape {momenta.shape}")
+        if not np.isfinite(momenta).all():
+            raise ValueError("momenta must be finite")
         return momenta
 
     def __eq__(self, other: object) -> bool:
@@ -286,7 +298,7 @@ def snake_index_vector(lat: Lattice) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MomentumGrid:
-    """Momentum quantization grid of a finite torus.
+    """Momentum quantization grid of a finite torus: its lattice, parity and momenta.
 
     Attributes
     ----------
@@ -295,39 +307,39 @@ class MomentumGrid:
     parity : str
         ``"odd"`` (periodic, integer modes) or ``"even"`` (antiperiodic,
         half-integer modes), referring to the particle-number parity.
-    m_vectors : np.ndarray
-        (n_sites, dim) mode numbers, first axis varying fastest.
     momenta : np.ndarray
-        (n_sites, dim) momenta ``2 pi m / L`` componentwise in [-pi, pi).
+        (n_sites, dim) momenta ``2 pi m / L`` componentwise in [-pi, pi),
+        first axis varying fastest: mode ``i`` has ``m = coords[i] - L/2``
+        per axis, plus 1/2 on the antiperiodic grid.
 
-    What is derived from the grid alone is computed once and kept on it:
-    :meth:`torus_index`, and the fill order of each dispersion
-    (:func:`fermion_noise.gaussian.fermi_sea`).
+    What is derived from the grid alone is a cached property
+    (:attr:`torus_index`); the fill order of each dispersion
+    (:func:`fermion_noise.gaussian.fermi_sea`) is kept in a dict by
+    dispersion.
     """
 
     lattice: Lattice
     parity: str
-    m_vectors: np.ndarray = field(repr=False)
     momenta: np.ndarray = field(repr=False)
-    _kept: Dict[object, np.ndarray] = field(default_factory=dict, init=False, repr=False,
-                                            compare=False)
+    _fill_orders: Dict[object, np.ndarray] = field(default_factory=dict, init=False,
+                                                   repr=False, compare=False)
 
     def __len__(self) -> int:
         return self.momenta.shape[0]
 
+    @functools.cached_property
     def torus_index(self) -> np.ndarray:
-        """``floor(m) mod L`` of every mode, ``(n_sites, dim)`` int32, read-only.
+        """``floor(m) mod L`` of every mode, ``(coords + L/2) mod L``: ``(n_sites, dim)`` int32.
 
-        Where ``n(q)`` sits on the ``L^D`` torus.  The grid's own momenta are
-        one class of :meth:`Lattice.frequency_classes` (``f = 2m`` is even on
-        every axis of the periodic grid and odd on every axis of the
-        antiperiodic one), and this is its torus index.
+        Where ``n(q)`` sits on the ``L^D`` torus, read-only.  The grid's own
+        momenta are one class of :meth:`Lattice.frequency_classes` (``f = 2m``
+        is even on every axis of the periodic grid and odd on every axis of
+        the antiperiodic one), and this is its torus index.
         """
-        if "torus_index" not in self._kept:
-            index = (np.floor(self.m_vectors) % self.lattice.length).astype(np.int32)
-            index.setflags(write=False)
-            self._kept["torus_index"] = index
-        return self._kept["torus_index"]
+        length = self.lattice.length
+        index = ((self.lattice.coords + length // 2) % length).astype(np.int32)
+        index.setflags(write=False)
+        return index
 
 
 def momentum_grid(lat: Lattice, occupation_parity: str) -> MomentumGrid:
@@ -352,15 +364,10 @@ def momentum_grid(lat: Lattice, occupation_parity: str) -> MomentumGrid:
             f"occupation_parity must be 'odd' or 'even', got {occupation_parity!r}"
         )
     half = lat.length // 2
-    if occupation_parity == "odd":
-        axis = np.arange(-half, half, dtype=np.float64)
-    else:
-        axis = np.arange(-half, half, dtype=np.float64) + 0.5
-    m = axis[lat.coords]
-    k = 2.0 * np.pi * m / lat.length
-    m.setflags(write=False)
+    m = np.arange(-half, half, dtype=np.float64) + (0.5 if occupation_parity == "even" else 0.0)
+    k = (2.0 * np.pi * m / lat.length)[lat.coords]
     k.setflags(write=False)
-    return MomentumGrid(lattice=lat, parity=occupation_parity, m_vectors=m, momenta=k)
+    return MomentumGrid(lattice=lat, parity=occupation_parity, momenta=k)
 
 
 def parity_of(n_occ: int) -> str:

@@ -31,6 +31,11 @@ _SKIP_DIGITS = 80 * math.log(2.0)
 _CACHE_SIZE = 256
 
 
+def _check_order(s: float) -> None:
+    if not math.isfinite(s):
+        raise ValueError(f"order s must be finite, got {s}")
+
+
 @functools.lru_cache(maxsize=_CACHE_SIZE)
 def riemann_zeta(s: float) -> float:
     """Riemann zeta on ``s >= -15`` except the pole at ``s = 1``, memoized.
@@ -41,7 +46,9 @@ def riemann_zeta(s: float) -> float:
     ``2^s pi^{s-1} sin(pi s / 2) Gamma(1 - s) zeta(1 - s)``; it is not used up
     to 0 because it loses ``eps / |s|`` to the pole of ``zeta(1 - s)``.
     Against mpmath: below 1e-13 for ``|s - 1| >= 0.01``, ~1e-16 relative nearer.
+    A non-finite ``s`` raises ``ValueError``.
     """
+    _check_order(s)
     if abs(s - 1.0) < 1e-12:
         raise ValueError("zeta has a pole at s = 1")
     if s < -15:
@@ -142,8 +149,11 @@ def polylog(s: float, z: float) -> float:
     used away from 1 and the standard expansion in ``-ln z`` close to 1
     (``-ln z < 1e-5``).  That expansion reads ``zeta(s - j)`` for ``j <= 11``,
     so close to 1 the domain is ``s >= -4``, and integer ``s <= 1`` diverges.
-    Absolute error is kept below ~1e-10 across the supported domain.
+    Absolute error is kept below ~1e-10 across the supported domain; a
+    non-finite order ``s`` raises ``ValueError`` (a NaN one never ends the
+    direct sum's tail test).
     """
+    _check_order(s)
     if not 0.0 <= z <= 1.0:
         raise ValueError(f"polylog argument must lie in [0, 1], got z = {z}")
     if z == 0.0:

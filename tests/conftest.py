@@ -673,12 +673,12 @@ def box_sum(lat, box, momenta):
 
 
 def box_conj_correlation(state):
-    """``conj C(r)`` on the ``(2L)^D`` box: one FFT of ``n(q)`` placed at frequency ``2m``."""
+    """``conj C(r)`` on the ``(2L)^D`` box: one FFT of ``n(q)`` placed at frequency ``2m = k L / pi``."""
     lat = state.lattice
     period = 2 * lat.length
     box = np.zeros((period,) * lat.dim)
-    box[tuple((np.rint(2 * state.grid.m_vectors).astype(np.int64) % period).T)] = \
-        state.occupations
+    freq = np.rint(state.grid.momenta * (lat.length / np.pi)).astype(np.int64)
+    box[tuple((freq % period).T)] = state.occupations
     return np.fft.fftn(box) / lat.n_sites
 
 

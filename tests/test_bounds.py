@@ -57,6 +57,15 @@ class TestRiemannZeta:
             with pytest.raises(ValueError, match="below"):
                 riemann_zeta(-16.0)
 
+    @pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf])
+    def test_a_non_finite_order_raises(self, s):
+        # A NaN order would keep the direct polylog sum's tail test false forever.
+        for _ in range(2):
+            with pytest.raises(ValueError, match="finite"):
+                riemann_zeta(s)
+            with pytest.raises(ValueError, match="finite"):
+                polylog(s, 0.5)
+
     def test_analytic_continuation(self):
         # The near-one polylog expansion leans on zeta below 1.
         assert riemann_zeta(0.0) == pytest.approx(-0.5, abs=1e-10)
@@ -427,6 +436,15 @@ class TestFermiSurfaceFormulas:
             fermi2d_limit_error(0.01, -1.0, 0.1)
         with pytest.raises(ValueError, match="0, 1"):
             fermi2d_limit_error(1.0, 1.0, 0.1)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_inputs_are_refused(self, bad):
+        with pytest.raises(ValueError, match="Fermi momentum"):
+            fermi2d_limit_error(0.01, bad, 0.1)
+        with pytest.raises(ValueError, match="delta"):
+            fermi2d_limit_error(0.01, 1.0, bad)
+        with pytest.raises(ValueError, match="Fermi momentum"):
+            fermi2d_on_surface_error(0.01, bad)
 
     def test_on_surface_error_approaches_one_half(self):
         assert fermi2d_on_surface_error(1e-6, math.pi / 4) == pytest.approx(0.5, abs=0.02)

@@ -64,6 +64,41 @@ class TestArgumentHandling:
         assert cli.main(argv) == 2
         assert capsys.readouterr().err.startswith(f"configuration error: {field}: ")
 
+    @staticmethod
+    def _refuse_to_allocate(monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the run reached an allocating entry point")
+
+        for name in ("Lattice", "momentum_grid", "fermi_sea_1d", "circulant_power_law_state",
+                     "brickwork_circuit"):
+            monkeypatch.setattr(cli, name, refuse)
+
+    @pytest.mark.parametrize("argv, field", [
+        (["circuit", "--L", "16", "--depth", "100000000000"], "depth"),  # Haar-draw budget
+        (["circuit", "--depth", "16385"], "depth"),           # 2^22 site-layers at L = 256
+        (["circuit", "--L", "4194306", "--depth", "0"], "L"),  # 2^22 sites is the cap
+        (["fermi2d", "--L", "1048576"], "L"),
+        (["fermi2d", "--L", "2050"], "L"),                     # 2048^2 sites is the cap
+        (["fermi1d", "--sweep-k", "--L", "4194306"], "L"),
+        (["fermi1d", "--L", "4194320"], "L"),
+        (["encoding-compare", "--L", "2049"], "L"),
+    ])
+    def test_oversized_sizes_exit_two_before_allocating(self, capsys, monkeypatch, argv, field):
+        self._refuse_to_allocate(monkeypatch)
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"configuration error: {field}: ")
+
+    @pytest.mark.parametrize("argv", [
+        ["circuit", "--L", "16", "--depth", "262144"],
+        ["fermi2d", "--L", "2048"],
+        ["fermi1d", "--sweep-k", "--L", "4194304"],
+        ["encoding-compare", "--L", "2048"],
+    ])
+    def test_sizes_at_their_caps_are_accepted(self, monkeypatch, argv):
+        self._refuse_to_allocate(monkeypatch)
+        with pytest.raises(AssertionError, match="allocating"):
+            cli.main(argv)
+
     def test_invariant_violations_exit_three(self, capsys, monkeypatch):
         def explode(cfg):
             raise InvariantViolation("synthetic breakage")

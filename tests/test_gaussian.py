@@ -162,6 +162,13 @@ class TestCorrelationMatrices:
         assert state.particle_number() == pytest.approx(np.trace(corr).real, abs=1e-12)
 
 
+def _mode_vectors(grid):
+    """The grid's mode numbers ``m`` as the grid once stored them, ``(n_sites, dim)`` floats."""
+    half = grid.lattice.length // 2
+    shift = 0.5 if grid.parity == "even" else 0.0
+    return (np.arange(-half, half, dtype=np.float64) + shift)[grid.lattice.coords]
+
+
 class TestFermiSeas:
     def test_half_filled_four_site_chain(self):
         # Two modes at k = +-pi/4: C(x, x) = 1/2 and C(x, x+1) = cos(pi/4)/2.
@@ -231,6 +238,27 @@ class TestFermiSeas:
         assert np.array_equal(np.sort(energies[occ]), np.sort(energies)[:9])
         assert np.array_equal(np.flatnonzero(state.occupations), occ)
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_slots_and_orders_read_off_coords_match_the_mode_vector_formulas(self, dim):
+        # A grid keeps no mode vectors: its momenta, torus slots and fill
+        # orders are those once derived from ``m``, bit for bit.
+        for length in range(2, 65, 2):
+            lat = Lattice(dim, length)
+            for parity in ("odd", "even"):
+                grid = momentum_grid(lat, parity)
+                m = _mode_vectors(grid)
+                where = f"{dim}D L={length} {parity}"
+                assert np.array_equal(grid.momenta, 2.0 * np.pi * m / length), where
+                assert np.array_equal(grid.torus_index, np.floor(m) % length), where
+                ties = tuple(m[:, d] for d in reversed(range(dim)))
+                for dispersion in (free_dispersion, tight_binding_dispersion):
+                    energies = dispersion(grid.momenta)
+                    want = np.lexsort(ties + (energies,))
+                    assert np.array_equal(gaussian_module._fill_order(grid, energies), want)
+                    n_occ = len(grid) // 3
+                    _, occ = fermi_sea(grid, n_occ, dispersion)
+                    assert np.array_equal(occ, np.sort(want[:n_occ])), where
+
     def test_fillings_of_one_grid_cut_one_kept_order(self, monkeypatch):
         grid = momentum_grid(Lattice(2, 8), "even")
         sorts = []
@@ -253,7 +281,7 @@ class TestOccupiedModes:
         # L = 4, integer modes m = -2..1; the |k| = pi/2 shell is degenerate
         # and the tie falls to the smaller mode number m = -1.
         grid = momentum_grid(Lattice(1, 4), "odd")
-        assert grid.m_vectors[:, 0].tolist() == [-2, -1, 0, 1]
+        assert np.rint(grid.momenta[:, 0] * 4 / (2 * np.pi)).tolist() == [-2, -1, 0, 1]
         assert occupied_modes(grid, 2).tolist() == [1, 2]
         assert occupied_modes(grid, 3).tolist() == [1, 2, 3]
 
@@ -317,6 +345,8 @@ class TestModeDiagonalState:
             ModeDiagonalState(grid, [0.0, -0.01, 1.0, 0.1])
         with pytest.raises(InvariantViolation, match="outside"):
             ModeDiagonalState(grid, [0.0, 0.5, 1.0 + 1e-9, 0.1])
+        with pytest.raises(InvariantViolation, match="outside"):  # both range tests fail on NaN
+            ModeDiagonalState(grid, [0.0, np.nan, 1.0, 0.1])
         with pytest.raises(ValueError, match="shape"):
             ModeDiagonalState(grid, np.zeros(3))
         # Rounding within the slack is accepted, and such a state also
@@ -359,7 +389,7 @@ class TestModeDiagonalState:
 
         monkeypatch.setattr(Lattice, "frequency_classes", refuse)
         assert np.array_equal(state.occupation_shift(same, cross, grid.momenta), want)
-        assert np.array_equal(grid.torus_index(), np.floor(grid.m_vectors) % length)
+        assert np.array_equal(grid.torus_index, np.floor(_mode_vectors(grid)) % length)
 
     def test_occupation_shift_validates_momenta(self):
         state, _, _ = fermi_sea_1d(Lattice(1, 4), 2)

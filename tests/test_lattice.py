@@ -1,5 +1,6 @@
 """Lattice geometry, Majorana indexing, snake ordering, momentum grids."""
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from conftest import assert_close, displacement_index, fold, plane_wave_pair_sum
 from fermion_noise import (
     Lattice,
+    MomentumGrid,
     momentum_grid,
     parity_of,
     snake_index_vector,
@@ -159,6 +161,16 @@ class TestDisplacementBox:
         with pytest.raises(ValueError, match="columns"):
             lat.box_sum(np.zeros((8, 8)), np.zeros((3, 1)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_momenta_are_refused(self, bad):
+        # A NaN or inf momentum would return NaN from either route.
+        lat = Lattice(2, 4)
+        momenta = np.array([[0.0, 0.5], [bad, 0.0]])
+        with pytest.raises(ValueError, match="finite"):
+            lat.frequency_classes(momenta)
+        with pytest.raises(ValueError, match="finite"):
+            lat.box_sum(np.zeros((8, 8)), momenta)
+
 
 class TestSnakeOrdering:
     def test_small_lattice_values(self):
@@ -193,13 +205,25 @@ class TestSnakeOrdering:
 
 class TestMomentumGrids:
     def test_odd_parity_integer_modes(self):
-        grid = momentum_grid(Lattice(1, 6), "odd")
-        assert sorted(grid.m_vectors[:, 0]) == [-3, -2, -1, 0, 1, 2]
-        np.testing.assert_allclose(grid.momenta, 2 * np.pi * grid.m_vectors / 6)
+        # Mode i has m = coords[i] - L/2: the grid stores its momenta alone.
+        lat = Lattice(1, 6)
+        grid = momentum_grid(lat, "odd")
+        np.testing.assert_allclose(grid.momenta * 6 / (2 * np.pi), lat.coords - 3, atol=1e-12)
+        assert sorted(grid.momenta[:, 0]) == list(2 * np.pi * np.arange(-3, 3) / 6)
 
     def test_even_parity_half_integer_modes(self):
-        grid = momentum_grid(Lattice(1, 4), "even")
-        assert sorted(grid.m_vectors[:, 0]) == [-1.5, -0.5, 0.5, 1.5]
+        lat = Lattice(1, 4)
+        grid = momentum_grid(lat, "even")
+        np.testing.assert_allclose(grid.momenta * 4 / (2 * np.pi), lat.coords - 1.5,
+                                   atol=1e-12)
+
+    def test_a_grid_holds_its_lattice_parity_and_momenta(self):
+        assert [f.name for f in dataclasses.fields(MomentumGrid)] == \
+            ["lattice", "parity", "momenta", "_fill_orders"]
+        grid = momentum_grid(Lattice(2, 4), "odd")
+        assert not grid.momenta.flags.writeable and not grid.torus_index.flags.writeable
+        assert grid.torus_index is grid.torus_index
+        assert grid.torus_index.dtype == np.int32
 
     def test_2d_grid_size(self):
         grid = momentum_grid(Lattice(2, 4), "even")

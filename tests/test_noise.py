@@ -618,7 +618,7 @@ class TestSpectralErrorMap:
         probes_m = [(0, 0), (35, 0), (36, 0), (25, 25), (26, 25), (-36, 3), (99, -100)]
         probes_k = np.array(probes_m, dtype=float) * 2.0 * np.pi / side
         errors = momentum_error_map(state, enc, PauliChannel.depolarizing(p), probes_k)
-        occ_m = np.rint(grid.m_vectors[occ]).astype(int)
+        occ_m = lat.coords[occ] - side // 2  # m of the periodic grid
         direct = _direct_occupation_errors(side, occ_m, p, phi0, probes_m)
         assert_close(errors, direct, 1e-12, "spectral vs convolution reference")
 
@@ -695,23 +695,27 @@ class TestFenwickLevels:
         errors = momentum_error_map(state, enc, PauliChannel.depolarizing(p), grid.momenta)
         assert_close(errors, want, 1e-12, "levels vs streamed fold at L = 64")
 
-    def test_drop_boxes_are_kept_per_etas_on_the_model(self):
+    def test_the_boxes_of_the_last_etas_are_kept_on_the_model(self):
+        # A run fixes the mode: its fillings share the boxes of one etas.
         lat = Lattice(2, 8)
         enc = EncodingWeightModel("jw2d_snake", lat)
         ch = PauliChannel.depolarizing(0.1)
+        kept = enc.drop_box(ch.etas)
         errors = []
         for n_occ in (10, 20):
             grid = momentum_grid(lat, parity_of(n_occ))
             state, _ = fermi_sea(grid, n_occ, tight_binding_dispersion)
             errors.append(momentum_error_map(state, enc, ch, grid.momenta))
-        assert list(enc._drop_boxes) == [ch.etas]
+        assert enc.drop_box(ch.etas) is kept
         momentum_error_map(state, enc, ch, grid.momenta, "worst-case")
-        assert list(enc._drop_boxes) == [ch.etas, (ch.worst_factor,) * 3]
+        assert enc.drop_box((ch.worst_factor,) * 3) is not kept
         fresh = EncodingWeightModel("jw2d_snake", lat)
         assert_close(errors[1], momentum_error_map(state, fresh, ch, grid.momenta), 0.0,
                      "kept box")
+        again = enc.drop_box(ch.etas)
+        assert again is not kept and all(np.array_equal(a, b) for a, b in zip(again, kept))
 
-    def test_a_sweep_over_p_keeps_a_bounded_number_of_drop_boxes(self):
+    def test_a_sweep_over_p_keeps_one_drop_box(self):
         lat = Lattice(2, 8)
         enc = EncodingWeightModel("bravyi_kitaev", lat)
         grid = momentum_grid(lat, parity_of(20))
@@ -720,11 +724,10 @@ class TestFenwickLevels:
         for p in np.concatenate([sweep, sweep[:3]]):
             ch = PauliChannel.depolarizing(float(p))
             got = momentum_error_map(state, enc, ch, grid.momenta)
-            assert len(enc._drop_boxes) <= encodings._DROP_BOXES_KEPT
+            assert enc._last_drop_box[0] == ch.etas
             fresh = EncodingWeightModel("bravyi_kitaev", lat)
             assert_close(got, momentum_error_map(state, fresh, ch, grid.momenta), 0.0,
                          f"p = {p}")
-        assert list(enc._drop_boxes)[-1] == ch.etas
 
     @pytest.mark.parametrize("kind,dim,shared", [("local", 1, True), ("local", 2, True),
                                                  ("jw1d", 1, True), ("jw2d_snake", 2, True),
