@@ -35,17 +35,18 @@ T]`` is block diagonal, so both pictures apply the touched gates alone, by
 gather, stacked ``k x k`` matmul and scatter, at ``O(|T|^2 k)`` per layer.
 :func:`prefix_expectations` builds the windows backwards from the
 observable, ``W_depth = supp(O)`` and ``W_(d-1)`` the window of layer ``d``
-from ``W_d``, gathers the covariance on ``W_0`` once and sweeps forward:
-rotate, restrict to ``W_d``, damp by the attenuation on ``W_d`` alone, and
-read prefix ``d`` on ``supp(O)``.  The damping is elementwise and ``R`` is
-zero between ``W_d`` and the indices outside ``W_(d-1)``, so this is the
-dense evolution restricted, not an approximation.  In a brickwork circuit a
-window grows by at most ``radius`` sites per layer, so every prefix of a
-``depth``-layer circuit costs ``O(depth * |W|^2 k)`` with ``|W|`` the
-light-cone volume, whatever the system size, and only the gates inside the
-cone are orthogonalized; a layer with one gate on every index gives the full
-window and the dense cost.  :func:`heisenberg_observable` is the same
-windows walked backwards, with the touched gates transposed.
+from ``W_d``, gathers the covariance on ``W_0`` once and sweeps one copy per
+run forward, ideal and noisy: rotate, restrict to ``W_d``, damp the noisy
+copy by the attenuation on ``W_d`` alone, and read prefix ``d`` on ``supp(O)``.
+The damping is elementwise and ``R`` is zero between ``W_d`` and the indices
+outside ``W_(d-1)``, so this is the dense evolution restricted, not an
+approximation.  In a brickwork circuit a window grows by at most ``radius``
+sites per layer, so every prefix of a ``depth``-layer circuit costs
+``O(depth * |W|^2 k)`` with ``|W|`` the light-cone volume, whatever the
+system size, and only the gates inside the cone are orthogonalized, once for
+both runs; a layer with one gate on every index gives the full window and the
+dense cost.  :func:`heisenberg_observable` is the same windows walked
+backwards, with the touched gates transposed.
 
 That sweep is the package's one circuit evolution, and the pullback its
 reference.  The dense ``2N x 2N`` evolution of the whole covariance, and the
@@ -240,20 +241,20 @@ def prefix_expectations(state: CovarianceBlocks, obs: QuadraticObservable,
                         circuit: Circuit,
                         channel: Optional[PauliChannel] = None,
                         enc: Optional[EncodingWeightModel] = None,
-                        mode: str = "exact") -> List[float]:
-    """Expectations of ``obs`` after each prefix of the circuit, depth 0 first.
+                        mode: str = "exact") -> Tuple[List[float], List[float]]:
+    """``(ideal, noisy)``: expectations of ``obs`` after each circuit prefix, depth 0 first.
 
-    One forward sweep on shrinking windows.  ``W_depth = supp(O)``, and
-    ``W_(d-1)`` is the window that layer ``d`` reaches from ``W_d``; only
-    these index arrays and each layer's touched gates are kept.  The
-    covariance on ``W_0`` is gathered once; layer ``d`` rotates it by block,
-    restricts it to ``W_d`` and damps it by the attenuation on ``W_d``, and
-    entry ``d`` is read on ``supp(O)``, which every window holds.  That is
-    ``depth`` window steps and ``depth`` damping calls when noisy, none when
-    ideal, at ``O(|W|^2 k)`` each; entry ``d`` equals
-    ``state.expectation(heisenberg_observable(...))`` on the first ``d``
-    layers, summed in another order.  ``state`` is any object with
-    ``lattice`` and ``covariance_block``.
+    One forward sweep on shrinking windows runs both.  ``W_depth = supp(O)``,
+    and ``W_(d-1)`` is the window that layer ``d`` reaches from ``W_d``; these
+    index arrays and each layer's touched gates are built once.  The covariance
+    on ``W_0`` is gathered once; layer ``d`` rotates each run's copy by block
+    and restricts it to ``W_d``, one copy at a time, and damps the noisy one by
+    the attenuation on ``W_d``, which splits it off the ideal one at ``d = 1``
+    (with no channel or ``p = 0`` both lists are the ideal run); entry ``d`` is
+    read on ``supp(O)``.  That is ``depth`` window steps, and ``depth`` damping
+    calls when noisy, at ``O(|W|^2 k)`` each (a caller of the noisy list alone
+    pays for the ideal rotations too); entry ``d`` equals ``state.expectation(
+    heisenberg_observable(...))`` on the first ``d`` layers, summed in another order.
     """
     damping = _layer_damping(circuit, channel, enc, mode)
     order = np.argsort(obs.support)
@@ -265,14 +266,15 @@ def prefix_expectations(state: CovarianceBlocks, obs: QuadraticObservable,
         steps.append(touched)
     windows.reverse()
     steps.reverse()
-    gamma = np.array(state.covariance_block(windows[0]))  # rotated in place below
+    runs = [np.array(state.covariance_block(windows[0]))]  # ideal, rotated in place below
     values = []
     for d, window in enumerate(windows):
         if d:
-            keep = np.searchsorted(windows[d - 1], window)
-            gamma = _rotate(_rotate(gamma.T, steps[d - 1]).T, steps[d - 1])[np.ix_(keep, keep)]
-            if damping is not None:
-                gamma = gamma * damping(window)
+            keep, step = np.searchsorted(windows[d - 1], window), steps[d - 1]
+            for i in range(len(runs)):  # each old copy is freed before the next is rotated
+                runs[i] = _rotate(_rotate(runs[i].T, step).T, step)[np.ix_(keep, keep)]
+            if damping is not None:  # the noisy copy, split off the ideal one at d = 1
+                runs[1:] = [runs[-1] * damping(window)]
         at = np.searchsorted(window, support)
-        values.append(obs.offset + float(np.sum(block * gamma[np.ix_(at, at)])))
-    return values
+        values.append([obs.offset + float(np.sum(block * run[np.ix_(at, at)])) for run in runs])
+    return [row[0] for row in values], [row[-1] for row in values]

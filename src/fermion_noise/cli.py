@@ -332,8 +332,8 @@ def _run_fermi1d(cfg: Dict[str, object]) -> Table:
         enc = _encoding_for(cfg, lattice)
         state, grid, _ = fermi_sea_1d(lattice, n_occ)
         errors = momentum_error_map(state, enc, channel, grid.momenta, cfg["mode"])
-        order = np.argsort(grid.momenta[:, 0])
-        return {"k": grid.momenta[order, 0], "sensitivity": np.abs(errors[order]) / p}
+        # 1D grid momenta rise with the site index: the rows are already sorted by k.
+        return {"k": grid.momenta[:, 0], "sensitivity": np.abs(errors) / p}
     _require(cfg["n_occ"] is None, "n_occ", "only meaningful together with --sweep-k")
     n_max = cfg["L"] if cfg["L"] is not None else 200
     _require(n_max >= 20, "L", f"size grid needs L >= 20, got {n_max}")
@@ -361,8 +361,8 @@ def _run_fermi1d(cfg: Dict[str, object]) -> Table:
 def _run_fermi2d(cfg: Dict[str, object]) -> Table:
     """Sensitivity of every mode per filling, rows sorted by ``(kx, ky)``.
 
-    Fillings of one parity share their grid, row order and ``kx``/``ky``
-    codes; ``n_occ``, ``kx`` and ``ky`` are coded columns.
+    The rows are the ``(ky, kx)`` grid transposed, and fillings of one parity
+    share their grid and codes; ``n_occ``, ``kx`` and ``ky`` are coded columns.
     """
     p = cfg["p"]
     _require(p > 0, "p", "sensitivity maps need p > 0")
@@ -376,22 +376,21 @@ def _run_fermi2d(cfg: Dict[str, object]) -> Table:
                  f"must lie in [0, {lattice.n_sites}], got {n_occ}")
     enc = _encoding_for(cfg, lattice)
     channel = PauliChannel.depolarizing(p)
-    grids: Dict[str, tuple] = {}  # parity -> grid, row order, (kx, ky) codes
+    grids: Dict[str, tuple] = {}  # parity -> grid, (kx, ky) codes
     values: List[np.ndarray] = []  # (kx, ky) values of each grid
     codes, sensitivity = [], []
     for n_occ in fillings:
         parity = parity_of(n_occ)
         if parity not in grids:
             grid = momentum_grid(lattice, parity)
-            order = np.lexsort((grid.momenta[:, 1], grid.momenta[:, 0]))
             # Sites run x fastest: the first L sites hold every kx, every L-th site every ky.
-            grids[parity] = grid, order, lattice.coords[order].T + length * len(values)
+            grids[parity] = grid, np.indices((length, length)).reshape(2, -1) + length * len(values)
             values.append(np.stack([grid.momenta[:length, 0], grid.momenta[::length, 1]]))
-        grid, order, grid_codes = grids[parity]
+        grid, grid_codes = grids[parity]
         state, _ = fermi_sea(grid, n_occ, tight_binding_dispersion)
         errors = momentum_error_map(state, enc, channel, grid.momenta, cfg["mode"])
         codes.append(grid_codes)
-        sensitivity.append(np.abs(errors[order]) / p)
+        sensitivity.append(np.abs(errors.reshape(length, length).T.ravel()) / p)
     kx, ky = np.concatenate(values, axis=1)
     code_x, code_y = np.concatenate(codes, axis=1)
     return {"n_occ": (np.array(fillings), np.repeat(np.arange(len(fillings)), lattice.n_sites)),
@@ -457,8 +456,7 @@ def _run_circuit(cfg: Dict[str, object]) -> Table:
                              phi0=cfg["phi0"])
         rng = np.random.default_rng([cfg["seed"], length])
         circuit = brickwork_circuit(lattice, depth, radius=1, rng=rng)
-        ideal = prefix_expectations(state, obs, circuit)
-        noisy = prefix_expectations(state, obs, circuit, channel, enc, cfg["mode"])
+        ideal, noisy = prefix_expectations(state, obs, circuit, channel, enc, cfg["mode"])
         depths = np.arange(depth + 1)
         error = np.abs(np.subtract(noisy, ideal))
         bound = np.array([prop3_bound(params, p, d, radius=1).value for d in depths])

@@ -391,8 +391,9 @@ class EncodingWeightModel:
             if self.kind == "local":
                 if not etas[0] == etas[1] == etas[2]:
                     raise ValueError(_WEIGHTS_ONLY)
-                weights = self.phi0 + sum(lat._wrap(r) for r in lat.displacement_box())
-                same = cross = (1.0 - etas[0] ** weights) * lat.displacement_multiplicity()
+                drop = etas[0] ** (self.phi0 + sum(map(lat._wrap, lat.displacement_box())))
+                np.subtract(1.0, drop, out=drop)  # in place: two full boxes live at most
+                same = cross = np.multiply(drop, lat.displacement_multiplicity(), out=drop)
             elif self.kind == "bravyi_kitaev":
                 same, cross = _fenwick_drop_box(lat, etas)
             else:

@@ -130,12 +130,11 @@ class Lattice:
     def _wrap(self, r: np.ndarray) -> np.ndarray:
         """Torus distance ``min(|r|, L - |r|)`` of displacements ``r`` along one axis each."""
         r = np.abs(r)
-        return np.minimum(r, self.length - r)
+        return np.minimum(r, self.length - r, out=r)
 
     def pair_distances(self, sites: np.ndarray) -> np.ndarray:
-        """(len(sites), len(sites)) torus (L1) distances between the given sites."""
-        c = self._coords_of(sites)
-        return self._wrap(c[:, None, :] - c[None, :, :]).sum(axis=2)
+        """(len(sites), len(sites)) torus (L1) distances between the given sites, axis by axis."""
+        return sum(self._wrap(np.subtract.outer(x, x)) for x in self._coords_of(sites).T)
 
     def distance_matrix(self) -> np.ndarray:
         """(n_sites, n_sites) matrix of pairwise torus distances, cached."""
@@ -320,7 +319,7 @@ class MomentumGrid:
 
     lattice: Lattice
     parity: str
-    momenta: np.ndarray = field(repr=False)
+    momenta: np.ndarray = field(repr=False, compare=False)  # fixed by the lattice and parity
     _fill_orders: Dict[object, np.ndarray] = field(default_factory=dict, init=False,
                                                    repr=False, compare=False)
 

@@ -135,7 +135,8 @@ def test_criterion_02_dense_circuit_equivalence():
         circuit = brickwork_circuit(lat, radius=1, depth=depth, rng=rng)
 
         channel = PauliChannel.depolarizing(p)
-        lib_value = prefix_expectations(state, obs, circuit, channel, enc)[-1]
+        _, noisy = prefix_expectations(state, obs, circuit, channel, enc)
+        lib_value = noisy[-1]
 
         rho = dense_gaussian_density_matrix(state.gamma)
         for rotation in map(dense_rotation, circuit.layers):

@@ -305,8 +305,8 @@ class TestEvolution:
         ch = PauliChannel.depolarizing(0.12)
         obs = random_normalized_observable(lat, rng)
         forward = evolve_state(state, circ, ch, enc).expectation(obs)
-        sweep = prefix_expectations(state, obs, circ, ch, enc)[-1]
-        assert forward == pytest.approx(sweep, abs=1e-12)
+        _, sweep = prefix_expectations(state, obs, circ, ch, enc)
+        assert forward == pytest.approx(sweep[-1], abs=1e-12)
 
     @pytest.mark.parametrize("p", [0.0, 0.2])
     def test_matches_dense_reference(self, rng, p):
@@ -341,10 +341,10 @@ class TestEvolution:
         obs = QuadraticObservable.number(lat, 0)
         for seed in range(24):
             circ = brickwork_circuit(lat, 1, rng=np.random.default_rng(seed))
-            ideal = prefix_expectations(state, obs, circ)[-1]
             noisy = {}
             for mode in ("exact", "worst-case"):
-                noisy[mode] = prefix_expectations(state, obs, circ, ch, enc, mode=mode)[-1]
+                runs = prefix_expectations(state, obs, circ, ch, enc, mode=mode)
+                ideal, noisy[mode] = runs[0][-1], runs[1][-1]
                 lam = attenuation_block(enc, ch, [0, 1], mode)[0, 1]
                 assert noisy[mode] - 0.5 == pytest.approx(lam * (ideal - 0.5), abs=1e-12), \
                     f"seed {seed}, {mode}"
@@ -363,7 +363,7 @@ class TestEvolution:
         enc = EncodingWeightModel("jw1d", lat)
         p = 0.2
         obs = QuadraticObservable.number(lat, 0)
-        noisy = prefix_expectations(state, obs, circ, PauliChannel.depolarizing(p), enc)[-1]
+        _, noisy = prefix_expectations(state, obs, circ, PauliChannel.depolarizing(p), enc)
 
         rho = dense_gaussian_density_matrix(full_covariance(state), max_modes=6)
         for rot in map(dense_rotation, circ.layers):
@@ -371,7 +371,7 @@ class TestEvolution:
             u = dense_free_unitary(0.5 * (h - h.T), max_modes=6)
             rho = dense_layer(rho, u, p, (1 / 3, 1 / 3, 1 / 3))
         op = dense_quadratic_observable(dense_coefficients(obs), obs.offset, max_modes=6)
-        assert noisy == pytest.approx(dense_expectation(rho, op), abs=1e-9)
+        assert noisy[-1] == pytest.approx(dense_expectation(rho, op), abs=1e-9)
 
 
 class TestLightConePullback:
@@ -402,8 +402,8 @@ class TestLightConePullback:
         assert_close(dense_coefficients(pulled), dense, 1e-12, "pullback")
         assert pulled.offset == obs.offset
         expected = obs.offset + float(np.sum(dense * full_covariance(state)))
-        value = prefix_expectations(state, obs, circ, ch, enc, mode)[-1]
-        assert value == pytest.approx(expected, abs=1e-12)
+        _, noisy = prefix_expectations(state, obs, circ, ch, enc, mode)
+        assert noisy[-1] == pytest.approx(expected, abs=1e-12)
 
     @pytest.mark.parametrize("dim,length,radius,kind,ch,mode", CASES)
     def test_matches_dense_pullback(self, rng, dim, length, radius, kind, ch, mode):
@@ -436,7 +436,7 @@ class TestLightConePullback:
         circ = brickwork_circuit(lat, 3, rng=np.random.default_rng(43))
         zero = observable_from_matrix(lat, np.zeros((16, 16)), offset=-0.25)
         ch = PauliChannel.depolarizing(0.3)
-        assert prefix_expectations(state, zero, circ, ch, enc) == [-0.25] * 4
+        assert prefix_expectations(state, zero, circ, ch, enc) == ([-0.25] * 4,) * 2
         assert not heisenberg_observable(zero, circ, ch, enc).block.any()
 
     @pytest.mark.parametrize("dim,length,radius,depth", [
@@ -465,12 +465,14 @@ class TestPrefixExpectations:
         obs = random_normalized_observable(lat, rng)
         ch = PauliChannel.depolarizing(0.15)
         for noise in ((), (ch, enc, "exact"), (ch, enc, "worst-case")):
-            values = prefix_expectations(state, obs, full, *noise)
-            assert len(values) == full.depth + 1
-            for d, value in enumerate(values):
-                prefix = Circuit(lattice=lat, radius=1, layers=full.layers[:d])
-                expected = state.expectation(heisenberg_observable(obs, prefix, *noise))
-                assert value == pytest.approx(expected, abs=1e-12), (noise, d)
+            runs = prefix_expectations(state, obs, full, *noise)
+            for run, pull_noise in zip(runs, ((), noise)):
+                assert len(run) == full.depth + 1
+                for d, value in enumerate(run):
+                    prefix = Circuit(lattice=lat, radius=1, layers=full.layers[:d])
+                    pulled = heisenberg_observable(obs, prefix, *pull_noise)
+                    assert value == pytest.approx(state.expectation(pulled), abs=1e-12), \
+                        (pull_noise, d)
 
     # (dim, length, radius, encoding, channel, mode): odd lengths and the
     # 5 x 5 torus leave a truncated gate in every row.
@@ -487,14 +489,17 @@ class TestPrefixExpectations:
 
     @staticmethod
     def _assert_every_prefix_is_the_pullback(state, obs, circ, ch, enc, mode):
-        values = prefix_expectations(state, obs, circ, ch, enc, mode)
-        assert len(values) == circ.depth + 1
-        for d, value in enumerate(values):
-            prefix = Circuit(lattice=circ.lattice, radius=circ.radius, layers=circ.layers[:d])
-            pulled = heisenberg_observable(obs, prefix, ch, enc, mode)
-            expected = pulled.offset + float(np.sum(pulled.block
-                                                    * state.covariance_block(pulled.support)))
-            assert value == pytest.approx(expected, abs=1e-12), (mode, d)
+        # The ideal run is the pullback without noise, the noisy one with it.
+        for run, noise in zip(prefix_expectations(state, obs, circ, ch, enc, mode),
+                              ((None, None, mode), (ch, enc, mode))):
+            assert len(run) == circ.depth + 1
+            for d, value in enumerate(run):
+                prefix = Circuit(lattice=circ.lattice, radius=circ.radius,
+                                 layers=circ.layers[:d])
+                pulled = heisenberg_observable(obs, prefix, *noise)
+                expected = pulled.offset + float(np.sum(pulled.block
+                                                        * state.covariance_block(pulled.support)))
+                assert value == pytest.approx(expected, abs=1e-12), (noise, d)
 
     @pytest.mark.parametrize("dim,length,radius,kind,ch,mode", SWEEP_CASES)
     def test_every_prefix_matches_the_pullback(self, rng, dim, length, radius, kind, ch, mode):
@@ -548,8 +553,8 @@ class TestPrefixExpectations:
         circ = brickwork_circuit(lat, 6, rng=np.random.default_rng(59))
         enc = EncodingWeightModel("jw1d", lat)
         obs = QuadraticObservable.hopping(lat, 0, 1)
-        values = prefix_expectations(state, obs, circ, PauliChannel.depolarizing(0.1), enc)
-        assert len(values) == 7
+        ideal, noisy = prefix_expectations(state, obs, circ, PauliChannel.depolarizing(0.1), enc)
+        assert len(ideal) == len(noisy) == 7
         assert len(steps) == 6 and len(damped) == 6
         # Window calls run from the last layer back, damping from the first on.
         assert all(size <= 2 * (2 + 2 * j) for j, size in enumerate(steps))
@@ -605,9 +610,9 @@ class TestObservableNormContraction:
 class TestErrorCurve:
     @staticmethod
     def _errors(state, obs, circ, enc, p_grid):
-        ideal = prefix_expectations(state, obs, circ)[-1]
-        return np.array([abs(prefix_expectations(state, obs, circ, PauliChannel.depolarizing(p),
-                                                 enc)[-1] - ideal) for p in p_grid])
+        runs = (prefix_expectations(state, obs, circ, PauliChannel.depolarizing(p), enc)
+                for p in p_grid)
+        return np.array([abs(noisy[-1] - ideal[-1]) for ideal, noisy in runs])
 
     def test_zero_noise_gives_zero_error(self, rng):
         lat = Lattice(1, 6)

@@ -594,12 +594,15 @@ class TestCircuitOutput:
         assert out.read_bytes() == expected.read_bytes()
 
     def test_every_prefix_is_one_step_of_one_sweep(self, tmp_path, monkeypatch):
-        # Ideal and noisy runs each sweep the 3 layers once: 6 window steps,
-        # 3 damping calls (noisy run only) and no Heisenberg pullback, where
-        # prefix by prefix took 8 pullbacks through 12 layers.
+        # The ideal and noisy runs share one sweep of the layers: one window
+        # step per layer, one damping call per layer (the noisy run only), one
+        # covariance gather and no Heisenberg pullback, where two sweeps took
+        # 2 * depth window steps and two gathers.
         import fermion_noise.circuits as circuits
-        steps, damped = [], []
+        from fermion_noise.gaussian import ModeDiagonalState
+        steps, damped, gathered = [], [], []
         window, attenuation = circuits.Layer.window, circuits.attenuation_block
+        covariance_block = ModeDiagonalState.covariance_block
 
         def stepping(layer, support):
             steps.append(len(support))
@@ -609,17 +612,29 @@ class TestCircuitOutput:
             damped.append(len(idx))
             return attenuation(enc, channel, idx, mode)
 
+        def gathering(state, idx):
+            gathered.append(len(idx))
+            return covariance_block(state, idx)
+
         def refuse(*args, **kwargs):
             raise AssertionError("Heisenberg pullback on the CLI path")
 
         monkeypatch.setattr(circuits.Layer, "window", stepping)
         monkeypatch.setattr(circuits, "attenuation_block", damping)
+        monkeypatch.setattr(ModeDiagonalState, "covariance_block", gathering)
         monkeypatch.setattr(circuits, "heisenberg_observable", refuse)
-        code, _ = run_to_file(tmp_path, "circ.csv", ["circuit", "--L", "16", "--depth", "3"])
-        assert code == 0
-        assert len(steps) == 6 and len(damped) == 3
-        # At most 2 Majoranas on each of the 2 + 2 * (3 - d) sites of window d.
-        assert max(steps) <= 2 * (2 + 2 * 2) and max(damped) <= 2 * (2 + 2 * 2)
+        for length, depth in ((16, 3), (512, 8)):
+            for counts in (steps, damped, gathered):
+                counts.clear()
+            code, _ = run_to_file(tmp_path, "circ.csv",
+                                  ["circuit", "--L", str(length), "--depth", str(depth)])
+            assert code == 0
+            assert (len(steps), len(damped), len(gathered)) == (depth, depth, 1), length
+            # At most 2 Majoranas on each of the 2 + 2 * (depth - d) sites of window d;
+            # the noisy copy is damped on W_1..W_depth, the windows the steps start from.
+            cone = 2 * (2 + 2 * depth)
+            assert max(steps) <= cone - 4 and gathered[0] <= cone
+            assert sorted(damped) == sorted(steps)
 
     def test_phi0_zero_stays_within_the_bound(self, tmp_path):
         code, out = run_to_file(tmp_path, "circ.json",

@@ -173,6 +173,20 @@ class TestLocalWeights:
         assert lat._distance_matrix is None
 
 
+    def test_drop_box_is_built_in_place(self):
+        # The weights, their powers and the pair counts: at most two full
+        # boxes live at once, where building by temporaries held three.
+        enc = EncodingWeightModel("local", Lattice(2, 512))
+        tracemalloc.start()
+        try:
+            same, cross = enc.drop_box(PauliChannel.depolarizing(0.01).etas)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert same is cross
+        assert peak <= 2.1 * same.nbytes, f"{peak} B traced for a {same.nbytes} B box"
+
+
 class TestJordanWigner1d:
     def test_weight_uses_plain_chain_separation(self):
         enc = EncodingWeightModel("jw1d", Lattice(1, 8))

@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -110,6 +111,19 @@ class TestDistances:
         assert np.array_equal(lat.distance_matrix(), ref)
         idx = rng.choice(lat.n_sites, 5, replace=False)
         assert np.array_equal(lat.pair_distances(idx), ref[np.ix_(idx, idx)])
+
+    def test_pair_distances_are_summed_axis_by_axis(self):
+        # The distances and one axis's displacements with their wrap: no
+        # (n, n, dim) array of displacements, which held six times the result.
+        lat = Lattice(2, 64)
+        tracemalloc.start()
+        try:
+            dist = lat.pair_distances(np.arange(0, lat.n_sites, 2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert dist.dtype == np.int64
+        assert peak <= 3.1 * dist.nbytes, f"{peak} B traced for {dist.nbytes} B of distances"
 
     def test_max_distance(self):
         # Farthest pair on an even torus sits at L/2 per axis.
@@ -224,6 +238,25 @@ class TestMomentumGrids:
         assert not grid.momenta.flags.writeable and not grid.torus_index.flags.writeable
         assert grid.torus_index is grid.torus_index
         assert grid.torus_index.dtype == np.int32
+
+    @pytest.mark.parametrize("parity", ["odd", "even"])
+    @pytest.mark.parametrize("length", [2, 4, 6])
+    def test_momenta_rise_with_the_site_index_x_fastest(self, length, parity):
+        # The CLI writes its rows sorted by momentum straight off this layout.
+        assert np.all(np.diff(momentum_grid(Lattice(1, length), parity).momenta[:, 0]) > 0)
+        m = momentum_grid(Lattice(2, length), parity).momenta.reshape(length, length, 2)
+        assert np.all(np.diff(m[..., 0], axis=1) > 0) and np.all(np.diff(m[..., 1], axis=0) > 0)
+        assert np.all(m[..., 0] == m[:1, :, 0]) and np.all(m[..., 1] == m[:, :1, 1])
+
+    def test_grids_compare_by_lattice_and_parity(self):
+        # The momenta follow from the lattice and parity and take no part.
+        grid = momentum_grid(Lattice(2, 4), "odd")
+        same = momentum_grid(Lattice(2, 4), "odd")
+        assert grid == same and hash(grid) == hash(same)
+        assert grid != momentum_grid(Lattice(2, 4), "even")
+        assert grid != momentum_grid(Lattice(2, 6), "odd")
+        assert grid != momentum_grid(Lattice(1, 4), "odd")
+        assert len({grid, same, momentum_grid(Lattice(2, 4), "even")}) == 2
 
     def test_2d_grid_size(self):
         grid = momentum_grid(Lattice(2, 4), "even")
