@@ -5,7 +5,8 @@ bilinear to a single Pauli string (up to phase); what matters for
 single-qubit noise is how many tensor factors of that string are X, Y and Z,
 and a Pauli channel damps it by ``lambda = ex**nx * ey**ny * ez**nz``.
 Four models are provided, each with its drops ``1 - lambda`` summed over the
-site pairs at every displacement:
+site pairs at every displacement and folded onto the ``L^D`` torus as they
+are summed:
 
 ``local``
     An abstract geometrically local encoding: weight ``phi0 + d(r, r')`` with
@@ -22,7 +23,7 @@ site pairs at every displacement:
     keeps its own, so the weight is ``1 + |o_s - o_t|``; the two flavors of
     one site give a single Z.  A drop depends on the qubit separation alone
     and is summed by rows of the chain or the snake
-    (:func:`_jordan_wigner_drop_box`).
+    (:func:`_jordan_wigner_drop_torus`).
 ``bravyi_kitaev``
     The binary encoder of Seeley, Richard and Love (2012), qubit bits
     ``b = beta n (mod 2)`` for occupations ``n``, with the Fenwick-tree
@@ -36,24 +37,27 @@ site pairs at every displacement:
     differing at bit ``h`` lies in a block of ``2^(h + 1)`` modes, every such
     block is a lattice translate of the first, and its attenuation is a
     product of one factor per end (two under a non-uniform mix), so each
-    level is one FFT cross-correlation on the box, ``O(N log N)`` in all
-    (:func:`_fenwick_drop_box`).
+    level is one circular FFT cross-correlation on the torus, ``O(N log N)``
+    in all (:func:`_fenwick_drop_torus`).
 
 Weights and counts of every pair of a Majorana index set come from one
 method, :meth:`EncodingWeightModel.pair_weights`.  A circuit's light cone
 and a noisy measurement ask for them on the observable's support only, and
 the weight and composition of a single bilinear ``gamma_a gamma_b`` are the
 ``[0, 1]`` entry of the index set ``[a, b]``.  The summed drops come from
-one method too, :meth:`EncodingWeightModel.drop_box`, which the momentum
-error map of :mod:`fermion_noise.noise` folds onto the torus; no ``N x N``
-table of all pairs is built.  They depend on the encoding and the etas, not
-on the state, and the boxes of the last etas are kept on the model: a run
-fixes the mode and the channel, so it asks each model for one etas.
+one method too, :meth:`EncodingWeightModel.drop_torus`, on the torus that
+the momentum error map of :mod:`fermion_noise.noise` reads, with one fold
+sign per axis; no ``N x N`` table of all pairs is built.  They depend on
+the encoding, the etas and the signs, not on the state, and the tori of the
+last ``(etas, signs)`` are kept on the model: a run fixes the mode and the
+channel, and its grid momenta all fold with sign ``+1``.
 """
 
 from __future__ import annotations
 
-from typing import Tuple
+import functools
+import math
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -156,9 +160,9 @@ def _fenwick_levels(tau: np.ndarray):
 # ----------------------------------------------------------------------
 
 
-def _fenwick_drop_box(lat: Lattice, etas: Tuple[float, float, float]
-                      ) -> Tuple[np.ndarray, np.ndarray]:
-    """Bravyi-Kitaev's ``(same, cross)`` drops of :meth:`EncodingWeightModel.drop_box`, by level.
+def _fenwick_drop_torus(lat: Lattice, etas: Tuple[float, float, float],
+                        signs: Tuple[int, ...]) -> Tuple[np.ndarray, np.ndarray]:
+    """Bravyi-Kitaev's ``(same, cross)`` drops of :meth:`EncodingWeightModel.drop_torus`, by level.
 
     At level ``h`` (:func:`_fenwick_levels`) every X/Y/Z exponent of
     :func:`_fenwick_pairs` is a sum of one term per end but for the ``or`` in
@@ -173,21 +177,27 @@ def _fenwick_drop_box(lat: Lattice, etas: Tuple[float, float, float]
     power is nonnegative, so an eta of 0 is no special case.  Every level-``h``
     block is a lattice translate of block 0 (row-major sites, ``N = 2^n``), so
     the pair sum by displacement is one cross-correlation of the two halves of
-    block 0, by FFT on the box, with the upper half's factors summed over the
-    blocks: the block count times block 0's, but at the last site, which takes
-    every block's own.  The factors enter the FFTs as ``A - 1``: the ``1 * 1``
-    terms are the pair count, the multiplicity, whose drop ``1 - a_fg`` is
+    block 0, with the upper half's factors summed over the blocks: the block
+    count times block 0's, but at the last site, which takes every block's
+    own.  The correlation is circular on the torus, which folds ``t - L`` onto
+    ``t`` with sign ``+1``; on an axis of sign ``-1`` both halves are twisted
+    by ``e^{i pi x / L}`` first, so the wrapped terms change sign, and the sum
+    is untwisted after.  The factors enter the FFTs as ``A - 1``: the
+    ``1 * 1`` terms are the signed pair counts, whose drop ``1 - a_fg`` is
     exact, so the sum keeps the digits of ``1 - lambda``.  The diagonal is the
     number operator, ``1 + tau`` Zs between the two flavors and no drop within
     one.  ``O(N log N)`` in all, with no ``N x N`` array.
     """
     ex, ey, ez = etas
     n, dim = lat.n_sites, lat.dim
-    box, axes = (2 * lat.length,) * dim, tuple(range(-dim, 0))
+    torus, axes = (lat.length,) * dim, tuple(range(-dim, 0))
+    twisted = -1 in signs
+    twist = math.prod(lat.half_twist(axis) for axis, sign in enumerate(signs) if sign < 0)
+    fft = np.fft.fftn if twisted else np.fft.rfftn
     swap = (ey - ex) * (ey + ex)  # b_fg / ey**(f + g - 1)
     # Spectra of the same- and cross-flavor sums of lambda - a over the two
-    # orders of every pair, halved; real, as both sums are even in r.
-    spectra = np.zeros((2,) + box[:-1] + (box[-1] // 2 + 1,))
+    # orders of every pair, halved: real, as both sums are even in r.
+    spectra = np.zeros((2,) + torus[:-1] + ((lat.length if twisted else lat.length // 2 + 1),))
 
     def ends(h, o, p, r):  # 1, A_0 - 1 (B_0 = A_0), A_1 - 1 and B_1
         up, down = ex ** (h - o), ez ** (o - p)
@@ -195,35 +205,44 @@ def _fenwick_drop_box(lat: Lattice, etas: Tuple[float, float, float]
             1.0, up * ez ** o - 1.0, up * down - 1.0,
             np.where(r, 0.0, ex ** np.maximum(h - o - 1, 0) * down)))
 
-    tau = _trailing_ones(np.arange(n)).astype(np.int64)
-    for h, o, p, r, p_last in _fenwick_levels(tau):
-        size = len(o)
-        factors = ends(h, o, p, r)
-        factors[:, size // 2:] *= n // size
-        factors[:, -1] = ends(h, h, p_last, True).sum(axis=1)
-        grids = np.zeros((2, 4) + box)
-        for grid, sites in zip(grids, np.split(np.arange(size), 2)):
-            grid[(slice(None),) + tuple(lat.coords[sites].T)] = factors[:, sites]
-        (li, l0, l1, l2), (ui, u0, u1, u2) = np.fft.rfftn(grids, axes=axes)
+    def correlate(lower, upper):  # one level's spectra; its temporaries end with the call
+        (li, l0, l1, l2), (ui, u0, u1, u2) = lower, upper
         a0, au0 = li + l0, ui + u0
         spectra[0] += (ey * (a0 * u0.conj() + l0 * ui.conj() + (li + l1) * u1.conj()
                          + l1 * ui.conj() + swap * l2 * u2.conj())).real
         spectra[1] += (ex * (a0 * u1.conj() + l0 * ui.conj() + au0 * l1.conj() + u0 * li.conj())
                    + swap * (a0 * u2.conj() + au0 * l2.conj())).real
-    mult = lat.displacement_multiplicity()
-    lam = np.fft.irfftn(spectra, box, axes=axes)
-    same, cross = np.multiply.outer((1.0 - ey, 1.0 - ex), mult) - lam
-    for drop in (same, cross):
-        drop[mult == 0] = 0.0
+
+    tau = _trailing_ones(np.arange(n)).astype(np.int64)
+    grids = np.empty((2, 4) + torus, dtype=complex if twisted else float)
+    ends_hat = np.empty((2, 4) + spectra.shape[1:], dtype=complex)  # each level's, in place
+    for h, o, p, r, p_last in _fenwick_levels(tau):
+        size = len(o)
+        factors = ends(h, o, p, r)
+        factors[:, size // 2:] *= n // size
+        factors[:, -1] = ends(h, h, p_last, True).sum(axis=1)
+        grids.fill(0.0)
+        for grid, sites in zip(grids, (slice(size // 2), slice(size // 2, size))):
+            grid[(slice(None),) + tuple(lat.coords[sites].T)] = factors[:, sites]
+        if twisted:
+            grids *= twist
+        fft(grids, axes=axes, out=ends_hat)
+        correlate(*ends_hat)
+    if twisted:
+        lam = (np.fft.ifftn(spectra, axes=axes) * twist.conj()).real
+    else:
+        lam = np.fft.irfftn(spectra, torus, axes=axes)
+    pairs = np.broadcast_to(math.prod(lat.pair_counts(signs)), torus)
+    same, cross = np.multiply.outer((1.0 - ey, 1.0 - ex), pairs) - lam
     origin = (0,) * dim
     same[origin] = 0.0
     cross[origin] = np.sum(1.0 - ez ** (1 + tau))
     return same, cross
 
 
-def _jordan_wigner_drop_box(lat: Lattice, etas: Tuple[float, float, float]
-                            ) -> Tuple[np.ndarray, np.ndarray]:
-    """Jordan-Wigner's ``(same, cross)`` drops of :meth:`EncodingWeightModel.drop_box`.
+def _jordan_wigner_drop_torus(lat: Lattice, etas: Tuple[float, float, float],
+                              signs: Tuple[int, ...]) -> Tuple[np.ndarray, np.ndarray]:
+    """Jordan-Wigner's ``(same, cross)`` drops of :meth:`EncodingWeightModel.drop_torus`.
 
     In either qubit order ``o`` the X/Y/Z counts of a site pair, averaged over
     its two flavor pairs, depend on the separation ``m = |o_s - o_t|`` alone
@@ -232,14 +251,16 @@ def _jordan_wigner_drop_box(lat: Lattice, etas: Tuple[float, float, float]
     ``1 - (ex**2 + ey**2)/2 ez**(m - 1)`` across (``1 - ez`` on site), both
     ``1 - eta**(m + 1)`` when the etas agree, each evaluated once per
     separation ``m < N``.  The chain has ``L - |r|`` pairs at ``r``, all at
-    ``m = |r|``.  The snake,
-    ``o = y L + x'`` with ``x' = x`` on even rows and ``L - 1 - x`` on odd
-    ones, has at ``(u, d)`` the separation ``|d L + x1' - x2'|``.  For ``d``
-    even both rows share a parity and ``x1' - x2'`` is ``u`` on even rows and
-    ``-u`` on odd ones, over ``L - |u|`` columns each.  For ``d`` odd,
-    whichever row is even, it runs once over ``-(L - 1 - |u|) .. L - 1 - |u|``
-    in steps of 2, on each of the ``L - |d|`` row pairs: a stride-2 running sum
-    of ``h(|d L + t|) + h(|d L - t|)`` from ``t = 0`` out.  ``O(N)`` from one
+    ``m = |r|``, so slot ``t`` holds ``h(t) (L - t) +- h(L - t) t``.  The
+    snake, ``o = y L + x'`` with ``x' = x`` on even rows and ``L - 1 - x`` on
+    odd ones, has at ``(u, d)`` the separation ``|d L + x1' - x2'|``.  For
+    ``d`` even both rows share a parity and ``x1' - x2'`` is ``u`` on even
+    rows and ``-u`` on odd ones, over ``L - |u|`` columns each.  For ``d``
+    odd, whichever row is even, it runs once over
+    ``-(L - 1 - |u|) .. L - 1 - |u|`` in steps of 2, on each of the
+    ``L - |d|`` row pairs: a stride-2 running sum of
+    ``h(|d L + t|) + h(|d L - t|)`` from ``t = 0`` out.  Each offset is then
+    added into its torus slot.  ``O(N)`` from one
     ``(2L - 1)^2`` table of ``h(|d L + t|)``, gathered from ``h`` by
     separation, with no ``N x N`` array.
     """
@@ -255,16 +276,16 @@ def _jordan_wigner_drop_box(lat: Lattice, etas: Tuple[float, float, float]
         return same, cross
 
     if lat.dim == 1:
-        r = np.abs(lat.displacement_box()[0])
-        boxes = [h[r] * (length - r) for h in drops(np.arange(length + 1))]
+        t = np.arange(length)
+        tori = [h[t] * (length - t) + signs[0] * (h[length - t] * t)
+                for h in drops(np.arange(length + 1))]
     else:
         t = np.arange(1 - length, length)  # the row offset d, and x1' - x2'
         pairs = length - np.abs(t)
         odd = t % 2 == 1
         # Even rows y1 in [max(0, d), L - 1 + min(0, d)], read at even d.
         even = ((length - 1 + np.minimum(t, 0)) // 2 - (np.maximum(t, 0) - 1) // 2)[~odd, None]
-        at = np.ix_(t % (2 * length), t % (2 * length))
-        boxes = []
+        tori = []
         # h(|d L + t|) at [d, t], gathered from one drop per separation m < N.
         for h in np.take(drops(np.arange(lat.n_sites)), np.abs(length * t[:, None] + t[None, :]),
                          axis=-1):
@@ -275,10 +296,16 @@ def _jordan_wigner_drop_box(lat: Lattice, etas: Tuple[float, float, float]
             for p in (0, 1):  # column k: the sum over t = -k, -k + 2, .., k
                 window[:, p::2] = np.cumsum(window[:, p::2], axis=1)
             by_rows[odd] = window[:, length - 1 - np.abs(t)] * pairs[odd, None]
-            box = np.zeros((2 * length,) * 2)
-            box[at] = by_rows.T
-            boxes.append(box)
-    return boxes[0], boxes[-1]
+            # by_rows is [d, u]: add offset t into slot t mod L, with the sign of
+            # its axis where t < 0, along u (axis 0 of the lattice) and then d.
+            for axis, sign in ((1, signs[0]), (0, signs[1])):
+                offsets = np.moveaxis(by_rows, axis, 0)
+                by_rows = offsets[length - 1:].copy()
+                (np.add if sign > 0 else np.subtract)(by_rows[1:], offsets[:length - 1],
+                                                      out=by_rows[1:])
+                by_rows = np.moveaxis(by_rows, 0, axis)
+            tori.append(by_rows.T)
+    return tori[0], tori[-1]
 
 
 # ----------------------------------------------------------------------
@@ -319,7 +346,7 @@ class EncodingWeightModel:
             self.phi0 = 1
         self.kind = kind
         self.lattice = lattice
-        self._last_drop_box: Tuple[tuple, tuple] = ((), ())  # the last etas and their boxes
+        self._last_drop_torus: Tuple[tuple, tuple] = ((), ())  # the last (etas, signs), their tori
 
     def _qubits(self, sites: np.ndarray) -> np.ndarray:
         """Qubit of each site under Jordan-Wigner: its chain coordinate or its snake index."""
@@ -370,38 +397,52 @@ class EncodingWeightModel:
         o = self._qubits(sites).astype(np.int32)
         return 1 + np.abs(np.subtract.outer(o, o))
 
-    def drop_box(self, etas: Tuple[float, float, float]) -> Tuple[np.ndarray, np.ndarray]:
-        """Drops ``1 - lambda`` summed over the site pairs at every displacement.
+    def drop_torus(self, etas: Tuple[float, float, float], signs: Sequence[int]
+                   ) -> Tuple[np.ndarray, np.ndarray]:
+        """Drops ``1 - lambda`` summed over the site pairs at every displacement, on the torus.
 
-        Box arrays of :meth:`Lattice.displacement_box`, ``same`` for the
-        equal-flavor and ``cross`` for the cross-flavor bilinears, each the mean
-        of its two flavor pairs, as :meth:`ModeDiagonalState.occupation_shift`
-        takes them; ``lambda = ex**nx * ey**ny * ez**nz``.  One producer per
-        encoding kind: ``local`` has the drop ``1 - eta**(phi0 + d(r))`` of
-        displacement alone, times the pair count (equal etas only: it models
-        weights, not X/Y/Z strings); ``bravyi_kitaev`` goes by Fenwick levels
-        (:func:`_fenwick_drop_box`); ``jw1d`` and ``jw2d_snake`` by qubit
-        separation (:func:`_jordan_wigner_drop_box`).  The boxes are
+        ``(L,) * dim`` arrays, ``same`` for the equal-flavor and ``cross`` for
+        the cross-flavor bilinears, each the mean of its two flavor pairs, as
+        :meth:`ModeDiagonalState.occupation_shift` takes them;
+        ``lambda = ex**nx * ey**ny * ez**nz``.  Slot ``t`` holds the pairs at
+        ``t`` and at ``t - L`` per axis, the latter taken with ``signs[i]`` on
+        axis ``i``: ``+1`` for a momentum of the state's own grid parity, ``-1``
+        for one of the other parity.  One producer per encoding kind, each
+        folding as it sums: ``local`` in closed form (equal etas only: it
+        models weights, not X/Y/Z strings); ``bravyi_kitaev`` by Fenwick levels
+        (:func:`_fenwick_drop_torus`); ``jw1d`` and ``jw2d_snake`` by qubit
+        separation (:func:`_jordan_wigner_drop_torus`).  The tori are
         read-only, and under equal etas one array serves both flavors but on
-        ``bravyi_kitaev``.  They depend on the encoding and the etas, not on
-        the state, and the last etas' boxes are kept.
+        ``bravyi_kitaev``.  They depend on the encoding, the etas and the
+        signs, not on the state, and the last ``(etas, signs)`` tori are kept.
         """
-        if self._last_drop_box[0] != etas:
+        signs = tuple(int(sign) for sign in signs)
+        if len(signs) != self.lattice.dim or not set(signs) <= {1, -1}:
+            raise ValueError(f"signs must be {self.lattice.dim} of +1 and -1, got {signs}")
+        if self._last_drop_torus[0] != (etas, signs):
             lat = self.lattice
             if self.kind == "local":
                 if not etas[0] == etas[1] == etas[2]:
                     raise ValueError(_WEIGHTS_ONLY)
-                drop = etas[0] ** (self.phi0 + sum(map(lat._wrap, lat.displacement_box())))
-                np.subtract(1.0, drop, out=drop)  # in place: two full boxes live at most
-                same = cross = np.multiply(drop, lat.displacement_multiplicity(), out=drop)
+                # A pair at t - L is as far as one at t: the drop times the signed
+                # pair counts, built in the distances (1D holds one more table).
+                axes = [np.arange(lat.length, dtype=float).reshape((-1,) + (1,) * i)
+                        for i in range(lat.dim)]
+                drop = functools.reduce(np.add, [np.minimum(t, lat.length - t, out=t)
+                                                 for t in axes])  # the torus distances
+                drop += self.phi0
+                np.subtract(1.0, np.power(etas[0], drop, out=drop), out=drop)
+                for count in lat.pair_counts(signs):
+                    drop *= count
+                same = cross = drop
             elif self.kind == "bravyi_kitaev":
-                same, cross = _fenwick_drop_box(lat, etas)
+                same, cross = _fenwick_drop_torus(lat, etas, signs)
             else:
-                same, cross = _jordan_wigner_drop_box(lat, etas)
+                same, cross = _jordan_wigner_drop_torus(lat, etas, signs)
             for drop in (same, cross):
                 drop.setflags(write=False)
-            self._last_drop_box = etas, (same, cross)
-        return self._last_drop_box[1]
+            self._last_drop_torus = (etas, signs), (same, cross)
+        return self._last_drop_torus[1]
 
     def __repr__(self) -> str:
         extra = f", phi0={self.phi0}" if self.kind == "local" else ""

@@ -22,8 +22,9 @@ occupations ``n(q)``.  ``C(r)`` is one FFT of ``n(q)`` on the ``L^D`` torus
 (with a half-period twist on the antiperiodic grid), a cached property of
 the state; the covariance on an index set is gathered from it, and
 ``<n_k>`` and noise-induced ``n_k`` errors for a whole grid are read off
-one more ``L^D`` FFT of the drop boxes folded onto the torus
-(:meth:`ModeDiagonalState.occupation_shift`, :meth:`Lattice.torus_sum`).  No package path reads the whole covariance.
+one more ``L^D`` FFT of the drops, summed onto the same torus by the
+encoding (:meth:`ModeDiagonalState.occupation_shift`,
+:meth:`Lattice.torus_sum`).  No package path reads the whole covariance.
 The dense references live with the tests: a state held as its whole
 ``2N x 2N`` covariance (from a correlation matrix, Haar-random or
 power-law damped), an observable's ``(2N, 2N)`` coefficient matrix and the
@@ -39,6 +40,7 @@ envelope.  Haar rotations serve the circuits' gates.
 from __future__ import annotations
 
 import functools
+import math
 import operator
 from typing import Callable, Optional, Protocol, Tuple
 
@@ -114,15 +116,6 @@ class QuadraticObservable:
         block = [[0, 0, 0, 0.25], [0, 0, -0.25, 0], [0, 0.25, 0, 0], [-0.25, 0, 0, 0]]
         return cls(lattice, block, support=support, validate=False)
 
-    def coefficient_trace_norm(self) -> float:
-        """Trace norm (sum of singular values) of the coefficient matrix.
-
-        ``number`` observables have norm 1/2, ``hopping`` has norm 1.  Error
-        bounds stated for unit-norm observables apply after dividing by this
-        value.
-        """
-        return float(np.linalg.svd(self.block, compute_uv=False).sum())
-
     def __repr__(self) -> str:
         nnz = int(np.count_nonzero(self.block))
         return f"QuadraticObservable(offset={self.offset}, nnz={nnz})"
@@ -147,8 +140,8 @@ class ModeDiagonalState:
     kept as ``conj C(r)`` on the ``L^D`` torus: one ``L^D`` FFT of ``n(q)``,
     periodic on the periodic grid and antiperiodic on the other.  The
     covariance on an index set is gathered from the torus, and noise-induced
-    ``n_k`` errors are the drop boxes folded onto the torus and weighted by
-    ``C(r)`` (:meth:`occupation_shift`) for every encoding, mode and mix.
+    ``n_k`` errors are the drops on the torus weighted by ``C(r)``
+    (:meth:`occupation_shift`) for every encoding, mode and mix.
     Construction checks ``0 <= n(q) <= 1`` to ``OCCUPATION_SLACK``, which a
     NaN occupation fails too.
     """
@@ -220,61 +213,52 @@ class ModeDiagonalState:
         """Total mean particle number, ``sum_q n(q)``."""
         return float(self.occupations.sum())
 
-    def occupation_shift(self, same: np.ndarray, cross: np.ndarray,
+    def occupation_shift(self, drops: Callable[[Tuple[int, ...]], Tuple[np.ndarray, np.ndarray]],
                          momenta: np.ndarray) -> np.ndarray:
         """``Re sum_r e^{i k.r} [cross(r) (Re C(r) - delta_r0/2) - i same(r) Im C(r)] / N``.
 
         The change of ``<n_k>``, per row ``k`` of ``momenta``, when bilinears
-        are damped by ``1 - drop``.  ``same`` and ``cross`` are box arrays of
-        :meth:`Lattice.displacement_box`: at ``r``, the drops of the
+        are damped by ``1 - drop``.  ``drops(signs)`` gives ``same`` and
+        ``cross`` on the ``L^D`` torus: at slot ``t``, the drops of the
         equal-flavor and of the cross-flavor bilinears summed over the site
-        pairs at displacement ``r``, each the mean of its two flavor pairs
-        (so 0 where no pair lies, an axis at ``-L``).  Since the covariance
-        blocks are ``G00 = G11 = -2 Im C(r)`` and ``G01 = -G10 = 2 Re C(r) -
-        delta``, no other pair sum is needed.  With the drops ``1 - lambda``
-        this is the noise-induced error of ``n_k``; with
-        :meth:`Lattice.displacement_multiplicity` for both (every drop 1) it
-        is ``<n_k> - 1/2``.
+        pairs at displacement ``t`` and at ``t - L`` per axis, the latter taken
+        with ``signs[i]`` on axis ``i``, each the mean of its two flavor pairs.
+        Since the covariance blocks are ``G00 = G11 = -2 Im C(r)`` and
+        ``G01 = -G10 = 2 Re C(r) - delta``, no other pair sum is needed.  With
+        the drops ``1 - lambda`` (:meth:`EncodingWeightModel.drop_torus`) this
+        is the noise-induced error of ``n_k``; with the pair counts
+        (:meth:`Lattice.pair_counts`, every drop 1) it is ``<n_k> - 1/2``.
 
         On an axis where ``k`` has the state's grid parity, ``e^{i k.r} C(r)``
-        has period ``L``, so the drops fold onto the torus as ``r`` plus
-        ``r - L``; where it has the other parity (``fermi1d``'s ``q0``), the
-        product changes sign after ``L`` and they fold as ``r`` minus
-        ``r - L`` (:meth:`Lattice.fold`).  Each class of momenta
-        (:meth:`Lattice.frequency_classes`) is then one ``L^D`` FFT
-        (:meth:`Lattice.torus_sum`); ``momenta`` that are the state's own
-        ``grid.momenta`` array are one class, read off the grid
-        (:attr:`MomentumGrid.torus_index`) rather than classified.  Momenta
-        off every grid take the direct sum over the box of the summand with
-        ``C(r)`` on the whole box (:meth:`Lattice.box_sum`).
+        has period ``L``, so ``t - L`` folds onto ``t`` with sign ``+1``; where
+        it has the other parity (``fermi1d``'s ``q0``), the product changes
+        sign after ``L`` and the sign is ``-1``.  Each class of momenta
+        (:meth:`Lattice.frequency_classes`, which refuses a momentum off every
+        grid) is then one ``L^D`` FFT (:meth:`Lattice.torus_sum`); ``momenta``
+        that are the state's own ``grid.momenta`` array are one class, read off
+        the grid (:attr:`MomentumGrid.torus_index`) rather than classified.
         """
         lat = self.lattice
         if momenta is self.grid.momenta:
             classes = [(slice(None), (self._half,) * lat.dim, self.grid.torus_index)]
         else:
             classes = lat.frequency_classes(momenta)
-        momenta = np.asarray(momenta, dtype=float)
         out = np.empty(len(momenta))
         for rows, odd, index in classes:
-            if odd is None:
-                corr = self._conj_correlation
-                for axis in range(lat.dim):
-                    corr = np.concatenate([corr, -corr if self._half else corr], axis=axis)
-                out[rows] = lat.box_sum(self._summand(same, cross, corr), momenta[rows])
-            else:
-                signs = [1 if o == self._half else -1 for o in odd]
-                same_t = lat.fold(same, signs)
-                cross_t = same_t if cross is same else lat.fold(cross, signs)
-                summand = self._summand(same_t, cross_t, self._conj_correlation)
-                out[rows] = lat.torus_sum(summand, odd, index)
+            signs = tuple(1 if o == self._half else -1 for o in odd)
+            out[rows] = lat.torus_sum(self._summand(*drops(signs)), odd, index)
         return out
 
-    def _summand(self, same: np.ndarray, cross: np.ndarray, corr: np.ndarray) -> np.ndarray:
-        """``cross (Re C - delta_r0/2) - i same Im C``, over ``N``, on the arrays of ``conj C``."""
-        summand = corr.copy()
-        summand[(0,) * self.lattice.dim] -= 0.5
-        summand.real *= cross / self.lattice.n_sites
-        summand.imag *= same / self.lattice.n_sites
+    def _summand(self, same: np.ndarray, cross: np.ndarray) -> np.ndarray:
+        """``cross (Re C - delta_r0/2) - i same Im C``, over ``N``, built in one complex torus."""
+        corr, origin, n = self._conj_correlation, (0,) * self.lattice.dim, self.lattice.n_sites
+        summand = np.empty_like(corr)
+        np.divide(cross, n, out=summand.real)
+        np.divide(same, n, out=summand.imag)
+        at_origin = summand.real[origin]
+        summand.real *= corr.real
+        summand.imag *= corr.imag
+        summand.real[origin] = (corr.real[origin] - 0.5) * at_origin
         return summand
 
     def __repr__(self) -> str:
@@ -366,11 +350,15 @@ def fermi_sea_1d(lattice: Lattice, n_occ: int,
 def momentum_occupation(state: ModeDiagonalState, momenta: np.ndarray) -> np.ndarray:
     """``<n_k>`` of the plane-wave mode occupation for each row ``k`` of ``momenta``.
 
-    :meth:`ModeDiagonalState.occupation_shift` with every drop 1, the pair
-    count folded onto the state's torus (``n(k)`` on its grid).
+    :meth:`ModeDiagonalState.occupation_shift` with every drop 1: the pair
+    counts on the state's torus (:meth:`Lattice.pair_counts`; ``n(k)`` on its
+    grid).
     """
-    pairs = state.lattice.displacement_multiplicity()
-    return 0.5 + state.occupation_shift(pairs, pairs, np.atleast_2d(momenta))
+    def pairs(signs):
+        count = math.prod(state.lattice.pair_counts(signs))
+        return count, count
+
+    return 0.5 + state.occupation_shift(pairs, np.atleast_2d(momenta))
 
 
 # ----------------------------------------------------------------------

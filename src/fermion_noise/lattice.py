@@ -24,23 +24,22 @@ the half-period twist, the grid's torus slots) is a
 :meth:`Lattice.distance_matrix` of tests and benchmarks keeps its own
 attribute.
 
-Momentum sums run on the ``L^D`` torus.  A pair displacement ``r`` lies in
-``(-L, L)`` per axis, so sums over pairs are first collected on the
-``(2L)^D`` displacement box; a momentum ``k = pi f / L`` with ``f`` an
-integer on every axis (both parities of grid) turns ``e^{i k.r}`` into a
-function of period ``L`` (``f`` even) or ``-1`` times itself after ``L``
-(``f`` odd).  So the box folds onto the torus, ``r`` plus or minus
-``r - L`` per axis (:meth:`Lattice.fold`), and the sum for every such
-momentum is read off one ``L^D`` FFT, with a half-period twist on the axes
-where ``f`` is odd (:meth:`Lattice.torus_sum`).  Other momenta take the
-direct sum over the box (:meth:`Lattice.box_sum`).  Which route a momentum
-takes is decided once, by :meth:`Lattice.frequency_classes`.
+Momentum sums run on the ``L^D`` torus, the one geometry of pair sums.  A
+pair displacement ``r`` lies in ``(-L, L)`` per axis, and slot ``t`` of the
+torus collects ``r = t`` and ``r = t - L``.  A momentum ``k = pi f / L``
+with ``f`` an integer on every axis (both parities of grid) turns
+``e^{i k.r}`` into a function of period ``L`` (``f`` even) or ``-1`` times
+itself after ``L`` (``f`` odd), so every pair sum is folded as it is summed,
+the ``t - L`` pairs taken with one sign per axis (their signed count is
+:meth:`Lattice.pair_counts`), and the sum for every such momentum is read
+off one ``L^D`` FFT, with a half-period twist on the axes where ``f`` is
+odd (:meth:`Lattice.torus_sum`).  The classes of momenta are found once, by
+:meth:`Lattice.frequency_classes`; a momentum off every grid is refused.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple, Union
 
@@ -143,22 +142,17 @@ class Lattice:
             self._distance_matrix.setflags(write=False)
         return self._distance_matrix
 
-    def displacement_box(self) -> Tuple[np.ndarray, ...]:
-        """Per-axis displacements ``r_i = x_i - y_i`` on the box of period ``2L``.
+    def pair_counts(self, signs: Sequence[int]) -> List[Union[int, np.ndarray]]:
+        """Per-axis factors of the signed number of site pairs at each torus slot.
 
-        A box array has shape ``(2L,) * dim`` and holds displacement ``r`` at
-        index ``r mod 2L`` along every axis; axis ``i`` of the result carries
-        the values ``r_i`` in ``[-L, L)`` and broadcasts against the others.
-        Every site-pair displacement, ``(-L, L)`` per axis, has its own entry
-        (no wrap around the torus); ``r_i = -L`` joins no pair.
+        Along axis ``i``, slot ``t`` holds the ``L - t`` pairs at ``t`` and the
+        ``t`` pairs at ``t - L``, the latter taken with ``signs[i]``: the factor
+        is the number ``L`` where the sign is ``+1`` and the array ``L - 2t``
+        where it is ``-1``.  They broadcast against each other and against a
+        torus array.
         """
-        period = 2 * self.length
-        r = (np.arange(period) + self.length) % period - self.length
-        return tuple(r.reshape((-1,) + (1,) * (self.dim - 1 - i)) for i in range(self.dim))
-
-    def displacement_multiplicity(self) -> np.ndarray:
-        """Number of site pairs at each displacement, ``prod_i (L - |r_i|)``, a box array."""
-        return math.prod(self.length - np.abs(r) for r in self.displacement_box())
+        return [self.length if sign > 0 else np.arange(self.length, -self.length, -2.0)
+                .reshape((-1,) + (1,) * (self.dim - 1 - axis)) for axis, sign in enumerate(signs)]
 
     def torus_index(self, sites: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Flat index into a raveled torus array of ``x_s - x_t mod L``, all pairs of ``sites``.
@@ -173,45 +167,31 @@ class Lattice:
             wraps = wraps ^ (r < 0)
         return index, wraps
 
-    def fold(self, box: np.ndarray, signs: Sequence[int]) -> np.ndarray:
-        """A box array folded onto the ``L^D`` torus, ``box[r] + signs[i] box[r - L]`` on axis i.
-
-        Index ``j`` of the torus collects the displacements ``j`` and ``j - L``
-        of every axis (``L`` is never a pair displacement), each ``j - L``
-        entry taken with that axis's sign.
-        """
-        for axis, sign in enumerate(signs):
-            near = box[(slice(None),) * axis + (slice(None, self.length),)]
-            far = box[(slice(None),) * axis + (slice(self.length, None),)]
-            box = near + far if sign > 0 else near - far
-        return box
-
     def frequency_classes(self, momenta: np.ndarray) -> List[tuple]:
-        """Rows of ``momenta`` by the parity of their box frequencies ``f = k L / pi``.
+        """Rows of ``momenta`` by the parity of their frequencies ``f = k L / pi``.
 
-        One ``(rows, odd, index)`` for every class of momenta with ``f`` an
-        integer on all axes: ``odd`` a tuple of per-axis bools, ``f`` odd
-        there, and ``index`` the torus index ``(f - odd) / 2 mod L`` of each
-        row, as :meth:`torus_sum` reads them.  The remaining rows come last,
-        with ``odd`` and ``index`` None.
+        One ``(rows, odd, index)`` for every class: ``odd`` a tuple of per-axis
+        bools, ``f`` odd there, and ``index`` the torus index
+        ``(f - odd) / 2 mod L`` of each row, as :meth:`torus_sum` reads them.
+        ``f`` must be an integer on every axis, a momentum of either parity of
+        grid; any other momentum raises ``ValueError``.
         """
         freq = self._momenta(momenta) * (self.length / np.pi)
         nearest = np.rint(freq)
-        on_box = (np.abs(freq - nearest) <= 1e-12 * np.maximum(1.0, np.abs(freq))).all(axis=1)
-        f = np.where(on_box[:, None], nearest, 0.0).astype(np.int64)  # no cast of nan or inf
+        on = np.abs(freq - nearest) <= 1e-12 * np.maximum(1.0, np.abs(freq))
+        off = np.flatnonzero(~on.all(axis=1))
+        if off.size:
+            raise ValueError(f"momenta must be pi f / L, f an integer on every axis (a grid "
+                             f"momentum of L = {self.length}); row {off[0]} has f = {freq[off[0]]}")
+        f = nearest.astype(np.int64)
         key = f[:, 0] & 1  # bit i: f odd on axis i
         if self.dim == 2:
             key |= (f[:, 1] & 1) << 1
-        key[~on_box] = 1 << self.dim  # the rows of the direct sum, last
-        present = np.flatnonzero(np.bincount(key)).tolist()
         classes = []
-        for c in present:
-            rows = np.flatnonzero(key == c) if len(present) > 1 else np.arange(len(key))
-            if c >> self.dim:
-                classes.append((rows, None, None))
-            else:
-                odd = tuple(bool(c >> axis & 1) for axis in range(self.dim))
-                classes.append((rows, odd, (f[rows] >> 1) % self.length))
+        for c in np.flatnonzero(np.bincount(key)).tolist():
+            rows = np.flatnonzero(key == c)
+            odd = tuple(bool(c >> axis & 1) for axis in range(self.dim))
+            classes.append((rows, odd, (f[rows] >> 1) % self.length))
         return classes
 
     @functools.cached_property
@@ -230,28 +210,13 @@ class Lattice:
 
         ``odd`` and ``index`` are one class of :meth:`frequency_classes`; the
         axes where ``f`` is odd take the half-period twist ``e^{i pi j / L}``.
+        ``torus``, a complex array, is twisted and transformed in place.
         """
         for axis in range(self.dim):
             if odd[axis]:
-                torus = torus * self.half_twist(axis)
-        table = np.fft.ifftn(torus, norm="forward")  # sum_j torus(j) e^{2 pi i n.j / L}
-        return table[tuple(index.T)].real
-
-    def box_sum(self, box: np.ndarray, momenta: np.ndarray) -> np.ndarray:
-        """``Re sum_r box[r] e^{i k.r}`` for every row ``k`` of ``momenta``, the direct sum.
-
-        ``box`` is a box array of :meth:`displacement_box`.  This serves any
-        momentum at ``O((2L)^D)`` per row; the momenta of a class of
-        :meth:`frequency_classes` are read off the torus instead
-        (:meth:`fold`, then :meth:`torus_sum`).
-        """
-        momenta = self._momenta(momenta)
-        phases = [np.exp(1j * np.multiply.outer(k, r.ravel()))
-                  for k, r in zip(momenta.T, self.displacement_box())]
-        vals = phases[0] @ box.reshape(2 * self.length, -1)
-        if self.dim == 2:
-            vals = np.sum(vals * phases[1], axis=1)
-        return vals.reshape(-1).real
+                torus *= self.half_twist(axis)
+        table = np.fft.ifftn(torus, norm="forward", out=torus)  # sum_j torus(j) e^{2 pi i n.j / L}
+        return table.real[tuple(index.T)]
 
     def _momenta(self, momenta) -> np.ndarray:
         """``momenta`` as a finite float array of shape ``(n, dim)``, checked."""

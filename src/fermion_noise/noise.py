@@ -34,11 +34,11 @@ state never builds its ``2N x 2N`` covariance.
 The momentum error map is defined on a
 :class:`~fermion_noise.gaussian.ModeDiagonalState` (every Fermi sea), whose
 covariance depends on the displacement of the two sites alone.  So only the
-drops ``1 - lambda`` are summed by displacement on the ``(2L)^D`` box by
-the encoding (:meth:`~fermion_noise.encodings.EncodingWeightModel.drop_box`),
-folded onto the ``L^D`` torus and weighted by ``C(r)``, one FFT per class of
-momenta; neither the ``2N x 2N`` covariance nor an ``N x N`` pair table is
-built.
+drops ``1 - lambda`` are summed by displacement, onto the ``L^D`` torus by
+the encoding with one fold sign per axis
+(:meth:`~fermion_noise.encodings.EncodingWeightModel.drop_torus`), and
+weighted by ``C(r)``, one FFT per class of momenta; neither the
+``2N x 2N`` covariance nor an ``N x N`` pair table is built.
 """
 
 from __future__ import annotations
@@ -163,14 +163,16 @@ def momentum_error_map(state: ModeDiagonalState, enc: EncodingWeightModel,
     Returns ``<n_k> - <n_k>_noisy`` for each row of ``momenta``.  A
     :class:`ModeDiagonalState` has a covariance that depends on the
     displacement ``r`` of the two sites alone, so only the drops
-    ``1 - lambda`` are summed by displacement (:meth:`EncodingWeightModel.drop_box`,
-    ``O(N log N)`` or less for every encoding, mode and mix), folded onto the
-    torus and weighted by ``C(r)`` (:meth:`ModeDiagonalState.occupation_shift`),
-    one ``L^D`` FFT per class of momenta; its covariance is never built.  Any
-    other state raises ``TypeError``.
+    ``1 - lambda`` are summed by displacement onto the torus of each class of
+    momenta (:meth:`EncodingWeightModel.drop_torus`, ``O(N log N)`` or less
+    for every encoding, mode and mix) and weighted by ``C(r)``
+    (:meth:`ModeDiagonalState.occupation_shift`), one ``L^D`` FFT per class;
+    its covariance is never built.  Any other state raises ``TypeError``, and
+    a momentum off every grid ``ValueError``.
     """
     _check_lattices(enc, state)
     if not isinstance(state, ModeDiagonalState):
         raise TypeError(f"momentum_error_map needs a ModeDiagonalState, got {type(state).__name__}")
     momenta = np.atleast_2d(np.asarray(momenta, dtype=float))
-    return state.occupation_shift(*enc.drop_box(_mode_etas(channel, mode)), momenta)
+    etas = _mode_etas(channel, mode)
+    return state.occupation_shift(lambda signs: enc.drop_torus(etas, signs), momenta)

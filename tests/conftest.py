@@ -23,7 +23,7 @@ frequency ``2m``, and every momentum sum read off one more FFT of the box.
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable, Tuple, Union
 
 import numpy as np
 import pytest
@@ -36,6 +36,7 @@ from fermion_noise import (
     QuadraticObservable,
     snake_index_vector,
 )
+from fermion_noise import encodings
 from fermion_noise.encodings import _require_power_of_two
 from fermion_noise.gaussian import haar_rotations
 from fermion_noise.noise import _mode_etas
@@ -265,6 +266,16 @@ def decay_constant(state, mu):
     lat = state.lattice
     d = lat.pair_distances(np.repeat(np.arange(lat.n_sites), 2))
     return float((np.abs(full_covariance(state)) * (1.0 + d) ** mu).max())
+
+
+def coefficient_trace_norm(obs):
+    """Trace norm (sum of singular values) of an observable's coefficient block.
+
+    ``number`` observables have norm 1/2, ``hopping`` has norm 1.  Error
+    bounds stated for unit-norm observables apply after dividing by this
+    value.
+    """
+    return float(np.linalg.svd(obs.block, compute_uv=False).sum())
 
 
 def dense_coefficients(obs):
@@ -598,7 +609,7 @@ def drops(enc, etas):
 
 
 def fold_drop_box(enc, etas):
-    """``EncodingWeightModel.drop_box`` as the fold of all ``N x N`` drop blocks: ``(same, cross)`` flavor means."""
+    """The drop boxes as the fold of all ``N x N`` drop blocks: ``(same, cross)`` flavor means."""
     drop = fold(enc.lattice, drops(enc, etas))
     return (drop[0, 0] + drop[1, 1]) / 2.0, (drop[0, 1] + drop[1, 0]) / 2.0
 
@@ -618,6 +629,181 @@ def dense_momentum_error_map(state, enc, channel, momenta, mode="exact"):
                   drop[0, 0] * g[0::2, 0::2] + drop[1, 1] * g[1::2, 1::2]])
     real, imag = fold(lat, t)
     return box_sum(lat, real + 1j * imag, np.atleast_2d(momenta)) / (4.0 * lat.n_sites)
+
+
+def displacement_box(lat):
+    """Per-axis displacements ``r_i = x_i - y_i`` on the box of period ``2L``.
+
+    A box array has shape ``(2L,) * dim`` and holds displacement ``r`` at
+    index ``r mod 2L`` along every axis; axis ``i`` of the result carries the
+    values ``r_i`` in ``[-L, L)`` and broadcasts against the others.  Every
+    site-pair displacement, ``(-L, L)`` per axis, has its own entry (no wrap
+    around the torus); ``r_i = -L`` joins no pair.
+    """
+    period = 2 * lat.length
+    r = (np.arange(period) + lat.length) % period - lat.length
+    return tuple(r.reshape((-1,) + (1,) * (lat.dim - 1 - i)) for i in range(lat.dim))
+
+
+def displacement_multiplicity(lat):
+    """Number of site pairs at each displacement, ``prod_i (L - |r_i|)``, a box array."""
+    return math.prod(lat.length - np.abs(r) for r in displacement_box(lat))
+
+
+def fold_onto_torus(lat, box, signs):
+    """A box array folded onto the ``L^D`` torus, ``box[r] + signs[i] box[r - L]`` on axis i."""
+    for axis, sign in enumerate(signs):
+        near = box[(slice(None),) * axis + (slice(None, lat.length),)]
+        far = box[(slice(None),) * axis + (slice(lat.length, None),)]
+        box = near + far if sign > 0 else near - far
+    return box
+
+
+def folded_drops(lat, same, cross):
+    """``drops(signs)`` for ``ModeDiagonalState.occupation_shift``: two box arrays folded."""
+    return lambda signs: (fold_onto_torus(lat, same, signs), fold_onto_torus(lat, cross, signs))
+
+
+def _fenwick_box(lat: Lattice, etas: Tuple[float, float, float]
+                      ) -> Tuple[np.ndarray, np.ndarray]:
+    """Bravyi-Kitaev's ``(same, cross)`` drop boxes by Fenwick level, FFTs on the box.
+
+    At level ``h`` (:func:`_fenwick_levels`) every X/Y/Z exponent of
+    :func:`_fenwick_pairs` is a sum of one term per end but for the ``or`` in
+    ``y``.  For the flavors ``(f, g)`` the attenuation of a pair is
+    ``a_fg A_f(s) A_g(t)``, plus ``b_fg B_f(s) B_g(t)``, with the end factors
+
+        ``A_f = ex**(h - O) ez**(O - f P)``,
+        ``B_f = (1 - f R) ex**(h - O - f) ez**(O - f P)``,
+
+    ``a_00 = ey``, ``b_00 = 0`` and otherwise ``a_fg = ex**(2 - f - g)
+    ey**(f + g - 1)`` and ``b_fg = ey**(f + g - 1) (ey**2 - ex**2)``.  Every
+    power is nonnegative, so an eta of 0 is no special case.  Every level-``h``
+    block is a lattice translate of block 0 (row-major sites, ``N = 2^n``), so
+    the pair sum by displacement is one cross-correlation of the two halves of
+    block 0, by FFT on the box, with the upper half's factors summed over the
+    blocks: the block count times block 0's, but at the last site, which takes
+    every block's own.  The factors enter the FFTs as ``A - 1``: the ``1 * 1``
+    terms are the pair count, the multiplicity, whose drop ``1 - a_fg`` is
+    exact, so the sum keeps the digits of ``1 - lambda``.  The diagonal is the
+    number operator, ``1 + tau`` Zs between the two flavors and no drop within
+    one.  ``O(N log N)`` in all, with no ``N x N`` array.
+    """
+    ex, ey, ez = etas
+    n, dim = lat.n_sites, lat.dim
+    box, axes = (2 * lat.length,) * dim, tuple(range(-dim, 0))
+    swap = (ey - ex) * (ey + ex)  # b_fg / ey**(f + g - 1)
+    # Spectra of the same- and cross-flavor sums of lambda - a over the two
+    # orders of every pair, halved; real, as both sums are even in r.
+    spectra = np.zeros((2,) + box[:-1] + (box[-1] // 2 + 1,))
+
+    def ends(h, o, p, r):  # 1, A_0 - 1 (B_0 = A_0), A_1 - 1 and B_1
+        up, down = ex ** (h - o), ez ** (o - p)
+        return np.stack(np.broadcast_arrays(
+            1.0, up * ez ** o - 1.0, up * down - 1.0,
+            np.where(r, 0.0, ex ** np.maximum(h - o - 1, 0) * down)))
+
+    tau = encodings._trailing_ones(np.arange(n)).astype(np.int64)
+    for h, o, p, r, p_last in encodings._fenwick_levels(tau):
+        size = len(o)
+        factors = ends(h, o, p, r)
+        factors[:, size // 2:] *= n // size
+        factors[:, -1] = ends(h, h, p_last, True).sum(axis=1)
+        grids = np.zeros((2, 4) + box)
+        for grid, sites in zip(grids, np.split(np.arange(size), 2)):
+            grid[(slice(None),) + tuple(lat.coords[sites].T)] = factors[:, sites]
+        (li, l0, l1, l2), (ui, u0, u1, u2) = np.fft.rfftn(grids, axes=axes)
+        a0, au0 = li + l0, ui + u0
+        spectra[0] += (ey * (a0 * u0.conj() + l0 * ui.conj() + (li + l1) * u1.conj()
+                         + l1 * ui.conj() + swap * l2 * u2.conj())).real
+        spectra[1] += (ex * (a0 * u1.conj() + l0 * ui.conj() + au0 * l1.conj() + u0 * li.conj())
+                   + swap * (a0 * u2.conj() + au0 * l2.conj())).real
+    mult = displacement_multiplicity(lat)
+    lam = np.fft.irfftn(spectra, box, axes=axes)
+    same, cross = np.multiply.outer((1.0 - ey, 1.0 - ex), mult) - lam
+    for drop in (same, cross):
+        drop[mult == 0] = 0.0
+    origin = (0,) * dim
+    same[origin] = 0.0
+    cross[origin] = np.sum(1.0 - ez ** (1 + tau))
+    return same, cross
+
+
+def _jordan_wigner_box(lat: Lattice, etas: Tuple[float, float, float]
+                            ) -> Tuple[np.ndarray, np.ndarray]:
+    """Jordan-Wigner's ``(same, cross)`` drop boxes by qubit separation.
+
+    In either qubit order ``o`` the X/Y/Z counts of a site pair, averaged over
+    its two flavor pairs, depend on the separation ``m = |o_s - o_t|`` alone
+    (:meth:`EncodingWeightModel._jordan_wigner_counts`), so the drops are
+    ``h(m)``: ``1 - ex ey ez**(m - 1)`` within a flavor (0 on site) and
+    ``1 - (ex**2 + ey**2)/2 ez**(m - 1)`` across (``1 - ez`` on site), both
+    ``1 - eta**(m + 1)`` when the etas agree, each evaluated once per
+    separation ``m < N``.  The chain has ``L - |r|`` pairs at ``r``, all at
+    ``m = |r|``.  The snake,
+    ``o = y L + x'`` with ``x' = x`` on even rows and ``L - 1 - x`` on odd
+    ones, has at ``(u, d)`` the separation ``|d L + x1' - x2'|``.  For ``d``
+    even both rows share a parity and ``x1' - x2'`` is ``u`` on even rows and
+    ``-u`` on odd ones, over ``L - |u|`` columns each.  For ``d`` odd,
+    whichever row is even, it runs once over ``-(L - 1 - |u|) .. L - 1 - |u|``
+    in steps of 2, on each of the ``L - |d|`` row pairs: a stride-2 running sum
+    of ``h(|d L + t|) + h(|d L - t|)`` from ``t = 0`` out.  ``O(N)`` from one
+    ``(2L - 1)^2`` table of ``h(|d L + t|)``, gathered from ``h`` by
+    separation, with no ``N x N`` array.
+    """
+    length = lat.length
+    ex, ey, ez = etas
+
+    def drops(m):
+        if ex == ey == ez:
+            return (1.0 - ex ** (m + 1),)
+        z = ez ** np.maximum(m - 1, 0)
+        same, cross = 1.0 - ex * ey * z, 1.0 - (ex**2 + ey**2) / 2.0 * z
+        same[m == 0], cross[m == 0] = 0.0, 1.0 - ez
+        return same, cross
+
+    if lat.dim == 1:
+        r = np.abs(displacement_box(lat)[0])
+        boxes = [h[r] * (length - r) for h in drops(np.arange(length + 1))]
+    else:
+        t = np.arange(1 - length, length)  # the row offset d, and x1' - x2'
+        pairs = length - np.abs(t)
+        odd = t % 2 == 1
+        # Even rows y1 in [max(0, d), L - 1 + min(0, d)], read at even d.
+        even = ((length - 1 + np.minimum(t, 0)) // 2 - (np.maximum(t, 0) - 1) // 2)[~odd, None]
+        at = np.ix_(t % (2 * length), t % (2 * length))
+        boxes = []
+        # h(|d L + t|) at [d, t], gathered from one drop per separation m < N.
+        for h in np.take(drops(np.arange(lat.n_sites)), np.abs(length * t[:, None] + t[None, :]),
+                         axis=-1):
+            by_rows = np.empty_like(h)
+            by_rows[~odd] = (even * h[~odd] + (pairs[~odd, None] - even) * h[~odd, ::-1]) * pairs
+            window = h[odd, length - 1:] + h[odd, length - 1::-1]  # h(dL + t) + h(dL - t)
+            window[:, 0] = h[odd, length - 1]
+            for p in (0, 1):  # column k: the sum over t = -k, -k + 2, .., k
+                window[:, p::2] = np.cumsum(window[:, p::2], axis=1)
+            by_rows[odd] = window[:, length - 1 - np.abs(t)] * pairs[odd, None]
+            box = np.zeros((2 * length,) * 2)
+            box[at] = by_rows.T
+            boxes.append(box)
+    return boxes[0], boxes[-1]
+
+
+def box_drops(enc, etas):
+    """The ``(same, cross)`` drops summed on the ``(2L)^D`` box, by the box-route producers.
+
+    What ``EncodingWeightModel.drop_torus`` folds as it sums: ``local`` in
+    closed form, Jordan-Wigner by qubit separation and Bravyi-Kitaev by
+    Fenwick level with its FFTs on the box.
+    """
+    lat = enc.lattice
+    if enc.kind == "local":
+        drop = 1.0 - etas[0] ** (enc.phi0 + sum(map(lat._wrap, displacement_box(lat))))
+        drop = drop * displacement_multiplicity(lat)
+        return drop, drop
+    if enc.kind == "bravyi_kitaev":
+        return _fenwick_box(lat, etas)
+    return _jordan_wigner_box(lat, etas)
 
 
 def full_width_polylog_direct(s, z):
@@ -667,7 +853,7 @@ def box_sum(lat, box, momenta):
         table = np.fft.ifftn(box, norm="forward")  # sum_r box(r) e^{2 pi i j.r / 2L}
         out[on_box] = table[tuple((index[on_box].astype(np.int64) % period).T)].real
     if not on_box.all():
-        r = np.stack(np.broadcast_arrays(*lat.displacement_box())).reshape(lat.dim, -1)
+        r = np.stack(np.broadcast_arrays(*displacement_box(lat))).reshape(lat.dim, -1)
         out[~on_box] = (np.exp(1j * momenta[~on_box] @ r) @ box.ravel()).real
     return out
 
@@ -706,11 +892,11 @@ def box_occupation_shift(state, same, cross, momenta):
 
 def box_momentum_error_map(state, enc, channel, momenta, mode="exact"):
     """``momentum_error_map`` of a mode-diagonal state by the box route."""
-    return box_occupation_shift(state, *enc.drop_box(_mode_etas(channel, mode)),
+    return box_occupation_shift(state, *box_drops(enc, _mode_etas(channel, mode)),
                                 np.atleast_2d(momenta))
 
 
 def box_momentum_occupation(state, k):
     """``momentum_occupation`` of a mode-diagonal state by the box route."""
-    pairs = state.lattice.displacement_multiplicity()
+    pairs = displacement_multiplicity(state.lattice)
     return 0.5 + float(box_occupation_shift(state, pairs, pairs, np.atleast_2d(k))[0])

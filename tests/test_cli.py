@@ -496,22 +496,33 @@ class TestFermi2dOutput:
         assert code == 0
         assert out.read_text() == "n_occ,kx,ky,sensitivity\n" + alone
 
-    @pytest.mark.parametrize("argv", [["--L", "30"],
-                                      ["--L", "8", "--n-occ", "21", "--encoding", "jw2d_snake"]])
+    @pytest.mark.parametrize("argv", [
+        "fermi2d --L 30",
+        "fermi2d --L 8 --n-occ 21 --encoding jw2d_snake",
+        "fermi2d --L 16 --n-occ 100 --encoding bravyi_kitaev",
+        "fermi1d --sweep-k --encoding bravyi_kitaev --L 64"])
     def test_runs_no_fft_on_the_box(self, tmp_path, monkeypatch, argv):
-        # C(r) and every momentum sum live on the L^D torus: no FFT of the
-        # fermi2d path has an axis of length 2L.  (Bravyi-Kitaev's drop box,
-        # which does not depend on the state, is summed on the box by level.)
-        shapes = []
+        # C(r), every encoding's drops and every momentum sum live on the L^D
+        # torus: every FFT of the path transforms axes of length L, none of 2L.
+        lengths = []
         for name in ("fft", "ifft", "rfft", "irfft", "fftn", "ifftn", "rfftn", "irfftn"):
-            def record(a, *args, _original=getattr(np.fft, name), **kwargs):
-                shapes.append(np.shape(a))
+            def record(a, *args, _name=name, _original=getattr(np.fft, name), **kwargs):
+                shape = np.shape(a)
+                if _name.endswith("n"):  # (a, s, axes): s, or the shape along axes
+                    s = kwargs.get("s", args[0] if args else None)
+                    axes = kwargs.get("axes", args[1] if len(args) > 1 else range(len(shape)))
+                    lengths.append(tuple(s) if s is not None else tuple(shape[i] for i in axes))
+                else:  # (a, n, axis)
+                    n = kwargs.get("n", args[0] if args else None)
+                    axis = kwargs.get("axis", args[1] if len(args) > 1 else -1)
+                    lengths.append((n if n is not None else shape[axis],))
                 return _original(a, *args, **kwargs)
             monkeypatch.setattr(np.fft, name, record)
-        code, _ = run_to_file(tmp_path, "map.csv", ["fermi2d"] + argv)
+        argv = argv.split()
+        code, _ = run_to_file(tmp_path, "map.csv", argv)
         assert code == 0
-        length = int(argv[1])
-        assert shapes and all(shape == (length, length) for shape in shapes), shapes
+        length, dim = int(argv[argv.index("--L") + 1]), 2 if argv[0] == "fermi2d" else 1
+        assert lengths and all(n == (length,) * dim for n in lengths), lengths
 
 
 class TestEncodingCompareOutput:

@@ -173,18 +173,25 @@ class TestLocalWeights:
         assert lat._distance_matrix is None
 
 
-    def test_drop_box_is_built_in_place(self):
-        # The weights, their powers and the pair counts: at most two full
-        # boxes live at once, where building by temporaries held three.
-        enc = EncodingWeightModel("local", Lattice(2, 512))
+    @pytest.mark.parametrize("kind,dim,length,bound", [
+        ("local", 1, 65536, 2.1), ("local", 2, 512, 2.1), ("bravyi_kitaev", 2, 256, 34.0)])
+    def test_drop_torus_is_built_in_place(self, kind, dim, length, bound):
+        # local: the distances, their powers and the pair counts share one
+        # array, and 1D holds one more distance table while it is built, where
+        # the box held four.  Bravyi-Kitaev reuses one stack of 8 level grids
+        # and transforms it into one kept stack of spectra: 33.5 tori at
+        # 2D L = 256, the coordinates included, where the box took 37.7
+        # boxes of four tori each.
+        enc = EncodingWeightModel(kind, Lattice(dim, length))
         tracemalloc.start()
         try:
-            same, cross = enc.drop_box(PauliChannel.depolarizing(0.01).etas)
+            same, cross = enc.drop_torus(PauliChannel.depolarizing(0.01).etas, (1,) * dim)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert same is cross
-        assert peak <= 2.1 * same.nbytes, f"{peak} B traced for a {same.nbytes} B box"
+        assert (same is cross) is (kind == "local")
+        assert same.shape == (length,) * dim
+        assert peak <= bound * same.nbytes, f"{peak} B traced for a {same.nbytes} B torus"
 
 
 class TestJordanWigner1d:

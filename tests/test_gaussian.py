@@ -6,6 +6,7 @@ import pytest
 from conftest import (
     GaussianState,
     assert_close,
+    coefficient_trace_norm,
     correlation_of,
     damped_random_state,
     decay_constant,
@@ -88,12 +89,12 @@ class TestQuadraticObservable:
 
     def test_trace_norms(self):
         lat = Lattice(1, 6)
-        assert QuadraticObservable.number(lat, 2).coefficient_trace_norm() == \
+        assert coefficient_trace_norm(QuadraticObservable.number(lat, 2)) == \
             pytest.approx(0.5, abs=1e-12)
-        assert QuadraticObservable.hopping(lat, 0, 3).coefficient_trace_norm() == \
+        assert coefficient_trace_norm(QuadraticObservable.hopping(lat, 0, 3)) == \
             pytest.approx(1.0, abs=1e-12)
         k = 2.0 * np.pi / 6.0
-        assert momentum_occupation_observable(lat, [k]).coefficient_trace_norm() == \
+        assert coefficient_trace_norm(momentum_occupation_observable(lat, [k])) == \
             pytest.approx(0.5, abs=1e-12)
 
     def test_helper_observables_are_antisymmetric(self):
@@ -364,7 +365,7 @@ class TestModeDiagonalState:
         fillings = rng.uniform(0.0, 1.0, size=lat.n_sites)
         state = ModeDiagonalState(grid, fillings)
         other = momentum_grid(lat, "even" if parity == "odd" else "odd").momenta
-        momenta = np.concatenate([grid.momenta, other, rng.uniform(-4.0, 4.0, (5, dim))])
+        momenta = np.concatenate([grid.momenta, other])
         dense = dense_state(state)
         refuse_full_covariance(monkeypatch)
         spectral = momentum_occupation(state, momenta)
@@ -380,21 +381,21 @@ class TestModeDiagonalState:
         lat = Lattice(dim, length)
         grid = momentum_grid(lat, parity_of(n_occ))
         state, _ = fermi_sea(grid, n_occ, tight_binding_dispersion)
-        mult = lat.displacement_multiplicity()
-        same, cross = rng.random((2,) + mult.shape) * mult
-        want = state.occupation_shift(same, cross, grid.momenta.copy())
+        same, cross = rng.random((2,) + (length,) * dim) * lat.n_sites
+        drops = lambda signs: (same, cross)  # noqa: E731
+        want = state.occupation_shift(drops, grid.momenta.copy())
 
         def refuse(self, momenta):
             raise AssertionError("the grid's own momenta were classified")
 
         monkeypatch.setattr(Lattice, "frequency_classes", refuse)
-        assert np.array_equal(state.occupation_shift(same, cross, grid.momenta), want)
+        assert np.array_equal(state.occupation_shift(drops, grid.momenta), want)
         assert np.array_equal(grid.torus_index, np.floor(_mode_vectors(grid)) % length)
 
     def test_occupation_shift_validates_momenta(self):
         state, _, _ = fermi_sea_1d(Lattice(1, 4), 2)
         with pytest.raises(ValueError, match="shape"):
-            state.occupation_shift(1.0, 1.0, np.array([0.1, 0.2]))
+            state.occupation_shift(lambda signs: (1.0, 1.0), np.array([0.0, np.pi / 2]))
 
 
 class TestSupportHeldObservables:
@@ -424,7 +425,7 @@ class TestSupportHeldObservables:
         dense_value = 0.3 + float(np.sum(coeffs * state.gamma))
         assert state.expectation(obs) == pytest.approx(dense_value, abs=1e-14)
         assert state.expectation(same) == pytest.approx(dense_value, abs=1e-14)
-        assert obs.coefficient_trace_norm() == pytest.approx(
+        assert coefficient_trace_norm(obs) == pytest.approx(
             np.linalg.svd(coeffs, compute_uv=False).sum(), abs=1e-12)
 
     def test_support_is_validated(self):
@@ -589,6 +590,6 @@ class TestConftestHelpers:
     def test_random_normalized_observable_is_normalized(self, rng):
         lat = Lattice(1, 5)
         obs = random_normalized_observable(lat, rng)
-        assert obs.coefficient_trace_norm() == pytest.approx(1.0, abs=1e-9)
+        assert coefficient_trace_norm(obs) == pytest.approx(1.0, abs=1e-9)
         assert obs.offset == 0.0
         assert np.allclose(dense_coefficients(obs), -dense_coefficients(obs).T)

@@ -2,12 +2,14 @@
 
 import dataclasses
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import assert_close, displacement_index, fold, plane_wave_pair_sum
+from conftest import assert_close, box_sum, displacement_index, displacement_multiplicity, \
+    fold, fold_onto_torus, plane_wave_pair_sum
 from fermion_noise import (
     Lattice,
     MomentumGrid,
@@ -147,43 +149,58 @@ class TestDisplacementBox:
     def test_multiplicity_counts_the_pairs_and_rectangles_are_rows(self, rng, dim, length):
         lat = Lattice(dim, length)
         ones = np.ones((lat.n_sites,) * 2)
-        assert np.array_equal(lat.displacement_multiplicity(), fold(lat, ones))
+        box = fold(lat, ones)
+        assert np.array_equal(displacement_multiplicity(lat), box)
+        for signs in itertools.product((1, -1), repeat=dim):
+            counts = np.broadcast_to(math.prod(lat.pair_counts(signs)), (length,) * dim)
+            assert np.array_equal(counts, fold_onto_torus(lat, box, signs)), signs
         sites = np.arange(lat.n_sites)
         rows = rng.permutation(lat.n_sites)[:3]
         assert np.array_equal(displacement_index(lat, rows, sites),
                               displacement_index(lat, sites)[rows])
 
     @pytest.mark.parametrize("dim,length", [(1, 7), (1, 8), (2, 3), (2, 4)])
-    def test_box_sum_of_the_fold_is_the_plane_wave_pair_sum(self, rng, dim, length):
-        # box_sum is the direct sum for any momentum; the on-box momenta also
-        # take the torus route, frequency_classes -> Lattice.fold -> torus_sum.
+    def test_torus_sum_of_the_fold_is_the_plane_wave_pair_sum(self, rng, dim, length):
+        # conftest's box_sum is the direct sum for any momentum; the momenta of
+        # either grid parity also take the torus route, frequency_classes ->
+        # the signed fold -> torus_sum.
         lat = Lattice(dim, length)
         pairs = rng.normal(size=(lat.n_sites,) * 2)
         box = fold(lat, pairs)
         on_box = np.pi / length * rng.integers(-3 * length, 3 * length, size=(8, dim))
         momenta = np.concatenate([on_box, rng.uniform(-4.0, 4.0, size=(8, dim))])
         expected = plane_wave_pair_sum(lat, pairs, momenta)
-        assert_close(lat.box_sum(box, momenta), expected, 1e-12, f"{dim}D L={length}")
+        assert_close(box_sum(lat, box, momenta), expected, 1e-12, f"{dim}D L={length}")
         torus = np.full(len(on_box), np.nan)
         for rows, odd, index in lat.frequency_classes(on_box):
-            assert odd is not None
-            torus[rows] = lat.torus_sum(lat.fold(box, [-1 if o else 1 for o in odd]), odd, index)
+            folded = fold_onto_torus(lat, box, [-1 if o else 1 for o in odd]).astype(complex)
+            torus[rows] = lat.torus_sum(folded, odd, index)
         assert_close(torus, expected[:len(on_box)], 1e-12, f"{dim}D L={length} on the torus")
 
-    def test_box_sum_validates_momenta(self):
+    def test_frequency_classes_validate_momenta(self):
         lat = Lattice(2, 4)
         with pytest.raises(ValueError, match="columns"):
-            lat.box_sum(np.zeros((8, 8)), np.zeros((3, 1)))
+            lat.frequency_classes(np.zeros((3, 1)))
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_momenta_off_every_grid_are_refused(self, dim):
+        # The torus is the one route: k L / pi must be an integer on every axis.
+        lat = Lattice(dim, 6)
+        on_grid = np.pi / 6 * np.arange(-6, 6 * dim - 6).reshape(-1, dim)
+        assert sum(len(rows) for rows, _, _ in lat.frequency_classes(on_grid)) == len(on_grid)
+        for off in (0.3, np.pi / 6 * 1.5, np.pi / 6 * (1 + 1e-9)):
+            momenta = on_grid.copy()
+            momenta[2, dim - 1] = off
+            with pytest.raises(ValueError, match="momenta"):
+                lat.frequency_classes(momenta)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_momenta_are_refused(self, bad):
-        # A NaN or inf momentum would return NaN from either route.
+        # A NaN or inf momentum would return NaN from the torus route.
         lat = Lattice(2, 4)
         momenta = np.array([[0.0, 0.5], [bad, 0.0]])
         with pytest.raises(ValueError, match="finite"):
             lat.frequency_classes(momenta)
-        with pytest.raises(ValueError, match="finite"):
-            lat.box_sum(np.zeros((8, 8)), momenta)
 
 
 class TestSnakeOrdering:

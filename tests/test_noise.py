@@ -1,11 +1,15 @@
 """Tests for the Pauli channel and its action on encoded bilinears."""
 
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from conftest import GaussianState, assert_close, attenuation_matrix, box_covariance_block, \
-    box_momentum_error_map, box_momentum_occupation, box_occupation_shift, dense_coefficients, \
-    dense_momentum_error_map, dense_state, displacement_index, fold_drop_box, full_covariance, \
+    box_drops, box_momentum_error_map, box_momentum_occupation, box_occupation_shift, \
+    dense_coefficients, dense_momentum_error_map, dense_state, displacement_index, \
+    displacement_multiplicity, fold_drop_box, fold_onto_torus, folded_drops, full_covariance, \
     momentum_occupation_observable, random_correlation, random_normalized_observable, \
     random_pure_state, refuse_full_covariance, state_from_correlation, table_strings
 from fermion_noise import (
@@ -421,9 +425,24 @@ class TestMomentumErrorMap:
         enc = EncodingWeightModel("jw1d", lat)
         ch = PauliChannel.depolarizing(0.1)
         with pytest.raises(ValueError, match="columns"):
-            momentum_error_map(state, enc, ch, np.array([0.1, 0.2]))
-        out = momentum_error_map(state, enc, ch, np.array([[0.1], [0.2]]))
+            momentum_error_map(state, enc, ch, np.array([0.0, np.pi / 2]))
+        out = momentum_error_map(state, enc, ch, np.array([[0.0], [np.pi / 2]]))
         assert out.shape == (2,)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_momenta_off_every_grid_are_refused(self, dim):
+        # Every momentum sum is read off the torus: k L / pi must be an integer
+        # on every axis, a momentum of either grid parity.
+        lat = Lattice(dim, 4)
+        grid = momentum_grid(lat, "odd")
+        state = ModeDiagonalState(grid, np.full(lat.n_sites, 0.5))
+        enc = EncodingWeightModel("local", lat)
+        off = np.concatenate([grid.momenta[:3], np.full((1, dim), np.pi / 4)])
+        off[-1, 0] += 0.3
+        with pytest.raises(ValueError, match="momenta"):
+            momentum_error_map(state, enc, PauliChannel.depolarizing(0.1), off)
+        with pytest.raises(ValueError, match="momenta"):
+            momentum_occupation(state, off)
 
     @pytest.mark.parametrize("dim,length,kind", [
         (2, 16, "local"), (2, 16, "jw2d_snake"), (2, 16, "bravyi_kitaev"), (2, 64, "local"),
@@ -515,14 +534,13 @@ class TestMomentumErrorMapReference:
     def test_mode_diagonal_state_matches_the_per_momentum_contraction(self, rng, monkeypatch,
                                                                       kind, mode, alphas, dim):
         # Random n(q): the drops are summed by displacement and weighted by
-        # C(r), on the state's grid, on the other parity's grid and off both.
+        # C(r), on the state's grid and on the other parity's grid.
         lat = Lattice(dim, 8 if dim == 1 else 4)
         grid = momentum_grid(lat, "even")
         state = ModeDiagonalState(grid, rng.uniform(0.0, 1.0, size=lat.n_sites))
         enc = EncodingWeightModel(kind, lat, phi0=1)
         ch = PauliChannel(0.2, alphas=alphas) if alphas else PauliChannel.depolarizing(0.2)
-        momenta = np.concatenate([grid.momenta, momentum_grid(lat, "odd").momenta,
-                                  rng.uniform(-4.0, 4.0, (3, dim))])
+        momenta = np.concatenate([grid.momenta, momentum_grid(lat, "odd").momenta])
         dense = dense_state(state)
         refuse_full_covariance(monkeypatch)
         errors = momentum_error_map(state, enc, ch, momenta, mode)
@@ -548,7 +566,7 @@ class TestMomentumErrorMapReference:
 class TestSpectralErrorMap:
     # The spectral path against the dense flavor-block contraction on the
     # same covariance: 1D and 2D, both grid parities, momenta on the state's
-    # grid, on the other parity's grid and off both, sharp and Lipschitz
+    # grid and on the other parity's grid, sharp and Lipschitz
     # fillings, local with phi0 in {0, 1, 2} and jw1d, exact and worst-case.
     @pytest.mark.parametrize("dim,length", [(1, 10), (2, 6)])
     @pytest.mark.parametrize("parity", ["odd", "even"])
@@ -562,7 +580,7 @@ class TestSpectralErrorMap:
         else:
             occupations = 0.5 * (1.0 + np.cos(grid.momenta[:, 0]))
         other = momentum_grid(lat, "even" if parity == "odd" else "odd").momenta
-        momenta = np.concatenate([grid.momenta, other, rng.uniform(-4.0, 4.0, (6, dim))])
+        momenta = np.concatenate([grid.momenta, other])
         encodings = [EncodingWeightModel("local", lat, phi0=phi0) for phi0 in (0, 1, 2)]
         if dim == 1:
             encodings.append(EncodingWeightModel("jw1d", lat))
@@ -592,7 +610,7 @@ class TestSpectralErrorMap:
         state = ModeDiagonalState(grid, rng.uniform(0.0, 1.0, size=lat.n_sites))
         enc = EncodingWeightModel(kind, lat)
         channel = PauliChannel(0.2, alphas=alphas) if alphas else PauliChannel.depolarizing(0.2)
-        momenta = np.concatenate([grid.momenta, [[0.3] * dim]])
+        momenta = np.concatenate([grid.momenta, momentum_grid(lat, "even").momenta])
         dense = dense_state(state)
         refuse_full_covariance(monkeypatch)
         errors = momentum_error_map(state, enc, channel, momenta)
@@ -662,8 +680,12 @@ def _fenwick_weights(lat):
         rows[:, None], sites[None, :], f, f.reshape(1, 2, 1, 1), False)
 
 
+def _every_sign(dim):
+    return list(itertools.product((1, -1), repeat=dim))
+
+
 class TestFenwickLevels:
-    # Bravyi-Kitaev's drop box by Fenwick level against the fold of all its
+    # Bravyi-Kitaev's drop torus by Fenwick level against the fold of all its
     # N x N drop blocks from the Pauli tables, the path it replaced.
     @pytest.mark.parametrize("dim,length", [(1, 1), (1, 2), (1, 4), (1, 16), (1, 512),
                                             (2, 1), (2, 2), (2, 4), (2, 8), (2, 16), (2, 32)])
@@ -672,10 +694,13 @@ class TestFenwickLevels:
         lat = Lattice(dim, length)
         etas = _mode_etas(channel, mode)
         enc = EncodingWeightModel("bravyi_kitaev", lat)
-        want = np.stack(fold_drop_box(enc, etas))
-        got = np.stack(enc.drop_box(etas))
-        assert got.shape == want.shape
-        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), f"{dim}D L={length} {etas}"
+        boxes = fold_drop_box(enc, etas)
+        for signs in _every_sign(dim):
+            want = np.stack([fold_onto_torus(lat, box, signs) for box in boxes])
+            got = np.stack(enc.drop_torus(etas, signs))
+            assert got.shape == want.shape == (2,) + (length,) * dim
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(np.stack(boxes)).max(), \
+                f"{dim}D L={length} {etas} {signs}"
 
     def test_the_map_at_64_by_64_builds_no_pair_table(self, monkeypatch):
         lat = Lattice(2, 64)
@@ -683,7 +708,7 @@ class TestFenwickLevels:
         state, _ = fermi_sea(grid, 1000, tight_binding_dispersion)
         p = 0.01
         same, cross = _streamed_drop_box(lat, 1.0 - p, _fenwick_weights(lat))
-        want = state.occupation_shift(same, cross, grid.momenta)
+        want = state.occupation_shift(folded_drops(lat, same, cross), grid.momenta)
 
         def refuse(*args, **kwargs):
             raise AssertionError("the level path built pair weights")
@@ -695,27 +720,49 @@ class TestFenwickLevels:
         errors = momentum_error_map(state, enc, PauliChannel.depolarizing(p), grid.momenta)
         assert_close(errors, want, 1e-12, "levels vs streamed fold at L = 64")
 
-    def test_the_boxes_of_the_last_etas_are_kept_on_the_model(self):
-        # A run fixes the mode: its fillings share the boxes of one etas.
+    def test_the_tori_of_the_last_etas_and_signs_are_kept_on_the_model(self):
+        # A run fixes the mode: its fillings share the tori of one etas, and
+        # every grid momentum folds with sign +1.
         lat = Lattice(2, 8)
         enc = EncodingWeightModel("jw2d_snake", lat)
         ch = PauliChannel.depolarizing(0.1)
-        kept = enc.drop_box(ch.etas)
+        kept = enc.drop_torus(ch.etas, (1, 1))
         errors = []
         for n_occ in (10, 20):
             grid = momentum_grid(lat, parity_of(n_occ))
             state, _ = fermi_sea(grid, n_occ, tight_binding_dispersion)
             errors.append(momentum_error_map(state, enc, ch, grid.momenta))
-        assert enc.drop_box(ch.etas) is kept
+        assert enc.drop_torus(ch.etas, (1, 1)) is kept
         momentum_error_map(state, enc, ch, grid.momenta, "worst-case")
-        assert enc.drop_box((ch.worst_factor,) * 3) is not kept
+        assert enc.drop_torus((ch.worst_factor,) * 3, (1, 1)) is not kept
+        assert enc.drop_torus(ch.etas, (1, -1)) is not kept
         fresh = EncodingWeightModel("jw2d_snake", lat)
         assert_close(errors[1], momentum_error_map(state, fresh, ch, grid.momenta), 0.0,
-                     "kept box")
-        again = enc.drop_box(ch.etas)
+                     "kept torus")
+        again = enc.drop_torus(ch.etas, [1, 1])
         assert again is not kept and all(np.array_equal(a, b) for a, b in zip(again, kept))
 
-    def test_a_sweep_over_p_keeps_one_drop_box(self):
+    def test_a_whole_grid_map_holds_one_complex_summand(self):
+        # With the drops kept: the summand is one complex torus, scaled in
+        # place and transformed in place, and the real part of the table is
+        # gathered: four real tori in all, where folding a box and scaling by
+        # drop / N arrays held ten.
+        lat = Lattice(2, 256)
+        grid = momentum_grid(lat, parity_of(300))
+        state, _ = fermi_sea(grid, 300, tight_binding_dispersion)
+        enc = EncodingWeightModel("local", lat)
+        ch = PauliChannel.depolarizing(0.01)
+        want = momentum_error_map(state, enc, ch, grid.momenta)  # every cache warm
+        tracemalloc.start()
+        try:
+            errors = momentum_error_map(state, enc, ch, grid.momenta)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(errors, want)
+        assert peak <= 4.3 * 8 * lat.n_sites, f"{peak} B traced for {8 * lat.n_sites} B tori"
+
+    def test_a_sweep_over_p_keeps_one_drop_torus(self):
         lat = Lattice(2, 8)
         enc = EncodingWeightModel("bravyi_kitaev", lat)
         grid = momentum_grid(lat, parity_of(20))
@@ -724,7 +771,7 @@ class TestFenwickLevels:
         for p in np.concatenate([sweep, sweep[:3]]):
             ch = PauliChannel.depolarizing(float(p))
             got = momentum_error_map(state, enc, ch, grid.momenta)
-            assert enc._last_drop_box[0] == ch.etas
+            assert enc._last_drop_torus[0] == (ch.etas, (1, 1))
             fresh = EncodingWeightModel("bravyi_kitaev", lat)
             assert_close(got, momentum_error_map(state, fresh, ch, grid.momenta), 0.0,
                          f"p = {p}")
@@ -733,22 +780,30 @@ class TestFenwickLevels:
                                                  ("jw1d", 1, True), ("jw2d_snake", 2, True),
                                                  ("bravyi_kitaev", 1, False),
                                                  ("bravyi_kitaev", 2, False)])
-    def test_equal_etas_share_one_read_only_box_across_flavors(self, kind, dim, shared):
-        # One array for both flavors lets occupation_shift fold it once; the
-        # Fenwick levels give the two flavors different drops.
+    def test_equal_etas_share_one_read_only_torus_across_flavors(self, kind, dim, shared):
+        # One array for both flavors is built once; the Fenwick levels give
+        # the two flavors different drops.
         enc = EncodingWeightModel(kind, Lattice(dim, 8))
         for etas in ((0.9,) * 3, (1.0 / 3.0,) * 3):
-            same, cross = enc.drop_box(etas)
-            assert (same is cross) is shared, f"{kind} {etas}"
-            assert not same.flags.writeable and not cross.flags.writeable
-            assert enc.drop_box(etas)[0] is same
+            for signs in _every_sign(dim):
+                same, cross = enc.drop_torus(etas, signs)
+                assert (same is cross) is shared, f"{kind} {etas} {signs}"
+                assert not same.flags.writeable and not cross.flags.writeable
+                assert enc.drop_torus(etas, signs)[0] is same
+
+    @pytest.mark.parametrize("signs", [(1, 0), (1,), (1, 1, 1), (2, 1)])
+    def test_signs_are_one_per_axis_each_plus_or_minus_one(self, signs):
+        enc = EncodingWeightModel("local", Lattice(2, 4))
+        with pytest.raises(ValueError, match="signs"):
+            enc.drop_torus((0.9,) * 3, signs)
 
 
-class TestJordanWignerBox:
-    # Jordan-Wigner's drop box by qubit separation against the fold of all its
-    # N x N drop blocks from the Pauli tables, the path it replaced.  ``same``
-    # at the origin pairs each Majorana with itself, which no sum reads:
-    # Im C(0) = 0.
+class TestJordanWignerTorus:
+    # Jordan-Wigner's drop torus by qubit separation against the fold of all
+    # its N x N drop blocks from the Pauli tables, the path it replaced.
+    # ``same`` at the origin pairs each Majorana with itself, which no sum
+    # reads: Im C(0) = 0.  As for every torus here, the tolerance is relative
+    # to the largest summed drop of the box: a -1 fold can cancel to 0.
     @pytest.mark.parametrize("kind,dim,length",
                              [("jw1d", 1, length) for length in (1, 2, 3, 8, 17, 512)]
                              + [("jw2d_snake", 2, length) for length in (1, 2, 3, 4, 5, 6, 7, 8,
@@ -759,14 +814,14 @@ class TestJordanWignerBox:
         etas = _mode_etas(channel, mode)
         enc = EncodingWeightModel(kind, lat)
         origin = (0,) * dim
-        for name, got, want in zip(("same", "cross"), enc.drop_box(etas),
-                                   fold_drop_box(enc, etas)):
-            assert got.shape == want.shape
-            if name == "same":
-                got, want = got.copy(), want.copy()
-                got[origin] = want[origin] = 0.0
-            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), \
-                f"{kind} L={length} {etas} {name}"
+        boxes = fold_drop_box(enc, etas)
+        for signs in _every_sign(dim):
+            want = np.stack([fold_onto_torus(lat, box, signs) for box in boxes])
+            got = np.stack(enc.drop_torus(etas, signs))
+            assert got.shape == want.shape == (2,) + (length,) * dim
+            got[(0,) + origin] = want[(0,) + origin] = 0.0
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(np.stack(boxes)).max(), \
+                f"{kind} L={length} {etas} {signs}"
 
     def test_the_snake_at_64_by_64_builds_no_pair_table(self, monkeypatch):
         lat = Lattice(2, 64)
@@ -776,7 +831,7 @@ class TestJordanWignerBox:
         order = snake_index_vector(lat).astype(np.int64)
         same, cross = _streamed_drop_box(
             lat, 1.0 - p, lambda rows, sites: 1 + np.abs(order[rows, None] - order[None, sites]))
-        want = state.occupation_shift(same, cross, grid.momenta)
+        want = state.occupation_shift(folded_drops(lat, same, cross), grid.momenta)
 
         def refuse(*args, **kwargs):
             raise AssertionError("the snake path built pair weights")
@@ -787,6 +842,36 @@ class TestJordanWignerBox:
         enc = EncodingWeightModel("jw2d_snake", lat)
         errors = momentum_error_map(state, enc, PauliChannel.depolarizing(p), grid.momenta)
         assert_close(errors, want, 1e-12, "qubit separations vs streamed fold at L = 64")
+
+_TORUS_DROP_CASES = [(kind, dim, length, channel, mode)
+                     for kind, dim, length in [
+                         ("local", 1, 7), ("local", 1, 512), ("local", 2, 6), ("local", 2, 64),
+                         ("jw1d", 1, 7), ("jw1d", 1, 512), ("jw2d_snake", 2, 5),
+                         ("jw2d_snake", 2, 64), ("bravyi_kitaev", 1, 2),
+                         ("bravyi_kitaev", 1, 512), ("bravyi_kitaev", 2, 2),
+                         ("bravyi_kitaev", 2, 64)]
+                     for channel, mode in _FENWICK_NOISE
+                     if kind != "local" or len(set(_mode_etas(channel, mode))) == 1]
+
+
+class TestTorusDrops:
+    # Each producer folds its drops onto the torus as it sums them: its torus
+    # against the fold of the box summed by the producer it replaced
+    # (conftest's box_drops), for every fold sign.  Under equal etas the
+    # producers of local and Jordan-Wigner give one array for both flavors.
+    @pytest.mark.parametrize("kind,dim,length,channel,mode", _TORUS_DROP_CASES)
+    def test_each_torus_is_the_fold_of_its_box(self, kind, dim, length, channel, mode):
+        lat = Lattice(dim, length)
+        etas = _mode_etas(channel, mode)
+        enc = EncodingWeightModel(kind, lat)
+        boxes = box_drops(enc, etas)
+        for signs in _every_sign(dim):
+            want = np.stack([fold_onto_torus(lat, box, signs) for box in boxes])
+            got = np.stack(enc.drop_torus(etas, signs))
+            assert got.shape == want.shape == (2,) + (length,) * dim
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(np.stack(boxes)).max(), \
+                f"{kind} {dim}D L={length} {etas} {signs}"
+
 
 # Every (dim, L, encoding) of the torus-route checks: both dimensions, L = 2
 # included, and every encoding where it applies (Bravyi-Kitaev needs a
@@ -801,19 +886,20 @@ _TORUS_NOISE = [(PauliChannel.depolarizing(0.2), "exact"),
                 (PauliChannel(0.2, alphas=(0.1, 0.1, 0.8)), "exact")]
 
 
-def _torus_momenta(rng, grid):
-    """Momenta of the state's parity, of the other parity, of mixed parity (2D) and off-grid."""
+def _torus_momenta(grid):
+    """Momenta of the state's parity, of the other parity and of mixed parity (2D)."""
     lat = grid.lattice
     other = momentum_grid(lat, "even" if grid.parity == "odd" else "odd").momenta
-    momenta = [grid.momenta, other, rng.uniform(-4.0, 4.0, size=(5, lat.dim))]
+    momenta = [grid.momenta, other]
     if lat.dim == 2:
         momenta.append(np.stack([grid.momenta[:, 0], other[:, 1]], axis=1))
     return np.concatenate(momenta)
 
 
 class TestTorusRoute:
-    # The L^D torus against the (2L)^D box route of conftest.py, which reads
-    # every momentum off an FFT of twice the period.
+    # The L^D torus against the (2L)^D box route of conftest.py, which sums
+    # the drops on the box by the box-route producers and reads every
+    # momentum off an FFT of twice the period.
     @pytest.mark.parametrize("parity", ["odd", "even"])
     @pytest.mark.parametrize("dim,length,kind", _TORUS_CASES)
     def test_error_maps_match_the_box_route(self, rng, monkeypatch, dim, length, kind, parity):
@@ -821,7 +907,7 @@ class TestTorusRoute:
         lat = Lattice(dim, length)
         grid = momentum_grid(lat, parity)
         state = ModeDiagonalState(grid, rng.uniform(0.0, 1.0, size=lat.n_sites))
-        momenta = _torus_momenta(rng, grid)
+        momenta = _torus_momenta(grid)
         enc = EncodingWeightModel(kind, lat)
         label = f"{dim}D L={length} {kind} {parity}"
         for channel, mode in _TORUS_NOISE:
@@ -830,11 +916,12 @@ class TestTorusRoute:
             assert_close(momentum_error_map(state, enc, channel, momenta, mode),
                          box_momentum_error_map(state, enc, channel, momenta, mode), 1e-14,
                          f"{label} {channel.alphas} {mode}")
-        # Any drops, zero where no pair lies (an axis at -L), as every drop box is.
+        # Any drops, zero where no pair lies (an axis at -L), as every drop box
+        # is, folded onto the torus of each class.
         same, cross = rng.normal(size=(2,) + (2 * length,) * dim)
-        no_pair = lat.displacement_multiplicity() == 0
+        no_pair = displacement_multiplicity(lat) == 0
         same[no_pair] = cross[no_pair] = 0.0
-        assert_close(state.occupation_shift(same, cross, momenta),
+        assert_close(state.occupation_shift(folded_drops(lat, same, cross), momenta),
                      box_occupation_shift(state, same, cross, momenta), 1e-14,
                      f"{label} random drop boxes")
 
@@ -844,7 +931,7 @@ class TestTorusRoute:
         lat = Lattice(dim, length)
         grid = momentum_grid(lat, parity)
         state = ModeDiagonalState(grid, rng.uniform(0.0, 1.0, size=lat.n_sites))
-        momenta = _torus_momenta(rng, grid)
+        momenta = _torus_momenta(grid)
         assert_close(momentum_occupation(state, momenta),
                      [box_momentum_occupation(state, k) for k in momenta], 1e-14,
                      f"n(k), {dim}D L={length} {parity}")

@@ -44,6 +44,8 @@ DELETED_FUNCTIONS = [
     (noise, "pair_attenuation"),
     (circuits, "circuit_expectation"),
     (gaussian, "GaussianState"),
+    (encodings, "_fenwick_drop_box"),
+    (encodings, "_jordan_wigner_drop_box"),
 ]
 DELETED_METHODS = [
     ("PauliChannel", "depolarizing_attenuation"),
@@ -69,6 +71,12 @@ DELETED_METHODS = [
     ("ModeDiagonalState", "vacuum"),
     ("QuadraticObservable", "momentum_occupation"),
     ("MomentumGrid", "m_vectors"),
+    ("Lattice", "displacement_box"),
+    ("Lattice", "displacement_multiplicity"),
+    ("Lattice", "fold"),
+    ("Lattice", "box_sum"),
+    ("EncodingWeightModel", "drop_box"),
+    ("QuadraticObservable", "coefficient_trace_norm"),
 ]
 # Public names that no other package module refers to, each with why it stays.
 KEPT = {
@@ -83,6 +91,18 @@ KEPT = {
     "occupied_modes": "the lowest modes of any energies; fermi_sea cuts the same order, "
                       "kept on the grid per dispersion",
     "__version__": "the package version",
+}
+# Public methods and properties of package classes that no package module
+# looks up, each with why it stays.
+KEPT_METHODS = {
+    "Circuit.depth": "the number of layers, the depth the circuit criteria sweep "
+                     "(criteria 2, 10 and 11)",
+    "QuadraticObservable.number": "the site occupation n_x, the local observable of "
+                                  "Proposition 1's measurement-noise setting (criterion 3)",
+    "ModeDiagonalState.expectation": "the noiseless <O> that noisy_expectation's shift is "
+                                     "measured from (criterion 3)",
+    "Lattice.distance_matrix": "the dense N x N distance table of the tests and the "
+                               "benchmark's tracer (ROADMAP direction 8)",
 }
 
 
@@ -154,6 +174,35 @@ def test_every_public_name_has_a_caller_or_a_reason():
     assert stale == [], f"KEPT names that have a caller: {stale}"
 
 
+def _public_methods(package):
+    """``Class.name`` of every public function or property in a package class body."""
+    return {f"{node.name}.{item.name}"
+            for path in sorted(package.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.ClassDef)
+            for item in node.body
+            if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")}
+
+
+def _looked_up_attributes(package):
+    """Every attribute name the package's modules, ``__init__.py`` aside, look up."""
+    return {node.attr
+            for path in sorted(package.glob("*.py")) if path.name != "__init__.py"
+            for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.Attribute)}
+
+
+def test_every_public_method_has_a_caller_or_a_reason():
+    # As for module names: a public method or property of a package class is
+    # looked up somewhere in the package (any ``x.name``) or kept for a stated
+    # reason, and a kept one that gains a caller leaves KEPT_METHODS.
+    package = pathlib.Path(fermion_noise.__file__).parent
+    methods = _public_methods(package)
+    looked_up = _looked_up_attributes(package)
+    uncalled = sorted(m for m in methods - set(KEPT_METHODS) if m.split(".")[1] not in looked_up)
+    stale = sorted(m for m in KEPT_METHODS if m.split(".")[1] in looked_up or m not in methods)
+    assert uncalled == [], f"public methods with no caller and no reason: {uncalled}"
+    assert stale == [], f"KEPT_METHODS entries that have a caller or are gone: {stale}"
+
+
 def test_only_the_lattice_calls_distance_matrix():
     # The cached N x N distance matrix is for tests and the benchmark; every
     # package path measures the index sets it needs with ``pair_distances``.
@@ -167,9 +216,9 @@ def test_only_the_lattice_calls_distance_matrix():
 
 
 def test_encoding_internals_stay_in_their_module():
-    # An encoding's Pauli strings, and the drop boxes summed from them, live in
+    # An encoding's Pauli strings, and the drop tori summed from them, live in
     # encodings.py: no module imports a sibling's private name, and no other
-    # module reaches into the model's cache of boxes.
+    # module reaches into the model's cache of tori.
     package = pathlib.Path(fermion_noise.__file__).parent
     found = []
     for path in sorted(package.glob("*.py")):
@@ -177,9 +226,9 @@ def test_encoding_internals_stay_in_their_module():
             if isinstance(node, ast.ImportFrom) and node.level:
                 found += [f"{path.name}:{node.lineno} imports {alias.name}"
                           for alias in node.names if alias.name.startswith("_")]
-            elif path.name != "encodings.py" and "_last_drop_box" in (
+            elif path.name != "encodings.py" and "_last_drop_torus" in (
                     getattr(node, "attr", None), getattr(node, "id", None)):
-                found.append(f"{path.name}:{node.lineno} names _last_drop_box")
+                found.append(f"{path.name}:{node.lineno} names _last_drop_torus")
     assert found == []
 
 
