@@ -21,12 +21,23 @@ at depth >= 2 a local expectation need not move monotonically toward its
 maximally mixed value: the elementwise damping does not commute with the
 next rotation.
 
-A layer is stored as its gates, not as ``R``: one ``(indices, draws)`` pair
-per gate size ``k``, with the ``(G, k)`` Majorana indices of ``G`` disjoint
-blocks and the ``(G, k, k)`` standard normal draws the gates are made from
-(:class:`Layer`).  ``R`` is the identity outside the blocks and is never
-built as a ``2N x 2N`` matrix, and a gate is orthogonalized only when it is
-used.
+A layer is stored as its gate blocks and a stream key, not as ``R``: one
+``(G, k)`` array of the Majorana indices of ``G`` disjoint blocks per gate
+size ``k`` (:class:`Layer`).  ``R`` is the identity outside the blocks and
+is never built as a ``2N x 2N`` matrix, and a gate is drawn and
+orthogonalized only when it is used.
+
+The Haar stream is the package's own and counter based: the ``k x k``
+standard normals of a gate are a pure function of the circuit's seed words,
+the layer and the gate (its first Majorana index).  The seed words and the
+layer fold into the layer's 64-bit key by SplitMix64's finalizer; the gate
+seeds a SplitMix64 sequence from that key, whose ``k * k`` uint64 outputs
+become uniforms in ``(0, 1]`` and, by Box-Muller in pairs, the normals;
+:func:`~fermion_noise.gaussian.haar_rotations` turns them into a Haar gate of
+SO(k).  Any subset of a layer's gates is drawn alone, bit for bit as in the
+whole layer.  The integers depend on no generator state and no numpy
+version; the normals pass through numpy's ``log``, ``cos`` and ``sin`` and
+the gates through LAPACK's QR.
 
 Expectations follow the light cone.  A layer's window (:meth:`Layer.window`)
 maps an index set ``W`` to the set ``T`` that ``R[W]`` reaches: the gate
@@ -43,9 +54,9 @@ outside ``W_(d-1)``, so this is the dense evolution restricted, not an
 approximation.  In a brickwork circuit a window grows by at most ``radius``
 sites per layer, so every prefix of a ``depth``-layer circuit costs
 ``O(depth * |W|^2 k)`` with ``|W|`` the light-cone volume, whatever the
-system size, and only the gates inside the cone are orthogonalized, once for
-both runs; a layer with one gate on every index gives the full window and the
-dense cost.  :func:`heisenberg_observable` is the same windows walked
+system size, and only the gates inside the cone are drawn and orthogonalized,
+once for both runs; a layer with one gate on every index gives the full
+window and the dense cost.  :func:`heisenberg_observable` is the same windows walked
 backwards, with the touched gates transposed.
 
 That sweep is the package's one circuit evolution, and the pullback its
@@ -56,8 +67,9 @@ references.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -69,34 +81,83 @@ from .noise import PauliChannel, attenuation_block
 # Per gate size: the (g, k) positions of g touched blocks in a window, and their rotations.
 Touched = Tuple[Tuple[np.ndarray, np.ndarray], ...]
 
+_MASK = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15  # SplitMix64's increment, 2^64 over the golden ratio, odd
+
+
+def _mix(z):
+    """SplitMix64's finalizer: a bijection of 64-bit words that spreads every input bit.
+
+    ``z`` is a Python int below ``2^64`` or a uint64 array; the products are
+    taken modulo ``2^64`` either way.
+    """
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & _MASK
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK
+    return z ^ (z >> 31)
+
+
+def _stream_key(words: Sequence[int]) -> int:
+    """The 64-bit key of seed words in ``[0, 2^64)``, each folded in by :func:`_mix`."""
+    key = 0
+    for word in words:
+        key = _mix((key ^ word) + _GAMMA & _MASK)
+    return key
+
+
+def _gate_normals(key: int, first: np.ndarray, size: int) -> np.ndarray:
+    """``(g, size, size)`` standard normals of the gates whose first Majoranas are ``first``.
+
+    A gate seeds a SplitMix64 sequence at ``_mix(first * gamma ^ key)``; its
+    outputs ``_mix(seed + j * gamma)``, ``j = 1, 2, ...``, are the counters
+    of its uniforms ``(top 53 bits + 1) / 2^53`` in ``(0, 1]``, and each
+    pair ``(u, v)`` gives the normals ``r cos(2 pi v)`` and ``r sin(2 pi
+    v)``, ``r = sqrt(-2 log u)``, filled row by row.
+    """
+    pairs = (size * size + 1) // 2
+    seeds = _mix(np.asarray(first, dtype=np.uint64) * _GAMMA & _MASK ^ key)
+    # (2, 1, pairs): the odd counters j give the u of each pair, the even ones its v.
+    counters = np.arange(1, 2 * pairs + 1, dtype=np.uint64).reshape(pairs, 2).T[:, None] * _GAMMA
+    u, v = ((_mix(seeds[:, None] + counters) >> 11) + 1) * 2.0**-53
+    radius = np.sqrt(-2.0 * np.log(u))
+    angle = 2.0 * np.pi * v
+    normals = np.stack((radius * np.cos(angle), radius * np.sin(angle)), axis=-1)
+    return normals.reshape(len(seeds), -1)[:, :size * size].reshape(-1, size, size)
+
 
 @dataclass(frozen=True, eq=False)
 class Layer:
     """Haar-random rotations on disjoint blocks of Majorana indices, the identity elsewhere.
 
-    ``blocks`` holds one ``(indices, draws)`` pair per gate size ``k``:
-    ``indices`` of shape ``(G, k)`` and the standard normal ``draws`` of
-    shape ``(G, k, k)``, gate ``g`` acting as ``R[indices[g], indices[g]] =
-    haar_rotations(draws[g])``.  Gates are orthogonalized when a window
-    touches them, never all at once; numpy's stacked QR works matrix by
-    matrix, so any subset comes out bit for bit as ``haar_rotations(draws)``
-    of the whole stack.
+    ``blocks`` holds one ``(G, k)`` index array per gate size ``k``, and
+    gate ``g`` of it acts as ``R[indices[g], indices[g]] = gates(indices[g :
+    g + 1])[0]``: a Haar rotation of SO(k) drawn from the layer's ``key`` and
+    the gate's first Majorana index alone.  Gates are drawn and
+    orthogonalized when a window touches them, never all at once, and any
+    subset comes out bit for bit as in the whole stack.
     """
 
     n_majorana: int
-    blocks: Tuple[Tuple[np.ndarray, np.ndarray], ...]
+    blocks: Tuple[np.ndarray, ...]
+    key: int
 
     def __post_init__(self):
-        # Per Majorana: its block group (-1 if none) and its gate in that group.
-        where = np.full((2, self.n_majorana), -1, dtype=np.int64)
-        for group, (idx, draws) in enumerate(self.blocks):
-            if idx.ndim != 2 or draws.shape != idx.shape + idx.shape[-1:]:
-                raise ValueError(f"draws of shape {draws.shape} do not match blocks {idx.shape}")
+        if not 0 <= self.key <= _MASK:
+            raise ValueError(f"a layer key is a 64-bit word, got {self.key}")
+        # Per Majorana: its block group (-1 if none) and its gate in that group; int32
+        # holds both at any size the CLI allows (at most 2^23 Majoranas).
+        where = np.full((2, self.n_majorana), -1, dtype=np.int32)
+        for group, idx in enumerate(self.blocks):
+            if idx.ndim != 2:
+                raise ValueError(f"gate blocks must be a (G, k) array, got shape {idx.shape}")
             where[0, idx] = group
             where[1, idx] = np.arange(len(idx))[:, None]
-        if np.count_nonzero(where[0] >= 0) != sum(idx.size for idx, _ in self.blocks):
+        if np.count_nonzero(where[0] >= 0) != sum(idx.size for idx in self.blocks):
             raise ValueError("gate blocks must be disjoint")
         object.__setattr__(self, "_where", where)
+
+    def gates(self, rows: np.ndarray) -> np.ndarray:
+        """The ``(g, k, k)`` Haar rotations of the gates on ``rows``, rows of one block array."""
+        return haar_rotations(_gate_normals(self.key, rows[:, 0], rows.shape[1]))
 
     def window(self, support: np.ndarray) -> Tuple[np.ndarray, Touched]:
         """``(T, touched)``: the sorted columns ``T`` that ``R[support]`` reaches, and their gates.
@@ -104,20 +165,20 @@ class Layer:
         ``T`` is the union of the gate blocks that touch ``support``, plus the
         indices of ``support`` that no gate touches, so ``R[T, T]`` is block
         diagonal.  ``touched`` holds one ``(positions, gates)`` pair per gate
-        size: the blocks' positions in ``T`` and their rotations, orthogonalized
-        here, these gates only.  The cost is set by ``len(support)``, not by
-        the layer's size.
+        size: the blocks' positions in ``T`` and their rotations, drawn and
+        orthogonalized here, these gates only.  The cost is set by
+        ``len(support)``, not by the layer's size.
         """
         group, gate = self._where[:, support]
-        cols, hits = [support[group < 0]], []
-        for g, (idx, _) in enumerate(self.blocks):
+        cols, hit_rows = [support[group < 0]], []
+        for g, idx in enumerate(self.blocks):
             hit = np.sort(gate[group == g])
-            hit = hit[np.diff(hit, prepend=-1) > 0]  # distinct; np.unique would import numpy.ma
-            cols.append(idx[hit].ravel())
-            hits.append(hit)
+            rows = idx[hit[np.diff(hit, prepend=-1) > 0]]  # distinct; np.unique imports numpy.ma
+            cols.append(rows.ravel())
+            hit_rows.append(rows)
         cols = np.sort(np.concatenate(cols))
-        return cols, tuple((np.searchsorted(cols, idx[hit]), haar_rotations(draws[hit]))
-                           for (idx, draws), hit in zip(self.blocks, hits) if hit.size)
+        return cols, tuple((np.searchsorted(cols, rows), self.gates(rows))
+                           for rows in hit_rows if len(rows))
 
 
 def _rotate(mat: np.ndarray, touched: Touched) -> np.ndarray:
@@ -145,32 +206,31 @@ class Circuit:
 
 
 def brickwork_circuit(lattice: Lattice, depth: int, radius: int = 1,
-                      rng: Optional[np.random.Generator] = None) -> Circuit:
+                      seed: Union[int, Sequence[int]] = 0) -> Circuit:
     """Haar-random brickwork circuit of the given depth.
 
     Layer ``l`` places gates on blocks of up to ``radius + 1`` consecutive
     sites along axis ``l % dim``, with brick offset ``(l // dim) % (radius +
     1)``; each gate is an independent Haar sample from SO(2 * block size)
     acting on the block's Majoranas.  Lengths that are not a multiple of the
-    block size get one truncated (smaller) gate per row.  A layer draws the
-    normals of all its gates in one ``standard_normal`` call, in gate order
-    (row by row, the truncated gate last), each gate one ``(n, n)`` matrix of
-    it through :func:`haar_rotations`, so the stream is fixed by numpy's
-    ``Generator`` alone.  Gates of one size are kept as one ``(indices,
-    draws)`` pair of the :class:`Layer`, which orthogonalizes a gate only
-    when a window touches it.
+    block size get one truncated (smaller) gate per row.  ``seed`` is a
+    nonnegative integer or a sequence of them, each below ``2^64``; layer
+    ``l`` takes the key of the words ``(*seed, l)``, so a gate is fixed by
+    the seed, its layer and its first Majorana index, and equal seeds give
+    equal circuits.  Building a layer draws nothing: gates of one size are
+    kept as one index array of the :class:`Layer`, which draws and
+    orthogonalizes a gate only when a window touches it.
     """
     if depth < 0:
         raise ValueError(f"depth must be nonnegative, got {depth}")
     if radius < 1:
         raise ValueError(f"interaction radius must be at least 1, got {radius}")
+    words = tuple(map(operator.index, [seed] if np.ndim(seed) == 0 else seed))
+    if not all(0 <= word <= _MASK for word in words):
+        raise ValueError(f"seed words must be integers in [0, 2^64), got {seed}")
     block = radius + 1
-    if rng is None:
-        rng = np.random.default_rng()
     dim, length = lattice.dim, lattice.length
     full = length // block * block  # sites per line in full gates
-    rest = 2 * (length - full)  # Majoranas per line in the truncated gate
-    split = full // block * (2 * block) ** 2  # normals per line of the full gates
     grid = np.arange(lattice.n_sites).reshape((length,) * dim)  # grid[y, x] = x + L * y
     layers = []
     for layer_idx in range(depth):
@@ -180,13 +240,9 @@ def brickwork_circuit(lattice: Lattice, depth: int, radius: int = 1,
         lines = np.moveaxis(grid, dim - 1 - axis, -1).reshape(-1, length)
         sites = np.roll(lines, -offset, axis=1)
         idx = (2 * sites[:, :, None] + np.arange(2)).reshape(len(sites), 2 * length)
-        normals = rng.standard_normal((len(sites), split + rest**2))
-        gate_blocks = []
-        for size, cols, draws in ((rest, idx[:, 2 * full:], normals[:, split:]),
-                                  (2 * block, idx[:, :2 * full], normals[:, :split])):
-            if cols.size:
-                gate_blocks.append((cols.reshape(-1, size), draws.reshape(-1, size, size)))
-        layers.append(Layer(lattice.n_majorana, tuple(gate_blocks)))
+        gate_blocks = tuple(cols.reshape(-1, size) for size, cols in (
+            (2 * (length - full), idx[:, 2 * full:]), (2 * block, idx[:, :2 * full])) if cols.size)
+        layers.append(Layer(lattice.n_majorana, gate_blocks, _stream_key((*words, layer_idx))))
     return Circuit(lattice=lattice, radius=radius, layers=tuple(layers))
 
 

@@ -51,7 +51,7 @@ Exit codes: 0 on success (and for ``--help``), 2 for configuration errors,
 3 when a numerical invariant breaks mid-run.  A size past its cap is a
 configuration error, raised before anything is allocated: at most
 ``_MAX_SITES`` sites per system, and for ``circuit`` at most
-``_MAX_SITE_LAYERS`` site-layers ``depth * L`` of Haar draws.  A
+``_MAX_SITE_LAYERS`` site-layers ``depth * L`` of gate index tables.  A
 configuration error prints ``configuration error: <field>: <message>`` to
 stderr, the field being ``command``, the key of a bad or missing value, or
 an unknown flag or stray argument as given; no error raises
@@ -87,7 +87,8 @@ _CIRCUIT_DEFAULT_SIZES = (16, 64, 256)
 _CIRCUIT_MU_OFFSET = 2.0
 # Sites of one system: four times the largest scale run's 2^20; larger sizes exit 2 unallocated.
 _MAX_SITES = 1 << 22
-# A circuit's depth * L**D site-layers, 8 Haar normals each: 256 MiB of draws.
+# A circuit's depth * L**D site-layers, each 2 Majorana indices (int64) and their 2 x 2
+# lookup entries (int32) in the layers' index tables: 128 MiB of tables.
 _MAX_SITE_LAYERS = 1 << 22
 
 
@@ -293,7 +294,7 @@ def _validate_common(cfg: Dict[str, object]) -> None:
     if "depth" in cfg:
         _require(cfg["depth"] >= 0, "depth", f"must be nonnegative, got {cfg['depth']}")
     if "seed" in cfg:
-        _require(cfg["seed"] >= 0, "seed", f"must be nonnegative, got {cfg['seed']}")
+        _require(0 <= cfg["seed"] < 1 << 64, "seed", f"must be in [0, 2^64), got {cfg['seed']}")
 
 
 def _encoding_for(cfg: Dict[str, object], lattice: Lattice) -> EncodingWeightModel:
@@ -454,8 +455,7 @@ def _run_circuit(cfg: Dict[str, object]) -> Table:
         obs = QuadraticObservable.hopping(lattice, 0, 1)
         params = DecayParams(K=decay_k, mu=1.0 + _CIRCUIT_MU_OFFSET, D=1,
                              phi0=cfg["phi0"])
-        rng = np.random.default_rng([cfg["seed"], length])
-        circuit = brickwork_circuit(lattice, depth, radius=1, rng=rng)
+        circuit = brickwork_circuit(lattice, depth, radius=1, seed=(cfg["seed"], length))
         ideal, noisy = prefix_expectations(state, obs, circuit, channel, enc, cfg["mode"])
         depths = np.arange(depth + 1)
         error = np.abs(np.subtract(noisy, ideal))

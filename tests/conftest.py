@@ -317,11 +317,11 @@ def correlation_of(state):
 def dense_rotation(layer):
     """The (2N, 2N) rotation of a gate-block layer: an identity with the gates scattered in.
 
-    Each size's whole stack of draws is orthogonalized at once.
+    Each size's whole stack of gates is drawn and orthogonalized at once.
     """
     rot = np.eye(layer.n_majorana)
-    for idx, draws in layer.blocks:
-        rot[idx[:, :, None], idx[:, None, :]] = haar_rotations(draws)
+    for idx in layer.blocks:
+        rot[idx[:, :, None], idx[:, None, :]] = layer.gates(idx)
     return rot
 
 

@@ -132,7 +132,7 @@ def test_criterion_02_dense_circuit_equivalence():
         obs = random_normalized_observable(lat, rng)
         depth = trial % 4
         p = (0.0, 0.05, 0.2)[trial % 3]
-        circuit = brickwork_circuit(lat, radius=1, depth=depth, rng=rng)
+        circuit = brickwork_circuit(lat, radius=1, depth=depth, seed=[SEED, 2, trial])
 
         channel = PauliChannel.depolarizing(p)
         _, noisy = prefix_expectations(state, obs, circuit, channel, enc)
@@ -499,7 +499,7 @@ def test_criterion_10_light_cone_containment():
         enc = EncodingWeightModel("local", lat, phi0=1)
         for depth in depths:
             circuit = brickwork_circuit(lat, radius=1, depth=depth,
-                                        rng=np.random.default_rng([SEED, 10, dim, depth]))
+                                        seed=[SEED, 10, dim, depth])
             for channel in (None, PauliChannel.depolarizing(0.1)):
                 report = lightcone_correlation_check(
                     state, circuit, channel, enc if channel else None)
@@ -533,7 +533,7 @@ def test_criterion_11_circuit_size_stability():
         state, k_const = circulant_power_law_state(lat, mu)
         enc = EncodingWeightModel("local", lat, phi0=1)
         circuit = brickwork_circuit(lat, radius=1, depth=depth,
-                                    rng=np.random.default_rng([0, length]))
+                                    seed=[0, length])
         ideal = evolve_state(state, circuit)
         noisy = evolve_state(state, circuit, PauliChannel.depolarizing(p), enc)
         errors = []

@@ -1,5 +1,7 @@
 """Tests for brickwork circuits, Heisenberg pullbacks, and light cones."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy.linalg import logm
@@ -13,7 +15,6 @@ from conftest import (
     dense_rotation,
     evolve_state,
     full_covariance,
-    haar_special_orthogonal,
     lightcone_correlation_check,
     observable_from_matrix,
     random_correlation,
@@ -87,25 +88,51 @@ def _site_blocks(lattice, axis, offset, block):
     return blocks
 
 
-def _dense_brickwork_layers(lattice, depth, radius, rng):
-    """Reference construction: every layer an identity with its Haar gates scattered in."""
+_M64 = (1 << 64) - 1
+_GOLDEN = 0x9E3779B97F4A7C15
+
+
+def _splitmix(z):
+    """SplitMix64's finalizer on one Python int."""
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _M64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _M64
+    return z ^ (z >> 31)
+
+
+def _reference_key(words):
+    """A seed's 64-bit key, word by word on Python ints."""
+    key = 0
+    for word in words:
+        key = _splitmix(((key ^ word) + _GOLDEN) & _M64)
+    return key
+
+
+def _reference_normals(key, first, size):
+    """A gate's normals one by one: SplitMix64 from its seed, Box-Muller by math."""
+    state = _splitmix(((first * _GOLDEN) & _M64) ^ key)
+    uniforms = [((_splitmix((state + j * _GOLDEN) & _M64) >> 11) + 1) * 2.0**-53
+                for j in range(1, size * size + size % 2 + 1)]
+    normals = []
+    for u, v in zip(uniforms[0::2], uniforms[1::2]):
+        radius = math.sqrt(-2.0 * math.log(u))
+        normals += [radius * math.cos(2.0 * math.pi * v), radius * math.sin(2.0 * math.pi * v)]
+    return np.array(normals[:size * size]).reshape(size, size)
+
+
+def _dense_brickwork_layers(lattice, depth, radius, seed):
+    """Reference construction: every layer an identity with its Haar gates scattered in.
+
+    Gate by gate on the per-site blocks, each from the scalar reference of the stream.
+    """
     block = radius + 1
-    n = lattice.n_majorana
     layers = []
     for layer_idx in range(depth):
-        blocks = _site_blocks(lattice, layer_idx % lattice.dim,
-                              (layer_idx // lattice.dim) % block, block)
-        sizes = np.array([2 * len(sites) for sites in blocks])
-        starts = np.cumsum(sizes**2) - sizes**2
-        normals = rng.standard_normal(int(np.sum(sizes**2)))
-        rot = np.eye(n)
-        for size in np.unique(sizes):
-            which = np.flatnonzero(sizes == size)
-            gates = haar_rotations(normals[starts[which, None] + np.arange(size * size)]
-                                   .reshape(-1, size, size))
-            sites = np.array([blocks[g] for g in which])
-            idx = (2 * sites[:, :, None] + np.arange(2)).reshape(len(which), size)
-            rot[idx[:, :, None], idx[:, None, :]] = gates
+        key = _reference_key((seed, layer_idx))
+        rot = np.eye(lattice.n_majorana)
+        for sites in _site_blocks(lattice, layer_idx % lattice.dim,
+                                  (layer_idx // lattice.dim) % block, block):
+            idx = [m for s in sites for m in (2 * s, 2 * s + 1)]
+            rot[np.ix_(idx, idx)] = haar_rotations(_reference_normals(key, idx[0], len(idx)))
         layers.append(rot)
     return layers
 
@@ -115,18 +142,23 @@ class TestGateBlockLayers:
         (1, 512, 1, 8), (1, 7, 1, 4), (1, 11, 1, 4), (2, 5, 1, 4), (2, 6, 1, 4), (2, 7, 1, 4),
         (1, 11, 2, 6), (2, 7, 2, 4)])
     def test_layers_scatter_to_the_dense_construction(self, dim, length, radius, depth):
+        # The scalar reference takes math's log, cos and sin where the package
+        # takes numpy's, so the gates agree to rounding, not bit for bit.
         lat = Lattice(dim, length)
-        circ = brickwork_circuit(lat, depth, radius, rng=np.random.default_rng(71))
-        dense = _dense_brickwork_layers(lat, depth, radius, np.random.default_rng(71))
+        circ = brickwork_circuit(lat, depth, radius, seed=71)
+        dense = _dense_brickwork_layers(lat, depth, radius, 71)
         for layer_idx, (layer, rot) in enumerate(zip(circ.layers, dense)):
-            assert np.array_equal(dense_rotation(layer), rot), f"layer {layer_idx}"
+            assert layer.key == _reference_key((71, layer_idx))
+            got = dense_rotation(layer)
+            assert np.array_equal(got == 0, rot == 0), f"layer {layer_idx}"
+            assert_close(got, rot, 1e-12, f"layer {layer_idx}")
 
     @pytest.mark.parametrize("dim,length,radius", [(1, 9, 1), (1, 10, 2), (2, 5, 1)])
     def test_window_is_the_dense_block(self, rng, dim, length, radius):
         # R[support] reaches every column of T and none outside it, and the
         # touched gates scattered into an identity on T are exactly R[T, T].
         lat = Lattice(dim, length)
-        circ = brickwork_circuit(lat, 2 * dim, radius, rng=np.random.default_rng(73))
+        circ = brickwork_circuit(lat, 2 * dim, radius, seed=73)
         for layer in circ.layers:
             rot = dense_rotation(layer)
             for size in (1, 3, 7):
@@ -140,43 +172,126 @@ class TestGateBlockLayers:
 
     @pytest.mark.parametrize("dim,length,radius", [(1, 7, 1), (1, 11, 2), (2, 5, 1), (2, 6, 1)])
     def test_gates_on_demand_are_the_whole_stack_bit_for_bit(self, rng, dim, length, radius):
-        # A gate is orthogonalized only when a window touches it; for any
-        # subset the result is haar_rotations of the layer's whole stack and
-        # the per-gate haar_special_orthogonal stream of the same seed.
+        # A gate is drawn and orthogonalized only when a window touches it;
+        # for any subset the result is the layer's whole stack and the gate
+        # drawn alone, bit for bit.
         lat = Lattice(dim, length)
-        block = radius + 1
-        circ = brickwork_circuit(lat, 2 * dim, radius, rng=np.random.default_rng(17))
-        stream = np.random.default_rng(17)
-        for layer_idx, layer in enumerate(circ.layers):
-            per_gate = {}
-            for sites in _site_blocks(lat, layer_idx % dim, (layer_idx // dim) % block, block):
-                idx = tuple(m for s in sites for m in (2 * s, 2 * s + 1))
-                per_gate[idx] = haar_special_orthogonal(len(idx), stream)
-            whole = {tuple(idx[g]): gates[g] for idx, draws in layer.blocks
-                     for gates in [haar_rotations(draws)] for g in range(len(idx))}
+        circ = brickwork_circuit(lat, 2 * dim, radius, seed=17)
+        for layer in circ.layers:
+            whole = {tuple(row): gate for idx in layer.blocks
+                     for row, gate in zip(idx, layer.gates(idx))}
             for size in (1, 4, 9, lat.n_majorana):
                 cols, touched = layer.window(rng.choice(lat.n_majorana, size, replace=False))
                 for pos, gates in touched:
                     for where, gate in zip(cols[pos], gates):
                         assert np.array_equal(gate, whole[tuple(where)])
-                        assert np.array_equal(gate, per_gate[tuple(where)])
+                        assert np.array_equal(gate, layer.gates(where[None])[0])
 
-    def test_indices_in_no_block_are_left_alone(self, rng):
-        layer = Layer(6, ((np.array([[1, 4]]), rng.standard_normal((1, 2, 2))),))
+    def test_indices_in_no_block_are_left_alone(self):
+        layer = Layer(6, (np.array([[1, 4]]),), key=5)
         cols, touched = layer.window(np.array([0, 4]))
         assert list(cols) == [0, 1, 4]
         rot = _window_rotation(cols, touched)
         assert np.array_equal(rot, dense_rotation(layer)[np.ix_(cols, cols)])
         assert rot[0].tolist() == [1.0, 0.0, 0.0]
 
-    def test_blocks_must_be_disjoint_and_match_their_gates(self):
-        gates = np.stack([np.eye(2)] * 2)
+    def test_blocks_must_be_disjoint_and_the_key_a_word(self):
         with pytest.raises(ValueError, match="disjoint"):
-            Layer(6, ((np.array([[0, 1], [1, 2]]), gates),))
+            Layer(6, (np.array([[0, 1], [1, 2]]),), key=0)
         with pytest.raises(ValueError, match="disjoint"):
-            Layer(6, ((np.array([[0, 1]]), gates[:1]), (np.array([[1, 2]]), gates[:1])))
-        with pytest.raises(ValueError, match="do not match"):
-            Layer(6, ((np.array([[0, 1, 2]]), gates[:1]),))
+            Layer(6, (np.array([[0, 1]]), np.array([[1, 2]])), key=0)
+        with pytest.raises(ValueError, match=r"\(G, k\)"):
+            Layer(6, (np.array([0, 1, 2]),), key=0)
+        for key in (-1, 1 << 64):
+            with pytest.raises(ValueError, match="64-bit"):
+                Layer(6, (np.array([[0, 1]]),), key=key)
+
+
+class TestHaarStream:
+    """The package's counter-based Haar stream: what it promises, whatever its bits."""
+
+    def test_the_finalizer_is_splitmix64(self):
+        # SplitMix64 seeded at 0 emits _mix(gamma), _mix(2 gamma), ...
+        assert circuits_module._mix(_GOLDEN) == 0xE220A8397B1DCDAF
+        assert circuits_module._mix(2 * _GOLDEN & _M64) == 0x6E789E6AA1B965F4
+        words = np.array([_GOLDEN, 2 * _GOLDEN & _M64, 0, _M64], dtype=np.uint64)
+        assert circuits_module._mix(words).tolist() == [_splitmix(int(w)) for w in words]
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 4, 6])
+    def test_normals_match_the_scalar_reference(self, size):
+        # Keys and integers exactly; the normals to rounding, math's log, cos
+        # and sin standing in for numpy's.  An odd size * size drops the
+        # last normal of its last pair.
+        for words in ((0,), (7, 16), (_M64, 0, 3)):
+            key = circuits_module._stream_key(words)
+            assert key == _reference_key(words)
+            first = np.array([0, 5, 1 << 22])
+            got = circuits_module._gate_normals(key, first, size)
+            want = [_reference_normals(key, int(f), size) for f in first]
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+
+    def test_any_subset_is_drawn_as_in_the_whole_layer(self, rng):
+        # Bit for bit: a gate's normals depend on its key and first index alone.
+        for lat, radius in ((Lattice(1, 11), 2), (Lattice(2, 5), 1), (Lattice(1, 64), 1)):
+            for layer in brickwork_circuit(lat, 2 * lat.dim, radius, seed=5).layers:
+                for idx in layer.blocks:
+                    whole = layer.gates(idx)
+                    for _ in range(4):
+                        pick = rng.choice(len(idx), int(rng.integers(1, len(idx) + 1)),
+                                          replace=False)
+                        assert np.array_equal(layer.gates(idx[pick]), whole[pick])
+
+    def test_equal_seeds_give_equal_circuits_and_others_differ(self):
+        lat = Lattice(1, 6)
+        a, b = (brickwork_circuit(lat, 3, seed=(42, 6)) for _ in range(2))
+        assert a.depth == b.depth == 3
+        for la, lb in zip(a.layers, b.layers):
+            assert np.array_equal(dense_rotation(la), dense_rotation(lb))
+        # Another seed word, another length word, an int for a one-word sequence.
+        for other in ((43, 6), (42, 8), (42,), (6, 42)):
+            c = brickwork_circuit(lat, 3, seed=other)
+            for la, lc in zip(a.layers, c.layers):
+                assert not np.allclose(dense_rotation(la), dense_rotation(lc)), other
+        assert [la.key for la in brickwork_circuit(lat, 3, seed=42).layers] == \
+            [la.key for la in brickwork_circuit(lat, 3, seed=[42]).layers]
+
+    def test_a_gate_is_a_function_of_seed_layer_and_first_index(self):
+        # The gate on sites (0, 1) of layer 0 is the same on any ring.
+        gates = []
+        for length in (4, 6, 10):
+            layer = brickwork_circuit(Lattice(1, length), 1, seed=(3, 1)).layers[0]
+            gates.append(layer.gates(layer.blocks[-1][:1]))
+        assert all(np.array_equal(gates[0], g) for g in gates[1:])
+
+    def test_seed_words_are_nonnegative_64_bit_integers(self):
+        lat = Lattice(1, 4)
+        for seed in (-1, 1 << 64, (0, -2), 1.5):
+            with pytest.raises((ValueError, TypeError)):
+                brickwork_circuit(lat, 1, seed=seed)
+        brickwork_circuit(lat, 1, seed=(_M64, 0))
+
+    @pytest.mark.parametrize("size", [2, 4, 6])
+    def test_haar_moments(self, size):
+        # Over 2^15 gates, each within 5 standard errors: E[R_ij^2] = 1/k per
+        # entry, E[tr R] = 0, E[(tr R)^2] = 1 (2 on SO(2)).
+        count = 1 << 15
+        layer = Layer(count * size, (np.arange(count * size).reshape(count, size),),
+                      key=circuits_module._stream_key((size,)))
+        rot = layer.gates(layer.blocks[0])
+        trace = np.trace(rot, axis1=1, axis2=2)
+        for samples, mean, label in ((rot**2, 1.0 / size, "E[R_ij^2]"),
+                                     (trace, 0.0, "E[tr R]"),
+                                     (trace**2, 2.0 if size == 2 else 1.0, "E[(tr R)^2]")):
+            error = np.abs(samples.mean(axis=0) - mean)
+            assert np.all(error <= 5.0 * samples.std(axis=0, ddof=1) / np.sqrt(count)), label
+
+    @pytest.mark.parametrize("size", [2, 4, 6])
+    def test_gates_are_special_orthogonal(self, size):
+        count = 1 << 12
+        layer = Layer(count * size, (np.arange(count * size).reshape(count, size),), key=9)
+        rot = layer.gates(layer.blocks[0])
+        assert np.abs(rot @ np.swapaxes(rot, 1, 2) - np.eye(size)).max() <= 1e-14
+        assert np.abs(np.linalg.det(rot) - 1.0).max() <= 1e-14
 
 
 class TestBrickworkConstruction:
@@ -187,17 +302,9 @@ class TestBrickworkConstruction:
         with pytest.raises(ValueError, match="radius"):
             brickwork_circuit(lat, 2, radius=0)
 
-    def test_deterministic_under_seed(self):
-        lat = Lattice(1, 6)
-        a = brickwork_circuit(lat, 3, rng=np.random.default_rng(42))
-        b = brickwork_circuit(lat, 3, rng=np.random.default_rng(42))
-        assert a.depth == b.depth == 3
-        for la, lb in zip(a.layers, b.layers):
-            assert (dense_rotation(la) == dense_rotation(lb)).all()
-
     def test_layers_are_orthogonal(self):
         lat = Lattice(1, 8)
-        circ = brickwork_circuit(lat, 4, rng=np.random.default_rng(0))
+        circ = brickwork_circuit(lat, 4, seed=0)
         for rot in map(dense_rotation, circ.layers):
             assert_close(rot @ rot.T, np.eye(16), 1e-10, "R R^T")
             assert np.linalg.det(rot) == pytest.approx(1.0, abs=1e-9)
@@ -206,7 +313,7 @@ class TestBrickworkConstruction:
         for dim, length, radius in [(1, 8, 1), (1, 9, 2), (2, 4, 1)]:
             lat = Lattice(dim, length)
             circ = brickwork_circuit(lat, 2 * dim, radius=radius,
-                                     rng=np.random.default_rng(5))
+                                     seed=5)
             sites = np.repeat(np.arange(lat.n_sites), 2)
             dist = lat.distance_matrix()[np.ix_(sites, sites)]
             for rot in map(dense_rotation, circ.layers):
@@ -215,7 +322,7 @@ class TestBrickworkConstruction:
     def test_brick_offset_alternates(self):
         # Layer 0 pairs (0, 1), (2, 3); layer 1 slides to (1, 2), (3, 0).
         lat = Lattice(1, 4)
-        circ = brickwork_circuit(lat, 2, rng=np.random.default_rng(11))
+        circ = brickwork_circuit(lat, 2, seed=11)
         first, second = map(dense_rotation, circ.layers)
         assert abs(first[0, 2]) > 1e-6   # sites 0-1 coupled in layer 0
         assert second[0, 2] == 0.0       # but not in layer 1
@@ -224,7 +331,7 @@ class TestBrickworkConstruction:
 
     def test_axes_alternate_in_two_dimensions(self):
         lat = Lattice(2, 4)
-        circ = brickwork_circuit(lat, 2, rng=np.random.default_rng(3))
+        circ = brickwork_circuit(lat, 2, seed=3)
         coords = lat.coords
         sites = np.repeat(np.arange(lat.n_sites), 2)
         same_y = coords[sites, 1][:, None] == coords[sites, 1][None, :]
@@ -235,41 +342,26 @@ class TestBrickworkConstruction:
     def test_odd_length_gets_truncated_block(self):
         # L = 5 with radius 1: one singleton block per layer, still disjoint.
         lat = Lattice(1, 5)
-        circ = brickwork_circuit(lat, 1, rng=np.random.default_rng(9))
+        circ = brickwork_circuit(lat, 1, seed=9)
         rot = dense_rotation(circ.layers[0])
         assert_close(rot @ rot.T, np.eye(10), 1e-10, "orthogonal")
         sites = np.repeat(np.arange(5), 2)
         dist = lat.distance_matrix()[np.ix_(sites, sites)]
         assert np.abs(rot[dist > 1]).max(initial=0.0) == 0.0
 
-    @pytest.mark.parametrize("dim,length,radius", [(1, 7, 1), (1, 11, 2), (2, 5, 1), (2, 6, 1)])
-    def test_batched_draws_keep_the_per_gate_stream(self, dim, length, radius):
-        # Odd lengths mix full and truncated gates within one layer; the
-        # one-call draw must still hand the normals out gate by gate, in gate
-        # order, exactly as one haar_special_orthogonal call per gate did.
-        lat = Lattice(dim, length)
-        block = radius + 1
-        circ = brickwork_circuit(lat, 4, radius, rng=np.random.default_rng(17))
-        rng = np.random.default_rng(17)
-        for layer_idx, rot in enumerate(map(dense_rotation, circ.layers)):
-            expected = np.eye(lat.n_majorana)
-            for sites in _site_blocks(lat, layer_idx % dim, (layer_idx // dim) % block, block):
-                idx = [m for s in sites for m in (2 * s, 2 * s + 1)]
-                expected[np.ix_(idx, idx)] = haar_special_orthogonal(len(idx), rng)
-            assert np.array_equal(rot, expected), f"layer {layer_idx}"
-
     @pytest.mark.parametrize("dim,length", [(1, 7), (1, 8), (2, 5), (2, 6)])
     @pytest.mark.parametrize("block", [2, 3])
     def test_layer_blocks_match_per_site_indexing(self, dim, length, block):
-        # Blocks (and so the gate order of the Haar stream) as the per-site
-        # construction lays them out, for every axis and brick offset; a
-        # layer keeps its gates grouped by size, smallest first.
+        # Blocks as the per-site construction lays them out, for every axis
+        # and brick offset; a layer keeps its gates grouped by size, smallest
+        # first, and its lookup table in int32.
         lat = Lattice(dim, length)
-        circ = brickwork_circuit(lat, dim * (block + 1), block - 1, rng=np.random.default_rng(3))
+        circ = brickwork_circuit(lat, dim * (block + 1), block - 1, seed=3)
         for layer_idx, layer in enumerate(circ.layers):
-            got = [list(row[::2] // 2) for indices, _ in layer.blocks for row in indices]
+            got = [list(row[::2] // 2) for indices in layer.blocks for row in indices]
             expected = _site_blocks(lat, layer_idx % dim, (layer_idx // dim) % block, block)
             assert got == sorted(expected, key=len), f"layer {layer_idx}"
+            assert layer._where.dtype == np.int32
 
 
 class TestEvolution:
@@ -286,7 +378,7 @@ class TestEvolution:
         lat = Lattice(1, 4)
         state = GaussianState.vacuum(lat)
         obs = QuadraticObservable.number(lat, 0)
-        circ = brickwork_circuit(lat, 1, rng=np.random.default_rng(2))
+        circ = brickwork_circuit(lat, 1, seed=2)
         ch = PauliChannel.depolarizing(0.1)
         for run in (lambda enc: prefix_expectations(state, obs, circ, ch, enc),
                     lambda enc: heisenberg_observable(obs, circ, ch, enc)):
@@ -300,7 +392,7 @@ class TestEvolution:
     def test_schroedinger_heisenberg_duality(self, rng):
         lat = Lattice(1, 6)
         state = state_from_correlation(lat, random_correlation(rng, 6))
-        circ = brickwork_circuit(lat, 3, rng=np.random.default_rng(7))
+        circ = brickwork_circuit(lat, 3, seed=7)
         enc = EncodingWeightModel("jw1d", lat)
         ch = PauliChannel.depolarizing(0.12)
         obs = random_normalized_observable(lat, rng)
@@ -313,7 +405,7 @@ class TestEvolution:
         n = 3
         lat = Lattice(1, n)
         state = state_from_correlation(lat, random_correlation(rng, n))
-        circ = brickwork_circuit(lat, 3, rng=np.random.default_rng(13))
+        circ = brickwork_circuit(lat, 3, seed=13)
         enc = EncodingWeightModel("jw1d", lat)
         ch = PauliChannel.depolarizing(p) if p else None
         evolved = evolve_state(state, circ, ch, enc)
@@ -340,7 +432,7 @@ class TestEvolution:
         ch = PauliChannel.depolarizing(0.2)
         obs = QuadraticObservable.number(lat, 0)
         for seed in range(24):
-            circ = brickwork_circuit(lat, 1, rng=np.random.default_rng(seed))
+            circ = brickwork_circuit(lat, 1, seed=seed)
             noisy = {}
             for mode in ("exact", "worst-case"):
                 runs = prefix_expectations(state, obs, circ, ch, enc, mode=mode)
@@ -359,7 +451,7 @@ class TestEvolution:
         # density-matrix layers.
         lat = Lattice(1, 6)
         state, _, _ = fermi_sea_1d(lat, 3)
-        circ = brickwork_circuit(lat, 2, rng=np.random.default_rng(21))
+        circ = brickwork_circuit(lat, 2, seed=21)
         enc = EncodingWeightModel("jw1d", lat)
         p = 0.2
         obs = QuadraticObservable.number(lat, 0)
@@ -410,7 +502,7 @@ class TestLightConePullback:
         lat = Lattice(dim, length)
         enc = EncodingWeightModel(kind, lat)
         state = random_gaussian_state(lat, rng)
-        full = brickwork_circuit(lat, 5, radius=radius, rng=np.random.default_rng(41))
+        full = brickwork_circuit(lat, 5, radius=radius, seed=41)
         for obs in self._observables(lat, rng):
             for depth in range(full.depth + 1):
                 circ = Circuit(lattice=lat, radius=radius, layers=full.layers[:depth])
@@ -421,7 +513,7 @@ class TestLightConePullback:
         enc = EncodingWeightModel("jw1d", lat)
         state = random_gaussian_state(lat, rng)
         n = lat.n_majorana
-        dense = Layer(n, ((np.arange(n)[None], rng.standard_normal((1, n, n))),))
+        dense = Layer(n, (np.arange(n)[None],), key=circuits_module._stream_key((n,)))
         circ = Circuit(lattice=lat, radius=1, layers=(dense,))
         obs = QuadraticObservable.hopping(lat, 0, 1)
         support = heisenberg_observable(obs, circ).support
@@ -433,7 +525,7 @@ class TestLightConePullback:
         lat = Lattice(1, 8)
         enc = EncodingWeightModel("jw1d", lat)
         state = random_gaussian_state(lat, rng)
-        circ = brickwork_circuit(lat, 3, rng=np.random.default_rng(43))
+        circ = brickwork_circuit(lat, 3, seed=43)
         zero = observable_from_matrix(lat, np.zeros((16, 16)), offset=-0.25)
         ch = PauliChannel.depolarizing(0.3)
         assert prefix_expectations(state, zero, circ, ch, enc) == ([-0.25] * 4,) * 2
@@ -443,7 +535,7 @@ class TestLightConePullback:
         (1, 16, 1, 6), (1, 17, 2, 4), (2, 6, 1, 4), (1, 512, 1, 8)])
     def test_support_stays_inside_the_light_cone(self, dim, length, radius, depth):
         lat = Lattice(dim, length)
-        circ = brickwork_circuit(lat, depth, radius=radius, rng=np.random.default_rng(47))
+        circ = brickwork_circuit(lat, depth, radius=radius, seed=47)
         obs = QuadraticObservable.hopping(lat, 0, 1)
         to_pair = lat.distance_matrix()[:, [0, 1]].min(axis=1)
         for d in range(depth + 1):
@@ -461,7 +553,7 @@ class TestPrefixExpectations:
         lat = Lattice(1, 10)
         enc = EncodingWeightModel("jw1d", lat)
         state = random_gaussian_state(lat, rng)
-        full = brickwork_circuit(lat, 5, rng=np.random.default_rng(53))
+        full = brickwork_circuit(lat, 5, seed=53)
         obs = random_normalized_observable(lat, rng)
         ch = PauliChannel.depolarizing(0.15)
         for noise in ((), (ch, enc, "exact"), (ch, enc, "worst-case")):
@@ -506,7 +598,7 @@ class TestPrefixExpectations:
         lat = Lattice(dim, length)
         enc = EncodingWeightModel(kind, lat)
         state = random_gaussian_state(lat, rng)
-        circ = brickwork_circuit(lat, 5, radius=radius, rng=np.random.default_rng(61))
+        circ = brickwork_circuit(lat, 5, radius=radius, seed=61)
         zero = observable_from_matrix(lat, np.zeros((lat.n_majorana,) * 2), offset=0.3)
         # An unsorted support: the sweep reads it in its own order.
         shuffled = QuadraticObservable(lat, [[0.0, 0.3], [-0.3, 0.0]], offset=0.1,
@@ -522,8 +614,8 @@ class TestPrefixExpectations:
         n = lat.n_majorana
         enc = EncodingWeightModel("jw1d", lat)
         state = random_gaussian_state(lat, rng)
-        first, last = brickwork_circuit(lat, 2, rng=np.random.default_rng(67)).layers
-        dense = Layer(n, ((np.arange(n)[None], rng.standard_normal((1, n, n))),))
+        first, last = brickwork_circuit(lat, 2, seed=67).layers
+        dense = Layer(n, (np.arange(n)[None],), key=circuits_module._stream_key((n,)))
         circ = Circuit(lattice=lat, radius=1, layers=(first, dense, last))
         obs = QuadraticObservable.hopping(lat, 0, 1)
         assert len(dense.window(obs.support)[0]) == n
@@ -550,7 +642,7 @@ class TestPrefixExpectations:
         monkeypatch.setattr(circuits_module, "attenuation_block", damping)
         lat = Lattice(1, 64)
         state, _, _ = fermi_sea_1d(lat, 32)
-        circ = brickwork_circuit(lat, 6, rng=np.random.default_rng(59))
+        circ = brickwork_circuit(lat, 6, seed=59)
         enc = EncodingWeightModel("jw1d", lat)
         obs = QuadraticObservable.hopping(lat, 0, 1)
         ideal, noisy = prefix_expectations(state, obs, circ, PauliChannel.depolarizing(0.1), enc)
@@ -574,12 +666,12 @@ class TestPrefixExpectations:
 
         monkeypatch.setattr(circuits_module, "haar_rotations", counting)
         lat = Lattice(1, 512)
-        circ = brickwork_circuit(lat, 8, rng=np.random.default_rng(1))
+        circ = brickwork_circuit(lat, 8, seed=1)
         assert orthogonalized == []
-        assert sum(len(idx) for layer in circ.layers for idx, _ in layer.blocks) == 2048
+        assert sum(len(idx) for layer in circ.layers for idx in layer.blocks) == 2048
         cone, touched = {0, 1, 2, 3}, 0
         for layer in reversed(circ.layers):
-            (idx, _), = layer.blocks
+            idx, = layer.blocks
             hit = [set(row) for row in idx.tolist() if cone & set(row)]
             touched += len(hit)
             cone = cone.union(*hit)
@@ -596,7 +688,7 @@ class TestObservableNormContraction:
         lat = Lattice(dim, length)
         enc = EncodingWeightModel(kind, lat)
         ch = PauliChannel.depolarizing(0.2)
-        full = brickwork_circuit(lat, 4, rng=np.random.default_rng(31))
+        full = brickwork_circuit(lat, 4, seed=31)
         obs = random_normalized_observable(lat, rng)
         norms = []
         for depth in range(5):
@@ -617,7 +709,7 @@ class TestErrorCurve:
     def test_zero_noise_gives_zero_error(self, rng):
         lat = Lattice(1, 6)
         state, _, _ = fermi_sea_1d(lat, 3)
-        circ = brickwork_circuit(lat, 2, rng=np.random.default_rng(17))
+        circ = brickwork_circuit(lat, 2, seed=17)
         enc = EncodingWeightModel("jw1d", lat)
         obs = QuadraticObservable.number(lat, 1)
         errs = self._errors(state, obs, circ, enc, [0.0, 0.1, 0.3])
@@ -629,7 +721,7 @@ class TestErrorCurve:
         # local slope is order one.
         lat = Lattice(1, 8)
         state, _, _ = fermi_sea_1d(lat, 4)
-        circ = brickwork_circuit(lat, 2, rng=np.random.default_rng(19))
+        circ = brickwork_circuit(lat, 2, seed=19)
         enc = EncodingWeightModel("jw1d", lat)
         obs = QuadraticObservable.number(lat, 3)
         dp = 1e-4
@@ -645,7 +737,7 @@ class TestLightCone:
     def test_requires_product_state(self):
         lat = Lattice(1, 8)
         state, _, _ = fermi_sea_1d(lat, 4)
-        circ = brickwork_circuit(lat, 1, rng=np.random.default_rng(23))
+        circ = brickwork_circuit(lat, 1, seed=23)
         with pytest.raises(ValueError, match="product"):
             lightcone_correlation_check(state, circ)
 
@@ -653,7 +745,7 @@ class TestLightCone:
     def test_cone_holds_with_and_without_noise(self, depth):
         lat = Lattice(1, 16)
         state = GaussianState.vacuum(lat)
-        circ = brickwork_circuit(lat, depth, rng=np.random.default_rng(depth))
+        circ = brickwork_circuit(lat, depth, seed=depth)
         enc = EncodingWeightModel("jw1d", lat)
         clean = lightcone_correlation_check(state, circ)
         noisy = lightcone_correlation_check(
@@ -668,6 +760,6 @@ class TestLightCone:
     def test_depth_one_correlates_neighbors_only(self):
         lat = Lattice(1, 10)
         state = GaussianState.vacuum(lat)
-        circ = brickwork_circuit(lat, 1, rng=np.random.default_rng(29))
+        circ = brickwork_circuit(lat, 1, seed=29)
         report = lightcone_correlation_check(state, circ)
         assert report.largest_correlated_distance == 1

@@ -55,7 +55,8 @@ class TestArgumentHandling:
         (["encoding-compare", "--L", "1"], "L"),
         (["circuit", "--L", "5"], "L"),
         (["circuit", "--depth", "-1"], "depth"),
-        (["circuit", "--seed", "-1"], "seed"),                 # no negative numpy seeds
+        (["circuit", "--seed", "-1"], "seed"),                 # seed words are in [0, 2^64)
+        (["circuit", "--seed", str(1 << 64)], "seed"),
         (["bounds", "--p", "0"], "p"),
         (["bounds", "--out", os.path.join(os.devnull, "x.json")], "out"),  # unwritable
         (["fermi1d", "--sweep-k", "--encoding", "jw2d_snake"], "encoding"),  # dim mismatch
@@ -143,18 +144,26 @@ class TestArgumentHandling:
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "[]"
 
-    def test_circuit_does_not_load_numpy_ma(self):
-        # np.unique imports numpy.ma (about 8 ms) on first use; the circuit
-        # path dedupes by sorting instead.
+    def test_a_run_of_each_command_loads_no_numpy_random_ma_secrets_or_hashlib(self):
+        # np.unique imports numpy.ma (about 8 ms) on first use, and a numpy
+        # Generator numpy.random with secrets and hashlib (about 11 ms); the
+        # circuit path dedupes by sorting and draws its gates from its own
+        # stream, and no other command needs either.
         src = Path(fermion_noise.__file__).resolve().parents[1]
+        runs = [["fermi1d", "--L", "20"], ["fermi1d", "--sweep-k", "--L", "8"],
+                ["fermi2d", "--L", "4", "--n-occ", "3"],
+                ["fermi2d", "--L", "4", "--n-occ", "3", "--encoding", "bravyi_kitaev"],
+                ["encoding-compare", "--L", "2"], ["circuit", "--L", "16", "--depth", "2"],
+                ["circuit", "--L", "4", "--depth", "1", "--encoding", "jw1d"], ["bounds"]]
         probe = ("import io, sys, contextlib, fermion_noise.cli as cli\n"
                  "with contextlib.redirect_stdout(io.StringIO()):\n"
-                 "    code = cli.main(['circuit', '--L', '16', '--depth', '2'])\n"
-                 "print(code, 'numpy.ma' in sys.modules)")
+                 f"    codes = [cli.main(argv) for argv in {runs!r}]\n"
+                 "print(codes, [m for m in ('numpy.random', 'numpy.ma', 'secrets', 'hashlib')\n"
+                 "              if m in sys.modules])")
         result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                                 env={**os.environ, "PYTHONPATH": str(src)})
         assert result.returncode == 0, result.stderr
-        assert result.stdout.strip() == "0 False"
+        assert result.stdout.strip() == f"{[0] * len(runs)} []"
 
 
 # A value of each option other than its default, as a flag or a config line gives it.
@@ -565,16 +574,16 @@ class TestCircuitOutput:
             assert float(r[3]) <= float(r[4]) + 1e-12
 
     def test_rows_match_the_dense_pullback_record(self, tmp_path):
-        # Recorded with every layer applied to the full 2N x 2N coefficient
-        # matrix; a change of the pullback, the Haar stream or the bound
-        # shows up here by name.
+        # Recorded with every layer applied to the full 2N x 2N covariance
+        # (conftest's evolve_state, dense_rotation per layer); a change of the
+        # sweep, the Haar stream or the bound shows up here by name.
         code, out = run_to_file(tmp_path, "circ.json",
                                 ["circuit", "--L", "16", "--depth", "3", "--seed", "0",
                                  "--format", "json"])
         assert code == 0
         rows = json.loads(out.read_text())["rows"]
         assert [r["depth"] for r in rows] == [0, 1, 2, 3]
-        errors = [0.0, 0.003166368399074748, 0.0024247893249242647, 0.0029485510093590628]
+        errors = [0.0, 0.004392518757769054, 0.0049334525535043305, 0.00046052478402964364]
         bounds = [0.0, 14.132577412106478, 113.06061929685183, 381.5795901268749]
         for row, error, bound in zip(rows, errors, bounds):
             assert row["error"] == pytest.approx(error, abs=1e-12), row
@@ -668,7 +677,7 @@ class TestCircuitOutput:
         assert code == 3
         assert not out.exists()
         err = capsys.readouterr().err
-        assert "depth 1" in err and "error 0.00316637" in err and "bound 0" in err
+        assert "depth 1" in err and "error 0.00439252" in err and "bound 0" in err
 
     @pytest.mark.parametrize("kind", ["jw1d", "bravyi_kitaev"])
     def test_encodings_outside_the_premise_are_not_checked(self, tmp_path, monkeypatch, kind):
