@@ -41,6 +41,7 @@ from .noise import (
     PauliChannel,
     attenuation_block,
     measurement_error,
+    mode_etas,
     momentum_error_map,
     noisy_expectation,
 )
@@ -48,7 +49,6 @@ from .circuits import (
     Circuit,
     Layer,
     brickwork_circuit,
-    heisenberg_observable,
     prefix_expectations,
 )
 from .bounds import (

@@ -340,7 +340,7 @@ def _probe_error_map(length: int, occupations: np.ndarray, p: float,
     lat = Lattice(1, length)
     state = ModeDiagonalState(momentum_grid(lat, "odd"), occupations)
     enc = EncodingWeightModel("local", lat, phi0=1)
-    return momentum_error_map(state, enc, PauliChannel.depolarizing(p), momenta)
+    return momentum_error_map(state, enc, PauliChannel(p).etas, momenta)
 
 
 def jump_scaling_probe(n_grid: Sequence[int], p: float,

@@ -8,13 +8,13 @@ through its orthogonal Majorana rotation ``R = exp(h)``:
     state:       Gamma -> R Gamma R^T,
     observable:  O     -> R^T O R.
 
-Every layer is followed by the single-qubit Pauli channel on all qubits, so
-the Heisenberg-picture pullback of an observable through one layer damps its
-coefficient matrix elementwise by the encoding's attenuation factors and
-then rotates it.  Layers tile the torus with Haar-random special-orthogonal
-gates on blocks of ``radius + 1`` consecutive sites, cycling the block axis
-every layer and sliding the brick offset each full axis cycle, which
-enforces a light cone of ``radius`` sites per layer.
+Every layer is followed by the single-qubit Pauli noise of three etas on
+all qubits, so the Heisenberg-picture pullback of an observable through one
+layer damps its coefficient matrix elementwise by the encoding's
+attenuation factors and then rotates it.  Layers tile the torus with
+Haar-random special-orthogonal gates on blocks of ``radius + 1`` consecutive
+sites, cycling the block axis every layer and sliding the brick offset each
+full axis cycle, which enforces a light cone of ``radius`` sites per layer.
 
 Noise never grows the trace norm of the pulled-back coefficient matrix, but
 at depth >= 2 a local expectation need not move monotonically toward its
@@ -56,27 +56,27 @@ sites per layer, so every prefix of a ``depth``-layer circuit costs
 ``O(depth * |W|^2 k)`` with ``|W|`` the light-cone volume, whatever the
 system size, and only the gates inside the cone are drawn and orthogonalized,
 once for both runs; a layer with one gate on every index gives the full
-window and the dense cost.  :func:`heisenberg_observable` is the same windows walked
-backwards, with the touched gates transposed.
+window and the dense cost.
 
-That sweep is the package's one circuit evolution, and the pullback its
-reference.  The dense ``2N x 2N`` evolution of the whole covariance, and the
-light-cone check of a product state's correlations built on it, are test
-references.
+That sweep is the package's one circuit evolution.  Its references are
+test code: the Heisenberg pullback of the observable on the same windows
+walked backwards, the dense ``2N x 2N`` evolution of the whole covariance,
+and the light-cone check of a product state's correlations built on it.
 """
 
 from __future__ import annotations
 
+import copy
 import operator
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .encodings import EncodingWeightModel
 from .gaussian import CovarianceBlocks, QuadraticObservable, haar_rotations
 from .lattice import Lattice
-from .noise import PauliChannel, attenuation_block
+from .noise import attenuation_block
 
 # Per gate size: the (g, k) positions of g touched blocks in a window, and their rotations.
 Touched = Tuple[Tuple[np.ndarray, np.ndarray], ...]
@@ -143,6 +143,8 @@ class Layer:
     def __post_init__(self):
         if not 0 <= self.key <= _MASK:
             raise ValueError(f"a layer key is a 64-bit word, got {self.key}")
+        if hasattr(self, "_where"):  # a copy by _rekeyed shares its checked blocks' lookup
+            return
         # Per Majorana: its block group (-1 if none) and its gate in that group; int32
         # holds both at any size the CLI allows (at most 2^23 Majoranas).
         where = np.full((2, self.n_majorana), -1, dtype=np.int32)
@@ -154,6 +156,13 @@ class Layer:
         if np.count_nonzero(where[0] >= 0) != sum(idx.size for idx in self.blocks):
             raise ValueError("gate blocks must be disjoint")
         object.__setattr__(self, "_where", where)
+
+    def _rekeyed(self, key: int) -> "Layer":
+        """This layer's gate blocks under ``key``, sharing its index arrays and lookup."""
+        layer = copy.copy(self)
+        object.__setattr__(layer, "key", key)
+        layer.__post_init__()
+        return layer
 
     def gates(self, rows: np.ndarray) -> np.ndarray:
         """The ``(g, k, k)`` Haar rotations of the gates on ``rows``, rows of one block array."""
@@ -219,7 +228,8 @@ def brickwork_circuit(lattice: Lattice, depth: int, radius: int = 1,
     the seed, its layer and its first Majorana index, and equal seeds give
     equal circuits.  Building a layer draws nothing: gates of one size are
     kept as one index array of the :class:`Layer`, which draws and
-    orthogonalizes a gate only when a window touches it.
+    orthogonalizes a gate only when a window touches it; layers one cycle of
+    ``dim * (radius + 1)`` apart share their index arrays and lookup.
     """
     if depth < 0:
         raise ValueError(f"depth must be nonnegative, got {depth}")
@@ -232,8 +242,13 @@ def brickwork_circuit(lattice: Lattice, depth: int, radius: int = 1,
     dim, length = lattice.dim, lattice.length
     full = length // block * block  # sites per line in full gates
     grid = np.arange(lattice.n_sites).reshape((length,) * dim)  # grid[y, x] = x + L * y
-    layers = []
+    period = dim * block  # layers of one cycle of (axis, brick offset) layouts
+    layers: List[Layer] = []
     for layer_idx in range(depth):
+        key = _stream_key((*words, layer_idx))
+        if layer_idx >= period:
+            layers.append(layers[layer_idx - period]._rekeyed(key))
+            continue
         axis = layer_idx % dim
         offset = (layer_idx // dim) % block
         # (lines, L): each line along ``axis``, from the brick offset on.
@@ -242,62 +257,14 @@ def brickwork_circuit(lattice: Lattice, depth: int, radius: int = 1,
         idx = (2 * sites[:, :, None] + np.arange(2)).reshape(len(sites), 2 * length)
         gate_blocks = tuple(cols.reshape(-1, size) for size, cols in (
             (2 * (length - full), idx[:, 2 * full:]), (2 * block, idx[:, :2 * full])) if cols.size)
-        layers.append(Layer(lattice.n_majorana, gate_blocks, _stream_key((*words, layer_idx))))
+        layers.append(Layer(lattice.n_majorana, gate_blocks, key))
     return Circuit(lattice=lattice, radius=radius, layers=tuple(layers))
 
 
-def _layer_damping(circuit: Circuit, channel: Optional[PauliChannel],
-                   enc: Optional[EncodingWeightModel],
-                   mode: str) -> Optional[Callable[[np.ndarray], np.ndarray]]:
-    """The noise after each layer, as the attenuation on a Majorana index set."""
-    if channel is None or channel.p == 0.0:
-        return None
-    if enc is None:
-        raise ValueError("a noisy circuit needs an encoding weight model")
-    if enc.lattice != circuit.lattice:
-        raise ValueError("encoding and circuit lattices disagree")
-    return lambda idx: attenuation_block(enc, channel, idx, mode)
-
-
-def heisenberg_observable(obs: QuadraticObservable, circuit: Circuit,
-                          channel: Optional[PauliChannel] = None,
-                          enc: Optional[EncodingWeightModel] = None,
-                          mode: str = "exact") -> QuadraticObservable:
-    """Pull an observable back through the circuit in the Heisenberg picture.
-
-    Layers are traversed last to first; each contributes the channel adjoint
-    (the same elementwise damping, the channel being self-adjoint) followed
-    by the rotation ``O -> R^T O R``.  The scalar offset is untouched since
-    the channel is unital.
-
-    The support ``S`` moves to the layer's window ``T`` (:meth:`Layer.window`):
-    the damped block is placed in a ``T x T`` zero matrix and rotated by the
-    touched gates transposed, ``R[S, T]`` never being formed.  Entries
-    outside the light cone are exactly zero in the dense pullback too, so the
-    result is the same, held on its support, at ``O(|T|^2 k)`` per layer.
-    :func:`prefix_expectations` sweeps the same windows forward; this
-    pullback is its reference.
-    """
-    damping = _layer_damping(circuit, channel, enc, mode)
-    support, coeffs = obs.support, obs.block
-    for layer in reversed(circuit.layers):
-        if damping is not None:
-            coeffs = coeffs * damping(support)
-        cols, touched = layer.window(support)
-        back = tuple((pos, np.swapaxes(gates, 1, 2)) for pos, gates in touched)
-        at = np.searchsorted(cols, support)
-        pulled = np.zeros((len(cols),) * 2)
-        pulled[np.ix_(at, at)] = coeffs
-        support, coeffs = cols, _rotate(_rotate(pulled, back).T, back).T
-    return QuadraticObservable(obs.lattice, coeffs, offset=obs.offset, support=support,
-                               validate=False)
-
-
 def prefix_expectations(state: CovarianceBlocks, obs: QuadraticObservable,
-                        circuit: Circuit,
-                        channel: Optional[PauliChannel] = None,
-                        enc: Optional[EncodingWeightModel] = None,
-                        mode: str = "exact") -> Tuple[List[float], List[float]]:
+                        circuit: Circuit, etas: Optional[Sequence[float]] = None,
+                        enc: Optional[EncodingWeightModel] = None
+                        ) -> Tuple[List[float], List[float]]:
     """``(ideal, noisy)``: expectations of ``obs`` after each circuit prefix, depth 0 first.
 
     One forward sweep on shrinking windows runs both.  ``W_depth = supp(O)``,
@@ -305,14 +272,18 @@ def prefix_expectations(state: CovarianceBlocks, obs: QuadraticObservable,
     index arrays and each layer's touched gates are built once.  The covariance
     on ``W_0`` is gathered once; layer ``d`` rotates each run's copy by block
     and restricts it to ``W_d``, one copy at a time, and damps the noisy one by
-    the attenuation on ``W_d``, which splits it off the ideal one at ``d = 1``
-    (with no channel or ``p = 0`` both lists are the ideal run); entry ``d`` is
-    read on ``supp(O)``.  That is ``depth`` window steps, and ``depth`` damping
-    calls when noisy, at ``O(|W|^2 k)`` each (a caller of the noisy list alone
-    pays for the ideal rotations too); entry ``d`` equals ``state.expectation(
-    heisenberg_observable(...))`` on the first ``d`` layers, summed in another order.
+    the attenuation of ``etas`` on ``W_d``, splitting it off the ideal one at
+    ``d = 1`` (with ``etas`` ``None`` or all ``1.0`` both lists are the ideal
+    run); entry ``d`` is read on ``supp(O)``.  That is ``depth`` window steps,
+    and ``depth`` damping calls when noisy, at ``O(|W|^2 k)`` each (a caller of
+    the noisy list alone pays for the ideal rotations too); entry ``d`` is the
+    observable pulled back through ``d`` layers, summed in another order.
     """
-    damping = _layer_damping(circuit, channel, enc, mode)
+    noisy = etas is not None and not np.array_equal(etas, (1.0, 1.0, 1.0))
+    if noisy and enc is None:
+        raise ValueError("a noisy circuit needs an encoding weight model")
+    if noisy and enc.lattice != circuit.lattice:
+        raise ValueError("encoding and circuit lattices disagree")
     order = np.argsort(obs.support)
     support, block = obs.support[order], obs.block[np.ix_(order, order)]
     windows, steps = [support], []
@@ -329,8 +300,8 @@ def prefix_expectations(state: CovarianceBlocks, obs: QuadraticObservable,
             keep, step = np.searchsorted(windows[d - 1], window), steps[d - 1]
             for i in range(len(runs)):  # each old copy is freed before the next is rotated
                 runs[i] = _rotate(_rotate(runs[i].T, step).T, step)[np.ix_(keep, keep)]
-            if damping is not None:  # the noisy copy, split off the ideal one at d = 1
-                runs[1:] = [runs[-1] * damping(window)]
+            if noisy:  # the noisy copy, split off the ideal one at d = 1
+                runs[1:] = [runs[-1] * attenuation_block(enc, etas, window)]
         at = np.searchsorted(window, support)
         values.append([obs.offset + float(np.sum(block * run[np.ix_(at, at)])) for run in runs])
     return [row[0] for row in values], [row[-1] for row in values]

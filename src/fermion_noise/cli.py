@@ -51,7 +51,7 @@ Exit codes: 0 on success (and for ``--help``), 2 for configuration errors,
 3 when a numerical invariant breaks mid-run.  A size past its cap is a
 configuration error, raised before anything is allocated: at most
 ``_MAX_SITES`` sites per system, and for ``circuit`` at most
-``_MAX_SITE_LAYERS`` site-layers ``depth * L`` of gate index tables.  A
+``_MAX_SITE_LAYERS`` site-layers ``depth * L``.  A
 configuration error prints ``configuration error: <field>: <message>`` to
 stderr, the field being ``command``, the key of a bad or missing value, or
 an unknown flag or stray argument as given; no error raises
@@ -76,7 +76,7 @@ from .errors import ConfigError, InvariantViolation
 from .gaussian import QuadraticObservable, circulant_power_law_state, fermi_sea, fermi_sea_1d, \
     momentum_occupation, tight_binding_dispersion
 from .lattice import Lattice, momentum_grid, parity_of
-from .noise import MODES, P_MAX, PauliChannel, momentum_error_map
+from .noise import MODES, P_MAX, PauliChannel, mode_etas, momentum_error_map
 
 Row = Dict[str, object]
 Column = Union[np.ndarray, Tuple[np.ndarray, np.ndarray]]  # an array, or (values, codes)
@@ -87,8 +87,8 @@ _CIRCUIT_DEFAULT_SIZES = (16, 64, 256)
 _CIRCUIT_MU_OFFSET = 2.0
 # Sites of one system: four times the largest scale run's 2^20; larger sizes exit 2 unallocated.
 _MAX_SITES = 1 << 22
-# A circuit's depth * L**D site-layers, each 2 Majorana indices (int64) and their 2 x 2
-# lookup entries (int32) in the layers' index tables: 128 MiB of tables.
+# A circuit's depth * L**D site-layers, one layer object each; index tables (int64 indices,
+# int32 lookup) are built for one cycle of dim * (radius + 1) layers and shared by the rest.
 _MAX_SITE_LAYERS = 1 << 22
 
 
@@ -297,6 +297,11 @@ def _validate_common(cfg: Dict[str, object]) -> None:
         _require(0 <= cfg["seed"] < 1 << 64, "seed", f"must be in [0, 2^64), got {cfg['seed']}")
 
 
+def _noise_etas(cfg: Dict[str, object]) -> Tuple[float, float, float]:
+    """The etas of the run's noise: depolarizing of strength ``p``, read in its ``mode``."""
+    return mode_etas(PauliChannel.depolarizing(cfg["p"]), cfg.get("mode", "exact"))
+
+
 def _encoding_for(cfg: Dict[str, object], lattice: Lattice) -> EncodingWeightModel:
     kind = cfg["encoding"]
     try:
@@ -321,7 +326,7 @@ def _concat(tables: List[Table]) -> Table:
 
 def _run_fermi1d(cfg: Dict[str, object]) -> Table:
     p = cfg["p"]
-    channel = PauliChannel.depolarizing(p)
+    etas = _noise_etas(cfg)
     if cfg["sweep_k"]:
         _require(p > 0, "p", "sensitivity sweeps need p > 0")
         length = cfg["L"] if cfg["L"] is not None else 100
@@ -332,7 +337,7 @@ def _run_fermi1d(cfg: Dict[str, object]) -> Table:
         _require(0 <= n_occ <= length, "n_occ", f"must lie in [0, {length}], got {n_occ}")
         enc = _encoding_for(cfg, lattice)
         state, grid, _ = fermi_sea_1d(lattice, n_occ)
-        errors = momentum_error_map(state, enc, channel, grid.momenta, cfg["mode"])
+        errors = momentum_error_map(state, enc, etas, grid.momenta)
         # 1D grid momenta rise with the site index: the rows are already sorted by k.
         return {"k": grid.momenta[:, 0], "sensitivity": np.abs(errors) / p}
     _require(cfg["n_occ"] is None, "n_occ", "only meaningful together with --sweep-k")
@@ -347,7 +352,7 @@ def _run_fermi1d(cfg: Dict[str, object]) -> Table:
         k_fermi = float(np.abs(grid.momenta[occupied, 0]).max())
         q0 = 2.0 * np.pi / length
         momenta = np.array([[k_fermi], [q0]])
-        err_kf, err_q0 = momentum_error_map(state, enc, channel, momenta, cfg["mode"])
+        err_kf, err_q0 = momentum_error_map(state, enc, etas, momenta)
         n_kf, n_q0 = momentum_occupation(state, momenta)
         rows.append({
             "N": length,
@@ -376,7 +381,7 @@ def _run_fermi2d(cfg: Dict[str, object]) -> Table:
         _require(0 <= n_occ <= lattice.n_sites, "n_occ",
                  f"must lie in [0, {lattice.n_sites}], got {n_occ}")
     enc = _encoding_for(cfg, lattice)
-    channel = PauliChannel.depolarizing(p)
+    etas = _noise_etas(cfg)
     grids: Dict[str, tuple] = {}  # parity -> grid, (kx, ky) codes
     values: List[np.ndarray] = []  # (kx, ky) values of each grid
     codes, sensitivity = [], []
@@ -389,7 +394,7 @@ def _run_fermi2d(cfg: Dict[str, object]) -> Table:
             values.append(np.stack([grid.momenta[:length, 0], grid.momenta[::length, 1]]))
         grid, grid_codes = grids[parity]
         state, _ = fermi_sea(grid, n_occ, tight_binding_dispersion)
-        errors = momentum_error_map(state, enc, channel, grid.momenta, cfg["mode"])
+        errors = momentum_error_map(state, enc, etas, grid.momenta)
         codes.append(grid_codes)
         sensitivity.append(np.abs(errors.reshape(length, length).T.ravel()) / p)
     kx, ky = np.concatenate(values, axis=1)
@@ -399,15 +404,14 @@ def _run_fermi2d(cfg: Dict[str, object]) -> Table:
 
 
 def _run_encoding_compare(cfg: Dict[str, object]) -> Table:
-    p = cfg["p"]
     phi0 = cfg["phi0"]
     l_max = cfg["L"]
     _require(l_max >= 2, "L", f"curve grid needs L >= 2, got {l_max}")
     _require_sites(l_max, 2)
-    channel = PauliChannel.depolarizing(p)
+    eta = _noise_etas(cfg)[0]
 
     def deficit(weight: int) -> float:
-        return 1.0 - channel.etas[0] ** weight
+        return 1.0 - eta ** weight
 
     # Each encoding's worst pair: site (0, 0) and its partner in the next row.
     partners = {"local": lambda side: (0, 1 % side),
@@ -446,7 +450,7 @@ def _run_circuit(cfg: Dict[str, object]) -> Table:
         _require_sites(length, 1)
         _require(depth * length <= _MAX_SITE_LAYERS, "depth",
                  f"depth * L must be at most {_MAX_SITE_LAYERS}, got {depth} * {length}")
-    channel = PauliChannel.depolarizing(p)
+    etas = _noise_etas(cfg)
     tables: List[Table] = []
     for length in sizes:
         lattice = Lattice(1, length)
@@ -456,7 +460,7 @@ def _run_circuit(cfg: Dict[str, object]) -> Table:
         params = DecayParams(K=decay_k, mu=1.0 + _CIRCUIT_MU_OFFSET, D=1,
                              phi0=cfg["phi0"])
         circuit = brickwork_circuit(lattice, depth, radius=1, seed=(cfg["seed"], length))
-        ideal, noisy = prefix_expectations(state, obs, circuit, channel, enc, cfg["mode"])
+        ideal, noisy = prefix_expectations(state, obs, circuit, etas, enc)
         depths = np.arange(depth + 1)
         error = np.abs(np.subtract(noisy, ideal))
         bound = np.array([prop3_bound(params, p, d, radius=1).value for d in depths])

@@ -49,8 +49,8 @@ one method too, :meth:`EncodingWeightModel.drop_torus`, on the torus that
 the momentum error map of :mod:`fermion_noise.noise` reads, with one fold
 sign per axis; no ``N x N`` table of all pairs is built.  They depend on
 the encoding, the etas and the signs, not on the state, and the tori of the
-last ``(etas, signs)`` are kept on the model: a run fixes the mode and the
-channel, and its grid momenta all fold with sign ``+1``.
+last ``(etas, signs)`` are kept on the model: a run fixes its etas, and its
+grid momenta all fold with sign ``+1``.
 """
 
 from __future__ import annotations
@@ -66,7 +66,8 @@ from .lattice import Lattice
 ENCODING_KINDS = ("local", "jw1d", "jw2d_snake", "bravyi_kitaev")
 
 _WEIGHTS_ONLY = ("the 'local' model assigns Pauli weights only, not the X/Y/Z strings "
-                 "that exact attenuation under a non-uniform mix needs; use mode='worst-case'")
+                 "that exact attenuation under a non-uniform mix needs; use the worst-case "
+                 "etas, mode_etas(channel, 'worst-case')")
 
 def _require_power_of_two(n: int) -> None:
     if n < 1 or n & (n - 1):

@@ -16,12 +16,13 @@ the quadratic sector exactly, as an elementwise damping of the covariance
 per-pair attenuation factors.  Every factor comes from one formula,
 ``ex**nx * ey**ny * ez**nz`` over the X/Y/Z counts of the encoding's
 strings (closed forms in the qubit order for Jordan-Wigner, and in the
-bits of the two sites for Bravyi-Kitaev); worst-case mode sets all three
-etas to ``1 - 3p/2``.  With equal etas the formula is ``eta**weight``, the
-only case the weight-only ``local`` model supports.  The same formula serves
-every pair of a Majorana index set (:func:`attenuation_block`); a single
-bilinear ``gamma_a gamma_b`` is the ``[0, 1]`` entry of the index set
-``[a, b]``.
+bits of the two sites for Bravyi-Kitaev), so the library takes the noise as
+its etas ``(ex, ey, ez)`` alone; :func:`mode_etas` reads them off a channel,
+and worst-case mode sets all three to ``1 - 3p/2``.  With equal etas the
+formula is ``eta**weight``, the only case the weight-only ``local`` model
+supports.  The same formula serves every pair of a Majorana index set
+(:func:`attenuation_block`); a single bilinear ``gamma_a gamma_b`` is the
+``[0, 1]`` entry of the index set ``[a, b]``.
 
 Measurement noise is read on the observable's support, as a circuit's light
 cone is: :func:`noisy_expectation` and :func:`measurement_error` damp the
@@ -43,8 +44,9 @@ weighted by ``C(r)``, one FFT per class of momenta; neither the
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -98,7 +100,8 @@ class PauliChannel:
         return 1.0 - 1.5 * self.p
 
 
-def _mode_etas(channel: PauliChannel, mode: str) -> Tuple[float, float, float]:
+def mode_etas(channel: PauliChannel, mode: str) -> Tuple[float, float, float]:
+    """The etas of ``channel`` read in ``mode``: its own, or ``1 - 3p/2`` thrice if worst-case."""
     if mode not in MODES:
         raise ValueError(f"unknown attenuation mode {mode!r}; expected one of {MODES}")
     if mode == "worst-case":
@@ -106,16 +109,28 @@ def _mode_etas(channel: PauliChannel, mode: str) -> Tuple[float, float, float]:
     return channel.etas
 
 
-def attenuation_block(enc: EncodingWeightModel, channel: PauliChannel,
-                      idx: np.ndarray, mode: str = "exact") -> np.ndarray:
+def _checked_etas(etas: Sequence[float]) -> Tuple[float, float, float]:
+    """``etas`` as three floats, or ``ValueError`` unless they are three numbers in ``[0, 1]``."""
+    try:
+        values = tuple(etas)
+    except TypeError:  # not iterable
+        values = ()
+    if len(values) != 3 or not all(isinstance(eta, numbers.Real) and 0.0 <= eta <= 1.0
+                                   for eta in values):  # NaN fails the comparison
+        raise ValueError(f"etas must be three finite numbers in [0, 1], got {etas!r}")
+    return tuple(map(float, values))
+
+
+def attenuation_block(enc: EncodingWeightModel, etas: Sequence[float],
+                      idx: np.ndarray) -> np.ndarray:
     """Attenuation factor of every pair of the Majoranas ``idx`` (diagonal fixed to 1).
 
-    ``ex**nx * ey**ny * ez**nz``, or ``eta**weight`` when the etas agree, so
-    the weight-only ``local`` model serves every case with equal etas.
-    ``idx`` holds distinct Majorana indices; the cost is ``O(len(idx)**2)``
-    whatever the system size.
+    ``ex**nx * ey**ny * ez**nz`` for ``etas = (ex, ey, ez)``, or
+    ``eta**weight`` when the etas agree, so the weight-only ``local`` model
+    serves every case with equal etas.  ``idx`` holds distinct Majorana
+    indices; the cost is ``O(len(idx)**2)`` whatever the system size.
     """
-    ex, ey, ez = _mode_etas(channel, mode)
+    ex, ey, ez = _checked_etas(etas)
     if ex == ey == ez:
         lam = ex ** enc.pair_weights(idx)
     else:
@@ -131,33 +146,30 @@ def _check_lattices(enc: EncodingWeightModel, state: CovarianceBlocks) -> None:
 
 
 def noisy_expectation(state: CovarianceBlocks, obs: QuadraticObservable,
-                      enc: EncodingWeightModel, channel: PauliChannel,
-                      mode: str = "exact") -> float:
-    """Expectation of an encoded observable measured through the channel.
+                      enc: EncodingWeightModel, etas: Sequence[float]) -> float:
+    """Expectation of an encoded observable measured through the noise of ``etas``.
 
     ``state`` is any object with ``lattice`` and ``covariance_block``; only
     its covariance on the observable's support is read.
     """
     _check_lattices(enc, state)
-    lam = attenuation_block(enc, channel, obs.support, mode)
+    lam = attenuation_block(enc, etas, obs.support)
     return obs.offset + float(np.sum(obs.block * lam * state.covariance_block(obs.support)))
 
 
 def measurement_error(state: CovarianceBlocks, obs: QuadraticObservable,
-                      enc: EncodingWeightModel, channel: PauliChannel,
-                      mode: str = "exact") -> float:
-    """Absolute shift ``|<O> - <O>_noisy|`` induced by the channel.
+                      enc: EncodingWeightModel, etas: Sequence[float]) -> float:
+    """Absolute shift ``|<O> - <O>_noisy|`` induced by the noise of ``etas``.
 
     ``state`` is read as in :func:`noisy_expectation`.
     """
     _check_lattices(enc, state)
-    lam = attenuation_block(enc, channel, obs.support, mode)
+    lam = attenuation_block(enc, etas, obs.support)
     return float(abs(np.sum(obs.block * (1.0 - lam) * state.covariance_block(obs.support))))
 
 
 def momentum_error_map(state: ModeDiagonalState, enc: EncodingWeightModel,
-                       channel: PauliChannel, momenta: np.ndarray,
-                       mode: str = "exact") -> np.ndarray:
+                       etas: Sequence[float], momenta: np.ndarray) -> np.ndarray:
     """Noise-induced error of the mode occupation ``n_k`` for many momenta.
 
     Returns ``<n_k> - <n_k>_noisy`` for each row of ``momenta``.  A
@@ -165,14 +177,14 @@ def momentum_error_map(state: ModeDiagonalState, enc: EncodingWeightModel,
     displacement ``r`` of the two sites alone, so only the drops
     ``1 - lambda`` are summed by displacement onto the torus of each class of
     momenta (:meth:`EncodingWeightModel.drop_torus`, ``O(N log N)`` or less
-    for every encoding, mode and mix) and weighted by ``C(r)``
+    for every encoding and etas) and weighted by ``C(r)``
     (:meth:`ModeDiagonalState.occupation_shift`), one ``L^D`` FFT per class;
     its covariance is never built.  Any other state raises ``TypeError``, and
-    a momentum off every grid ``ValueError``.
+    a momentum off every grid or bad etas ``ValueError``.
     """
     _check_lattices(enc, state)
     if not isinstance(state, ModeDiagonalState):
         raise TypeError(f"momentum_error_map needs a ModeDiagonalState, got {type(state).__name__}")
     momenta = np.atleast_2d(np.asarray(momenta, dtype=float))
-    etas = _mode_etas(channel, mode)
+    etas = _checked_etas(etas)
     return state.occupation_shift(lambda signs: enc.drop_torus(etas, signs), momenta)

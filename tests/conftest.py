@@ -4,7 +4,8 @@ The dense references (:class:`GaussianState`, a state held as its whole
 ``(2N, 2N)`` covariance, built from a correlation matrix, Haar-random or
 power-law damped; an observable from or to its ``(2N, 2N)`` coefficient
 matrix and the dense plane-wave mode occupation; the ``(2N, 2N)``
-attenuation matrix, the dense circuit evolution and the light-cone check
+attenuation matrix, the Heisenberg pullback of an observable through a
+circuit's light cone, the dense circuit evolution and the light-cone check
 built on it, the single Haar rotation, the Bravyi-Kitaev encoder matrix and
 its GF(2) inverse, the Jordan-Wigner and Bravyi-Kitaev Pauli rows) are what
 the package's mode-diagonal, support-held, light-cone, displacement-summed
@@ -34,12 +35,13 @@ from fermion_noise import (
     Lattice,
     ModeDiagonalState,
     QuadraticObservable,
+    attenuation_block,
+    mode_etas,
     snake_index_vector,
 )
 from fermion_noise import encodings
 from fermion_noise.encodings import _require_power_of_two
 from fermion_noise.gaussian import haar_rotations
-from fermion_noise.noise import _mode_etas
 from fermion_noise.special import _SKIP_DIGITS
 from oracle import gf2_inverse, pauli_string
 
@@ -340,6 +342,35 @@ def evolve_state(state, circuit, channel=None, enc=None):
     return GaussianState(state.lattice, gamma, validate=False)
 
 
+def heisenberg_observable(obs, circuit, etas=None, enc=None):
+    """Pull an observable back through the circuit in the Heisenberg picture.
+
+    Layers are traversed last to first; each contributes the noise's adjoint
+    (the same elementwise damping by the attenuation of ``etas``, the channel
+    being self-adjoint) followed by the rotation ``O -> R^T O R``; the offset
+    is untouched since the channel is unital.  The support ``S`` moves to the
+    layer's window ``T`` (:meth:`Layer.window`): the damped block is placed in
+    a ``T x T`` zero matrix and rotated by the touched gates transposed, so
+    the result is the dense pullback held on its light cone.  The reference
+    of ``prefix_expectations``, which sweeps the same windows forward.
+    """
+    noisy = etas is not None and not np.array_equal(etas, (1.0, 1.0, 1.0))
+    support, coeffs = obs.support, obs.block
+    for layer in reversed(circuit.layers):
+        if noisy:
+            coeffs = coeffs * attenuation_block(enc, etas, support)
+        cols, touched = layer.window(support)
+        at = np.searchsorted(cols, support)
+        pulled = np.zeros((len(cols),) * 2)
+        pulled[np.ix_(at, at)] = coeffs
+        for mat in (pulled, pulled.T):  # R^T O on the rows, then O R on the columns
+            for pos, gates in touched:
+                mat[pos] = np.swapaxes(gates, 1, 2) @ mat[pos]
+        support, coeffs = cols, pulled
+    return QuadraticObservable(obs.lattice, coeffs, offset=obs.offset, support=support,
+                               validate=False)
+
+
 @dataclass(frozen=True)
 class LightConeReport:
     """Outcome of a correlation-spreading check after a brickwork circuit.
@@ -564,7 +595,7 @@ def attenuation_matrix(enc, channel, mode="exact"):
     The reference the index-set route of ``attenuation_block`` is checked
     against.
     """
-    lam = interleave_flavors(attenuation_blocks(enc, _mode_etas(channel, mode)))
+    lam = interleave_flavors(attenuation_blocks(enc, mode_etas(channel, mode)))
     np.fill_diagonal(lam, 1.0)
     return lam
 
@@ -623,7 +654,7 @@ def dense_momentum_error_map(state, enc, channel, momenta, mode="exact"):
     onto the box and read off its FFT.
     """
     lat = state.lattice
-    drop = drops(enc, _mode_etas(channel, mode))
+    drop = drops(enc, mode_etas(channel, mode))
     g = full_covariance(state)
     t = np.stack([drop[0, 1] * g[0::2, 1::2] - drop[1, 0] * g[1::2, 0::2],
                   drop[0, 0] * g[0::2, 0::2] + drop[1, 1] * g[1::2, 1::2]])
@@ -892,7 +923,7 @@ def box_occupation_shift(state, same, cross, momenta):
 
 def box_momentum_error_map(state, enc, channel, momenta, mode="exact"):
     """``momentum_error_map`` of a mode-diagonal state by the box route."""
-    return box_occupation_shift(state, *box_drops(enc, _mode_etas(channel, mode)),
+    return box_occupation_shift(state, *box_drops(enc, mode_etas(channel, mode)),
                                 np.atleast_2d(momenta))
 
 

@@ -32,6 +32,7 @@ from fermion_noise import (
     fermi_sea_1d,
     free_dispersion,
     measurement_error,
+    mode_etas,
     momentum_error_map,
     momentum_grid,
     occupied_modes,
@@ -99,7 +100,7 @@ def test_criterion_01_channel_eigenvalue_lock():
                     bilinear = gammas[a] @ gammas[b]
                     mapped = dense_pauli_channel(bilinear, n_modes, channel.p,
                                                  channel.alphas)
-                    lam = attenuation_block(enc, channel, [a, b], "exact")[0, 1]
+                    lam = attenuation_block(enc, mode_etas(channel, "exact"), [a, b])[0, 1]
                     dev = np.abs(mapped - lam * bilinear).max()
                     assert dev <= 1e-12, (
                         f"bilinear ({a},{b}) at N={n_modes}: eigenvalue "
@@ -135,7 +136,7 @@ def test_criterion_02_dense_circuit_equivalence():
         circuit = brickwork_circuit(lat, radius=1, depth=depth, seed=[SEED, 2, trial])
 
         channel = PauliChannel.depolarizing(p)
-        _, noisy = prefix_expectations(state, obs, circuit, channel, enc)
+        _, noisy = prefix_expectations(state, obs, circuit, channel.etas, enc)
         lib_value = noisy[-1]
 
         rho = dense_gaussian_density_matrix(state.gamma)
@@ -187,7 +188,7 @@ def test_criterion_03_measurement_bound_soundness():
         for _ in range(20):
             obs = random_normalized_observable(lat, rng)
             for p in (1e-3, 1e-2, 1e-1):
-                err = measurement_error(state, obs, enc, PauliChannel.depolarizing(p))
+                err = measurement_error(state, obs, enc, PauliChannel.depolarizing(p).etas)
                 bound = noise_factor(params, p)
                 checks += 1
                 if err > bound:
@@ -257,7 +258,7 @@ def test_criterion_05_fermi_point_error_growth_1d():
         state, grid, occ = fermi_sea_1d(lat, n // 2)
         enc = EncodingWeightModel("jw1d", lat)
         k_f = float(np.abs(grid.momenta[occ]).max())
-        errs = momentum_error_map(state, enc, channel,
+        errs = momentum_error_map(state, enc, channel.etas,
                                   np.array([[k_f], [2.0 * np.pi / n]]))
         err_kf.append(abs(errs[0]))
         err_q0.append(abs(errs[1]))
@@ -271,7 +272,7 @@ def test_criterion_05_fermi_point_error_growth_1d():
     state, grid, occ = fermi_sea_1d(lat, 50)
     enc = EncodingWeightModel("jw1d", lat)
     positive = grid.momenta[grid.momenta[:, 0] > 0]
-    sens = np.abs(momentum_error_map(state, enc, channel, positive)) / p
+    sens = np.abs(momentum_error_map(state, enc, channel.etas, positive)) / p
     k_peak = float(positive[np.argmax(sens), 0])
     step = 2.0 * np.pi / 100
     assert abs(k_peak - np.pi / 2) <= step + 1e-12, (
@@ -300,7 +301,7 @@ def test_criterion_06_fermi_contour_sensitivity_2d():
     for n_occ in (300, 450, 700):
         grid = momentum_grid(lat, parity_of(n_occ))
         state, occ = fermi_sea(grid, n_occ, tight_binding_dispersion)
-        sens = np.abs(momentum_error_map(state, enc, channel, grid.momenta)) / p
+        sens = np.abs(momentum_error_map(state, enc, channel.etas, grid.momenta)) / p
 
         m = np.rint((grid.momenta - grid.momenta.min(axis=0))
                     * side / (2.0 * np.pi)).astype(int)
@@ -456,7 +457,7 @@ def test_criterion_09_surface_error_formulas():
     occ_m = np.rint(grid.momenta[occ] * side / (2 * np.pi)).astype(int)
     probes_m = [(2, 0), (1, 1), (3, 2), (0, 0)]
     probes_k = np.array(probes_m, dtype=float) * 2.0 * np.pi / side
-    ref = momentum_error_map(state, enc, PauliChannel.depolarizing(p_check), probes_k)
+    ref = momentum_error_map(state, enc, PauliChannel.depolarizing(p_check).etas, probes_k)
     direct = _direct_occupation_errors(side, occ_m, p_check, phi0, probes_m)
     assert np.abs(ref - direct).max() <= 1e-10, "direct sum disagrees with error map"
 

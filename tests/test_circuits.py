@@ -15,6 +15,7 @@ from conftest import (
     dense_rotation,
     evolve_state,
     full_covariance,
+    heisenberg_observable,
     lightcone_correlation_check,
     observable_from_matrix,
     random_correlation,
@@ -33,7 +34,7 @@ from fermion_noise import (
     brickwork_circuit,
     circulant_power_law_state,
     fermi_sea_1d,
-    heisenberg_observable,
+    mode_etas,
     prefix_expectations,
 )
 from fermion_noise.gaussian import haar_rotations
@@ -349,6 +350,18 @@ class TestBrickworkConstruction:
         dist = lat.distance_matrix()[np.ix_(sites, sites)]
         assert np.abs(rot[dist > 1]).max(initial=0.0) == 0.0
 
+    @pytest.mark.parametrize("dim,layouts", [(1, 2), (2, 4)])
+    def test_layers_of_one_phase_share_their_layout(self, dim, layouts):
+        # Layouts repeat every dim * (radius + 1) layers: each (axis, offset)
+        # phase builds its index arrays and lookup once, and every layer keeps
+        # its own key.
+        circ = brickwork_circuit(Lattice(dim, 8), 16, seed=3)
+        assert len({id(layer._where) for layer in circ.layers}) == layouts
+        assert len({id(idx) for layer in circ.layers for idx in layer.blocks}) == layouts
+        assert len({layer.key for layer in circ.layers}) == 16
+        with pytest.raises(ValueError, match="64-bit"):
+            circ.layers[0]._rekeyed(1 << 64)
+
     @pytest.mark.parametrize("dim,length", [(1, 7), (1, 8), (2, 5), (2, 6)])
     @pytest.mark.parametrize("block", [2, 3])
     def test_layer_blocks_match_per_site_indexing(self, dim, length, block):
@@ -374,20 +387,22 @@ class TestEvolution:
         assert_close(out.gamma, full_covariance(state), 1e-15, "depth 0")
 
     def test_noise_needs_encoding_and_matching_lattice(self):
-        # Both production entry points: the forward sweep and the pullback.
+        # The production entry point, the forward sweep.
         lat = Lattice(1, 4)
         state = GaussianState.vacuum(lat)
         obs = QuadraticObservable.number(lat, 0)
         circ = brickwork_circuit(lat, 1, seed=2)
-        ch = PauliChannel.depolarizing(0.1)
-        for run in (lambda enc: prefix_expectations(state, obs, circ, ch, enc),
-                    lambda enc: heisenberg_observable(obs, circ, ch, enc)):
-            with pytest.raises(ValueError, match="encoding"):
-                run(None)
-            for other in (Lattice(1, 6), Lattice(2, 2)):
-                with pytest.raises(ValueError, match="disagree"):
-                    run(EncodingWeightModel("local", other))
-            run(EncodingWeightModel("jw1d", Lattice(1, 4)))  # an equal lattice
+        etas = PauliChannel.depolarizing(0.1).etas
+        with pytest.raises(ValueError, match="encoding"):
+            prefix_expectations(state, obs, circ, etas, None)
+        for other in (Lattice(1, 6), Lattice(2, 2)):
+            with pytest.raises(ValueError, match="disagree"):
+                prefix_expectations(state, obs, circ, etas, EncodingWeightModel("local", other))
+        # An equal lattice; and without noise the encoding is not read.
+        prefix_expectations(state, obs, circ, etas, EncodingWeightModel("jw1d", Lattice(1, 4)))
+        for quiet in (None, (1.0, 1.0, 1.0), PauliChannel.depolarizing(0.0).etas):
+            assert prefix_expectations(state, obs, circ, quiet, None)[1] == \
+                prefix_expectations(state, obs, circ)[0]
 
     def test_schroedinger_heisenberg_duality(self, rng):
         lat = Lattice(1, 6)
@@ -397,7 +412,7 @@ class TestEvolution:
         ch = PauliChannel.depolarizing(0.12)
         obs = random_normalized_observable(lat, rng)
         forward = evolve_state(state, circ, ch, enc).expectation(obs)
-        _, sweep = prefix_expectations(state, obs, circ, ch, enc)
+        _, sweep = prefix_expectations(state, obs, circ, ch.etas, enc)
         assert forward == pytest.approx(sweep[-1], abs=1e-12)
 
     @pytest.mark.parametrize("p", [0.0, 0.2])
@@ -435,9 +450,10 @@ class TestEvolution:
             circ = brickwork_circuit(lat, 1, seed=seed)
             noisy = {}
             for mode in ("exact", "worst-case"):
-                runs = prefix_expectations(state, obs, circ, ch, enc, mode=mode)
+                etas = mode_etas(ch, mode)
+                runs = prefix_expectations(state, obs, circ, etas, enc)
                 ideal, noisy[mode] = runs[0][-1], runs[1][-1]
-                lam = attenuation_block(enc, ch, [0, 1], mode)[0, 1]
+                lam = attenuation_block(enc, etas, [0, 1])[0, 1]
                 assert noisy[mode] - 0.5 == pytest.approx(lam * (ideal - 0.5), abs=1e-12), \
                     f"seed {seed}, {mode}"
             # Both noisy values shrink toward the maximally mixed value 1/2.
@@ -455,7 +471,7 @@ class TestEvolution:
         enc = EncodingWeightModel("jw1d", lat)
         p = 0.2
         obs = QuadraticObservable.number(lat, 0)
-        _, noisy = prefix_expectations(state, obs, circ, PauliChannel.depolarizing(p), enc)
+        _, noisy = prefix_expectations(state, obs, circ, PauliChannel.depolarizing(p).etas, enc)
 
         rho = dense_gaussian_density_matrix(full_covariance(state), max_modes=6)
         for rot in map(dense_rotation, circ.layers):
@@ -489,12 +505,13 @@ class TestLightConePullback:
     @staticmethod
     def _assert_matches_dense(state, obs, circ, ch, enc, mode):
         lam = None if ch is None else attenuation_matrix(enc, ch, mode)
+        etas = None if ch is None else mode_etas(ch, mode)
         dense = _dense_pull_back(obs, circ, lam)
-        pulled = heisenberg_observable(obs, circ, ch, enc, mode)
+        pulled = heisenberg_observable(obs, circ, etas, enc)
         assert_close(dense_coefficients(pulled), dense, 1e-12, "pullback")
         assert pulled.offset == obs.offset
         expected = obs.offset + float(np.sum(dense * full_covariance(state)))
-        _, noisy = prefix_expectations(state, obs, circ, ch, enc, mode)
+        _, noisy = prefix_expectations(state, obs, circ, etas, enc)
         assert noisy[-1] == pytest.approx(expected, abs=1e-12)
 
     @pytest.mark.parametrize("dim,length,radius,kind,ch,mode", CASES)
@@ -527,9 +544,9 @@ class TestLightConePullback:
         state = random_gaussian_state(lat, rng)
         circ = brickwork_circuit(lat, 3, seed=43)
         zero = observable_from_matrix(lat, np.zeros((16, 16)), offset=-0.25)
-        ch = PauliChannel.depolarizing(0.3)
-        assert prefix_expectations(state, zero, circ, ch, enc) == ([-0.25] * 4,) * 2
-        assert not heisenberg_observable(zero, circ, ch, enc).block.any()
+        etas = PauliChannel.depolarizing(0.3).etas
+        assert prefix_expectations(state, zero, circ, etas, enc) == ([-0.25] * 4,) * 2
+        assert not heisenberg_observable(zero, circ, etas, enc).block.any()
 
     @pytest.mark.parametrize("dim,length,radius,depth", [
         (1, 16, 1, 6), (1, 17, 2, 4), (2, 6, 1, 4), (1, 512, 1, 8)])
@@ -556,7 +573,7 @@ class TestPrefixExpectations:
         full = brickwork_circuit(lat, 5, seed=53)
         obs = random_normalized_observable(lat, rng)
         ch = PauliChannel.depolarizing(0.15)
-        for noise in ((), (ch, enc, "exact"), (ch, enc, "worst-case")):
+        for noise in ((), (ch.etas, enc), (mode_etas(ch, "worst-case"), enc)):
             runs = prefix_expectations(state, obs, full, *noise)
             for run, pull_noise in zip(runs, ((), noise)):
                 assert len(run) == full.depth + 1
@@ -582,8 +599,9 @@ class TestPrefixExpectations:
     @staticmethod
     def _assert_every_prefix_is_the_pullback(state, obs, circ, ch, enc, mode):
         # The ideal run is the pullback without noise, the noisy one with it.
-        for run, noise in zip(prefix_expectations(state, obs, circ, ch, enc, mode),
-                              ((None, None, mode), (ch, enc, mode))):
+        etas = None if ch is None else mode_etas(ch, mode)
+        for run, noise in zip(prefix_expectations(state, obs, circ, etas, enc),
+                              ((), (etas, enc))):
             assert len(run) == circ.depth + 1
             for d, value in enumerate(run):
                 prefix = Circuit(lattice=circ.lattice, radius=circ.radius,
@@ -634,9 +652,9 @@ class TestPrefixExpectations:
             steps.append(len(support))
             return window(layer, support)
 
-        def damping(enc, channel, idx, mode):
+        def damping(enc, etas, idx):
             damped.append(len(idx))
-            return attenuation(enc, channel, idx, mode)
+            return attenuation(enc, etas, idx)
 
         monkeypatch.setattr(Layer, "window", stepping)
         monkeypatch.setattr(circuits_module, "attenuation_block", damping)
@@ -645,7 +663,8 @@ class TestPrefixExpectations:
         circ = brickwork_circuit(lat, 6, seed=59)
         enc = EncodingWeightModel("jw1d", lat)
         obs = QuadraticObservable.hopping(lat, 0, 1)
-        ideal, noisy = prefix_expectations(state, obs, circ, PauliChannel.depolarizing(0.1), enc)
+        ideal, noisy = prefix_expectations(state, obs, circ, PauliChannel.depolarizing(0.1).etas,
+                                           enc)
         assert len(ideal) == len(noisy) == 7
         assert len(steps) == 6 and len(damped) == 6
         # Window calls run from the last layer back, damping from the first on.
@@ -678,7 +697,7 @@ class TestPrefixExpectations:
         state, _ = circulant_power_law_state(lat, 2.0)
         enc = EncodingWeightModel("local", lat)
         prefix_expectations(state, QuadraticObservable.hopping(lat, 0, 1), circ,
-                            PauliChannel.depolarizing(0.01), enc)
+                            PauliChannel.depolarizing(0.01).etas, enc)
         assert sum(orthogonalized) == touched <= 2 + 3 + 4 + 5 + 6 + 7 + 8 + 9
 
 
@@ -693,7 +712,7 @@ class TestObservableNormContraction:
         norms = []
         for depth in range(5):
             circ = Circuit(lattice=lat, radius=1, layers=full.layers[:depth])
-            norms.append(_coeff_trace_norm(heisenberg_observable(obs, circ, ch, enc)))
+            norms.append(_coeff_trace_norm(heisenberg_observable(obs, circ, ch.etas, enc)))
         assert norms[0] == pytest.approx(1.0, abs=1e-9)
         for before, after in zip(norms, norms[1:]):
             assert after <= before + 1e-9
@@ -702,7 +721,7 @@ class TestObservableNormContraction:
 class TestErrorCurve:
     @staticmethod
     def _errors(state, obs, circ, enc, p_grid):
-        runs = (prefix_expectations(state, obs, circ, PauliChannel.depolarizing(p), enc)
+        runs = (prefix_expectations(state, obs, circ, PauliChannel.depolarizing(p).etas, enc)
                 for p in p_grid)
         return np.array([abs(noisy[-1] - ideal[-1]) for ideal, noisy in runs])
 

@@ -615,9 +615,9 @@ class TestCircuitOutput:
 
     def test_every_prefix_is_one_step_of_one_sweep(self, tmp_path, monkeypatch):
         # The ideal and noisy runs share one sweep of the layers: one window
-        # step per layer, one damping call per layer (the noisy run only), one
-        # covariance gather and no Heisenberg pullback, where two sweeps took
-        # 2 * depth window steps and two gathers.
+        # step per layer, one damping call per layer (the noisy run only) and
+        # one covariance gather, where two sweeps took 2 * depth window steps
+        # and two gathers.
         import fermion_noise.circuits as circuits
         from fermion_noise.gaussian import ModeDiagonalState
         steps, damped, gathered = [], [], []
@@ -628,21 +628,17 @@ class TestCircuitOutput:
             steps.append(len(support))
             return window(layer, support)
 
-        def damping(enc, channel, idx, mode):
+        def damping(enc, etas, idx):
             damped.append(len(idx))
-            return attenuation(enc, channel, idx, mode)
+            return attenuation(enc, etas, idx)
 
         def gathering(state, idx):
             gathered.append(len(idx))
             return covariance_block(state, idx)
 
-        def refuse(*args, **kwargs):
-            raise AssertionError("Heisenberg pullback on the CLI path")
-
         monkeypatch.setattr(circuits.Layer, "window", stepping)
         monkeypatch.setattr(circuits, "attenuation_block", damping)
         monkeypatch.setattr(ModeDiagonalState, "covariance_block", gathering)
-        monkeypatch.setattr(circuits, "heisenberg_observable", refuse)
         for length, depth in ((16, 3), (512, 8)):
             for counts in (steps, damped, gathered):
                 counts.clear()

@@ -17,6 +17,7 @@ from fermion_noise import (
     PauliChannel,
     attenuation_block,
     bk_max_number_operator_weight,
+    mode_etas,
     snake_index_vector,
 )
 from oracle import dense_majorana, gf2_inverse, pauli_string
@@ -524,7 +525,7 @@ class TestJordanWignerCounts:
         etas = np.array(ch.etas)[:, None, None]
         expected = np.prod(etas ** ref[:, idx[:, None], idx[None, :]], axis=0)
         np.fill_diagonal(expected, 1.0)
-        assert np.allclose(attenuation_block(enc, ch, idx), expected, rtol=0, atol=1e-15)
+        assert np.allclose(attenuation_block(enc, ch.etas, idx), expected, rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("kind,dim,length",
                              [("jw1d", 1, n) for n in (1, 2, 3, 4)] + [("jw2d_snake", 2, 2)])
@@ -595,7 +596,7 @@ class TestPairValidation:
             with pytest.raises(IndexError, match=r"outside \[0, 32\)"):
                 enc.pair_weights(idx)
         with pytest.raises(IndexError, match=r"outside \[0, 32\)"):
-            attenuation_block(enc, PauliChannel(0.1), [-2, 3], mode="worst-case")
+            attenuation_block(enc, mode_etas(PauliChannel(0.1), "worst-case"), [-2, 3])
 
     def test_bilinear_weight_index_errors(self):
         enc = EncodingWeightModel("jw1d", Lattice(1, 4))

@@ -20,9 +20,11 @@ from fermion_noise import (
     PauliChannel,
     QuadraticObservable,
     attenuation_block,
+    brickwork_circuit,
     fermi_sea,
     fermi_sea_1d,
     measurement_error,
+    mode_etas,
     momentum_error_map,
     momentum_grid,
     momentum_occupation,
@@ -30,11 +32,11 @@ from fermion_noise import (
     noisy_expectation,
     occupied_modes,
     parity_of,
+    prefix_expectations,
     snake_index_vector,
     tight_binding_dispersion,
 )
 from fermion_noise import encodings
-from fermion_noise.noise import _mode_etas
 from oracle import (
     dense_gaussian_density_matrix,
     dense_majorana_set,
@@ -86,7 +88,8 @@ class TestPauliChannel:
         ex, ey, ez = ch.etas
         enc = EncodingWeightModel("jw1d", Lattice(1, 4))
         assert enc.pair_weights([0, 6], counts=True)[:, 0, 1].tolist() == [1, 1, 2]
-        assert attenuation_block(enc, ch, [0, 6])[0, 1] == pytest.approx(ex * ey * ez**2, abs=1e-14)
+        assert attenuation_block(enc, ch.etas, [0, 6])[0, 1] == \
+            pytest.approx(ex * ey * ez**2, abs=1e-14)
 
     def test_uniform_mix_etas_are_one_minus_p(self):
         # The weight-only attenuation (1 - p)^w reads etas[0]; it must be
@@ -97,7 +100,7 @@ class TestPauliChannel:
         assert ch.worst_factor == pytest.approx(0.85, abs=1e-15)
         enc = EncodingWeightModel("jw1d", Lattice(1, 4))
         assert enc.bilinear_weight(0, 2) == 2
-        assert attenuation_block(enc, ch, [0, 2], "worst-case")[0, 1] == \
+        assert attenuation_block(enc, mode_etas(ch, "worst-case"), [0, 2])[0, 1] == \
             pytest.approx(0.7225, abs=1e-12)
 
 
@@ -118,7 +121,7 @@ class TestChannelEigenvalueLaw:
                     continue
                 op = gammas[a] @ gammas[b]
                 out = dense_pauli_channel(op, n, channel.p, channel.alphas)
-                lam = attenuation_block(enc, channel, [a, b])[0, 1]
+                lam = attenuation_block(enc, channel.etas, [a, b])[0, 1]
                 assert_close(out, lam * op, 1e-12, f"bilinear ({a}, {b})")
 
     def test_exact_factor_sits_between_worst_case_and_one(self, rng):
@@ -128,16 +131,58 @@ class TestChannelEigenvalueLaw:
             alphas = rng.dirichlet(np.ones(3))
             ch = PauliChannel(p, alphas=tuple(alphas))
             a, b = rng.choice(8, size=2, replace=False)
-            lam = attenuation_block(enc, ch, [int(a), int(b)])[0, 1]
+            lam = attenuation_block(enc, ch.etas, [int(a), int(b)])[0, 1]
             floor = ch.worst_factor ** enc.bilinear_weight(int(a), int(b))
             assert floor - 1e-12 <= lam <= 1.0 + 1e-12
 
 
-class TestAttenuationMatrices:
+class TestEtas:
+    """The library takes noise as its etas; ``mode_etas`` reads a channel in a mode."""
+
     def test_mode_validated(self):
-        enc = EncodingWeightModel("jw1d", Lattice(1, 4))
         with pytest.raises(ValueError, match="unknown attenuation mode"):
-            attenuation_matrix(enc, PauliChannel.depolarizing(0.1), mode="typical")
+            mode_etas(PauliChannel.depolarizing(0.1), "typical")
+
+    def test_modes_give_the_channel_or_the_worst_factor(self):
+        ch = PauliChannel(0.1, alphas=(0.5, 0.25, 0.25))
+        assert mode_etas(ch, "exact") == ch.etas
+        assert mode_etas(ch, "worst-case") == (1.0 - 1.5 * 0.1,) * 3
+        assert mode_etas(PauliChannel.depolarizing(0.1), "exact") == (1.0 - 0.1,) * 3
+
+    @pytest.mark.parametrize("etas", [
+        (1.1, 0.9, 0.9), (0.9, -0.1, 0.9), (0.9, 0.9, np.nan), (np.inf,) * 3, (-np.inf,) * 3,
+        (0.9, 0.9), (0.9,) * 4, [[0.9, 0.9, 0.9]], np.full((3, 1), 0.9), np.array(0.9), 0.9,
+        None, "abc", (0.9, "x", 0.9)])
+    def test_bad_etas_are_refused(self, etas):
+        lat = Lattice(1, 8)
+        enc = EncodingWeightModel("jw1d", lat)
+        state, grid, _ = fermi_sea_1d(lat, 4)
+        obs = QuadraticObservable.hopping(lat, 0, 3)
+        circ = brickwork_circuit(lat, 1, seed=0)
+        calls = [lambda: attenuation_block(enc, etas, [0, 3]),
+                 lambda: noisy_expectation(state, obs, enc, etas),
+                 lambda: measurement_error(state, obs, enc, etas),
+                 lambda: momentum_error_map(state, enc, etas, grid.momenta)]
+        if etas is not None:  # a circuit reads None as no noise
+            calls.append(lambda: prefix_expectations(state, obs, circ, etas, enc))
+        for call in calls:
+            with pytest.raises(ValueError, match="etas"):
+                call()
+
+    def test_any_three_numbers_in_the_unit_interval(self):
+        lat = Lattice(1, 4)
+        enc = EncodingWeightModel("jw1d", lat)
+        state, grid, _ = fermi_sea_1d(lat, 2)
+        want = attenuation_block(enc, (0.5, 0.25, 1.0), np.arange(8))
+        errors = momentum_error_map(state, enc, (0.5, 0.25, 1.0), grid.momenta)
+        for etas in ([0.5, 0.25, 1.0], np.array([0.5, 0.25, 1.0]), (np.float32(0.5), 0.25, 1)):
+            assert np.array_equal(attenuation_block(enc, etas, np.arange(8)), want)
+            assert np.array_equal(momentum_error_map(state, enc, etas, grid.momenta), errors)
+        assert np.array_equal(attenuation_block(enc, (0.0,) * 3, [0, 3]), np.eye(2))
+        assert np.array_equal(attenuation_block(enc, (1.0,) * 3, [0, 3]), np.ones((2, 2)))
+
+
+class TestAttenuationMatrices:
 
     def test_depolarizing_matrix_matches_weights(self):
         enc = EncodingWeightModel("jw1d", Lattice(1, 4))
@@ -153,7 +198,7 @@ class TestAttenuationMatrices:
         for a in range(6):
             for b in range(6):
                 if a != b:
-                    single = attenuation_block(enc, ch, [a, b])[0, 1]
+                    single = attenuation_block(enc, ch.etas, [a, b])[0, 1]
                     assert lam[a, b] == pytest.approx(single, abs=1e-14)
 
     def test_non_uniform_mix_needs_composition(self):
@@ -161,8 +206,8 @@ class TestAttenuationMatrices:
         ch = PauliChannel(0.2, alphas=(0.5, 0.25, 0.25))
         everything = np.arange(enc.lattice.n_majorana)
         with pytest.raises(ValueError, match="worst-case"):
-            attenuation_block(enc, ch, everything)
-        lam = attenuation_block(enc, ch, everything, mode="worst-case")
+            attenuation_block(enc, ch.etas, everything)
+        lam = attenuation_block(enc, mode_etas(ch, "worst-case"), everything)
         assert_close(lam[0, 1], 0.7 ** 2, 1e-12, "worst-case fallback")
 
     def test_site_level_matrix(self):
@@ -198,7 +243,7 @@ class TestAttenuationMatrices:
             for b in range(a + 1, 2 * n):
                 op = gammas[a] @ gammas[b]
                 out = dense_pauli_channel(op, n, ch.p, ch.alphas)
-                factor = attenuation_block(enc, ch, [a, b])[0, 1]
+                factor = attenuation_block(enc, ch.etas, [a, b])[0, 1]
                 assert_close(out, factor * op, 1e-12, f"{kind} bilinear ({a}, {b})")
                 assert lam[a, b] == pytest.approx(factor, abs=1e-14)
 
@@ -217,7 +262,8 @@ class TestAttenuationBlock:
         enc = EncodingWeightModel(kind, lat)
         full = attenuation_matrix(enc, ch, mode)
         for idx in (np.arange(lat.n_majorana), rng.choice(lat.n_majorana, 7, replace=False)):
-            assert np.array_equal(attenuation_block(enc, ch, idx, mode), full[np.ix_(idx, idx)])
+            assert np.array_equal(attenuation_block(enc, mode_etas(ch, mode), idx),
+                                  full[np.ix_(idx, idx)])
 
 
 _SINGLE_PAIR_ENCODINGS = [("local", Lattice(1, 8)), ("local", Lattice(2, 4)),
@@ -246,7 +292,7 @@ class TestSinglePairsAreIndexSets:
         n = lat.n_majorana
         for a, b in [(0, n), (n, 0), (-1, 0)]:
             with pytest.raises(IndexError):
-                attenuation_block(enc, ch, [a, b])
+                attenuation_block(enc, ch.etas, [a, b])
             with pytest.raises(IndexError):
                 enc.bilinear_weight(a, b)
         with pytest.raises(ValueError, match="distinct"):
@@ -261,8 +307,8 @@ class TestNoisyExpectations:
         enc = EncodingWeightModel("jw1d", lat)
         ch = PauliChannel.depolarizing(0.3)
         obs = QuadraticObservable.number(lat, 2)
-        assert noisy_expectation(state, obs, enc, ch) == pytest.approx(0.85, abs=1e-12)
-        assert measurement_error(state, obs, enc, ch) == pytest.approx(0.15, abs=1e-12)
+        assert noisy_expectation(state, obs, enc, ch.etas) == pytest.approx(0.85, abs=1e-12)
+        assert measurement_error(state, obs, enc, ch.etas) == pytest.approx(0.15, abs=1e-12)
 
     def test_vacuum_number_error(self):
         lat = Lattice(1, 3)
@@ -270,7 +316,7 @@ class TestNoisyExpectations:
         enc = EncodingWeightModel("jw1d", lat)
         obs = QuadraticObservable.number(lat, 0)
         ch = PauliChannel.depolarizing(0.2)
-        assert noisy_expectation(state, obs, enc, ch) == pytest.approx(0.1, abs=1e-12)
+        assert noisy_expectation(state, obs, enc, ch.etas) == pytest.approx(0.1, abs=1e-12)
 
     def test_matches_attenuated_state(self, rng):
         lat = Lattice(1, 5)
@@ -279,7 +325,7 @@ class TestNoisyExpectations:
         ch = PauliChannel.depolarizing(0.15)
         obs = momentum_occupation_observable(lat, [2 * np.pi / 5])
         damped = GaussianState(lat, attenuation_matrix(enc, ch) * state.gamma)
-        assert noisy_expectation(state, obs, enc, ch) == \
+        assert noisy_expectation(state, obs, enc, ch.etas) == \
             pytest.approx(damped.expectation(obs), abs=1e-12)
 
     def test_error_is_absolute_shift(self, rng):
@@ -288,8 +334,8 @@ class TestNoisyExpectations:
         enc = EncodingWeightModel("jw1d", lat)
         ch = PauliChannel.depolarizing(0.2)
         obs = random_normalized_observable(lat, rng)
-        shift = state.expectation(obs) - noisy_expectation(state, obs, enc, ch)
-        assert measurement_error(state, obs, enc, ch) == pytest.approx(abs(shift), abs=1e-12)
+        shift = state.expectation(obs) - noisy_expectation(state, obs, enc, ch.etas)
+        assert measurement_error(state, obs, enc, ch.etas) == pytest.approx(abs(shift), abs=1e-12)
 
     @pytest.mark.parametrize("channel", [
         PauliChannel.depolarizing(0.2),
@@ -307,13 +353,13 @@ class TestNoisyExpectations:
                 rho, dense_quadratic_observable(dense_coefficients(obs)),
                 channel.p, channel.alphas,
             )
-            assert noisy_expectation(state, obs, enc, channel) == \
+            assert noisy_expectation(state, obs, enc, channel.etas) == \
                 pytest.approx(dense_val, abs=1e-10)
 
     @pytest.mark.parametrize("measure", [
-        lambda state, obs, enc, ch: noisy_expectation(state, obs, enc, ch),
-        lambda state, obs, enc, ch: measurement_error(state, obs, enc, ch),
-        lambda state, obs, enc, ch: momentum_error_map(state, enc, ch, [[0.0]]),
+        lambda state, obs, enc, ch: noisy_expectation(state, obs, enc, ch.etas),
+        lambda state, obs, enc, ch: measurement_error(state, obs, enc, ch.etas),
+        lambda state, obs, enc, ch: momentum_error_map(state, enc, ch.etas, [[0.0]]),
     ])
     def test_encoding_and_state_lattices_must_agree(self, measure):
         # A 16-site sea read through encodings of 8 sites, or of 16 sites in 2D.
@@ -333,7 +379,7 @@ class TestSensitivity:
         enc = EncodingWeightModel("local", lat, phi0=1)
         obs = QuadraticObservable.number(lat, 1)
         for p in (1e-4, 1e-2, 0.3):
-            error = measurement_error(state, obs, enc, PauliChannel.depolarizing(p))
+            error = measurement_error(state, obs, enc, PauliChannel.depolarizing(p).etas)
             assert error / p == pytest.approx(0.5, abs=1e-12)
 
 
@@ -366,11 +412,12 @@ class TestSupportHeldMeasurement:
         observables = [QuadraticObservable.number(lat, 3), QuadraticObservable.hopping(lat, 0, 9),
                        QuadraticObservable.hopping(lat, 5, lat.n_sites - 2),
                        momentum_occupation_observable(lat, state.grid.momenta[4])]
+        etas = mode_etas(channel, mode)
         for obs in observables:
-            assert noisy_expectation(state, obs, enc, channel, mode) == \
-                pytest.approx(noisy_expectation(dense, obs, enc, channel, mode), abs=1e-12)
-            assert measurement_error(state, obs, enc, channel, mode) == \
-                pytest.approx(measurement_error(dense, obs, enc, channel, mode), abs=1e-12)
+            assert noisy_expectation(state, obs, enc, etas) == \
+                pytest.approx(noisy_expectation(dense, obs, enc, etas), abs=1e-12)
+            assert measurement_error(state, obs, enc, etas) == \
+                pytest.approx(measurement_error(dense, obs, enc, etas), abs=1e-12)
 
 
 class TestMomentumErrorMap:
@@ -379,7 +426,7 @@ class TestMomentumErrorMap:
         state, grid, _ = fermi_sea_1d(lat, 4)
         enc = EncodingWeightModel("jw1d", lat)
         ch = PauliChannel.depolarizing(0.1)
-        errors = momentum_error_map(state, enc, ch, grid.momenta)
+        errors = momentum_error_map(state, enc, ch.etas, grid.momenta)
         lam = attenuation_matrix(enc, ch)
         for j, k in enumerate(grid.momenta):
             obs = momentum_occupation_observable(lat, k)
@@ -393,17 +440,17 @@ class TestMomentumErrorMap:
         state, grid, _ = fermi_sea_1d(lat, 3)
         enc = EncodingWeightModel("jw1d", lat)
         fast = momentum_error_map(
-            state, enc, PauliChannel.depolarizing(0.2), grid.momenta)
+            state, enc, PauliChannel.depolarizing(0.2).etas, grid.momenta)
         ch = PauliChannel(0.2, alphas=(1 / 3 + 1e-10, 1 / 3, 1 / 3 - 1e-10))
         assert not ch.is_depolarizing
-        generic = momentum_error_map(state, enc, ch, grid.momenta)
+        generic = momentum_error_map(state, enc, ch.etas, grid.momenta)
         assert_close(generic, fast, 1e-8, "fast vs generic")
 
     def test_occupied_mode_errors_are_positive_losses(self):
         lat = Lattice(1, 10)
         state, grid, occ = fermi_sea_1d(lat, 5)
         enc = EncodingWeightModel("jw1d", lat)
-        errors = momentum_error_map(state, enc, PauliChannel.depolarizing(0.1), grid.momenta)
+        errors = momentum_error_map(state, enc, PauliChannel.depolarizing(0.1).etas, grid.momenta)
         assert (errors[occ] > 0).all()
 
     def test_two_dimensional_map(self):
@@ -412,7 +459,7 @@ class TestMomentumErrorMap:
         state, _ = fermi_sea(grid, 5, tight_binding_dispersion)
         enc = EncodingWeightModel("local", lat, phi0=1)
         ch = PauliChannel.depolarizing(0.05)
-        errors = momentum_error_map(state, enc, ch, grid.momenta)
+        errors = momentum_error_map(state, enc, ch.etas, grid.momenta)
         lam = attenuation_matrix(enc, ch)
         for j in (0, 7, 15):
             obs = momentum_occupation_observable(lat, grid.momenta[j])
@@ -425,8 +472,8 @@ class TestMomentumErrorMap:
         enc = EncodingWeightModel("jw1d", lat)
         ch = PauliChannel.depolarizing(0.1)
         with pytest.raises(ValueError, match="columns"):
-            momentum_error_map(state, enc, ch, np.array([0.0, np.pi / 2]))
-        out = momentum_error_map(state, enc, ch, np.array([[0.0], [np.pi / 2]]))
+            momentum_error_map(state, enc, ch.etas, np.array([0.0, np.pi / 2]))
+        out = momentum_error_map(state, enc, ch.etas, np.array([[0.0], [np.pi / 2]]))
         assert out.shape == (2,)
 
     @pytest.mark.parametrize("dim", [1, 2])
@@ -440,7 +487,7 @@ class TestMomentumErrorMap:
         off = np.concatenate([grid.momenta[:3], np.full((1, dim), np.pi / 4)])
         off[-1, 0] += 0.3
         with pytest.raises(ValueError, match="momenta"):
-            momentum_error_map(state, enc, PauliChannel.depolarizing(0.1), off)
+            momentum_error_map(state, enc, PauliChannel.depolarizing(0.1).etas, off)
         with pytest.raises(ValueError, match="momenta"):
             momentum_occupation(state, off)
 
@@ -467,8 +514,9 @@ class TestMomentumErrorMap:
                 for mode in MODES:
                     if kind == "local" and mode == "exact" and not ch.is_depolarizing:
                         continue
-                    total = momentum_error_map(state, enc, ch, grid.momenta, mode).sum()
-                    ez = _mode_etas(ch, mode)[2]
+                    etas = mode_etas(ch, mode)
+                    total = momentum_error_map(state, enc, etas, grid.momenta).sum()
+                    ez = etas[2]
                     on_site = np.sum(1.0 - ez ** z_counts[kind])
                     expected = on_site * (n_occ / lat.n_sites - 0.5)
                     assert abs(total - expected) <= 1e-12 * max(1.0, abs(expected)), \
@@ -543,7 +591,7 @@ class TestMomentumErrorMapReference:
         momenta = np.concatenate([grid.momenta, momentum_grid(lat, "odd").momenta])
         dense = dense_state(state)
         refuse_full_covariance(monkeypatch)
-        errors = momentum_error_map(state, enc, ch, momenta, mode)
+        errors = momentum_error_map(state, enc, mode_etas(ch, mode), momenta)
         ref = [per_momentum_error(dense, enc, ch, k, mode) for k in momenta]
         assert_close(errors, ref, 1e-12, f"{kind} {mode} {alphas} {dim}D")
 
@@ -553,14 +601,14 @@ class TestMomentumErrorMapReference:
         enc = EncodingWeightModel("local", lat)
         ch = PauliChannel(0.2, alphas=(0.5, 0.25, 0.25))
         with pytest.raises(ValueError, match="worst-case"):
-            momentum_error_map(state, enc, ch, np.array([[0.0]]))
+            momentum_error_map(state, enc, ch.etas, np.array([[0.0]]))
 
     def test_a_state_that_is_not_mode_diagonal_is_refused(self):
         lat = Lattice(1, 4)
         enc = EncodingWeightModel("jw1d", lat)
         with pytest.raises(TypeError, match="ModeDiagonalState"):
-            momentum_error_map(GaussianState.vacuum(lat), enc, PauliChannel.depolarizing(0.1),
-                               np.array([[0.0]]))
+            momentum_error_map(GaussianState.vacuum(lat), enc,
+                               PauliChannel.depolarizing(0.1).etas, np.array([[0.0]]))
 
 
 class TestSpectralErrorMap:
@@ -588,8 +636,8 @@ class TestSpectralErrorMap:
         reference = dense_state(state)
         refuse_full_covariance(monkeypatch)
         channel = PauliChannel.depolarizing(0.13)
-        spectral = {(enc.kind, enc.phi0, mode): momentum_error_map(state, enc, channel,
-                                                                   momenta, mode)
+        spectral = {(enc.kind, enc.phi0, mode):
+                    momentum_error_map(state, enc, mode_etas(channel, mode), momenta)
                     for enc in encodings for mode in ("exact", "worst-case")}
         for enc in encodings:
             for mode in ("exact", "worst-case"):
@@ -613,7 +661,7 @@ class TestSpectralErrorMap:
         momenta = np.concatenate([grid.momenta, momentum_grid(lat, "even").momenta])
         dense = dense_state(state)
         refuse_full_covariance(monkeypatch)
-        errors = momentum_error_map(state, enc, channel, momenta)
+        errors = momentum_error_map(state, enc, channel.etas, momenta)
         # The drops are summed over pairs before the C(r) weights, the dense
         # reference's T after them: the same sum in another order.
         assert_close(errors, dense_momentum_error_map(dense, enc, channel, momenta),
@@ -635,7 +683,7 @@ class TestSpectralErrorMap:
         enc = EncodingWeightModel("local", lat, phi0=phi0)
         probes_m = [(0, 0), (35, 0), (36, 0), (25, 25), (26, 25), (-36, 3), (99, -100)]
         probes_k = np.array(probes_m, dtype=float) * 2.0 * np.pi / side
-        errors = momentum_error_map(state, enc, PauliChannel.depolarizing(p), probes_k)
+        errors = momentum_error_map(state, enc, PauliChannel.depolarizing(p).etas, probes_k)
         occ_m = lat.coords[occ] - side // 2  # m of the periodic grid
         direct = _direct_occupation_errors(side, occ_m, p, phi0, probes_m)
         assert_close(errors, direct, 1e-12, "spectral vs convolution reference")
@@ -692,7 +740,7 @@ class TestFenwickLevels:
     @pytest.mark.parametrize("channel,mode", _FENWICK_NOISE, ids=_FENWICK_IDS)
     def test_levels_match_the_fold(self, dim, length, channel, mode):
         lat = Lattice(dim, length)
-        etas = _mode_etas(channel, mode)
+        etas = mode_etas(channel, mode)
         enc = EncodingWeightModel("bravyi_kitaev", lat)
         boxes = fold_drop_box(enc, etas)
         for signs in _every_sign(dim):
@@ -717,11 +765,11 @@ class TestFenwickLevels:
         monkeypatch.setattr(encodings, "_fenwick_pairs", refuse)
         refuse_full_covariance(monkeypatch)
         enc = EncodingWeightModel("bravyi_kitaev", lat)
-        errors = momentum_error_map(state, enc, PauliChannel.depolarizing(p), grid.momenta)
+        errors = momentum_error_map(state, enc, PauliChannel.depolarizing(p).etas, grid.momenta)
         assert_close(errors, want, 1e-12, "levels vs streamed fold at L = 64")
 
     def test_the_tori_of_the_last_etas_and_signs_are_kept_on_the_model(self):
-        # A run fixes the mode: its fillings share the tori of one etas, and
+        # A run fixes its etas: its fillings share the tori of those etas, and
         # every grid momentum folds with sign +1.
         lat = Lattice(2, 8)
         enc = EncodingWeightModel("jw2d_snake", lat)
@@ -731,13 +779,13 @@ class TestFenwickLevels:
         for n_occ in (10, 20):
             grid = momentum_grid(lat, parity_of(n_occ))
             state, _ = fermi_sea(grid, n_occ, tight_binding_dispersion)
-            errors.append(momentum_error_map(state, enc, ch, grid.momenta))
+            errors.append(momentum_error_map(state, enc, ch.etas, grid.momenta))
         assert enc.drop_torus(ch.etas, (1, 1)) is kept
-        momentum_error_map(state, enc, ch, grid.momenta, "worst-case")
+        momentum_error_map(state, enc, mode_etas(ch, "worst-case"), grid.momenta)
         assert enc.drop_torus((ch.worst_factor,) * 3, (1, 1)) is not kept
         assert enc.drop_torus(ch.etas, (1, -1)) is not kept
         fresh = EncodingWeightModel("jw2d_snake", lat)
-        assert_close(errors[1], momentum_error_map(state, fresh, ch, grid.momenta), 0.0,
+        assert_close(errors[1], momentum_error_map(state, fresh, ch.etas, grid.momenta), 0.0,
                      "kept torus")
         again = enc.drop_torus(ch.etas, [1, 1])
         assert again is not kept and all(np.array_equal(a, b) for a, b in zip(again, kept))
@@ -752,10 +800,10 @@ class TestFenwickLevels:
         state, _ = fermi_sea(grid, 300, tight_binding_dispersion)
         enc = EncodingWeightModel("local", lat)
         ch = PauliChannel.depolarizing(0.01)
-        want = momentum_error_map(state, enc, ch, grid.momenta)  # every cache warm
+        want = momentum_error_map(state, enc, ch.etas, grid.momenta)  # every cache warm
         tracemalloc.start()
         try:
-            errors = momentum_error_map(state, enc, ch, grid.momenta)
+            errors = momentum_error_map(state, enc, ch.etas, grid.momenta)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -770,10 +818,10 @@ class TestFenwickLevels:
         sweep = np.linspace(0.001, 0.5, 50)
         for p in np.concatenate([sweep, sweep[:3]]):
             ch = PauliChannel.depolarizing(float(p))
-            got = momentum_error_map(state, enc, ch, grid.momenta)
+            got = momentum_error_map(state, enc, ch.etas, grid.momenta)
             assert enc._last_drop_torus[0] == (ch.etas, (1, 1))
             fresh = EncodingWeightModel("bravyi_kitaev", lat)
-            assert_close(got, momentum_error_map(state, fresh, ch, grid.momenta), 0.0,
+            assert_close(got, momentum_error_map(state, fresh, ch.etas, grid.momenta), 0.0,
                          f"p = {p}")
 
     @pytest.mark.parametrize("kind,dim,shared", [("local", 1, True), ("local", 2, True),
@@ -811,7 +859,7 @@ class TestJordanWignerTorus:
     @pytest.mark.parametrize("channel,mode", _FENWICK_NOISE, ids=_FENWICK_IDS)
     def test_separations_match_the_fold(self, kind, dim, length, channel, mode):
         lat = Lattice(dim, length)
-        etas = _mode_etas(channel, mode)
+        etas = mode_etas(channel, mode)
         enc = EncodingWeightModel(kind, lat)
         origin = (0,) * dim
         boxes = fold_drop_box(enc, etas)
@@ -840,7 +888,7 @@ class TestJordanWignerTorus:
         monkeypatch.setattr(EncodingWeightModel, "_jordan_wigner_counts", refuse)
         refuse_full_covariance(monkeypatch)
         enc = EncodingWeightModel("jw2d_snake", lat)
-        errors = momentum_error_map(state, enc, PauliChannel.depolarizing(p), grid.momenta)
+        errors = momentum_error_map(state, enc, PauliChannel.depolarizing(p).etas, grid.momenta)
         assert_close(errors, want, 1e-12, "qubit separations vs streamed fold at L = 64")
 
 _TORUS_DROP_CASES = [(kind, dim, length, channel, mode)
@@ -851,7 +899,7 @@ _TORUS_DROP_CASES = [(kind, dim, length, channel, mode)
                          ("bravyi_kitaev", 1, 512), ("bravyi_kitaev", 2, 2),
                          ("bravyi_kitaev", 2, 64)]
                      for channel, mode in _FENWICK_NOISE
-                     if kind != "local" or len(set(_mode_etas(channel, mode))) == 1]
+                     if kind != "local" or len(set(mode_etas(channel, mode))) == 1]
 
 
 class TestTorusDrops:
@@ -862,7 +910,7 @@ class TestTorusDrops:
     @pytest.mark.parametrize("kind,dim,length,channel,mode", _TORUS_DROP_CASES)
     def test_each_torus_is_the_fold_of_its_box(self, kind, dim, length, channel, mode):
         lat = Lattice(dim, length)
-        etas = _mode_etas(channel, mode)
+        etas = mode_etas(channel, mode)
         enc = EncodingWeightModel(kind, lat)
         boxes = box_drops(enc, etas)
         for signs in _every_sign(dim):
@@ -913,7 +961,7 @@ class TestTorusRoute:
         for channel, mode in _TORUS_NOISE:
             if kind == "local" and not (channel.is_depolarizing or mode == "worst-case"):
                 continue  # weights only: a non-uniform mix needs X/Y/Z counts
-            assert_close(momentum_error_map(state, enc, channel, momenta, mode),
+            assert_close(momentum_error_map(state, enc, mode_etas(channel, mode), momenta),
                          box_momentum_error_map(state, enc, channel, momenta, mode), 1e-14,
                          f"{label} {channel.alphas} {mode}")
         # Any drops, zero where no pair lies (an axis at -L), as every drop box

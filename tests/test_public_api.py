@@ -8,7 +8,7 @@ import pytest
 
 import conftest
 import fermion_noise
-from fermion_noise import circuits, encodings, gaussian, lattice, noise
+from fermion_noise import bounds, circuits, encodings, gaussian, lattice, noise
 
 # Wrappers, aliases and duplicates with one remaining name each, and dense
 # references that only the tests use (they build them in conftest.py).
@@ -46,6 +46,8 @@ DELETED_FUNCTIONS = [
     (gaussian, "GaussianState"),
     (encodings, "_fenwick_drop_box"),
     (encodings, "_jordan_wigner_drop_box"),
+    (circuits, "heisenberg_observable"),
+    (noise, "_mode_etas"),
 ]
 DELETED_METHODS = [
     ("PauliChannel", "depolarizing_attenuation"),
@@ -82,8 +84,6 @@ DELETED_METHODS = [
 KEPT = {
     "noisy_expectation": "Proposition 1's measurement-noise setting (criterion 3)",
     "measurement_error": "Proposition 1's measurement-noise setting (criterion 3)",
-    "heisenberg_observable": "the Heisenberg picture, the reference for prefix_expectations "
-                             "(criterion 2)",
     "jump_scaling_probe": "criterion 8's fragile finite-size probe",
     "lipschitz_scaling_probe": "criterion 8's stable finite-size probe",
     "snake_index_vector": "the jw2d_snake qubit order read whole; the package reads it "
@@ -245,3 +245,31 @@ def test_derived_arrays_are_cached_properties():
              for target in getattr(node, "targets", [getattr(node, "target", None)])
              if isinstance(target, ast.Attribute) and target.attr != "_distance_matrix"]
     assert found == []
+
+
+def test_the_noise_reaches_the_library_as_etas():
+    # The library takes noise as its three etas: no public function or method
+    # names a channel or a mode, but mode_etas, the one reader of a channel in
+    # a mode; only it and the CLI's option check read MODES.
+    package = pathlib.Path(fermion_noise.__file__).parent
+    found = []
+    for module in (noise, circuits, bounds, encodings):
+        path = pathlib.Path(module.__file__)
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_") \
+                    and node.name != "mode_etas":
+                found += [f"{path.name}:{node.lineno} {node.name}({arg.arg})"
+                          for arg in node.args.args + node.args.kwonlyargs
+                          if arg.arg in ("mode", "channel")]
+    assert found == []
+    readers = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "cli.py":
+            continue
+        tree = ast.parse(path.read_text())
+        tree.body = [node for node in tree.body
+                     if (path.name, getattr(node, "name", None)) != ("noise.py", "mode_etas")]
+        readers += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                    if isinstance(node, ast.Name) and node.id == "MODES"
+                    and isinstance(node.ctx, ast.Load)]
+    assert readers == []
