@@ -25,7 +25,7 @@ A layer is stored as its gate blocks and a stream key, not as ``R``: one
 ``(G, k)`` array of the Majorana indices of ``G`` disjoint blocks per gate
 size ``k`` (:class:`Layer`).  ``R`` is the identity outside the blocks and
 is never built as a ``2N x 2N`` matrix, and a gate is drawn and
-orthogonalized only when it is used.
+orthogonalized only when a light cone reaches it.
 
 The Haar stream is the package's own and counter based: the ``k x k``
 standard normals of a gate are a pure function of the circuit's seed words,
@@ -34,10 +34,10 @@ layer fold into the layer's 64-bit key by SplitMix64's finalizer; the gate
 seeds a SplitMix64 sequence from that key, whose ``k * k`` uint64 outputs
 become uniforms in ``(0, 1]`` and, by Box-Muller in pairs, the normals;
 :func:`~fermion_noise.gaussian.haar_rotations` turns them into a Haar gate of
-SO(k).  Any subset of a layer's gates is drawn alone, bit for bit as in the
-whole layer.  The integers depend on no generator state and no numpy
-version; the normals pass through numpy's ``log``, ``cos`` and ``sin`` and
-the gates through LAPACK's QR.
+SO(k).  Any subset of a layer's gates, or of several layers' gates stacked
+with their keys, is drawn bit for bit as in the whole layer.  The integers
+depend on no generator state and no numpy version; the normals pass through
+numpy's ``log``, ``cos`` and ``sin`` and the gates through LAPACK's QR.
 
 Expectations follow the light cone.  A layer's window (:meth:`Layer.window`)
 maps an index set ``W`` to the set ``T`` that ``R[W]`` reaches: the gate
@@ -46,9 +46,11 @@ T]`` is block diagonal, so both pictures apply the touched gates alone, by
 gather, stacked ``k x k`` matmul and scatter, at ``O(|T|^2 k)`` per layer.
 :func:`prefix_expectations` builds the windows backwards from the
 observable, ``W_depth = supp(O)`` and ``W_(d-1)`` the window of layer ``d``
-from ``W_d``, gathers the covariance on ``W_0`` once and sweeps one copy per
-run forward, ideal and noisy: rotate, restrict to ``W_d``, damp the noisy
-copy by the attenuation on ``W_d`` alone, and read prefix ``d`` on ``supp(O)``.
+from ``W_d``, draws the gates of every window in one batch per gate size
+for the whole sweep (:func:`_draw`), gathers the covariance on ``W_0`` once
+and sweeps one copy per run forward, ideal and noisy: rotate, restrict to
+``W_d``, damp the noisy copy by the attenuation on ``W_d`` alone, and read
+prefix ``d`` on ``supp(O)``.
 The damping is elementwise and ``R`` is zero between ``W_d`` and the indices
 outside ``W_(d-1)``, so this is the dense evolution restricted, not an
 approximation.  In a brickwork circuit a window grows by at most ``radius``
@@ -56,7 +58,9 @@ sites per layer, so every prefix of a ``depth``-layer circuit costs
 ``O(depth * |W|^2 k)`` with ``|W|`` the light-cone volume, whatever the
 system size, and only the gates inside the cone are drawn and orthogonalized,
 once for both runs; a layer with one gate on every index gives the full
-window and the dense cost.
+window and the dense cost.  The state is read on ``W_0`` alone, so a state
+that holds its ``C(r)`` (the circulant power-law state) costs the circuit no
+FFT.
 
 That sweep is the package's one circuit evolution.  Its references are
 test code: the Heisenberg pullback of the observable on the same windows
@@ -73,15 +77,18 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .encodings import EncodingWeightModel
+from .encodings import EncodingWeightModel, checked_etas
 from .gaussian import CovarianceBlocks, QuadraticObservable, haar_rotations
 from .lattice import Lattice
 from .noise import attenuation_block
 
-# Per gate size: the (g, k) positions of g touched blocks in a window, and their rotations.
+# Per gate size: the (g, k) positions of g touched blocks in a window, and their Majorana
+# indices as a window finds them, or their rotations once drawn.
 Touched = Tuple[Tuple[np.ndarray, np.ndarray], ...]
 
 _MASK = (1 << 64) - 1
+# Normals drawn per batch of a sweep (2 MB); a light cone of a local observable needs one.
+_BATCH_ENTRIES = 1 << 18
 _GAMMA = 0x9E3779B97F4A7C15  # SplitMix64's increment, 2^64 over the golden ratio, odd
 
 
@@ -104,14 +111,16 @@ def _stream_key(words: Sequence[int]) -> int:
     return key
 
 
-def _gate_normals(key: int, first: np.ndarray, size: int) -> np.ndarray:
+def _gate_normals(key: Union[int, np.ndarray], first: np.ndarray, size: int) -> np.ndarray:
     """``(g, size, size)`` standard normals of the gates whose first Majoranas are ``first``.
 
-    A gate seeds a SplitMix64 sequence at ``_mix(first * gamma ^ key)``; its
-    outputs ``_mix(seed + j * gamma)``, ``j = 1, 2, ...``, are the counters
-    of its uniforms ``(top 53 bits + 1) / 2^53`` in ``(0, 1]``, and each
-    pair ``(u, v)`` gives the normals ``r cos(2 pi v)`` and ``r sin(2 pi
-    v)``, ``r = sqrt(-2 log u)``, filled row by row.
+    ``key`` is one layer's key, or a uint64 array of one key per gate
+    broadcast against ``first``.  A gate seeds a SplitMix64 sequence at
+    ``_mix(first * gamma ^ key)``; its outputs ``_mix(seed + j * gamma)``,
+    ``j = 1, 2, ...``, are the counters of its uniforms
+    ``(top 53 bits + 1) / 2^53`` in ``(0, 1]``, and each pair ``(u, v)``
+    gives the normals ``r cos(2 pi v)`` and ``r sin(2 pi v)``,
+    ``r = sqrt(-2 log u)``, filled row by row.
     """
     pairs = (size * size + 1) // 2
     seeds = _mix(np.asarray(first, dtype=np.uint64) * _GAMMA & _MASK ^ key)
@@ -131,9 +140,10 @@ class Layer:
     ``blocks`` holds one ``(G, k)`` index array per gate size ``k``, and
     gate ``g`` of it acts as ``R[indices[g], indices[g]] = gates(indices[g :
     g + 1])[0]``: a Haar rotation of SO(k) drawn from the layer's ``key`` and
-    the gate's first Majorana index alone.  Gates are drawn and
-    orthogonalized when a window touches them, never all at once, and any
-    subset comes out bit for bit as in the whole stack.
+    the gate's first Majorana index alone.  A window finds the gates that
+    it touches and draws none; any subset of gates, of one layer or stacked
+    across layers with their keys, comes out bit for bit as in the whole
+    stack.
     """
 
     n_majorana: int
@@ -169,13 +179,13 @@ class Layer:
         return haar_rotations(_gate_normals(self.key, rows[:, 0], rows.shape[1]))
 
     def window(self, support: np.ndarray) -> Tuple[np.ndarray, Touched]:
-        """``(T, touched)``: the sorted columns ``T`` that ``R[support]`` reaches, and their gates.
+        """``(T, reached)``: the sorted columns ``T`` that ``R[support]`` reaches, and their blocks.
 
         ``T`` is the union of the gate blocks that touch ``support``, plus the
         indices of ``support`` that no gate touches, so ``R[T, T]`` is block
-        diagonal.  ``touched`` holds one ``(positions, gates)`` pair per gate
-        size: the blocks' positions in ``T`` and their rotations, drawn and
-        orthogonalized here, these gates only.  The cost is set by
+        diagonal.  ``reached`` holds one ``(positions, rows)`` pair per gate
+        size: the blocks' positions in ``T`` and their Majorana indices, whose
+        rotations are ``gates(rows)``; none is drawn here.  The cost is set by
         ``len(support)``, not by the layer's size.
         """
         group, gate = self._where[:, support]
@@ -186,8 +196,37 @@ class Layer:
             cols.append(rows.ravel())
             hit_rows.append(rows)
         cols = np.sort(np.concatenate(cols))
-        return cols, tuple((np.searchsorted(cols, rows), self.gates(rows))
-                           for rows in hit_rows if len(rows))
+        return cols, tuple((np.searchsorted(cols, rows), rows) for rows in hit_rows if len(rows))
+
+
+def _draw(layers: Sequence[Layer], reached: Sequence[Touched]) -> List[Touched]:
+    """The gates each layer's window reached, ``(positions, rotations)`` per gate size.
+
+    The rows of every layer are stacked by gate size, each with its layer's
+    key, and drawn and orthogonalized by one :func:`_gate_normals` and one
+    :func:`~fermion_noise.gaussian.haar_rotations` call per size, then split
+    back by layer: every gate bit for bit as :meth:`Layer.gates` draws it.
+    A stack of more than ``_BATCH_ENTRIES`` normals, a cone that fills a
+    deep circuit, is drawn in batches of about that many, which bounds the
+    temporaries of the draw.
+    """
+    stacks = {}  # gate size -> [(layer number, positions, rows, key)]
+    for d, (layer, blocks) in enumerate(zip(layers, reached)):
+        for pos, rows in blocks:
+            stacks.setdefault(rows.shape[1], []).append((d, pos, rows, layer.key))
+    touched: List[list] = [[] for _ in layers]
+    for size, stack in stacks.items():
+        counts = [len(rows) for _, _, rows, _ in stack]
+        keys = np.repeat(np.array([key for *_, key in stack], dtype=np.uint64), counts)
+        first = np.concatenate([rows[:, 0] for _, _, rows, _ in stack])
+        gates = np.empty((len(first), size, size))
+        per_batch = max(1, _BATCH_ENTRIES // (size * size))
+        for at in range(0, len(first), per_batch):
+            batch = slice(at, at + per_batch)
+            gates[batch] = haar_rotations(_gate_normals(keys[batch], first[batch], size))
+        for (d, pos, _, _), part in zip(stack, np.split(gates, np.cumsum(counts)[:-1])):
+            touched[d].append((pos, part))
+    return [tuple(step) for step in touched]
 
 
 def _rotate(mat: np.ndarray, touched: Touched) -> np.ndarray:
@@ -227,8 +266,8 @@ def brickwork_circuit(lattice: Lattice, depth: int, radius: int = 1,
     ``l`` takes the key of the words ``(*seed, l)``, so a gate is fixed by
     the seed, its layer and its first Majorana index, and equal seeds give
     equal circuits.  Building a layer draws nothing: gates of one size are
-    kept as one index array of the :class:`Layer`, which draws and
-    orthogonalizes a gate only when a window touches it; layers one cycle of
+    kept as one index array of the :class:`Layer`, and a gate is drawn and
+    orthogonalized only when a light cone reaches it; layers one cycle of
     ``dim * (radius + 1)`` apart share their index arrays and lookup.
     """
     if depth < 0:
@@ -269,7 +308,8 @@ def prefix_expectations(state: CovarianceBlocks, obs: QuadraticObservable,
 
     One forward sweep on shrinking windows runs both.  ``W_depth = supp(O)``,
     and ``W_(d-1)`` is the window that layer ``d`` reaches from ``W_d``; these
-    index arrays and each layer's touched gates are built once.  The covariance
+    index arrays are built once, and the gates they touch in every layer are
+    drawn once, one batch per gate size (:func:`_draw`).  The covariance
     on ``W_0`` is gathered once; layer ``d`` rotates each run's copy by block
     and restricts it to ``W_d``, one copy at a time, and damps the noisy one by
     the attenuation of ``etas`` on ``W_d``, splitting it off the ideal one at
@@ -279,20 +319,22 @@ def prefix_expectations(state: CovarianceBlocks, obs: QuadraticObservable,
     the noisy list alone pays for the ideal rotations too); entry ``d`` is the
     observable pulled back through ``d`` layers, summed in another order.
     """
-    noisy = etas is not None and not np.array_equal(etas, (1.0, 1.0, 1.0))
+    if etas is not None:
+        etas = checked_etas(etas)
+    noisy = etas is not None and etas != (1.0, 1.0, 1.0)
     if noisy and enc is None:
         raise ValueError("a noisy circuit needs an encoding weight model")
     if noisy and enc.lattice != circuit.lattice:
         raise ValueError("encoding and circuit lattices disagree")
     order = np.argsort(obs.support)
     support, block = obs.support[order], obs.block[np.ix_(order, order)]
-    windows, steps = [support], []
+    windows, reached = [support], []
     for layer in reversed(circuit.layers):
-        cols, touched = layer.window(windows[-1])
+        cols, blocks = layer.window(windows[-1])
         windows.append(cols)
-        steps.append(touched)
+        reached.append(blocks)
     windows.reverse()
-    steps.reverse()
+    steps = _draw(circuit.layers, reached[::-1])
     runs = [np.array(state.covariance_block(windows[0]))]  # ideal, rotated in place below
     values = []
     for d, window in enumerate(windows):

@@ -57,6 +57,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from typing import Sequence, Tuple
 
 import numpy as np
@@ -68,6 +69,19 @@ ENCODING_KINDS = ("local", "jw1d", "jw2d_snake", "bravyi_kitaev")
 _WEIGHTS_ONLY = ("the 'local' model assigns Pauli weights only, not the X/Y/Z strings "
                  "that exact attenuation under a non-uniform mix needs; use the worst-case "
                  "etas, mode_etas(channel, 'worst-case')")
+
+
+def checked_etas(etas: Sequence[float]) -> Tuple[float, float, float]:
+    """``etas`` as three floats, or ``ValueError`` unless they are three numbers in ``[0, 1]``."""
+    try:
+        values = tuple(etas)
+    except TypeError:  # not iterable
+        values = ()
+    if len(values) != 3 or not all(isinstance(eta, numbers.Real) and 0.0 <= eta <= 1.0
+                                   for eta in values):  # NaN fails the comparison
+        raise ValueError(f"etas must be three finite numbers in [0, 1], got {etas!r}")
+    return tuple(map(float, values))
+
 
 def _require_power_of_two(n: int) -> None:
     if n < 1 or n & (n - 1):
@@ -415,12 +429,15 @@ class EncodingWeightModel:
         separation (:func:`_jordan_wigner_drop_torus`).  The tori are
         read-only, and under equal etas one array serves both flavors but on
         ``bravyi_kitaev``.  They depend on the encoding, the etas and the
-        signs, not on the state, and the last ``(etas, signs)`` tori are kept.
+        signs, not on the state, and the last ``(etas, signs)`` tori are kept;
+        etas that are not three numbers in ``[0, 1]`` raise ``ValueError`` (the
+        check runs when the tori are built, not on a kept pair).
         """
         signs = tuple(int(sign) for sign in signs)
         if len(signs) != self.lattice.dim or not set(signs) <= {1, -1}:
             raise ValueError(f"signs must be {self.lattice.dim} of +1 and -1, got {signs}")
         if self._last_drop_torus[0] != (etas, signs):
+            etas = checked_etas(etas)
             lat = self.lattice
             if self.kind == "local":
                 if not etas[0] == etas[1] == etas[2]:

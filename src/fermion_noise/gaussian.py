@@ -17,10 +17,13 @@ site occupation, 4 x 4 for a hopping).  An expectation reads the covariance
 on ``S`` alone, through the state's ``covariance_block``.
 
 The one state class is :class:`ModeDiagonalState` (every Fermi sea, the
-scaling probes, the circulant power-law state): the momentum grid and the
-occupations ``n(q)``.  ``C(r)`` is one FFT of ``n(q)`` on the ``L^D`` torus
-(with a half-period twist on the antiperiodic grid), a cached property of
-the state; the covariance on an index set is gathered from it, and
+scaling probes, the circulant power-law state): the momentum grid with the
+occupations ``n(q)`` or with ``C(r)`` on the ``L^D`` torus.  Either is one
+FFT of the other (with a half-period twist on the antiperiodic grid) and is
+computed only when read: a Fermi sea is built from its ``n(q)``, the
+circulant state from its exact ``C(r)``
+(:meth:`ModeDiagonalState.from_correlation`), so a circuit on it loads no
+``numpy.fft``.  The covariance on an index set is gathered from ``C(r)``, and
 ``<n_k>`` and noise-induced ``n_k`` errors for a whole grid are read off
 one more ``L^D`` FFT of the drops, summed onto the same torus by the
 encoding (:meth:`ModeDiagonalState.occupation_shift`,
@@ -33,8 +36,8 @@ through :class:`CovarianceBlocks`, so those dense states reach them too.
 
 Besides those, the module provides a synthetic family used to probe
 correlation-decay premises: a translation-invariant circulant state with an
-exactly known power-law envelope, whose ``n(q)`` is one FFT of that
-envelope.  Haar rotations serve the circuits' gates.
+exactly known power-law envelope, held as that envelope.  Haar rotations
+serve the circuits' gates.
 """
 
 from __future__ import annotations
@@ -52,6 +55,15 @@ from .special import riemann_zeta
 
 # How far a mode occupation may leave [0, 1] by rounding.
 OCCUPATION_SLACK = 1e-12
+
+
+def _check_occupations(n: np.ndarray) -> None:
+    """``InvariantViolation`` unless every ``n(q)`` lies in ``[0, 1]`` to ``OCCUPATION_SLACK``."""
+    if not (n.min() >= -OCCUPATION_SLACK and n.max() <= 1.0 + OCCUPATION_SLACK):  # NaN too
+        raise InvariantViolation(
+            f"mode occupations span [{n.min():.6g}, {n.max():.6g}], outside [0, 1]; "
+            "state is unphysical"
+        )
 
 
 class QuadraticObservable:
@@ -135,31 +147,76 @@ class CovarianceBlocks(Protocol):
 class ModeDiagonalState:
     """Translation-invariant state diagonal in the plane waves of a momentum grid.
 
-    Held as the grid and the mode occupations ``n(q)``; the two-point
-    function is ``C_xy = C(x - y)`` with ``C(r) = (1/N) sum_q n(q) e^{i q.r}``,
-    kept as ``conj C(r)`` on the ``L^D`` torus: one ``L^D`` FFT of ``n(q)``,
-    periodic on the periodic grid and antiperiodic on the other.  The
-    covariance on an index set is gathered from the torus, and noise-induced
-    ``n_k`` errors are the drops on the torus weighted by ``C(r)``
-    (:meth:`occupation_shift`) for every encoding, mode and mix.
-    Construction checks ``0 <= n(q) <= 1`` to ``OCCUPATION_SLACK``, which a
-    NaN occupation fails too.
+    Held as the grid and the mode occupations ``n(q)``, or the grid and the
+    correlation torus (:meth:`from_correlation`); the two-point function is
+    ``C_xy = C(x - y)`` with ``C(r) = (1/N) sum_q n(q) e^{i q.r}``, kept as
+    ``conj C(r)`` on the ``L^D`` torus, periodic on the periodic grid and
+    antiperiodic on the other.  Each of ``n(q)`` and the torus is one
+    ``L^D`` FFT of the other, taken when first read.  The covariance on an
+    index set is gathered from the torus, and noise-induced ``n_k`` errors
+    are the drops on the torus weighted by ``C(r)`` (:meth:`occupation_shift`)
+    for every encoding, mode and mix.  Construction checks
+    ``0 <= n(q) <= 1`` to ``OCCUPATION_SLACK``, which a NaN occupation fails
+    too.
     """
 
     def __init__(self, grid: MomentumGrid, occupations: np.ndarray):
         n = np.array(occupations, dtype=float)
         if n.shape != (len(grid),):
             raise ValueError(f"occupations must have shape ({len(grid)},), got {n.shape}")
-        if not (n.min() >= -OCCUPATION_SLACK and n.max() <= 1.0 + OCCUPATION_SLACK):  # NaN too
-            raise InvariantViolation(
-                f"mode occupations span [{n.min():.6g}, {n.max():.6g}], outside [0, 1]; "
-                "state is unphysical"
-            )
+        _check_occupations(n)
         n.setflags(write=False)
+        self._set_grid(grid)
+        self.occupations = n
+
+    @classmethod
+    def from_correlation(cls, grid: MomentumGrid, conj_corr: np.ndarray) -> "ModeDiagonalState":
+        """The state whose ``conj C(r)`` on the ``L^D`` torus is ``conj_corr``.
+
+        ``conj_corr`` is laid out as :attr:`_conj_correlation` and kept as
+        the state's torus, so a state that knows its ``C(r)`` exactly (the
+        circulant power-law state) pays no FFT for it; ``n(q)`` is read off
+        the torus when first asked for (:attr:`occupations`).  The check of
+        ``0 <= n(q) <= 1`` is the constructor's, made first by the triangle
+        bound ``|n(q) - C(0)| <= sum_{r != 0} |C(r)|`` in ``O(N)``, and on
+        ``n(q)`` itself only when that bound leaves ``[0, 1]``.
+        """
+        lat = grid.lattice
+        torus = np.array(conj_corr, dtype=complex)
+        if torus.shape != (lat.length,) * lat.dim:
+            raise ValueError(f"a correlation torus must have shape {(lat.length,) * lat.dim}, "
+                             f"got {torus.shape}")
+        torus.setflags(write=False)
+        state = cls.__new__(cls)
+        state._set_grid(grid)
+        state._conj_correlation = torus
+        origin = torus[(0,) * lat.dim]
+        spread = float(np.abs(torus).sum()) - abs(origin)
+        if not (origin.real - spread >= -OCCUPATION_SLACK
+                and origin.real + spread <= 1.0 + OCCUPATION_SLACK):  # NaN too
+            _check_occupations(state.occupations)
+        return state
+
+    def _set_grid(self, grid: MomentumGrid) -> None:
         self.lattice = grid.lattice
         self.grid = grid
-        self.occupations = n
         self._half = grid.parity == "even"  # half-integer modes, an antiperiodic C(r)
+
+    @functools.cached_property
+    def occupations(self) -> np.ndarray:
+        """``n(q)`` in grid order, read-only: given, or read off the correlation torus.
+
+        A state built by :meth:`from_correlation` reads
+        ``n(q) = Re sum_r conj C(r) e^{i q.r}``, one inverse ``L^D`` FFT with
+        the half-period twist on the antiperiodic grid
+        (:meth:`Lattice.torus_sum`), the exact inverse of
+        :attr:`_conj_correlation`.
+        """
+        lat = self.lattice
+        n = lat.torus_sum(self._conj_correlation.copy(), (self._half,) * lat.dim,
+                          self.grid.torus_index)
+        n.setflags(write=False)
+        return n
 
     @functools.cached_property
     def _conj_correlation(self) -> np.ndarray:
@@ -170,7 +227,8 @@ class ModeDiagonalState:
         one ``L^D`` FFT of ``n(q)`` placed at ``n mod L``, times the
         half-period twist ``e^{-i pi r / L}`` per axis when ``h = 1/2``.
         ``C(r - L) = C(r)`` per axis on the periodic grid and ``-C(r)`` on the
-        antiperiodic one.
+        antiperiodic one.  A state built by :meth:`from_correlation` holds it
+        from the start.
         """
         lat = self.lattice
         torus = np.zeros((lat.length,) * lat.dim)
@@ -402,9 +460,11 @@ def circulant_power_law_state(lattice: Lattice, mu: float
     diagonal and ``A (1 + d(x, y))^{-mu}`` off it, with A normalized against
     the infinite-lattice sum so every mode occupation stays in
     ``[0.05, 0.95]`` on any torus size.  The state is mode-diagonal on the
-    periodic grid (L even): ``n(q)`` is one FFT of that profile over the
-    displacements of the torus.  Returns the state and the exact decay
-    constant ``K = 2 A`` of its covariance matrix.
+    periodic grid and is built from that profile over the displacements of
+    the torus, its exact ``C(r)`` (:meth:`ModeDiagonalState.from_correlation`,
+    whose triangle bound is the normalization of A); ``n(q)``, one FFT of
+    the profile, is taken only if read.  Returns the state and the exact
+    decay constant ``K = 2 A`` of its covariance matrix.
     """
     amp = 0.45 / _offdiagonal_decay_sum(lattice.dim, mu)
     length = lattice.length
@@ -413,7 +473,4 @@ def circulant_power_law_state(lattice: Lattice, mu: float
                for i in range(lattice.dim))
     profile = amp * (1.0 + dist) ** (-mu)
     profile[(0,) * lattice.dim] = 0.5
-    grid = momentum_grid(lattice, "odd")
-    n_q = np.fft.fftn(profile).real
-    occupations = n_q[tuple(grid.torus_index.T)]
-    return ModeDiagonalState(grid, occupations), 2.0 * amp
+    return ModeDiagonalState.from_correlation(momentum_grid(lattice, "odd"), profile), 2.0 * amp

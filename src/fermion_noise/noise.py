@@ -44,13 +44,12 @@ weighted by ``C(r)``, one FFT per class of momenta; neither the
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 import numpy as np
 
-from .encodings import EncodingWeightModel
+from .encodings import EncodingWeightModel, checked_etas
 from .gaussian import CovarianceBlocks, ModeDiagonalState, QuadraticObservable
 
 MODES = ("exact", "worst-case")
@@ -109,18 +108,6 @@ def mode_etas(channel: PauliChannel, mode: str) -> Tuple[float, float, float]:
     return channel.etas
 
 
-def _checked_etas(etas: Sequence[float]) -> Tuple[float, float, float]:
-    """``etas`` as three floats, or ``ValueError`` unless they are three numbers in ``[0, 1]``."""
-    try:
-        values = tuple(etas)
-    except TypeError:  # not iterable
-        values = ()
-    if len(values) != 3 or not all(isinstance(eta, numbers.Real) and 0.0 <= eta <= 1.0
-                                   for eta in values):  # NaN fails the comparison
-        raise ValueError(f"etas must be three finite numbers in [0, 1], got {etas!r}")
-    return tuple(map(float, values))
-
-
 def attenuation_block(enc: EncodingWeightModel, etas: Sequence[float],
                       idx: np.ndarray) -> np.ndarray:
     """Attenuation factor of every pair of the Majoranas ``idx`` (diagonal fixed to 1).
@@ -130,7 +117,7 @@ def attenuation_block(enc: EncodingWeightModel, etas: Sequence[float],
     serves every case with equal etas.  ``idx`` holds distinct Majorana
     indices; the cost is ``O(len(idx)**2)`` whatever the system size.
     """
-    ex, ey, ez = _checked_etas(etas)
+    ex, ey, ez = checked_etas(etas)
     if ex == ey == ez:
         lam = ex ** enc.pair_weights(idx)
     else:
@@ -186,5 +173,5 @@ def momentum_error_map(state: ModeDiagonalState, enc: EncodingWeightModel,
     if not isinstance(state, ModeDiagonalState):
         raise TypeError(f"momentum_error_map needs a ModeDiagonalState, got {type(state).__name__}")
     momenta = np.atleast_2d(np.asarray(momenta, dtype=float))
-    etas = _checked_etas(etas)
+    etas = checked_etas(etas)
     return state.occupation_shift(lambda signs: enc.drop_torus(etas, signs), momenta)

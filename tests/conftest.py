@@ -352,17 +352,21 @@ def heisenberg_observable(obs, circuit, etas=None, enc=None):
     layer's window ``T`` (:meth:`Layer.window`): the damped block is placed in
     a ``T x T`` zero matrix and rotated by the touched gates transposed, so
     the result is the dense pullback held on its light cone.  The reference
-    of ``prefix_expectations``, which sweeps the same windows forward.
+    of ``prefix_expectations``, which sweeps the same windows forward; the
+    gates are drawn here a layer at a time (:meth:`Layer.gates`), there in
+    one batch per sweep, so the two draw paths are checked against each
+    other.
     """
     noisy = etas is not None and not np.array_equal(etas, (1.0, 1.0, 1.0))
     support, coeffs = obs.support, obs.block
     for layer in reversed(circuit.layers):
         if noisy:
             coeffs = coeffs * attenuation_block(enc, etas, support)
-        cols, touched = layer.window(support)
+        cols, reached = layer.window(support)
         at = np.searchsorted(cols, support)
         pulled = np.zeros((len(cols),) * 2)
         pulled[np.ix_(at, at)] = coeffs
+        touched = [(pos, layer.gates(rows)) for pos, rows in reached]  # drawn layer by layer
         for mat in (pulled, pulled.T):  # R^T O on the rows, then O R on the columns
             for pos, gates in touched:
                 mat[pos] = np.swapaxes(gates, 1, 2) @ mat[pos]

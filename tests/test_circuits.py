@@ -62,11 +62,11 @@ def _dense_pull_back(obs, circuit, lam):
     return coeffs
 
 
-def _window_rotation(cols, touched):
-    """``R[T, T]`` of a window: an identity on ``T`` with the touched gates scattered in."""
+def _window_rotation(layer, cols, reached):
+    """``R[T, T]`` of a window: an identity on ``T`` with the reached gates scattered in."""
     rot = np.eye(len(cols))
-    for pos, gates in touched:
-        rot[pos[:, :, None], pos[:, None, :]] = gates
+    for pos, rows in reached:
+        rot[pos[:, :, None], pos[:, None, :]] = layer.gates(rows)
     return rot
 
 
@@ -164,17 +164,18 @@ class TestGateBlockLayers:
             rot = dense_rotation(layer)
             for size in (1, 3, 7):
                 support = rng.choice(lat.n_majorana, size, replace=False)
-                cols, touched = layer.window(support)
+                cols, reached = layer.window(support)
                 assert np.array_equal(cols, np.unique(cols))
                 assert np.all(np.abs(rot[np.ix_(support, cols)]).max(axis=0) > 0)
-                assert np.array_equal(_window_rotation(cols, touched), rot[np.ix_(cols, cols)])
+                assert np.array_equal(_window_rotation(layer, cols, reached),
+                                      rot[np.ix_(cols, cols)])
                 outside = np.setdiff1d(np.arange(lat.n_majorana), cols)
                 assert not rot[np.ix_(cols, outside)].any()
 
     @pytest.mark.parametrize("dim,length,radius", [(1, 7, 1), (1, 11, 2), (2, 5, 1), (2, 6, 1)])
     def test_gates_on_demand_are_the_whole_stack_bit_for_bit(self, rng, dim, length, radius):
-        # A gate is drawn and orthogonalized only when a window touches it;
-        # for any subset the result is the layer's whole stack and the gate
+        # A window draws nothing: it names the blocks it reaches, and their
+        # gates, drawn as a subset, are the layer's whole stack and the gate
         # drawn alone, bit for bit.
         lat = Lattice(dim, length)
         circ = brickwork_circuit(lat, 2 * dim, radius, seed=17)
@@ -182,17 +183,18 @@ class TestGateBlockLayers:
             whole = {tuple(row): gate for idx in layer.blocks
                      for row, gate in zip(idx, layer.gates(idx))}
             for size in (1, 4, 9, lat.n_majorana):
-                cols, touched = layer.window(rng.choice(lat.n_majorana, size, replace=False))
-                for pos, gates in touched:
-                    for where, gate in zip(cols[pos], gates):
+                cols, reached = layer.window(rng.choice(lat.n_majorana, size, replace=False))
+                for pos, rows in reached:
+                    assert np.array_equal(cols[pos], rows)
+                    for where, gate in zip(rows, layer.gates(rows)):
                         assert np.array_equal(gate, whole[tuple(where)])
                         assert np.array_equal(gate, layer.gates(where[None])[0])
 
     def test_indices_in_no_block_are_left_alone(self):
         layer = Layer(6, (np.array([[1, 4]]),), key=5)
-        cols, touched = layer.window(np.array([0, 4]))
+        cols, reached = layer.window(np.array([0, 4]))
         assert list(cols) == [0, 1, 4]
-        rot = _window_rotation(cols, touched)
+        rot = _window_rotation(layer, cols, reached)
         assert np.array_equal(rot, dense_rotation(layer)[np.ix_(cols, cols)])
         assert rot[0].tolist() == [1.0, 0.0, 0.0]
 
@@ -403,6 +405,17 @@ class TestEvolution:
         for quiet in (None, (1.0, 1.0, 1.0), PauliChannel.depolarizing(0.0).etas):
             assert prefix_expectations(state, obs, circ, quiet, None)[1] == \
                 prefix_expectations(state, obs, circ)[0]
+
+    @pytest.mark.parametrize("depth", [0, 2])
+    @pytest.mark.parametrize("etas", [(2.0, 2.0, 2.0), (0.9, 0.9), (0.9, -0.1, 0.9), 0.9])
+    def test_etas_are_checked_at_entry_at_any_depth(self, depth, etas):
+        # A depth-0 circuit damps nothing, so no damping call would see them.
+        lat = Lattice(1, 8)
+        state, _, _ = fermi_sea_1d(lat, 4)
+        circ = brickwork_circuit(lat, depth, seed=3)
+        for enc in (None, EncodingWeightModel("jw1d", lat)):
+            with pytest.raises(ValueError, match="etas"):
+                prefix_expectations(state, QuadraticObservable.hopping(lat, 0, 1), circ, etas, enc)
 
     def test_schroedinger_heisenberg_duality(self, rng):
         lat = Lattice(1, 6)
@@ -676,7 +689,8 @@ class TestPrefixExpectations:
     def test_only_the_gates_in_the_cone_are_orthogonalized(self, monkeypatch):
         # Building the circuit orthogonalizes nothing; one sweep orthogonalizes
         # the gates that its windows touch, counted here on the dense
-        # per-site light cone, out of 8 * 256 = 2048.
+        # per-site light cone, out of 8 * 256 = 2048, in one call for its
+        # one gate size.
         orthogonalized = []
 
         def counting(normals):
@@ -699,6 +713,53 @@ class TestPrefixExpectations:
         prefix_expectations(state, QuadraticObservable.hopping(lat, 0, 1), circ,
                             PauliChannel.depolarizing(0.01).etas, enc)
         assert sum(orthogonalized) == touched <= 2 + 3 + 4 + 5 + 6 + 7 + 8 + 9
+        assert len(orthogonalized) == 1
+
+    @pytest.mark.parametrize("dim,length,radius", [(1, 10, 2), (2, 8, 2), (1, 64, 2)])
+    @pytest.mark.parametrize("batch_entries", [None, 40])
+    def test_a_sweep_draws_the_gates_of_each_layer_bit_for_bit(self, rng, monkeypatch, dim,
+                                                                length, radius, batch_entries):
+        # The sweep stacks every layer's touched gates by size and draws them
+        # in one batch per size; split back by layer, each is Layer.gates of
+        # its rows.  A length off the block size leaves a truncated gate in
+        # every row, so two sizes occur.  With a batch of 40 normals, one
+        # gate of 6 x 6 or ten of 2 x 2 are drawn at a time, to the same bits.
+        if batch_entries is not None:
+            monkeypatch.setattr(circuits_module, "_BATCH_ENTRIES", batch_entries)
+        draws, orthogonalized = [], []
+        draw = circuits_module._draw
+
+        def recording(layers, reached):
+            touched = draw(layers, reached)
+            draws.append((layers, reached, touched))
+            return touched
+
+        def counting(normals):
+            orthogonalized.append(normals.shape[1])
+            return haar_rotations(normals)
+
+        monkeypatch.setattr(circuits_module, "_draw", recording)
+        monkeypatch.setattr(circuits_module, "haar_rotations", counting)
+        lat = Lattice(dim, length)
+        state = random_gaussian_state(lat, rng) if lat.n_sites <= 64 else \
+            circulant_power_law_state(lat, dim + 2.0)[0]
+        circ = brickwork_circuit(lat, 6, radius=radius, seed=71)
+        prefix_expectations(state, QuadraticObservable.hopping(lat, 0, 1), circ)
+        (layers, reached, touched), = draws
+        batches = list(orthogonalized)
+        assert layers == circ.layers and len(reached) == len(touched) == circ.depth
+        sizes = set()
+        for layer, blocks, gates in zip(layers, reached, touched):
+            assert len(blocks) == len(gates)
+            for (pos, rows), (at, drawn) in zip(blocks, gates):
+                assert at is pos
+                assert np.array_equal(drawn, layer.gates(rows))
+                sizes.add(rows.shape[1])
+        assert len(sizes) == 2
+        if batch_entries is None:
+            assert sorted(batches) == sorted(sizes)
+        else:
+            assert set(batches) == sizes and len(batches) > 2
 
 
 class TestObservableNormContraction:

@@ -165,6 +165,24 @@ class TestArgumentHandling:
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == f"{[0] * len(runs)} []"
 
+    def test_a_circuit_run_loads_no_numpy_fft(self):
+        # The circulant state is built from its exact C(r) and read on the
+        # light cone's first window, so the circuit path takes no FFT
+        # (loading numpy.fft and its first call cost about 1.4 ms).
+        src = Path(fermion_noise.__file__).resolve().parents[1]
+        runs = [["circuit", "--L", "16", "--depth", "3"],
+                ["circuit", "--L", "64", "--depth", "4", "--encoding", "jw1d"],
+                ["circuit", "--L", "64", "--depth", "4", "--encoding", "bravyi_kitaev",
+                 "--mode", "worst-case"]]
+        probe = ("import io, sys, contextlib, fermion_noise.cli as cli\n"
+                 "with contextlib.redirect_stdout(io.StringIO()):\n"
+                 f"    codes = [cli.main(argv) for argv in {runs!r}]\n"
+                 "print(codes, 'numpy.fft' in sys.modules)")
+        result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                                env={**os.environ, "PYTHONPATH": str(src)})
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == f"{[0] * len(runs)} False"
+
 
 # A value of each option other than its default, as a flag or a config line gives it.
 _SAMPLE_TEXT = {"encoding": "bravyi_kitaev", "mode": "worst-case", "p": "0.02", "sweep_k": "true"}

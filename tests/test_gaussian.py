@@ -481,8 +481,10 @@ class TestCovarianceBlock:
         state, k_const = circulant_power_law_state(lat, dim + 2.0)
         assert isinstance(state, ModeDiagonalState)
         assert k_const == k_dense
+        assert "occupations" not in state.__dict__  # its C(r) is exact: no FFT was taken
+        # The same powers of the same distances: equal bit for bit on this stack.
+        assert_close(full_covariance(state), dense.gamma, 1e-15, "gamma")
         assert 0.05 <= state.occupations.min() and state.occupations.max() <= 0.95
-        assert_close(full_covariance(state), dense.gamma, 1e-12, "gamma")
 
     @pytest.mark.parametrize("idx", [[-1, 0], [0, 16], [3, -2, 5]])
     def test_blocks_refuse_indices_outside_the_majoranas(self, idx):
@@ -492,6 +494,44 @@ class TestCovarianceBlock:
         for state in (GaussianState.vacuum(lat), fermi_sea_1d(lat, 3)[0]):
             with pytest.raises(IndexError, match=r"outside \[0, 16\)"):
                 state.covariance_block(idx)
+
+    @pytest.mark.parametrize("dim,length", [(1, 10), (1, 12), (2, 4), (2, 6)])
+    @pytest.mark.parametrize("parity", ["odd", "even"])
+    def test_a_state_built_from_its_correlation_reads_its_occupations_back(self, rng, dim,
+                                                                           length, parity):
+        # n(q) is the inverse FFT of the torus, half twist included, on
+        # either grid.
+        grid = momentum_grid(Lattice(dim, length), parity)
+        state = ModeDiagonalState(grid, rng.uniform(0.0, 1.0, len(grid)))
+        back = ModeDiagonalState.from_correlation(grid, state._conj_correlation)
+        assert_close(back.occupations, state.occupations, 1e-14, "n(q) round trip")
+        assert not back.occupations.flags.writeable
+        assert np.array_equal(back.covariance_block(np.arange(grid.lattice.n_majorana)),
+                              full_covariance(state))
+
+    def test_the_triangle_bound_spares_the_occupations(self):
+        # sum_{r != 0} |C(r)| <= 0.45 around C(0) = 1/2 for the circulant
+        # state; a Fermi sea's C(r) decays as 1/r and fails the bound, so it
+        # is accepted on its n(q), which the check then keeps.
+        state, _ = circulant_power_law_state(Lattice(2, 16), 2.5)
+        assert "occupations" not in state.__dict__
+        sea, grid, _ = fermi_sea_1d(Lattice(1, 64), 31)
+        corr = sea._conj_correlation
+        assert np.abs(corr).sum() - abs(corr[0]) > 1.0
+        again = ModeDiagonalState.from_correlation(grid, corr)
+        assert "occupations" in again.__dict__
+        assert_close(again.occupations, sea.occupations, 1e-14, "Fermi sea n(q)")
+
+    def test_an_unphysical_correlation_torus_is_an_invariant_violation(self):
+        sea, grid, _ = fermi_sea_1d(Lattice(1, 16), 7)
+        with pytest.raises(InvariantViolation, match="outside"):
+            ModeDiagonalState.from_correlation(grid, 1.5 * sea._conj_correlation)
+        nan = np.array(sea._conj_correlation)
+        nan[3] = np.nan
+        with pytest.raises(InvariantViolation, match="outside"):
+            ModeDiagonalState.from_correlation(grid, nan)
+        with pytest.raises(ValueError, match="shape"):
+            ModeDiagonalState.from_correlation(grid, np.zeros(8))
 
     def test_unphysical_circulant_profile_is_an_invariant_violation(self, monkeypatch):
         monkeypatch.setattr(gaussian_module, "_offdiagonal_decay_sum", lambda dim, mu: 0.1)

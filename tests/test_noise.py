@@ -845,6 +845,23 @@ class TestFenwickLevels:
         with pytest.raises(ValueError, match="signs"):
             enc.drop_torus((0.9,) * 3, signs)
 
+    @pytest.mark.parametrize("etas", [(2.0, 2.0, 2.0), (0.9, 0.9, -0.1), (0.9, 0.9),
+                                      (0.9, float("nan"), 0.9), 0.9])
+    def test_etas_are_checked_when_the_tori_are_built(self, monkeypatch, etas):
+        # Unchecked, etas of 2 gave drops down to -296 on an 8-site chain.
+        # A kept pair is not checked again: it was checked when built.
+        enc = EncodingWeightModel("jw1d", Lattice(1, 8))
+        with pytest.raises(ValueError, match="etas"):
+            enc.drop_torus(etas, (1,))
+        checks = []
+        check = encodings.checked_etas
+        monkeypatch.setattr(encodings, "checked_etas",
+                            lambda etas: checks.append(etas) or check(etas))
+        kept = enc.drop_torus((0.9,) * 3, (1,))
+        assert enc.drop_torus((0.9,) * 3, (1,)) is kept
+        assert checks == [(0.9,) * 3]
+        assert all(drop.min() >= 0.0 for drop in kept)
+
 
 class TestJordanWignerTorus:
     # Jordan-Wigner's drop torus by qubit separation against the fold of all

@@ -48,6 +48,7 @@ DELETED_FUNCTIONS = [
     (encodings, "_jordan_wigner_drop_box"),
     (circuits, "heisenberg_observable"),
     (noise, "_mode_etas"),
+    (noise, "_checked_etas"),
 ]
 DELETED_METHODS = [
     ("PauliChannel", "depolarizing_attenuation"),
@@ -103,6 +104,9 @@ KEPT_METHODS = {
                                      "measured from (criterion 3)",
     "Lattice.distance_matrix": "the dense N x N distance table of the tests and the "
                                "benchmark's tracer (ROADMAP direction 8)",
+    "Layer.gates": "one layer's draw of the gates on some of its blocks; a sweep draws "
+                   "every layer's in one batch, and the tests' pullback draws layer by "
+                   "layer to check that batch (criterion 2)",
 }
 
 
