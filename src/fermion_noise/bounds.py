@@ -360,7 +360,7 @@ def jump_scaling_probe(n_grid: Sequence[int], p: float,
     for length in n_grid:
         if length < 4 or length % 2:
             raise ValueError(f"probe sizes must be even and >= 4, got {length}")
-        occupied = Lattice(1, length).coords[:, 0] >= length // 2  # the modes m >= 0
+        occupied = np.arange(length) >= length // 2  # the modes m >= 0
         err = _probe_error_map(length, occupied, p, np.array([[k_offset]]))
         rows.append((int(length), float(abs(err[0]))))
     return rows

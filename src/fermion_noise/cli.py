@@ -390,7 +390,8 @@ def _run_fermi2d(cfg: Dict[str, object]) -> Table:
         if parity not in grids:
             grid = momentum_grid(lattice, parity)
             # Sites run x fastest: the first L sites hold every kx, every L-th site every ky.
-            grids[parity] = grid, np.indices((length, length)).reshape(2, -1) + length * len(values)
+            grid_codes = np.indices((length,) * 2, np.int32).reshape(2, -1) + length * len(values)
+            grids[parity] = grid, grid_codes
             values.append(np.stack([grid.momenta[:length, 0], grid.momenta[::length, 1]]))
         grid, grid_codes = grids[parity]
         state, _ = fermi_sea(grid, n_occ, tight_binding_dispersion)
@@ -399,7 +400,8 @@ def _run_fermi2d(cfg: Dict[str, object]) -> Table:
         sensitivity.append(np.abs(errors.reshape(length, length).T.ravel()) / p)
     kx, ky = np.concatenate(values, axis=1)
     code_x, code_y = np.concatenate(codes, axis=1)
-    return {"n_occ": (np.array(fillings), np.repeat(np.arange(len(fillings)), lattice.n_sites)),
+    fill_codes = np.repeat(np.arange(len(fillings), dtype=np.int32), lattice.n_sites)
+    return {"n_occ": (np.array(fillings), fill_codes),
             "kx": (kx, code_x), "ky": (ky, code_y), "sensitivity": np.concatenate(sensitivity)}
 
 

@@ -237,8 +237,9 @@ def _fenwick_drop_torus(lat: Lattice, etas: Tuple[float, float, float],
         factors[:, size // 2:] *= n // size
         factors[:, -1] = ends(h, h, p_last, True).sum(axis=1)
         grids.fill(0.0)
+        coords = lat._coords_of(np.arange(size)).T  # the sites of block 0
         for grid, sites in zip(grids, (slice(size // 2), slice(size // 2, size))):
-            grid[(slice(None),) + tuple(lat.coords[sites].T)] = factors[:, sites]
+            grid[(slice(None),) + tuple(coords[:, sites])] = factors[:, sites]
         if twisted:
             grids *= twist
         fft(grids, axes=axes, out=ends_hat)
@@ -430,14 +431,14 @@ class EncodingWeightModel:
         read-only, and under equal etas one array serves both flavors but on
         ``bravyi_kitaev``.  They depend on the encoding, the etas and the
         signs, not on the state, and the last ``(etas, signs)`` tori are kept;
-        etas that are not three numbers in ``[0, 1]`` raise ``ValueError`` (the
-        check runs when the tori are built, not on a kept pair).
+        etas are checked into three floats in ``[0, 1]`` (else ``ValueError``)
+        before the kept pair is compared, so any sequence of them finds it.
         """
+        etas = checked_etas(etas)
         signs = tuple(int(sign) for sign in signs)
         if len(signs) != self.lattice.dim or not set(signs) <= {1, -1}:
             raise ValueError(f"signs must be {self.lattice.dim} of +1 and -1, got {signs}")
         if self._last_drop_torus[0] != (etas, signs):
-            etas = checked_etas(etas)
             lat = self.lattice
             if self.kind == "local":
                 if not etas[0] == etas[1] == etas[2]:

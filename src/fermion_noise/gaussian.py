@@ -213,8 +213,8 @@ class ModeDiagonalState:
         :attr:`_conj_correlation`.
         """
         lat = self.lattice
-        n = lat.torus_sum(self._conj_correlation.copy(), (self._half,) * lat.dim,
-                          self.grid.torus_index)
+        table = lat.torus_sum(self._conj_correlation.copy(), (self._half,) * lat.dim)
+        n = self.grid._roll(table).ravel()
         n.setflags(write=False)
         return n
 
@@ -224,16 +224,15 @@ class ModeDiagonalState:
 
         A grid momentum is ``2 pi (n + h) / L`` per axis, ``n`` an integer and
         ``h`` 0 on the periodic grid or 1/2 on the antiperiodic one, so this is
-        one ``L^D`` FFT of ``n(q)`` placed at ``n mod L``, times the
-        half-period twist ``e^{-i pi r / L}`` per axis when ``h = 1/2``.
-        ``C(r - L) = C(r)`` per axis on the periodic grid and ``-C(r)`` on the
-        antiperiodic one.  A state built by :meth:`from_correlation` holds it
-        from the start.
+        one ``L^D`` FFT of ``n(q)`` placed at ``n mod L`` (by the grid's
+        half-period roll), times the half-period twist ``e^{-i pi r / L}`` per
+        axis when ``h = 1/2``.  ``C(r - L) = C(r)`` per axis on the periodic
+        grid and ``-C(r)`` on the antiperiodic one.  A state built by
+        :meth:`from_correlation` holds it from the start.
         """
         lat = self.lattice
-        torus = np.zeros((lat.length,) * lat.dim)
-        torus[tuple(self.grid.torus_index.T)] = self.occupations
-        torus = np.fft.fftn(torus)
+        torus = np.fft.fftn(self.grid._roll(self.occupations),
+                            out=np.empty((lat.length,) * lat.dim, dtype=complex))
         if self._half:
             for axis in range(lat.dim):
                 torus *= lat.half_twist(axis, -1)
@@ -293,16 +292,15 @@ class ModeDiagonalState:
         sign after ``L`` and the sign is ``-1``.  Each class of momenta
         (:meth:`Lattice.frequency_classes`, which refuses a momentum off every
         grid) is then one ``L^D`` FFT (:meth:`Lattice.torus_sum`); ``momenta``
-        that are the state's own ``grid.momenta`` array are one class, read off
-        the grid (:attr:`MomentumGrid.torus_index`) rather than classified.
+        that are the state's own ``grid.momenta`` array are one class, read
+        back in grid order by the grid's roll (:meth:`MomentumGrid._roll`).
         """
         lat = self.lattice
         if momenta is self.grid.momenta:
-            classes = [(slice(None), (self._half,) * lat.dim, self.grid.torus_index)]
-        else:
-            classes = lat.frequency_classes(momenta)
+            table = lat.torus_sum(self._summand(*drops((1,) * lat.dim)), (self._half,) * lat.dim)
+            return self.grid._roll(table).ravel()
         out = np.empty(len(momenta))
-        for rows, odd, index in classes:
+        for rows, odd, index in lat.frequency_classes(momenta):
             signs = tuple(1 if o == self._half else -1 for o in odd)
             out[rows] = lat.torus_sum(self._summand(*drops(signs)), odd, index)
         return out
@@ -347,13 +345,15 @@ def _check_filling(grid: MomentumGrid, n_occ: int) -> None:
 def _fill_order(grid: MomentumGrid, energies: np.ndarray) -> np.ndarray:
     """Every mode, lowest energy first, ties broken lexicographically on the mode vector.
 
-    The mode vector ``m`` is the site's coordinates shifted by a constant,
-    so the ties are broken on the coordinates.
+    The mode vector ``m`` is the site's coordinates shifted by a constant, so
+    a stable sort of the sites ordered by ``x``, then ``y``, breaks the ties.
     """
     energies = np.asarray(energies, dtype=float)
     if energies.shape != (len(grid),):
         raise ValueError(f"energies must have shape ({len(grid)},), got {energies.shape}")
-    return np.lexsort(tuple(grid.lattice.coords.T[::-1]) + (energies,))
+    lat = grid.lattice
+    sites = np.arange(lat.n_sites).reshape((lat.length,) * lat.dim).T.ravel()
+    return sites[np.argsort(energies[sites], kind="stable")]
 
 
 def occupied_modes(grid: MomentumGrid, n_occ: int,

@@ -3,10 +3,9 @@
 The lattices are D-dimensional tori of ``L**D`` sites with D in {1, 2}.  Sites
 carry two Majorana flavors each, indexed as ``a = 2 * site + (flavor - 1)``
 with flavor 1 for ``c^dag + c`` and flavor 2 for ``i (c^dag - c)``.  The
-site layout is one formula, :meth:`Lattice._coords_of` on any set of sites
-and a cached property for all of them, :attr:`Lattice.coords`, inverted by
-:meth:`Lattice.site_index`; the one torus metric is
-:meth:`Lattice.pair_distances` on a set of sites, and two sites are the
+site layout is one formula, :meth:`Lattice._coords_of` on the sites a
+caller needs, inverted by :meth:`Lattice.site_index`; the one torus metric
+is :meth:`Lattice.pair_distances` on a set of sites, and two sites are the
 set's ``[0, 1]`` entry.  Neither builds the table of all sites.
 
 Momentum grids follow the free-fermion quantization on a ring of even length
@@ -14,15 +13,14 @@ L: states with an odd particle number use periodic boundary conditions
 (integer mode numbers m in {-L/2, ..., L/2 - 1}), states with an even particle
 number use antiperiodic ones (half-integer m in {-L/2 + 1/2, ..., L/2 - 1/2}),
 with momenta ``k = 2 pi m / L`` per axis.  A :class:`MomentumGrid` holds
-its lattice, parity and momenta; mode ``i`` has ``m = coords[i] - L/2``
-(plus 1/2 on the antiperiodic grid), so what the mode numbers give is read
-off :attr:`Lattice.coords` instead.
+its lattice, parity and momenta; mode ``i`` has ``m = x - L/2`` per axis of
+its site's coordinates ``x`` (plus 1/2 on the antiperiodic grid), so a
+mode's torus slot ``floor(m) mod L`` is a half-period roll of grid order
+(:meth:`MomentumGrid._roll`), and no table of slots or coordinates is kept.
 
-Every array a lattice or grid derives from itself alone (the coordinates,
-the half-period twist, the grid's torus slots) is a
-``functools.cached_property``, built on first use and then kept; the dense
-:meth:`Lattice.distance_matrix` of tests and benchmarks keeps its own
-attribute.
+The half-period twist is a ``functools.cached_property`` of the lattice,
+built on first use and then kept; the dense :meth:`Lattice.distance_matrix`
+of tests and benchmarks keeps its own attribute.
 
 Momentum sums run on the ``L^D`` torus, the one geometry of pair sums.  A
 pair displacement ``r`` lies in ``(-L, L)`` per axis, and slot ``t`` of the
@@ -41,7 +39,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -81,7 +79,7 @@ class Lattice:
     # ------------------------------------------------------------------
 
     def site_index(self, r: Coords) -> int:
-        """Flat index of the site with coordinates ``r``, the inverse of :attr:`coords`."""
+        """Flat index of the site with coordinates ``r``, the inverse of :meth:`_coords_of`."""
         arr = np.atleast_1d(np.asarray(r))
         if arr.shape != (self.dim,):
             raise ValueError(f"coordinate {r!r} does not match lattice dimension {self.dim}")
@@ -108,13 +106,6 @@ class Lattice:
         coords = np.empty(sites.shape + (self.dim,), dtype=np.int64)
         for j in range(self.dim):
             np.remainder(sites // self.length ** j, self.length, out=coords[..., j])
-        return coords
-
-    @functools.cached_property
-    def coords(self) -> np.ndarray:
-        """Array of shape (n_sites, dim) with the coordinates of every site, read-only."""
-        coords = self._coords_of(np.arange(self.n_sites))
-        coords.setflags(write=False)
         return coords
 
     def _snake_of(self, sites: np.ndarray) -> np.ndarray:
@@ -161,8 +152,8 @@ class Lattice:
         (``x_s - x_t < 0`` there), where an antiperiodic function changes sign.
         """
         index, wraps = 0, False
-        for row, col in zip(self.coords[sites].T, self.coords[sites].T):
-            r = row[:, None] - col[None, :]
+        for x in self._coords_of(sites).T:
+            r = np.subtract.outer(x, x)
             index = index * self.length + r % self.length
             wraps = wraps ^ (r < 0)
         return index, wraps
@@ -204,19 +195,20 @@ class Lattice:
         twist = self._twist if sign > 0 else self._twist.conj()
         return twist.reshape((-1,) + (1,) * (self.dim - 1 - axis))
 
-    def torus_sum(self, torus: np.ndarray, odd: Sequence[bool], index: np.ndarray
-                  ) -> np.ndarray:
+    def torus_sum(self, torus: np.ndarray, odd: Sequence[bool],
+                  index: Optional[np.ndarray] = None) -> np.ndarray:
         """``Re sum_j torus[j] e^{i pi f.j / L}`` with ``f = 2 index + odd``, one ``L^D`` FFT.
 
         ``odd`` and ``index`` are one class of :meth:`frequency_classes`; the
         axes where ``f`` is odd take the half-period twist ``e^{i pi j / L}``.
-        ``torus``, a complex array, is twisted and transformed in place.
+        ``torus``, a complex array, is twisted and transformed in place; with
+        no ``index``, the whole ``(L,) * D`` table is returned.
         """
         for axis in range(self.dim):
             if odd[axis]:
                 torus *= self.half_twist(axis)
         table = np.fft.ifftn(torus, norm="forward", out=torus)  # sum_j torus(j) e^{2 pi i n.j / L}
-        return table.real[tuple(index.T)]
+        return table.real if index is None else table.real[tuple(index.T)]
 
     def _momenta(self, momenta) -> np.ndarray:
         """``momenta`` as a finite float array of shape ``(n, dim)``, checked."""
@@ -273,11 +265,11 @@ class MomentumGrid:
         half-integer modes), referring to the particle-number parity.
     momenta : np.ndarray
         (n_sites, dim) momenta ``2 pi m / L`` componentwise in [-pi, pi),
-        first axis varying fastest: mode ``i`` has ``m = coords[i] - L/2``
-        per axis, plus 1/2 on the antiperiodic grid.
+        first axis varying fastest: mode ``i`` has ``m = x - L/2`` per axis
+        of its site's coordinates ``x``, plus 1/2 on the antiperiodic grid.
 
-    What is derived from the grid alone is a cached property
-    (:attr:`torus_index`); the fill order of each dispersion
+    A mode sits on the ``L^D`` torus at ``floor(m) mod L``, a half-period
+    roll of grid order (:meth:`_roll`); the fill order of each dispersion
     (:func:`fermion_noise.gaussian.fermi_sea`) is kept in a dict by
     dispersion.
     """
@@ -291,19 +283,17 @@ class MomentumGrid:
     def __len__(self) -> int:
         return self.momenta.shape[0]
 
-    @functools.cached_property
-    def torus_index(self) -> np.ndarray:
-        """``floor(m) mod L`` of every mode, ``(coords + L/2) mod L``: ``(n_sites, dim)`` int32.
+    def _roll(self, values: np.ndarray) -> np.ndarray:
+        """One value per mode from grid order onto the ``L^D`` torus, or back: ``(L,) * D``.
 
-        Where ``n(q)`` sits on the ``L^D`` torus, read-only.  The grid's own
-        momenta are one class of :meth:`Lattice.frequency_classes` (``f = 2m``
-        is even on every axis of the periodic grid and odd on every axis of
-        the antiperiodic one), and this is its torus index.
+        Mode ``i`` sits at ``floor(m) mod L = (x + L/2) mod L`` per axis, the
+        index of its class of :meth:`Lattice.frequency_classes`: the grid-order
+        array, its axes reversed (sites run with ``x`` fastest), rolled by
+        ``L/2`` on every axis, which for even ``L`` is its own inverse.
         """
-        length = self.lattice.length
-        index = ((self.lattice.coords + length // 2) % length).astype(np.int32)
-        index.setflags(write=False)
-        return index
+        lat = self.lattice
+        return np.roll(values.reshape((lat.length,) * lat.dim).T, lat.length // 2,
+                       tuple(range(lat.dim)))
 
 
 def momentum_grid(lat: Lattice, occupation_parity: str) -> MomentumGrid:
@@ -329,7 +319,8 @@ def momentum_grid(lat: Lattice, occupation_parity: str) -> MomentumGrid:
         )
     half = lat.length // 2
     m = np.arange(-half, half, dtype=np.float64) + (0.5 if occupation_parity == "even" else 0.0)
-    k = (2.0 * np.pi * m / lat.length)[lat.coords]
+    k = np.stack(np.meshgrid(*(2.0 * np.pi * m / lat.length,) * lat.dim, copy=False),
+                 axis=-1).reshape(-1, lat.dim)  # meshgrid's "xy" order: x fastest, as sites run
     k.setflags(write=False)
     return MomentumGrid(lattice=lat, parity=occupation_parity, momenta=k)
 

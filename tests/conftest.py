@@ -55,6 +55,11 @@ def rng():
     return np.random.default_rng(SEED)
 
 
+def lattice_coords(lattice):
+    """``(n_sites, dim)`` coordinates of every site, by the package's one layout formula."""
+    return lattice._coords_of(np.arange(lattice.n_sites))
+
+
 class GaussianState:
     """A fermionic Gaussian state held as its Majorana covariance matrix."""
 
@@ -165,7 +170,7 @@ def momentum_occupation_observable(lattice, k):
     if k_vec.shape != (lattice.dim,):
         raise ValueError(f"momentum must have {lattice.dim} components, got {k_vec.shape}")
     n_sites = lattice.n_sites
-    phase = lattice.coords @ k_vec
+    phase = lattice_coords(lattice) @ k_vec
     delta = phase[None, :] - phase[:, None]
     sin_block = np.sin(delta) / (4.0 * n_sites)
     cos_block = np.cos(delta) / (4.0 * n_sites)
@@ -298,13 +303,13 @@ def interleave_flavors(blocks):
 def plane_wave_correlation(grid, occupations):
     """``C_xy = (1/N) sum_q n(q) e^{i q.(x - y)}`` as a product of plane-wave matrices."""
     lat = grid.lattice
-    phi = np.exp(1j * (lat.coords @ grid.momenta.T)) / np.sqrt(lat.n_sites)
+    phi = np.exp(1j * (lattice_coords(lat) @ grid.momenta.T)) / np.sqrt(lat.n_sites)
     return (phi * occupations) @ phi.conj().T
 
 
 def plane_wave_pair_sum(lattice, pairs, momenta):
     """``Re sum_{s,t} e^{i k.(r_s - r_t)} pairs[s, t]`` per momentum, by plane-wave matrices."""
-    phi = np.exp(1j * (np.asarray(momenta) @ lattice.coords.T))
+    phi = np.exp(1j * (np.asarray(momenta) @ lattice_coords(lattice).T))
     return np.sum((phi @ pairs) * phi.conj(), axis=1).real
 
 
@@ -431,7 +436,7 @@ def jordan_wigner_bits(lattice):
     Site ``s`` sits on qubit ``o(s)``, its chain coordinate or in 2D its snake
     index; Majorana ``2s`` is ``Z_(<o) X_o`` and ``2s + 1`` is ``Z_(<o) Y_o``.
     """
-    order = lattice.coords[:, 0] if lattice.dim == 1 else snake_index_vector(lattice)
+    order = lattice_coords(lattice)[:, 0] if lattice.dim == 1 else snake_index_vector(lattice)
     qubit = np.repeat(order, 2)[:, None]
     flavor = (np.arange(lattice.n_majorana) % 2)[:, None]
     q = np.arange(lattice.n_sites)
@@ -612,7 +617,7 @@ def displacement_index(lat, sites, cols=None):
     period = 2 * lat.length
     cols = sites if cols is None else cols
     index = 0
-    for row, col in zip(lat.coords[sites].T, lat.coords[cols].T):
+    for row, col in zip(lattice_coords(lat)[sites].T, lattice_coords(lat)[cols].T):
         index = index * period + (row[:, None] - col[None, :]) % period
     return index
 
@@ -746,7 +751,7 @@ def _fenwick_box(lat: Lattice, etas: Tuple[float, float, float]
         factors[:, -1] = ends(h, h, p_last, True).sum(axis=1)
         grids = np.zeros((2, 4) + box)
         for grid, sites in zip(grids, np.split(np.arange(size), 2)):
-            grid[(slice(None),) + tuple(lat.coords[sites].T)] = factors[:, sites]
+            grid[(slice(None),) + tuple(lattice_coords(lat)[sites].T)] = factors[:, sites]
         (li, l0, l1, l2), (ui, u0, u1, u2) = np.fft.rfftn(grids, axes=axes)
         a0, au0 = li + l0, ui + u0
         spectra[0] += (ey * (a0 * u0.conj() + l0 * ui.conj() + (li + l1) * u1.conj()

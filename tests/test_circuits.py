@@ -16,6 +16,7 @@ from conftest import (
     evolve_state,
     full_covariance,
     heisenberg_observable,
+    lattice_coords,
     lightcone_correlation_check,
     observable_from_matrix,
     random_correlation,
@@ -335,7 +336,7 @@ class TestBrickworkConstruction:
     def test_axes_alternate_in_two_dimensions(self):
         lat = Lattice(2, 4)
         circ = brickwork_circuit(lat, 2, seed=3)
-        coords = lat.coords
+        coords = lattice_coords(lat)
         sites = np.repeat(np.arange(lat.n_sites), 2)
         same_y = coords[sites, 1][:, None] == coords[sites, 1][None, :]
         same_x = coords[sites, 0][:, None] == coords[sites, 0][None, :]

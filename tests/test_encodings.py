@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from conftest import _bk_beta_inverse, bk_beta_matrix, bk_number_operator_weight_from_beta, \
-    flavor_blocks, interleave_flavors, jordan_wigner_bits, reference_counts, table_bits, \
-    table_strings
+    flavor_blocks, interleave_flavors, jordan_wigner_bits, lattice_coords, reference_counts, \
+    table_bits, table_strings
 from fermion_noise import (
     ENCODING_KINDS,
     EncodingWeightModel,
@@ -385,7 +385,7 @@ class TestSymplecticTable:
         # Majoranas 2 o(s) + f (equal up to phase; here exactly equal).
         lat = Lattice(dim, length)
         enc = EncodingWeightModel(kind, lat)
-        order = lat.coords[:, 0] if dim == 1 else snake_index_vector(lat)
+        order = lattice_coords(lat)[:, 0] if dim == 1 else snake_index_vector(lat)
         for m, gamma in enumerate(table_strings(enc)):
             dense = dense_majorana(lat.n_sites, 2 * int(order[m // 2]) + m % 2)
             assert np.array_equal(gamma, dense)
@@ -537,7 +537,7 @@ class TestJordanWignerCounts:
         n = lat.n_sites
         enc = EncodingWeightModel(kind, lat)
         counts = _count_matrices(enc)
-        order = lat.coords[:, 0] if dim == 1 else snake_index_vector(lat)
+        order = lattice_coords(lat)[:, 0] if dim == 1 else snake_index_vector(lat)
         gammas = [dense_majorana(n, 2 * int(order[m // 2]) + m % 2) for m in range(2 * n)]
         labels = list(itertools.product("IXYZ", repeat=n))
         strings = np.stack([pauli_string(n, dict(enumerate(lab))) for lab in labels])

@@ -15,6 +15,7 @@ from conftest import (
     dense_state,
     full_covariance,
     haar_special_orthogonal,
+    lattice_coords,
     momentum_occupation_observable,
     observable_from_matrix,
     plane_wave_correlation,
@@ -167,7 +168,16 @@ def _mode_vectors(grid):
     """The grid's mode numbers ``m`` as the grid once stored them, ``(n_sites, dim)`` floats."""
     half = grid.lattice.length // 2
     shift = 0.5 if grid.parity == "even" else 0.0
-    return (np.arange(-half, half, dtype=np.float64) + shift)[grid.lattice.coords]
+    return (np.arange(-half, half, dtype=np.float64) + shift)[lattice_coords(grid.lattice)]
+
+
+def _assert_rolled_to_the_slots(grid, where=""):
+    """The grid's half-period roll puts mode ``i`` at ``floor(m_i) mod L``, and reads it back."""
+    modes = np.arange(len(grid))
+    slots = np.floor(_mode_vectors(grid)).astype(np.int64) % grid.lattice.length
+    torus = grid._roll(modes)
+    assert np.array_equal(torus[tuple(slots.T)], modes), where
+    assert np.array_equal(grid._roll(torus).ravel(), modes), where
 
 
 class TestFermiSeas:
@@ -250,7 +260,7 @@ class TestFermiSeas:
                 m = _mode_vectors(grid)
                 where = f"{dim}D L={length} {parity}"
                 assert np.array_equal(grid.momenta, 2.0 * np.pi * m / length), where
-                assert np.array_equal(grid.torus_index, np.floor(m) % length), where
+                _assert_rolled_to_the_slots(grid, where)
                 ties = tuple(m[:, d] for d in reversed(range(dim)))
                 for dispersion in (free_dispersion, tight_binding_dispersion):
                     energies = dispersion(grid.momenta)
@@ -390,7 +400,7 @@ class TestModeDiagonalState:
 
         monkeypatch.setattr(Lattice, "frequency_classes", refuse)
         assert np.array_equal(state.occupation_shift(drops, grid.momenta), want)
-        assert np.array_equal(grid.torus_index, np.floor(_mode_vectors(grid)) % length)
+        _assert_rolled_to_the_slots(grid)
 
     def test_occupation_shift_validates_momenta(self):
         state, _, _ = fermi_sea_1d(Lattice(1, 4), 2)

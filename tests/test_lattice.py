@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import assert_close, box_sum, displacement_index, displacement_multiplicity, \
-    fold, fold_onto_torus, plane_wave_pair_sum
+    fold, fold_onto_torus, lattice_coords, plane_wave_pair_sum
 from fermion_noise import (
     Lattice,
     MomentumGrid,
@@ -63,22 +63,17 @@ class TestLatticeBasics:
     def test_site_index_round_trip(self):
         lat = Lattice(2, 5)
         for idx in range(lat.n_sites):
-            assert lat.site_index(lat.coords[idx]) == idx
+            assert lat.site_index(lattice_coords(lat)[idx]) == idx
 
     def test_coords_table_matches_site_index(self):
         lat = Lattice(2, 3)
         for x, y in itertools.product(range(3), repeat=2):
-            assert tuple(lat.coords[lat.site_index((x, y))]) == (x, y)
+            assert tuple(lattice_coords(lat)[lat.site_index((x, y))]) == (x, y)
 
     @pytest.mark.parametrize("coords", [(1.5, 0), (1.0, 0), (np.float64(1), 0)])
     def test_site_index_rejects_non_integer_coordinates(self, coords):
         with pytest.raises(TypeError, match="integer"):
             Lattice(2, 4).site_index(coords)
-
-    def test_coords_read_only(self):
-        lat = Lattice(1, 4)
-        with pytest.raises(ValueError):
-            lat.coords[0] = 9
 
     def test_out_of_range_rejected(self):
         lat = Lattice(2, 4)
@@ -141,9 +136,10 @@ class TestDisplacementBox:
         box = rng.normal(size=(period,) * dim)
         sites = rng.permutation(lat.n_sites)
         gathered = box.ravel()[displacement_index(lat, sites)]
+        coords = lattice_coords(lat)
         for i, s in enumerate(sites):
             for j, t in enumerate(sites):
-                assert gathered[i, j] == box[tuple((lat.coords[s] - lat.coords[t]) % period)]
+                assert gathered[i, j] == box[tuple((coords[s] - coords[t]) % period)]
 
     @pytest.mark.parametrize("dim,length", [(1, 7), (1, 8), (2, 3), (2, 4)])
     def test_multiplicity_counts_the_pairs_and_rectangles_are_rows(self, rng, dim, length):
@@ -214,9 +210,10 @@ class TestSnakeOrdering:
     def test_consecutive_indices_are_neighbors(self):
         lat = Lattice(2, 6)
         order = np.argsort(snake_index_vector(lat))
+        coords = lattice_coords(lat)
         for a, b in zip(order[:-1], order[1:]):
             # adjacent in snake order => adjacent on the (open) grid
-            da = np.abs(lat.coords[a] - lat.coords[b]).sum()
+            da = np.abs(coords[a] - coords[b]).sum()
             assert da == 1
 
     def test_vector_matches_formula(self):
@@ -236,25 +233,24 @@ class TestSnakeOrdering:
 
 class TestMomentumGrids:
     def test_odd_parity_integer_modes(self):
-        # Mode i has m = coords[i] - L/2: the grid stores its momenta alone.
+        # Mode i has m = x - L/2 at site x: the grid stores its momenta alone.
         lat = Lattice(1, 6)
         grid = momentum_grid(lat, "odd")
-        np.testing.assert_allclose(grid.momenta * 6 / (2 * np.pi), lat.coords - 3, atol=1e-12)
+        np.testing.assert_allclose(grid.momenta * 6 / (2 * np.pi), lattice_coords(lat) - 3,
+                                   atol=1e-12)
         assert sorted(grid.momenta[:, 0]) == list(2 * np.pi * np.arange(-3, 3) / 6)
 
     def test_even_parity_half_integer_modes(self):
         lat = Lattice(1, 4)
         grid = momentum_grid(lat, "even")
-        np.testing.assert_allclose(grid.momenta * 4 / (2 * np.pi), lat.coords - 1.5,
+        np.testing.assert_allclose(grid.momenta * 4 / (2 * np.pi), lattice_coords(lat) - 1.5,
                                    atol=1e-12)
 
     def test_a_grid_holds_its_lattice_parity_and_momenta(self):
         assert [f.name for f in dataclasses.fields(MomentumGrid)] == \
             ["lattice", "parity", "momenta", "_fill_orders"]
         grid = momentum_grid(Lattice(2, 4), "odd")
-        assert not grid.momenta.flags.writeable and not grid.torus_index.flags.writeable
-        assert grid.torus_index is grid.torus_index
-        assert grid.torus_index.dtype == np.int32
+        assert not grid.momenta.flags.writeable
 
     @pytest.mark.parametrize("parity", ["odd", "even"])
     @pytest.mark.parametrize("length", [2, 4, 6])

@@ -10,8 +10,9 @@ from conftest import GaussianState, assert_close, attenuation_matrix, box_covari
     box_drops, box_momentum_error_map, box_momentum_occupation, box_occupation_shift, \
     dense_coefficients, dense_momentum_error_map, dense_state, displacement_index, \
     displacement_multiplicity, fold_drop_box, fold_onto_torus, folded_drops, full_covariance, \
-    momentum_occupation_observable, random_correlation, random_normalized_observable, \
-    random_pure_state, refuse_full_covariance, state_from_correlation, table_strings
+    lattice_coords, momentum_occupation_observable, random_correlation, \
+    random_normalized_observable, random_pure_state, refuse_full_covariance, \
+    state_from_correlation, table_strings
 from fermion_noise import (
     MODES,
     EncodingWeightModel,
@@ -684,7 +685,7 @@ class TestSpectralErrorMap:
         probes_m = [(0, 0), (35, 0), (36, 0), (25, 25), (26, 25), (-36, 3), (99, -100)]
         probes_k = np.array(probes_m, dtype=float) * 2.0 * np.pi / side
         errors = momentum_error_map(state, enc, PauliChannel.depolarizing(p).etas, probes_k)
-        occ_m = lat.coords[occ] - side // 2  # m of the periodic grid
+        occ_m = lattice_coords(lat)[occ] - side // 2  # m of the periodic grid
         direct = _direct_occupation_errors(side, occ_m, p, phi0, probes_m)
         assert_close(errors, direct, 1e-12, "spectral vs convolution reference")
 
@@ -793,8 +794,8 @@ class TestFenwickLevels:
     def test_a_whole_grid_map_holds_one_complex_summand(self):
         # With the drops kept: the summand is one complex torus, scaled in
         # place and transformed in place, and the real part of the table is
-        # gathered: four real tori in all, where folding a box and scaling by
-        # drop / N arrays held ten.
+        # rolled back into grid order: four real tori in all, where folding a
+        # box and scaling by drop / N arrays held ten.
         lat = Lattice(2, 256)
         grid = momentum_grid(lat, parity_of(300))
         state, _ = fermi_sea(grid, 300, tight_binding_dispersion)
@@ -809,6 +810,26 @@ class TestFenwickLevels:
             tracemalloc.stop()
         assert np.array_equal(errors, want)
         assert peak <= 4.3 * 8 * lat.n_sites, f"{peak} B traced for {8 * lat.n_sites} B tori"
+
+    def test_a_run_holds_no_table_of_slots_or_coordinates(self):
+        # What fermi2d keeps after a map at one filling: the momenta (two
+        # tori), the int32 fill order (a half), n(q), C(r) (two), the drop
+        # torus and the map, 7.77 tori measured on numpy 2.4.  A lattice that
+        # cached its (N, 2) int64 coordinates and a grid that cached its
+        # (N, 2) int32 torus slots held three more, 10.77.  The bound leaves
+        # 0.73 of a torus over the measurement and fails the tables by 2.27.
+        tracemalloc.start()
+        try:
+            lat = Lattice(2, 256)
+            grid = momentum_grid(lat, parity_of(300))
+            state, _ = fermi_sea(grid, 300, tight_binding_dispersion)
+            errors = momentum_error_map(state, EncodingWeightModel("local", lat), (0.99,) * 3,
+                                        grid.momenta)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert errors.shape == (lat.n_sites,)
+        assert held <= 8.5 * 8 * lat.n_sites, f"{held} B held for {8 * lat.n_sites} B tori"
 
     def test_a_sweep_over_p_keeps_one_drop_torus(self):
         lat = Lattice(2, 8)
@@ -847,20 +868,28 @@ class TestFenwickLevels:
 
     @pytest.mark.parametrize("etas", [(2.0, 2.0, 2.0), (0.9, 0.9, -0.1), (0.9, 0.9),
                                       (0.9, float("nan"), 0.9), 0.9])
-    def test_etas_are_checked_when_the_tori_are_built(self, monkeypatch, etas):
+    def test_etas_are_checked_when_the_tori_are_built(self, etas):
         # Unchecked, etas of 2 gave drops down to -296 on an 8-site chain.
-        # A kept pair is not checked again: it was checked when built.
+        # Checked etas find the kept tori; bad ones are refused with a pair kept.
         enc = EncodingWeightModel("jw1d", Lattice(1, 8))
         with pytest.raises(ValueError, match="etas"):
             enc.drop_torus(etas, (1,))
-        checks = []
-        check = encodings.checked_etas
-        monkeypatch.setattr(encodings, "checked_etas",
-                            lambda etas: checks.append(etas) or check(etas))
         kept = enc.drop_torus((0.9,) * 3, (1,))
         assert enc.drop_torus((0.9,) * 3, (1,)) is kept
-        assert checks == [(0.9,) * 3]
         assert all(drop.min() >= 0.0 for drop in kept)
+        with pytest.raises(ValueError, match="etas"):
+            enc.drop_torus(etas, (1,))
+        assert enc.drop_torus((0.9,) * 3, (1,)) is kept
+
+    @pytest.mark.parametrize("etas", [np.array([0.9] * 3), [0.9] * 3, (np.float64(0.9),) * 3])
+    def test_etas_in_any_sequence_find_the_kept_tori(self, etas):
+        # The etas are checked into a tuple of floats before the kept pair is
+        # compared: an array once raised numpy's ambiguous truth value there,
+        # and a list never matched, so the tori were rebuilt on every call.
+        enc = EncodingWeightModel("jw1d", Lattice(1, 8))
+        kept = enc.drop_torus(etas, (1,))
+        assert enc.drop_torus(etas, (1,)) is kept
+        assert enc.drop_torus((0.9,) * 3, (1,)) is kept
 
 
 class TestJordanWignerTorus:

@@ -80,6 +80,8 @@ DELETED_METHODS = [
     ("Lattice", "box_sum"),
     ("EncodingWeightModel", "drop_box"),
     ("QuadraticObservable", "coefficient_trace_norm"),
+    ("MomentumGrid", "torus_index"),
+    ("Lattice", "coords"),
 ]
 # Public names that no other package module refers to, each with why it stays.
 KEPT = {
