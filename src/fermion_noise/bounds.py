@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -336,11 +336,11 @@ def fermi2d_on_surface_error(p: float, k_fermi: float) -> float:
 
 
 def _probe_error_map(length: int, occupations: np.ndarray, p: float,
-                     momenta: np.ndarray) -> np.ndarray:
+                     parity: Optional[str] = None) -> np.ndarray:
     lat = Lattice(1, length)
     state = ModeDiagonalState(momentum_grid(lat, "odd"), occupations)
     enc = EncodingWeightModel("local", lat, phi0=1)
-    return momentum_error_map(state, enc, PauliChannel(p).etas, momenta)
+    return momentum_error_map(state, enc, PauliChannel(p).etas, parity)
 
 
 def jump_scaling_probe(n_grid: Sequence[int], p: float,
@@ -360,9 +360,16 @@ def jump_scaling_probe(n_grid: Sequence[int], p: float,
     for length in n_grid:
         if length < 4 or length % 2:
             raise ValueError(f"probe sizes must be even and >= 4, got {length}")
+        # k_offset = pi f / N is a mode of the periodic grid (f even) or of the
+        # antiperiodic one (f odd), in grid row floor(f / 2) + N / 2, mod N.
+        f = k_offset * (length / np.pi)
+        if not abs(f - round(f)) <= 1e-12 * max(1.0, abs(f)):
+            raise ValueError(f"k_offset must be pi f / N, f an integer (a grid momentum of "
+                             f"N = {length}); it has f = {f}")
+        f = round(f)
         occupied = np.arange(length) >= length // 2  # the modes m >= 0
-        err = _probe_error_map(length, occupied, p, np.array([[k_offset]]))
-        rows.append((int(length), float(abs(err[0]))))
+        err = _probe_error_map(length, occupied, p, "even" if f % 2 else "odd")
+        rows.append((int(length), float(abs(err[(f // 2 + length // 2) % length]))))
     return rows
 
 
@@ -385,7 +392,7 @@ def lipschitz_scaling_probe(p_grid: Sequence[float], length: int = 200,
     for p in p_grid:
         if not 0.0 < p <= P_MAX:
             raise ValueError(f"probe noise strengths must lie in (0, 2/3], got {p}")
-        errs = _probe_error_map(length, occupations, p, grid.momenta)
+        errs = _probe_error_map(length, occupations, p)
         rows.append((float(p), float(np.max(np.abs(errs)))))
     logs = np.log(np.asarray(rows))
     slope = float(np.polyfit(logs[:, 0], logs[:, 1], 1)[0]) if len(rows) > 1 else float("nan")

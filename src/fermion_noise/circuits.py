@@ -315,7 +315,8 @@ def prefix_expectations(state: CovarianceBlocks, obs: QuadraticObservable,
     the attenuation of ``etas`` on ``W_d``, splitting it off the ideal one at
     ``d = 1`` (with ``etas`` ``None`` or all ``1.0`` both lists are the ideal
     run); entry ``d`` is read on ``supp(O)``.  That is ``depth`` window steps,
-    and ``depth`` damping calls when noisy, at ``O(|W|^2 k)`` each (a caller of
+    and, when noisy, one damping call per distinct window in a row (a window
+    the light cone has filled repeats) at ``O(|W|^2 k)`` each (a caller of
     the noisy list alone pays for the ideal rotations too); entry ``d`` is the
     observable pulled back through ``d`` layers, summed in another order.
     """
@@ -337,13 +338,16 @@ def prefix_expectations(state: CovarianceBlocks, obs: QuadraticObservable,
     steps = _draw(circuit.layers, reached[::-1])
     runs = [np.array(state.covariance_block(windows[0]))]  # ideal, rotated in place below
     values = []
+    damped, damping = None, None  # the last window damped and its attenuation
     for d, window in enumerate(windows):
         if d:
             keep, step = np.searchsorted(windows[d - 1], window), steps[d - 1]
             for i in range(len(runs)):  # each old copy is freed before the next is rotated
                 runs[i] = _rotate(_rotate(runs[i].T, step).T, step)[np.ix_(keep, keep)]
             if noisy:  # the noisy copy, split off the ideal one at d = 1
-                runs[1:] = [runs[-1] * attenuation_block(enc, etas, window)]
+                if not np.array_equal(window, damped):  # a filled cone keeps its window
+                    damped, damping = window, attenuation_block(enc, etas, window)
+                runs[1:] = [runs[-1] * damping]
         at = np.searchsorted(window, support)
         values.append([obs.offset + float(np.sum(block * run[np.ix_(at, at)])) for run in runs])
     return [row[0] for row in values], [row[-1] for row in values]

@@ -75,7 +75,7 @@ from .encodings import ENCODING_KINDS, EncodingWeightModel, bk_max_number_operat
 from .errors import ConfigError, InvariantViolation
 from .gaussian import QuadraticObservable, circulant_power_law_state, fermi_sea, fermi_sea_1d, \
     momentum_occupation, tight_binding_dispersion
-from .lattice import Lattice, momentum_grid, parity_of
+from .lattice import Lattice, MomentumGrid, momentum_grid, parity_of
 from .noise import MODES, P_MAX, PauliChannel, mode_etas, momentum_error_map
 
 Row = Dict[str, object]
@@ -337,7 +337,7 @@ def _run_fermi1d(cfg: Dict[str, object]) -> Table:
         _require(0 <= n_occ <= length, "n_occ", f"must lie in [0, {length}], got {n_occ}")
         enc = _encoding_for(cfg, lattice)
         state, grid, _ = fermi_sea_1d(lattice, n_occ)
-        errors = momentum_error_map(state, enc, etas, grid.momenta)
+        errors = momentum_error_map(state, enc, etas)
         # 1D grid momenta rise with the site index: the rows are already sorted by k.
         return {"k": grid.momenta[:, 0], "sensitivity": np.abs(errors) / p}
     _require(cfg["n_occ"] is None, "n_occ", "only meaningful together with --sweep-k")
@@ -348,12 +348,13 @@ def _run_fermi1d(cfg: Dict[str, object]) -> Table:
     for length in range(20, n_max + 1, 20):
         lattice = Lattice(1, length)
         enc = _encoding_for(cfg, lattice)
-        state, grid, occupied = fermi_sea_1d(lattice, length // 2)
-        k_fermi = float(np.abs(grid.momenta[occupied, 0]).max())
-        q0 = 2.0 * np.pi / length
-        momenta = np.array([[k_fermi], [q0]])
-        err_kf, err_q0 = momentum_error_map(state, enc, etas, momenta)
-        n_kf, n_q0 = momentum_occupation(state, momenta)
+        state, _, occupied = fermi_sea_1d(lattice, length // 2)
+        # +k_F is the occupied mode of largest k on the own grid (1D modes rise
+        # with the index), q0 = 2 pi / N the mode m = 1 of the periodic one.
+        kf, q0 = occupied[-1], length // 2 + 1
+        err_kf = momentum_error_map(state, enc, etas)[kf]
+        err_q0 = momentum_error_map(state, enc, etas, "odd")[q0]
+        n_kf, n_q0 = momentum_occupation(state)[kf], momentum_occupation(state, "odd")[q0]
         rows.append({
             "N": length,
             "n_noisy_kf": n_kf - err_kf,
@@ -382,27 +383,27 @@ def _run_fermi2d(cfg: Dict[str, object]) -> Table:
                  f"must lie in [0, {lattice.n_sites}], got {n_occ}")
     enc = _encoding_for(cfg, lattice)
     etas = _noise_etas(cfg)
-    grids: Dict[str, tuple] = {}  # parity -> grid, (kx, ky) codes
-    values: List[np.ndarray] = []  # (kx, ky) values of each grid
-    codes, sensitivity = [], []
-    for n_occ in fillings:
+    # Filling j writes rows j N .. (j + 1) N - 1 in place: a run copies no column.
+    sensitivity = np.empty((len(fillings), length, length))
+    grids: Dict[str, MomentumGrid] = {}  # by parity, in the order the codes number them
+    for j, n_occ in enumerate(fillings):
         parity = parity_of(n_occ)
         if parity not in grids:
-            grid = momentum_grid(lattice, parity)
-            # Sites run x fastest: the first L sites hold every kx, every L-th site every ky.
-            grid_codes = np.indices((length,) * 2, np.int32).reshape(2, -1) + length * len(values)
-            grids[parity] = grid, grid_codes
-            values.append(np.stack([grid.momenta[:length, 0], grid.momenta[::length, 1]]))
-        grid, grid_codes = grids[parity]
-        state, _ = fermi_sea(grid, n_occ, tight_binding_dispersion)
-        errors = momentum_error_map(state, enc, etas, grid.momenta)
-        codes.append(grid_codes)
-        sensitivity.append(np.abs(errors.reshape(length, length).T.ravel()) / p)
-    kx, ky = np.concatenate(values, axis=1)
-    code_x, code_y = np.concatenate(codes, axis=1)
+            grids[parity] = momentum_grid(lattice, parity)
+        state, _ = fermi_sea(grids[parity], n_occ, tight_binding_dispersion)
+        errors = momentum_error_map(state, enc, etas).reshape(length, length)
+        np.divide(np.abs(errors, out=errors).T, p, out=sensitivity[j])
+    # Sites run x fastest: the first L sites hold every kx, every L-th site every ky.
+    kx, ky = np.concatenate([np.stack([grid.momenta[:length, 0], grid.momenta[::length, 1]])
+                             for grid in grids.values()], axis=1)
+    shape = (len(fillings), length, length)
+    first = length * np.array([list(grids).index(parity_of(n)) for n in fillings], np.int32)
+    axis = np.arange(length, dtype=np.int32)
+    code_x = np.broadcast_to(first[:, None, None] + axis[:, None], shape).ravel()
+    code_y = np.broadcast_to(first[:, None, None] + axis, shape).ravel()
     fill_codes = np.repeat(np.arange(len(fillings), dtype=np.int32), lattice.n_sites)
-    return {"n_occ": (np.array(fillings), fill_codes),
-            "kx": (kx, code_x), "ky": (ky, code_y), "sensitivity": np.concatenate(sensitivity)}
+    return {"n_occ": (np.array(fillings), fill_codes), "kx": (kx, code_x), "ky": (ky, code_y),
+            "sensitivity": sensitivity.ravel()}
 
 
 def _run_encoding_compare(cfg: Dict[str, object]) -> Table:

@@ -271,39 +271,39 @@ class ModeDiagonalState:
         return float(self.occupations.sum())
 
     def occupation_shift(self, drops: Callable[[Tuple[int, ...]], Tuple[np.ndarray, np.ndarray]],
-                         momenta: np.ndarray) -> np.ndarray:
+                         parity: Optional[str] = None) -> np.ndarray:
         """``Re sum_r e^{i k.r} [cross(r) (Re C(r) - delta_r0/2) - i same(r) Im C(r)] / N``.
 
-        The change of ``<n_k>``, per row ``k`` of ``momenta``, when bilinears
-        are damped by ``1 - drop``.  ``drops(signs)`` gives ``same`` and
-        ``cross`` on the ``L^D`` torus: at slot ``t``, the drops of the
-        equal-flavor and of the cross-flavor bilinears summed over the site
-        pairs at displacement ``t`` and at ``t - L`` per axis, the latter taken
-        with ``signs[i]`` on axis ``i``, each the mean of its two flavor pairs.
-        Since the covariance blocks are ``G00 = G11 = -2 Im C(r)`` and
+        The change of ``<n_k>`` when bilinears are damped by ``1 - drop``, for
+        every mode ``k`` of ``momentum_grid(lattice, parity)`` in its grid
+        order; ``parity`` ``None`` is the state's own.  ``drops(signs)`` gives
+        ``same`` and ``cross`` on the ``L^D`` torus: at slot ``t``, the drops
+        of the equal-flavor and of the cross-flavor bilinears summed over the
+        site pairs at displacement ``t`` and at ``t - L`` per axis, the latter
+        taken with ``signs[i]`` on axis ``i``, each the mean of its two flavor
+        pairs.  Since the covariance blocks are ``G00 = G11 = -2 Im C(r)`` and
         ``G01 = -G10 = 2 Re C(r) - delta``, no other pair sum is needed.  With
         the drops ``1 - lambda`` (:meth:`EncodingWeightModel.drop_torus`) this
         is the noise-induced error of ``n_k``; with the pair counts
         (:meth:`Lattice.pair_counts`, every drop 1) it is ``<n_k> - 1/2``.
 
-        On an axis where ``k`` has the state's grid parity, ``e^{i k.r} C(r)``
-        has period ``L``, so ``t - L`` folds onto ``t`` with sign ``+1``; where
-        it has the other parity (``fermi1d``'s ``q0``), the product changes
-        sign after ``L`` and the sign is ``-1``.  Each class of momenta
-        (:meth:`Lattice.frequency_classes`, which refuses a momentum off every
-        grid) is then one ``L^D`` FFT (:meth:`Lattice.torus_sum`); ``momenta``
-        that are the state's own ``grid.momenta`` array are one class, read
-        back in grid order by the grid's roll (:meth:`MomentumGrid._roll`).
+        On the state's own grid ``e^{i k.r} C(r)`` has period ``L``, so
+        ``t - L`` folds onto ``t`` with sign ``+1`` on every axis; on the other
+        grid (``fermi1d``'s ``q0``) the product changes sign after ``L`` and
+        the sign is ``-1``.  Either map is one ``L^D`` FFT
+        (:meth:`Lattice.torus_sum`), read back in grid order by the roll
+        (:meth:`MomentumGrid._roll`, the same on both grids).
         """
         lat = self.lattice
-        if momenta is self.grid.momenta:
-            table = lat.torus_sum(self._summand(*drops((1,) * lat.dim)), (self._half,) * lat.dim)
-            return self.grid._roll(table).ravel()
-        out = np.empty(len(momenta))
-        for rows, odd, index in lat.frequency_classes(momenta):
-            signs = tuple(1 if o == self._half else -1 for o in odd)
-            out[rows] = lat.torus_sum(self._summand(*drops(signs)), odd, index)
-        return out
+        parity = self.grid.parity if parity is None else parity
+        if parity not in ("odd", "even"):
+            raise ValueError(f"parity must be 'odd' or 'even', got {parity!r}")
+        sign = 1 if parity == self.grid.parity else -1
+        table = lat.torus_sum(self._summand(*drops((sign,) * lat.dim)),
+                              (parity == "even",) * lat.dim)
+        rolled = self.grid._roll(table)
+        del table  # the complex summand, freed before the roll's transposed copy
+        return rolled.ravel()
 
     def _summand(self, same: np.ndarray, cross: np.ndarray) -> np.ndarray:
         """``cross (Re C - delta_r0/2) - i same Im C``, over ``N``, built in one complex torus."""
@@ -405,18 +405,19 @@ def fermi_sea_1d(lattice: Lattice, n_occ: int,
     return state, grid, occ
 
 
-def momentum_occupation(state: ModeDiagonalState, momenta: np.ndarray) -> np.ndarray:
-    """``<n_k>`` of the plane-wave mode occupation for each row ``k`` of ``momenta``.
+def momentum_occupation(state: ModeDiagonalState, parity: Optional[str] = None) -> np.ndarray:
+    """``<n_k>`` of the plane-wave mode occupation for every mode of a grid.
 
-    :meth:`ModeDiagonalState.occupation_shift` with every drop 1: the pair
-    counts on the state's torus (:meth:`Lattice.pair_counts`; ``n(k)`` on its
-    grid).
+    The modes of ``momentum_grid(state.lattice, parity)`` in grid order,
+    ``parity`` ``None`` the state's own (where this is ``n(k)``):
+    :meth:`ModeDiagonalState.occupation_shift` with every drop 1, the pair
+    counts on the state's torus (:meth:`Lattice.pair_counts`).
     """
     def pairs(signs):
         count = math.prod(state.lattice.pair_counts(signs))
         return count, count
 
-    return 0.5 + state.occupation_shift(pairs, np.atleast_2d(momenta))
+    return 0.5 + state.occupation_shift(pairs, parity)
 
 
 # ----------------------------------------------------------------------

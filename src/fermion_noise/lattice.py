@@ -24,22 +24,22 @@ of tests and benchmarks keeps its own attribute.
 
 Momentum sums run on the ``L^D`` torus, the one geometry of pair sums.  A
 pair displacement ``r`` lies in ``(-L, L)`` per axis, and slot ``t`` of the
-torus collects ``r = t`` and ``r = t - L``.  A momentum ``k = pi f / L``
-with ``f`` an integer on every axis (both parities of grid) turns
-``e^{i k.r}`` into a function of period ``L`` (``f`` even) or ``-1`` times
-itself after ``L`` (``f`` odd), so every pair sum is folded as it is summed,
-the ``t - L`` pairs taken with one sign per axis (their signed count is
-:meth:`Lattice.pair_counts`), and the sum for every such momentum is read
-off one ``L^D`` FFT, with a half-period twist on the axes where ``f`` is
-odd (:meth:`Lattice.torus_sum`).  The classes of momenta are found once, by
-:meth:`Lattice.frequency_classes`; a momentum off every grid is refused.
+torus collects ``r = t`` and ``r = t - L``.  A momentum of either parity of
+grid is ``k = pi f / L`` with ``f`` an integer on every axis, even on the
+periodic grid and odd on the antiperiodic one, so ``e^{i k.r}`` has period
+``L`` (``f`` even) or is ``-1`` times itself after ``L`` (``f`` odd).
+Every pair sum is therefore folded as it is summed, the ``t - L`` pairs
+taken with one sign per axis (their signed count is
+:meth:`Lattice.pair_counts`), and the sum for every momentum of a grid is
+read off one ``L^D`` FFT, with a half-period twist on the antiperiodic grid
+(:meth:`Lattice.torus_sum`), and back into grid order by the roll.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -158,33 +158,6 @@ class Lattice:
             wraps = wraps ^ (r < 0)
         return index, wraps
 
-    def frequency_classes(self, momenta: np.ndarray) -> List[tuple]:
-        """Rows of ``momenta`` by the parity of their frequencies ``f = k L / pi``.
-
-        One ``(rows, odd, index)`` for every class: ``odd`` a tuple of per-axis
-        bools, ``f`` odd there, and ``index`` the torus index
-        ``(f - odd) / 2 mod L`` of each row, as :meth:`torus_sum` reads them.
-        ``f`` must be an integer on every axis, a momentum of either parity of
-        grid; any other momentum raises ``ValueError``.
-        """
-        freq = self._momenta(momenta) * (self.length / np.pi)
-        nearest = np.rint(freq)
-        on = np.abs(freq - nearest) <= 1e-12 * np.maximum(1.0, np.abs(freq))
-        off = np.flatnonzero(~on.all(axis=1))
-        if off.size:
-            raise ValueError(f"momenta must be pi f / L, f an integer on every axis (a grid "
-                             f"momentum of L = {self.length}); row {off[0]} has f = {freq[off[0]]}")
-        f = nearest.astype(np.int64)
-        key = f[:, 0] & 1  # bit i: f odd on axis i
-        if self.dim == 2:
-            key |= (f[:, 1] & 1) << 1
-        classes = []
-        for c in np.flatnonzero(np.bincount(key)).tolist():
-            rows = np.flatnonzero(key == c)
-            odd = tuple(bool(c >> axis & 1) for axis in range(self.dim))
-            classes.append((rows, odd, (f[rows] >> 1) % self.length))
-        return classes
-
     @functools.cached_property
     def _twist(self) -> np.ndarray:
         """``e^{i pi j / L}`` for ``j`` in ``[0, L)``, the half-period twist table."""
@@ -195,29 +168,18 @@ class Lattice:
         twist = self._twist if sign > 0 else self._twist.conj()
         return twist.reshape((-1,) + (1,) * (self.dim - 1 - axis))
 
-    def torus_sum(self, torus: np.ndarray, odd: Sequence[bool],
-                  index: Optional[np.ndarray] = None) -> np.ndarray:
-        """``Re sum_j torus[j] e^{i pi f.j / L}`` with ``f = 2 index + odd``, one ``L^D`` FFT.
+    def torus_sum(self, torus: np.ndarray, odd: Sequence[bool]) -> np.ndarray:
+        """``Re sum_j torus[j] e^{i pi f.j / L}`` with ``f = 2 n + odd``, one ``L^D`` FFT.
 
-        ``odd`` and ``index`` are one class of :meth:`frequency_classes`; the
-        axes where ``f`` is odd take the half-period twist ``e^{i pi j / L}``.
-        ``torus``, a complex array, is twisted and transformed in place; with
-        no ``index``, the whole ``(L,) * D`` table is returned.
+        The whole ``(L,) * D`` table, ``n`` in ``[0, L)`` per axis; the axes
+        where ``odd`` is true take the half-period twist ``e^{i pi j / L}``.
+        ``torus``, a complex array, is twisted and transformed in place.
         """
         for axis in range(self.dim):
             if odd[axis]:
                 torus *= self.half_twist(axis)
         table = np.fft.ifftn(torus, norm="forward", out=torus)  # sum_j torus(j) e^{2 pi i n.j / L}
-        return table.real if index is None else table.real[tuple(index.T)]
-
-    def _momenta(self, momenta) -> np.ndarray:
-        """``momenta`` as a finite float array of shape ``(n, dim)``, checked."""
-        momenta = np.asarray(momenta, dtype=float)
-        if momenta.ndim != 2 or momenta.shape[1] != self.dim:
-            raise ValueError(f"momenta must have {self.dim} columns, got shape {momenta.shape}")
-        if not np.isfinite(momenta).all():
-            raise ValueError("momenta must be finite")
-        return momenta
+        return table.real
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Lattice) and (self.dim, self.length) == (other.dim, other.length)
@@ -287,9 +249,10 @@ class MomentumGrid:
         """One value per mode from grid order onto the ``L^D`` torus, or back: ``(L,) * D``.
 
         Mode ``i`` sits at ``floor(m) mod L = (x + L/2) mod L`` per axis, the
-        index of its class of :meth:`Lattice.frequency_classes`: the grid-order
-        array, its axes reversed (sites run with ``x`` fastest), rolled by
-        ``L/2`` on every axis, which for even ``L`` is its own inverse.
+        slot ``n`` of :meth:`Lattice.torus_sum`'s table on either parity of
+        grid: the grid-order array, its axes reversed (sites run with ``x``
+        fastest), rolled by ``L/2`` on every axis, which for even ``L`` is its
+        own inverse.
         """
         lat = self.lattice
         return np.roll(values.reshape((lat.length,) * lat.dim).T, lat.length // 2,

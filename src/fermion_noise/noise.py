@@ -38,14 +38,14 @@ covariance depends on the displacement of the two sites alone.  So only the
 drops ``1 - lambda`` are summed by displacement, onto the ``L^D`` torus by
 the encoding with one fold sign per axis
 (:meth:`~fermion_noise.encodings.EncodingWeightModel.drop_torus`), and
-weighted by ``C(r)``, one FFT per class of momenta; neither the
-``2N x 2N`` covariance nor an ``N x N`` pair table is built.
+weighted by ``C(r)``, one FFT for every mode of a grid of either parity;
+neither the ``2N x 2N`` covariance nor an ``N x N`` pair table is built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -156,22 +156,22 @@ def measurement_error(state: CovarianceBlocks, obs: QuadraticObservable,
 
 
 def momentum_error_map(state: ModeDiagonalState, enc: EncodingWeightModel,
-                       etas: Sequence[float], momenta: np.ndarray) -> np.ndarray:
-    """Noise-induced error of the mode occupation ``n_k`` for many momenta.
+                       etas: Sequence[float], parity: Optional[str] = None) -> np.ndarray:
+    """Noise-induced error of the mode occupation ``n_k`` for every mode of a grid.
 
-    Returns ``<n_k> - <n_k>_noisy`` for each row of ``momenta``.  A
-    :class:`ModeDiagonalState` has a covariance that depends on the
-    displacement ``r`` of the two sites alone, so only the drops
-    ``1 - lambda`` are summed by displacement onto the torus of each class of
-    momenta (:meth:`EncodingWeightModel.drop_torus`, ``O(N log N)`` or less
+    Returns ``<n_k> - <n_k>_noisy`` for each mode of
+    ``momentum_grid(state.lattice, parity)``, in grid order; ``parity``
+    ``None`` is the state's own.  A :class:`ModeDiagonalState` has a
+    covariance that depends on the displacement ``r`` of the two sites
+    alone, so only the drops ``1 - lambda`` are summed by displacement onto
+    the torus (:meth:`EncodingWeightModel.drop_torus`, ``O(N log N)`` or less
     for every encoding and etas) and weighted by ``C(r)``
-    (:meth:`ModeDiagonalState.occupation_shift`), one ``L^D`` FFT per class;
-    its covariance is never built.  Any other state raises ``TypeError``, and
-    a momentum off every grid or bad etas ``ValueError``.
+    (:meth:`ModeDiagonalState.occupation_shift`), one ``L^D`` FFT; its
+    covariance is never built.  Any other state raises ``TypeError``, and
+    bad etas or parity ``ValueError``.
     """
     _check_lattices(enc, state)
     if not isinstance(state, ModeDiagonalState):
         raise TypeError(f"momentum_error_map needs a ModeDiagonalState, got {type(state).__name__}")
-    momenta = np.atleast_2d(np.asarray(momenta, dtype=float))
     etas = checked_etas(etas)
-    return state.occupation_shift(lambda signs: enc.drop_torus(etas, signs), momenta)
+    return state.occupation_shift(lambda signs: enc.drop_torus(etas, signs), parity)

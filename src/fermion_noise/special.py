@@ -123,7 +123,7 @@ def _polylog_near_one(s: float, z: float) -> float:
     w = -math.log(z)
     n = round(s)
     terms = 12
-    if abs(s - n) < 1e-8:
+    if abs(s - n) < 1e-8 and n >= 1:  # the poles of Gamma(1 - s) and zeta(s - n + 1) meet
         if n < 2:
             raise ValueError(f"polylog diverges: s = {s} with z = {z} too close to 1")
         harmonic = sum(1.0 / i for i in range(1, n))
@@ -145,13 +145,18 @@ def _polylog_near_one(s: float, z: float) -> float:
 def polylog(s: float, z: float) -> float:
     """Real polylogarithm ``Li_s(z)`` for ``z in [0, 1]``, memoized.
 
-    ``z = 1`` needs ``s > 1`` (value zeta(s)); otherwise direct summation is
-    used away from 1 and the standard expansion in ``-ln z`` close to 1
-    (``-ln z < 1e-5``).  That expansion reads ``zeta(s - j)`` for ``j <= 11``,
-    so close to 1 the domain is ``s >= -4``, and integer ``s <= 1`` diverges.
-    Absolute error is kept below ~1e-10 across the supported domain; a
-    non-finite order ``s`` raises ``ValueError`` (a NaN one never ends the
-    direct sum's tail test).
+    ``z = 1`` needs ``s > 1`` (value zeta(s)); otherwise, with ``w = -ln z``,
+    direct summation is used away from 1 and the standard expansion in ``w``
+    close to 1: below ``w = 1e-5``, and up to ``w = 1e-3`` where ``s >= -4``
+    and ``s`` is a positive integer or 1e-6 or more from every one (nearer,
+    the expansion's poles cancel and leave ~1e-10).  Its leading term is the
+    ``zeta(s)`` the bound tables subtract ``z Li_s(z)`` from, so their
+    difference keeps ~1e-13 relative where a direct sum of some ``60 / w``
+    terms leaves ~1e-10.  The expansion reads ``zeta(s - j)`` for
+    ``j <= 11``, so below ``w = 1e-5`` the domain is ``s >= -4``, and ``s``
+    within 1e-8 of 1 diverges there.  Absolute error is kept below ~1e-10
+    across the supported domain; a non-finite order ``s`` raises
+    ``ValueError`` (a NaN one never ends the direct sum's tail test).
     """
     _check_order(s)
     if not 0.0 <= z <= 1.0:
@@ -164,7 +169,10 @@ def polylog(s: float, z: float) -> float:
         return riemann_zeta(s)
     if abs(s - 1.0) < 1e-12:
         return -math.log1p(-z)
-    if -math.log(z) >= 1e-5:
+    w = -math.log(z)
+    n = round(s)
+    pole = s != n and n >= 1 and abs(s - n) < 1e-6  # where the expansion's poles cancel
+    if w >= 1e-3 or (w >= 1e-5 and (s < -4 or pole)):
         return _polylog_direct(s, z)
     if s < -4:
         raise ValueError(f"polylog near z = 1 needs s >= -4, got s = {s} with z = {z}")

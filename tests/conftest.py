@@ -37,6 +37,7 @@ from fermion_noise import (
     QuadraticObservable,
     attenuation_block,
     mode_etas,
+    momentum_grid,
     snake_index_vector,
 )
 from fermion_noise import encodings
@@ -940,3 +941,13 @@ def box_momentum_occupation(state, k):
     """``momentum_occupation`` of a mode-diagonal state by the box route."""
     pairs = displacement_multiplicity(state.lattice)
     return 0.5 + float(box_occupation_shift(state, pairs, pairs, np.atleast_2d(k))[0])
+
+
+def on_both_grids(state, map_of):
+    """The momenta of the state's grid, then of the other parity's, and ``map_of`` on both.
+
+    ``map_of(parity)`` is a momentum map of the state, ``None`` its own grid.
+    """
+    other = "even" if state.grid.parity == "odd" else "odd"
+    momenta = np.concatenate([state.grid.momenta, momentum_grid(state.lattice, other).momenta])
+    return momenta, np.concatenate([map_of(None), map_of(other)])

@@ -257,11 +257,9 @@ def test_criterion_05_fermi_point_error_growth_1d():
         lat = Lattice(1, n)
         state, grid, occ = fermi_sea_1d(lat, n // 2)
         enc = EncodingWeightModel("jw1d", lat)
-        k_f = float(np.abs(grid.momenta[occ]).max())
-        errs = momentum_error_map(state, enc, channel.etas,
-                                  np.array([[k_f], [2.0 * np.pi / n]]))
-        err_kf.append(abs(errs[0]))
-        err_q0.append(abs(errs[1]))
+        # +k_F is the occupied mode of largest k, q0 the mode m = 1 of the periodic grid.
+        err_kf.append(abs(momentum_error_map(state, enc, channel.etas)[occ[-1]]))
+        err_q0.append(abs(momentum_error_map(state, enc, channel.etas, "odd")[n // 2 + 1]))
     assert all(b > a for a, b in zip(err_kf, err_kf[1:])), (
         f"error(k_F) not strictly increasing: {err_kf}"
     )
@@ -271,8 +269,9 @@ def test_criterion_05_fermi_point_error_growth_1d():
     lat = Lattice(1, 100)
     state, grid, occ = fermi_sea_1d(lat, 50)
     enc = EncodingWeightModel("jw1d", lat)
-    positive = grid.momenta[grid.momenta[:, 0] > 0]
-    sens = np.abs(momentum_error_map(state, enc, channel.etas, positive)) / p
+    on = grid.momenta[:, 0] > 0
+    positive = grid.momenta[on]
+    sens = np.abs(momentum_error_map(state, enc, channel.etas)[on]) / p
     k_peak = float(positive[np.argmax(sens), 0])
     step = 2.0 * np.pi / 100
     assert abs(k_peak - np.pi / 2) <= step + 1e-12, (
@@ -301,7 +300,7 @@ def test_criterion_06_fermi_contour_sensitivity_2d():
     for n_occ in (300, 450, 700):
         grid = momentum_grid(lat, parity_of(n_occ))
         state, occ = fermi_sea(grid, n_occ, tight_binding_dispersion)
-        sens = np.abs(momentum_error_map(state, enc, channel.etas, grid.momenta)) / p
+        sens = np.abs(momentum_error_map(state, enc, channel.etas)) / p
 
         m = np.rint((grid.momenta - grid.momenta.min(axis=0))
                     * side / (2.0 * np.pi)).astype(int)
@@ -456,8 +455,10 @@ def test_criterion_09_surface_error_formulas():
     enc = EncodingWeightModel("local", lat, phi0=phi0)
     occ_m = np.rint(grid.momenta[occ] * side / (2 * np.pi)).astype(int)
     probes_m = [(2, 0), (1, 1), (3, 2), (0, 0)]
-    probes_k = np.array(probes_m, dtype=float) * 2.0 * np.pi / side
-    ref = momentum_error_map(state, enc, PauliChannel.depolarizing(p_check).etas, probes_k)
+    rows = [(mx + side // 2) + side * (my + side // 2) for mx, my in probes_m]  # x fastest
+    np.testing.assert_allclose(grid.momenta[rows], np.array(probes_m) * 2.0 * np.pi / side,
+                               rtol=0, atol=1e-15)
+    ref = momentum_error_map(state, enc, PauliChannel.depolarizing(p_check).etas)[rows]
     direct = _direct_occupation_errors(side, occ_m, p_check, phi0, probes_m)
     assert np.abs(ref - direct).max() <= 1e-10, "direct sum disagrees with error map"
 

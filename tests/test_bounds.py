@@ -1,15 +1,18 @@
 """Tests for the closed-form stability bounds and their special functions."""
 
 import itertools
+import json
 import math
+import pathlib
 
 import mpmath
 import numpy as np
 import pytest
 from scipy.special import ellipk
 
-from conftest import full_width_polylog_direct, refuse_full_covariance
-from fermion_noise import cli, special
+from conftest import box_momentum_error_map, full_width_polylog_direct, refuse_full_covariance
+from fermion_noise import EncodingWeightModel, Lattice, ModeDiagonalState, PauliChannel, cli, \
+    momentum_grid, special
 from fermion_noise.bounds import (
     DecayParams,
     REGIME_LINEAR,
@@ -101,7 +104,7 @@ class TestPolylog:
     @pytest.mark.parametrize("s", [1.3, 1.7, 2.0, 3.0])
     def test_direct_sum_against_mpmath_where_the_bounds_call_it(self, s):
         # The z values of the bound tables (r^k1 for p = 0.1, 0.01, 0.001) and
-        # the closest approach to 1 that still sums directly.
+        # 1 - 1e-5, which the near-one expansion takes.
         for z in (0.85, 0.985, 0.9985, 1.0 - 1e-5):
             assert polylog(s, z) == pytest.approx(float(mpmath.polylog(s, z)), abs=1e-13), \
                 f"Li_{s}({z})"
@@ -139,14 +142,41 @@ class TestPolylog:
         z = 1.0 - 1e-6
         assert polylog(-3.5, z) == pytest.approx(float(mpmath.polylog(-3.5, z)), rel=1e-10)
 
+    @pytest.mark.parametrize("w", [1e-5, 2e-4, 9.99e-4])
+    def test_the_expansion_takes_over_below_w_1e_3(self, w):
+        # From w = -ln z = 1e-3 down, the expansion takes every order it can:
+        # s >= -4 and not within 1e-6 of a positive integer unless on one,
+        # where its poles cancel.  The others keep the direct sum.
+        z = math.exp(-w)
+        for s in (-4.0, -2.0, 0.0, 0.5, 1.2999999999999998, 1.0 + 2e-6, 2.0, 3.0):
+            assert polylog(s, z) == special._polylog_near_one(s, z), f"Li_{s}({z})"
+        for s in (-4.5, -6.0, 1.0 - 5e-7, 1.0 + 5e-7, 1.0 + 1e-11, 2.0 + 1e-9, 3.0 - 5e-7):
+            assert polylog(s, z) == special._polylog_direct(s, z), f"Li_{s}({z})"
+        for s in (-4.0, -3.5, -2.0, 0.0, 0.5, 1.3, 2.0, 2.0 + 1e-9, 3.0):
+            assert polylog(s, z) == pytest.approx(float(mpmath.polylog(s, z)), rel=1e-13,
+                                                  abs=0), f"Li_{s}({z})"
+
+    def test_the_direct_sum_keeps_w_from_1e_3_up_and_the_expansion_below_1e_5(self):
+        for s in (-6.0, 0.0, 1.3, 2.0, 2.0 + 1e-9):
+            z = math.exp(-1.001e-3)
+            assert polylog(s, z) == special._polylog_direct(s, z), f"Li_{s}({z})"
+        for s in (0.0, 1.3, 2.0, 2.0 + 1e-9):
+            z = math.exp(-0.99e-5)
+            assert polylog(s, z) == special._polylog_near_one(s, z), f"Li_{s}({z})"
+
+    @pytest.mark.parametrize("s", [0.0, -1.0, -4.0])
+    def test_integer_orders_below_one_have_no_pole_near_one(self, s):
+        # Gamma(1 - s) is finite there: Li_0(z) = z / (1 - z), and so on.
+        for z in (1.0 - 1e-7, math.exp(-1e-6)):
+            assert polylog(s, z) == pytest.approx(float(mpmath.polylog(s, z)), rel=1e-13, abs=0)
+
 
 class TestDirectSum:
     """The padded in-place direct sum against the full-width reference, bit for bit."""
 
     # The bound tables' z = r^k1 at p = 0.1, 0.01, 0.001, then w = -ln z of
-    # 5, 1e-3 (a padded partial chunk of ~62000 terms) and 1.05e-5, just
-    # above the switch to the near-one expansion, where the sums run over
-    # several full chunks.
+    # 5, 1e-3 (a padded partial chunk of ~62000 terms) and 1.05e-5, where the
+    # orders the near-one expansion cannot take sum over several full chunks.
     @pytest.mark.parametrize("z", [0.85, 0.985, 0.9985, math.exp(-5.0), math.exp(-1e-3),
                                    math.exp(-1.05e-5)])
     def test_bit_identical_to_the_full_width_sum(self, z):
@@ -181,6 +211,32 @@ class TestMemo:
         riemann_zeta.cache_clear()
         assert cli.main(["bounds", "--out", str(tmp_path / "bounds.json")]) == 0
         assert len(calls) == len(set(calls)) == 18
+
+
+class TestRecordedBoundTables:
+    # f(p) = 2 [(1 - r) phi0 + K C_D (zeta(s) - r^phi0 Li_s(r))] at 40 digits,
+    # from the program's own float r = 1 - 3p/2 and s = mu - D + 1.  The
+    # recorded tables deviate by at most 4.4e-13 relative (in their p/10
+    # rows, w = 1.05e-5 and 1.5e-4), against 1.7e-10 when those rows were
+    # summed directly; 1e-12 leaves a factor 2.3.
+    @pytest.mark.parametrize("name", ["bounds_p0.001.json", "bounds_p0.00007.json"])
+    def test_the_tables_near_z_1_match_mpmath(self, name):
+        recorded = json.loads((pathlib.Path(__file__).parent / "data" / "cli" / name).read_text())
+        phi0 = recorded["config"]["phi0"]
+
+        def f(p, mu, dim):
+            r, s = mpmath.mpf(1.0 - 1.5 * p), mpmath.mpf(mu - dim + 1.0)
+            return float(2 * ((1 - r) * phi0 + c_dim(dim) * (mpmath.zeta(s)
+                                                             - r**phi0 * mpmath.polylog(s, r))))
+
+        with mpmath.workdps(40):
+            for row in recorded["prop1"]:
+                assert row["value"] == pytest.approx(f(row["p"], row["mu"], row["D"]),
+                                                     rel=1e-12, abs=0), row
+            for row in recorded["prop3_prop4"]:
+                want = row["constant"] * f(row["p"], row["mu"], row["D"]) \
+                    * row["depth"] ** (row["D"] + 2)
+                assert row["prop3"] == pytest.approx(want, rel=1e-12, abs=0), row
 
 
 class TestLatticeGeometry:
@@ -486,6 +542,20 @@ class TestScalingProbes:
             jump_scaling_probe([], p=0.05, k_offset=0.0)
         with pytest.raises(ValueError, match="even"):
             jump_scaling_probe([101], p=0.05, k_offset=0.0)
+        for off_grid in (0.3, math.pi / 40, math.pi / 20 * (1 + 1e-9)):
+            with pytest.raises(ValueError, match="k_offset"):
+                jump_scaling_probe([20], p=0.05, k_offset=off_grid)
+
+    @pytest.mark.parametrize("f", [0, 1, -3, 7, 19, 50])
+    def test_jump_probe_reads_the_row_of_its_offset(self, f):
+        # k_offset = pi f / N is a mode of the state's periodic grid (f even)
+        # or of the antiperiodic one (f odd), against the box route's direct sum.
+        lat = Lattice(1, 20)
+        state = ModeDiagonalState(momentum_grid(lat, "odd"), np.arange(20) >= 10)
+        enc = EncodingWeightModel("local", lat, phi0=1)
+        want = box_momentum_error_map(state, enc, PauliChannel(0.05), [[math.pi * f / 20]])
+        [(_, got)] = jump_scaling_probe([20], p=0.05, k_offset=math.pi * f / 20)
+        assert got == pytest.approx(abs(want[0]), rel=0, abs=1e-14)
 
     def test_lipschitz_probe_slope(self):
         rows, slope = lipschitz_scaling_probe(np.geomspace(1e-3, 1e-1, 5))

@@ -687,6 +687,35 @@ class TestPrefixExpectations:
         prefix_expectations(state, obs, circ)
         assert len(steps) == 12 and len(damped) == 6
 
+    def test_a_filled_cone_is_damped_once_per_distinct_window(self, monkeypatch):
+        # Once the light cone fills the chain every window is all 32
+        # Majoranas, and the sweep reuses the attenuation of an unchanged window.
+        windows, damped = [], []
+        window, attenuation = Layer.window, circuits_module.attenuation_block
+
+        def stepping(layer, support):
+            cols, blocks = window(layer, support)
+            windows.append(tuple(cols))
+            return cols, blocks
+
+        def damping(enc, etas, idx):
+            damped.append(tuple(idx))
+            return attenuation(enc, etas, idx)
+
+        monkeypatch.setattr(Layer, "window", stepping)
+        monkeypatch.setattr(circuits_module, "attenuation_block", damping)
+        lat = Lattice(1, 16)
+        state, _, _ = fermi_sea_1d(lat, 8)
+        circ = brickwork_circuit(lat, 64, seed=3)
+        obs = QuadraticObservable.hopping(lat, 0, 1)
+        _, noisy = prefix_expectations(state, obs, circ, PauliChannel.depolarizing(0.1).etas,
+                                       EncodingWeightModel("jw1d", lat))
+        assert len(noisy) == 65 and len(windows) == 64
+        # W_1 .. W_64 are damped: W_64 = supp(O), then the windows of the last layers.
+        distinct = set([tuple(obs.support)] + windows[:-1])
+        assert windows.count(tuple(range(32))) > 48
+        assert len(damped) == len(set(damped)) == len(distinct) < 16
+
     def test_only_the_gates_in_the_cone_are_orthogonalized(self, monkeypatch):
         # Building the circuit orthogonalizes nothing; one sweep orthogonalizes
         # the gates that its windows touch, counted here on the dense

@@ -203,7 +203,7 @@ class TestFermiSeas:
         lat = Lattice(1, 4)
         state, grid, _ = fermi_sea_1d(lat, 4)
         assert_close(correlation_of(state), np.eye(4), 1e-12, "full filling")
-        assert_close(momentum_occupation(state, grid.momenta), 1.0, 1e-12, "n(k)")
+        assert_close(momentum_occupation(state), 1.0, 1e-12, "n(k)")
 
     def test_single_particle_tight_binding_plane(self):
         # One particle condenses into k = (0, 0): C_xy = 1/4 everywhere.
@@ -219,13 +219,13 @@ class TestFermiSeas:
         state, grid, occ = fermi_sea_1d(lat, 3)
         want = np.zeros(len(grid))
         want[occ] = 1.0
-        assert_close(momentum_occupation(state, grid.momenta), want, 1e-12, "n(k)")
+        assert_close(momentum_occupation(state), want, 1e-12, "n(k)")
 
     def test_total_momentum_occupation_counts_particles(self):
         for n_occ in (1, 2, 5, 8):
             lat = Lattice(1, 8)
             state, grid, _ = fermi_sea_1d(lat, n_occ)
-            total = momentum_occupation(state, grid.momenta).sum()
+            total = momentum_occupation(state).sum()
             assert total == pytest.approx(n_occ, abs=1e-8)
 
     def test_grid_parity_follows_particle_number(self):
@@ -374,38 +374,33 @@ class TestModeDiagonalState:
         grid = momentum_grid(lat, parity)
         fillings = rng.uniform(0.0, 1.0, size=lat.n_sites)
         state = ModeDiagonalState(grid, fillings)
-        other = momentum_grid(lat, "even" if parity == "odd" else "odd").momenta
-        momenta = np.concatenate([grid.momenta, other])
+        other = "even" if parity == "odd" else "odd"
+        momenta = np.concatenate([grid.momenta, momentum_grid(lat, other).momenta])
         dense = dense_state(state)
         refuse_full_covariance(monkeypatch)
-        spectral = momentum_occupation(state, momenta)
+        spectral = np.concatenate([momentum_occupation(state), momentum_occupation(state, other)])
         assert_close(spectral, [dense_momentum_occupation(dense, k) for k in momenta], 1e-12,
                      "torus sum vs dense observable")
         assert_close(spectral[:lat.n_sites], fillings, 1e-12, "n(k) on the grid")
         assert state.particle_number() == pytest.approx(dense.particle_number(), abs=1e-12)
 
     @pytest.mark.parametrize("dim,length,n_occ", [(1, 10, 3), (1, 10, 4), (2, 6, 7), (2, 6, 10)])
-    def test_own_grid_momenta_read_the_class_of_the_grid(self, rng, monkeypatch, dim, length,
-                                                         n_occ):
-        # The grid's own momenta skip the classification and give the same bits.
+    def test_the_own_parity_named_or_none_gives_the_same_bits(self, rng, dim, length, n_occ):
         lat = Lattice(dim, length)
         grid = momentum_grid(lat, parity_of(n_occ))
         state, _ = fermi_sea(grid, n_occ, tight_binding_dispersion)
         same, cross = rng.random((2,) + (length,) * dim) * lat.n_sites
         drops = lambda signs: (same, cross)  # noqa: E731
-        want = state.occupation_shift(drops, grid.momenta.copy())
-
-        def refuse(self, momenta):
-            raise AssertionError("the grid's own momenta were classified")
-
-        monkeypatch.setattr(Lattice, "frequency_classes", refuse)
-        assert np.array_equal(state.occupation_shift(drops, grid.momenta), want)
+        want = state.occupation_shift(drops)
+        assert want.shape == (lat.n_sites,)
+        assert np.array_equal(state.occupation_shift(drops, grid.parity), want)
         _assert_rolled_to_the_slots(grid)
 
-    def test_occupation_shift_validates_momenta(self):
+    def test_occupation_shift_validates_parity(self):
         state, _, _ = fermi_sea_1d(Lattice(1, 4), 2)
-        with pytest.raises(ValueError, match="shape"):
-            state.occupation_shift(lambda signs: (1.0, 1.0), np.array([0.0, np.pi / 2]))
+        for parity in ("both", "periodic", 1):
+            with pytest.raises(ValueError, match="'odd' or 'even'"):
+                state.occupation_shift(lambda signs: (1.0, 1.0), parity)
 
 
 class TestSupportHeldObservables:
@@ -628,7 +623,7 @@ class TestDecayControlledStates:
             rolled = np.roll(np.roll(corr, shift, axis=0), shift, axis=1)
             assert_close(rolled, corr, 1e-12, f"shift {shift}")
         # Mode occupations sit inside the advertised window.
-        nk = momentum_occupation(state, momentum_grid(lat, "odd").momenta)
+        nk = momentum_occupation(state, "odd")
         assert (0.05 - 1e-9 <= nk).all() and (nk <= 0.95 + 1e-9).all()
 
     def test_vacuum_decay_constant(self):

@@ -157,46 +157,23 @@ class TestDisplacementBox:
 
     @pytest.mark.parametrize("dim,length", [(1, 7), (1, 8), (2, 3), (2, 4)])
     def test_torus_sum_of_the_fold_is_the_plane_wave_pair_sum(self, rng, dim, length):
-        # conftest's box_sum is the direct sum for any momentum; the momenta of
-        # either grid parity also take the torus route, frequency_classes ->
-        # the signed fold -> torus_sum.
+        # conftest's box_sum is the direct sum for any momentum; the momenta
+        # pi (2 n + odd) / L of either grid parity also take the torus route,
+        # the signed fold -> torus_sum, whose whole table is read at every n.
         lat = Lattice(dim, length)
         pairs = rng.normal(size=(lat.n_sites,) * 2)
         box = fold(lat, pairs)
-        on_box = np.pi / length * rng.integers(-3 * length, 3 * length, size=(8, dim))
-        momenta = np.concatenate([on_box, rng.uniform(-4.0, 4.0, size=(8, dim))])
-        expected = plane_wave_pair_sum(lat, pairs, momenta)
-        assert_close(box_sum(lat, box, momenta), expected, 1e-12, f"{dim}D L={length}")
-        torus = np.full(len(on_box), np.nan)
-        for rows, odd, index in lat.frequency_classes(on_box):
-            folded = fold_onto_torus(lat, box, [-1 if o else 1 for o in odd]).astype(complex)
-            torus[rows] = lat.torus_sum(folded, odd, index)
-        assert_close(torus, expected[:len(on_box)], 1e-12, f"{dim}D L={length} on the torus")
-
-    def test_frequency_classes_validate_momenta(self):
-        lat = Lattice(2, 4)
-        with pytest.raises(ValueError, match="columns"):
-            lat.frequency_classes(np.zeros((3, 1)))
-
-    @pytest.mark.parametrize("dim", [1, 2])
-    def test_momenta_off_every_grid_are_refused(self, dim):
-        # The torus is the one route: k L / pi must be an integer on every axis.
-        lat = Lattice(dim, 6)
-        on_grid = np.pi / 6 * np.arange(-6, 6 * dim - 6).reshape(-1, dim)
-        assert sum(len(rows) for rows, _, _ in lat.frequency_classes(on_grid)) == len(on_grid)
-        for off in (0.3, np.pi / 6 * 1.5, np.pi / 6 * (1 + 1e-9)):
-            momenta = on_grid.copy()
-            momenta[2, dim - 1] = off
-            with pytest.raises(ValueError, match="momenta"):
-                lat.frequency_classes(momenta)
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_non_finite_momenta_are_refused(self, bad):
-        # A NaN or inf momentum would return NaN from the torus route.
-        lat = Lattice(2, 4)
-        momenta = np.array([[0.0, 0.5], [bad, 0.0]])
-        with pytest.raises(ValueError, match="finite"):
-            lat.frequency_classes(momenta)
+        off_box = rng.uniform(-4.0, 4.0, size=(8, dim))
+        assert_close(box_sum(lat, box, off_box), plane_wave_pair_sum(lat, pairs, off_box), 1e-12,
+                     f"{dim}D L={length} off the grids")
+        for odd in (False, True):
+            n = np.indices((length,) * dim).reshape(dim, -1).T
+            momenta = np.pi / length * (2 * n + odd)
+            expected = plane_wave_pair_sum(lat, pairs, momenta)
+            assert_close(box_sum(lat, box, momenta), expected, 1e-12, f"{dim}D L={length}")
+            folded = fold_onto_torus(lat, box, [-1 if odd else 1] * dim).astype(complex)
+            assert_close(lat.torus_sum(folded, (odd,) * dim).ravel(), expected, 1e-12,
+                         f"{dim}D L={length} odd={odd} on the torus")
 
 
 class TestSnakeOrdering:

@@ -10,7 +10,7 @@ from conftest import GaussianState, assert_close, attenuation_matrix, box_covari
     box_drops, box_momentum_error_map, box_momentum_occupation, box_occupation_shift, \
     dense_coefficients, dense_momentum_error_map, dense_state, displacement_index, \
     displacement_multiplicity, fold_drop_box, fold_onto_torus, folded_drops, full_covariance, \
-    lattice_coords, momentum_occupation_observable, random_correlation, \
+    lattice_coords, momentum_occupation_observable, on_both_grids, random_correlation, \
     random_normalized_observable, random_pure_state, refuse_full_covariance, \
     state_from_correlation, table_strings
 from fermion_noise import (
@@ -163,7 +163,7 @@ class TestEtas:
         calls = [lambda: attenuation_block(enc, etas, [0, 3]),
                  lambda: noisy_expectation(state, obs, enc, etas),
                  lambda: measurement_error(state, obs, enc, etas),
-                 lambda: momentum_error_map(state, enc, etas, grid.momenta)]
+                 lambda: momentum_error_map(state, enc, etas)]
         if etas is not None:  # a circuit reads None as no noise
             calls.append(lambda: prefix_expectations(state, obs, circ, etas, enc))
         for call in calls:
@@ -175,10 +175,10 @@ class TestEtas:
         enc = EncodingWeightModel("jw1d", lat)
         state, grid, _ = fermi_sea_1d(lat, 2)
         want = attenuation_block(enc, (0.5, 0.25, 1.0), np.arange(8))
-        errors = momentum_error_map(state, enc, (0.5, 0.25, 1.0), grid.momenta)
+        errors = momentum_error_map(state, enc, (0.5, 0.25, 1.0))
         for etas in ([0.5, 0.25, 1.0], np.array([0.5, 0.25, 1.0]), (np.float32(0.5), 0.25, 1)):
             assert np.array_equal(attenuation_block(enc, etas, np.arange(8)), want)
-            assert np.array_equal(momentum_error_map(state, enc, etas, grid.momenta), errors)
+            assert np.array_equal(momentum_error_map(state, enc, etas), errors)
         assert np.array_equal(attenuation_block(enc, (0.0,) * 3, [0, 3]), np.eye(2))
         assert np.array_equal(attenuation_block(enc, (1.0,) * 3, [0, 3]), np.ones((2, 2)))
 
@@ -360,7 +360,7 @@ class TestNoisyExpectations:
     @pytest.mark.parametrize("measure", [
         lambda state, obs, enc, ch: noisy_expectation(state, obs, enc, ch.etas),
         lambda state, obs, enc, ch: measurement_error(state, obs, enc, ch.etas),
-        lambda state, obs, enc, ch: momentum_error_map(state, enc, ch.etas, [[0.0]]),
+        lambda state, obs, enc, ch: momentum_error_map(state, enc, ch.etas),
     ])
     def test_encoding_and_state_lattices_must_agree(self, measure):
         # A 16-site sea read through encodings of 8 sites, or of 16 sites in 2D.
@@ -427,7 +427,7 @@ class TestMomentumErrorMap:
         state, grid, _ = fermi_sea_1d(lat, 4)
         enc = EncodingWeightModel("jw1d", lat)
         ch = PauliChannel.depolarizing(0.1)
-        errors = momentum_error_map(state, enc, ch.etas, grid.momenta)
+        errors = momentum_error_map(state, enc, ch.etas)
         lam = attenuation_matrix(enc, ch)
         for j, k in enumerate(grid.momenta):
             obs = momentum_occupation_observable(lat, k)
@@ -440,18 +440,17 @@ class TestMomentumErrorMap:
         lat = Lattice(1, 6)
         state, grid, _ = fermi_sea_1d(lat, 3)
         enc = EncodingWeightModel("jw1d", lat)
-        fast = momentum_error_map(
-            state, enc, PauliChannel.depolarizing(0.2).etas, grid.momenta)
+        fast = momentum_error_map(state, enc, PauliChannel.depolarizing(0.2).etas)
         ch = PauliChannel(0.2, alphas=(1 / 3 + 1e-10, 1 / 3, 1 / 3 - 1e-10))
         assert not ch.is_depolarizing
-        generic = momentum_error_map(state, enc, ch.etas, grid.momenta)
+        generic = momentum_error_map(state, enc, ch.etas)
         assert_close(generic, fast, 1e-8, "fast vs generic")
 
     def test_occupied_mode_errors_are_positive_losses(self):
         lat = Lattice(1, 10)
         state, grid, occ = fermi_sea_1d(lat, 5)
         enc = EncodingWeightModel("jw1d", lat)
-        errors = momentum_error_map(state, enc, PauliChannel.depolarizing(0.1).etas, grid.momenta)
+        errors = momentum_error_map(state, enc, PauliChannel.depolarizing(0.1).etas)
         assert (errors[occ] > 0).all()
 
     def test_two_dimensional_map(self):
@@ -460,37 +459,22 @@ class TestMomentumErrorMap:
         state, _ = fermi_sea(grid, 5, tight_binding_dispersion)
         enc = EncodingWeightModel("local", lat, phi0=1)
         ch = PauliChannel.depolarizing(0.05)
-        errors = momentum_error_map(state, enc, ch.etas, grid.momenta)
+        errors = momentum_error_map(state, enc, ch.etas)
         lam = attenuation_matrix(enc, ch)
         for j in (0, 7, 15):
             obs = momentum_occupation_observable(lat, grid.momenta[j])
             manual = float(np.sum(dense_coefficients(obs) * (1.0 - lam) * full_covariance(state)))
             assert errors[j] == pytest.approx(manual, abs=1e-14)
 
-    def test_momenta_shape_validated(self):
+    def test_parity_validated(self):
         lat = Lattice(1, 4)
         state, _, _ = fermi_sea_1d(lat, 2)
         enc = EncodingWeightModel("jw1d", lat)
         ch = PauliChannel.depolarizing(0.1)
-        with pytest.raises(ValueError, match="columns"):
-            momentum_error_map(state, enc, ch.etas, np.array([0.0, np.pi / 2]))
-        out = momentum_error_map(state, enc, ch.etas, np.array([[0.0], [np.pi / 2]]))
-        assert out.shape == (2,)
-
-    @pytest.mark.parametrize("dim", [1, 2])
-    def test_momenta_off_every_grid_are_refused(self, dim):
-        # Every momentum sum is read off the torus: k L / pi must be an integer
-        # on every axis, a momentum of either grid parity.
-        lat = Lattice(dim, 4)
-        grid = momentum_grid(lat, "odd")
-        state = ModeDiagonalState(grid, np.full(lat.n_sites, 0.5))
-        enc = EncodingWeightModel("local", lat)
-        off = np.concatenate([grid.momenta[:3], np.full((1, dim), np.pi / 4)])
-        off[-1, 0] += 0.3
-        with pytest.raises(ValueError, match="momenta"):
-            momentum_error_map(state, enc, PauliChannel.depolarizing(0.1).etas, off)
-        with pytest.raises(ValueError, match="momenta"):
-            momentum_occupation(state, off)
+        with pytest.raises(ValueError, match="'odd' or 'even'"):
+            momentum_error_map(state, enc, ch.etas, "periodic")
+        for parity in (None, "odd", "even"):
+            assert momentum_error_map(state, enc, ch.etas, parity).shape == (4,)
 
     @pytest.mark.parametrize("dim,length,kind", [
         (2, 16, "local"), (2, 16, "jw2d_snake"), (2, 16, "bravyi_kitaev"), (2, 64, "local"),
@@ -516,7 +500,7 @@ class TestMomentumErrorMap:
                     if kind == "local" and mode == "exact" and not ch.is_depolarizing:
                         continue
                     etas = mode_etas(ch, mode)
-                    total = momentum_error_map(state, enc, etas, grid.momenta).sum()
+                    total = momentum_error_map(state, enc, etas).sum()
                     ez = etas[2]
                     on_site = np.sum(1.0 - ez ** z_counts[kind])
                     expected = on_site * (n_occ / lat.n_sites - 0.5)
@@ -589,10 +573,10 @@ class TestMomentumErrorMapReference:
         state = ModeDiagonalState(grid, rng.uniform(0.0, 1.0, size=lat.n_sites))
         enc = EncodingWeightModel(kind, lat, phi0=1)
         ch = PauliChannel(0.2, alphas=alphas) if alphas else PauliChannel.depolarizing(0.2)
-        momenta = np.concatenate([grid.momenta, momentum_grid(lat, "odd").momenta])
         dense = dense_state(state)
         refuse_full_covariance(monkeypatch)
-        errors = momentum_error_map(state, enc, mode_etas(ch, mode), momenta)
+        momenta, errors = on_both_grids(
+            state, lambda parity: momentum_error_map(state, enc, mode_etas(ch, mode), parity))
         ref = [per_momentum_error(dense, enc, ch, k, mode) for k in momenta]
         assert_close(errors, ref, 1e-12, f"{kind} {mode} {alphas} {dim}D")
 
@@ -602,14 +586,13 @@ class TestMomentumErrorMapReference:
         enc = EncodingWeightModel("local", lat)
         ch = PauliChannel(0.2, alphas=(0.5, 0.25, 0.25))
         with pytest.raises(ValueError, match="worst-case"):
-            momentum_error_map(state, enc, ch.etas, np.array([[0.0]]))
+            momentum_error_map(state, enc, ch.etas)
 
     def test_a_state_that_is_not_mode_diagonal_is_refused(self):
         lat = Lattice(1, 4)
         enc = EncodingWeightModel("jw1d", lat)
         with pytest.raises(TypeError, match="ModeDiagonalState"):
-            momentum_error_map(GaussianState.vacuum(lat), enc,
-                               PauliChannel.depolarizing(0.1).etas, np.array([[0.0]]))
+            momentum_error_map(GaussianState.vacuum(lat), enc, PauliChannel.depolarizing(0.1).etas)
 
 
 class TestSpectralErrorMap:
@@ -628,8 +611,6 @@ class TestSpectralErrorMap:
             occupations = (rng.uniform(size=lat.n_sites) < 0.4).astype(float)
         else:
             occupations = 0.5 * (1.0 + np.cos(grid.momenta[:, 0]))
-        other = momentum_grid(lat, "even" if parity == "odd" else "odd").momenta
-        momenta = np.concatenate([grid.momenta, other])
         encodings = [EncodingWeightModel("local", lat, phi0=phi0) for phi0 in (0, 1, 2)]
         if dim == 1:
             encodings.append(EncodingWeightModel("jw1d", lat))
@@ -637,9 +618,12 @@ class TestSpectralErrorMap:
         reference = dense_state(state)
         refuse_full_covariance(monkeypatch)
         channel = PauliChannel.depolarizing(0.13)
-        spectral = {(enc.kind, enc.phi0, mode):
-                    momentum_error_map(state, enc, mode_etas(channel, mode), momenta)
-                    for enc in encodings for mode in ("exact", "worst-case")}
+        spectral = {}
+        for enc in encodings:
+            for mode in ("exact", "worst-case"):
+                etas = mode_etas(channel, mode)
+                momenta, spectral[enc.kind, enc.phi0, mode] = on_both_grids(
+                    state, lambda parity: momentum_error_map(state, enc, etas, parity))
         for enc in encodings:
             for mode in ("exact", "worst-case"):
                 dense = dense_momentum_error_map(reference, enc, channel, momenta, mode)
@@ -659,10 +643,10 @@ class TestSpectralErrorMap:
         state = ModeDiagonalState(grid, rng.uniform(0.0, 1.0, size=lat.n_sites))
         enc = EncodingWeightModel(kind, lat)
         channel = PauliChannel(0.2, alphas=alphas) if alphas else PauliChannel.depolarizing(0.2)
-        momenta = np.concatenate([grid.momenta, momentum_grid(lat, "even").momenta])
         dense = dense_state(state)
         refuse_full_covariance(monkeypatch)
-        errors = momentum_error_map(state, enc, channel.etas, momenta)
+        momenta, errors = on_both_grids(
+            state, lambda parity: momentum_error_map(state, enc, channel.etas, parity))
         # The drops are summed over pairs before the C(r) weights, the dense
         # reference's T after them: the same sum in another order.
         assert_close(errors, dense_momentum_error_map(dense, enc, channel, momenta),
@@ -683,8 +667,8 @@ class TestSpectralErrorMap:
         state = ModeDiagonalState(grid, occupations)
         enc = EncodingWeightModel("local", lat, phi0=phi0)
         probes_m = [(0, 0), (35, 0), (36, 0), (25, 25), (26, 25), (-36, 3), (99, -100)]
-        probes_k = np.array(probes_m, dtype=float) * 2.0 * np.pi / side
-        errors = momentum_error_map(state, enc, PauliChannel.depolarizing(p).etas, probes_k)
+        rows = [(mx + side // 2) + side * (my + side // 2) for mx, my in probes_m]  # x fastest
+        errors = momentum_error_map(state, enc, PauliChannel.depolarizing(p).etas)[rows]
         occ_m = lattice_coords(lat)[occ] - side // 2  # m of the periodic grid
         direct = _direct_occupation_errors(side, occ_m, p, phi0, probes_m)
         assert_close(errors, direct, 1e-12, "spectral vs convolution reference")
@@ -757,7 +741,7 @@ class TestFenwickLevels:
         state, _ = fermi_sea(grid, 1000, tight_binding_dispersion)
         p = 0.01
         same, cross = _streamed_drop_box(lat, 1.0 - p, _fenwick_weights(lat))
-        want = state.occupation_shift(folded_drops(lat, same, cross), grid.momenta)
+        want = state.occupation_shift(folded_drops(lat, same, cross))
 
         def refuse(*args, **kwargs):
             raise AssertionError("the level path built pair weights")
@@ -766,7 +750,7 @@ class TestFenwickLevels:
         monkeypatch.setattr(encodings, "_fenwick_pairs", refuse)
         refuse_full_covariance(monkeypatch)
         enc = EncodingWeightModel("bravyi_kitaev", lat)
-        errors = momentum_error_map(state, enc, PauliChannel.depolarizing(p).etas, grid.momenta)
+        errors = momentum_error_map(state, enc, PauliChannel.depolarizing(p).etas)
         assert_close(errors, want, 1e-12, "levels vs streamed fold at L = 64")
 
     def test_the_tori_of_the_last_etas_and_signs_are_kept_on_the_model(self):
@@ -780,14 +764,13 @@ class TestFenwickLevels:
         for n_occ in (10, 20):
             grid = momentum_grid(lat, parity_of(n_occ))
             state, _ = fermi_sea(grid, n_occ, tight_binding_dispersion)
-            errors.append(momentum_error_map(state, enc, ch.etas, grid.momenta))
+            errors.append(momentum_error_map(state, enc, ch.etas))
         assert enc.drop_torus(ch.etas, (1, 1)) is kept
-        momentum_error_map(state, enc, mode_etas(ch, "worst-case"), grid.momenta)
+        momentum_error_map(state, enc, mode_etas(ch, "worst-case"))
         assert enc.drop_torus((ch.worst_factor,) * 3, (1, 1)) is not kept
         assert enc.drop_torus(ch.etas, (1, -1)) is not kept
         fresh = EncodingWeightModel("jw2d_snake", lat)
-        assert_close(errors[1], momentum_error_map(state, fresh, ch.etas, grid.momenta), 0.0,
-                     "kept torus")
+        assert_close(errors[1], momentum_error_map(state, fresh, ch.etas), 0.0, "kept torus")
         again = enc.drop_torus(ch.etas, [1, 1])
         assert again is not kept and all(np.array_equal(a, b) for a, b in zip(again, kept))
 
@@ -801,10 +784,10 @@ class TestFenwickLevels:
         state, _ = fermi_sea(grid, 300, tight_binding_dispersion)
         enc = EncodingWeightModel("local", lat)
         ch = PauliChannel.depolarizing(0.01)
-        want = momentum_error_map(state, enc, ch.etas, grid.momenta)  # every cache warm
+        want = momentum_error_map(state, enc, ch.etas)  # every cache warm
         tracemalloc.start()
         try:
-            errors = momentum_error_map(state, enc, ch.etas, grid.momenta)
+            errors = momentum_error_map(state, enc, ch.etas)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -823,8 +806,7 @@ class TestFenwickLevels:
             lat = Lattice(2, 256)
             grid = momentum_grid(lat, parity_of(300))
             state, _ = fermi_sea(grid, 300, tight_binding_dispersion)
-            errors = momentum_error_map(state, EncodingWeightModel("local", lat), (0.99,) * 3,
-                                        grid.momenta)
+            errors = momentum_error_map(state, EncodingWeightModel("local", lat), (0.99,) * 3)
             held = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
@@ -839,11 +821,10 @@ class TestFenwickLevels:
         sweep = np.linspace(0.001, 0.5, 50)
         for p in np.concatenate([sweep, sweep[:3]]):
             ch = PauliChannel.depolarizing(float(p))
-            got = momentum_error_map(state, enc, ch.etas, grid.momenta)
+            got = momentum_error_map(state, enc, ch.etas)
             assert enc._last_drop_torus[0] == (ch.etas, (1, 1))
             fresh = EncodingWeightModel("bravyi_kitaev", lat)
-            assert_close(got, momentum_error_map(state, fresh, ch.etas, grid.momenta), 0.0,
-                         f"p = {p}")
+            assert_close(got, momentum_error_map(state, fresh, ch.etas), 0.0, f"p = {p}")
 
     @pytest.mark.parametrize("kind,dim,shared", [("local", 1, True), ("local", 2, True),
                                                  ("jw1d", 1, True), ("jw2d_snake", 2, True),
@@ -925,7 +906,7 @@ class TestJordanWignerTorus:
         order = snake_index_vector(lat).astype(np.int64)
         same, cross = _streamed_drop_box(
             lat, 1.0 - p, lambda rows, sites: 1 + np.abs(order[rows, None] - order[None, sites]))
-        want = state.occupation_shift(folded_drops(lat, same, cross), grid.momenta)
+        want = state.occupation_shift(folded_drops(lat, same, cross))
 
         def refuse(*args, **kwargs):
             raise AssertionError("the snake path built pair weights")
@@ -934,7 +915,7 @@ class TestJordanWignerTorus:
         monkeypatch.setattr(EncodingWeightModel, "_jordan_wigner_counts", refuse)
         refuse_full_covariance(monkeypatch)
         enc = EncodingWeightModel("jw2d_snake", lat)
-        errors = momentum_error_map(state, enc, PauliChannel.depolarizing(p).etas, grid.momenta)
+        errors = momentum_error_map(state, enc, PauliChannel.depolarizing(p).etas)
         assert_close(errors, want, 1e-12, "qubit separations vs streamed fold at L = 64")
 
 _TORUS_DROP_CASES = [(kind, dim, length, channel, mode)
@@ -980,16 +961,6 @@ _TORUS_NOISE = [(PauliChannel.depolarizing(0.2), "exact"),
                 (PauliChannel(0.2, alphas=(0.1, 0.1, 0.8)), "exact")]
 
 
-def _torus_momenta(grid):
-    """Momenta of the state's parity, of the other parity and of mixed parity (2D)."""
-    lat = grid.lattice
-    other = momentum_grid(lat, "even" if grid.parity == "odd" else "odd").momenta
-    momenta = [grid.momenta, other]
-    if lat.dim == 2:
-        momenta.append(np.stack([grid.momenta[:, 0], other[:, 1]], axis=1))
-    return np.concatenate(momenta)
-
-
 class TestTorusRoute:
     # The L^D torus against the (2L)^D box route of conftest.py, which sums
     # the drops on the box by the box-route producers and reads every
@@ -1001,22 +972,24 @@ class TestTorusRoute:
         lat = Lattice(dim, length)
         grid = momentum_grid(lat, parity)
         state = ModeDiagonalState(grid, rng.uniform(0.0, 1.0, size=lat.n_sites))
-        momenta = _torus_momenta(grid)
         enc = EncodingWeightModel(kind, lat)
         label = f"{dim}D L={length} {kind} {parity}"
         for channel, mode in _TORUS_NOISE:
             if kind == "local" and not (channel.is_depolarizing or mode == "worst-case"):
                 continue  # weights only: a non-uniform mix needs X/Y/Z counts
-            assert_close(momentum_error_map(state, enc, mode_etas(channel, mode), momenta),
-                         box_momentum_error_map(state, enc, channel, momenta, mode), 1e-14,
+            etas = mode_etas(channel, mode)
+            momenta, errors = on_both_grids(
+                state, lambda parity: momentum_error_map(state, enc, etas, parity))
+            assert_close(errors, box_momentum_error_map(state, enc, channel, momenta, mode), 1e-14,
                          f"{label} {channel.alphas} {mode}")
         # Any drops, zero where no pair lies (an axis at -L), as every drop box
-        # is, folded onto the torus of each class.
+        # is, folded onto the torus of each grid.
         same, cross = rng.normal(size=(2,) + (2 * length,) * dim)
         no_pair = displacement_multiplicity(lat) == 0
         same[no_pair] = cross[no_pair] = 0.0
-        assert_close(state.occupation_shift(folded_drops(lat, same, cross), momenta),
-                     box_occupation_shift(state, same, cross, momenta), 1e-14,
+        momenta, shifts = on_both_grids(
+            state, lambda parity: state.occupation_shift(folded_drops(lat, same, cross), parity))
+        assert_close(shifts, box_occupation_shift(state, same, cross, momenta), 1e-14,
                      f"{label} random drop boxes")
 
     @pytest.mark.parametrize("parity", ["odd", "even"])
@@ -1025,9 +998,8 @@ class TestTorusRoute:
         lat = Lattice(dim, length)
         grid = momentum_grid(lat, parity)
         state = ModeDiagonalState(grid, rng.uniform(0.0, 1.0, size=lat.n_sites))
-        momenta = _torus_momenta(grid)
-        assert_close(momentum_occupation(state, momenta),
-                     [box_momentum_occupation(state, k) for k in momenta], 1e-14,
+        momenta, occupations = on_both_grids(state, lambda parity: momentum_occupation(state, parity))
+        assert_close(occupations, [box_momentum_occupation(state, k) for k in momenta], 1e-14,
                      f"n(k), {dim}D L={length} {parity}")
         everything = np.arange(lat.n_majorana)
         some = rng.permutation(lat.n_majorana)[:5]

@@ -82,6 +82,8 @@ DELETED_METHODS = [
     ("QuadraticObservable", "coefficient_trace_norm"),
     ("MomentumGrid", "torus_index"),
     ("Lattice", "coords"),
+    ("Lattice", "frequency_classes"),
+    ("Lattice", "_momenta"),
 ]
 # Public names that no other package module refers to, each with why it stays.
 KEPT = {
