@@ -301,9 +301,7 @@ class ModeDiagonalState:
         sign = 1 if parity == self.grid.parity else -1
         table = lat.torus_sum(self._summand(*drops((sign,) * lat.dim)),
                               (parity == "even",) * lat.dim)
-        rolled = self.grid._roll(table)
-        del table  # the complex summand, freed before the roll's transposed copy
-        return rolled.ravel()
+        return self.grid._roll(table).ravel()
 
     def _summand(self, same: np.ndarray, cross: np.ndarray) -> np.ndarray:
         """``cross (Re C - delta_r0/2) - i same Im C``, over ``N``, built in one complex torus."""

@@ -38,6 +38,7 @@ read off one ``L^D`` FFT, with a half-period twist on the antiperiodic grid
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple, Union
 
@@ -252,11 +253,16 @@ class MomentumGrid:
         slot ``n`` of :meth:`Lattice.torus_sum`'s table on either parity of
         grid: the grid-order array, its axes reversed (sites run with ``x``
         fastest), rolled by ``L/2`` on every axis, which for even ``L`` is its
-        own inverse.
+        own inverse.  The roll swaps the two halves of every axis, copied in
+        one pass into a C-ordered array, so its ``ravel`` is a view.
         """
         lat = self.lattice
-        return np.roll(values.reshape((lat.length,) * lat.dim).T, lat.length // 2,
-                       tuple(range(lat.dim)))
+        values = values.reshape((lat.length,) * lat.dim).T
+        rolled = np.empty(values.shape, values.dtype)
+        halves = (slice(lat.length // 2), slice(lat.length // 2, None))
+        for corner in itertools.product((0, 1), repeat=lat.dim):
+            rolled[tuple(halves[i] for i in corner)] = values[tuple(halves[1 - i] for i in corner)]
+        return rolled
 
 
 def momentum_grid(lat: Lattice, occupation_parity: str) -> MomentumGrid:

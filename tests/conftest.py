@@ -705,6 +705,24 @@ def folded_drops(lat, same, cross):
     return lambda signs: (fold_onto_torus(lat, same, signs), fold_onto_torus(lat, cross, signs))
 
 
+def _fenwick_levels(tau: np.ndarray):
+    """Per-end exponent tables of :func:`_fenwick_pairs`, one level ``h`` at a time.
+
+    ``tau`` holds the trailing ones of every mode, int64.  Yields
+    ``(h, o, p, r, p_last)`` for ``h = 0 .. log2(n) - 1``.  Two sites
+    first differing at bit ``h`` lie in the two halves of one block of
+    ``2^(h + 1)`` modes; ``o``, ``p`` and ``r`` are ``O``, ``P`` and ``R`` at
+    the sites of block 0, and every block has the same ones but at its last
+    site, whose trailing ones run on into the block number: ``p_last`` is
+    ``P`` at the last site of every block, where ``O = h`` and ``R = 1``.
+    """
+    for h in range(len(tau).bit_length() - 1):
+        size = 2 << h
+        o = np.bitwise_count(np.arange(size) & ((1 << h) - 1)).astype(np.int64)
+        yield (h, o, h - np.abs(tau[:size] - h), tau[:size] >= h,
+               h - np.abs(tau[size - 1::size] - h))
+
+
 def _fenwick_box(lat: Lattice, etas: Tuple[float, float, float]
                       ) -> Tuple[np.ndarray, np.ndarray]:
     """Bravyi-Kitaev's ``(same, cross)`` drop boxes by Fenwick level, FFTs on the box.
@@ -745,7 +763,7 @@ def _fenwick_box(lat: Lattice, etas: Tuple[float, float, float]
             np.where(r, 0.0, ex ** np.maximum(h - o - 1, 0) * down)))
 
     tau = encodings._trailing_ones(np.arange(n)).astype(np.int64)
-    for h, o, p, r, p_last in encodings._fenwick_levels(tau):
+    for h, o, p, r, p_last in _fenwick_levels(tau):
         size = len(o)
         factors = ends(h, o, p, r)
         factors[:, size // 2:] *= n // size

@@ -175,14 +175,18 @@ class TestLocalWeights:
 
 
     @pytest.mark.parametrize("kind,dim,length,bound", [
-        ("local", 1, 65536, 2.1), ("local", 2, 512, 2.1), ("bravyi_kitaev", 2, 256, 34.0)])
+        ("local", 1, 65536, 2.1), ("local", 2, 512, 2.1), ("bravyi_kitaev", 1, 65536, 32.0),
+        ("bravyi_kitaev", 2, 256, 34.0)])
     def test_drop_torus_is_built_in_place(self, kind, dim, length, bound):
         # local: the distances, their powers and the pair counts share one
         # array, and 1D holds one more distance table while it is built, where
-        # the box held four.  Bravyi-Kitaev reuses one stack of 8 level grids
-        # and transforms it into one kept stack of spectra: 33.5 tori at
-        # 2D L = 256, the coordinates included, where the box took 37.7
-        # boxes of four tori each.
+        # the box held four.  Bravyi-Kitaev takes one level per batch at these
+        # sizes: one stack of 8 level grids, transformed into one kept stack
+        # of spectra, and the correlation works in place in the two.  Levels
+        # transformed one at a time with their coordinates took 33.5 tori at
+        # 2D L = 256 and 31.9 at 1D L = 65536, the bounds rounded up from
+        # them; the batches take 24.2 and 24.4.  The box took 37.7 boxes of
+        # four tori each.
         enc = EncodingWeightModel(kind, Lattice(dim, length))
         tracemalloc.start()
         try:

@@ -172,11 +172,15 @@ def _mode_vectors(grid):
 
 
 def _assert_rolled_to_the_slots(grid, where=""):
-    """The grid's half-period roll puts mode ``i`` at ``floor(m_i) mod L``, and reads it back."""
+    """The grid's half-period roll puts mode ``i`` at ``floor(m_i) mod L``, and reads it back.
+
+    The roll is one C-ordered copy, so the grid order read back is a view of it.
+    """
     modes = np.arange(len(grid))
     slots = np.floor(_mode_vectors(grid)).astype(np.int64) % grid.lattice.length
     torus = grid._roll(modes)
     assert np.array_equal(torus[tuple(slots.T)], modes), where
+    assert torus.flags.c_contiguous and np.shares_memory(torus, torus.ravel()), where
     assert np.array_equal(grid._roll(torus).ravel(), modes), where
 
 

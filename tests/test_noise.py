@@ -735,6 +735,33 @@ class TestFenwickLevels:
             assert np.abs(got - want).max() <= 1e-12 * np.abs(np.stack(boxes)).max(), \
                 f"{dim}D L={length} {etas} {signs}"
 
+    @pytest.mark.parametrize("dim,length", [(1, 2), (1, 512), (1, 4096), (2, 2), (2, 16),
+                                            (2, 64)])
+    def test_the_tori_do_not_depend_on_the_batches(self, dim, length, monkeypatch):
+        # The levels go in batches that fit a byte budget on their grids, and
+        # the spectra are added level by level: one level per batch, all
+        # levels in one batch and an uneven split give the same bits.
+        lat = Lattice(dim, length)
+        levels = lat.n_sites.bit_length() - 1
+        ends, batches = encodings._fenwick_ends, []
+        monkeypatch.setattr(encodings, "_fenwick_ends",
+                            lambda tau, batch, etas: batches.append(len(batch)) or
+                            ends(tau, batch, etas))
+        for signs in _every_sign(dim):
+            level_bytes = 8 * lat.n_sites * (16 if -1 in signs else 8)  # one level's grids
+            for channel, mode in _FENWICK_NOISE:
+                etas = mode_etas(channel, mode)
+                tori = []
+                for per_batch in (1, levels, levels // 2 + 1):
+                    monkeypatch.setattr(encodings, "_FENWICK_BATCH_BYTES", per_batch * level_bytes)
+                    batches.clear()
+                    tori.append(encodings._fenwick_drop_torus(lat, etas, signs))
+                    assert batches == [per_batch] * (levels // per_batch) + (
+                        [levels % per_batch] if levels % per_batch else [])
+                for same, cross in tori[1:]:
+                    assert np.array_equal(same, tori[0][0]) and np.array_equal(cross, tori[0][1]), \
+                        f"{dim}D L={length} {etas} {signs}"
+
     def test_the_map_at_64_by_64_builds_no_pair_table(self, monkeypatch):
         lat = Lattice(2, 64)
         grid = momentum_grid(lat, parity_of(1000))
